@@ -26,8 +26,8 @@ import numpy as np
 
 from ..fpga.power import EnergyBreakdown
 from ..fpga.resources import UtilizationReport
+from ..compile.pipeline import StepCompiler
 from ..fpga.u280 import FpgaPlatform, u280
-from ..graph.graph import Graph
 from ..llama.checkpoint import Checkpoint
 from ..llama.kv_cache import KVCache
 from ..llama.quantization import QuantSpec, dequantize, quantize
@@ -37,9 +37,6 @@ from ..sim.stats import RunCounters
 from .batching import BatchSlot
 from .config import AcceleratorConfig
 from .executor import GraphExecutor
-from .instructions import Program
-from .pipeline import StepResult
-from .timing import StepTimingModel
 
 __all__ = ["SpeedLLMAccelerator", "GenerationMetrics", "AcceleratorGeneration"]
 
@@ -130,11 +127,11 @@ class SpeedLLMAccelerator:
         self.model_config = checkpoint.config
         self.config = config or AcceleratorConfig()
         self.platform = platform or u280()
-        #: Graph/program compilation and cycle simulation, cached.  The
-        #: timing model is a separate object so execution backends can
-        #: build additional (e.g. tensor-parallel sharded) views of the
-        #: same design point; see :mod:`repro.accel.timing`.
-        self.timing = StepTimingModel(
+        #: Graph/program compilation and cycle simulation, cached: the
+        #: unsharded step compiler of this design point.  Execution
+        #: backends call it directly, and build further (tensor-parallel
+        #: sharded) compilers of the same design point beside it.
+        self.timing = StepCompiler(
             self.model_config, self.config, self.platform
         )
         # Functional weights: quantise+dequantise so the functional result
@@ -188,21 +185,6 @@ class SpeedLLMAccelerator:
                           weights=dict(self._functional_weights))
 
     # ------------------------------------------------------------------
-    # Compilation
-    # ------------------------------------------------------------------
-    def graph_for(self, context_len: int, include_logits: bool = True) -> Graph:
-        """Decode-step graph at ``context_len`` (fused if enabled), cached.
-
-        ``include_logits=False`` builds the reduced graph without the
-        final norm and classifier; batched serving uses it for prompt
-        positions whose logits are never sampled.
-        """
-        return self.timing.graph_for(context_len, include_logits)
-
-    def program_for(self, context_len: int, include_logits: bool = True) -> Program:
-        """Compiled tile program at ``context_len``, cached."""
-        return self.timing.program_for(context_len, include_logits)
-
     def resource_report(self) -> UtilizationReport:
         """Place the design against the platform budget and report utilisation."""
         budget = self.platform.new_budget()
@@ -214,37 +196,6 @@ class SpeedLLMAccelerator:
     # ------------------------------------------------------------------
     # Timing simulation
     # ------------------------------------------------------------------
-    def simulate_step(self, context_len: int, include_logits: bool = True) -> StepResult:
-        """Cycle-accurate simulation of one decode step, cached by context."""
-        return self.timing.simulate_step(context_len, include_logits)
-
-    def batch_program_for(
-        self,
-        context_lens: Sequence[int],
-        need_logits: Optional[Sequence[bool]] = None,
-        kv_block_tokens: Optional[int] = None,
-        run_ids: Optional[Sequence[int]] = None,
-    ) -> Program:
-        """Merged weight-stationary program for one batched step.
-
-        See :meth:`StepTimingModel.batch_program_for`.
-        """
-        return self.timing.batch_program_for(
-            context_lens, need_logits, kv_block_tokens, run_ids=run_ids
-        )
-
-    def simulate_batched_step(
-        self,
-        context_lens: Sequence[int],
-        need_logits: Optional[Sequence[bool]] = None,
-        kv_block_tokens: Optional[int] = None,
-        run_ids: Optional[Sequence[int]] = None,
-    ) -> StepResult:
-        """Cycle-accurate simulation of one batched decode step, cached."""
-        return self.timing.simulate_batched_step(
-            context_lens, need_logits, kv_block_tokens, run_ids=run_ids
-        )
-
     def _sample_positions(self, n_positions: int, stride: int) -> List[int]:
         if stride <= 0:
             raise ValueError("position_stride must be positive")
@@ -274,7 +225,7 @@ class SpeedLLMAccelerator:
             )
 
         sampled = self._sample_positions(total_positions, position_stride)
-        results = {pos: self.simulate_step(pos) for pos in sampled}
+        results = {pos: self.timing.simulate_step([pos]) for pos in sampled}
         cycles_at = {pos: results[pos].cycles for pos in sampled}
 
         def interpolated_cycles(pos: int) -> float:
@@ -393,7 +344,7 @@ class SpeedLLMAccelerator:
         logits = np.zeros(self.model_config.vocab_size, dtype=np.float32)
         for pos, token in enumerate(prompt_tokens):
             logits = self._graph_executor.execute(
-                self.graph_for(pos), token, pos, cache
+                self.timing.graph_for(pos), token, pos, cache
             )
         generated: List[int] = []
         pos = len(prompt_tokens)
@@ -406,7 +357,7 @@ class SpeedLLMAccelerator:
             if pos >= max_len:
                 break
             logits = self._graph_executor.execute(
-                self.graph_for(pos), token, pos, cache
+                self.timing.graph_for(pos), token, pos, cache
             )
             pos += 1
 
@@ -428,11 +379,11 @@ class SpeedLLMAccelerator:
         request may contribute several consecutive prefill positions in a
         single step.  Returns one array per slot: the logits where the
         slot asked for them, the last hidden state otherwise.  Timing for
-        the same step comes from :meth:`simulate_batched_step` with the
+        the same step comes from ``self.timing.simulate_step`` with the
         slots' positions as context lengths.
         """
         steps = [
-            (self.graph_for(slot.pos, slot.need_logits),
+            (self.timing.graph_for(slot.pos, slot.need_logits),
              slot.token, slot.pos, slot.cache)
             for slot in slots
         ]

@@ -32,8 +32,8 @@ reuse and HBM channel contention apply to batched steps exactly as they
 do to single-sequence steps.
 
 The merger is shard-agnostic: execution backends merge whatever
-single-sequence programs their :class:`~repro.accel.timing.
-StepTimingModel` compiles, so a tensor-parallel shard's narrowed
+single-sequence programs their :class:`~repro.compile.pipeline.
+StepCompiler` lowers, so a tensor-parallel shard's narrowed
 programs (fewer heads, thinner projections) batch exactly like the full
 model's — the weight-stationary amortization applies per shard.
 """

@@ -49,9 +49,8 @@ class ProgramCompiler:
     """Compiles decode-step graphs for a given accelerator configuration.
 
     ``plan`` selects the tiling (:class:`~repro.compile.tiling.
-    TilingPlan`): how many row blocks fold into one weight tile and how
-    many packets each attention window read is split into.  The default
-    plan reproduces the historical fixed tiling bit for bit.
+    TilingPlan`): how many row blocks fold into one weight tile.  The
+    default plan reproduces the historical fixed tiling bit for bit.
     """
 
     def __init__(self, config: AcceleratorConfig,
@@ -297,28 +296,16 @@ class ProgramCompiler:
     def _attention_packets(self, op: Operator, load_act: int, store_act: int) -> List[TilePacket]:
         """Score / context products: per-head mat-vecs over the cached window.
 
-        The plan's ``attention_chunks`` splits the operator's KV-window
-        *read* into that many packets (flops = 2 * heads * head_dim *
-        attn_len, i.e. macs = flops / 2; the cache-window read comes from
-        the graph residency of the cache-view input, so it grows with the
-        context length).  All chunks but the last are pure prefetches — a
-        one-cycle pass-through on the compute side — and the final chunk
-        carries the whole accumulation: the MPE still runs one systolic
-        pass over the full window (one fill/drain), but its window read
-        arrives as several independently striped HBM bursts that land on
-        disjoint least-busy channel groups and stay outstanding together
-        under the pipelined loader.  The exposed load time of a
-        long-context window shrinks toward ``latency + burst/chunks``
-        without paying an extra pipeline fill per chunk.  The chunk count
-        is plan-constant — never window-derived — so per-operator packet
-        counts line up across a batch, which
+        One packet per operator: flops = 2 * heads * head_dim * attn_len
+        (macs = flops / 2), and the cache-window read comes from the
+        graph residency of the cache-view input, so it grows with the
+        context length.  The packet count is never window-derived, so
+        per-operator packet counts line up across a batch, which
         :func:`~repro.accel.batching.merge_batch_programs` requires.
-        With one chunk this reduces to the historical single packet.
         """
         attn_len = int(op.attributes.get("attn_len", 1))
         layer = op.attributes.get("layer", "?")
         macs = op.flops // 2
-        n_chunks = self.plan.attention_chunks
         depth = self.config.mpe.pipeline_depth
         # Quantised KV windows stream their per-group scales alongside the
         # int8 payload and pay per-group scale applications on the SFU.
@@ -334,43 +321,19 @@ class ProgramCompiler:
             # stage as the window streams in; the op is bound by the
             # slower of the two.
             compute = max(compute, _ceil_div(kv_dequant, self.config.mpe.rows))
-        if n_chunks == 1:
-            return [TilePacket(
-                op_name=op.name,
-                unit=ComputeUnit.MPE,
-                load_bytes=load_act,
-                compute_cycles=compute,
-                store_bytes=store_act,
-                macs=macs,
-                sfu_flops=kv_dequant,
-                onchip_bytes=attn_len * _ACT_BYTES,
-                dequant_flops=kv_dequant,
-                saved_bytes=kv_saved,
-                label=f"{op.name}@L{layer}",
-            )]
-        packets: List[TilePacket] = []
-        load_slice = load_act // n_chunks
-        for i in range(n_chunks):
-            # first chunk takes the rounding remainder (and the whole
-            # on-chip score/probability vector); the last chunk performs
-            # the accumulation and stores the operator result
-            chunk_load = (load_act - load_slice * (n_chunks - 1)
-                          if i == 0 else load_slice)
-            last = i == n_chunks - 1
-            packets.append(TilePacket(
-                op_name=op.name,
-                unit=ComputeUnit.MPE,
-                load_bytes=chunk_load,
-                compute_cycles=compute if last else 1,
-                store_bytes=store_act if last else 0,
-                macs=macs if last else 0,
-                sfu_flops=kv_dequant if last else 0,
-                onchip_bytes=attn_len * _ACT_BYTES if i == 0 else 0,
-                dequant_flops=kv_dequant if last else 0,
-                saved_bytes=kv_saved if i == 0 else 0,
-                label=f"{op.name}@L{layer}#c{i}",
-            ))
-        return packets
+        return [TilePacket(
+            op_name=op.name,
+            unit=ComputeUnit.MPE,
+            load_bytes=load_act,
+            compute_cycles=compute,
+            store_bytes=store_act,
+            macs=macs,
+            sfu_flops=kv_dequant,
+            onchip_bytes=attn_len * _ACT_BYTES,
+            dequant_flops=kv_dequant,
+            saved_bytes=kv_saved,
+            label=f"{op.name}@L{layer}",
+        )]
 
     def _sfu_packet(self, op: Operator, load_act: int, store_act: int) -> TilePacket:
         unit = ComputeUnit.SFU if op.kind is not OpKind.EMBED else ComputeUnit.DMA

@@ -135,6 +135,14 @@ class DesignSpaceExplorer:
                         if self.platform.resources.dsp else 0.0)
         return fits, dsp_fraction
 
+    def _lower_bound(self, accel: SpeedLLMAccelerator) -> int:
+        """Analytical overlapped-cycle bound of the deepest decode step."""
+        context = min(self.n_prompt + self.n_generated - 1,
+                      self.checkpoint.config.max_seq_len - 1)
+        return AnalyticalModel(accel.config, self.platform).estimate(
+            accel.timing.lower(context)
+        ).overlapped_cycles
+
     def evaluate(self, config: AcceleratorConfig) -> CandidateResult:
         """Fit-check, analytical estimate and simulation of one candidate."""
         fits, dsp_fraction = self._fits(config)
@@ -142,12 +150,7 @@ class DesignSpaceExplorer:
         if not fits:
             return result
         accel = SpeedLLMAccelerator(self.checkpoint, config, platform=self.platform)
-        analytical = AnalyticalModel(config, self.platform)
-        context = min(self.n_prompt + self.n_generated - 1,
-                      self.checkpoint.config.max_seq_len - 1)
-        result.analytical_lower_cycles = analytical.estimate(
-            accel.program_for(context)
-        ).overlapped_cycles
+        result.analytical_lower_cycles = self._lower_bound(accel)
         metrics = accel.simulate_generation(
             n_prompt=self.n_prompt, n_generated=self.n_generated,
             position_stride=self.position_stride,
@@ -180,13 +183,8 @@ class DesignSpaceExplorer:
                                                dsp_fraction=dsp_fraction))
                 continue
             if prune_factor is not None and best_lower is not None:
-                accel = SpeedLLMAccelerator(self.checkpoint, config,
-                                            platform=self.platform)
-                context = min(self.n_prompt + self.n_generated - 1,
-                              self.checkpoint.config.max_seq_len - 1)
-                lower = AnalyticalModel(config, self.platform).estimate(
-                    accel.program_for(context)
-                ).overlapped_cycles
+                lower = self._lower_bound(SpeedLLMAccelerator(
+                    self.checkpoint, config, platform=self.platform))
                 if lower > prune_factor * best_lower:
                     results.append(CandidateResult(
                         config=config, fits=True, dsp_fraction=dsp_fraction,

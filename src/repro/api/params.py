@@ -12,8 +12,8 @@ trust a constructed instance.
 The dataclass is also the single place a per-request
 :class:`~repro.llama.sampler.Sampler` is derived from
 (:meth:`build_sampler`), so every execution path — first admission,
-preemption replay, the deprecated ``submit(**kwargs)`` shim, the
-completions layer — samples from an identically-seeded generator.
+preemption replay, the completions layer — samples from an
+identically-seeded generator.
 """
 
 from __future__ import annotations
@@ -53,8 +53,7 @@ class SamplingParams:
         before the earliest match.  A single string is accepted and
         normalised to a one-element tuple.
     stop_at_eos:
-        Whether sampling the EOS token retires the request (the legacy
-        knob, kept for the deprecated ``submit(**kwargs)`` shim).
+        Whether sampling the EOS token retires the request.
     ignore_eos:
         Production-frontend override: when True the EOS token never
         retires the request even if ``stop_at_eos`` is True (useful for

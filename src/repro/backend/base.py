@@ -24,11 +24,13 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..accel.batching import BatchSlot
+from ..accel.batching import BatchSlot, batch_run_ids
+from ..accel.pipeline import StepResult
+from ..compile.pipeline import StepCompiler
 from ..fpga.power import EnergyBreakdown
 from ..fpga.u280 import FpgaPlatform
 from ..llama.config import LlamaConfig
@@ -58,6 +60,10 @@ class BackendStep:
     engine_busy: Dict[str, int] = field(default_factory=dict)
     #: Per-shard MPE utilisation during the step (length ``n_shards``).
     shard_utilization: List[float] = field(default_factory=list)
+    #: Whether the step's one compile-cache lookup hit.  Carried per step
+    #: so the engine that made the lookup counts it, however many engines
+    #: share the compiler.
+    compile_hit: bool = False
     #: Cycle-level execution trace of the step, present only when the
     #: accelerator config enables tracing
     #: (``AcceleratorConfig.trace_enabled``).  May be a cached object
@@ -72,6 +78,8 @@ class ExecutionBackend(abc.ABC):
     model_config: LlamaConfig
     #: Platform of one device; its clock converts cycles to seconds.
     platform: FpgaPlatform
+    #: Compiles and cycle-simulates the step as one device executes it.
+    compiler: StepCompiler
 
     # ------------------------------------------------------------------
     @property
@@ -99,6 +107,23 @@ class ExecutionBackend(abc.ABC):
     ) -> BackendStep:
         """Execute one batched step: functional outputs plus timing."""
 
+    def simulate_slots(
+        self,
+        slots: Sequence[BatchSlot],
+        kv_block_tokens: Optional[int],
+    ) -> Tuple[StepResult, bool]:
+        """One device's timing of a step plan, and whether its
+        compile-cache lookup hit."""
+        cache = self.compiler.cache
+        misses = cache.misses
+        result = self.compiler.simulate_step(
+            [slot.pos for slot in slots],
+            [slot.need_logits for slot in slots],
+            kv_block_tokens,
+            batch_run_ids(slots),
+        )
+        return result, cache.misses == misses
+
     @abc.abstractmethod
     def energy_for(
         self,
@@ -109,13 +134,15 @@ class ExecutionBackend(abc.ABC):
         """Total energy across every device of the backend."""
 
     def compile_stats(self) -> Dict[str, object]:
-        """Compilation-pipeline counters of the backend's timing view.
+        """Cumulative counters of the backend's step compiler.
 
         Phase timings, compile-cache hit/miss/evict counters and autotune
         counters (see :meth:`repro.compile.pipeline.StepCompiler.stats`).
-        Backends without a step compiler report nothing.
+        The compiler may be shared by several backends (every replica
+        over one ``SpeedLLM`` stack), so these are not per-engine numbers;
+        :attr:`BackendStep.compile_hit` is.
         """
-        return {}
+        return self.compiler.stats()
 
     def describe(self) -> Dict[str, object]:
         """Flat description for reports and JSON payloads."""

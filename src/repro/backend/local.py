@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from ..accel.accelerator import SpeedLLMAccelerator
-from ..accel.batching import BatchSlot, batch_run_ids
+from ..accel.batching import BatchSlot
 from ..fpga.power import EnergyBreakdown
 from ..sim.stats import RunCounters
 from .base import BackendStep, ExecutionBackend
@@ -27,6 +27,7 @@ class LocalBackend(ExecutionBackend):
         self.accelerator = accelerator
         self.model_config = accelerator.model_config
         self.platform = accelerator.platform
+        self.compiler = accelerator.timing
 
     # ------------------------------------------------------------------
     @property
@@ -39,12 +40,7 @@ class LocalBackend(ExecutionBackend):
         kv_block_tokens: Optional[int] = None,
     ) -> BackendStep:
         outputs = self.accelerator.execute_slots(slots)
-        timing = self.accelerator.simulate_batched_step(
-            [slot.pos for slot in slots],
-            [slot.need_logits for slot in slots],
-            kv_block_tokens=kv_block_tokens,
-            run_ids=batch_run_ids(slots),
-        )
+        timing, compile_hit = self.simulate_slots(slots, kv_block_tokens)
         seconds = self.platform.cycles_to_seconds(timing.cycles)
         return BackendStep(
             outputs=outputs,
@@ -54,6 +50,7 @@ class LocalBackend(ExecutionBackend):
             counters=timing.counters,
             engine_busy=dict(timing.engine_busy),
             shard_utilization=[timing.mpe_utilization],
+            compile_hit=compile_hit,
             trace=timing.trace,
         )
 
@@ -66,9 +63,6 @@ class LocalBackend(ExecutionBackend):
         return self.accelerator.energy_for(
             counters, busy_cycles, elapsed_seconds
         )
-
-    def compile_stats(self) -> dict:
-        return self.accelerator.timing.compile_stats()
 
     def describe(self) -> dict:
         return {

@@ -6,7 +6,7 @@ accelerator shards.  The partition is the Megatron layout captured by
 and classifier rows split across shards, and each shard owns the
 correspondingly narrowed slice of the KV cache.  Per-shard step time
 comes from the same compile-and-simulate pipeline as the single-device
-path — a :class:`~repro.accel.timing.StepTimingModel` built over the
+path — a :class:`~repro.compile.pipeline.StepCompiler` built over the
 *sharded* decode-step graph — and the step's wall clock is
 
 ``max-over-shards compute  +  collective time``
@@ -32,8 +32,8 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from ..accel.accelerator import SpeedLLMAccelerator
-from ..accel.batching import BatchSlot, batch_run_ids
-from ..accel.timing import StepTimingModel
+from ..accel.batching import BatchSlot
+from ..compile.pipeline import StepCompiler
 from ..fpga.power import EnergyBreakdown
 from ..graph.sharding import ShardSpec
 from ..sim.interconnect import InterconnectModel
@@ -65,9 +65,9 @@ class ShardedBackend(ExecutionBackend):
         self.platform = accelerator.platform
         self.shard = ShardSpec.from_config(self.model_config, tensor_parallel)
         self.interconnect = interconnect or InterconnectModel()
-        #: Timing view of one shard; the layout is symmetric so one
+        #: Step compiler of one shard; the layout is symmetric so one
         #: representative shard's cycle count is the max over shards.
-        self.shard_timing = StepTimingModel(
+        self.compiler = StepCompiler(
             self.model_config,
             accelerator.config,
             self.platform,
@@ -113,17 +113,11 @@ class ShardedBackend(ExecutionBackend):
         # Functional execution on the full model: token values must be
         # independent of the execution placement.
         outputs = self.accelerator.execute_slots(slots)
-        need_logits = [slot.need_logits for slot in slots]
-        timing = self.shard_timing.simulate_batched_step(
-            [slot.pos for slot in slots],
-            need_logits,
-            kv_block_tokens=kv_block_tokens,
-            run_ids=batch_run_ids(slots),
-        )
+        timing, compile_hit = self.simulate_slots(slots, kv_block_tokens)
         tp = self.n_shards
         compute_seconds = self.platform.cycles_to_seconds(timing.cycles)
         interconnect_seconds = self.collective_seconds(
-            len(slots), sum(need_logits)
+            len(slots), sum(slot.need_logits for slot in slots)
         )
         return BackendStep(
             outputs=outputs,
@@ -133,6 +127,7 @@ class ShardedBackend(ExecutionBackend):
             counters=_scale_counters(timing.counters, tp),
             engine_busy={k: v * tp for k, v in timing.engine_busy.items()},
             shard_utilization=[timing.mpe_utilization] * tp,
+            compile_hit=compile_hit,
             trace=timing.trace,
         )
 
@@ -164,9 +159,6 @@ class ShardedBackend(ExecutionBackend):
             onchip_j=per_board.onchip_j * tp,
             offchip_j=per_board.offchip_j * tp,
         )
-
-    def compile_stats(self) -> dict:
-        return self.shard_timing.compile_stats()
 
     def describe(self) -> dict:
         return {

@@ -1351,7 +1351,6 @@ def _run_compile_bench(model: str, variant: str, requests: int,
     def serve(config: EngineConfig, llm):
         engine = config.build_engine(llm=llm)
         service = CompletionService(engine)
-        before = engine.backend.compile_stats().get("cache", {})
         pending = [
             service.submit(CompletionRequest(prompt=w.prompt,
                                              max_tokens=w.max_new_tokens,
@@ -1361,25 +1360,19 @@ def _run_compile_bench(model: str, variant: str, requests: int,
         start = _time.perf_counter()
         report = engine.run()
         wall = _time.perf_counter() - start
-        stats = engine.backend.compile_stats()
-        cache = stats.get("cache", {})
-        hits = cache.get("hits", 0) - before.get("hits", 0)
-        misses = cache.get("misses", 0) - before.get("misses", 0)
-        hit_rate = hits / (hits + misses) if hits + misses else 0.0
         streams = [list(p.response().choices[0].token_ids) for p in pending]
-        return report, stats, wall, hit_rate, streams
+        return report, engine.backend.compile_stats(), wall, streams
 
     fixed_config = base
     auto_config = _dc.replace(base, autotune=True)
-    fixed_report, fixed_stats, fixed_wall, fixed_hits, fixed_streams = serve(
+    fixed_report, _, fixed_wall, fixed_streams = serve(
         fixed_config, fixed_config.build_llm())
     auto_llm = auto_config.build_llm()
-    auto_report, auto_stats, cold_wall, cold_hits, auto_streams = serve(
+    auto_report, auto_stats, cold_wall, auto_streams = serve(
         auto_config, auto_llm)
     # Warm re-serve: a fresh engine over the same stack starts with every
     # steady-state program already cached.
-    warm_report, _, warm_wall, warm_hits, warm_streams = serve(
-        auto_config, auto_llm)
+    warm_report, _, warm_wall, warm_streams = serve(auto_config, auto_llm)
 
     mismatches = sum(
         1 for fixed, cold, warm in zip(fixed_streams, auto_streams,
@@ -1404,8 +1397,8 @@ def _run_compile_bench(model: str, variant: str, requests: int,
         "autotuned": auto_report.as_dict(),
         "autotune": auto_stats.get("autotune", {}),
         "speedup": auto_tps / fixed_tps if fixed_tps > 0 else 0.0,
-        "cold_hit_rate": cold_hits,
-        "steady_state_hit_rate": warm_hits,
+        "cold_hit_rate": auto_report.compile_cache_hit_rate,
+        "steady_state_hit_rate": warm_report.compile_cache_hit_rate,
         "token_identity": "pass" if mismatches == 0 else "fail",
         "wall": {
             "fixed_seconds": fixed_wall,

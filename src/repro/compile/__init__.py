@@ -13,8 +13,8 @@ compile cache and an optional tile autotuner:
 * :mod:`repro.compile.autotune` — the :class:`TileAutotuner` scoring
   candidate plans with the cycle-accurate executor;
 * :mod:`repro.compile.pipeline` — the :class:`StepCompiler` that drives
-  all of it (and that :class:`~repro.accel.timing.StepTimingModel` is a
-  facade over).
+  all of it; the accelerator and every execution backend hold one and
+  call it directly.
 """
 
 from .phase import Phase, PhasePipeline, PhaseStats

@@ -75,10 +75,6 @@ class CompiledStep:
     program: Program
     result: Optional[StepResult] = None
 
-    @property
-    def n_slots(self) -> int:
-        return len(self.contexts)
-
 
 class StepCompiler:
     """Phase-structured compiler for one model (or shard) timing view."""
@@ -89,7 +85,6 @@ class StepCompiler:
         config: AcceleratorConfig,
         platform: FpgaPlatform,
         shard: Optional[ShardSpec] = None,
-        cache_capacity: Optional[int] = 1024,
     ) -> None:
         self.model_config = model_config
         self.config = config
@@ -106,14 +101,11 @@ class StepCompiler:
         self._tilers: Dict[TilingPlan, object] = {}
         self.signature = compile_signature(model_config, config, shard)
         self.buckets = ShapeBucketSpec(config.ctx_bucket)
-        self.cache = CompileCache(capacity=cache_capacity)
+        self.cache = CompileCache()
         self.autotuner: Optional[TileAutotuner] = None
         if config.autotune_tiling:
-            self.autotuner = TileAutotuner(candidate_plans(
-                config,
-                model_config,
-                n_hbm_channels=platform.hbm.n_channels,
-            ))
+            self.autotuner = TileAutotuner(
+                candidate_plans(config, model_config))
         self.phases = PhasePipeline([
             Phase("build", self._build_graph, memoize=True),
             Phase("shard", self._validate_shard,
@@ -183,10 +175,8 @@ class StepCompiler:
         plan: TilingPlan = DEFAULT_PLAN,
     ) -> Program:
         """Run one slot shape through build → shard → fuse → tile."""
-        graph = self.phases["build"](context_len, include_logits)
-        graph = self.phases["shard"](graph)
-        graph = self.phases["fuse"](graph)
-        return self.phases["tile"](graph, plan)
+        return self.phases["tile"](
+            self.graph_for(context_len, include_logits), plan)
 
     def graph_for(self, context_len: int, include_logits: bool = True) -> Graph:
         """The (fused) decode-step graph of one slot shape."""
@@ -197,20 +187,6 @@ class StepCompiler:
     # ------------------------------------------------------------------
     # Whole steps
     # ------------------------------------------------------------------
-    def padded_contexts(
-        self,
-        context_lens: Sequence[int],
-        kv_block_tokens: Optional[int],
-    ) -> Sequence[int]:
-        """Round attention windows up to whole KV blocks (paged mode)."""
-        if kv_block_tokens is None:
-            return context_lens
-        return [
-            block_padded_context(ctx, kv_block_tokens,
-                                 self.model_config.max_seq_len)
-            for ctx in context_lens
-        ]
-
     def compile_step(
         self,
         context_lens: Sequence[int],
@@ -219,6 +195,16 @@ class StepCompiler:
         run_ids: Optional[Sequence[int]] = None,
     ) -> CompiledStep:
         """Compiled (and cached) program for one batched decode step.
+
+        ``context_lens`` lists the context length of every token position
+        executed in the step (one entry per batch slot); ``need_logits``
+        marks the slots that run the classifier (all by default) —
+        prompt positions whose logits are never sampled use the reduced
+        graph.  ``run_ids`` groups consecutive slots into speculative
+        verify runs (:func:`~repro.accel.batching.batch_run_ids`): a
+        run's followers share the KV window its first position streamed,
+        so the same composition prices differently with runs, and the run
+        ids join the cache key.
 
         Contexts are first padded to whole KV blocks (paged mode), then
         rounded up to the cache's context bucket; the resulting
@@ -233,10 +219,13 @@ class StepCompiler:
             need_logits = [True] * len(context_lens)
         if len(need_logits) != len(context_lens):
             raise ValueError("need_logits must match context_lens in length")
-        padded = self.padded_contexts(context_lens, kv_block_tokens)
-        bucketed = self.buckets.bucket_contexts(
-            padded, self.model_config.max_seq_len
-        )
+        max_seq_len = self.model_config.max_seq_len
+        if kv_block_tokens is not None:
+            context_lens = [
+                block_padded_context(ctx, kv_block_tokens, max_seq_len)
+                for ctx in context_lens
+            ]
+        bucketed = self.buckets.bucket_contexts(context_lens, max_seq_len)
         logits_key = tuple(bool(flag) for flag in need_logits)
         run_key = tuple(run_ids) if run_ids is not None else None
         key = (self.signature, bucketed, logits_key, run_key)
@@ -251,25 +240,22 @@ class StepCompiler:
         need_logits: Tuple[bool, ...],
         run_ids: Optional[Tuple[int, ...]],
     ) -> CompiledStep:
-        if self.autotuner is not None:
-            def evaluate(plan: TilingPlan):
+        if self.autotuner is None:
+            plan, result = DEFAULT_PLAN, None
+            program = self._lower_step(contexts, need_logits, run_ids, plan)
+        else:
+            def evaluate(candidate: TilingPlan):
                 program = self._lower_step(contexts, need_logits,
-                                           run_ids, plan)
+                                           run_ids, candidate)
                 result = self._executor.run(program)
                 return (program, result), result.cycles
 
             outcome = self.autotuner.tune(evaluate)
+            plan = outcome.plan
             program, result = outcome.payload
-            return CompiledStep(
-                key=key, plan=outcome.plan, contexts=contexts,
-                need_logits=need_logits, run_ids=run_ids,
-                program=program, result=result,
-            )
-        program = self._lower_step(contexts, need_logits, run_ids,
-                                   DEFAULT_PLAN)
         return CompiledStep(
-            key=key, plan=DEFAULT_PLAN, contexts=contexts,
-            need_logits=need_logits, run_ids=run_ids, program=program,
+            key=key, plan=plan, contexts=contexts, need_logits=need_logits,
+            run_ids=run_ids, program=program, result=result,
         )
 
     def _lower_step(
@@ -318,3 +304,7 @@ class StepCompiler:
         if self.autotuner is not None:
             out["autotune"] = self.autotuner.stats()
         return out
+
+    #: The name :meth:`repro.backend.ExecutionBackend.compile_stats`
+    #: reports these under.
+    compile_stats = stats

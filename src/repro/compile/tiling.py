@@ -1,39 +1,28 @@
-"""Tiling plans: how matmul and attention work is split into packets.
+"""Tiling plans: how matmul work is split into packets.
 
 The fixed tiling the compiler historically used — one weight tile per
-``mpe.rows`` output rows, one packet per attention product — is the
-``fold=1, chunks=1`` point of a small plan space:
-
-* ``matmul_fold`` folds ``fold`` consecutive row blocks into one weight
-  tile.  The MPE processes a folded tile as ``fold`` passes over the
-  reduction without draining the systolic array between them, so the
-  fill/drain latency is paid once per tile instead of once per row
-  block; the price is a ``fold`` times larger weight slice that must fit
-  one on-chip staging segment (the compiler clamps per-operator).
-* ``attention_chunks`` splits each attention score/context product's
-  KV-window read into that many packets: the leading chunks are pure
-  prefetches (one-cycle pass-throughs that only issue loads) and the
-  final chunk carries the whole accumulation, so the exposed load time
-  shrinks toward ``latency + burst / chunks`` without splitting the
-  compute.  Consecutive chunks stripe over ``hbm_stripe`` pseudo-channels
-  starting from the *least busy* ones, so chunks of one window can
-  stream from disjoint channel halves concurrently.  The chunk count is
-  **plan-constant** — never derived from the window size — so
-  every program compiled under one plan has identical packet counts per
-  operator, which the batch merger and speculative verify-run fusion
-  require.
+``mpe.rows`` output rows — is the ``fold=1`` point of a small plan
+space: ``matmul_fold`` folds ``fold`` consecutive row blocks into one
+weight tile.  The MPE processes a folded tile as ``fold`` passes over
+the reduction without draining the systolic array between them, so the
+fill/drain latency is paid once per tile instead of once per row block;
+the price is a ``fold`` times larger weight slice that must fit one
+on-chip staging segment (the compiler clamps per-operator).  The fold
+is **plan-constant** — never derived from a step's shape — so every
+program compiled under one plan has identical packet counts per
+operator, which the batch merger and speculative verify-run fusion
+require.
 
 :func:`candidate_plans` enumerates the bounded search space the
-autotuner scores: powers of two around the fixed tiling, pruned by
-on-chip buffer capacity and by the HBM channel parallelism that makes
-chunking useful.  The default plan reproduces the historical compiler
-output bit for bit.
+autotuner scores: powers of two above the fixed tiling, pruned by
+on-chip buffer capacity.  The default plan reproduces the historical
+compiler output bit for bit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List
 
 from ..accel.config import AcceleratorConfig
 from ..llama.config import LlamaConfig
@@ -47,26 +36,22 @@ class TilingPlan:
 
     #: Row blocks (of ``mpe.rows`` each) folded into one weight tile.
     matmul_fold: int = 1
-    #: Packets each attention window read is split into (plan-constant).
-    attention_chunks: int = 1
 
     def __post_init__(self) -> None:
         if self.matmul_fold < 1:
             raise ValueError("matmul_fold must be >= 1")
-        if self.attention_chunks < 1:
-            raise ValueError("attention_chunks must be >= 1")
 
     @property
     def is_default(self) -> bool:
         """Whether this plan reproduces the fixed tiling exactly."""
-        return self.matmul_fold == 1 and self.attention_chunks == 1
+        return self.matmul_fold == 1
 
     @property
     def label(self) -> str:
-        return f"fold{self.matmul_fold}-attn{self.attention_chunks}"
+        return f"fold{self.matmul_fold}"
 
 
-#: The fixed tiling: one row block per weight tile, unchunked attention.
+#: The fixed tiling: one row block per weight tile.
 DEFAULT_PLAN = TilingPlan()
 
 
@@ -93,55 +78,28 @@ def clamped_fold(
 
 def candidate_plans(
     config: AcceleratorConfig,
-    model_config: Optional[LlamaConfig] = None,
-    n_hbm_channels: Optional[int] = None,
+    model_config: LlamaConfig,
     max_fold: int = 8,
-    max_chunks: int = 4,
 ) -> List[TilingPlan]:
-    """Bounded heuristic search space around the fixed tiling.
+    """Bounded heuristic search space above the fixed tiling.
 
     Folds are powers of two; a fold is admitted only if at least one of
     the model's matmul reduction widths fits the folded tile in one
     staging segment (otherwise :func:`clamped_fold` would reduce it to a
-    smaller candidate anyway).  Chunk counts are powers of two admitted
-    while chunked reads can still spread over distinct HBM channels
-    (``chunks * hbm_stripe <= n_channels``, doubled once for
-    load/compute overlap) and while the buffer pool has segments to keep
-    the chunks in flight.  The default plan is always first.
+    smaller candidate anyway).  The default plan is always first.
     """
     rows = config.mpe.rows
     wb = config.weight_dtype_bytes
     segment = config.buffers.segment_bytes
-    if model_config is not None:
-        head_dim = model_config.dim // model_config.n_heads
-        reductions: Sequence[int] = sorted({
-            model_config.dim,
-            model_config.resolved_hidden_dim(),
-            head_dim,
-        })
-    else:
-        reductions = [rows * config.mpe.cols]
-
-    folds: List[int] = [1]
+    reductions = {
+        model_config.dim,
+        model_config.resolved_hidden_dim(),
+        model_config.dim // model_config.n_heads,
+    }
+    plans = [DEFAULT_PLAN]
     fold = 2
     while fold <= max_fold:
         if any(fold * rows * r * wb <= segment for r in reductions):
-            folds.append(fold)
+            plans.append(TilingPlan(matmul_fold=fold))
         fold *= 2
-
-    if n_hbm_channels is None:
-        channel_cap = max_chunks
-    else:
-        channel_cap = max(1, n_hbm_channels // max(1, config.hbm_stripe)) * 2
-    chunk_cap = min(max_chunks, channel_cap, config.buffers.n_segments)
-    chunks: List[int] = [1]
-    chunk = 2
-    while chunk <= chunk_cap:
-        chunks.append(chunk)
-        chunk *= 2
-
-    plans = [TilingPlan(matmul_fold=f, attention_chunks=c)
-             for f in folds for c in chunks]
-    plans.sort(key=lambda p: (not p.is_default, p.matmul_fold,
-                              p.attention_chunks))
     return plans

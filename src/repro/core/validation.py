@@ -110,7 +110,7 @@ def _validate_workload(
     budget = min(len(sequence) + n_decode, config.max_seq_len)
     token = sequence[0]
     while pos < budget - 1:
-        graph = accelerator.graph_for(pos)
+        graph = accelerator.timing.graph_for(pos)
         logits_accel = executor.execute(graph, token, pos, cache_accel)
         logits_ref = reference.forward(token, pos, cache_ref)
         max_err = max(max_err, float(np.max(np.abs(logits_accel - logits_ref))))

@@ -49,10 +49,7 @@ Submission goes through the frontend API (:mod:`repro.api`):
 ``submit(prompt, SamplingParams(...))`` validates once, admits once, and
 returns a :class:`~repro.api.RequestHandle` that streams incremental
 :class:`~repro.api.RequestOutput` increments (new tokens, detokenized
-delta, finish reason) while the batch advances.  The pre-PR 4 loose
-keyword form (``submit(prompt, max_new_tokens=..., temperature=...)``)
-remains as a deprecated shim that builds the same params object, so its
-token streams are byte-identical.
+delta, finish reason) while the batch advances.
 
 :class:`AsyncServingEngine` wraps the same engine for asyncio callers:
 ``await engine.generate(...)`` submits a request and resolves when it
@@ -66,8 +63,8 @@ its KV memory; the driver keeps stepping the rest.
 from __future__ import annotations
 
 import asyncio
+import dataclasses
 import itertools
-import warnings
 from typing import (TYPE_CHECKING, AsyncIterator, Callable, Dict, Iterable,
                     List, Optional)
 
@@ -151,7 +148,6 @@ class ServingEngine:
         self.scheduler.tracer = self.tracer
         self.scheduler.trace_track = self.trace_track
         self._metrics_preemptions_seen = 0
-        self._trace_cache_seen = (0, 0)
         self.clock = 0.0
         self._ids = itertools.count()
         #: Completion observer, called with each retiring request *before*
@@ -164,6 +160,8 @@ class ServingEngine:
         self._counters = RunCounters()
         self._busy_cycles = 0.0
         self._n_steps = 0
+        #: Steps whose compile-cache lookup hit; the rest missed.
+        self._compile_hits = 0
         self._total_slots = 0
         self._peak_running = 0
         self._kv_utilization_sum = 0.0
@@ -186,56 +184,18 @@ class ServingEngine:
         *,
         request_id: Optional[str] = None,
         arrival_time: Optional[float] = None,
-        max_new_tokens: Optional[int] = None,
-        temperature: Optional[float] = None,
-        top_p: Optional[float] = None,
-        seed: Optional[int] = None,
-        stop_at_eos: Optional[bool] = None,
     ) -> RequestHandle:
         """Enqueue a generation request; returns its streaming handle.
 
-        ``params`` is the frontend API: a validated
-        :class:`~repro.api.SamplingParams`.  The loose keyword arguments
-        are the **deprecated** pre-PR 4 shim — they build the identical
-        params object (so token streams are byte-identical) and will be
-        removed in a future release.
+        ``params`` is a validated :class:`~repro.api.SamplingParams`
+        (the defaults when omitted).
 
         Raises :class:`~repro.api.PromptTooLongError` when the prompt
         leaves no room to decode even one token; a decode budget that
         overflows the context window is clamped here, at admission, so
         the overflow never has to be discovered mid-decode.
         """
-        legacy = {
-            "max_new_tokens": max_new_tokens,
-            "temperature": temperature,
-            "top_p": top_p,
-            "seed": seed,
-            "stop_at_eos": stop_at_eos,
-        }
-        supplied = {k: v for k, v in legacy.items() if v is not None}
-        if params is None:
-            if supplied:
-                warnings.warn(
-                    "submit(**kwargs) is deprecated; pass "
-                    "SamplingParams(...) instead",
-                    DeprecationWarning, stacklevel=2,
-                )
-            defaults = SamplingParams()
-            params = SamplingParams(
-                max_tokens=(max_new_tokens if max_new_tokens is not None
-                            else defaults.max_tokens),
-                temperature=(temperature if temperature is not None
-                             else defaults.temperature),
-                top_p=top_p if top_p is not None else defaults.top_p,
-                seed=seed if seed is not None else defaults.seed,
-                stop_at_eos=(stop_at_eos if stop_at_eos is not None
-                             else defaults.stop_at_eos),
-            )
-        elif supplied:
-            raise FrontendError(
-                "pass sampling settings either as SamplingParams or as "
-                f"legacy keywords, not both (got {sorted(supplied)})"
-            )
+        params = params or SamplingParams()
         tokens = self.llm.encode(prompt)
         max_seq_len = self.model_config.max_seq_len
         if len(tokens) >= max_seq_len:
@@ -370,19 +330,14 @@ class ServingEngine:
             tracer.span(
                 entry["phase"], clock_before, self.clock,
                 request_id=request.request_id, track=track, **attrs)
-        cache_stats = self.backend.compile_stats().get("cache", {})
-        hits = cache_stats.get("hits", 0)
-        misses = cache_stats.get("misses", 0)
-        seen_hits, seen_misses = self._trace_cache_seen
-        self._trace_cache_seen = (hits, misses)
         tracer.span(
             spans.STEP, clock_before, self.clock,
             track=track,
             n_slots=n_slots,
             n_running=len(self.scheduler.running),
             kv_utilization=self.scheduler.kv_utilization,
-            compile_cache_hits=hits - seen_hits,
-            compile_cache_misses=misses - seen_misses,
+            compile_cache_hits=int(step.compile_hit),
+            compile_cache_misses=int(not step.compile_hit),
         )
         if step.trace is not None:
             tracer.merge_cycle_trace(
@@ -460,6 +415,7 @@ class ServingEngine:
         self._busy_cycles += (step.engine_busy.get("mpe", 0)
                               + step.engine_busy.get("sfu", 0))
         self._n_steps += 1
+        self._compile_hits += step.compile_hit
         self._total_slots += len(slots)
         self._kv_utilization_sum += scheduler.kv_utilization
         self._compute_seconds += step.compute_seconds
@@ -750,27 +706,21 @@ class ServingEngine:
         self,
         workloads: Iterable,
         params: Optional[SamplingParams] = None,
-        **sampling,
     ) -> ServeReport:
         """Submit a suite of workloads and drain them.
 
         ``workloads`` yields objects with ``prompt`` and ``max_new_tokens``
         attributes (e.g. :class:`repro.workloads.prompts.Workload`).  Each
-        workload's decode budget overrides ``params.max_tokens`` (or the
-        legacy keyword arguments, which are passed through to
-        :meth:`submit`); a workload's ``priority`` attribute, when
-        present and non-default, overrides ``params.priority``.
+        workload's decode budget overrides ``params.max_tokens``; a
+        workload's ``priority`` attribute, when present and non-default,
+        overrides ``params.priority``.
         """
-        import dataclasses
+        params = params or SamplingParams()
         for workload in workloads:
-            if params is not None:
-                priority = getattr(workload, "priority", 0) or params.priority
-                self.submit(workload.prompt, dataclasses.replace(
-                    params, max_tokens=workload.max_new_tokens,
-                    priority=priority))
-            else:
-                self.submit(workload.prompt,
-                            max_new_tokens=workload.max_new_tokens, **sampling)
+            priority = getattr(workload, "priority", 0) or params.priority
+            self.submit(workload.prompt, dataclasses.replace(
+                params, max_tokens=workload.max_new_tokens,
+                priority=priority))
         return self.run()
 
     # ------------------------------------------------------------------
@@ -788,8 +738,8 @@ class ServingEngine:
             self._counters, self._busy_cycles, self.clock
         )
         n_steps = self._n_steps
+        compile_hits = self._compile_hits
         compile_stats = self.backend.compile_stats()
-        cache_stats = compile_stats.get("cache", {})
         autotune_stats = compile_stats.get("autotune", {})
         if self.metrics is not None:
             labels = {"track": self.trace_track}
@@ -799,13 +749,11 @@ class ServingEngine:
                 "Fraction of prefill tokens served from the prefix cache.",
                 labels,
             ).set(scheduler.prefix_hit_tokens / prefill if prefill else 0.0)
-            lookups = (cache_stats.get("hits", 0)
-                       + cache_stats.get("misses", 0))
             self.metrics.gauge(
                 "speedllm_compile_cache_hit_rate",
                 "Fraction of step compilations served from the cache.",
                 labels,
-            ).set(cache_stats.get("hits", 0) / lookups if lookups else 0.0)
+            ).set(compile_hits / n_steps if n_steps else 0.0)
         return ServeReport(
             requests=[self.result_for(r) for r in self._completed],
             policy=scheduler.config.policy,
@@ -827,13 +775,11 @@ class ServingEngine:
             interconnect_seconds=self._interconnect_seconds,
             shard_utilization=[s / n_steps if n_steps else 0.0
                                for s in self._shard_utilization_sums],
-            compile_cache_hits=cache_stats.get("hits", 0),
-            compile_cache_misses=cache_stats.get("misses", 0),
-            compile_cache_evictions=cache_stats.get("evictions", 0),
-            compile_seconds=compile_stats.get("compile_seconds", 0.0),
-            compile_phase_seconds=dict(
-                compile_stats.get("phase_seconds", {})
-            ),
+            compile_cache_hits=compile_hits,
+            compile_cache_misses=n_steps - compile_hits,
+            compile_cache_evictions=compile_stats["cache"]["evictions"],
+            compile_seconds=compile_stats["compile_seconds"],
+            compile_phase_seconds=dict(compile_stats["phase_seconds"]),
             autotune_searches=autotune_stats.get("searches", 0),
             autotune_candidates=autotune_stats.get("candidates_scored", 0),
             autotune_wins=autotune_stats.get("wins", 0),
@@ -895,7 +841,6 @@ class AsyncServingEngine:
         self,
         prompt: str,
         params: Optional[SamplingParams] = None,
-        **submit_kwargs,
     ) -> RequestMetrics:
         """Submit a request and wait for its completion.
 
@@ -904,7 +849,7 @@ class AsyncServingEngine:
         in-flight request.
         """
         loop = asyncio.get_running_loop()
-        handle = self.engine.submit(prompt, params, **submit_kwargs)
+        handle = self.engine.submit(prompt, params)
         future: "asyncio.Future[RequestMetrics]" = loop.create_future()
         self._futures[handle.request_id] = future
         self._ensure_driver()
@@ -919,7 +864,6 @@ class AsyncServingEngine:
         self,
         prompt: str,
         params: Optional[SamplingParams] = None,
-        **submit_kwargs,
     ) -> AsyncIterator[RequestOutput]:
         """Submit a request and yield its incremental outputs.
 
@@ -932,7 +876,7 @@ class AsyncServingEngine:
         memory is freed immediately while the driver keeps stepping every
         other in-flight request.
         """
-        handle = self.engine.submit(prompt, params, **submit_kwargs)
+        handle = self.engine.submit(prompt, params)
         self._ensure_driver()
         try:
             while True:

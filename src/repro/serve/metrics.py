@@ -116,8 +116,11 @@ class ServeReport:
     interconnect_seconds: float = 0.0
     #: Mean MPE utilisation of each shard over the run's steps.
     shard_utilization: List[float] = field(default_factory=list)
-    # Compilation-pipeline accounting (all zero when the backend has no
-    # step compiler; see ExecutionBackend.compile_stats).
+    # Compilation-pipeline accounting.  Hits and misses count this
+    # engine's own lookups (one per step, so they sum to ``n_steps``);
+    # the rest are the step compiler's cumulative totals at report time
+    # (see ExecutionBackend.compile_stats), which engines sharing one
+    # compiler all repeat.
     compile_cache_hits: int = 0
     compile_cache_misses: int = 0
     compile_cache_evictions: int = 0

@@ -20,19 +20,21 @@ def accel(small_checkpoint):
 
 class TestCompilationCaches:
     def test_graph_cached_per_context(self, accel):
-        assert accel.graph_for(3) is accel.graph_for(3)
-        assert accel.graph_for(3) is not accel.graph_for(4)
+        assert accel.timing.graph_for(3) is accel.timing.graph_for(3)
+        assert accel.timing.graph_for(3) is not accel.timing.graph_for(4)
 
     def test_program_cached(self, accel):
-        assert accel.program_for(2) is accel.program_for(2)
+        assert accel.timing.lower(2) is accel.timing.lower(2)
 
     def test_fusion_respected(self, small_checkpoint):
         fused = SpeedLLMAccelerator(small_checkpoint, variant_config("full"))
         unfused = SpeedLLMAccelerator(small_checkpoint, variant_config("no-fusion"))
-        assert len(fused.graph_for(2)) < len(unfused.graph_for(2))
+        assert (len(fused.timing.graph_for(2))
+                < len(unfused.timing.graph_for(2)))
 
     def test_step_result_cached(self, accel):
-        assert accel.simulate_step(1) is accel.simulate_step(1)
+        timing = accel.timing
+        assert timing.simulate_step([1]) is timing.simulate_step([1])
 
 
 class TestResourceReport:

@@ -18,13 +18,13 @@ def accelerator(small_checkpoint):
 
 class TestMergeBatchPrograms:
     def test_single_program_passthrough(self, accelerator):
-        program = accelerator.program_for(4)
+        program = accelerator.timing.lower(4)
         assert merge_batch_programs([program], accelerator.config.mpe) is program
 
     def test_weight_bytes_charged_once_per_batch(self, accelerator):
         ctxs = [4, 5, 6, 7]
-        singles = [accelerator.program_for(c) for c in ctxs]
-        merged = accelerator.batch_program_for(ctxs)
+        singles = [accelerator.timing.lower(c) for c in ctxs]
+        merged = accelerator.timing.compile_step(ctxs).program
         single_weight = sum(p.weight_bytes for p in singles[0].packets())
         merged_load = merged.total_load_bytes
         sum_loads = sum(p.total_load_bytes for p in singles)
@@ -34,8 +34,8 @@ class TestMergeBatchPrograms:
 
     def test_compute_and_macs_scale_with_batch(self, accelerator):
         ctxs = [4, 4, 4, 4]
-        single = accelerator.program_for(4)
-        merged = accelerator.batch_program_for(ctxs)
+        single = accelerator.timing.lower(4)
+        merged = accelerator.timing.compile_step(ctxs).program
         assert merged.total_macs == len(ctxs) * single.total_macs
         # Weight-tile compute amortizes only the systolic fill/drain, so
         # it grows with the batch but stays below B separate tiles.
@@ -44,8 +44,8 @@ class TestMergeBatchPrograms:
 
     def test_operator_structure_is_preserved(self, accelerator):
         ctxs = [3, 9]
-        merged = accelerator.batch_program_for(ctxs)
-        single = accelerator.program_for(3)
+        merged = accelerator.timing.compile_step(ctxs).program
+        single = accelerator.timing.lower(3)
         assert [op.op_name for op in merged.ops] == [
             op.op_name for op in single.ops
         ]
@@ -54,9 +54,9 @@ class TestMergeBatchPrograms:
     def test_mixed_logits_flags_align_as_prefix(self, accelerator):
         ctxs = [4, 5, 6]
         flags = [True, False, False]
-        merged = accelerator.batch_program_for(ctxs, flags)
-        full = accelerator.program_for(4, True)
-        prefill = accelerator.program_for(5, False)
+        merged = accelerator.timing.compile_step(ctxs, flags).program
+        full = accelerator.timing.lower(4, True)
+        prefill = accelerator.timing.lower(5, False)
         assert len(merged.ops) == len(full.ops)
         assert len(prefill.ops) < len(full.ops)
         # The classifier tail only carries the logits-producing sequence.
@@ -70,7 +70,7 @@ class TestMergeBatchPrograms:
         other = SpeedLLMAccelerator(micro_checkpoint, variant_config("full"))
         with pytest.raises(ValueError):
             merge_batch_programs(
-                [accelerator.program_for(4), other.program_for(4)],
+                [accelerator.timing.lower(4), other.timing.lower(4)],
                 accelerator.config.mpe,
             )
 
@@ -82,20 +82,21 @@ class TestMergeBatchPrograms:
 class TestBatchedStepTiming:
     def test_batched_step_beats_sequential_steps(self, accelerator):
         ctxs = list(range(4, 12))
-        batched = accelerator.simulate_batched_step(ctxs)
-        sequential = sum(accelerator.simulate_step(c).cycles for c in ctxs)
+        batched = accelerator.timing.simulate_step(ctxs)
+        sequential = sum(accelerator.timing.simulate_step([c]).cycles
+                         for c in ctxs)
         assert batched.cycles < sequential
         # Decode is weight-bound, so batching 8 sequences should at least
         # halve the cycles per token.
         assert sequential / batched.cycles >= 2.0
 
-    def test_single_slot_batch_equals_single_step(self, accelerator):
-        assert accelerator.simulate_batched_step([6]).cycles == \
-            accelerator.simulate_step(6).cycles
+    def test_single_slot_step_is_the_slot_program(self, accelerator):
+        timing = accelerator.timing
+        assert timing.compile_step([6]).program is timing.lower(6)
 
     def test_skipping_classifier_is_cheaper(self, accelerator):
-        full = accelerator.simulate_batched_step([4, 5], [True, True])
-        reduced = accelerator.simulate_batched_step([4, 5], [True, False])
+        full = accelerator.timing.simulate_step([4, 5], [True, True])
+        reduced = accelerator.timing.simulate_step([4, 5], [True, False])
         assert reduced.cycles < full.cycles
 
 
@@ -122,10 +123,10 @@ class TestBlockPaddedContext:
         """With kv_block_tokens set, the simulated step reads the KV
         window in whole blocks: HBM traffic matches the padded context
         and never falls below the exact-window traffic."""
-        exact = accelerator.simulate_batched_step([9, 10])
-        paged = accelerator.simulate_batched_step([9, 10],
+        exact = accelerator.timing.simulate_step([9, 10])
+        paged = accelerator.timing.simulate_step([9, 10],
                                                   kv_block_tokens=8)
-        padded = accelerator.simulate_batched_step([15, 15])
+        padded = accelerator.timing.simulate_step([15, 15])
         assert paged.counters.hbm_bytes == padded.counters.hbm_bytes
         assert paged.counters.hbm_bytes > exact.counters.hbm_bytes
 
@@ -133,8 +134,8 @@ class TestBlockPaddedContext:
         """Every position inside a block pads to the same context, so the
         simulated steps are identical — the paged program cache stays
         small."""
-        a = accelerator.simulate_batched_step([8, 9], kv_block_tokens=8)
-        b = accelerator.simulate_batched_step([10, 11], kv_block_tokens=8)
+        a = accelerator.timing.simulate_step([8, 9], kv_block_tokens=8)
+        b = accelerator.timing.simulate_step([10, 11], kv_block_tokens=8)
         assert a.cycles == b.cycles
         assert a.counters.hbm_bytes == b.counters.hbm_bytes
 
@@ -146,17 +147,17 @@ class TestMergeEdgeCases:
         with pytest.raises(ValueError, match="at least one program"):
             merge_batch_programs([], accelerator.config.mpe)
         with pytest.raises(ValueError):
-            accelerator.batch_program_for([])
+            accelerator.timing.compile_step([])
 
     def test_single_slot_merge_is_identity(self, accelerator):
         # One slot must not be rebuilt: the merger returns the cached
         # single-sequence program object itself, logits or not.
         for include_logits in (True, False):
-            program = accelerator.program_for(5, include_logits)
+            program = accelerator.timing.lower(5, include_logits)
             merged = merge_batch_programs([program], accelerator.config.mpe)
             assert merged is program
-        assert accelerator.simulate_batched_step([5], [False]).cycles == \
-            accelerator.simulate_step(5, include_logits=False).cycles
+            step = accelerator.timing.compile_step([5], [include_logits])
+            assert step.program is program
 
     def test_heterogeneous_contexts_spanning_a_block_boundary(
         self, accelerator
@@ -172,19 +173,19 @@ class TestMergeEdgeCases:
             for c in ctxs
         ]
         assert padded == [block - 1, 2 * block - 1]
-        paged = accelerator.simulate_batched_step(ctxs, kv_block_tokens=block)
-        explicit = accelerator.simulate_batched_step(padded)
+        paged = accelerator.timing.simulate_step(ctxs, kv_block_tokens=block)
+        explicit = accelerator.timing.simulate_step(padded)
         assert paged.cycles == explicit.cycles
         assert paged.counters.hbm_bytes == explicit.counters.hbm_bytes
         # The boundary-crossing slot reads one extra block per layer, so
         # the mixed batch moves more HBM bytes than two same-side slots.
-        same_side = accelerator.simulate_batched_step(
+        same_side = accelerator.timing.simulate_step(
             [block - 2, block - 1], kv_block_tokens=block)
         assert paged.counters.hbm_bytes > same_side.counters.hbm_bytes
 
     def test_mismatched_need_logits_length_rejected(self, accelerator):
         with pytest.raises(ValueError, match="need_logits"):
-            accelerator.batch_program_for([4, 5], [True])
+            accelerator.timing.compile_step([4, 5], [True])
 
 
 class TestExecuteSlots:
@@ -196,7 +197,7 @@ class TestExecuteSlots:
         stepwise_logits = None
         for pos, token in enumerate(tokens):
             stepwise_logits = accelerator._graph_executor.execute(
-                accelerator.graph_for(pos), token, pos, stepwise_cache
+                accelerator.timing.graph_for(pos), token, pos, stepwise_cache
             )
         batched_cache = KVCache(small_config)
         slots = [
@@ -240,8 +241,9 @@ class TestSpeculativeRuns:
 
     def test_run_fuses_per_sequence_packets(self, accelerator):
         ctxs = [8, 9, 10, 11]
-        flat = accelerator.batch_program_for(ctxs)
-        run = accelerator.batch_program_for(ctxs, run_ids=[0, 0, 0, 0])
+        flat = accelerator.timing.compile_step(ctxs).program
+        run = accelerator.timing.compile_step(
+            ctxs, run_ids=[0, 0, 0, 0]).program
         # One fused packet replaces the four per-sequence packets of every
         # non-weight operator; weight tiles are unchanged.
         for flat_op, run_op in zip(flat.ops, run.ops):
@@ -256,28 +258,31 @@ class TestSpeculativeRuns:
 
     def test_run_amortizes_attention_kv_reads(self, accelerator):
         ctxs = [8, 9, 10, 11]
-        flat = accelerator.batch_program_for(ctxs)
-        run = accelerator.batch_program_for(ctxs, run_ids=[0, 0, 0, 0])
+        flat = accelerator.timing.compile_step(ctxs).program
+        run = accelerator.timing.compile_step(
+            ctxs, run_ids=[0, 0, 0, 0]).program
         # Followers re-read (almost) none of the shared KV window from
         # HBM, so the fused program loads strictly less.
         assert run.total_load_bytes < flat.total_load_bytes
 
     def test_runs_do_not_fuse_across_requests(self, accelerator):
         ctxs = [8, 9, 10, 11]
-        two_runs = accelerator.batch_program_for(ctxs, run_ids=[0, 0, 1, 1])
-        one_run = accelerator.batch_program_for(ctxs, run_ids=[0, 0, 0, 0])
+        two_runs = accelerator.timing.compile_step(
+            ctxs, run_ids=[0, 0, 1, 1]).program
+        one_run = accelerator.timing.compile_step(
+            ctxs, run_ids=[0, 0, 0, 0]).program
         assert two_runs.total_load_bytes > one_run.total_load_bytes
 
     def test_run_ids_length_mismatch_raises(self, accelerator):
-        programs = [accelerator.program_for(c) for c in (4, 5)]
+        programs = [accelerator.timing.lower(c) for c in (4, 5)]
         with pytest.raises(ValueError, match="run_ids"):
             merge_batch_programs(programs, accelerator.config.mpe,
                                  run_ids=[0])
 
     def test_run_timing_cached_separately(self, accelerator):
         timing = accelerator.timing
-        flat = timing.simulate_batched_step([8, 9, 10])
-        run = timing.simulate_batched_step([8, 9, 10], run_ids=[0, 0, 0])
+        flat = timing.simulate_step([8, 9, 10])
+        run = timing.simulate_step([8, 9, 10], run_ids=[0, 0, 0])
         assert run.cycles < flat.cycles
-        again = timing.simulate_batched_step([8, 9, 10], run_ids=[0, 0, 0])
+        again = timing.simulate_step([8, 9, 10], run_ids=[0, 0, 0])
         assert again.cycles == run.cycles

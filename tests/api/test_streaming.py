@@ -132,11 +132,6 @@ class TestAdmissionErrors:
         assert handle.request.max_new_tokens == room
         assert handle.request.sampling.max_tokens == room
 
-    def test_params_and_legacy_kwargs_are_mutually_exclusive(self, llm):
-        with pytest.raises(ValueError, match="not both"):
-            ServingEngine(llm).submit(
-                PROMPTS[0], SamplingParams(max_tokens=4), max_new_tokens=8)
-
 
 class TestLogprobs:
     def test_logprob_records_cover_every_token(self, llm):

@@ -3,11 +3,12 @@ configuration produces identical token streams.
 
 Two axes are pinned:
 
-* **Surfaces** — the same prompts are driven through (a) the deprecated
-  ``submit(**kwargs)`` shim, (b) ``SamplingParams`` + the streaming
-  ``RequestHandle``, and (c) the OpenAI-style completions layer, for
-  greedy and seeded top-p sampling, and all three must emit exactly the
-  same tokens as one another and as sequential ``SpeedLLM.generate``.
+* **Surfaces** — the same prompts are driven through (a)
+  ``SamplingParams`` drained by ``run()`` and read off the finished
+  handle, (b) ``SamplingParams`` + the streaming ``RequestHandle``, and
+  (c) the OpenAI-style completions layer, for greedy and seeded top-p
+  sampling, and all three must emit exactly the same tokens as one
+  another and as sequential ``SpeedLLM.generate``.
 * **Configurations** — the shared ``engine_matrix_config`` fixture from
   ``tests/conftest.py`` sweeps reservation vs. paged KV vs. TP=2, each
   with chunked prefill on and off; scheduling and memory layout must
@@ -44,10 +45,11 @@ CONFIGS = [
 ]
 
 
-def _streams_via_shim(llm, sampling, max_tokens):
+def _streams_via_run(llm, sampling, max_tokens):
     engine = ServingEngine(llm, SchedulerConfig(max_batch_tokens=16))
     handles = [
-        engine.submit(p, max_new_tokens=max_tokens, seed=11 + i, **sampling)
+        engine.submit(p, SamplingParams(max_tokens=max_tokens, seed=11 + i,
+                                        **sampling))
         for i, p in enumerate(PROMPTS)
     ]
     engine.run()
@@ -89,10 +91,10 @@ def test_all_three_surfaces_emit_identical_streams(llm, sampling):
                      **sampling).generated_tokens
         for i, p in enumerate(PROMPTS)
     ]
-    shim = _streams_via_shim(llm, sampling, max_tokens)
+    drained = _streams_via_run(llm, sampling, max_tokens)
     params = _streams_via_params(llm, sampling, max_tokens)
     completions = _streams_via_completions(llm, sampling, max_tokens)
-    assert shim == sequential
+    assert drained == sequential
     assert params == sequential
     assert completions == sequential
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.api import SamplingParams
 from repro.backend import LocalBackend, ShardedBackend
 from repro.core.speedllm import SpeedLLM
 from repro.llama.kv_cache import KVCache
@@ -37,7 +38,7 @@ def _serve(llm, backend=None, scheduler_config=None, prompts=PROMPTS,
            max_new_tokens=8):
     engine = ServingEngine(llm, scheduler_config, backend=backend)
     for prompt in prompts:
-        engine.submit(prompt, max_new_tokens=max_new_tokens)
+        engine.submit(prompt, SamplingParams(max_tokens=max_new_tokens))
     return engine.run()
 
 
@@ -85,13 +86,14 @@ class TestShardedTokenIdentity:
             [r.generated_tokens for r in local.requests]
 
     def test_stochastic_sampling_matches_across_backends(self, llm):
-        kwargs = dict(max_new_tokens=6, temperature=0.9, top_p=0.9, seed=3)
+        params = SamplingParams(max_tokens=6, temperature=0.9, top_p=0.9,
+                                seed=3)
         local = ServingEngine(llm)
         sharded = ServingEngine(
             llm, backend=ShardedBackend(llm.accelerator, 2))
         for engine in (local, sharded):
             for prompt in PROMPTS[:3]:
-                engine.submit(prompt, **kwargs)
+                engine.submit(prompt, params)
         assert [r.generated_tokens for r in sharded.run().requests] == \
             [r.generated_tokens for r in local.run().requests]
 
@@ -127,14 +129,14 @@ class TestShardedTiming:
     def test_step_counters_are_aggregated_over_shards(self, llm):
         backend = ShardedBackend(llm.accelerator, 2)
         engine = ServingEngine(llm, backend=backend)
-        engine.submit(PROMPTS[0], max_new_tokens=4)
+        engine.submit(PROMPTS[0], SamplingParams(max_tokens=4))
         engine.run()
         report = engine.report()
         # Sharding replicates the norms/rope/residual work, so aggregate
         # SFU activity exceeds a single device's but MAC work (split
         # matmuls) stays equal up to rounding.
         local_engine = ServingEngine(llm)
-        local_engine.submit(PROMPTS[0], max_new_tokens=4)
+        local_engine.submit(PROMPTS[0], SamplingParams(max_tokens=4))
         local_report = local_engine.run()
         assert report.counters.sfu_flops >= local_report.counters.sfu_flops
         assert report.counters.int8_macs == pytest.approx(

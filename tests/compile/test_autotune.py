@@ -12,7 +12,7 @@ from repro.llama.config import preset
 
 
 class TestTileAutotuner:
-    PLANS = [DEFAULT_PLAN, TilingPlan(2, 1), TilingPlan(4, 1)]
+    PLANS = [DEFAULT_PLAN, TilingPlan(2), TilingPlan(4)]
 
     def test_requires_candidates(self):
         with pytest.raises(ValueError):
@@ -22,8 +22,8 @@ class TestTileAutotuner:
         tuner = TileAutotuner(self.PLANS)
         costs = {1: 300, 2: 100, 4: 200}
         outcome = tuner.tune(lambda p: (p.label, costs[p.matmul_fold]))
-        assert outcome.plan == TilingPlan(2, 1)
-        assert outcome.payload == "fold2-attn1"
+        assert outcome.plan == TilingPlan(2)
+        assert outcome.payload == "fold2"
         assert outcome.cycles == 100
         assert outcome.baseline_cycles == 300
         assert outcome.won

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.accel.accelerator import SpeedLLMAccelerator
 from repro.accel.variants import variant_config
 from repro.compile.pipeline import PHASE_ORDER, StepCompiler
 from repro.fpga import u280
@@ -90,6 +91,18 @@ class TestSimulation:
         second = compiler.simulate_step((30,))
         assert second is first
         assert compiler.cache.hits == 1
+
+    def test_one_shot_generation_sums_one_slot_steps(self, small_checkpoint):
+        # simulate_generation has no timing path of its own: it consumes
+        # the accelerator compiler's one-slot steps, position by position.
+        accel = SpeedLLMAccelerator(small_checkpoint, variant_config("full"))
+        metrics = accel.simulate_generation(n_prompt=2, n_generated=1)
+        steps = [accel.timing.simulate_step([pos]) for pos in range(3)]
+        assert metrics.prefill_cycles == steps[0].cycles + steps[1].cycles
+        assert metrics.decode_cycles == steps[2].cycles
+        assert metrics.counters.hbm_bytes == sum(
+            step.counters.hbm_bytes for step in steps)
+        assert accel.timing.cache.misses == 3
 
 
 class TestStats:

@@ -12,20 +12,16 @@ from repro.llama.config import preset
 class TestTilingPlan:
     def test_default_plan_is_fixed_tiling(self):
         assert DEFAULT_PLAN.matmul_fold == 1
-        assert DEFAULT_PLAN.attention_chunks == 1
         assert DEFAULT_PLAN.is_default
-        assert TilingPlan(2, 1).is_default is False
-        assert TilingPlan(1, 2).is_default is False
+        assert TilingPlan(2).is_default is False
 
     def test_validation(self):
         with pytest.raises(ValueError):
             TilingPlan(matmul_fold=0)
-        with pytest.raises(ValueError):
-            TilingPlan(attention_chunks=0)
 
     def test_label(self):
-        assert TilingPlan(4, 2).label == "fold4-attn2"
-        assert DEFAULT_PLAN.label == "fold1-attn1"
+        assert TilingPlan(4).label == "fold4"
+        assert DEFAULT_PLAN.label == "fold1"
 
 
 class TestClampedFold:
@@ -48,44 +44,24 @@ class TestClampedFold:
 
 class TestCandidatePlans:
     def test_default_plan_is_always_first(self):
-        plans = candidate_plans(variant_config("full"), preset("stories15M"),
-                                n_hbm_channels=32)
+        plans = candidate_plans(variant_config("full"), preset("stories15M"))
         assert plans[0] == DEFAULT_PLAN
         assert len(plans) == len(set(plans))
 
-    def test_folds_and_chunks_are_powers_of_two(self):
-        plans = candidate_plans(variant_config("full"), preset("stories15M"),
-                                n_hbm_channels=32)
+    def test_folds_are_powers_of_two(self):
+        plans = candidate_plans(variant_config("full"), preset("stories15M"))
         for plan in plans:
             assert plan.matmul_fold & (plan.matmul_fold - 1) == 0
-            assert plan.attention_chunks & (plan.attention_chunks - 1) == 0
 
     def test_folds_pruned_by_segment_capacity(self):
         config = variant_config("full")
         tiny_segments = config.replace(
             buffers=config.buffers.__class__(n_segments=8, segment_kb=16))
-        plans = candidate_plans(tiny_segments, preset("stories15M"),
-                                n_hbm_channels=32)
+        plans = candidate_plans(tiny_segments, preset("stories15M"))
         # 16 KB segments: a fold-8 tile over even the smallest reduction
         # (head_dim 48: 8 * 64 * 48 = 24 KB) no longer fits.
         assert max(p.matmul_fold for p in plans) < 8
 
-    def test_chunks_pruned_by_channel_parallelism(self):
-        config = variant_config("full")
-        plans = candidate_plans(config, preset("stories15M"),
-                                n_hbm_channels=config.hbm_stripe)
-        # One stripe's worth of channels: at most 2 chunks can overlap.
-        assert max(p.attention_chunks for p in plans) <= 2
-
-    def test_chunks_pruned_by_buffer_segments(self):
-        config = variant_config("full")
-        two_segments = config.replace(
-            buffers=config.buffers.__class__(n_segments=2, segment_kb=128))
-        plans = candidate_plans(two_segments, preset("stories15M"),
-                                n_hbm_channels=32)
-        assert max(p.attention_chunks for p in plans) <= 2
-
     def test_search_space_is_bounded(self):
-        plans = candidate_plans(variant_config("full"), preset("stories15M"),
-                                n_hbm_channels=32)
-        assert len(plans) <= 16
+        plans = candidate_plans(variant_config("full"), preset("stories15M"))
+        assert len(plans) <= 4

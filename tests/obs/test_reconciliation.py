@@ -16,7 +16,10 @@ emits nothing at all.
 
 from __future__ import annotations
 
-from repro.api import SamplingParams, SpecConfig
+import pytest
+
+from repro.api import EngineConfig, SamplingParams, SpecConfig
+from repro.cluster import ClusterConfig
 from repro.llama.kv_cache import KVCache
 from repro.obs import tracer as spans
 from repro.obs.registry import MetricsRegistry
@@ -27,6 +30,7 @@ from repro.obs.timeline import (
 )
 from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.serve import SchedulerConfig, ServingEngine
+from tests.conftest import ENGINE_MATRIX
 
 PROMPTS = [
     "Once upon a time",
@@ -49,8 +53,9 @@ def assert_exact_reconciliation(tracer, report):
         assert derived["finish_reason"] == metrics.finish_reason
 
 
-def serve_traced(config, llm, prompts=PROMPTS, max_tokens=8):
-    tracer = Tracer()
+def serve_traced(config, llm, prompts=PROMPTS, max_tokens=8,
+                 tracer=None):
+    tracer = tracer if tracer is not None else Tracer()
     registry = MetricsRegistry()
     engine = config.build_engine(llm=llm, tracer=tracer, metrics=registry)
     for i, prompt in enumerate(prompts):
@@ -110,6 +115,58 @@ class TestExactReconciliation:
         assert_exact_reconciliation(tracer, report)
         assert validate_chrome_trace(
             build_chrome_trace(tracer, report=report)) == []
+
+
+def _config(**overrides):
+    return EngineConfig(model="test-small", max_batch_tokens=16, **overrides)
+
+
+def _matrix_engine(llm, tracer, overrides):
+    _, _, report = serve_traced(_config(**overrides), llm, tracer=tracer)
+    return [report]
+
+
+def _shared_llm_cluster(llm, tracer, _):
+    cluster = ClusterConfig(
+        n_replicas=4, route="rr", engine=_config(),
+    ).build_cluster(llm=llm, tracer=tracer)
+    for i, prompt in enumerate(PROMPTS * 2):
+        cluster.submit(prompt, SamplingParams(max_tokens=8, seed=11 + i))
+    report = cluster.run()
+    return [replica.report for replica in report.replicas] + [report.pooled]
+
+
+def _second_engine_on_warm_llm(llm, tracer, _):
+    serve_traced(_config(), llm)
+    _, _, warm = serve_traced(_config(), llm, tracer=tracer)
+    assert warm.compile_cache_misses == 0
+    return [warm]
+
+
+class TestCompileLookupAccounting:
+    @pytest.mark.parametrize("serve, overrides", [
+        *(pytest.param(_matrix_engine, *p.values, id=p.id)
+          for p in ENGINE_MATRIX),
+        pytest.param(_shared_llm_cluster, None, id="cluster-4-shared-llm"),
+        pytest.param(_second_engine_on_warm_llm, None, id="warm-llm"),
+    ])
+    def test_each_step_counts_one_lookup_on_its_own_engine(
+            self, llm, serve, overrides):
+        """However many engines share (or pre-warmed) the step compiler,
+        a report counts exactly the lookups its own steps made, and each
+        ``step`` span carries exactly one."""
+        tracer = Tracer()
+        reports = serve(llm, tracer, overrides)
+        for report in reports:
+            assert report.n_steps > 0
+            assert (report.compile_cache_hits + report.compile_cache_misses
+                    == report.n_steps)
+        steps = tracer.spans_named(spans.STEP)
+        # The last report covers every traced step (a cluster's is pooled).
+        assert len(steps) == reports[-1].n_steps
+        for span in steps:
+            assert (span.attrs["compile_cache_hits"]
+                    + span.attrs["compile_cache_misses"]) == 1
 
 
 class TestTracingIsPassive:

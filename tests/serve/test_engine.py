@@ -12,6 +12,7 @@ import asyncio
 
 import pytest
 
+from repro.api import SamplingParams
 from repro.core.speedllm import SpeedLLM
 from repro.llama.kv_cache import KVCache
 from repro.serve import SchedulerConfig, ServingEngine
@@ -43,7 +44,7 @@ class TestBatchedEqualsSequential:
         }
         engine = ServingEngine(llm, SchedulerConfig(max_batch_tokens=16))
         for prompt in PROMPTS:
-            engine.submit(prompt, max_new_tokens=10)
+            engine.submit(prompt, SamplingParams(max_tokens=10))
         report = engine.run()
         assert report.n_requests == len(PROMPTS)
         for result in report.requests:
@@ -58,15 +59,15 @@ class TestBatchedEqualsSequential:
         }
         engine = ServingEngine(llm)
         for i, prompt in enumerate(prompts):
-            engine.submit(prompt, max_new_tokens=8, temperature=0.8,
-                          top_p=0.9, seed=11 + i)
+            engine.submit(prompt, SamplingParams(
+                max_tokens=8, temperature=0.8, top_p=0.9, seed=11 + i))
         report = engine.run()
         for result in report.requests:
             assert result.generated_tokens == sequential[result.prompt]
 
     def test_served_text_decodes_generated_tokens(self, llm):
         engine = ServingEngine(llm)
-        engine.submit(PROMPTS[0], max_new_tokens=6)
+        engine.submit(PROMPTS[0], SamplingParams(max_tokens=6))
         report = engine.run()
         result = report.requests[0]
         assert result.text == llm.tokenizer.decode(result.generated_tokens)
@@ -80,7 +81,7 @@ class TestThroughput:
         seq_seconds = sum(o.metrics.total_seconds for o in sequential_outputs)
         engine = ServingEngine(llm, SchedulerConfig(max_batch_tokens=16))
         for prompt in PROMPTS:
-            engine.submit(prompt, max_new_tokens=10)
+            engine.submit(prompt, SamplingParams(max_tokens=10))
         report = engine.run()
         assert report.total_generated_tokens == seq_tokens
         speedup = report.throughput_tokens_per_second / (seq_tokens / seq_seconds)
@@ -96,7 +97,7 @@ class TestThroughput:
 
     def test_run_max_steps_enforced(self, llm):
         engine = ServingEngine(llm)
-        engine.submit(PROMPTS[0], max_new_tokens=32)
+        engine.submit(PROMPTS[0], SamplingParams(max_tokens=32))
         with pytest.raises(RuntimeError, match="did not drain"):
             engine.run(max_steps=1)
         assert engine._n_steps == 1
@@ -104,7 +105,7 @@ class TestThroughput:
     def test_report_aggregates_are_consistent(self, llm):
         engine = ServingEngine(llm, SchedulerConfig(max_batch_tokens=8))
         for prompt in PROMPTS[:4]:
-            engine.submit(prompt, max_new_tokens=6)
+            engine.submit(prompt, SamplingParams(max_tokens=6))
         report = engine.run()
         assert report.n_steps > 0
         assert report.mean_batch_tokens > 1.0
@@ -157,7 +158,8 @@ class TestBackPressure:
             for prompt in PROMPTS[:4]
         }
         engine = ServingEngine(llm, scheduler_config)
-        requests = [engine.submit(p, max_new_tokens=8) for p in PROMPTS[:4]]
+        requests = [engine.submit(p, SamplingParams(max_tokens=8))
+                    for p in PROMPTS[:4]]
         report = engine.run()
         assert report.n_requests == 4
         # The requests beyond the budget waited in the queue...
@@ -182,7 +184,8 @@ class TestArrivalTimes:
         # request must be admitted only once the clock reaches it.
         arrivals = poisson_arrival_times(4, rate_per_s=10.0, seed=2)
         requests = [
-            engine.submit(prompt, max_new_tokens=6, arrival_time=arrival)
+            engine.submit(prompt, SamplingParams(max_tokens=6),
+                          arrival_time=arrival)
             for prompt, arrival in zip(PROMPTS[:4], arrivals)
         ]
         report = engine.run()
@@ -201,8 +204,10 @@ class TestArrivalTimes:
         # clock must fast-forward to the head's arrival (not the queue
         # minimum) or the drain loop would spin forever.
         engine = ServingEngine(llm)
-        late = engine.submit(PROMPTS[0], max_new_tokens=4, arrival_time=5.0)
-        early = engine.submit(PROMPTS[1], max_new_tokens=4, arrival_time=1.0)
+        late = engine.submit(PROMPTS[0], SamplingParams(max_tokens=4),
+                             arrival_time=5.0)
+        early = engine.submit(PROMPTS[1], SamplingParams(max_tokens=4),
+                              arrival_time=1.0)
         report = engine.run(max_steps=200)
         assert report.n_requests == 2
         assert late.admitted_time >= 5.0
@@ -212,8 +217,8 @@ class TestArrivalTimes:
         # One running slot: the second request arrives immediately but
         # must wait for the first to finish, showing up as queue wait.
         engine = ServingEngine(llm, SchedulerConfig(max_running=1))
-        first = engine.submit(PROMPTS[0], max_new_tokens=8)
-        second = engine.submit(PROMPTS[1], max_new_tokens=8)
+        first = engine.submit(PROMPTS[0], SamplingParams(max_tokens=8))
+        second = engine.submit(PROMPTS[1], SamplingParams(max_tokens=8))
         engine.run()
         assert first.queue_wait == 0.0
         assert second.queue_wait > 0.0
@@ -222,8 +227,8 @@ class TestArrivalTimes:
 class TestCancellation:
     def test_cancel_running_request_frees_reservation(self, llm):
         engine = ServingEngine(llm)
-        victim = engine.submit(PROMPTS[0], max_new_tokens=16)
-        survivor = engine.submit(PROMPTS[1], max_new_tokens=8)
+        victim = engine.submit(PROMPTS[0], SamplingParams(max_tokens=16))
+        survivor = engine.submit(PROMPTS[1], SamplingParams(max_tokens=8))
         engine.step()  # both admitted and started
         reserved_before = engine.scheduler.kv_budget.reserved_bytes
         assert engine.cancel(victim) is True
@@ -238,8 +243,8 @@ class TestCancellation:
 
     def test_cancel_queued_request_before_admission(self, llm):
         engine = ServingEngine(llm, SchedulerConfig(max_running=1))
-        engine.submit(PROMPTS[0], max_new_tokens=8)
-        queued = engine.submit(PROMPTS[1], max_new_tokens=8)
+        engine.submit(PROMPTS[0], SamplingParams(max_tokens=8))
+        queued = engine.submit(PROMPTS[1], SamplingParams(max_tokens=8))
         engine.step()
         assert engine.cancel(queued) is True
         report = engine.run()
@@ -247,7 +252,7 @@ class TestCancellation:
 
     def test_cancel_finished_request_is_a_noop(self, llm):
         engine = ServingEngine(llm)
-        request = engine.submit(PROMPTS[0], max_new_tokens=4)
+        request = engine.submit(PROMPTS[0], SamplingParams(max_tokens=4))
         engine.run()
         assert engine.cancel(request) is False
         assert request.is_finished
@@ -263,7 +268,7 @@ class TestAsyncEngine:
 
         async def drive():
             return await asyncio.gather(*[
-                engine.generate(prompt, max_new_tokens=8)
+                engine.generate(prompt, SamplingParams(max_tokens=8))
                 for prompt in PROMPTS[:3]
             ])
 
@@ -290,9 +295,10 @@ class TestAsyncEngine:
 
         async def drive():
             victim = asyncio.ensure_future(
-                engine.generate(PROMPTS[0], max_new_tokens=24))
+                engine.generate(PROMPTS[0], SamplingParams(max_tokens=24)))
             survivors = [
-                asyncio.ensure_future(engine.generate(p, max_new_tokens=8))
+                asyncio.ensure_future(
+                    engine.generate(p, SamplingParams(max_tokens=8)))
                 for p in PROMPTS[1:3]
             ]
             # Let the batch run a few steps so every request holds blocks.
@@ -322,7 +328,7 @@ class TestAsyncEngine:
         )
 
         async def drive():
-            await engine.generate(PROMPTS[0], max_new_tokens=4)
+            await engine.generate(PROMPTS[0], SamplingParams(max_tokens=4))
 
         # The waiter gets the engine failure instead of hanging forever.
         with pytest.raises(RuntimeError, match="boom"):

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.api import SamplingParams
 from repro.core.speedllm import SpeedLLM
 from repro.llama.kv_cache import KVCache
 from repro.serve import SchedulerConfig, ServingEngine
@@ -81,10 +82,10 @@ class TestPrefixSharing:
             for p in (first, second)
         }
         engine = ServingEngine(llm, paged_config(block_tokens=4))
-        engine.submit(first, max_new_tokens=4)
+        engine.submit(first, SamplingParams(max_tokens=4))
         for _ in range(30):  # let the first request prefill
             engine.step()
-        engine.submit(second, max_new_tokens=4)
+        engine.submit(second, SamplingParams(max_tokens=4))
         report = engine.run(max_steps=2000)
         assert report.prefix_hit_tokens > 0
         results = {r.prompt: r for r in report.requests}
@@ -96,9 +97,9 @@ class TestPrefixSharing:
         """Blocks of a finished request park on the LRU list and are
         resurrected by a later identical-prefix submission."""
         engine = ServingEngine(llm, paged_config(block_tokens=4))
-        engine.submit(SHARED_PROMPTS[0], max_new_tokens=4)
+        engine.submit(SHARED_PROMPTS[0], SamplingParams(max_tokens=4))
         engine.run(max_steps=2000)
-        engine.submit(SHARED_PROMPTS[2], max_new_tokens=4)
+        engine.submit(SHARED_PROMPTS[2], SamplingParams(max_tokens=4))
         report = engine.run(max_steps=2000)
         assert report.prefix_hit_tokens > 0
 
@@ -130,7 +131,7 @@ class TestAcceptance:
                 paged=paged, block_tokens=8,
             ))
             for p in SHARED_PROMPTS:
-                engine.submit(p, max_new_tokens=new_tokens)
+                engine.submit(p, SamplingParams(max_tokens=new_tokens))
             return engine.run(max_steps=3000)
 
         reservation = serve(paged=False)
@@ -167,7 +168,8 @@ class TestPreemption:
             kv_budget_bytes=7 * block_bytes,
             watermark_fraction=0.0,
         ))
-        requests = [engine.submit(p, max_new_tokens=10) for p in prompts]
+        requests = [engine.submit(p, SamplingParams(max_tokens=10))
+                    for p in prompts]
         report = engine.run(max_steps=3000)
         assert report.n_preemptions > 0
         assert sum(r.n_preemptions for r in requests) == report.n_preemptions
