@@ -24,18 +24,21 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..accel.batching import BatchSlot, batch_run_ids
 from ..accel.pipeline import StepResult
-from ..compile.pipeline import StepCompiler
+from ..compile.pipeline import CompileWork, StepCompiler
 from ..fpga.power import EnergyBreakdown
 from ..fpga.u280 import FpgaPlatform
 from ..llama.config import LlamaConfig
 from ..sim.stats import RunCounters
 from ..sim.trace import Trace
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..accel.accelerator import SpeedLLMAccelerator
 
 __all__ = ["BackendStep", "ExecutionBackend"]
 
@@ -60,10 +63,10 @@ class BackendStep:
     engine_busy: Dict[str, int] = field(default_factory=dict)
     #: Per-shard MPE utilisation during the step (length ``n_shards``).
     shard_utilization: List[float] = field(default_factory=list)
-    #: Whether the step's one compile-cache lookup hit.  Carried per step
-    #: so the engine that made the lookup counts it, however many engines
-    #: share the compiler.
-    compile_hit: bool = False
+    #: Compilation work the step did (its one compile-cache lookup and
+    #: any functional graph it built).  Carried per step so the engine
+    #: that caused it is charged, however many share the compiler.
+    compile_work: CompileWork = field(default_factory=CompileWork)
     #: Cycle-level execution trace of the step, present only when the
     #: accelerator config enables tracing
     #: (``AcceleratorConfig.trace_enabled``).  May be a cached object
@@ -74,6 +77,8 @@ class BackendStep:
 class ExecutionBackend(abc.ABC):
     """Executes scheduler step plans on some arrangement of accelerators."""
 
+    #: The full (unsharded) accelerator that executes slots functionally.
+    accelerator: "SpeedLLMAccelerator"
     #: Model the backend serves (full, unsharded configuration).
     model_config: LlamaConfig
     #: Platform of one device; its clock converts cycles to seconds.
@@ -107,22 +112,26 @@ class ExecutionBackend(abc.ABC):
     ) -> BackendStep:
         """Execute one batched step: functional outputs plus timing."""
 
-    def simulate_slots(
+    def run_slots(
         self,
         slots: Sequence[BatchSlot],
         kv_block_tokens: Optional[int],
-    ) -> Tuple[StepResult, bool]:
-        """One device's timing of a step plan, and whether its
-        compile-cache lookup hit."""
-        cache = self.compiler.cache
-        misses = cache.misses
+    ) -> Tuple[List[np.ndarray], StepResult, CompileWork]:
+        """Functional outputs of a step plan, one device's timing of it,
+        and the compilation work both did on this backend's compiler.
+
+        The functional pass always runs on the full (unsharded) model:
+        token values must not depend on the execution placement.
+        """
+        before = self.compiler.work()
+        outputs = self.accelerator.execute_slots(slots)
         result = self.compiler.simulate_step(
             [slot.pos for slot in slots],
             [slot.need_logits for slot in slots],
             kv_block_tokens,
             batch_run_ids(slots),
         )
-        return result, cache.misses == misses
+        return outputs, result, self.compiler.work() - before
 
     @abc.abstractmethod
     def energy_for(
@@ -132,17 +141,6 @@ class ExecutionBackend(abc.ABC):
         elapsed_seconds: float,
     ) -> EnergyBreakdown:
         """Total energy across every device of the backend."""
-
-    def compile_stats(self) -> Dict[str, object]:
-        """Cumulative counters of the backend's step compiler.
-
-        Phase timings, compile-cache hit/miss/evict counters and autotune
-        counters (see :meth:`repro.compile.pipeline.StepCompiler.stats`).
-        The compiler may be shared by several backends (every replica
-        over one ``SpeedLLM`` stack), so these are not per-engine numbers;
-        :attr:`BackendStep.compile_hit` is.
-        """
-        return self.compiler.stats()
 
     def describe(self) -> Dict[str, object]:
         """Flat description for reports and JSON payloads."""

@@ -39,8 +39,7 @@ class LocalBackend(ExecutionBackend):
         slots: Sequence[BatchSlot],
         kv_block_tokens: Optional[int] = None,
     ) -> BackendStep:
-        outputs = self.accelerator.execute_slots(slots)
-        timing, compile_hit = self.simulate_slots(slots, kv_block_tokens)
+        outputs, timing, compile_work = self.run_slots(slots, kv_block_tokens)
         seconds = self.platform.cycles_to_seconds(timing.cycles)
         return BackendStep(
             outputs=outputs,
@@ -50,7 +49,7 @@ class LocalBackend(ExecutionBackend):
             counters=timing.counters,
             engine_busy=dict(timing.engine_busy),
             shard_utilization=[timing.mpe_utilization],
-            compile_hit=compile_hit,
+            compile_work=compile_work,
             trace=timing.trace,
         )
 

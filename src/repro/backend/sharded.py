@@ -110,10 +110,7 @@ class ShardedBackend(ExecutionBackend):
         slots: Sequence[BatchSlot],
         kv_block_tokens: Optional[int] = None,
     ) -> BackendStep:
-        # Functional execution on the full model: token values must be
-        # independent of the execution placement.
-        outputs = self.accelerator.execute_slots(slots)
-        timing, compile_hit = self.simulate_slots(slots, kv_block_tokens)
+        outputs, timing, compile_work = self.run_slots(slots, kv_block_tokens)
         tp = self.n_shards
         compute_seconds = self.platform.cycles_to_seconds(timing.cycles)
         interconnect_seconds = self.collective_seconds(
@@ -127,7 +124,7 @@ class ShardedBackend(ExecutionBackend):
             counters=_scale_counters(timing.counters, tp),
             engine_busy={k: v * tp for k, v in timing.engine_busy.items()},
             shard_utilization=[timing.mpe_utilization] * tp,
-            compile_hit=compile_hit,
+            compile_work=compile_work,
             trace=timing.trace,
         )
 

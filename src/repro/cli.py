@@ -984,7 +984,7 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
                    else f"{check_failures} MISMATCHES")
         print(f"token identity check   {verdict}")
     if args.compile_stats:
-        _print_compile_stats(engine.backend.compile_stats())
+        _print_compile_stats(engine.backend.compiler.stats())
     print(f"sequential throughput  {seq_throughput:.1f} tokens/s")
     print(f"batched throughput     {report.throughput_tokens_per_second:.1f} tokens/s")
     print(f"continuous-batching speedup: {speedup:.2f}x")
@@ -1212,16 +1212,6 @@ def _cmd_bench_matrix(args: argparse.Namespace) -> int:
     """
     import dataclasses as _dc
 
-    def deterministic(entry):
-        """Drop host wall-clock keys so the report regenerates bit-for-bit.
-
-        Compile-cache counters and hit rates are pure functions of the
-        served shapes and stay; seconds spent compiling are machine noise.
-        """
-        entry.pop("compile_seconds", None)
-        entry.pop("compile_phase_seconds", None)
-        return entry
-
     # The base config is the plain baseline; feature flags the user set
     # (--chunked-prefill, --policy, --speculative) are irrelevant here —
     # the matrix itself decides which features each entry turns on.
@@ -1249,7 +1239,7 @@ def _cmd_bench_matrix(args: argparse.Namespace) -> int:
         config = _dc.replace(base, **overrides)
         _, report, _ = _serve_suite(config, llm, workloads, args.ignore_eos,
                                     arrivals=arrivals)
-        entry = deterministic(report.as_dict())
+        entry = report.as_dict()
         configs[name] = entry
         print(f"{name:24s} {report.throughput_tokens_per_second:8.1f} tok/s"
               f"  itl p95 {entry['itl_p95_ms']:.3f} ms"
@@ -1264,7 +1254,7 @@ def _cmd_bench_matrix(args: argparse.Namespace) -> int:
         _, quant_report, _ = _serve_suite(
             quant_config, quant_llm, workloads, args.ignore_eos,
             arrivals=arrivals)
-        entry = deterministic(quant_report.as_dict())
+        entry = quant_report.as_dict()
         configs[name] = entry
         tps = quant_report.throughput_tokens_per_second
         if name == "quant-fp32":
@@ -1278,7 +1268,7 @@ def _cmd_bench_matrix(args: argparse.Namespace) -> int:
             _cluster_bench_matrix(base):
         cluster = cluster_config.build_cluster(llm=llm)
         creport = cluster.serve(suite_rows, cluster_params)
-        entry = deterministic(creport.as_dict())
+        entry = creport.as_dict()
         configs[name] = entry
         hits = entry["cluster"]["routing"].get("affinity_hits")
         print(f"{name:24s} "
@@ -1296,11 +1286,8 @@ def _cmd_bench_matrix(args: argparse.Namespace) -> int:
     compile_payload, _ = _run_compile_bench(
         model=args.model, variant=args.variant, requests=4,
         prompt_words=lc_words, tokens=lc_tokens, seed=37, ctx_bucket=32)
-    compile_payload.pop("wall", None)
-    compile_payload.get("autotune", {}).pop("seconds", None)
     for side in ("fixed", "autotuned"):
-        configs[f"long-context-{side}"] = deterministic(
-            compile_payload.pop(side))
+        configs[f"long-context-{side}"] = compile_payload.pop(side)
         tps = configs[f"long-context-{side}"][
             "throughput_tokens_per_second"]
         print(f"{'long-context-' + side:24s} {tps:8.1f} tok/s"
@@ -1318,9 +1305,24 @@ def _cmd_bench_matrix(args: argparse.Namespace) -> int:
         "configs": configs,
         "compile": compile_payload,
     }
-    write_json(args.bench_out, payload)
+    write_json(args.bench_out, _simulated_only(payload))
     print(f"benchmark report ({BENCH_SCHEMA}) written to {args.bench_out}")
     return 0
+
+
+def _simulated_only(value):
+    """``value`` without its host wall-clock sections, at any depth.
+
+    Reports keep every host-clock value under one key — ``"host"``
+    (``"wall"`` in COMPILE_BENCH_v1) — so what is left is simulated and
+    regenerates bit-for-bit.
+    """
+    if isinstance(value, dict):
+        return {key: _simulated_only(item) for key, item in value.items()
+                if key not in ("host", "wall")}
+    if isinstance(value, list):
+        return [_simulated_only(item) for item in value]
+    return value
 
 
 def _run_compile_bench(model: str, variant: str, requests: int,
@@ -1361,7 +1363,7 @@ def _run_compile_bench(model: str, variant: str, requests: int,
         report = engine.run()
         wall = _time.perf_counter() - start
         streams = [list(p.response().choices[0].token_ids) for p in pending]
-        return report, engine.backend.compile_stats(), wall, streams
+        return report, engine.backend.compiler.stats(), wall, streams
 
     fixed_config = base
     auto_config = _dc.replace(base, autotune=True)
@@ -1381,6 +1383,9 @@ def _run_compile_bench(model: str, variant: str, requests: int,
     )
     fixed_tps = fixed_report.throughput_tokens_per_second
     auto_tps = auto_report.throughput_tokens_per_second
+    autotune = dict(auto_stats.get("autotune", {}))
+    # The search's wall-clock belongs with the other host-clock values.
+    autotune_seconds = autotune.pop("seconds", 0.0)
     payload = {
         "schema": "COMPILE_BENCH_v1",
         "model": model,
@@ -1395,7 +1400,7 @@ def _run_compile_bench(model: str, variant: str, requests: int,
                   if base.quant_config() is not None else quant),
         "fixed": fixed_report.as_dict(),
         "autotuned": auto_report.as_dict(),
-        "autotune": auto_stats.get("autotune", {}),
+        "autotune": autotune,
         "speedup": auto_tps / fixed_tps if fixed_tps > 0 else 0.0,
         "cold_hit_rate": auto_report.compile_cache_hit_rate,
         "steady_state_hit_rate": warm_report.compile_cache_hit_rate,
@@ -1406,6 +1411,7 @@ def _run_compile_bench(model: str, variant: str, requests: int,
             "warm_seconds": warm_wall,
             "warm_vs_cold_speedup": (cold_wall / warm_wall
                                      if warm_wall > 0 else 0.0),
+            "autotune_seconds": autotune_seconds,
         },
     }
     return payload, mismatches

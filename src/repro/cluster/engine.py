@@ -51,7 +51,7 @@ from ..sim.interconnect import InterconnectModel
 from .config import ClusterConfig
 from .disagg import (HandoffPacket, build_continuation, harvest_handoff,
                      needs_handoff)
-from .report import ClusterReport, ReplicaSummary
+from .report import ClusterReport, KVTransferTotals, ReplicaSummary
 from .routing import Router, routable
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -164,12 +164,8 @@ class ClusterEngine:
         self._by_id: Dict[str, _ClusterRequest] = {}
         self._submitted: List[_ClusterRequest] = []
         self._handoffs: List[_Handoff] = []
-        self._harvest_buffer: Dict[str, HandoffPacket] = {}
-        # Disaggregated KV-transfer accounting.
-        self.kv_transfers = 0
-        self.kv_transfer_bytes = 0
-        self.kv_transfer_seconds = 0.0
-        self.kv_transfer_saved_positions = 0
+        #: Disaggregated KV-transfer accounting (see _deliver_handoffs).
+        self.kv_transfer = KVTransferTotals()
         #: Autoscaling event log (time, action, replica, queued).
         self.autoscale_events: List[Dict[str, object]] = []
 
@@ -194,14 +190,27 @@ class ClusterEngine:
         return replica
 
     def _make_prefill_observer(self, replica: Replica):
-        """Harvest handoff KV at the only moment it is still readable."""
-        def observe(request: Request) -> None:
+        """Turn a retiring prefill stub into a handoff, at the only moment
+        its KV is still readable.  Returns True when it did: the decode
+        side reports the request end-to-end, so report, trace and
+        registry each see it once; the stub's prefill/token spans and
+        step counters stay — that work really happened here."""
+        def observe(request: Request) -> bool:
             creq = self._by_id.get(request.request_id)
-            if creq is None or creq.stage != "prefill":
-                return
-            if needs_handoff(request, creq.capped):
-                self._harvest_buffer[request.request_id] = harvest_handoff(
-                    replica.engine, request, creq.capped)
+            if (creq is None or creq.stage != "prefill"
+                    or not needs_handoff(request, creq.capped)):
+                # Finished for real at the prefill stage (EOS, stop
+                # string, or a one-token budget): the stub is the whole
+                # request and stays in this replica's report.
+                return False
+            packet = harvest_handoff(replica.engine, request, creq.capped)
+            creq.stage = "handoff"
+            self._handoffs.append(_Handoff(
+                packet=packet,
+                continuation=build_continuation(packet),
+                creq=creq,
+            ))
+            return True
         return observe
 
     # ------------------------------------------------------------------
@@ -305,9 +314,7 @@ class ClusterEngine:
             progressed |= self._autoscale(now)
         replica = self._laggard()
         if replica is not None:
-            finished = replica.engine.step()
-            if replica.pool == "prefill":
-                self._harvest(replica, finished)
+            replica.engine.step()
             progressed = True
         return progressed
 
@@ -366,34 +373,6 @@ class ClusterEngine:
         return dispatched
 
     # ------------------------------------------------------------------
-    def _harvest(self, replica: Replica, finished: List[Request]) -> None:
-        """Turn a prefill replica's finished stubs into handoffs."""
-        for request in finished:
-            creq = self._by_id.get(request.request_id)
-            if creq is None or creq.stage != "prefill":
-                continue
-            packet = self._harvest_buffer.pop(request.request_id, None)
-            if packet is None:
-                # Finished for real at the prefill stage (EOS, stop
-                # string, or a one-token budget): the stub is the whole
-                # request and stays in this replica's report.
-                creq.stage = "done"
-                continue
-            # The decode side reports the request end-to-end; drop the
-            # stub so pooled metrics see it exactly once.  Its root span
-            # is superseded the same way — the decode replica emits the
-            # arrival→finish root — while its prefill/token spans stay
-            # (that work really happened here).
-            replica.engine.discard_completed(request)
-            if self.tracer.enabled:
-                self.tracer.discard(spans.REQUEST, request.request_id)
-            creq.stage = "handoff"
-            self._handoffs.append(_Handoff(
-                packet=packet,
-                continuation=build_continuation(packet),
-                creq=creq,
-            ))
-
     def _transfer_positions(self, target: Replica, packet: HandoffPacket) -> int:
         """Positions the wire must carry (minus the target's prefix hits)."""
         scheduler = target.engine.scheduler
@@ -459,16 +438,18 @@ class ClusterEngine:
                     wire_positions=wire_positions,
                     saved_positions=hit,
                 )
+            # The one site a delivery is counted: report and registry.
+            totals = self.kv_transfer
+            totals.kv_transfers += 1
+            totals.kv_transfer_bytes += nbytes
+            totals.kv_transfer_seconds += seconds
+            totals.kv_transfer_saved_positions += hit
             if self.metrics is not None:
                 self.metrics.counter(
                     "speedllm_kv_handoffs_total",
                     "Prefill→decode KV handoffs delivered.",
                     {"track": target.engine.trace_track},
                 ).inc()
-            self.kv_transfers += 1
-            self.kv_transfer_bytes += nbytes
-            self.kv_transfer_seconds += seconds
-            self.kv_transfer_saved_positions += hit
             handoff.creq.stage = "decode"
             handoff.creq.engine = target.engine
             handoff.creq.request = handoff.continuation
@@ -556,9 +537,6 @@ class ClusterEngine:
             disaggregated=self.config.disaggregate,
             autoscaled=self.config.autoscale,
             routing=routing,
-            kv_transfers=self.kv_transfers,
-            kv_transfer_bytes=self.kv_transfer_bytes,
-            kv_transfer_seconds=self.kv_transfer_seconds,
-            kv_transfer_saved_positions=self.kv_transfer_saved_positions,
             autoscale_events=list(self.autoscale_events),
+            **vars(self.kv_transfer),
         )

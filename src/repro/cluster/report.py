@@ -2,8 +2,9 @@
 
 A cluster run produces one :class:`~repro.serve.metrics.ServeReport` per
 replica; :class:`ClusterReport` pools them via
-:meth:`ServeReport.merged` — every latency percentile computed over the
-*concatenated* request samples, never by averaging per-replica
+:meth:`ServeReport.merged` — counters as the sum of the replicas'
+:class:`~repro.serve.metrics.StepTotals`, every latency percentile over
+the *concatenated* request samples, never by averaging per-replica
 percentiles — and keeps the per-replica reports alongside, because
 imbalance is exactly what the pooled view hides.  On top of the pooled
 engine metrics it carries the cluster-only accounting: routing-decision
@@ -13,13 +14,14 @@ disaggregated handoff path, and the autoscaling event log.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from ..core.metrics import merge_sum
 from ..serve.metrics import ServeReport
 
-__all__ = ["ClusterReport", "ReplicaSummary"]
+__all__ = ["ClusterReport", "KVTransferTotals", "ReplicaSummary"]
 
 
 @dataclass
@@ -59,7 +61,22 @@ class ReplicaSummary:
 
 
 @dataclass
-class ClusterReport:
+class KVTransferTotals:
+    """Disaggregated KV-handoff accounting, one delivery at a time.
+
+    The cluster engine adds to one of these where a handoff is
+    delivered; :class:`ClusterReport` carries the same fields."""
+
+    kv_transfers: int = 0
+    kv_transfer_bytes: int = 0
+    kv_transfer_seconds: float = 0.0
+    #: Handoff positions served from the decode replica's own prefix
+    #: cache instead of the wire.
+    kv_transfer_saved_positions: int = 0
+
+
+@dataclass(kw_only=True)
+class ClusterReport(KVTransferTotals):
     """Aggregate outcome of one cluster serving run."""
 
     #: Pooled engine metrics (percentiles over concatenated samples).
@@ -71,13 +88,6 @@ class ClusterReport:
     autoscaled: bool = False
     #: Routing-decision counters from the admission router.
     routing: Dict[str, object] = field(default_factory=dict)
-    # Disaggregated KV-handoff accounting.
-    kv_transfers: int = 0
-    kv_transfer_bytes: int = 0
-    kv_transfer_seconds: float = 0.0
-    #: Handoff positions served from the decode replica's own prefix
-    #: cache instead of the wire.
-    kv_transfer_saved_positions: int = 0
     #: Autoscaling event log: dicts with time/action/replica/queued.
     autoscale_events: List[Dict[str, object]] = field(default_factory=list)
 
@@ -135,10 +145,8 @@ class ClusterReport:
             "autoscaled": self.autoscaled,
             "routing": dict(self.routing),
             "total_routing_decisions": self.total_routing_decisions,
-            "kv_transfers": self.kv_transfers,
-            "kv_transfer_bytes": self.kv_transfer_bytes,
-            "kv_transfer_seconds": self.kv_transfer_seconds,
-            "kv_transfer_saved_positions": self.kv_transfer_saved_positions,
+            **{spec.name: getattr(self, spec.name)
+               for spec in dataclasses.fields(KVTransferTotals)},
             "autoscale_events": list(self.autoscale_events),
             "replicas": [summary.as_dict() for summary in self.replicas],
         }

@@ -24,7 +24,7 @@ from .autotune import AutotuneOutcome, TileAutotuner
 # pipeline imports accel modules whose compiler module imports
 # repro.compile.tiling; keep it last so the package namespace above is
 # complete when that circular edge resolves.
-from .pipeline import PHASE_ORDER, CompiledStep, StepCompiler
+from .pipeline import PHASE_ORDER, CompiledStep, CompileWork, StepCompiler
 
 __all__ = [
     "Phase",
@@ -40,6 +40,7 @@ __all__ = [
     "TileAutotuner",
     "AutotuneOutcome",
     "PHASE_ORDER",
+    "CompileWork",
     "CompiledStep",
     "StepCompiler",
 ]

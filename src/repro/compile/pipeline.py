@@ -34,7 +34,7 @@ the program itself.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..accel.batching import block_padded_context, merge_batch_programs
@@ -52,10 +52,41 @@ from .cache import CompileCache, ShapeBucketSpec, compile_signature
 from .phase import Phase, PhasePipeline
 from .tiling import DEFAULT_PLAN, TilingPlan, candidate_plans
 
-__all__ = ["CompiledStep", "StepCompiler"]
+__all__ = ["CompileWork", "CompiledStep", "StepCompiler"]
 
 #: Phase order of the pipeline (stable; used by docs and tests).
 PHASE_ORDER = ("build", "shard", "fuse", "tile", "schedule")
+
+
+@dataclass(frozen=True)
+class CompileWork:
+    """Compilation work done: a compiler's cumulative total or, as the
+    difference of two, what happened in between cost.  A backend
+    brackets each step (its functional graphs and its one
+    :meth:`StepCompiler.compile_step` call) with it, so engines sharing a
+    compiler are each charged only what they triggered.  Fields are named as in the serving totals that sum them
+    (:class:`repro.serve.metrics.StepTotals`).
+    """
+
+    compile_cache_misses: int = 0
+    compile_cache_evictions: int = 0
+    autotune_searches: int = 0
+    autotune_candidates: int = 0
+    autotune_wins: int = 0
+    #: Host wall-clock per compilation phase (real seconds, not
+    #: simulated ones).
+    compile_phase_seconds: Dict[str, float] = field(default_factory=dict)
+
+    def __sub__(self, before: "CompileWork") -> "CompileWork":
+        return CompileWork(
+            self.compile_cache_misses - before.compile_cache_misses,
+            self.compile_cache_evictions - before.compile_cache_evictions,
+            self.autotune_searches - before.autotune_searches,
+            self.autotune_candidates - before.autotune_candidates,
+            self.autotune_wins - before.autotune_wins,
+            {name: seconds - before.compile_phase_seconds[name]
+             for name, seconds in self.compile_phase_seconds.items()},
+        )
 
 
 @dataclass
@@ -293,6 +324,18 @@ class StepCompiler:
     # ------------------------------------------------------------------
     # Reporting
     # ------------------------------------------------------------------
+    def work(self) -> CompileWork:
+        """Cumulative compilation work; subtract two to price a lookup."""
+        tuner = self.autotuner
+        return CompileWork(
+            self.cache.misses,
+            self.cache.evictions,
+            tuner.searches if tuner else 0,
+            tuner.candidates_scored if tuner else 0,
+            tuner.wins if tuner else 0,
+            self.phases.seconds_by_phase(),
+        )
+
     def stats(self) -> Dict[str, object]:
         """Phase timings, cache counters and autotune counters."""
         out: Dict[str, object] = {
@@ -305,6 +348,5 @@ class StepCompiler:
             out["autotune"] = self.autotuner.stats()
         return out
 
-    #: The name :meth:`repro.backend.ExecutionBackend.compile_stats`
-    #: reports these under.
+    #: Alias the benchmark harness binds.
     compile_stats = stats

@@ -30,7 +30,21 @@ from __future__ import annotations
 
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-__all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry"]
+__all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry",
+           "STEP_COUNTERS"]
+
+#: Counters that are the registry view of a
+#: :class:`~repro.serve.metrics.StepTotals` field, ``series: (field,
+#: help)``: fed per step, so a series summed over tracks equals the
+#: report's total (:func:`~repro.obs.timeline.validate_chrome_trace`).
+STEP_COUNTERS = {
+    "speedllm_steps_total": (
+        "n_steps", "Batched accelerator steps executed."),
+    "speedllm_slot_tokens_total": (
+        "total_slots", "Token positions executed across all steps."),
+    "speedllm_preemptions_total": (
+        "n_preemptions", "Running requests evicted to free KV blocks."),
+}
 
 #: Default histogram buckets: powers of two, sized for per-step token
 #: counts (the one distribution the engine samples every step).

@@ -15,12 +15,13 @@ flavour), loadable by Perfetto (https://ui.perfetto.dev) and
 
 The export embeds an ``otherData`` section (ignored by viewers) carrying
 the schema tag, the run bounds, and — when a report is supplied — each
-request's reported TTFT/ITL.  That makes a trace file self-validating:
-:func:`validate_chrome_trace` checks structural invariants (every event
-inside the run bounds, stage spans nested in their request's root span,
-token indices contiguous) *and* reconciles span-derived latencies
-against the embedded report, which is what the ``trace-smoke`` CI job
-gates on.
+request's reported TTFT/ITL and the report's step totals.  That makes a
+trace file self-validating: :func:`validate_chrome_trace` checks
+structural invariants (every event inside the run bounds, stage spans
+nested in their request's root span, token indices contiguous) *and*
+reconciles span-derived latencies — and, when a metrics snapshot is
+embedded too, the registry's counters — against the embedded report,
+which is what the ``trace-smoke`` CI job gates on.
 
 :func:`reconcile_spans` is the exact-arithmetic twin used by the
 property tests: it recomputes TTFT/ITL from raw tracer spans (no
@@ -34,6 +35,7 @@ import json
 import math
 from typing import TYPE_CHECKING, Dict, Iterable, List, Optional
 
+from .registry import STEP_COUNTERS
 from .tracer import (REQUEST, REQUEST_INSTANTS, STAGE_SPANS, TOKEN, Span,
                      Tracer)
 
@@ -57,6 +59,13 @@ _US = 1e6  # seconds -> microseconds (trace-event timestamps)
 #: Relative slack for comparisons on microsecond-rounded JSON values.
 _REL_TOL = 1e-9
 _ABS_TOL = 1e-9
+
+#: Registry counter → the embedded report total its sum over tracks must
+#: equal (both are views of the engines' per-step totals).
+_RECONCILED = {
+    "speedllm_requests_finished_total": "n_requests",
+    **{name: field for name, (field, _) in STEP_COUNTERS.items()},
+}
 
 
 def _lane(span: Span) -> str:
@@ -113,11 +122,11 @@ def build_chrome_trace(
 ) -> Dict[str, object]:
     """Assemble the Perfetto-loadable trace-event payload.
 
-    ``report`` (a :class:`~repro.serve.metrics.ServeReport`, or anything
-    with a ``requests`` list of :class:`RequestMetrics`) embeds each
-    request's *reported* TTFT/ITL in ``otherData`` so the file carries
-    its own reconciliation targets; ``registry`` embeds a snapshot of
-    the metrics; ``meta`` adds free-form run context (config, seed).
+    ``report`` (a :class:`~repro.serve.metrics.ServeReport`; a cluster's
+    pooled one) embeds each request's *reported* TTFT/ITL and the step
+    totals in ``otherData`` so the file carries its own reconciliation
+    targets; ``registry`` embeds a snapshot of the metrics; ``meta`` adds
+    free-form run context (config, seed).
     """
     events: List[Dict[str, object]] = []
     pids: Dict[str, int] = {}
@@ -187,6 +196,8 @@ def build_chrome_trace(
             for r in report.requests
         }
         other["makespan_seconds"] = max(end, report.makespan_seconds)
+        other["report"] = {
+            field: getattr(report, field) for field in _RECONCILED.values()}
     if registry is not None:
         other["metrics"] = registry.as_dict()
     if meta:
@@ -219,7 +230,9 @@ def validate_chrome_trace(payload: Dict[str, object]) -> List[str]:
     and request instant nested inside it; token indices contiguous and
     timestamps non-decreasing; and — when the payload embeds a report —
     span-derived TTFT and ITL equal to the reported values (within
-    microsecond-rounding tolerance).
+    microsecond-rounding tolerance) and, when it embeds a metrics
+    snapshot as well, each registry counter summed over tracks equal to
+    the report total it is a view of.
     """
     problems: List[str] = []
     events = payload.get("traceEvents")
@@ -317,4 +330,14 @@ def validate_chrome_trace(payload: Dict[str, object]) -> List[str]:
                     problems.append(
                         f"request {request_id!r} span-derived ITL "
                         "differs from the reported gaps")
+
+    totals = other.get("report")
+    metrics = other.get("metrics")
+    if isinstance(totals, dict) and isinstance(metrics, dict):
+        for name, field in _RECONCILED.items():
+            counted = sum(metrics.get(name, {}).get("samples", {}).values())
+            if counted != totals[field]:
+                problems.append(
+                    f"registry {name} sums to {counted} over tracks but "
+                    f"the report's {field} is {totals[field]}")
     return problems

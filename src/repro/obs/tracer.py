@@ -237,15 +237,8 @@ class Tracer:
 
     # ------------------------------------------------------------------
     def discard(self, name: str, request_id: str) -> int:
-        """Drop spans matching ``(name, request_id)``; returns the count.
-
-        The disaggregated cluster uses this the same way it uses
-        :meth:`~repro.serve.engine.ServingEngine.discard_completed`: a
-        prefill-stage stub's root span is superseded by the decode
-        replica's end-to-end root, so exactly one ``request`` span per
-        request survives.  The stub's prefill/token spans stay — that
-        work really happened on the prefill replica.
-        """
+        """Drop spans matching ``(name, request_id)``; returns the count
+        (e.g. a root span superseded by another track's end-to-end one)."""
         kept = [s for s in self.spans
                 if not (s.name == name and s.request_id == request_id)]
         dropped = len(self.spans) - len(kept)

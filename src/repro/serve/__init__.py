@@ -11,7 +11,7 @@ talk to it through the typed frontend in :mod:`repro.api`
 """
 
 from .engine import AsyncServingEngine, ServingEngine
-from .metrics import RequestMetrics, ServeReport
+from .metrics import RequestMetrics, ServeReport, StepTotals
 from .policy import (
     POLICIES,
     FairnessPolicy,
@@ -28,6 +28,7 @@ __all__ = [
     "ServingEngine",
     "RequestMetrics",
     "ServeReport",
+    "StepTotals",
     "Request",
     "RequestQueue",
     "RequestState",

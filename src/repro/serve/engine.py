@@ -77,11 +77,10 @@ from ..api.params import SamplingParams
 from ..backend import ExecutionBackend, LocalBackend
 from ..llama.tokenizer import BOS_ID, EOS_ID, UNK_ID
 from ..obs import tracer as spans
-from ..obs.registry import MetricsRegistry
+from ..obs.registry import STEP_COUNTERS, MetricsRegistry
 from ..obs.tracer import NULL_TRACER, Tracer
-from ..sim.stats import RunCounters
 from ..spec import build_drafter, verify_run
-from .metrics import RequestMetrics, ServeReport
+from .metrics import RequestMetrics, ServeReport, StepTotals
 from .request import Request, RequestState
 from .scheduler import Scheduler, SchedulerConfig
 
@@ -147,32 +146,20 @@ class ServingEngine:
         self.trace_track = "engine-0"
         self.scheduler.tracer = self.tracer
         self.scheduler.trace_track = self.trace_track
-        self._metrics_preemptions_seen = 0
         self.clock = 0.0
         self._ids = itertools.count()
         #: Completion observer, called with each retiring request *before*
         #: its KV memory is released — the only moment a finished
         #: request's cache contents can still be read.  The cluster
         #: layer's disaggregated mode harvests prompt KV for handoff
-        #: here; None (the default) costs nothing.
-        self.on_finish: Optional[Callable[[Request], None]] = None
+        #: here and returns True: another engine continues the request
+        #: and reports it, so none is logged here.  None costs nothing.
+        self.on_finish: Optional[Callable[[Request], bool]] = None
         self._completed: List[Request] = []
-        self._counters = RunCounters()
-        self._busy_cycles = 0.0
-        self._n_steps = 0
-        #: Steps whose compile-cache lookup hit; the rest missed.
-        self._compile_hits = 0
-        self._total_slots = 0
-        self._peak_running = 0
-        self._kv_utilization_sum = 0.0
-        self._compute_seconds = 0.0
-        self._interconnect_seconds = 0.0
-        self._shard_utilization_sums = [0.0] * self.backend.n_shards
-        # Speculative-decoding accounting (all zero when spec is off).
-        self._spec_decode_steps = 0
-        self._spec_committed_tokens = 0
-        self._spec_draft_tokens = 0
-        self._spec_accepted_tokens = 0
+        #: Sum of every executed step's record: the one place this
+        #: engine's counters live.
+        self.totals = StepTotals(
+            shard_utilization_sums=[0.0] * self.backend.n_shards)
 
     # ------------------------------------------------------------------
     # Submission
@@ -246,22 +233,6 @@ class ServingEngine:
         self.scheduler.note_progress(request)
         return hit
 
-    def discard_completed(self, request: Request) -> None:
-        """Drop a finished request from this engine's completion log.
-
-        Used by the cluster layer for prefill-stage stub requests that
-        were handed off: the decode replica reports the request
-        end-to-end, so the stub must not show up as a second (one-token)
-        entry in the pooled metrics.  Step/energy counters are untouched
-        — the prefill work happened here and stays accounted here.
-        """
-        try:
-            self._completed.remove(request)
-        except ValueError:
-            raise ValueError(
-                f"request {request.request_id!r} is not in the completion "
-                "log") from None
-
     # ------------------------------------------------------------------
     # Tracing / metrics plumbing
     # ------------------------------------------------------------------
@@ -307,9 +278,10 @@ class ServingEngine:
         return snapshot
 
     def _trace_step(self, snapshot: list, clock_before: float,
-                    step, n_slots: int) -> None:
+                    record: StepTotals, cycle_trace) -> None:
         """Emit the step's spans: one stage span per scheduled request,
-        one engine-lane ``step`` span, and the rescaled cycle trace."""
+        one engine-lane ``step`` span (the span view of ``record``), and
+        the rescaled cycle trace."""
         tracer = self.tracer
         track = self.trace_track
         for entry in snapshot:
@@ -333,55 +305,50 @@ class ServingEngine:
         tracer.span(
             spans.STEP, clock_before, self.clock,
             track=track,
-            n_slots=n_slots,
+            n_slots=record.total_slots,
             n_running=len(self.scheduler.running),
-            kv_utilization=self.scheduler.kv_utilization,
-            compile_cache_hits=int(step.compile_hit),
-            compile_cache_misses=int(not step.compile_hit),
+            kv_utilization=record.kv_utilization_sum,
+            compile_cache_hits=record.compile_cache_hits,
+            compile_cache_misses=record.compile_cache_misses,
         )
-        if step.trace is not None:
+        if cycle_trace is not None:
             tracer.merge_cycle_trace(
-                step.trace,
+                cycle_trace,
                 offset_seconds=clock_before,
                 seconds_per_cycle=self.platform.cycles_to_seconds(1),
                 track=track,
             )
 
-    def _sample_metrics(self, n_slots: int) -> None:
-        """Per-step registry sampling (the live-dashboard feed)."""
+    def _publish_step(self, record: StepTotals) -> None:
+        """Feed the live registry: the counter view of ``record``, then
+        gauges of where the step left the scheduler and the totals."""
         registry = self.metrics
         scheduler = self.scheduler
+        totals = self.totals
         labels = {"track": self.trace_track}
-        registry.counter(
-            "speedllm_steps_total",
-            "Batched accelerator steps executed.", labels).inc()
-        registry.counter(
-            "speedllm_slot_tokens_total",
-            "Token positions executed across all steps.", labels,
-        ).inc(n_slots)
+        for name, (field, help_text) in STEP_COUNTERS.items():
+            registry.counter(name, help_text, labels).inc(
+                getattr(record, field))
         registry.histogram(
             "speedllm_step_batch_tokens",
             "Token positions per batched step (batch occupancy).", labels,
-        ).observe(n_slots)
-        registry.gauge(
-            "speedllm_queue_depth",
-            "Requests waiting for admission.", labels,
-        ).set(len(scheduler.queue))
-        registry.gauge(
-            "speedllm_running_requests",
-            "Requests admitted and in flight.", labels,
-        ).set(len(scheduler.running))
-        registry.gauge(
-            "speedllm_kv_utilization",
-            "Fraction of the KV budget in live use.", labels,
-        ).set(scheduler.kv_utilization)
-        delta = scheduler.n_preemptions - self._metrics_preemptions_seen
-        if delta:
-            self._metrics_preemptions_seen = scheduler.n_preemptions
-            registry.counter(
-                "speedllm_preemptions_total",
-                "Running requests evicted to free KV blocks.", labels,
-            ).inc(delta)
+        ).observe(record.total_slots)
+        for name, help_text, value in (
+            ("speedllm_queue_depth", "Requests waiting for admission.",
+             len(scheduler.queue)),
+            ("speedllm_running_requests", "Requests admitted and in flight.",
+             len(scheduler.running)),
+            ("speedllm_kv_utilization",
+             "Fraction of the KV budget in live use.",
+             record.kv_utilization_sum),
+            ("speedllm_prefix_hit_rate",
+             "Fraction of prefill tokens served from the prefix cache.",
+             totals.prefix_hit_rate),
+            ("speedllm_compile_cache_hit_rate",
+             "Fraction of step compilations served from the cache.",
+             totals.compile_cache_hit_rate),
+        ):
+            registry.gauge(name, help_text, labels).set(value)
 
     # ------------------------------------------------------------------
     # Stepping
@@ -395,7 +362,8 @@ class ServingEngine:
         slots = scheduler.build_step()
         # Sampled after step building so a request admitted and preempted
         # within the same step never counts toward peak concurrency.
-        self._peak_running = max(self._peak_running, len(scheduler.running))
+        totals = self.totals
+        totals.peak_running = max(totals.peak_running, len(scheduler.running))
         if not slots:
             # Nothing is runnable right now.  If requests are still due
             # to arrive on the simulated clock, fast-forward to the next
@@ -409,22 +377,29 @@ class ServingEngine:
         step = self.backend.execute_step(
             slots, kv_block_tokens=scheduler.kv_block_tokens
         )
-        outputs = step.outputs
         self.clock += step.seconds
-        self._counters = self._counters + step.counters
-        self._busy_cycles += (step.engine_busy.get("mpe", 0)
-                              + step.engine_busy.get("sfu", 0))
-        self._n_steps += 1
-        self._compile_hits += step.compile_hit
-        self._total_slots += len(slots)
-        self._kv_utilization_sum += scheduler.kv_utilization
-        self._compute_seconds += step.compute_seconds
-        self._interconnect_seconds += step.interconnect_seconds
-        for i, utilization in enumerate(step.shard_utilization):
-            self._shard_utilization_sums[i] += utilization
+        # The step's record.  Scheduler counters enter as their movement
+        # since the last executed step; the commit loop adds spec outcomes.
+        record = StepTotals(
+            n_steps=1,
+            total_slots=len(slots),
+            kv_utilization_sum=scheduler.kv_utilization,
+            n_preemptions=scheduler.n_preemptions - totals.n_preemptions,
+            prefix_hit_tokens=(scheduler.prefix_hit_tokens
+                               - totals.prefix_hit_tokens),
+            total_prefill_tokens=(scheduler.total_prefill_tokens
+                                  - totals.total_prefill_tokens),
+            compute_seconds=step.compute_seconds,
+            interconnect_seconds=step.interconnect_seconds,
+            busy_cycles=(step.engine_busy.get("mpe", 0)
+                         + step.engine_busy.get("sfu", 0)),
+            counters=step.counters,
+            shard_utilization_sums=step.shard_utilization,
+            **vars(step.compile_work),
+        )
 
         groups: Dict[str, List[tuple]] = {}
-        for slot, output in zip(slots, outputs):
+        for slot, output in zip(slots, step.outputs):
             groups.setdefault(slot.request_id, []).append((slot, output))
 
         # Phases must be captured before the commit loop flips request
@@ -450,12 +425,13 @@ class ServingEngine:
                     if self._sample(request, last_output):
                         finished.append(request)
             elif request.in_decode:
-                if self._commit_decode(request, entries):
+                if self._commit_decode(request, entries, record):
                     finished.append(request)
+        self.totals = totals + record
         if snapshot is not None:
-            self._trace_step(snapshot, clock_before, step, len(slots))
+            self._trace_step(snapshot, clock_before, record, step.trace)
         if self.metrics is not None:
-            self._sample_metrics(len(slots))
+            self._publish_step(record)
         return finished
 
     def _sample(self, request: Request, logits) -> bool:
@@ -463,7 +439,8 @@ class ServingEngine:
         token = request.sampler.sample(logits)
         return self._commit_token(request, token, logits)
 
-    def _commit_decode(self, request: Request, entries: List[tuple]) -> bool:
+    def _commit_decode(self, request: Request, entries: List[tuple],
+                       record: StepTotals) -> bool:
         """Commit one decode turn's verify run; True when the request retired.
 
         ``entries`` are the request's ``(slot, output)`` pairs in
@@ -493,9 +470,9 @@ class ServingEngine:
             # tokens-per-decode-step metric must reflect every turn, not
             # only the lucky ones.  A plain engine keeps all-zero
             # counters.
-            self._spec_decode_steps += 1
-            self._spec_draft_tokens += outcome.n_draft
-            self._spec_accepted_tokens += outcome.n_accepted
+            record.spec_decode_steps += 1
+            record.spec_draft_tokens += outcome.n_draft
+            record.spec_accepted_tokens += outcome.n_accepted
             request.draft_tokens_proposed += outcome.n_draft
             request.draft_tokens_accepted += outcome.n_accepted
         retired = False
@@ -507,7 +484,7 @@ class ServingEngine:
                 retired = True
                 break
         if self.spec_config is not None:
-            self._spec_committed_tokens += n_committed
+            record.spec_committed_tokens += n_committed
         if not retired and n_committed < len(slots):
             # Positions past the last accepted one hold rejected draft
             # KV entries; drop them so the next step re-executes from the
@@ -561,29 +538,35 @@ class ServingEngine:
             reason = "length"
         if reason is not None:
             request.finish_reason = reason
-            if self.on_finish is not None:
-                self.on_finish(request)
+            handed_off = (self.on_finish is not None
+                          and self.on_finish(request))
             self.scheduler.finish(request, self.clock)
-            self._completed.append(request)
             if self.drafter is not None:
                 self.drafter.release(request)
-            if self.tracer.enabled:
-                self._trace_finish(request)
-            if self.metrics is not None:
-                self.metrics.counter(
-                    "speedllm_requests_finished_total",
-                    "Requests retired, by finish reason.",
-                    {"track": self.trace_track, "reason": reason},
-                ).inc()
+            if not handed_off:
+                # One site admits a request to the report's population,
+                # emits its root span and counts it in the registry.  (A
+                # handed-off stub is reported end to end by the engine
+                # that adopts it; only its steps and stage spans stay.)
+                self._completed.append(request)
+                self._trace_finish(request, request.finish_time)
+                if self.metrics is not None:
+                    self.metrics.counter(
+                        "speedllm_requests_finished_total",
+                        "Requests completed, by finish reason.",
+                        {"track": self.trace_track, "reason": reason},
+                    ).inc()
             return True
         request.pending_token = token
         return False
 
-    def _trace_finish(self, request: Request) -> None:
-        """Emit the request's root span: arrival → finish, with the
+    def _trace_finish(self, request: Request, end: float) -> None:
+        """Emit the request's root span: arrival → ``end``, with the
         lifetime attributes the timeline viewer surfaces."""
+        if not self.tracer.enabled:
+            return
         self.tracer.span(
-            spans.REQUEST, request.arrival_time, request.finish_time,
+            spans.REQUEST, request.arrival_time, end,
             request_id=request.request_id, track=self.trace_track,
             finish_reason=request.finish_reason,
             priority=request.priority,
@@ -666,24 +649,15 @@ class ServingEngine:
         if cancelled and self.drafter is not None:
             self.drafter.release(request)
         if cancelled:
-            if self.tracer.enabled:
-                self.tracer.span(
-                    spans.REQUEST, request.arrival_time,
-                    max(self.clock, request.arrival_time),
-                    request_id=request.request_id, track=self.trace_track,
-                    finish_reason="cancelled",
-                    priority=request.priority,
-                    n_generated=request.n_generated,
-                    n_preemptions=request.n_preemptions,
-                    prefix_hit_tokens=request.prefix_hit_tokens,
-                    draft_tokens_proposed=request.draft_tokens_proposed,
-                    draft_tokens_accepted=request.draft_tokens_accepted,
-                )
+            self._trace_finish(request,
+                               max(self.clock, request.arrival_time))
             if self.metrics is not None:
+                # Its own series: a cancelled request never enters the
+                # report's population, which is what "finished" counts.
                 self.metrics.counter(
-                    "speedllm_requests_finished_total",
-                    "Requests retired, by finish reason.",
-                    {"track": self.trace_track, "reason": "cancelled"},
+                    "speedllm_requests_cancelled_total",
+                    "Requests aborted before completing.",
+                    {"track": self.trace_track},
                 ).inc()
         return cancelled
 
@@ -732,67 +706,23 @@ class ServingEngine:
         return RequestMetrics.from_request(request, self.visible_text(request))
 
     def report(self) -> ServeReport:
-        """Aggregate metrics over every request completed so far."""
+        """Aggregate metrics over every request completed so far — a pure
+        view of :attr:`totals`, the completion log and the clock."""
+        totals = self.totals
         scheduler = self.scheduler
-        energy = self.backend.energy_for(
-            self._counters, self._busy_cycles, self.clock
-        )
-        n_steps = self._n_steps
-        compile_hits = self._compile_hits
-        compile_stats = self.backend.compile_stats()
-        autotune_stats = compile_stats.get("autotune", {})
-        if self.metrics is not None:
-            labels = {"track": self.trace_track}
-            prefill = scheduler.total_prefill_tokens
-            self.metrics.gauge(
-                "speedllm_prefix_hit_rate",
-                "Fraction of prefill tokens served from the prefix cache.",
-                labels,
-            ).set(scheduler.prefix_hit_tokens / prefill if prefill else 0.0)
-            self.metrics.gauge(
-                "speedllm_compile_cache_hit_rate",
-                "Fraction of step compilations served from the cache.",
-                labels,
-            ).set(compile_hits / n_steps if n_steps else 0.0)
+        spec = self.spec_config
         return ServeReport(
+            **vars(totals),
             requests=[self.result_for(r) for r in self._completed],
+            makespan_seconds=self.clock,
+            energy=self.backend.energy_for(
+                totals.counters, totals.busy_cycles, self.clock),
             policy=scheduler.config.policy,
             chunked_prefill=scheduler.config.chunked_prefill,
-            n_steps=n_steps,
-            total_slots=self._total_slots,
-            makespan_seconds=self.clock,
-            counters=self._counters,
-            energy=energy,
             paged=scheduler.pool is not None,
-            peak_running=self._peak_running,
-            n_preemptions=scheduler.n_preemptions,
-            prefix_hit_tokens=scheduler.prefix_hit_tokens,
-            total_prefill_tokens=scheduler.total_prefill_tokens,
-            mean_kv_utilization=(self._kv_utilization_sum / n_steps
-                                 if n_steps else 0.0),
             n_shards=self.backend.n_shards,
-            compute_seconds=self._compute_seconds,
-            interconnect_seconds=self._interconnect_seconds,
-            shard_utilization=[s / n_steps if n_steps else 0.0
-                               for s in self._shard_utilization_sums],
-            compile_cache_hits=compile_hits,
-            compile_cache_misses=n_steps - compile_hits,
-            compile_cache_evictions=compile_stats["cache"]["evictions"],
-            compile_seconds=compile_stats["compile_seconds"],
-            compile_phase_seconds=dict(compile_stats["phase_seconds"]),
-            autotune_searches=autotune_stats.get("searches", 0),
-            autotune_candidates=autotune_stats.get("candidates_scored", 0),
-            autotune_wins=autotune_stats.get("wins", 0),
             quant=self.quant.label if self.quant is not None else None,
-            quant_bytes_saved=self._counters.quant_saved_bytes,
-            dequant_flops=self._counters.dequant_flops,
-            speculative=self.spec_config is not None,
-            spec_method=(self.spec_config.method
-                         if self.spec_config is not None else None),
-            spec_decode_steps=self._spec_decode_steps,
-            spec_committed_tokens=self._spec_committed_tokens,
-            spec_draft_tokens=self._spec_draft_tokens,
-            spec_accepted_tokens=self._spec_accepted_tokens,
+            spec_method=spec.method if spec is not None else None,
         )
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
+from itertools import zip_longest
 from typing import Dict, List, Optional, Sequence
 
 from ..core.metrics import LatencySummary, merge_sum
@@ -18,7 +19,7 @@ from ..fpga.power import EnergyBreakdown
 from ..sim.stats import RunCounters
 from .request import Request
 
-__all__ = ["RequestMetrics", "ServeReport"]
+__all__ = ["RequestMetrics", "ServeReport", "StepTotals"]
 
 
 @dataclass(frozen=True)
@@ -89,58 +90,53 @@ class RequestMetrics:
         }
 
 
-@dataclass
-class ServeReport:
-    """Aggregate outcome of serving a set of requests."""
+def _ratio(numerator: float, denominator: float) -> float:
+    """``numerator / denominator``; 0.0 over an empty denominator."""
+    return numerator / denominator if denominator > 0 else 0.0
 
-    requests: List[RequestMetrics]
-    n_steps: int
-    total_slots: int
-    makespan_seconds: float
-    counters: RunCounters
-    energy: EnergyBreakdown
-    #: Scheduling policy the run used ("fifo" / "priority" / "fairness").
-    policy: str = "fifo"
-    #: Whether prefill shared a per-step chunk budget with decode.
-    chunked_prefill: bool = False
-    # Paged-KV accounting (zero / False under the reservation scheduler).
-    paged: bool = False
+
+@dataclass
+class StepTotals:
+    """Additive serving counters: one step's record, or any sum of them.
+
+    The engine builds one per executed step (``n_steps == 1``) and ``+``
+    is the only way two meet: an engine's total is the sum of its step
+    records, a cluster's pool the sum of its engines' totals.
+    :class:`ServeReport`, the ``speedllm_*`` registry series and the
+    ``step`` span are views of these fields, so a counter is declared
+    here once.
+    """
+
+    n_steps: int = 0
+    #: Token positions executed across those steps.
+    total_slots: int = 0
+    #: Most requests in flight at once; summed over engines it is an
+    #: upper bound on concurrency (the peaks need not coincide).
     peak_running: int = 0
+    #: KV-budget utilisation sampled once per step, summed.
+    kv_utilization_sum: float = 0.0
     n_preemptions: int = 0
     prefix_hit_tokens: int = 0
     total_prefill_tokens: int = 0
-    mean_kv_utilization: float = 0.0
-    # Execution-backend accounting (single local device by default).
-    n_shards: int = 1
+    # Execution-backend accounting (simulated seconds).
     compute_seconds: float = 0.0
     interconnect_seconds: float = 0.0
-    #: Mean MPE utilisation of each shard over the run's steps.
-    shard_utilization: List[float] = field(default_factory=list)
-    # Compilation-pipeline accounting.  Hits and misses count this
-    # engine's own lookups (one per step, so they sum to ``n_steps``);
-    # the rest are the step compiler's cumulative totals at report time
-    # (see ExecutionBackend.compile_stats), which engines sharing one
-    # compiler all repeat.
-    compile_cache_hits: int = 0
+    #: MPE + SFU busy cycles over every shard (the energy model's input).
+    busy_cycles: float = 0.0
+    counters: RunCounters = field(default_factory=RunCounters)
+    #: Per-shard MPE utilisation, summed over steps.
+    shard_utilization_sums: List[float] = field(default_factory=list)
+    # What this engine's own compile lookups (one per step) cost,
+    # however many share the compiler (:class:`~repro.compile.CompileWork`).
     compile_cache_misses: int = 0
     compile_cache_evictions: int = 0
-    #: Wall-clock spent inside compilation phases (real seconds, not
-    #: simulated ones — this is host-side compile cost).
-    compile_seconds: float = 0.0
-    compile_phase_seconds: Dict[str, float] = field(default_factory=dict)
     autotune_searches: int = 0
     autotune_candidates: int = 0
     autotune_wins: int = 0
-    # Quantisation accounting (all zero / None without a quant config).
-    #: Human-readable quant tag (e.g. "int8g64+kv8"); None = fp32.
-    quant: Optional[str] = None
-    #: HBM bytes the quantised encodings avoided streaming vs fp32.
-    quant_bytes_saved: int = 0
-    #: SFU dequant/quant work charged by the timing model.
-    dequant_flops: int = 0
-    # Speculative-decoding accounting (all zero / False when spec is off).
-    speculative: bool = False
-    spec_method: Optional[str] = None
+    #: Wall-clock spent inside compilation phases (real seconds, not
+    #: simulated ones — this is host-side compile cost).
+    compile_phase_seconds: Dict[str, float] = field(default_factory=dict)
+    # Speculative-decoding accounting (all zero when spec is off).
     #: Decode turns (per-request verify/commit events) over the run.
     spec_decode_steps: int = 0
     #: Tokens committed by those decode turns (>= spec_decode_steps).
@@ -148,172 +144,97 @@ class ServeReport:
     spec_draft_tokens: int = 0
     spec_accepted_tokens: int = 0
 
-    # ------------------------------------------------------------------
-    @classmethod
-    def merged(cls, reports: Sequence["ServeReport"]) -> "ServeReport":
-        """Pool several engines' reports into one cluster-wide report.
-
-        Requests are *concatenated*, so every percentile (TTFT, ITL,
-        latency, the per-tier breakdowns) is computed over the pooled
-        sample population — never by averaging per-replica percentiles,
-        which is statistically meaningless.  Counts, slots, counters and
-        energy are summed; the makespan is the maximum replica clock
-        (replicas run concurrently on one simulated timeline, so the
-        cluster finishes when the last one does); KV utilisation is
-        step-weighted.  ``peak_running`` sums the per-replica peaks — an
-        upper bound on cluster-wide concurrency, since the peaks need
-        not coincide.  Empty input yields an all-zero report.
-        """
-        reports = list(reports)
-        if not reports:
-            return cls(requests=[], n_steps=0, total_slots=0,
-                       makespan_seconds=0.0, counters=RunCounters(),
-                       energy=EnergyBreakdown())
-        requests = [r for report in reports for r in report.requests]
-        counters = RunCounters()
-        for report in reports:
-            counters = counters + report.counters
-        energy = EnergyBreakdown(**merge_sum(
-            dataclasses.asdict(report.energy) for report in reports
-        ))
-        n_steps = sum(report.n_steps for report in reports)
-        kv_weighted = sum(report.mean_kv_utilization * report.n_steps
-                          for report in reports)
-        policies = {report.policy for report in reports}
-        spec_methods = [report.spec_method for report in reports
-                        if report.spec_method is not None]
-        return cls(
-            requests=requests,
-            n_steps=n_steps,
-            total_slots=sum(report.total_slots for report in reports),
-            makespan_seconds=max(report.makespan_seconds
-                                 for report in reports),
-            counters=counters,
-            energy=energy,
-            policy=policies.pop() if len(policies) == 1 else "mixed",
-            chunked_prefill=any(r.chunked_prefill for r in reports),
-            paged=any(r.paged for r in reports),
-            peak_running=sum(report.peak_running for report in reports),
-            n_preemptions=sum(report.n_preemptions for report in reports),
-            prefix_hit_tokens=sum(report.prefix_hit_tokens
-                                  for report in reports),
-            total_prefill_tokens=sum(report.total_prefill_tokens
-                                     for report in reports),
-            mean_kv_utilization=kv_weighted / n_steps if n_steps else 0.0,
-            n_shards=max(report.n_shards for report in reports),
-            compute_seconds=sum(report.compute_seconds for report in reports),
-            interconnect_seconds=sum(report.interconnect_seconds
-                                     for report in reports),
-            # Per-shard utilisation is a per-replica detail; the pooled
-            # view keeps it empty and leaves it to the replica reports.
-            shard_utilization=[],
-            compile_cache_hits=sum(r.compile_cache_hits for r in reports),
-            compile_cache_misses=sum(r.compile_cache_misses
-                                     for r in reports),
-            compile_cache_evictions=sum(r.compile_cache_evictions
-                                        for r in reports),
-            compile_seconds=sum(r.compile_seconds for r in reports),
-            compile_phase_seconds=merge_sum(
-                r.compile_phase_seconds for r in reports
-            ),
-            autotune_searches=sum(r.autotune_searches for r in reports),
-            autotune_candidates=sum(r.autotune_candidates for r in reports),
-            autotune_wins=sum(r.autotune_wins for r in reports),
-            quant=next((r.quant for r in reports if r.quant is not None),
-                       None),
-            quant_bytes_saved=sum(r.quant_bytes_saved for r in reports),
-            dequant_flops=sum(r.dequant_flops for r in reports),
-            speculative=any(r.speculative for r in reports),
-            spec_method=spec_methods[0] if spec_methods else None,
-            spec_decode_steps=sum(r.spec_decode_steps for r in reports),
-            spec_committed_tokens=sum(r.spec_committed_tokens
-                                      for r in reports),
-            spec_draft_tokens=sum(r.spec_draft_tokens for r in reports),
-            spec_accepted_tokens=sum(r.spec_accepted_tokens
-                                     for r in reports),
-        )
+    def __add__(self, other: "StepTotals") -> "StepTotals":
+        """Field-wise sum (mappings key-wise, shard lists element-wise)."""
+        summed: Dict[str, object] = {}
+        for spec in dataclasses.fields(StepTotals):
+            a, b = getattr(self, spec.name), getattr(other, spec.name)
+            if isinstance(a, dict):
+                summed[spec.name] = merge_sum((a, b))
+            elif isinstance(a, list):
+                summed[spec.name] = [
+                    x + y for x, y in zip_longest(a, b, fillvalue=0.0)]
+            else:
+                summed[spec.name] = a + b
+        return StepTotals(**summed)
 
     # ------------------------------------------------------------------
-    @property
-    def n_requests(self) -> int:
-        return len(self.requests)
-
     @property
     def prefix_hit_rate(self) -> float:
         """Fraction of prefill positions served from shared KV blocks."""
-        if self.total_prefill_tokens <= 0:
-            return 0.0
-        return self.prefix_hit_tokens / self.total_prefill_tokens
-
-    @property
-    def total_generated_tokens(self) -> int:
-        return sum(r.n_generated for r in self.requests)
-
-    @property
-    def throughput_tokens_per_second(self) -> float:
-        """Generated tokens over the whole run's simulated makespan."""
-        if self.makespan_seconds <= 0:
-            return 0.0
-        return self.total_generated_tokens / self.makespan_seconds
+        return _ratio(self.prefix_hit_tokens, self.total_prefill_tokens)
 
     @property
     def mean_batch_tokens(self) -> float:
         """Average token positions per batched step (batch occupancy)."""
-        if self.n_steps <= 0:
-            return 0.0
-        return self.total_slots / self.n_steps
+        return _ratio(self.total_slots, self.n_steps)
+
+    @property
+    def mean_kv_utilization(self) -> float:
+        """Step-weighted mean KV-budget utilisation."""
+        return _ratio(self.kv_utilization_sum, self.n_steps)
+
+    @property
+    def shard_utilization(self) -> List[float]:
+        """Mean MPE utilisation of each shard over the run's steps."""
+        return [_ratio(s, self.n_steps) for s in self.shard_utilization_sums]
 
     @property
     def interconnect_fraction(self) -> float:
         """Share of step time spent in inter-shard collectives."""
         busy = self.compute_seconds + self.interconnect_seconds
-        if busy <= 0:
-            return 0.0
-        return self.interconnect_seconds / busy
+        return _ratio(self.interconnect_seconds, busy)
 
     @property
     def mean_step_compute_seconds(self) -> float:
         """Average per-step compute time (max over shards, ex-collectives)."""
-        if self.n_steps <= 0:
-            return 0.0
-        return self.compute_seconds / self.n_steps
+        return _ratio(self.compute_seconds, self.n_steps)
+
+    @property
+    def compile_cache_hits(self) -> int:
+        """Every step makes exactly one lookup; those that did not miss."""
+        return self.n_steps - self.compile_cache_misses
 
     @property
     def compile_cache_hit_rate(self) -> float:
         """Fraction of compiled-step lookups served from the cache."""
-        total = self.compile_cache_hits + self.compile_cache_misses
-        if total <= 0:
-            return 0.0
-        return self.compile_cache_hits / total
+        return _ratio(self.compile_cache_hits, self.n_steps)
+
+    @property
+    def compile_seconds(self) -> float:
+        """Host wall-clock spent compiling, all phases."""
+        return sum(self.compile_phase_seconds.values())
 
     @property
     def autotune_win_ratio(self) -> float:
         """Fraction of autotune searches whose winner beat fixed tiling."""
-        if self.autotune_searches <= 0:
-            return 0.0
-        return self.autotune_wins / self.autotune_searches
+        return _ratio(self.autotune_wins, self.autotune_searches)
+
+    @property
+    def quant_bytes_saved(self) -> int:
+        """HBM bytes the quantised encodings avoided streaming vs fp32."""
+        return self.counters.quant_saved_bytes
+
+    @property
+    def dequant_flops(self) -> int:
+        """SFU dequant/quant work charged by the timing model."""
+        return self.counters.dequant_flops
 
     @property
     def dequant_overhead_fraction(self) -> float:
         """Share of SFU work spent (de)quantising weights and KV."""
-        if self.counters.sfu_flops <= 0:
-            return 0.0
-        return self.dequant_flops / self.counters.sfu_flops
+        return _ratio(self.dequant_flops, self.counters.sfu_flops)
 
     @property
     def quant_saved_fraction(self) -> float:
         """Fraction of the fp32-equivalent HBM traffic quantisation avoided."""
         fp32_equiv = self.counters.hbm_bytes + self.quant_bytes_saved
-        if fp32_equiv <= 0:
-            return 0.0
-        return self.quant_bytes_saved / fp32_equiv
+        return _ratio(self.quant_bytes_saved, fp32_equiv)
 
     @property
     def acceptance_rate(self) -> float:
         """Fraction of proposed draft tokens the verify steps accepted."""
-        if self.spec_draft_tokens <= 0:
-            return 0.0
-        return self.spec_accepted_tokens / self.spec_draft_tokens
+        return _ratio(self.spec_accepted_tokens, self.spec_draft_tokens)
 
     @property
     def tokens_per_decode_step(self) -> float:
@@ -323,15 +244,93 @@ class ServeReport:
         decode turn streams the model weights once, so committing ``m``
         tokens per turn cuts per-token weight traffic by ``m``.
         """
-        if self.spec_decode_steps <= 0:
-            return 0.0
-        return self.spec_committed_tokens / self.spec_decode_steps
+        return _ratio(self.spec_committed_tokens, self.spec_decode_steps)
+
+
+@dataclass(kw_only=True)
+class ServeReport(StepTotals):
+    """Aggregate outcome of serving a set of requests: the engine's
+    :class:`StepTotals` plus what does not add — requests, clock, energy
+    and the configuration that produced them."""
+
+    requests: List[RequestMetrics]
+    makespan_seconds: float
+    #: Not linear in the counters, so computed per engine, then summed.
+    energy: EnergyBreakdown
+    #: Scheduling policy the run used ("fifo" / "priority" / "fairness").
+    policy: str = "fifo"
+    #: Whether prefill shared a per-step chunk budget with decode.
+    chunked_prefill: bool = False
+    #: Block-granular KV accounting (False under reservation).
+    paged: bool = False
+    #: Accelerator devices executing each step.
+    n_shards: int = 1
+    #: Human-readable quant tag (e.g. "int8g64+kv8"); None = fp32.
+    quant: Optional[str] = None
+    #: Speculative drafter ("ngram" / "draft-model"); None = spec off.
+    spec_method: Optional[str] = None
+
+    # ------------------------------------------------------------------
+    @classmethod
+    def merged(cls, reports: Sequence["ServeReport"]) -> "ServeReport":
+        """Pool several engines' reports into one cluster-wide report.
+
+        The counters are the sum of the engines' :class:`StepTotals`.
+        Requests are *concatenated*, so every percentile (TTFT, ITL,
+        latency, the per-tier breakdowns) is computed over the pooled
+        sample population — never by averaging per-replica percentiles,
+        which is statistically meaningless.  Energy is summed; the
+        makespan is the maximum replica clock (replicas run concurrently
+        on one simulated timeline, so the cluster finishes when the last
+        one does).  Empty input yields an all-zero report.
+        """
+        reports = list(reports)
+        if not reports:
+            return cls(requests=[], makespan_seconds=0.0,
+                       energy=EnergyBreakdown())
+        totals = sum(reports, StepTotals())
+        # Per-shard utilisation is a per-replica detail; the pooled
+        # view keeps it empty and leaves it to the replica reports.
+        totals.shard_utilization_sums = []
+        policies = {report.policy for report in reports}
+        return cls(
+            **vars(totals),
+            requests=[r for report in reports for r in report.requests],
+            makespan_seconds=max(report.makespan_seconds
+                                 for report in reports),
+            energy=EnergyBreakdown(**merge_sum(
+                dataclasses.asdict(report.energy) for report in reports)),
+            policy=policies.pop() if len(policies) == 1 else "mixed",
+            chunked_prefill=any(r.chunked_prefill for r in reports),
+            paged=any(r.paged for r in reports),
+            n_shards=max(report.n_shards for report in reports),
+            quant=next((r.quant for r in reports if r.quant is not None),
+                       None),
+            spec_method=next((r.spec_method for r in reports
+                              if r.spec_method is not None), None),
+        )
+
+    # ------------------------------------------------------------------
+    @property
+    def n_requests(self) -> int:
+        return len(self.requests)
+
+    @property
+    def speculative(self) -> bool:
+        return self.spec_method is not None
+
+    @property
+    def total_generated_tokens(self) -> int:
+        return sum(r.n_generated for r in self.requests)
+
+    @property
+    def throughput_tokens_per_second(self) -> float:
+        """Generated tokens over the whole run's simulated makespan."""
+        return _ratio(self.total_generated_tokens, self.makespan_seconds)
 
     @property
     def tokens_per_joule(self) -> float:
-        if self.energy.total_j <= 0:
-            return 0.0
-        return self.total_generated_tokens / self.energy.total_j
+        return _ratio(self.total_generated_tokens, self.energy.total_j)
 
     # ------------------------------------------------------------------
     @staticmethod
@@ -447,8 +446,12 @@ class ServeReport:
             "compile_cache_misses": self.compile_cache_misses,
             "compile_cache_evictions": self.compile_cache_evictions,
             "compile_cache_hit_rate": self.compile_cache_hit_rate,
-            "compile_seconds": self.compile_seconds,
-            "compile_phase_seconds": dict(self.compile_phase_seconds),
+            # The only values on the host clock; everything outside
+            # this key is simulated and regenerates bit-for-bit.
+            "host": {
+                "compile_seconds": self.compile_seconds,
+                "compile_phase_seconds": dict(self.compile_phase_seconds),
+            },
             "autotune_searches": self.autotune_searches,
             "autotune_candidates": self.autotune_candidates,
             "autotune_wins": self.autotune_wins,

@@ -9,12 +9,14 @@ the two disagree.
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.cluster import ClusterReport, ReplicaSummary
 from repro.core.metrics import percentile
 from repro.fpga.power import EnergyBreakdown
-from repro.serve.metrics import RequestMetrics, ServeReport
+from repro.serve.metrics import RequestMetrics, ServeReport, StepTotals
 from repro.sim.stats import RunCounters
 
 
@@ -45,7 +47,7 @@ def _report(requests, makespan=1.0, n_steps=10, policy="fifo",
         energy=EnergyBreakdown(),
         policy=policy,
         peak_running=peak_running,
-        mean_kv_utilization=kv_util,
+        kv_utilization_sum=kv_util * n_steps,
     )
 
 
@@ -150,6 +152,89 @@ class TestMergedEdgeCases:
             _report([_request(1, 0.2)], policy="priority"),
         ])
         assert merged.policy == "priority"
+
+
+def _distinct_totals(scale):
+    """A ``StepTotals`` whose every field holds a different value."""
+    values = {}
+    for i, spec in enumerate(dataclasses.fields(StepTotals), start=1):
+        default = getattr(StepTotals(), spec.name)
+        if isinstance(default, bool):
+            raise AssertionError(f"{spec.name}: flags do not add")
+        if isinstance(default, (int, float)):
+            values[spec.name] = type(default)(scale * i)
+        elif isinstance(default, RunCounters):
+            values[spec.name] = RunCounters(instructions=scale * i,
+                                            hbm_read_bytes=scale)
+        elif isinstance(default, dict):
+            values[spec.name] = {"build": 0.5 * scale, f"only-{scale}": 1.0}
+        elif isinstance(default, list):
+            values[spec.name] = [0.25 * scale, 0.5 * scale]
+        else:
+            raise AssertionError(
+                f"{spec.name}: no merge rule for {type(default).__name__}")
+    return StepTotals(**values)
+
+
+#: How ``merged`` pools what does not add, as (value in a, value in b,
+#: expected pooled value).  Every ``ServeReport`` field that is not a
+#: ``StepTotals`` counter must be listed here.
+_CONTEXT_RULES = {
+    "requests": ([_request(0, 0.1)], [_request(1, 0.2)],
+                 [_request(0, 0.1), _request(1, 0.2)]),       # concatenated
+    "makespan_seconds": (1.5, 4.0, 4.0),                      # concurrent: max
+    "energy": (EnergyBreakdown(static_j=1.0, offchip_j=0.5),
+               EnergyBreakdown(static_j=2.0, compute_j=0.25),
+               EnergyBreakdown(static_j=3.0, compute_j=0.25,
+                               offchip_j=0.5)),               # per engine, summed
+    "policy": ("fifo", "priority", "mixed"),
+    "chunked_prefill": (False, True, True),                   # any
+    "paged": (True, False, True),                             # any
+    "n_shards": (1, 2, 2),                                    # widest
+    "quant": (None, "int8g64", "int8g64"),                    # first set
+    "spec_method": ("ngram", None, "ngram"),                  # first set
+}
+
+
+class TestMergeCompleteness:
+    """``merged`` is the sum of the replicas' totals: a counter declared
+    on ``StepTotals`` cannot be forgotten in the pool."""
+
+    def test_totals_add_field_wise(self):
+        a, b = _distinct_totals(2), _distinct_totals(3)
+        total = a + b
+        for spec in dataclasses.fields(StepTotals):
+            x, y = getattr(a, spec.name), getattr(b, spec.name)
+            got = getattr(total, spec.name)
+            if isinstance(x, dict):
+                assert got == {"build": 2.5, "only-2": 1.0, "only-3": 1.0}
+            elif isinstance(x, list):
+                assert got == [1.25, 2.5]
+            else:
+                assert got == x + y, spec.name
+        assert total.counters.instructions == (
+            a.counters.instructions + b.counters.instructions)
+
+    def test_merged_obeys_every_fields_rule(self):
+        context = {spec.name for spec in dataclasses.fields(ServeReport)} - {
+            spec.name for spec in dataclasses.fields(StepTotals)}
+        assert context == set(_CONTEXT_RULES), (
+            "every ServeReport field is either an additive StepTotals "
+            "counter or has a pooling rule listed in _CONTEXT_RULES")
+        a_totals, b_totals = _distinct_totals(2), _distinct_totals(3)
+        a = ServeReport(**vars(a_totals), **{
+            name: rule[0] for name, rule in _CONTEXT_RULES.items()})
+        b = ServeReport(**vars(b_totals), **{
+            name: rule[1] for name, rule in _CONTEXT_RULES.items()})
+        merged = ServeReport.merged([a, b])
+        for name, (_, _, expected) in _CONTEXT_RULES.items():
+            assert getattr(merged, name) == expected, name
+        summed = a_totals + b_totals
+        for spec in dataclasses.fields(StepTotals):
+            expected = getattr(summed, spec.name)
+            if spec.name == "shard_utilization_sums":
+                expected = []  # a per-replica detail, dropped from the pool
+            assert getattr(merged, spec.name) == expected, spec.name
 
 
 class TestClusterReportShape:

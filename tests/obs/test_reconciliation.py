@@ -9,6 +9,12 @@ can pin this because it records the very clock floats the engine stores
 in ``Request.token_times`` — the trace and the report are two views of
 one measurement, not two measurements.
 
+The registry is held to the same standard: every ``speedllm_*`` counter
+and every :class:`~repro.serve.metrics.ServeReport` aggregate is a view
+of the engine's per-step totals, so per track and pooled they agree with
+``==`` — and compile cost lands on the engine that paid it, so a
+cluster's pooled compile numbers equal the shared compiler's own.
+
 The flip side is also pinned: tracing is passive.  An enabled tracer
 changes no generated token and no reported number, and a disabled one
 emits nothing at all.
@@ -115,6 +121,154 @@ class TestExactReconciliation:
         assert_exact_reconciliation(tracer, report)
         assert validate_chrome_trace(
             build_chrome_trace(tracer, report=report)) == []
+
+
+    def test_disaggregated_cluster_trace_checks_its_own_metrics(self, llm):
+        """The ``trace-smoke`` payload: prefill stubs hand off, yet the
+        embedded registry reconciles with the embedded pooled report."""
+        tracer, registry = Tracer(), MetricsRegistry()
+        cluster = ClusterConfig(
+            n_replicas=3, route="rr", disaggregate=True,
+            engine=_config(paged=True, block_size=8),
+        ).build_cluster(llm=llm, tracer=tracer, metrics=registry)
+        for i, prompt in enumerate(PROMPTS):
+            cluster.submit(prompt, SamplingParams(max_tokens=8, seed=11 + i))
+        report = cluster.run()
+        assert report.kv_transfers == len(PROMPTS)
+        assert_exact_reconciliation(tracer, report.pooled)
+        payload = build_chrome_trace(tracer, report=report.pooled,
+                                     registry=registry)
+        assert payload["otherData"]["report"]["n_requests"] == len(PROMPTS)
+        assert validate_chrome_trace(payload) == []
+
+
+def registry_total(registry, name, track=None):
+    """A series summed over label sets (one track's, or every track's);
+    a histogram contributes its observation count."""
+    samples = registry.as_dict().get(name, {"samples": {}})["samples"]
+    return sum(
+        value["count"] if isinstance(value, dict) else value
+        for labels, value in samples.items()
+        if track is None or f'track="{track}"' in labels)
+
+
+def assert_registry_is_a_view(registry, report, track=None):
+    """The registry's counters equal the report's totals, exactly."""
+    for name, expected in [
+        ("speedllm_steps_total", report.n_steps),
+        ("speedllm_slot_tokens_total", report.total_slots),
+        ("speedllm_preemptions_total", report.n_preemptions),
+        ("speedllm_step_batch_tokens", report.n_steps),
+        ("speedllm_requests_finished_total", report.n_requests),
+    ]:
+        assert registry_total(registry, name, track) == expected, name
+
+
+class TestRegistryIsAViewOfTheReport:
+    def test_across_engine_matrix(self, llm, engine_matrix_config):
+        _, registry, report = serve_traced(engine_matrix_config, llm)
+        assert report.n_steps > 0
+        assert_registry_is_a_view(registry, report, track="engine-0")
+
+    def test_with_speculative_decoding(self, llm, engine_matrix_config):
+        import dataclasses
+        config = dataclasses.replace(engine_matrix_config,
+                                     speculative=SpecConfig())
+        _, registry, report = serve_traced(config, llm)
+        assert report.spec_draft_tokens > 0
+        assert_registry_is_a_view(registry, report, track="engine-0")
+
+    def test_through_preemption_and_readmission(self, llm):
+        registry = MetricsRegistry()
+        block_bytes = KVCache.bytes_per_block(llm.model_config, 4)
+        engine = ServingEngine(llm, SchedulerConfig(
+            max_batch_tokens=16,
+            paged=True,
+            block_tokens=4,
+            kv_budget_bytes=7 * block_bytes,
+            watermark_fraction=0.0,
+        ), metrics=registry)
+        for prompt in PROMPTS[:3]:
+            engine.submit(prompt, SamplingParams(max_tokens=10))
+        report = engine.run(max_steps=3000)
+        assert report.n_preemptions > 0
+        assert_registry_is_a_view(registry, report)
+
+    @pytest.mark.parametrize("cluster_kwargs", [
+        pytest.param({"n_replicas": 4, "route": "rr"}, id="rr"),
+        pytest.param({"n_replicas": 4, "route": "affinity"}, id="affinity"),
+        pytest.param({"n_replicas": 4, "route": "rr", "disaggregate": True,
+                      "n_prefill_replicas": 2}, id="disaggregated"),
+        pytest.param({"n_replicas": 1, "route": "least-loaded",
+                      "autoscale": True, "max_replicas": 4,
+                      "scale_up_queue_depth": 2}, id="autoscaled"),
+    ])
+    def test_clusters_per_track_and_pooled(self, cluster_kwargs):
+        """One shared, freshly built ``llm``: each replica's series match
+        its own report, the sums match the pooled report (a handed-off
+        request counts once), and pooled compile cost is the compiler's
+        — not one copy of it per replica."""
+        config = _config(paged=True, block_size=8, ctx_bucket=32,
+                         autotune=True, max_running=2)
+        llm = config.build_llm()
+        registry = MetricsRegistry()
+        cluster = ClusterConfig(engine=config, **cluster_kwargs).build_cluster(
+            llm=llm, metrics=registry)
+        for i, prompt in enumerate(PROMPTS * 2):
+            cluster.submit(prompt, SamplingParams(max_tokens=8, seed=11 + i))
+        report = cluster.run()
+        assert report.n_replicas == 4
+        for replica in report.replicas:
+            track = (f"replica-{replica.index}" if replica.pool == "unified"
+                     else f"{replica.pool}-{replica.index}")
+            assert_registry_is_a_view(registry, replica.report, track)
+        pooled = report.pooled
+        assert pooled.n_requests == len(PROMPTS) * 2
+        assert_registry_is_a_view(registry, pooled)
+        assert (registry_total(registry, "speedllm_kv_handoffs_total")
+                == report.kv_transfers)
+        stats = llm.accelerator.timing.stats()
+        assert pooled.autotune_searches == stats["autotune"]["searches"] > 0
+        assert (pooled.autotune_candidates
+                == stats["autotune"]["candidates_scored"])
+        assert pooled.autotune_wins == stats["autotune"]["wins"]
+        assert pooled.compile_cache_misses == stats["cache"]["misses"]
+        assert pooled.compile_cache_evictions == stats["cache"]["evictions"]
+        # Host seconds are summed in a different order than the
+        # compiler's own running total, hence approx.
+        assert pooled.compile_seconds == pytest.approx(
+            stats["compile_seconds"])
+        assert pooled.compile_phase_seconds == pytest.approx(
+            stats["phase_seconds"])
+
+    def test_second_engine_on_a_warm_llm_pays_nothing(self):
+        config = _config(ctx_bucket=32, autotune=True)
+        llm = config.build_llm()
+        _, _, cold = serve_traced(config, llm)
+        assert cold.autotune_searches > 0 and cold.compile_seconds > 0
+        _, _, warm = serve_traced(config, llm)
+        assert warm.compile_cache_misses == 0
+        assert warm.autotune_searches == warm.autotune_candidates == 0
+        assert warm.compile_seconds == 0.0
+
+    def test_report_is_a_pure_view(self, llm, engine_matrix_config):
+        """Gauges are sampled per step, so asking for a report — twice,
+        mid-run or at the end — changes neither the exposition nor the
+        answer."""
+        registry = MetricsRegistry()
+        engine = engine_matrix_config.build_engine(llm=llm, metrics=registry)
+        for prompt in PROMPTS:
+            engine.submit(prompt, SamplingParams(max_tokens=8))
+        engine.step()
+        engine.step()
+        for _ in range(2):  # mid-run, then drained
+            exposition = registry.render()
+            assert "speedllm_prefix_hit_rate" in exposition
+            assert "speedllm_compile_cache_hit_rate" in exposition
+            first, second = engine.report(), engine.report()
+            assert first == second
+            assert registry.render() == exposition
+            engine.run()
 
 
 def _config(**overrides):

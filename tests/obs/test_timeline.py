@@ -131,6 +131,27 @@ class TestValidateChromeTrace:
     def test_empty_payload(self):
         assert validate_chrome_trace({}) == ["traceEvents missing or empty"]
 
+    def test_registry_counters_must_sum_to_the_report(self):
+        registry = MetricsRegistry()
+        for track, steps, slots in (("a", 3, 7), ("b", 2, 4)):
+            labels = {"track": track}
+            registry.counter("speedllm_steps_total", labels=labels).inc(steps)
+            registry.counter("speedllm_slot_tokens_total",
+                             labels=labels).inc(slots)
+            registry.counter("speedllm_requests_finished_total",
+                             labels={**labels, "reason": "length"}).inc()
+        payload = build_chrome_trace(well_formed_tracer(), registry=registry)
+        # No preemption ever happened: the family is absent, which reads 0.
+        payload["otherData"]["report"] = {
+            "n_steps": 5, "total_slots": 11, "n_preemptions": 0,
+            "n_requests": 2}
+        assert validate_chrome_trace(payload) == []
+        # A handed-off stub counted as finished on both replicas.
+        payload["otherData"]["report"]["n_requests"] = 1
+        problems = validate_chrome_trace(payload)
+        assert len(problems) == 1
+        assert "speedllm_requests_finished_total sums to 2" in problems[0]
+
     def test_wrong_schema_flagged(self):
         payload = self._payload()
         payload["otherData"]["schema"] = "SOMETHING_ELSE"

@@ -100,7 +100,7 @@ class TestThroughput:
         engine.submit(PROMPTS[0], SamplingParams(max_tokens=32))
         with pytest.raises(RuntimeError, match="did not drain"):
             engine.run(max_steps=1)
-        assert engine._n_steps == 1
+        assert engine.report().n_steps == 1
 
     def test_report_aggregates_are_consistent(self, llm):
         engine = ServingEngine(llm, SchedulerConfig(max_batch_tokens=8))
