@@ -42,7 +42,8 @@ from .completions import (
 )
 from ..spec.config import SpecConfig
 from .config import EngineConfig
-from .errors import FrontendError, InvalidSamplingError, PromptTooLongError
+from .errors import (FrontendError, InvalidSamplingError, KVCapacityError,
+                     PromptTooLongError)
 from .outputs import RequestHandle, RequestOutput
 from .params import SamplingParams
 
@@ -57,6 +58,7 @@ __all__ = [
     "EngineConfig",
     "FrontendError",
     "InvalidSamplingError",
+    "KVCapacityError",
     "PromptTooLongError",
     "RequestHandle",
     "RequestOutput",

@@ -9,7 +9,8 @@ the untyped exceptions keep working unchanged.
 
 from __future__ import annotations
 
-__all__ = ["FrontendError", "PromptTooLongError", "InvalidSamplingError"]
+__all__ = ["FrontendError", "PromptTooLongError", "InvalidSamplingError",
+           "KVCapacityError"]
 
 
 class FrontendError(ValueError):
@@ -32,6 +33,21 @@ class PromptTooLongError(FrontendError):
             f"{max_seq_len}-position context window (at least one position "
             "must remain for decoding)"
         )
+
+
+class KVCapacityError(FrontendError):
+    """The request's worst-case KV footprint exceeds the whole KV budget.
+
+    Raised at submission — by :meth:`repro.serve.Scheduler.submit` and
+    :meth:`repro.cluster.ClusterEngine.submit` — with the KV manager's
+    reason, so a request that could never be admitted is refused before
+    it queues instead of stalling the drain loop.
+    """
+
+    def __init__(self, request_id: str, reason: str) -> None:
+        self.request_id = request_id
+        super().__init__(
+            f"request {request_id!r} {reason}; it can never be admitted")
 
 
 class InvalidSamplingError(FrontendError):

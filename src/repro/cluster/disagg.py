@@ -83,11 +83,6 @@ class HandoffPacket:
     prefix_hit_tokens: int = 0
     logprobs: Optional[List[Dict[int, float]]] = None
 
-    @property
-    def full_transfer_bytes(self) -> int:
-        """Transfer size with no decode-side prefix hit (upper bound)."""
-        return self.bytes_per_position * self.n_positions
-
 
 def needs_handoff(request: Request, capped: SamplingParams) -> bool:
     """Whether a finished prefill stub must continue on a decode replica.

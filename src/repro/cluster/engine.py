@@ -40,7 +40,7 @@ import heapq
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence
 
-from ..api.errors import PromptTooLongError
+from ..api.errors import KVCapacityError, PromptTooLongError
 from ..api.params import SamplingParams
 from ..obs import tracer as spans
 from ..obs.tracer import NULL_TRACER, Tracer
@@ -229,7 +229,9 @@ class ClusterEngine:
         Requests are held at the cluster level until the simulated clock
         reaches their arrival time, then routed — so a routing decision
         always sees the replica loads of its own moment, not submission
-        order artifacts.
+        order artifacts.  A request no replica could ever hold is refused
+        here (:class:`~repro.api.errors.KVCapacityError`), not when the
+        co-simulation reaches its arrival time.
         """
         params = params or SamplingParams()
         tokens = self.llm.encode(prompt)
@@ -248,6 +250,12 @@ class ClusterEngine:
         if creq.request_id in self._by_id:
             raise ValueError(
                 f"request id {creq.request_id!r} is already tracked")
+        # Every replica is built from the one engine config, so any
+        # replica's KV manager answers for all of them.
+        reason = self.replicas[0].engine.scheduler.kv.never_fits(
+            len(tokens) + creq.capped.max_tokens)
+        if reason is not None:
+            raise KVCapacityError(creq.request_id, reason)
         self._orders += 1
         self._by_id[creq.request_id] = creq
         self._submitted.append(creq)
@@ -373,17 +381,6 @@ class ClusterEngine:
         return dispatched
 
     # ------------------------------------------------------------------
-    def _transfer_positions(self, target: Replica, packet: HandoffPacket) -> int:
-        """Positions the wire must carry (minus the target's prefix hits)."""
-        scheduler = target.engine.scheduler
-        if scheduler.pool is None:
-            return packet.n_positions
-        matched = scheduler.pool.match_prefix(
-            packet.prompt_tokens[:packet.n_positions])
-        hit = min(len(matched) * scheduler.pool.block_tokens,
-                  packet.n_positions)
-        return packet.n_positions - hit
-
     def _deliver_handoffs(self) -> bool:
         """Adopt transferred requests into decode replicas when ready.
 
@@ -408,7 +405,10 @@ class ClusterEngine:
                     candidates, handoff.packet.prompt_tokens)
                 handoff.target_index = target.index
             packet = handoff.packet
-            positions = self._transfer_positions(target, packet)
+            # The wire carries what the target does not already hold.
+            positions = packet.n_positions - (
+                target.engine.scheduler.kv.cached_positions(
+                    packet.prompt_tokens[:packet.n_positions]))
             seconds = self.kv_link.point_to_point_seconds(
                 positions * packet.bytes_per_position)
             ready = packet.finish_clock + seconds

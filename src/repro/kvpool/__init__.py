@@ -15,16 +15,17 @@ This package replaces that with vLLM-style paged allocation:
 * :class:`PrefixIndex` content-addresses full blocks by the token prefix
   they cache, letting requests that share a prompt prefix map the shared
   positions to the *same* physical blocks and skip prefilling them;
-* :class:`KVPool` ties the three together for the scheduler: it hands out
-  caches, answers prefix queries, and reports utilization.
+* :class:`KVPool` ties the three together as the scheduler's KV manager;
+  :class:`ReservedKV` is its sibling with the same surface, keeping the
+  original worst-case reservation (each wins on some workload).
 
-See ``docs/ARCHITECTURE.md`` ("Paged KV memory") for the block-table
+See ``docs/ARCHITECTURE.md`` ("KV memory") for the block-table
 diagram and the preemption lifecycle.
 """
 
 from .allocator import BlockAllocator, BlockAllocatorError
 from .paged_cache import PagedKVCache
-from .pool import KVPool
+from .pool import KVPool, ReservedKV
 from .prefix import PrefixIndex
 
 __all__ = [
@@ -33,4 +34,5 @@ __all__ = [
     "KVPool",
     "PagedKVCache",
     "PrefixIndex",
+    "ReservedKV",
 ]

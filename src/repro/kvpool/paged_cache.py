@@ -185,15 +185,6 @@ class PagedKVCache:
     # ------------------------------------------------------------------
     # KVCache view API
     # ------------------------------------------------------------------
-    def _locate(self, pos: int) -> Tuple[int, int]:
-        block_idx, offset = divmod(pos, self.block_tokens)
-        if block_idx >= len(self.block_table):
-            raise IndexError(
-                f"position {pos} has no backing block; call "
-                "ensure_capacity first"
-            )
-        return self.block_table[block_idx], offset
-
     def append(self, layer: int, key: np.ndarray, value: np.ndarray, pos: int) -> None:
         """Store the key/value vectors for ``pos`` in ``layer``."""
         if not 0 <= layer < self.config.n_layers:

@@ -235,16 +235,6 @@ class Tracer:
         return (min(s.start for s in self.spans),
                 max(s.end for s in self.spans))
 
-    # ------------------------------------------------------------------
-    def discard(self, name: str, request_id: str) -> int:
-        """Drop spans matching ``(name, request_id)``; returns the count
-        (e.g. a root span superseded by another track's end-to-end one)."""
-        kept = [s for s in self.spans
-                if not (s.name == name and s.request_id == request_id)]
-        dropped = len(self.spans) - len(kept)
-        self.spans = kept
-        return dropped
-
 
 #: Shared disabled tracer; the default everywhere tracing is optional.
 NULL_TRACER = Tracer(enabled=False)

@@ -144,11 +144,6 @@ class QuantConfig:
         spec = self.spec_for(name, classifier=classifier, ndim=ndim)
         return 4.0 if spec is None else spec.bytes_per_element
 
-    @property
-    def kv_bytes_per_element(self) -> float:
-        """Streamed bytes per cached KV element (scale overhead included)."""
-        return 4.0 if self.kv is None else self.kv.bytes_per_element
-
     # ------------------------------------------------------------------
     # Identity
     # ------------------------------------------------------------------

@@ -88,10 +88,6 @@ class QuantizedCheckpoint:
                 out[name] = np.asarray(tensor, dtype=np.float32)
         return out
 
-    def to_checkpoint(self) -> Checkpoint:
-        """Materialise a float32 :class:`Checkpoint` (fake-quant values)."""
-        return Checkpoint(config=self.config, weights=self.functional_weights())
-
     def summary(self) -> Dict[str, Union[int, float, str]]:
         """Counters for CLI output and the conversion report."""
         return {

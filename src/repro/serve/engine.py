@@ -719,7 +719,7 @@ class ServingEngine:
                 totals.counters, totals.busy_cycles, self.clock),
             policy=scheduler.config.policy,
             chunked_prefill=scheduler.config.chunked_prefill,
-            paged=scheduler.pool is not None,
+            paged=scheduler.config.paged,
             n_shards=self.backend.n_shards,
             quant=self.quant.label if self.quant is not None else None,
             spec_method=spec.method if spec is not None else None,

@@ -90,7 +90,6 @@ class Request:
     next_pos: int = 0
     pending_token: Optional[int] = None
     generated_tokens: List[int] = field(default_factory=list)
-    kv_reserved_bytes: int = 0
     replay_tokens: Optional[List[int]] = None
     n_preemptions: int = 0
     #: Clock of the most recent preemption; a readmission's queued span

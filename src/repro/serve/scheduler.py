@@ -10,15 +10,13 @@ policy is the iteration-level scheduling of production serving engines
   historical strict arrival order — or ``priority`` / ``fairness``,
   which order by the per-request SLO tier) picks the next candidate,
   and head-of-line blocking on that candidate keeps the order honest.
-  In **reservation mode** (the PR 1 policy) a request is admitted only
-  if its *worst-case* KV-cache footprint (prompt plus full decode
-  budget) fits in the KV memory budget, and the reservation is held
-  until it retires.  In **paged mode** the budget is carved into
-  fixed-size blocks by a :class:`~repro.kvpool.KVPool`: admission is
-  optimistic — it requires blocks for the *prompt* only (minus any
-  prefix already cached by earlier requests, plus a small free-block
-  watermark) — and decode-time blocks are allocated on demand, step by
-  step.
+  Whether the candidate fits is the **KV manager's** decision
+  (``Scheduler.kv``, chosen once at construction): a
+  :class:`~repro.kvpool.ReservedKV` claims the *worst-case* footprint
+  (prompt plus full decode budget) and holds it until retirement; a
+  :class:`~repro.kvpool.KVPool` claims blocks for the *prompt* only
+  (minus any prefix already cached, plus a small free-block watermark)
+  and grows the claim on demand, step by step.
 * **Step building** fills a token budget (``max_batch_tokens``) one
   position at a time: decoding requests first — one position each, they
   are latency-critical and keep the batch "continuous" — then prefilling
@@ -32,9 +30,9 @@ policy is the iteration-level scheduling of production serving engines
   steps that are happening anyway and the step time — which is what
   bounds every decoding request's inter-token latency — stays flat.
   Only a request's *last* prompt position asks for logits; every other
-  prefill slot skips the classifier entirely.  In paged mode every
-  scheduled position is backed by a physical block before its slot is
-  emitted; when the pool runs dry the scheduler **preempts** a victim
+  prefill slot skips the classifier entirely.  Every scheduled
+  position is backed by the KV manager (``kv.grow``) before its slot is
+  emitted; when it cannot grow the scheduler **preempts** a victim
   chosen by the policy (``fifo``: latest-admitted; ``priority`` /
   ``fairness``: least-urgent tier, never a tier more urgent than the
   request that needs the memory) among requests with no slots in this
@@ -58,11 +56,10 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, List, Optional
 
 from ..accel.batching import BatchSlot
-from ..kvpool import KVPool
+from ..api.errors import KVCapacityError
+from ..kvpool import KVPool, ReservedKV
 from ..llama.config import LlamaConfig
-from ..llama.kv_cache import KVCache
 from ..obs.tracer import NULL_TRACER
-from ..sim.memory import MemoryBudget
 from ..spec.config import SpecConfig
 from .policy import POLICIES, build_policy
 from .request import Request, RequestQueue, RequestState
@@ -175,28 +172,19 @@ class Scheduler:
         kv_shards: int = 1,
         kv_quant=None,
     ) -> None:
-        """``kv_shards`` is the KV-capacity multiplier of the execution
-        backend (:attr:`repro.backend.ExecutionBackend.kv_shards`): with
-        tensor-parallel sharding each device stores ``1 / kv_shards`` of
-        every cached position, so ``kv_budget_bytes`` — always the budget
-        of *one* device — admits ``kv_shards`` times more aggregate
-        context.  ``kv_quant`` is an optional
-        :class:`~repro.llama.quantization.QuantSpec` for the cached
-        vectors: footprints shrink to the group-quantised size (so the
-        same budget admits more context) and every cache this scheduler
-        creates fake-quantises on append."""
-        if kv_shards <= 0:
-            raise ValueError("kv_shards must be positive")
+        """``kv_shards`` (the backend's KV-capacity multiplier,
+        :attr:`repro.backend.ExecutionBackend.kv_shards`) and ``kv_quant``
+        (an optional :class:`~repro.llama.quantization.QuantSpec` for the
+        cached vectors) go to the KV manager, which sizes footprints and
+        builds caches with them; ``kv_budget_bytes`` is always the
+        budget of *one* device."""
         self.model_config = model_config
         self.config = config or SchedulerConfig()
-        self.kv_shards = kv_shards
-        self.kv_quant = kv_quant
         self.queue = RequestQueue()
         self.running: List[Request] = []
-        self.kv_budget = MemoryBudget(self.config.kv_budget_bytes)
-        self.pool: Optional[KVPool] = None
+        #: The one KV ledger; nothing below asks which kind it is.
         if self.config.paged:
-            self.pool = KVPool(
+            self.kv = KVPool(
                 model_config,
                 self.config.kv_budget_bytes,
                 block_tokens=self.config.block_tokens,
@@ -204,13 +192,18 @@ class Scheduler:
                 shards=kv_shards,
                 quant=kv_quant,
             )
+        else:
+            self.kv = ReservedKV(
+                model_config, self.config.kv_budget_bytes,
+                shards=kv_shards, quant=kv_quant,
+            )
         self.policy = build_policy(
             self.config.policy,
             fairness_aging_s=self.config.fairness_aging_s,
         )
         self._rotation = 0  # round-robin start index for step building
         self._seq = 0       # arrival_seq stamp of the next submission
-        # Paged-mode accounting, surfaced through the serving report.
+        # Admission/preemption accounting, surfaced through the report.
         self.n_preemptions = 0
         self.prefix_hit_tokens = 0
         self.total_prefill_tokens = 0
@@ -260,17 +253,13 @@ class Scheduler:
 
     @property
     def kv_block_tokens(self) -> Optional[int]:
-        """Block granularity of KV transfers (None in reservation mode)."""
-        return self.pool.block_tokens if self.pool is not None else None
+        """Block granularity of KV transfers (None for dense caches)."""
+        return self.kv.block_tokens
 
     @property
     def kv_utilization(self) -> float:
         """Fraction of the KV budget in live use right now."""
-        if self.pool is not None:
-            return self.pool.utilization
-        if self.kv_budget.capacity_bytes <= 0:
-            return 0.0
-        return self.kv_budget.reserved_bytes / self.kv_budget.capacity_bytes
+        return self.kv.utilization
 
     @property
     def outstanding_tokens(self) -> int:
@@ -297,35 +286,13 @@ class Scheduler:
                 f"request id {request.request_id!r} is already in flight; "
                 "ids must be unique among queued/running requests"
             )
-        positions = request.total_positions(self.model_config.max_seq_len)
-        if self.pool is not None:
-            if self.pool.blocks_for(positions) > self.pool.n_blocks:
-                raise ValueError(
-                    f"request {request.request_id!r} needs "
-                    f"{self.pool.blocks_for(positions)} KV blocks but the "
-                    f"pool holds {self.pool.n_blocks}; it can never be "
-                    "admitted"
-                )
-        else:
-            footprint = self._kv_footprint(request)
-            if footprint > self.kv_budget.capacity_bytes:
-                raise ValueError(
-                    f"request {request.request_id!r} needs {footprint} KV "
-                    f"bytes but the budget is "
-                    f"{self.kv_budget.capacity_bytes}; it can never be "
-                    "admitted"
-                )
+        reason = self.kv.never_fits(
+            request.total_positions(self.model_config.max_seq_len))
+        if reason is not None:
+            raise KVCapacityError(request.request_id, reason)
         request.arrival_seq = self._seq
         self._seq += 1
         self.queue.push(request)
-
-    def _kv_footprint(self, request: Request) -> int:
-        """Worst-case KV bytes of ``request`` on one device (shard)."""
-        positions = request.total_positions(self.model_config.max_seq_len)
-        nbytes = KVCache.projected_nbytes(
-            self.model_config, positions, quant=self.kv_quant
-        )
-        return -(-nbytes // self.kv_shards)
 
     # ------------------------------------------------------------------
     def admit(self, now: float) -> List[Request]:
@@ -335,76 +302,31 @@ class Scheduler:
         policy picks the next candidate (FIFO: the arrival-order head;
         priority/fairness: the most urgent arrived request) and if that
         candidate does not fit, nothing else is considered — a policy's
-        chosen request is never overtaken by one it outranks.
-        Reservation mode sizes a private KV cache to the worst-case
-        footprint; paged mode maps any cached prompt prefix to shared
-        blocks and requires free blocks only for the rest of the prompt
-        (plus the watermark, waived when nothing is running so a lone
-        request can always start).
+        chosen request is never overtaken by one it outranks.  The KV
+        manager's ``claim`` decides the fit and says how many leading
+        positions its cache already holds (a prefix hit), which the
+        prefill then skips.
         """
         self._now = now
-        if self.pool is not None:
-            return self._admit_paged(now)
+        max_seq_len = self.model_config.max_seq_len
         admitted: List[Request] = []
         while self.queue and len(self.running) < self.config.max_running:
-            head = self.policy.select(self.queue, now)
-            if head is None:
+            request = self.policy.select(self.queue, now)
+            if request is None:
                 break
-            footprint = self._kv_footprint(head)
-            if not self.kv_budget.reserve(footprint):
-                break
-            request = head
-            self.queue.remove(request)
-            positions = request.total_positions(self.model_config.max_seq_len)
-            request.cache = KVCache(
-                self.model_config, max_seq_len=positions, quant=self.kv_quant
+            claim = self.kv.claim(
+                request.prefill_tokens,
+                request.total_positions(max_seq_len),
+                bool(self.running),
             )
-            request.kv_reserved_bytes = footprint
-            request.state = RequestState.PREFILL
-            request.admitted_time = now
-            self.running.append(request)
-            admitted.append(request)
-        return admitted
-
-    def _admit_paged(self, now: float) -> List[Request]:
-        pool = self.pool
-        admitted: List[Request] = []
-        while self.queue and len(self.running) < self.config.max_running:
-            head = self.policy.select(self.queue, now)
-            if head is None:
+            if claim is None:
                 break
-            stream = head.prefill_tokens
-            matched = pool.match_prefix(stream)
-            new_blocks = pool.blocks_for(len(stream)) - len(matched)
-            headroom = pool.watermark_blocks if self.running else 0
-            # Matched blocks parked on the reusable LRU list still count
-            # as allocatable until adopt_prefix revives them, so the gate
-            # must cover them too or the claim below could come up short.
-            cached_matched = sum(
-                1 for block in matched if pool.allocator.refcount(block) == 0
-            )
-            if not pool.allocator.can_allocate(
-                new_blocks + cached_matched + headroom
-            ):
-                break
-            request = head
             self.queue.remove(request)
-            cache = pool.new_cache(max_seq_len=self.model_config.max_seq_len)
-            cache.adopt_prefix(matched)
-            hit = cache.length
-            # Claim the prompt's blocks now: the prefill writes them over
-            # the next steps, and admission must not double-count the
-            # same free blocks for every queued request.
-            if not cache.ensure_capacity(len(stream)):
-                cache.release()
-                request.cache = None
-                self.queue.push_front(request)
-                break
-            request.cache = cache
+            request.cache, hit = claim
             request.next_pos = hit
             request.prefix_hit_tokens += hit
             self.prefix_hit_tokens += hit
-            self.total_prefill_tokens += len(stream)
+            self.total_prefill_tokens += request.n_prefill
             request.state = RequestState.PREFILL
             request.admitted_time = now
             self.running.append(request)
@@ -425,48 +347,24 @@ class Scheduler:
         timestamps (arrival/admission/first token) are left untouched so
         latency metrics span the whole journey, not the hop.
 
-        Returns the number of leading positions already covered by this
-        scheduler's prefix cache (always 0 in reservation mode) — those
-        need no transfer — or ``None`` when capacity is unavailable
-        right now and the caller should retry after some work drains.
+        Returns the number of leading positions the KV manager already
+        holds (a prefix hit) — those need no transfer — or ``None`` when
+        capacity is unavailable right now and the caller should retry
+        after some work drains.  Nothing is prefilled here, so neither
+        prefill counter moves.
         """
         if not 0 < n_positions <= self.model_config.max_seq_len:
             raise ValueError("n_positions must be in (0, max_seq_len]")
         if len(self.running) >= self.config.max_running:
             return None
-        if self.pool is not None:
-            pool = self.pool
-            stream = request.prompt_tokens[:n_positions]
-            matched = pool.match_prefix(stream)
-            new_blocks = pool.blocks_for(n_positions) - len(matched)
-            headroom = pool.watermark_blocks if self.running else 0
-            cached_matched = sum(
-                1 for block in matched if pool.allocator.refcount(block) == 0
-            )
-            if not pool.allocator.can_allocate(
-                new_blocks + cached_matched + headroom
-            ):
-                return None
-            cache = pool.new_cache(max_seq_len=self.model_config.max_seq_len)
-            cache.adopt_prefix(matched)
-            hit = cache.length
-            if not cache.ensure_capacity(n_positions):
-                cache.release()
-                return None
-            request.cache = cache
-            request.prefix_hit_tokens += hit
-            self.prefix_hit_tokens += hit
-            self.total_prefill_tokens += n_positions
-        else:
-            footprint = self._kv_footprint(request)
-            if not self.kv_budget.reserve(footprint):
-                return None
-            positions = request.total_positions(self.model_config.max_seq_len)
-            request.cache = KVCache(
-                self.model_config, max_seq_len=positions, quant=self.kv_quant
-            )
-            request.kv_reserved_bytes = footprint
-            hit = 0
+        claim = self.kv.claim(
+            request.prompt_tokens[:n_positions],
+            request.total_positions(self.model_config.max_seq_len),
+            bool(self.running),
+        )
+        if claim is None:
+            return None
+        request.cache, hit = claim
         request.arrival_seq = self._seq
         self._seq += 1
         request.state = RequestState.DECODE
@@ -474,22 +372,11 @@ class Scheduler:
         return hit
 
     # ------------------------------------------------------------------
-    # Paged-mode block granting and preemption
+    # Block granting and preemption
     # ------------------------------------------------------------------
-    def _pick_victim(
-        self, exclude_ids: set, beneficiary: Request
-    ) -> Optional[Request]:
-        """Policy-chosen running request that may be evicted for
-        ``beneficiary`` (FIFO: latest-admitted; priority/fairness: the
-        least urgent tier, never one more urgent than the beneficiary)."""
-        candidates = [r for r in self.running
-                      if r.request_id not in exclude_ids]
-        return self.policy.pick_victim(candidates, beneficiary)
-
     def _preempt(self, victim: Request, beneficiary: Request) -> None:
         """Evict a running request; it will recompute on readmission."""
-        if victim.cache is not None:
-            victim.cache.release()
+        self.kv.release(victim.cache)
         victim.cache = None
         if victim.generated_tokens:
             # Everything fed to the model so far: the prompt plus every
@@ -519,19 +406,20 @@ class Scheduler:
     def _grant_blocks(
         self, request: Request, n_positions: int, granted_ids: set
     ) -> bool:
-        """Back ``request``'s next positions with blocks, preempting if needed.
+        """Back ``request``'s next positions with KV, preempting if needed.
 
-        Victims are chosen by the scheduling policy, skipping the
-        request itself and any request already holding slots in the step
-        under construction (their positions are committed).  Returns
-        False when no eligible victim remains and the pool still cannot
-        supply a block — the caller simply skips this request for the
-        step.
+        Victims are chosen by the scheduling policy (FIFO: the latest
+        admitted; priority/fairness: the least urgent tier, never one
+        more urgent than ``request``), skipping the request itself and
+        any request already holding slots in the step under construction
+        (their positions are committed).  Returns False when no eligible
+        victim remains and the KV manager still cannot grow the cache —
+        the caller simply skips this request for the step.
         """
-        exclude = set(granted_ids)
-        exclude.add(request.request_id)
-        while not request.cache.ensure_capacity(n_positions):
-            victim = self._pick_victim(exclude, request)
+        while not self.kv.grow(request.cache, n_positions):
+            victim = self.policy.pick_victim(
+                [r for r in self.running if r is not request
+                 and r.request_id not in granted_ids], request)
             if victim is None:
                 return False
             self._preempt(victim, request)
@@ -554,15 +442,14 @@ class Scheduler:
         when the token budget is oversubscribed); priority scans urgent
         tiers first and round-robins within each tier.
 
-        In paged mode each request's positions are backed by physical
-        blocks before its slots are emitted; a request that cannot be
-        backed even after preemption is skipped for this step.
+        Each request's positions are backed by the KV manager before
+        its slots are emitted; a request that cannot be backed even
+        after preemption is skipped for this step.
         """
         budget = self.config.max_batch_tokens
         slots: List[BatchSlot] = []
         if not self.running:
             return slots
-        paged = self.pool is not None
         n = len(self.running)
         order = self.policy.step_order(list(self.running), self._rotation)
         # Rotate whenever the token budget may not cover every running
@@ -582,22 +469,20 @@ class Scheduler:
                 continue  # preempted while building this step
             if request.in_decode and request.pending_token is not None:
                 draft = self._propose_draft(request, budget)
-                if paged:
-                    # Draft positions are opportunistic: never preempt a
-                    # victim (whole-prefill recompute on readmission) just
-                    # to back them — drop the draft instead and let the
-                    # turn decode plainly.  Only the one guaranteed
-                    # position may preempt, exactly as without
-                    # speculation.
-                    if draft and not request.cache.ensure_capacity(
-                        request.next_pos + 1 + len(draft)
-                    ):
-                        draft = []
-                    if not self._grant_blocks(
-                        request, request.next_pos + 1, granted_ids
-                    ):
-                        request.draft_tokens = []
-                        continue
+                # Draft positions are opportunistic: never preempt a
+                # victim (whole-prefill recompute on readmission) just to
+                # back them — drop the draft instead and let the turn
+                # decode plainly.  Only the one guaranteed position may
+                # preempt, exactly as without speculation.
+                if draft and not self.kv.grow(
+                    request.cache, request.next_pos + 1 + len(draft)
+                ):
+                    draft = []
+                if not self._grant_blocks(
+                    request, request.next_pos + 1, granted_ids
+                ):
+                    request.draft_tokens = []
+                    continue
                 request.draft_tokens = draft
                 speculative = bool(draft)
                 slots.append(BatchSlot(
@@ -645,7 +530,7 @@ class Scheduler:
                         budget, chunk_budget)
             if chunk <= 0:
                 continue
-            if paged and not self._grant_blocks(
+            if not self._grant_blocks(
                 request, request.next_pos + chunk, granted_ids
             ):
                 continue
@@ -715,11 +600,9 @@ class Scheduler:
         The engine calls this after advancing a request's position; every
         block whose positions are now completely written (and fall inside
         the prefill stream, whose token content is known) becomes
-        discoverable by later admissions.  No-op in reservation mode.
+        discoverable by later admissions (if the KV manager shares).
         """
-        if self.pool is None or request.cache is None:
-            return
-        self.pool.register_prefix(
+        self.kv.register_prefix(
             request.prefill_tokens,
             request.cache,
             min(request.next_pos, request.n_prefill),
@@ -729,19 +612,14 @@ class Scheduler:
     def _release_running(self, request: Request) -> None:
         """Release a running request's KV memory and drop it from the set.
 
-        In paged mode the request's fully-written prefill blocks are
-        (re-)registered in the prefix index *before* release, so they
-        park on the reusable LRU list and later requests with the same
-        prompt prefix can resurrect them instead of recomputing.
-        Shared by retirement and cancellation.
+        Its fully-written prefill blocks are (re-)registered for prefix
+        sharing *before* release, so a sharing KV manager parks them on
+        its reusable list and later requests with the same prompt prefix
+        can resurrect them instead of recomputing.  Shared by retirement
+        and cancellation.
         """
-        if self.pool is not None:
-            self.note_progress(request)
-            if request.cache is not None:
-                request.cache.release()
-        else:
-            self.kv_budget.release(request.kv_reserved_bytes)
-        request.kv_reserved_bytes = 0
+        self.note_progress(request)
+        self.kv.release(request.cache)
         self.running.remove(request)
 
     def finish(self, request: Request, now: float) -> None:
@@ -756,8 +634,8 @@ class Scheduler:
     def cancel(self, request: Request) -> bool:
         """Abort a queued or running request, releasing its KV memory.
 
-        A running request's blocks (paged) or reservation are freed
-        immediately, so the capacity is available to the very next
+        A running request's KV claim is released immediately, so the
+        capacity is available to the very next
         admission/step; its fully-written prefill blocks are registered
         for prefix sharing first, exactly as on normal retirement.
         Returns ``False`` when the request is not tracked (already

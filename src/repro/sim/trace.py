@@ -63,10 +63,6 @@ class Trace:
                 seen.append(ev.engine)
         return seen
 
-    def events_for(self, engine: str) -> List[TraceEvent]:
-        """All events recorded for ``engine``."""
-        return [ev for ev in self.events if ev.engine == engine]
-
     def busy_cycles(self, engine: str, category: Optional[str] = "work") -> int:
         """Total cycles ``engine`` spent on intervals of ``category``.
 

@@ -51,7 +51,7 @@ class TestFactory:
     def test_build_engine_local_backend(self, llm):
         engine = EngineConfig(model="test-small").build_engine(llm=llm)
         assert isinstance(engine.backend, LocalBackend)
-        assert engine.scheduler.pool is None
+        assert not engine.scheduler.config.paged
         assert engine.llm is llm
 
     def test_build_engine_paged_sharded(self, llm):
@@ -61,8 +61,8 @@ class TestFactory:
         ).build_engine(llm=llm)
         assert isinstance(engine.backend, ShardedBackend)
         assert engine.backend.n_shards == 2
-        assert engine.scheduler.pool is not None
-        assert engine.scheduler.pool.block_tokens == 8
+        assert engine.scheduler.config.paged
+        assert engine.scheduler.kv.block_tokens == 8
 
     def test_build_async_engine(self, llm):
         engine = EngineConfig(model="test-small").build_async_engine(llm=llm)

@@ -211,7 +211,7 @@ class TestAsyncStreaming:
         }
         engine = AsyncServingEngine(
             llm, SchedulerConfig(paged=True, block_tokens=8))
-        pool = engine.engine.scheduler.pool
+        pool = engine.engine.scheduler.kv
 
         async def drive():
             survivors = [

@@ -176,11 +176,11 @@ class TestShardedCapacity:
         local = ServingEngine(llm, config)
         sharded = ServingEngine(llm, config,
                                 backend=ShardedBackend(llm.accelerator, 2))
-        bytes_per_block = sharded.scheduler.pool.allocator.bytes_per_block
-        assert sharded.scheduler.pool.n_blocks == \
+        bytes_per_block = sharded.scheduler.kv.allocator.bytes_per_block
+        assert sharded.scheduler.kv.n_blocks == \
             2 * (1 << 20) // bytes_per_block
-        assert sharded.scheduler.pool.n_blocks >= \
-            2 * local.scheduler.pool.n_blocks
+        assert sharded.scheduler.kv.n_blocks >= \
+            2 * local.scheduler.kv.n_blocks
 
 
 class TestValidation:

@@ -76,15 +76,6 @@ class TestTracer:
         assert step.attrs["n_slots"] == 4
         assert step.request_id is None
 
-    def test_discard_drops_only_the_named_pair(self):
-        tracer = self._tracer()
-        assert tracer.discard(spans.REQUEST, "r0") == 1
-        assert tracer.discard(spans.REQUEST, "r0") == 0
-        # r0's stage spans and r1's root survive.
-        assert [s.name for s in tracer.spans_for("r0")] == [
-            spans.QUEUED, spans.TOKEN]
-        assert len(tracer.spans_named(spans.REQUEST)) == 1
-
     def test_preemption_mirrors_the_audit_event(self):
         tracer = Tracer()
         event = PreemptionEvent("victim", 3, "urgent", 0, time=1.25)

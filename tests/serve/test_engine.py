@@ -230,10 +230,10 @@ class TestCancellation:
         victim = engine.submit(PROMPTS[0], SamplingParams(max_tokens=16))
         survivor = engine.submit(PROMPTS[1], SamplingParams(max_tokens=8))
         engine.step()  # both admitted and started
-        reserved_before = engine.scheduler.kv_budget.reserved_bytes
+        reserved_before = engine.scheduler.kv.budget.reserved_bytes
         assert engine.cancel(victim) is True
         assert victim.state.value == "cancelled"
-        assert engine.scheduler.kv_budget.reserved_bytes < reserved_before
+        assert engine.scheduler.kv.budget.reserved_bytes < reserved_before
         report = engine.run()
         assert report.n_requests == 1
         assert report.requests[0].request_id == survivor.request_id
@@ -291,7 +291,7 @@ class TestAsyncEngine:
         }
         engine = AsyncServingEngine(
             llm, SchedulerConfig(paged=True, block_tokens=8))
-        pool = engine.engine.scheduler.pool
+        pool = engine.engine.scheduler.kv
 
         async def drive():
             victim = asyncio.ensure_future(

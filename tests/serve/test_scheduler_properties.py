@@ -94,8 +94,8 @@ class TrafficHarness:
     # -- invariants ----------------------------------------------------
     def check_kv_invariants(self):
         scheduler = self.scheduler
-        pool = scheduler.pool
-        if pool is not None:
+        pool = scheduler.kv
+        if scheduler.config.paged:
             assert 0 <= pool.n_allocatable <= pool.n_blocks
             assert pool.allocator.blocks_in_use <= pool.n_blocks
             assert 0.0 <= pool.utilization <= 1.0
@@ -109,10 +109,11 @@ class TrafficHarness:
             for block, count in holders.items():
                 assert count <= pool.allocator.refcount(block)
         else:
-            budget = scheduler.kv_budget
+            budget = scheduler.kv.budget
             assert budget.reserved_bytes <= budget.capacity_bytes
             assert budget.reserved_bytes == sum(
-                r.kv_reserved_bytes for r in scheduler.running)
+                scheduler.kv.footprint(r.cache.capacity)
+                for r in scheduler.running)
         assert 0.0 <= scheduler.kv_utilization <= 1.0
 
     # -- one engine cycle ----------------------------------------------
@@ -229,11 +230,11 @@ class TestKVBudgetNeverExceeded:
         # Liveness rides along: every submission finished and, with the
         # field drained, nothing still holds KV capacity.
         assert len(harness.finished) == len(harness.submitted)
-        if harness.scheduler.pool is not None:
+        if harness.scheduler.config.paged:
             for request in harness.submitted:
                 assert not request.block_table
         else:
-            assert harness.scheduler.kv_budget.reserved_bytes == 0
+            assert harness.scheduler.kv.budget.reserved_bytes == 0
 
 
 class TestPreemptionNeverInvertsUrgency:

@@ -117,7 +117,7 @@ class TestRollback:
             llm, suite)
         # Every draft was either committed or rolled back; after draining
         # no request holds blocks.
-        assert engine.scheduler.pool.allocator.blocks_in_use == 0
+        assert engine.scheduler.kv.allocator.blocks_in_use == 0
         assert report.spec_draft_tokens > 0
 
     def test_rejections_truncate_reservation_cache(self, llm):
