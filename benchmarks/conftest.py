@@ -1,10 +1,12 @@
 """Shared fixtures for the benchmark harness.
 
-Every benchmark runs the paper's workload — the stories15M model decoding
-TinyStories-style prompts on the simulated U280 — through the same
-:class:`~repro.core.runner.ExperimentRunner` used by the tests, then
-prints (and saves under ``benchmarks/results/``) the rows/series of the
-corresponding paper figure.
+The ablation and cost-efficiency sweeps (``bench_*.py``; they need the
+``bench`` extra's pytest-benchmark) run the paper's workload — the
+stories15M model decoding TinyStories-style prompts on the simulated
+U280 — through the same :class:`~repro.core.runner.ExperimentRunner` used
+by the tests, then print (and save under ``benchmarks/results/``) their
+rows.  The Fig. 2 tables themselves are ``speedllm bench``'s, and the
+performance benchmark is ``benchmarks/perf/``.
 
 Cycle-accurate simulation of every decode position would make the harness
 slow, so the benchmarks use ``position_stride=16`` (documented accuracy:

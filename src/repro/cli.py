@@ -1,39 +1,33 @@
 """Command-line interface of the SpeedLLM reproduction.
 
-The subcommands cover the everyday workflows:
+This module parses arguments, maps them onto an
+:class:`~repro.api.EngineConfig` / :class:`~repro.cluster.ClusterConfig`,
+calls one library function and prints what it returns; what each
+benchmark serves, against which twin, and what its JSON carries is
+:mod:`repro.bench`'s.  The subcommands:
 
 * ``generate``  — run one text generation on the simulated accelerator
   and print the completion plus the latency/throughput/energy metrics;
 * ``bench``     — run the Fig. 2 experiment (all design variants on one
   workload) and print the normalized-latency and energy tables;
-* ``serve-bench`` — serve a suite of concurrent requests through the
-  continuous-batching :class:`~repro.serve.ServingEngine` (assembled
-  from a declarative :class:`~repro.api.EngineConfig`, submitted through
-  the OpenAI-style completions layer) and compare aggregate throughput
-  against the sequential one-shot baseline; with ``--speculative
-  {ngram,draft}`` the same suite is also served speculation-off for an
-  honest speculative speedup, and ``--check`` asserts token identity
-  between the two; with ``--replicas N`` (or ``--disaggregate`` /
-  ``--autoscale``) the suite is served through the
-  :class:`~repro.cluster.ClusterEngine` — N routed engine replicas
-  (``--route {rr,least-loaded,affinity}``), optionally split into
-  prefill/decode pools or autoscaled against queue depth — and
-  ``--check`` asserts every routed request matches a single engine;
-  with ``--quant int8|int4`` the same suite is also served on a
-  full-precision twin for an accuracy-vs-speed report (tokens/s side
-  by side, HBM bytes saved, teacher-forced greedy agreement and logit
-  drift, perplexity), and ``--check`` gates on the agreement floor;
+* ``serve-bench`` — :func:`repro.bench.serve_bench`: a suite of
+  concurrent requests through the continuous-batching engine vs
+  sequential generation, vs the plain twin when speculation / chunked
+  prefill / a policy is on, vs the fp32 twin with ``--quant``;
+  ``--replicas N`` (or ``--disaggregate`` / ``--autoscale``) serves it
+  through :func:`repro.bench.cluster_bench` instead; ``--check`` exits
+  non-zero unless every token stream matches the twin's; ``--bench-out``
+  writes the :func:`repro.bench.bench_matrix` report;
+* ``trace``     — serve a suite with the tracer on and write (or, with
+  ``--validate``, check) a Perfetto-loadable Chrome-trace timeline;
 * ``quantize`` — convert a checkpoint (a preset's synthetic weights or
   a llama2.c ``.bin``) into a ``.slq`` quantised sidecar file holding
   packed INT8/INT4 payloads plus per-group scales, and verify the
   sidecar round-trips;
-* ``compile-bench`` — compare fixed vs autotuned tiling on the
-  long-context suite (single-stream, same context bucketing on both
-  sides, token identity asserted), then re-serve warm to measure the
-  wall-clock stepping speedup and steady-state hit rate the
-  shape-bucketed compile cache buys; ``--min-speedup`` and
-  ``--min-hit-rate`` turn the two headline numbers into exit-code
-  assertions CI can gate on;
+* ``compile-bench`` — :func:`repro.bench.compile_bench`: fixed vs
+  autotuned tiling on the long-context suite, then a warm re-serve;
+  ``--min-speedup`` and ``--min-hit-rate`` turn the two headline numbers
+  into exit-code assertions CI can gate on;
 * ``serve-api`` — the frontend-API demo: run OpenAI-style completions
   (streamed chunk-by-chunk by default) through the engine, optionally
   asserting that the reassembled stream matches the non-streamed result;
@@ -50,9 +44,11 @@ for how a request travels through the stack each command exercises.
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 from typing import Optional, Sequence
 
+from . import bench
 from .accel.variants import PAPER_VARIANTS
 from .api import (CompletionRequest, CompletionService, EngineConfig,
                   SamplingParams, SpecConfig)
@@ -65,9 +61,7 @@ from .graph.builder import build_decode_graph
 from .graph.export import to_dot, to_json
 from .graph.fusion import fuse_graph
 from .llama.config import available_presets, preset
-from .workloads.prompts import (default_suite, long_context_suite,
-                                mixed_chat_suite, repetitive_suite,
-                                shared_prefix_suite)
+from .workloads.prompts import default_suite
 
 __all__ = ["main", "build_parser"]
 
@@ -185,21 +179,20 @@ def _add_trace_options(parser: argparse.ArgumentParser) -> None:
                              "each step span")
 
 
-def _obs_sinks(args: argparse.Namespace):
-    """(tracer, registry) the output flags ask for (None = free no-op)."""
+def _obs_sinks(trace_out: Optional[str], metrics_out: Optional[str]):
+    """(tracer, registry) the output paths ask for (None = free no-op)."""
     from .obs import MetricsRegistry, Tracer
-    tracer = Tracer() if getattr(args, "trace_out", None) else None
-    registry = (MetricsRegistry() if getattr(args, "metrics_out", None)
-                else None)
-    return tracer, registry
+    return (Tracer() if trace_out else None,
+            MetricsRegistry() if metrics_out else None)
 
 
-def _write_obs_outputs(args: argparse.Namespace, tracer, registry,
-                       report, meta: dict) -> int:
-    """Write --trace-out / --metrics-out artifacts; count of problems."""
+def _write_obs_outputs(trace_out: Optional[str], metrics_out: Optional[str],
+                       tracer, registry, report, meta: dict,
+                       json_on_stdout: bool = False) -> list:
+    """Write the trace / metrics artifacts; the trace's problems."""
     problems = []
     # Keep stdout clean when the report itself streams there (--json -).
-    out = sys.stderr if getattr(args, "json", None) == "-" else sys.stdout
+    out = sys.stderr if json_on_stdout else sys.stdout
     if tracer is not None:
         from .obs import (build_chrome_trace, validate_chrome_trace,
                           write_chrome_trace)
@@ -208,16 +201,26 @@ def _write_obs_outputs(args: argparse.Namespace, tracer, registry,
         problems = validate_chrome_trace(payload)
         for problem in problems:
             print(f"TRACE INVALID: {problem}", file=sys.stderr)
-        write_chrome_trace(args.trace_out, payload)
-        print(f"trace written to {args.trace_out} "
+        write_chrome_trace(trace_out, payload)
+        print(f"trace written to {trace_out} "
               f"({payload['otherData']['n_spans']} spans over "
               f"{len(payload['otherData']['tracks'])} tracks; open in "
               "Perfetto or chrome://tracing)", file=out)
     if registry is not None:
-        with open(args.metrics_out, "w", encoding="utf-8") as fh:
+        with open(metrics_out, "w", encoding="utf-8") as fh:
             fh.write(registry.render())
-        print(f"metrics written to {args.metrics_out}", file=out)
-    return len(problems)
+        print(f"metrics written to {metrics_out}", file=out)
+    return problems
+
+
+def _json_to_stdout(payload) -> None:
+    """``--json -``: the payload is the command's whole stdout."""
+    print(json.dumps(payload, indent=2, sort_keys=True, default=str))
+
+
+def _json_to_file(path: str, payload, what: str = "results") -> None:
+    write_json(path, payload)
+    print(f"{what} written to {path}")
 
 
 def _spec_config(args: argparse.Namespace) -> Optional[SpecConfig]:
@@ -612,143 +615,8 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     print(render_bar_chart({v: 1.0 / n for v, n in normalized.items()}, unit="x"))
     print(f"\nheadline speedup: {runner.headline_speedup():.2f}x (paper: up to 4.8x)")
     if args.json:
-        write_json(args.json, rows)
-        print(f"rows written to {args.json}")
+        _json_to_file(args.json, rows, what="rows")
     return 0
-
-
-def _serve_suite(config: EngineConfig, llm, workloads, ignore_eos: bool,
-                 arrivals=None, tracer=None, metrics=None):
-    """Serve one workload suite through the completions layer; report."""
-    engine = config.build_engine(llm=llm, tracer=tracer, metrics=metrics)
-    service = CompletionService(engine)
-    workloads = list(workloads)
-    if arrivals is None:
-        arrivals = (config.arrival_times(len(workloads))
-                    or [None] * len(workloads))
-    pending = [
-        service.submit(
-            CompletionRequest(prompt=workload.prompt,
-                              max_tokens=workload.max_new_tokens,
-                              ignore_eos=ignore_eos,
-                              priority=getattr(workload, "priority", 0)),
-            arrival_time=arrival,
-        )
-        for workload, arrival in zip(workloads, arrivals)
-    ]
-    report = engine.run()
-    return engine, report, [p.response() for p in pending]
-
-
-def _staggered_mixed_arrivals(config: EngineConfig, llm, suite,
-                              ignore_eos: bool):
-    """Arrival schedule that lands document prefills mid-chat-decode.
-
-    The inter-token stall chunked prefill prevents only exists when a
-    long prompt arrives while short requests are streaming; with every
-    arrival at t=0 the engine simply prefills everything first.  A probe
-    run on the plain twin calibrates the mean step time, then chats
-    arrive at t=0 and each document a few (simulated) steps into the
-    chats' decode.  Returns ``(workloads, arrivals)`` sorted by arrival
-    so FIFO admission order equals arrival order.
-    """
-    _, probe, _ = _serve_suite(_baseline_config(config), llm, suite,
-                               ignore_eos)
-    step_s = probe.makespan_seconds / max(1, probe.n_steps)
-    timed = []
-    n_docs = 0
-    for workload in suite:
-        if getattr(workload, "priority", 0) > 0:
-            timed.append((workload, (6 + 5 * n_docs) * step_s))
-            n_docs += 1
-        else:
-            timed.append((workload, 0.0))
-    timed.sort(key=lambda pair: pair[1])
-    return [w for w, _ in timed], [t for _, t in timed]
-
-
-def _quant_accuracy_speed(config: EngineConfig, llm, report, workloads,
-                          completions, args: argparse.Namespace, arrivals):
-    """Serve the identical suite on a full-precision twin; compare.
-
-    The twin shares every serving knob but runs the fp32 datapath
-    (``quant="fp32"``, its own weights — quantisation changes *values*,
-    unlike scheduling features, so token identity is not expected).  The
-    comparison reports speed (tokens/s side by side, HBM bytes streamed,
-    bytes saved) against accuracy (teacher-forced greedy agreement and
-    logit drift, perplexity on the fp32 twin's own greedy continuations,
-    free-decode prefix agreement).  Returns ``(comparison_dict,
-    failures)`` where failures gate ``--check``.
-    """
-    import dataclasses as _dc
-
-    from .llama.evaluate import divergence_report, perplexity
-    from .llama.model import LlamaModel
-
-    fp32_config = _dc.replace(config, quant="fp32", quant_kv=False,
-                              fp32_logits=False)
-    fp32_llm = fp32_config.build_llm()
-    _, fp32_report, fp32_completions = _serve_suite(
-        fp32_config, fp32_llm, workloads, args.ignore_eos, arrivals=arrivals)
-
-    # Teacher-forced comparison on the fp32 twin's greedy continuations:
-    # both models consume the same ground-truth token each position, so
-    # one early disagreement cannot cascade the way free decoding does.
-    quant_model = LlamaModel(llm.accelerator.functional_checkpoint())
-    fp32_model = LlamaModel(fp32_llm.accelerator.functional_checkpoint())
-    sequences = []
-    for workload, completion in list(zip(workloads, fp32_completions))[:4]:
-        tokens = (fp32_llm.tokenizer.encode(workload.prompt, bos=True,
-                                            eos=False)
-                  + list(completion.choices[0].token_ids))
-        if len(tokens) >= 2:
-            sequences.append(tokens[:48])
-    drift = divergence_report(quant_model, fp32_model, sequences)
-
-    # Free-decode prefix agreement: how far each served stream tracks
-    # the fp32 twin before the first divergence (cascades after that).
-    prefixes = []
-    for quant_c, fp32_c in zip(completions, fp32_completions):
-        quant_t = list(quant_c.choices[0].token_ids)
-        fp32_t = list(fp32_c.choices[0].token_ids)
-        n = min(len(quant_t), len(fp32_t))
-        if n == 0:
-            continue
-        match = 0
-        for a, b in zip(quant_t, fp32_t):
-            if a != b:
-                break
-            match += 1
-        prefixes.append(match / n)
-
-    fp32_tps = fp32_report.throughput_tokens_per_second
-    quant_tps = report.throughput_tokens_per_second
-    comparison = {
-        "quant": report.quant,
-        "fp32_throughput_tokens_per_second": fp32_tps,
-        "quant_throughput_tokens_per_second": quant_tps,
-        "quant_speedup": quant_tps / fp32_tps if fp32_tps > 0 else 0.0,
-        "fp32_hbm_bytes": fp32_report.counters.hbm_bytes,
-        "quant_hbm_bytes": report.counters.hbm_bytes,
-        "quant_bytes_saved": report.quant_bytes_saved,
-        "quant_saved_fraction": report.quant_saved_fraction,
-        "dequant_overhead_fraction": report.dequant_overhead_fraction,
-        "teacher_forced": drift.as_dict(),
-        "greedy_prefix_agreement": (sum(prefixes) / len(prefixes)
-                                    if prefixes else 0.0),
-        "perplexity_quant": perplexity(quant_model, sequences),
-        "perplexity_fp32": perplexity(fp32_model, sequences),
-    }
-    failures = []
-    if args.check:
-        if drift.token_agreement < args.min_agreement:
-            failures.append(
-                f"teacher-forced token agreement "
-                f"{drift.token_agreement:.3f} below the required "
-                f"{args.min_agreement:.2f}")
-        if report.quant_bytes_saved <= 0:
-            failures.append("quantised run reported no HBM bytes saved")
-    return comparison, failures
 
 
 def _print_quant_comparison(comparison: dict) -> None:
@@ -777,37 +645,18 @@ def _print_quant_comparison(comparison: dict) -> None:
           f"quant vs {comparison['perplexity_fp32']:.3f} fp32")
 
 
-def _baseline_config(config: EngineConfig) -> EngineConfig:
-    """The plain twin a served run is checked/compared against.
-
-    Same model, KV memory and backend — but no speculation, monolithic
-    prefill and strict-FIFO admission, so it isolates exactly the
-    features under test.  Greedy token streams must be identical.
-    """
-    import dataclasses as _dc
-    return _dc.replace(config, speculative=None, chunked_prefill=False,
-                       prefill_chunk_tokens=None, policy="fifo")
-
-
 def _serve_bench_suite(args: argparse.Namespace):
     """The workload suite the serve-bench flags select."""
-    if args.shared_prefix:
-        return shared_prefix_suite(n_prompts=args.requests,
-                                   max_new_tokens=args.tokens,
-                                   seed=args.seed,
-                                   n_groups=getattr(args, "prefix_groups", 1))
-    if args.repetitive:
-        return repetitive_suite(n_prompts=args.requests,
-                                max_new_tokens=args.tokens,
-                                seed=args.seed,
-                                adversarial=args.adversarial)
-    if args.mixed:
-        return mixed_chat_suite(n_chats=args.requests,
-                                n_documents=max(1, args.requests // 3),
-                                chat_new_tokens=args.tokens,
-                                seed=args.seed)
-    return default_suite(n_prompts=args.requests,
-                         max_new_tokens=args.tokens, seed=args.seed)
+    kind = ("shared-prefix" if args.shared_prefix
+            else "repetitive" if args.repetitive
+            else "mixed" if args.mixed else "default")
+    return bench.select_suite(kind, args.requests, args.tokens, args.seed,
+                              prefix_groups=args.prefix_groups,
+                              adversarial=args.adversarial)
+
+
+def _check_verdict(mismatches: list) -> str:
+    return "PASS" if not mismatches else f"{len(mismatches)} MISMATCHES"
 
 
 def _cmd_serve_bench(args: argparse.Namespace) -> int:
@@ -816,104 +665,27 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
     if args.replicas != 1 or args.disaggregate or args.autoscale:
         return _cmd_cluster_bench(args)
     config = _engine_config(args)
-    llm = config.build_llm()
     suite = _serve_bench_suite(args)
-
-    workloads = list(suite)
-    arrivals = None
-    if args.mixed and args.arrival_rate is None:
-        workloads, arrivals = _staggered_mixed_arrivals(
-            config, llm, suite, args.ignore_eos)
-
-    # Sequential baseline: one SpeedLLM.generate call per request.
-    sequential = [llm.generate(w.prompt, max_new_tokens=w.max_new_tokens)
-                  for w in workloads]
-    seq_seconds = sum(out.metrics.total_seconds for out in sequential)
-    seq_tokens = sum(len(out.generated_tokens) for out in sequential)
-    seq_throughput = seq_tokens / seq_seconds if seq_seconds > 0 else 0.0
-
-    # The served run goes through the frontend API end to end: one
-    # declarative EngineConfig assembles scheduler + KV pool + backend,
-    # and requests enter through the OpenAI-style completions layer.
-    # Only this featured run carries the observability sinks — the
-    # baseline/probe twins below stay untraced.
-    tracer, registry = _obs_sinks(args)
-    engine, report, completions = _serve_suite(
-        config, llm, workloads, args.ignore_eos, arrivals=arrivals,
+    tracer, registry = _obs_sinks(args.trace_out, args.metrics_out)
+    result = bench.serve_bench(
+        config, suite, ignore_eos=args.ignore_eos,
+        stagger_mixed=args.mixed and args.arrival_rate is None,
+        check=args.check, min_agreement=args.min_agreement,
         tracer=tracer, metrics=registry)
-
-    # When any feature under test is on (speculation, chunked prefill, a
-    # non-FIFO policy), also serve the identical suite on the plain twin:
-    # its serving throughput is the honest baseline the feature speedup
-    # is measured against (the sequential baseline already includes the
-    # continuous-batching win), and --check asserts the features never
-    # changed what any request generated.
-    plain_config = _baseline_config(config)
-    plain_report = None
-    check_failures = 0
-    if plain_config != config or args.check:
-        _, plain_report, plain_completions = _serve_suite(
-            plain_config, llm, workloads, args.ignore_eos, arrivals=arrivals)
-        if args.check:
-            # Both runs serve the suite in submission order, so compare
-            # request by request (duplicate prompts must not collapse).
-            for workload, feat_c, plain_c in zip(
-                workloads, completions, plain_completions
-            ):
-                if (list(feat_c.choices[0].token_ids)
-                        != list(plain_c.choices[0].token_ids)):
-                    check_failures += 1
-                    print(f"MISMATCH on {workload.prompt[:40]!r}...: "
-                          "featured and baseline greedy token streams "
-                          "differ", file=sys.stderr)
-
-    # With --quant on the main config, also serve the identical suite on
-    # the full-precision twin and report accuracy vs speed.
-    quant_comparison = None
-    if config.quant_config() is not None:
-        quant_comparison, quant_failures = _quant_accuracy_speed(
-            config, llm, report, workloads, completions, args, arrivals)
-        for failure in quant_failures:
-            check_failures += 1
-            print(f"QUANT CHECK FAIL: {failure}", file=sys.stderr)
-
-    aggregate = report.as_dict()
-    speedup = (report.throughput_tokens_per_second / seq_throughput
-               if seq_throughput > 0 else 0.0)
-    if quant_comparison is not None:
-        aggregate["quant_comparison"] = quant_comparison
-    aggregate["sequential_throughput_tokens_per_second"] = seq_throughput
-    aggregate["speedup"] = speedup
-    aggregate["backend"] = engine.backend.describe()
-    if plain_report is not None:
-        plain_tps = plain_report.throughput_tokens_per_second
-        aggregate["plain_throughput_tokens_per_second"] = plain_tps
-        if config.speculative is not None:
-            aggregate["speculative_speedup"] = (
-                report.throughput_tokens_per_second / plain_tps
-                if plain_tps > 0 else 0.0)
-        baseline_itl_p95 = plain_report.itl_summary().p95
-        featured_itl_p95 = report.itl_summary().p95
-        aggregate["baseline_itl_p95_ms"] = baseline_itl_p95 * 1e3
-        aggregate["itl_p95_reduction"] = (
-            1.0 - featured_itl_p95 / baseline_itl_p95
-            if baseline_itl_p95 > 0 else 0.0)
-        if args.check:
-            aggregate["token_identity_check"] = (
-                "pass" if check_failures == 0 else "fail")
-    payload = {
-        "requests": report.request_rows(),
-        "completions": [c.as_dict() for c in completions],
-        "aggregate": aggregate,
-    }
-    check_failures += _write_obs_outputs(
-        args, tracer, registry, report,
+    report, aggregate = result.report, result.aggregate
+    for mismatch in result.mismatches:
+        print(mismatch, file=sys.stderr)
+    for failure in result.quant_failures:
+        print(f"QUANT CHECK FAIL: {failure}", file=sys.stderr)
+    trace_problems = _write_obs_outputs(
+        args.trace_out, args.metrics_out, tracer, registry, report,
         meta={"command": "serve-bench", "model": args.model,
-              "n_requests": len(workloads)})
+              "n_requests": len(suite)},
+        json_on_stdout=args.json == "-")
+    code = 1 if result.failures or trace_problems else 0
     if args.json == "-":
-        import json as _json
-        print(_json.dumps(payload, indent=2, sort_keys=True, default=str))
-        return 1 if check_failures else 0
+        _json_to_stdout(result.payload)
+        return code
 
     print(format_table(report.request_rows()))
     print()
@@ -967,7 +739,7 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
               f"({report.spec_accepted_tokens} of "
               f"{report.spec_draft_tokens} draft tokens)")
         print(f"tokens per decode turn {report.tokens_per_decode_step:.2f}")
-    if plain_report is not None:
+    if result.plain_report is not None:
         print(f"baseline throughput    "
               f"{aggregate['plain_throughput_tokens_per_second']:.1f} "
               f"tokens/s (no spec, unchunked, fifo)")
@@ -977,21 +749,22 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
         print(f"baseline itl p95       "
               f"{aggregate['baseline_itl_p95_ms']:.3f} ms "
               f"({aggregate['itl_p95_reduction']:+.1%} reduction)")
-    if quant_comparison is not None:
-        _print_quant_comparison(quant_comparison)
+    if result.quant_comparison is not None:
+        _print_quant_comparison(result.quant_comparison)
     if args.check:
-        verdict = ("PASS" if check_failures == 0
-                   else f"{check_failures} MISMATCHES")
-        print(f"token identity check   {verdict}")
+        print(f"token identity check   {_check_verdict(result.mismatches)}")
+        if result.quant_comparison is not None:
+            print(f"quant check            "
+                  f"{'FAIL' if result.quant_failures else 'PASS'}")
     if args.compile_stats:
-        _print_compile_stats(engine.backend.compiler.stats())
-    print(f"sequential throughput  {seq_throughput:.1f} tokens/s")
+        _print_compile_stats(result.engine.backend.compiler.stats())
+    print(f"sequential throughput  "
+          f"{result.sequential_throughput:.1f} tokens/s")
     print(f"batched throughput     {report.throughput_tokens_per_second:.1f} tokens/s")
-    print(f"continuous-batching speedup: {speedup:.2f}x")
+    print(f"continuous-batching speedup: {aggregate['speedup']:.2f}x")
     if args.json:
-        write_json(args.json, payload)
-        print(f"results written to {args.json}")
-    return 1 if check_failures else 0
+        _json_to_file(args.json, result.payload)
+    return code
 
 
 def _print_compile_stats(stats) -> None:
@@ -1017,62 +790,27 @@ def _print_compile_stats(stats) -> None:
 
 
 def _cmd_cluster_bench(args: argparse.Namespace) -> int:
-    """Serve the suite through a replica cluster; report pooled metrics.
-
-    ``--check`` re-serves the identical suite on a *single* engine built
-    from the same :class:`~repro.api.EngineConfig` and fails unless every
-    request's token stream is byte-identical — routing, disaggregated KV
-    handoff and autoscaling decide where and when a request runs, never
-    what it generates.
-    """
-    engine_config = _engine_config(args)
-    cluster_config = _cluster_config(args, engine_config)
-    llm = engine_config.build_llm()
-    workloads = list(_serve_bench_suite(args))
-    arrivals = engine_config.arrival_times(len(workloads)) or None
-    params = SamplingParams(ignore_eos=args.ignore_eos)
-
-    tracer, registry = _obs_sinks(args)
-    cluster = cluster_config.build_cluster(llm=llm, tracer=tracer,
-                                           metrics=registry)
-    report = cluster.serve(workloads, params, arrivals=arrivals)
-    streams = cluster.streams()
-
-    check_failures = 0
-    if args.check:
-        single = engine_config.build_engine(llm=llm)
-        import dataclasses as _dc
-        handles = [
-            single.submit(
-                workload.prompt,
-                _dc.replace(params, max_tokens=workload.max_new_tokens,
-                            priority=getattr(workload, "priority", 0)),
-                arrival_time=arrivals[i] if arrivals else None,
-            )
-            for i, workload in enumerate(workloads)
-        ]
-        single.run()
-        for workload, cluster_tokens, handle in zip(workloads, streams,
-                                                    handles):
-            if list(cluster_tokens) != list(handle.request.generated_tokens):
-                check_failures += 1
-                print(f"MISMATCH on {workload.prompt[:40]!r}...: cluster "
-                      "and single-engine token streams differ",
-                      file=sys.stderr)
-
-    payload = report.as_dict()
-    payload["token_identity_check"] = (
-        ("pass" if check_failures == 0 else "fail") if args.check else None)
-    check_failures += _write_obs_outputs(
-        args, tracer, registry, report.pooled,
+    """``serve-bench --replicas N``: the suite through a replica cluster."""
+    cluster_config = _cluster_config(args, _engine_config(args))
+    suite = _serve_bench_suite(args)
+    tracer, registry = _obs_sinks(args.trace_out, args.metrics_out)
+    result = bench.cluster_bench(
+        cluster_config, suite, ignore_eos=args.ignore_eos, check=args.check,
+        tracer=tracer, metrics=registry)
+    report = result.report
+    for mismatch in result.mismatches:
+        print(mismatch, file=sys.stderr)
+    trace_problems = _write_obs_outputs(
+        args.trace_out, args.metrics_out, tracer, registry, report.pooled,
         meta={"command": "serve-bench", "model": args.model,
-              "n_requests": len(workloads),
+              "n_requests": len(suite),
               "n_replicas": cluster_config.n_replicas,
-              "disaggregated": cluster_config.disaggregate})
+              "disaggregated": cluster_config.disaggregate},
+        json_on_stdout=args.json == "-")
+    code = 1 if result.mismatches or trace_problems else 0
     if args.json == "-":
-        import json as _json
-        print(_json.dumps(payload, indent=2, sort_keys=True, default=str))
-        return 1 if check_failures else 0
+        _json_to_stdout(result.payload)
+        return code
 
     print(format_table([s.as_dict() for s in report.replicas],
                        columns=["replica", "pool", "n_requests", "n_steps",
@@ -1109,371 +847,79 @@ def _cmd_cluster_bench(args: argparse.Namespace) -> int:
                   f"{event['replica']} at t={event['time'] * 1e3:.3f} ms "
                   f"(queued={event['queued']})")
     if args.check:
-        verdict = ("PASS" if check_failures == 0
-                   else f"{check_failures} MISMATCHES")
-        print(f"token identity check   {verdict}")
+        print(f"token identity check   {_check_verdict(result.mismatches)}")
     print(f"cluster makespan       {report.makespan_seconds * 1e3:.3f} ms")
     print(f"pooled throughput      "
           f"{report.throughput_tokens_per_second:.1f} tokens/s")
     if args.json:
-        write_json(args.json, payload)
-        print(f"results written to {args.json}")
-    return 1 if check_failures else 0
-
-
-#: The serving-config matrix ``serve-bench --bench-out`` sweeps on the
-#: mixed chat/document workload.  Each entry overrides the CLI-derived
-#: base config; the first is the plain baseline everything else is read
-#: against.
-_BENCH_MATRIX = (
-    ("fifo-unchunked", {"policy": "fifo", "chunked_prefill": False,
-                        "prefill_chunk_tokens": None, "speculative": None}),
-    ("fifo-chunked", {"policy": "fifo", "chunked_prefill": True}),
-    ("priority-chunked", {"policy": "priority", "chunked_prefill": True}),
-    ("fairness-chunked", {"policy": "fairness", "chunked_prefill": True}),
-    ("paged-priority-chunked", {"paged": True, "policy": "priority",
-                                "chunked_prefill": True}),
-    ("spec-ngram-fifo", {"policy": "fifo", "chunked_prefill": False,
-                         "prefill_chunk_tokens": None,
-                         "speculative": SpecConfig(method="ngram")}),
-)
-
-#: Quantisation rows of the benchmark report: datapath precision sweeps
-#: served on the same workload.  Unlike the serving matrix these cannot
-#: share the base llm — quantisation changes the weights themselves — so
-#: each row builds its own model/accelerator stack.  All three rows run
-#: on a fixed 2-channel HBM platform (bytes-bound, the regime weight
-#: streaming dominates and quantisation pays off) so the row-to-row
-#: comparison isolates datapath precision.
-_QUANT_BENCH_ROWS = (
-    ("quant-fp32", {"quant": "fp32", "hbm_channels": 2}),
-    ("quant-int8", {"quant": "int8", "quant_kv": True, "hbm_channels": 2}),
-    ("quant-int4", {"quant": "int4", "quant_kv": True, "hbm_channels": 2}),
-)
-
-#: Version tag of the benchmark report schema ``--bench-out`` writes.
-BENCH_SCHEMA = "BENCH_v1"
-
-
-def _cluster_bench_matrix(base: EngineConfig):
-    """The cluster rows the benchmark report carries beside the matrix.
-
-    Two fixed scenarios, sized so their headline claims are meaningful:
-
-    * **scaling** — the mixed chat/document workload on one replica vs
-      four least-loaded replicas (data-parallel scale-out; four replicas
-      must clearly beat one);
-    * **affinity** — a multi-tenant shared-prefix workload (8 preamble
-      groups) on four replicas under round-robin vs sticky prefix
-      affinity; a small per-replica admission window sequences each
-      group's members so co-location turns into measured prefix hits.
-
-    Sizes are fixed rather than CLI-derived so a committed BENCH_v1.json
-    regenerates bit-for-bit regardless of the smoke-test's ``--requests``.
-    """
-    import dataclasses as _dc
-    scaling_engine = _dc.replace(
-        base, paged=True, max_batch_tokens=16, max_running=16,
-        chunked_prefill=False, prefill_chunk_tokens=None, policy="fifo",
-        speculative=None, arrival_policy="immediate", arrival_rate=None,
-        burst_rate=None)
-    affinity_engine = _dc.replace(scaling_engine, max_running=2)
-    scaling_suite = list(mixed_chat_suite(n_chats=48, n_documents=16,
-                                          seed=23))
-    affinity_suite = list(shared_prefix_suite(
-        n_prompts=32, n_groups=8, system_words=96, tail_words=3,
-        max_new_tokens=16, seed=13))
-    params = SamplingParams(ignore_eos=True)
-    return (
-        ("cluster-1-least-loaded",
-         ClusterConfig(engine=scaling_engine, n_replicas=1,
-                       route="least-loaded"),
-         scaling_suite, params),
-        ("cluster-4-least-loaded",
-         ClusterConfig(engine=scaling_engine, n_replicas=4,
-                       route="least-loaded"),
-         scaling_suite, params),
-        ("cluster-4-rr-prefix",
-         ClusterConfig(engine=affinity_engine, n_replicas=4, route="rr"),
-         affinity_suite, params),
-        ("cluster-4-affinity-prefix",
-         ClusterConfig(engine=affinity_engine, n_replicas=4,
-                       route="affinity"),
-         affinity_suite, params),
-    )
+        _json_to_file(args.json, result.payload)
+    return code
 
 
 def _cmd_bench_matrix(args: argparse.Namespace) -> int:
-    """Serve the mixed workload under every matrix config; write JSON.
-
-    The report is versioned (:data:`BENCH_SCHEMA`) and fully simulated —
-    latencies are engine-clock seconds — so the same command on the same
-    seed reproduces it bit-for-bit, and CI can regenerate and upload it.
-    """
-    import dataclasses as _dc
-
+    """``serve-bench --bench-out``: write the BENCH_v1 config matrix."""
     # The base config is the plain baseline; feature flags the user set
     # (--chunked-prefill, --policy, --speculative) are irrelevant here —
     # the matrix itself decides which features each entry turns on.
-    plain_args = argparse.Namespace(**vars(args))
-    plain_args.chunked_prefill = False
-    plain_args.prefill_chunk_tokens = None
-    plain_args.policy = "fifo"
-    plain_args.speculative = None
-    base = _engine_config(plain_args)
-    llm = base.build_llm()
-    suite = mixed_chat_suite(n_chats=args.requests,
-                             n_documents=max(1, args.requests // 3),
-                             chat_new_tokens=args.tokens,
-                             document_new_tokens=max(4, args.tokens // 4),
-                             seed=args.seed)
-    # One arrival schedule, shared by every config, with document
-    # prefills landing mid-chat-decode (the regime the matrix compares).
-    workloads, arrivals = _staggered_mixed_arrivals(
-        base, llm, suite, args.ignore_eos)
-    configs = {}
-    for name, overrides in _BENCH_MATRIX:
-        if overrides.get("chunked_prefill") and args.prefill_chunk_tokens:
-            overrides = {**overrides,
-                         "prefill_chunk_tokens": args.prefill_chunk_tokens}
-        config = _dc.replace(base, **overrides)
-        _, report, _ = _serve_suite(config, llm, workloads, args.ignore_eos,
-                                    arrivals=arrivals)
-        entry = report.as_dict()
-        configs[name] = entry
-        print(f"{name:24s} {report.throughput_tokens_per_second:8.1f} tok/s"
-              f"  itl p95 {entry['itl_p95_ms']:.3f} ms"
-              f"  kv util {report.mean_kv_utilization:.1%}"
-              f"  accept {report.acceptance_rate:.1%}")
-    # Quantisation rows: precision sweep on its own stacks (quantised
-    # weights differ by value, so the shared llm cannot be reused).
-    fp32_tps = None
-    for name, overrides in _QUANT_BENCH_ROWS:
-        quant_config = _dc.replace(base, **overrides)
-        quant_llm = quant_config.build_llm()
-        _, quant_report, _ = _serve_suite(
-            quant_config, quant_llm, workloads, args.ignore_eos,
-            arrivals=arrivals)
-        entry = quant_report.as_dict()
-        configs[name] = entry
-        tps = quant_report.throughput_tokens_per_second
-        if name == "quant-fp32":
-            fp32_tps = tps
-        speedup = (f"  vs fp32 {tps / fp32_tps:.2f}x"
-                   if fp32_tps and name != "quant-fp32" else "")
-        print(f"{name:24s} {tps:8.1f} tok/s"
-              f"  hbm bytes {quant_report.counters.hbm_bytes}"
-              f"  saved {quant_report.quant_bytes_saved}" + speedup)
-    for name, cluster_config, suite_rows, cluster_params in \
-            _cluster_bench_matrix(base):
-        cluster = cluster_config.build_cluster(llm=llm)
-        creport = cluster.serve(suite_rows, cluster_params)
-        entry = creport.as_dict()
-        configs[name] = entry
-        hits = entry["cluster"]["routing"].get("affinity_hits")
-        print(f"{name:24s} "
-              f"{creport.throughput_tokens_per_second:8.1f} tok/s"
-              f"  replicas {creport.n_replicas}"
-              f"  prefix hits {creport.prefix_hit_rate:.1%}"
-              + (f"  affinity hits {hits}" if hits is not None else ""))
-    # Compilation rows: fixed vs autotuned tiling on the long-context
-    # suite, served single-stream.  Sizes derive from the model's context
-    # window (not the CLI's --requests/--tokens) so the committed report
-    # regenerates identically regardless of the smoke-test's flags.
-    cap = llm.model_config.max_seq_len
-    lc_tokens = min(96, max(8, cap // 2))
-    lc_words = min(48, max(4, cap - lc_tokens - 16))
-    compile_payload, _ = _run_compile_bench(
-        model=args.model, variant=args.variant, requests=4,
-        prompt_words=lc_words, tokens=lc_tokens, seed=37, ctx_bucket=32)
-    for side in ("fixed", "autotuned"):
-        configs[f"long-context-{side}"] = compile_payload.pop(side)
-        tps = configs[f"long-context-{side}"][
-            "throughput_tokens_per_second"]
-        print(f"{'long-context-' + side:24s} {tps:8.1f} tok/s"
-              + ("" if side == "fixed" else
-                 f"  autotuned speedup {compile_payload['speedup']:.2f}x"
-                 f"  steady-state hit rate "
-                 f"{compile_payload['steady_state_hit_rate']:.1%}"))
-    payload = {
-        "schema": BENCH_SCHEMA,
-        "model": llm.model_config.name,
-        "suite": suite.name,
-        "n_requests": len(suite),
-        "seed": args.seed,
-        "max_batch_tokens": base.max_batch_tokens,
-        "configs": configs,
-        "compile": compile_payload,
-    }
-    write_json(args.bench_out, _simulated_only(payload))
-    print(f"benchmark report ({BENCH_SCHEMA}) written to {args.bench_out}")
+    plain_args = argparse.Namespace(**{
+        **vars(args), "chunked_prefill": False, "prefill_chunk_tokens": None,
+        "policy": "fifo", "speculative": None})
+    payload = bench.bench_matrix(
+        _engine_config(plain_args),
+        requests=args.requests, tokens=args.tokens,
+        ignore_eos=args.ignore_eos,
+        prefill_chunk_tokens=args.prefill_chunk_tokens, log=print)
+    write_json(args.bench_out, payload)
+    print(f"benchmark report ({bench.BENCH_SCHEMA}) written to "
+          f"{args.bench_out}")
     return 0
 
 
-def _simulated_only(value):
-    """``value`` without its host wall-clock sections, at any depth.
-
-    Reports keep every host-clock value under one key — ``"host"``
-    (``"wall"`` in COMPILE_BENCH_v1) — so what is left is simulated and
-    regenerates bit-for-bit.
-    """
-    if isinstance(value, dict):
-        return {key: _simulated_only(item) for key, item in value.items()
-                if key not in ("host", "wall")}
-    if isinstance(value, list):
-        return [_simulated_only(item) for item in value]
-    return value
-
-
-def _run_compile_bench(model: str, variant: str, requests: int,
-                       prompt_words: int, tokens: int, seed: int,
-                       ctx_bucket: int, quant=None, quant_kv: bool = False,
-                       quant_group: int = 64):
-    """Fixed vs autotuned tiling on the long-context suite, plus warm reuse.
-
-    Serves the suite single-stream (``max_running=1``) so the comparison
-    isolates per-step program quality from batching effects — folding
-    amortises the MPE fill/drain latency exactly where batch merging
-    cannot.  Both sides use the same context bucketing, so the *only*
-    difference between them is the tiling plan; greedy token streams must
-    be identical.  The autotuned engine is then re-served warm (same
-    model/accelerator stack, hence a hot compile cache) to measure the
-    wall-clock stepping speedup cache reuse buys and the steady-state hit
-    rate.  Returns ``(payload, n_mismatches)``.
-    """
-    import dataclasses as _dc
-    import time as _time
-    suite = long_context_suite(n_prompts=requests, prompt_words=prompt_words,
-                               max_new_tokens=tokens, seed=seed)
-    base = EngineConfig(model=model, variant=variant, seed=seed,
-                        max_running=1, ctx_bucket=ctx_bucket,
-                        quant=quant, quant_kv=quant_kv,
-                        quant_group=quant_group)
-
-    def serve(config: EngineConfig, llm):
-        engine = config.build_engine(llm=llm)
-        service = CompletionService(engine)
-        pending = [
-            service.submit(CompletionRequest(prompt=w.prompt,
-                                             max_tokens=w.max_new_tokens,
-                                             ignore_eos=True))
-            for w in suite
-        ]
-        start = _time.perf_counter()
-        report = engine.run()
-        wall = _time.perf_counter() - start
-        streams = [list(p.response().choices[0].token_ids) for p in pending]
-        return report, engine.backend.compiler.stats(), wall, streams
-
-    fixed_config = base
-    auto_config = _dc.replace(base, autotune=True)
-    fixed_report, _, fixed_wall, fixed_streams = serve(
-        fixed_config, fixed_config.build_llm())
-    auto_llm = auto_config.build_llm()
-    auto_report, auto_stats, cold_wall, auto_streams = serve(
-        auto_config, auto_llm)
-    # Warm re-serve: a fresh engine over the same stack starts with every
-    # steady-state program already cached.
-    warm_report, _, warm_wall, warm_streams = serve(auto_config, auto_llm)
-
-    mismatches = sum(
-        1 for fixed, cold, warm in zip(fixed_streams, auto_streams,
-                                       warm_streams)
-        if fixed != cold or fixed != warm
-    )
-    fixed_tps = fixed_report.throughput_tokens_per_second
-    auto_tps = auto_report.throughput_tokens_per_second
-    autotune = dict(auto_stats.get("autotune", {}))
-    # The search's wall-clock belongs with the other host-clock values.
-    autotune_seconds = autotune.pop("seconds", 0.0)
-    payload = {
-        "schema": "COMPILE_BENCH_v1",
-        "model": model,
-        "variant": variant,
-        "suite": suite.name,
-        "n_requests": len(suite),
-        "prompt_words": prompt_words,
-        "max_new_tokens": tokens,
-        "seed": seed,
-        "ctx_bucket": ctx_bucket,
-        "quant": (base.quant_config().label
-                  if base.quant_config() is not None else quant),
-        "fixed": fixed_report.as_dict(),
-        "autotuned": auto_report.as_dict(),
-        "autotune": autotune,
-        "speedup": auto_tps / fixed_tps if fixed_tps > 0 else 0.0,
-        "cold_hit_rate": auto_report.compile_cache_hit_rate,
-        "steady_state_hit_rate": warm_report.compile_cache_hit_rate,
-        "token_identity": "pass" if mismatches == 0 else "fail",
-        "wall": {
-            "fixed_seconds": fixed_wall,
-            "cold_seconds": cold_wall,
-            "warm_seconds": warm_wall,
-            "warm_vs_cold_speedup": (cold_wall / warm_wall
-                                     if warm_wall > 0 else 0.0),
-            "autotune_seconds": autotune_seconds,
-        },
-    }
-    return payload, mismatches
-
-
 def _cmd_compile_bench(args: argparse.Namespace) -> int:
-    payload, mismatches = _run_compile_bench(
-        model=args.model, variant=args.variant, requests=args.requests,
-        prompt_words=args.prompt_words, tokens=args.tokens, seed=args.seed,
-        ctx_bucket=args.ctx_bucket, quant=args.quant,
-        quant_kv=args.quant_kv, quant_group=args.quant_group)
-    failures = []
-    if mismatches:
-        failures.append(f"{mismatches} request token streams drifted "
-                        "between fixed and autotuned tiling")
-    if payload["speedup"] < args.min_speedup:
-        failures.append(f"autotuned speedup {payload['speedup']:.4f}x below "
-                        f"the required {args.min_speedup:.2f}x")
-    if payload["steady_state_hit_rate"] < args.min_hit_rate:
-        failures.append(
-            f"steady-state hit rate {payload['steady_state_hit_rate']:.1%} "
-            f"below the required {args.min_hit_rate:.0%}")
-    payload["verdict"] = "pass" if not failures else "fail"
-
+    payload = bench.compile_bench(
+        EngineConfig(model=args.model, variant=args.variant, seed=args.seed,
+                     ctx_bucket=args.ctx_bucket, quant=args.quant,
+                     quant_kv=args.quant_kv, quant_group=args.quant_group),
+        requests=args.requests, prompt_words=args.prompt_words,
+        tokens=args.tokens, min_speedup=args.min_speedup,
+        min_hit_rate=args.min_hit_rate)
+    for failure in payload["failures"]:
+        print(f"FAIL: {failure}", file=sys.stderr)
+    code = 1 if payload["failures"] else 0
     if args.json == "-":
-        import json as _json
-        print(_json.dumps(payload, indent=2, sort_keys=True, default=str))
-    else:
-        fixed, auto = payload["fixed"], payload["autotuned"]
-        wall = payload["wall"]
-        print(f"suite                  {payload['suite']} "
-              f"({payload['n_requests']} requests x "
-              f"{payload['max_new_tokens']} tokens, single-stream, "
-              f"ctx bucket {payload['ctx_bucket']})")
-        if payload.get("quant"):
-            print(f"quantisation           {payload['quant']}")
-        print(f"fixed tiling           "
-              f"{fixed['throughput_tokens_per_second']:.1f} tokens/s "
-              f"({fixed['n_steps']} steps)")
-        print(f"autotuned tiling       "
-              f"{auto['throughput_tokens_per_second']:.1f} tokens/s "
-              f"({auto['n_steps']} steps)")
-        print(f"autotuned speedup      {payload['speedup']:.4f}x "
-              f"(required >= {args.min_speedup:.2f}x)")
-        autotune = payload["autotune"]
-        print(f"autotune searches      {autotune.get('searches', 0)} over "
-              f"{autotune.get('search_space', 0)} plans, win ratio "
-              f"{autotune.get('win_ratio', 0.0):.1%}")
-        print(f"cache hit rate         cold {payload['cold_hit_rate']:.1%}, "
-              f"steady-state {payload['steady_state_hit_rate']:.1%} "
-              f"(required >= {args.min_hit_rate:.0%})")
-        print(f"stepping wall clock    cold {wall['cold_seconds']:.2f}s, "
-              f"warm {wall['warm_seconds']:.2f}s "
-              f"({wall['warm_vs_cold_speedup']:.2f}x from cache reuse)")
-        print(f"token identity         "
-              f"{'PASS' if mismatches == 0 else 'FAIL'}")
-        for failure in failures:
-            print(f"FAIL: {failure}", file=sys.stderr)
-        if args.json:
-            write_json(args.json, payload)
-            print(f"results written to {args.json}")
-    return 1 if failures else 0
+        _json_to_stdout(payload)
+        return code
+
+    fixed, auto = payload["fixed"], payload["autotuned"]
+    host = payload["host"]
+    print(f"suite                  {payload['suite']} "
+          f"({payload['n_requests']} requests x "
+          f"{payload['max_new_tokens']} tokens, single-stream, "
+          f"ctx bucket {payload['ctx_bucket']})")
+    if payload.get("quant"):
+        print(f"quantisation           {payload['quant']}")
+    print(f"fixed tiling           "
+          f"{fixed['throughput_tokens_per_second']:.1f} tokens/s "
+          f"({fixed['n_steps']} steps)")
+    print(f"autotuned tiling       "
+          f"{auto['throughput_tokens_per_second']:.1f} tokens/s "
+          f"({auto['n_steps']} steps)")
+    print(f"autotuned speedup      {payload['speedup']:.4f}x "
+          f"(required >= {args.min_speedup:.2f}x)")
+    autotune = payload["autotune"]
+    print(f"autotune searches      {autotune.get('searches', 0)} over "
+          f"{autotune.get('search_space', 0)} plans, win ratio "
+          f"{autotune.get('win_ratio', 0.0):.1%}")
+    print(f"cache hit rate         cold {payload['cold_hit_rate']:.1%}, "
+          f"steady-state {payload['steady_state_hit_rate']:.1%} "
+          f"(required >= {args.min_hit_rate:.0%})")
+    print(f"stepping wall clock    cold {host['cold_seconds']:.2f}s, "
+          f"warm {host['warm_seconds']:.2f}s "
+          f"({host['warm_vs_cold_speedup']:.2f}x from cache reuse)")
+    print(f"token identity         {payload['token_identity'].upper()}")
+    if args.json:
+        _json_to_file(args.json, payload)
+    return code
 
 
 #: Demo prompts of the serve-api walkthrough (used when --prompt absent).
@@ -1579,11 +1025,9 @@ def _cmd_serve_api(args: argparse.Namespace) -> int:
         "aggregate": engine.report().as_dict(),
     }
     if args.json == "-":
-        import json as _json
-        print(_json.dumps(payload, indent=2, sort_keys=True, default=str))
+        _json_to_stdout(payload)
     elif args.json:
-        write_json(args.json, payload)
-        print(f"results written to {args.json}")
+        _json_to_file(args.json, payload)
     return 1 if failures else 0
 
 
@@ -1621,8 +1065,7 @@ def _cmd_quantize(args: argparse.Namespace) -> int:
         **quantized.summary(),
     }
     if args.json == "-":
-        import json as _json
-        print(_json.dumps(summary, indent=2, sort_keys=True, default=str))
+        _json_to_stdout(summary)
         return 0 if roundtrip else 1
     print(f"model                  {summary['model']} "
           f"({summary['tensors']} tensors, "
@@ -1637,8 +1080,7 @@ def _cmd_quantize(args: argparse.Namespace) -> int:
     print(f"reload round-trip      "
           f"{'PASS' if roundtrip else 'FAIL'}")
     if args.json:
-        write_json(args.json, summary)
-        print(f"summary written to {args.json}")
+        _json_to_file(args.json, summary, what="summary")
     return 0 if roundtrip else 1
 
 
@@ -1672,12 +1114,10 @@ def _cmd_export_graph(args: argparse.Namespace) -> int:
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
-    from .obs import (MetricsRegistry, Tracer, build_chrome_trace,
-                      validate_chrome_trace, write_chrome_trace)
     if args.validate:
-        import json as _json
+        from .obs import validate_chrome_trace
         with open(args.validate, "r", encoding="utf-8") as fh:
-            payload = _json.load(fh)
+            payload = json.load(fh)
         problems = validate_chrome_trace(payload)
         for problem in problems:
             print(f"INVALID: {problem}", file=sys.stderr)
@@ -1689,38 +1129,16 @@ def _cmd_trace(args: argparse.Namespace) -> int:
               f"{other.get('n_spans', '?')} spans, "
               f"{len(other.get('requests', {}))} requests)")
         return 0
-    config = _engine_config(args)
-    llm = config.build_llm()
-    if args.mixed:
-        suite = mixed_chat_suite(n_chats=args.requests,
-                                 n_documents=max(1, args.requests // 3),
-                                 chat_new_tokens=args.tokens,
-                                 seed=args.seed)
-    else:
-        suite = default_suite(n_prompts=args.requests,
-                              max_new_tokens=args.tokens, seed=args.seed)
-    tracer = Tracer()
-    registry = MetricsRegistry() if args.metrics_out else None
-    engine = config.build_engine(llm=llm, tracer=tracer, metrics=registry)
-    report = engine.serve(list(suite),
-                          SamplingParams(ignore_eos=args.ignore_eos))
-    payload = build_chrome_trace(
-        tracer, report=report, registry=registry,
+    suite = bench.select_suite("mixed" if args.mixed else "default",
+                               args.requests, args.tokens, args.seed)
+    tracer, registry = _obs_sinks(args.out, args.metrics_out)
+    engine = _engine_config(args).build_engine(tracer=tracer,
+                                               metrics=registry)
+    report = engine.serve(suite, SamplingParams(ignore_eos=args.ignore_eos))
+    problems = _write_obs_outputs(
+        args.out, args.metrics_out, tracer, registry, report,
         meta={"command": "trace", "model": args.model,
               "n_requests": report.n_requests})
-    problems = validate_chrome_trace(payload)
-    for problem in problems:
-        print(f"TRACE INVALID: {problem}", file=sys.stderr)
-    write_chrome_trace(args.out, payload)
-    print(f"trace written to {args.out} "
-          f"({payload['otherData']['n_spans']} spans, "
-          f"{report.n_requests} requests, makespan "
-          f"{report.makespan_seconds * 1e3:.3f} ms; open in Perfetto or "
-          "chrome://tracing)")
-    if registry is not None:
-        with open(args.metrics_out, "w", encoding="utf-8") as fh:
-            fh.write(registry.render())
-        print(f"metrics written to {args.metrics_out}")
     return 1 if problems else 0
 
 

@@ -66,7 +66,7 @@ import asyncio
 import dataclasses
 import itertools
 from typing import (TYPE_CHECKING, AsyncIterator, Callable, Dict, Iterable,
-                    List, Optional)
+                    List, Optional, Sequence)
 
 import numpy as np
 
@@ -155,6 +155,7 @@ class ServingEngine:
         #: here and returns True: another engine continues the request
         #: and reports it, so none is logged here.  None costs nothing.
         self.on_finish: Optional[Callable[[Request], bool]] = None
+        self._submitted: List[Request] = []
         self._completed: List[Request] = []
         #: Sum of every executed step's record: the one place this
         #: engine's counters live.
@@ -195,6 +196,7 @@ class ServingEngine:
             prompt=prompt,
         )
         self.scheduler.submit(request)
+        self._submitted.append(request)
         return RequestHandle(self, request)
 
     # ------------------------------------------------------------------
@@ -680,6 +682,7 @@ class ServingEngine:
         self,
         workloads: Iterable,
         params: Optional[SamplingParams] = None,
+        arrivals: Optional[Sequence[float]] = None,
     ) -> ServeReport:
         """Submit a suite of workloads and drain them.
 
@@ -687,14 +690,23 @@ class ServingEngine:
         attributes (e.g. :class:`repro.workloads.prompts.Workload`).  Each
         workload's decode budget overrides ``params.max_tokens``; a
         workload's ``priority`` attribute, when present and non-default,
-        overrides ``params.priority``.
+        overrides ``params.priority``.  ``arrivals`` supplies per-request
+        arrival times (everything arrives now when omitted).  The
+        signature is :meth:`repro.cluster.ClusterEngine.serve`'s.
         """
         params = params or SamplingParams()
-        for workload in workloads:
+        workloads = list(workloads)
+        if arrivals is not None and len(arrivals) != len(workloads):
+            raise ValueError("arrivals must match the workload count")
+        for i, workload in enumerate(workloads):
             priority = getattr(workload, "priority", 0) or params.priority
-            self.submit(workload.prompt, dataclasses.replace(
-                params, max_tokens=workload.max_new_tokens,
-                priority=priority))
+            self.submit(
+                workload.prompt,
+                dataclasses.replace(params,
+                                    max_tokens=workload.max_new_tokens,
+                                    priority=priority),
+                arrival_time=arrivals[i] if arrivals is not None else None,
+            )
         return self.run()
 
     # ------------------------------------------------------------------
@@ -704,6 +716,14 @@ class ServingEngine:
         """Per-request metrics record (the request must have finished)."""
         request = getattr(request, "request", request)
         return RequestMetrics.from_request(request, self.visible_text(request))
+
+    def results(self) -> List[RequestMetrics]:
+        """Per-request metrics in submission order (run must have drained)."""
+        return [self.result_for(request) for request in self._submitted]
+
+    def streams(self) -> List[List[int]]:
+        """Generated token streams in submission order."""
+        return [list(request.generated_tokens) for request in self._submitted]
 
     def report(self) -> ServeReport:
         """Aggregate metrics over every request completed so far — a pure

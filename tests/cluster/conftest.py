@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
-
 import pytest
 
 from repro.core.speedllm import SpeedLLM
@@ -26,15 +24,7 @@ def single_engine_streams(llm):
 
     def _serve(engine_config, workloads, params, arrivals=None):
         engine = engine_config.build_engine(llm=llm)
-        handles = [
-            engine.submit(
-                w.prompt,
-                dataclasses.replace(params, max_tokens=w.max_new_tokens),
-                arrival_time=arrivals[i] if arrivals else None,
-            )
-            for i, w in enumerate(workloads)
-        ]
-        engine.run()
-        return [list(h.request.generated_tokens) for h in handles]
+        engine.serve(workloads, params, arrivals=arrivals)
+        return engine.streams()
 
     return _serve

@@ -206,7 +206,7 @@ class TestCompileBenchCommand:
         assert payload["speedup"] >= 0.99
         assert payload["steady_state_hit_rate"] >= 0.5
         assert payload["autotune"]["searches"] > 0
-        assert payload["wall"]["warm_vs_cold_speedup"] > 1.0
+        assert payload["host"]["warm_vs_cold_speedup"] > 1.0
 
     def test_unmeetable_threshold_fails(self, capsys):
         code = main([

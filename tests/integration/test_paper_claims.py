@@ -49,6 +49,12 @@ class TestFig2aShape:
         assert norm["full"] <= norm["no-fusion"] * 1.02
         assert norm["no-fusion"] < norm["unoptimized"]
 
+    def test_bar_order_matches_the_figure(self, results):
+        """Fig. 2(a)'s bar order: losing the pipeline costs more than
+        losing buffer reuse (was benchmarks/bench_fig2a_latency.py's)."""
+        norm = normalized_latency(results)
+        assert norm["full"] < norm["no-reuse"] < norm["no-pipeline"] < 1.0
+
     def test_substantial_speedup_over_unoptimized(self, results):
         """The paper reports up to 4.8x on stories15M; at test-model scale
         the gap is smaller but must still be a multiple, not a few percent."""

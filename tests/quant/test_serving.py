@@ -165,11 +165,11 @@ class TestQuantCompileBench:
     """
 
     def test_steady_state_hit_rate_and_token_identity(self):
-        from repro.cli import _run_compile_bench
-        payload, mismatches = _run_compile_bench(
-            model="test-small", variant="full", requests=2,
-            prompt_words=12, tokens=16, seed=37, ctx_bucket=32,
-            quant="int8", quant_kv=True)
-        assert mismatches == 0
+        from repro.bench import compile_bench
+        payload = compile_bench(
+            EngineConfig(model="test-small", seed=37, ctx_bucket=32,
+                         quant="int8", quant_kv=True),
+            requests=2, prompt_words=12, tokens=16)
+        assert payload["token_identity"] == "pass"
         assert payload["quant"] == "int8g64+kv8"
         assert payload["steady_state_hit_rate"] == 1.0

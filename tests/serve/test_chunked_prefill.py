@@ -24,11 +24,7 @@ import dataclasses
 
 import pytest
 
-from repro.api import (
-    CompletionRequest,
-    CompletionService,
-    EngineConfig,
-)
+from repro.api import EngineConfig, SamplingParams
 from repro.core.speedllm import SpeedLLM
 from repro.serve import SchedulerConfig
 from repro.serve.request import Request, RequestState
@@ -170,20 +166,9 @@ def llm(small_checkpoint, tiny_tokenizer):
 
 def _serve(config, llm, workloads, arrivals):
     engine = config.build_engine(llm=llm)
-    service = CompletionService(engine)
-    pending = [
-        service.submit(
-            CompletionRequest(prompt=workload.prompt,
-                              max_tokens=workload.max_new_tokens,
-                              ignore_eos=True,
-                              priority=workload.priority),
-            arrival_time=arrival,
-        )
-        for workload, arrival in zip(workloads, arrivals)
-    ]
-    report = engine.run()
-    streams = [list(p.response().choices[0].token_ids) for p in pending]
-    return report, streams
+    report = engine.serve(workloads, SamplingParams(ignore_eos=True),
+                          arrivals=arrivals)
+    return report, engine.streams()
 
 
 class TestMixedWorkloadAcceptance:
