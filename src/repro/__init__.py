@@ -33,7 +33,7 @@ from .api import (
     RequestOutput,
     SamplingParams,
 )
-from .backend import ExecutionBackend, LocalBackend, ShardedBackend, build_backend
+from .backend import ExecutionBackend
 from .core import (
     ExperimentConfig,
     ExperimentRunner,
@@ -69,10 +69,7 @@ __all__ = [
     "RequestHandle",
     "RequestOutput",
     "SamplingParams",
-    "build_backend",
     "ExecutionBackend",
-    "LocalBackend",
-    "ShardedBackend",
     "ExperimentConfig",
     "ExperimentRunner",
     "SpeedLLM",

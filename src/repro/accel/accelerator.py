@@ -28,6 +28,9 @@ from ..fpga.power import EnergyBreakdown
 from ..fpga.resources import UtilizationReport
 from ..compile.pipeline import StepCompiler
 from ..fpga.u280 import FpgaPlatform, u280
+from ..graph.builder import GraphBuilder
+from ..graph.fusion import fuse_graph
+from ..graph.graph import Graph
 from ..llama.checkpoint import Checkpoint
 from ..llama.kv_cache import KVCache
 from ..llama.quantization import QuantSpec, dequantize, quantize
@@ -172,6 +175,9 @@ class SpeedLLMAccelerator:
         else:
             self._functional_weights = dict(checkpoint.weights)
         self._graph_executor = GraphExecutor(self.model_config, self._functional_weights)
+        #: The two graphs token values come from, keyed by need_logits;
+        #: built on first functional use, so timing-only runs never pay.
+        self._value_graphs: Dict[bool, Graph] = {}
 
     # ------------------------------------------------------------------
     def functional_checkpoint(self) -> Checkpoint:
@@ -341,11 +347,8 @@ class SpeedLLMAccelerator:
             raise ValueError("prompt does not fit in the context window")
 
         cache = KVCache(self.model_config)
-        logits = np.zeros(self.model_config.vocab_size, dtype=np.float32)
         for pos, token in enumerate(prompt_tokens):
-            logits = self._graph_executor.execute(
-                self.timing.graph_for(pos), token, pos, cache
-            )
+            logits = self.execute(token, pos, cache)
         generated: List[int] = []
         pos = len(prompt_tokens)
         budget = min(max_new_tokens, max_len - len(prompt_tokens))
@@ -356,9 +359,7 @@ class SpeedLLMAccelerator:
                 break
             if pos >= max_len:
                 break
-            logits = self._graph_executor.execute(
-                self.timing.graph_for(pos), token, pos, cache
-            )
+            logits = self.execute(token, pos, cache)
             pos += 1
 
         metrics = self.simulate_generation(
@@ -372,6 +373,30 @@ class SpeedLLMAccelerator:
             metrics=metrics,
         )
 
+    def execute(
+        self,
+        token: int,
+        pos: int,
+        cache: KVCache,
+        need_logits: bool = True,
+    ) -> np.ndarray:
+        """Functionally execute one token position against ``cache``:
+        the logits, or the last hidden state when ``need_logits`` is off.
+
+        Values come from one of two context-free graphs (with / without
+        the classifier) built at context 0 outside the compiler: the
+        attention window is ``pos + 1`` whatever a graph was built for,
+        and nothing the compiler prices changes a value.
+        """
+        graph = self._value_graphs.get(need_logits)
+        if graph is None:
+            graph = GraphBuilder(self.model_config).build_decode_step(
+                0, include_logits=need_logits)
+            if self.config.operator_fusion:
+                graph = fuse_graph(graph).graph
+            self._value_graphs[need_logits] = graph
+        return self._graph_executor.execute(graph, token, pos, cache)
+
     def execute_slots(self, slots: Sequence[BatchSlot]) -> List[np.ndarray]:
         """Functionally execute one batched step of token positions.
 
@@ -382,9 +407,5 @@ class SpeedLLMAccelerator:
         the same step comes from ``self.timing.simulate_step`` with the
         slots' positions as context lengths.
         """
-        steps = [
-            (self.timing.graph_for(slot.pos, slot.need_logits),
-             slot.token, slot.pos, slot.cache)
-            for slot in slots
-        ]
-        return self._graph_executor.execute_batch(steps)
+        return [self.execute(slot.token, slot.pos, slot.cache, slot.need_logits)
+                for slot in slots]

@@ -21,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
+from ..compile.pipeline import StepCompiler
 from ..fpga.u280 import FpgaPlatform, u280
 from ..llama.checkpoint import Checkpoint
 from .accelerator import SpeedLLMAccelerator
@@ -128,29 +129,38 @@ class DesignSpaceExplorer:
         self.position_stride = position_stride
 
     # ------------------------------------------------------------------
-    def _fits(self, config: AcceleratorConfig) -> Tuple[bool, float]:
-        usage = config.resources()
-        fits = usage.fits_in(self.platform.resources)
-        dsp_fraction = (usage.dsp / self.platform.resources.dsp
-                        if self.platform.resources.dsp else 0.0)
-        return fits, dsp_fraction
-
-    def _lower_bound(self, accel: SpeedLLMAccelerator) -> int:
+    def _lower_bound(self, config: AcceleratorConfig) -> int:
         """Analytical overlapped-cycle bound of the deepest decode step."""
+        model_config = self.checkpoint.config
         context = min(self.n_prompt + self.n_generated - 1,
-                      self.checkpoint.config.max_seq_len - 1)
-        return AnalyticalModel(accel.config, self.platform).estimate(
-            accel.timing.lower(context)
-        ).overlapped_cycles
+                      model_config.max_seq_len - 1)
+        program = StepCompiler(
+            model_config, config, self.platform).lower(context)
+        return AnalyticalModel(config, self.platform).estimate(
+            program).overlapped_cycles
 
-    def evaluate(self, config: AcceleratorConfig) -> CandidateResult:
-        """Fit-check, analytical estimate and simulation of one candidate."""
-        fits, dsp_fraction = self._fits(config)
-        result = CandidateResult(config=config, fits=fits, dsp_fraction=dsp_fraction)
-        if not fits:
+    def evaluate(
+        self,
+        config: AcceleratorConfig,
+        prune_above: Optional[float] = None,
+    ) -> CandidateResult:
+        """Fit-check, analytical estimate and simulation of one candidate.
+
+        The bound needs the design's lowered program only, so a candidate
+        whose bound exceeds ``prune_above`` is returned unsimulated
+        without an accelerator (quantising every weight) being built.
+        """
+        usage, budget = config.resources(), self.platform.resources
+        result = CandidateResult(
+            config=config, fits=usage.fits_in(budget),
+            dsp_fraction=usage.dsp / budget.dsp if budget.dsp else 0.0)
+        if not result.fits:
+            return result
+        result.analytical_lower_cycles = self._lower_bound(config)
+        if (prune_above is not None
+                and result.analytical_lower_cycles > prune_above):
             return result
         accel = SpeedLLMAccelerator(self.checkpoint, config, platform=self.platform)
-        result.analytical_lower_cycles = self._lower_bound(accel)
         metrics = accel.simulate_generation(
             n_prompt=self.n_prompt, n_generated=self.n_generated,
             position_stride=self.position_stride,
@@ -177,21 +187,9 @@ class DesignSpaceExplorer:
         results: List[CandidateResult] = []
         best_lower: Optional[int] = None
         for config in space.candidates():
-            fits, dsp_fraction = self._fits(config)
-            if not fits:
-                results.append(CandidateResult(config=config, fits=False,
-                                               dsp_fraction=dsp_fraction))
-                continue
-            if prune_factor is not None and best_lower is not None:
-                lower = self._lower_bound(SpeedLLMAccelerator(
-                    self.checkpoint, config, platform=self.platform))
-                if lower > prune_factor * best_lower:
-                    results.append(CandidateResult(
-                        config=config, fits=True, dsp_fraction=dsp_fraction,
-                        analytical_lower_cycles=lower,
-                    ))
-                    continue
-            result = self.evaluate(config)
+            prune = prune_factor is not None and best_lower is not None
+            result = self.evaluate(
+                config, prune_factor * best_lower if prune else None)
             if result.simulated:
                 lower = result.analytical_lower_cycles
                 best_lower = lower if best_lower is None else min(best_lower, lower)

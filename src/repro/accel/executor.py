@@ -21,7 +21,7 @@ datapath.
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Sequence, Tuple
+from typing import Dict, List, Mapping, Tuple
 
 import numpy as np
 
@@ -58,6 +58,9 @@ class GraphExecutor:
         self.weights = weights
         self._rope = rope_frequencies(config.head_dim, config.max_seq_len,
                                       config.rope_theta)
+        # Execution order and result tensor of each graph run so far, by
+        # id(graph); an entry holds its graph so the id is not reused.
+        self._plans: Dict[int, Tuple[Graph, List[Operator], str]] = {}
 
     @classmethod
     def from_checkpoint(cls, checkpoint: Checkpoint) -> "GraphExecutor":
@@ -75,6 +78,16 @@ class GraphExecutor:
             ) from None
 
     # ------------------------------------------------------------------
+    def _plan(self, graph: Graph) -> Tuple[Graph, List[Operator], str]:
+        """Derive (once) the order a graph executes in and its result."""
+        outputs = graph.graph_outputs()
+        if "logits" not in outputs and len(outputs) != 1:
+            raise RuntimeError("graph did not produce a 'logits' tensor")
+        plan = self._plans[id(graph)] = (
+            graph, graph.topological_order(),
+            "logits" if "logits" in outputs else outputs[0])
+        return plan
+
     def execute(
         self,
         graph: Graph,
@@ -82,37 +95,22 @@ class GraphExecutor:
         pos: int,
         cache: KVCache,
     ) -> np.ndarray:
-        """Run one decode step and return the logits vector."""
+        """Run one decode step at ``pos`` and return the logits vector.
+
+        Nothing read from ``graph`` depends on the context it was built
+        for — the attention window is ``pos + 1`` — so one graph serves
+        every position.  A graph must not change once executed: its
+        order is derived on the first run only.
+        """
         if not 0 <= token < self.config.vocab_size:
             raise IndexError(f"token {token} outside the vocabulary")
         if pos >= cache.capacity:
             raise IndexError(f"position {pos} exceeds cache capacity {cache.capacity}")
+        _, order, result = self._plans.get(id(graph)) or self._plan(graph)
         values: Dict[str, np.ndarray] = {"token": np.array([token], dtype=np.int64)}
-        for op in graph.topological_order():
+        for op in order:
             self._execute_op(op, values, token, pos, cache)
-        outputs = graph.graph_outputs()
-        if "logits" in values:
-            return values["logits"]
-        if len(outputs) == 1:
-            return values[outputs[0]]
-        raise RuntimeError("graph did not produce a 'logits' tensor")
-
-    def execute_batch(
-        self,
-        steps: Sequence[Tuple[Graph, int, int, KVCache]],
-    ) -> List[np.ndarray]:
-        """Run a batch of decode steps and return one logits vector per step.
-
-        Each step is ``(graph, token, pos, cache)``.  Steps are executed in
-        order, so several consecutive positions of the *same* sequence
-        (chunked prefill) may appear in one batch: later steps see the KV
-        entries appended by earlier ones.  Functionally this is exactly
-        ``[execute(*step) for step in steps]`` — the batched *timing* gain
-        is modelled separately by the program merger in
-        :mod:`repro.accel.batching`.
-        """
-        return [self.execute(graph, token, pos, cache)
-                for graph, token, pos, cache in steps]
+        return values[result]
 
     # ------------------------------------------------------------------
     def _execute_op(
@@ -161,7 +159,7 @@ class GraphExecutor:
 
         if op.kind is OpKind.KV_APPEND:
             layer = int(op.attributes["layer"])
-            attn_len = int(op.attributes["attn_len"])
+            attn_len = pos + 1
             k = value_of(op.inputs[0])
             v = value_of(op.inputs[1])
             cache.append(layer, k, v, pos)

@@ -84,8 +84,6 @@ ABLATION_VARIANTS: List[str] = [
 
 def variant_config(name: str, **overrides) -> AcceleratorConfig:
     """Accelerator configuration for a paper variant or raw variant key."""
-    if name in PAPER_VARIANTS:
-        return PAPER_VARIANTS[name].config(**overrides)
     return AcceleratorConfig.variant(name, **overrides)
 
 

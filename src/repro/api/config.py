@@ -18,9 +18,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, List, Optional, Union
 
-from ..backend import build_backend
+from ..backend import ExecutionBackend
 from ..llama.config import LlamaConfig
 from ..serve.scheduler import DEFAULT_KV_BUDGET_BYTES, SchedulerConfig
+from ..sim.interconnect import InterconnectModel
 from ..spec.config import SpecConfig
 from .errors import FrontendError
 
@@ -248,12 +249,10 @@ class EngineConfig:
         """
         from ..serve.engine import ServingEngine
         llm = llm or self.build_llm()
-        backend = build_backend(
-            llm.accelerator,
-            tensor_parallel=self.tensor_parallel,
-            interconnect_gbps=self.interconnect_gbps,
-            interconnect_latency_us=self.interconnect_latency_us,
-        )
+        backend = ExecutionBackend(
+            llm.accelerator, self.tensor_parallel, InterconnectModel(
+                bandwidth_gbps=self.interconnect_gbps,
+                latency_s=self.interconnect_latency_us * 1e-6))
         return ServingEngine(llm, self.scheduler_config(), backend=backend,
                              tracer=tracer, metrics=metrics)
 

@@ -1,59 +1,14 @@
-"""Execution backends: where a scheduler's step plan actually runs.
+"""The execution backend: where a scheduler's step plan actually runs.
 
-The serving engine plans steps (:class:`~repro.serve.scheduler.Scheduler`
-emits :class:`~repro.accel.batching.BatchSlot` lists) and hands them to
-an :class:`ExecutionBackend`, which executes them functionally and
-prices them on its device model:
-
-* :class:`LocalBackend` — one simulated accelerator (the default);
-* :class:`ShardedBackend` — tensor-parallel execution over ``tp``
-  simulated accelerators with a modelled ring interconnect
-  (:class:`~repro.sim.interconnect.InterconnectModel`).
-
-Token streams are identical across backends by construction; backends
-change step *timing* and KV *capacity* only.  See
-``docs/ARCHITECTURE.md`` ("Execution backends").
+One class, :class:`ExecutionBackend` (see :mod:`repro.backend.base` and
+``docs/ARCHITECTURE.md``, "Execution backends"): the tensor-parallel
+degree changes step *timing* and KV *capacity*, never a token.
 """
 
 from .base import BackendStep, ExecutionBackend
-from .local import LocalBackend
-from .sharded import ShardedBackend
 
-__all__ = [
-    "BackendStep",
-    "ExecutionBackend",
-    "LocalBackend",
-    "ShardedBackend",
-    "build_backend",
-]
+# Not a second class: the name benchmarks/perf/trace.py wraps
+# (``LocalBackend.execute_step``) to time every engine's backend calls.
+LocalBackend = ExecutionBackend
 
-
-def build_backend(
-    accelerator,
-    tensor_parallel: int = 1,
-    interconnect_gbps: float = 25.0,
-    interconnect_latency_us: float = 1.0,
-) -> ExecutionBackend:
-    """Build the execution backend for a tensor-parallel degree.
-
-    The one place backend assembly lives: ``tensor_parallel == 1`` gives
-    a :class:`LocalBackend`; anything larger shards over that many
-    simulated accelerators joined by a ring
-    :class:`~repro.sim.interconnect.InterconnectModel` with the given
-    per-link bandwidth and per-ring-step latency.  Used by
-    :meth:`repro.api.EngineConfig.build_engine` and the CLI.
-    """
-    if tensor_parallel < 1:
-        raise ValueError(
-            f"tensor_parallel must be >= 1, got {tensor_parallel}")
-    if tensor_parallel == 1:
-        return LocalBackend(accelerator)
-    from ..sim.interconnect import InterconnectModel
-    return ShardedBackend(
-        accelerator,
-        tensor_parallel,
-        InterconnectModel(
-            bandwidth_gbps=interconnect_gbps,
-            latency_s=interconnect_latency_us * 1e-6,
-        ),
-    )
+__all__ = ["BackendStep", "ExecutionBackend", "LocalBackend"]

@@ -1,39 +1,40 @@
-"""The execution-backend seam between the serving engine and the hardware.
+"""The execution backend: where a scheduler's step plan runs, and how fast.
 
 The scheduler decides *what* runs each step — a list of
-:class:`~repro.accel.batching.BatchSlot` token positions — and an
-:class:`ExecutionBackend` decides *where and how fast* it runs: it
-executes the slots functionally (producing logits for the positions that
-sample) and prices the step on its device model.  The engine only ever
-talks to this interface, so single-device and multi-accelerator execution
-are interchangeable:
+:class:`~repro.accel.batching.BatchSlot` token positions — and the
+:class:`ExecutionBackend` decides *where and how fast*: it executes the
+slots functionally and prices the step on ``tensor_parallel`` simulated
+accelerators joined by a modelled ring interconnect.  One device is the
+ordinary case of the same arithmetic, not a separate class: the
+partition is the identity, collectives cost 0.0 s, every ``x tp`` is
+``x 1``.
 
-* :class:`~repro.backend.local.LocalBackend` — one simulated
-  :class:`~repro.accel.accelerator.SpeedLLMAccelerator`, the PR 1 path
-  extracted behind the seam (behaviour-identical);
-* :class:`~repro.backend.sharded.ShardedBackend` — tensor-parallel
-  execution over ``tp`` simulated accelerators joined by a modelled ring
-  interconnect.
+The partition is the Megatron layout of
+:class:`~repro.graph.sharding.ShardSpec` (attention heads, FFN channels,
+classifier rows and the KV cache split across shards) and a step's wall
+clock is ``max-over-shards compute + collective time``.  The layout is
+symmetric — every shard runs the same operator schedule over the same
+batch — so one representative shard is simulated and stands for all.
 
-Whatever the backend, the *functional* token stream is computed on the
-full (unsharded) model, so generated tokens are bit-identical across
-backends — execution placement changes timing and capacity, never values.
+The *functional* token stream is always computed on the full (unsharded)
+model, so tokens are bit-identical at every degree: placement changes
+timing (less compute per shard, new interconnect cost) and capacity
+(each shard's KV budget holds ``kv_shards`` times more context), never
+values.
 """
 
 from __future__ import annotations
 
-import abc
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
 import numpy as np
 
 from ..accel.batching import BatchSlot, batch_run_ids
-from ..accel.pipeline import StepResult
 from ..compile.pipeline import CompileWork, StepCompiler
 from ..fpga.power import EnergyBreakdown
-from ..fpga.u280 import FpgaPlatform
-from ..llama.config import LlamaConfig
+from ..graph.sharding import ShardSpec
+from ..sim.interconnect import InterconnectModel
 from ..sim.stats import RunCounters
 from ..sim.trace import Trace
 
@@ -41,6 +42,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..accel.accelerator import SpeedLLMAccelerator
 
 __all__ = ["BackendStep", "ExecutionBackend"]
+
+#: Activations cross the interconnect in float32, matching the datapath.
+_ACT_BYTES = 4
 
 
 @dataclass
@@ -63,9 +67,10 @@ class BackendStep:
     engine_busy: Dict[str, int] = field(default_factory=dict)
     #: Per-shard MPE utilisation during the step (length ``n_shards``).
     shard_utilization: List[float] = field(default_factory=list)
-    #: Compilation work the step did (its one compile-cache lookup and
-    #: any functional graph it built).  Carried per step so the engine
-    #: that caused it is charged, however many share the compiler.
+    #: Compilation work the step did: its one compile-cache lookup (the
+    #: functional pass never enters the compiler).  Carried per step so
+    #: the engine that caused it is charged, however many share the
+    #: compiler.
     compile_work: CompileWork = field(default_factory=CompileWork)
     #: Cycle-level execution trace of the step, present only when the
     #: accelerator config enables tracing
@@ -74,23 +79,40 @@ class BackendStep:
     trace: Optional[Trace] = None
 
 
-class ExecutionBackend(abc.ABC):
-    """Executes scheduler step plans on some arrangement of accelerators."""
+class ExecutionBackend:
+    """Executes scheduler step plans on ``tensor_parallel`` accelerators.
 
-    #: The full (unsharded) accelerator that executes slots functionally.
-    accelerator: "SpeedLLMAccelerator"
-    #: Model the backend serves (full, unsharded configuration).
-    model_config: LlamaConfig
-    #: Platform of one device; its clock converts cycles to seconds.
-    platform: FpgaPlatform
-    #: Compiles and cycle-simulates the step as one device executes it.
-    compiler: StepCompiler
+    Raises ``ValueError`` for a degree below one, or one that the model's
+    heads, FFN channels or vocabulary do not divide by.
+    """
+
+    def __init__(
+        self,
+        accelerator: "SpeedLLMAccelerator",
+        tensor_parallel: int = 1,
+        interconnect: Optional[InterconnectModel] = None,
+    ) -> None:
+        #: The full (unsharded) accelerator: executes slots functionally.
+        self.accelerator = accelerator
+        #: Model the backend serves (full, unsharded configuration).
+        self.model_config = accelerator.model_config
+        #: Platform of one device; its clock converts cycles to seconds.
+        self.platform = accelerator.platform
+        self.shard = ShardSpec.from_config(self.model_config, tensor_parallel)
+        self.interconnect = interconnect or InterconnectModel()
+        #: Compiles and cycle-simulates the step as one device executes
+        #: it (one representative shard's cycle count is the max over
+        #: shards).  One device shares the accelerator's own compiler,
+        #: and with it the cache ``simulate_generation`` warms.
+        self.compiler = accelerator.timing if tensor_parallel == 1 else (
+            StepCompiler(self.model_config, accelerator.config,
+                         self.platform, shard=self.shard))
 
     # ------------------------------------------------------------------
     @property
-    @abc.abstractmethod
     def n_shards(self) -> int:
         """Number of accelerator devices executing each step."""
+        return self.shard.tp
 
     @property
     def kv_shards(self) -> int:
@@ -102,46 +124,102 @@ class ExecutionBackend(abc.ABC):
         aggregate context.  Equal to ``n_shards`` except when grouped-
         query attention forces KV-head replication across shards.
         """
-        return 1
+        return self.shard.kv_shrink(self.model_config)
 
-    @abc.abstractmethod
+    # ------------------------------------------------------------------
+    def collective_seconds(self, n_slots: int, n_logits: int) -> float:
+        """Interconnect time of one batched step (0.0 on one device).
+
+        Two ring all-reduces per decoder layer carry every slot's
+        full-``dim`` activation vector; each logits-producing slot pays
+        one all-gather of its vocab-parallel logit slices.
+        """
+        cfg = self.model_config
+        seconds = 2 * cfg.n_layers * self.interconnect.all_reduce_seconds(
+            n_slots * cfg.dim * _ACT_BYTES, self.n_shards)
+        return seconds + n_logits * self.interconnect.all_gather_seconds(
+            cfg.vocab_size * _ACT_BYTES, self.n_shards)
+
     def execute_step(
         self,
         slots: Sequence[BatchSlot],
         kv_block_tokens: Optional[int] = None,
     ) -> BackendStep:
-        """Execute one batched step: functional outputs plus timing."""
+        """Execute one batched step: functional outputs plus timing.
 
-    def run_slots(
-        self,
-        slots: Sequence[BatchSlot],
-        kv_block_tokens: Optional[int],
-    ) -> Tuple[List[np.ndarray], StepResult, CompileWork]:
-        """Functional outputs of a step plan, one device's timing of it,
-        and the compilation work both did on this backend's compiler.
-
-        The functional pass always runs on the full (unsharded) model:
-        token values must not depend on the execution placement.
+        The functional pass runs on the full (unsharded) model and never
+        enters the compiler, so the :class:`CompileWork` bracket covers
+        exactly the step's one ``simulate_step`` lookup.
         """
-        before = self.compiler.work()
         outputs = self.accelerator.execute_slots(slots)
-        result = self.compiler.simulate_step(
+        before = self.compiler.work()
+        timing = self.compiler.simulate_step(
             [slot.pos for slot in slots],
             [slot.need_logits for slot in slots],
             kv_block_tokens,
             batch_run_ids(slots),
         )
-        return outputs, result, self.compiler.work() - before
+        compile_work = self.compiler.work() - before
+        tp = self.n_shards
+        compute_seconds = self.platform.cycles_to_seconds(timing.cycles)
+        interconnect_seconds = self.collective_seconds(
+            len(slots), sum(slot.need_logits for slot in slots))
+        return BackendStep(
+            outputs=outputs,
+            seconds=compute_seconds + interconnect_seconds,
+            compute_seconds=compute_seconds,
+            interconnect_seconds=interconnect_seconds,
+            counters=_scale_counters(timing.counters, tp),
+            engine_busy={k: v * tp for k, v in timing.engine_busy.items()},
+            shard_utilization=[timing.mpe_utilization] * tp,
+            compile_work=compile_work,
+            trace=timing.trace,
+        )
 
-    @abc.abstractmethod
+    # ------------------------------------------------------------------
     def energy_for(
         self,
         counters: RunCounters,
         busy_cycles: float,
         elapsed_seconds: float,
     ) -> EnergyBreakdown:
-        """Total energy across every device of the backend."""
+        """Energy across all ``tp`` boards.
+
+        ``counters``/``busy_cycles`` arrive aggregated over shards (the
+        engine accumulates :class:`BackendStep` values), so one board's
+        share is computed and scaled back up — every board burns static
+        power for the whole run.
+        """
+        tp = self.n_shards
+        per_board = self.accelerator.energy_for(
+            _scale_counters(counters, 1, divisor=tp),
+            busy_cycles / tp,
+            elapsed_seconds,
+        )
+        return EnergyBreakdown(
+            **{name: joules * tp for name, joules in vars(per_board).items()})
 
     def describe(self) -> Dict[str, object]:
         """Flat description for reports and JSON payloads."""
-        return {"backend": type(self).__name__, "n_shards": self.n_shards}
+        if self.n_shards == 1:
+            return {
+                "backend": "local",
+                "n_shards": 1,
+                "variant": self.accelerator.config.name,
+            }
+        return {
+            "backend": "sharded",
+            "n_shards": self.n_shards,
+            "kv_shards": self.kv_shards,
+            "variant": self.accelerator.config.name,
+            **{f"interconnect_{k}": v
+               for k, v in self.interconnect.describe().items()},
+        }
+
+
+def _scale_counters(
+    counters: RunCounters, factor: int, divisor: int = 1
+) -> RunCounters:
+    """Element-wise ``value * factor // divisor`` over a counter set."""
+    return RunCounters(**{name: value * factor // divisor
+                          for name, value in counters.as_dict().items()})

@@ -44,7 +44,7 @@ from ..api.errors import KVCapacityError, PromptTooLongError
 from ..api.params import SamplingParams
 from ..obs import tracer as spans
 from ..obs.tracer import NULL_TRACER, Tracer
-from ..serve.engine import ServingEngine
+from ..serve.engine import ServingEngine, workload_submissions
 from ..serve.metrics import RequestMetrics, ServeReport
 from ..serve.request import Request
 from ..sim.interconnect import InterconnectModel
@@ -276,19 +276,9 @@ class ClusterEngine:
         ``arrivals`` supplies per-request arrival times (everything at
         t=0 when omitted).
         """
-        params = params or SamplingParams()
-        workloads = list(workloads)
-        if arrivals is not None and len(arrivals) != len(workloads):
-            raise ValueError("arrivals must match the workload count")
-        for i, workload in enumerate(workloads):
-            priority = getattr(workload, "priority", 0) or params.priority
-            self.submit(
-                workload.prompt,
-                dataclasses.replace(params,
-                                    max_tokens=workload.max_new_tokens,
-                                    priority=priority),
-                arrival_time=arrivals[i] if arrivals is not None else 0.0,
-            )
+        for prompt, request_params, when in workload_submissions(
+                workloads, params, arrivals):
+            self.submit(prompt, request_params, **when)
         return self.run()
 
     # ------------------------------------------------------------------

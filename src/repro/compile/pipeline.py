@@ -62,9 +62,9 @@ PHASE_ORDER = ("build", "shard", "fuse", "tile", "schedule")
 class CompileWork:
     """Compilation work done: a compiler's cumulative total or, as the
     difference of two, what happened in between cost.  A backend
-    brackets each step (its functional graphs and its one
-    :meth:`StepCompiler.compile_step` call) with it, so engines sharing a
-    compiler are each charged only what they triggered.  Fields are named as in the serving totals that sum them
+    brackets each step's one :meth:`StepCompiler.compile_step` call with
+    it, so engines sharing a compiler are each charged only what they
+    triggered.  Fields are named as in the serving totals that sum them
     (:class:`repro.serve.metrics.StepTotals`).
     """
 

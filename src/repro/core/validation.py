@@ -100,7 +100,6 @@ def _validate_workload(
     config = accelerator.model_config
     cache_accel = KVCache(config)
     cache_ref = reference.new_cache()
-    executor = accelerator._graph_executor
 
     positions = 0
     agreements = 0
@@ -110,8 +109,7 @@ def _validate_workload(
     budget = min(len(sequence) + n_decode, config.max_seq_len)
     token = sequence[0]
     while pos < budget - 1:
-        graph = accelerator.timing.graph_for(pos)
-        logits_accel = executor.execute(graph, token, pos, cache_accel)
+        logits_accel = accelerator.execute(token, pos, cache_accel)
         logits_ref = reference.forward(token, pos, cache_ref)
         max_err = max(max_err, float(np.max(np.abs(logits_accel - logits_ref))))
         accel_next = int(np.argmax(logits_accel))

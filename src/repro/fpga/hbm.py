@@ -168,7 +168,9 @@ class MemorySystemModel:
 
     # ------------------------------------------------------------------
     def _pick_channel(self) -> ChannelState:
-        """Least-busy channel (ties broken by declaration order)."""
+        """Least-busy channel; ties go to the lexicographically smallest
+        *name* (``hbm10`` before ``hbm2``), not to declaration order.
+        Every committed cycle count depends on this order."""
         return min(self.channels.values(), key=lambda s: (s.busy_until, s.spec.name))
 
     def issue(

@@ -38,12 +38,11 @@ decoding would; rejected positions roll the KV cache back
 (``truncate``), block-granularly in paged mode.
 
 Execution is delegated to an :class:`~repro.backend.ExecutionBackend`:
-the default :class:`~repro.backend.LocalBackend` runs steps on the one
-simulated accelerator (the historical behaviour), while a
-:class:`~repro.backend.ShardedBackend` runs them tensor-parallel over
-several simulated accelerators joined by a modelled interconnect.  The
-engine's job is the same either way — plan, execute, advance the clock,
-sample — and the token streams are identical across backends.
+by default it runs steps on the one simulated accelerator, and built
+with a tensor-parallel degree it runs them over several simulated
+accelerators joined by a modelled interconnect.  The engine's job is the
+same either way — plan, execute, advance the clock, sample — and the
+token streams are identical at every degree.
 
 Submission goes through the frontend API (:mod:`repro.api`):
 ``submit(prompt, SamplingParams(...))`` validates once, admits once, and
@@ -66,7 +65,7 @@ import asyncio
 import dataclasses
 import itertools
 from typing import (TYPE_CHECKING, AsyncIterator, Callable, Dict, Iterable,
-                    List, Optional, Sequence)
+                    Iterator, List, Optional, Sequence, Tuple)
 
 import numpy as np
 
@@ -74,7 +73,7 @@ from ..accel.accelerator import SpeedLLMAccelerator
 from ..api.errors import FrontendError, PromptTooLongError
 from ..api.outputs import RequestHandle, RequestOutput
 from ..api.params import SamplingParams
-from ..backend import ExecutionBackend, LocalBackend
+from ..backend import ExecutionBackend
 from ..llama.tokenizer import BOS_ID, EOS_ID, UNK_ID
 from ..obs import tracer as spans
 from ..obs.registry import STEP_COUNTERS, MetricsRegistry
@@ -107,6 +106,31 @@ def _top_logprobs(logits: np.ndarray, k: int, sampled: int) -> Dict[int, float]:
     return entry
 
 
+def workload_submissions(
+    workloads: Iterable,
+    params: Optional[SamplingParams] = None,
+    arrivals: Optional[Sequence[float]] = None,
+) -> Iterator[Tuple[str, SamplingParams, Dict[str, float]]]:
+    """The ``submit`` calls that serve a suite — ``(prompt, params,
+    keywords)`` per workload — for :meth:`ServingEngine.serve` and
+    :meth:`repro.cluster.ClusterEngine.serve`.  ``arrival_time`` is
+    passed only when ``arrivals`` is given, so each engine's own default
+    arrival applies otherwise.
+    """
+    params = params or SamplingParams()
+    workloads = list(workloads)
+    if arrivals is not None and len(arrivals) != len(workloads):
+        raise ValueError("arrivals must match the workload count")
+    for i, workload in enumerate(workloads):
+        priority = getattr(workload, "priority", 0) or params.priority
+        yield (
+            workload.prompt,
+            dataclasses.replace(params, max_tokens=workload.max_new_tokens,
+                                priority=priority),
+            {} if arrivals is None else {"arrival_time": arrivals[i]},
+        )
+
+
 class ServingEngine:
     """Synchronous continuous-batching server over one ``SpeedLLM`` stack."""
 
@@ -126,15 +150,14 @@ class ServingEngine:
         self.llm = llm
         self.accelerator: SpeedLLMAccelerator = llm.accelerator
         self.tokenizer = llm.tokenizer
-        self.backend: ExecutionBackend = backend or LocalBackend(llm.accelerator)
+        self.backend: ExecutionBackend = backend or ExecutionBackend(llm.accelerator)
         self.platform = self.backend.platform
         self.model_config = llm.model_config
-        accel_quant = getattr(self.accelerator.config, "quant", None)
-        self.quant = accel_quant
+        self.quant = self.accelerator.config.quant
         self.scheduler = Scheduler(
             self.model_config, scheduler_config,
             kv_shards=self.backend.kv_shards,
-            kv_quant=accel_quant.kv if accel_quant is not None else None,
+            kv_quant=self.quant.kv if self.quant is not None else None,
         )
         self.spec_config = self.scheduler.spec
         self.drafter = None
@@ -694,19 +717,9 @@ class ServingEngine:
         arrival times (everything arrives now when omitted).  The
         signature is :meth:`repro.cluster.ClusterEngine.serve`'s.
         """
-        params = params or SamplingParams()
-        workloads = list(workloads)
-        if arrivals is not None and len(arrivals) != len(workloads):
-            raise ValueError("arrivals must match the workload count")
-        for i, workload in enumerate(workloads):
-            priority = getattr(workload, "priority", 0) or params.priority
-            self.submit(
-                workload.prompt,
-                dataclasses.replace(params,
-                                    max_tokens=workload.max_new_tokens,
-                                    priority=priority),
-                arrival_time=arrivals[i] if arrivals is not None else None,
-            )
+        for prompt, request_params, when in workload_submissions(
+                workloads, params, arrivals):
+            self.submit(prompt, request_params, **when)
         return self.run()
 
     # ------------------------------------------------------------------

@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 
 from repro.accel.accelerator import SpeedLLMAccelerator
+from repro.accel.batching import BatchSlot
 from repro.accel.config import AcceleratorConfig
 from repro.accel.variants import variant_config
 from repro.llama.generation import generate as reference_generate
+from repro.llama.kv_cache import KVCache
 from repro.llama.model import LlamaModel
 from repro.llama.sampler import Sampler
 
@@ -128,3 +130,28 @@ class TestGenerate:
     def test_prompt_too_long_rejected(self, accel, small_config):
         with pytest.raises(ValueError):
             accel.generate(list(range(small_config.max_seq_len)), max_new_tokens=1)
+
+
+class TestValuesStayOutsideTheCompiler:
+    def test_functional_pass_does_no_compiler_work(self, small_checkpoint,
+                                                   small_config):
+        """Values come from two graphs built outside the compiler, so a
+        functional step leaves every accounted phase untouched."""
+        accel = SpeedLLMAccelerator(small_checkpoint, AcceleratorConfig())
+        cache = KVCache(small_config)
+        outputs = accel.execute_slots([
+            BatchSlot(token=1, pos=0, cache=cache, need_logits=False),
+            BatchSlot(token=9, pos=1, cache=cache, need_logits=False),
+            BatchSlot(token=33, pos=2, cache=cache),
+        ])
+        assert [out.shape for out in outputs] == [
+            (small_config.dim,), (small_config.dim,),
+            (small_config.vocab_size,)]
+        assert sorted(accel._value_graphs) == [False, True]
+        assert [phase.stats.runs for phase in accel.timing.phases] == \
+            [0] * len(accel.timing.phases)
+
+    def test_timing_only_run_builds_no_value_graph(self, small_checkpoint):
+        accel = SpeedLLMAccelerator(small_checkpoint, AcceleratorConfig())
+        accel.simulate_generation(n_prompt=2, n_generated=2)
+        assert accel._value_graphs == {}

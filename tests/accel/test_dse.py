@@ -85,6 +85,35 @@ class TestExplorer:
         assert results[0].simulated
         assert not results[1].simulated
 
+    def test_each_accelerator_is_built_once(self, small_checkpoint,
+                                            monkeypatch):
+        """The bound needs a lowered program, not an accelerator: only
+        simulated candidates construct one (quantising every weight), and
+        a row reads the same whichever way it was reached."""
+        from repro.accel import dse
+
+        built = []
+
+        class Counted(dse.SpeedLLMAccelerator):
+            def __init__(self, checkpoint, config, **kwargs):
+                built.append(config.name)
+                super().__init__(checkpoint, config, **kwargs)
+
+        monkeypatch.setattr(dse, "SpeedLLMAccelerator", Counted)
+        explorer = DesignSpaceExplorer(small_checkpoint, n_prompt=4,
+                                       n_generated=8, position_stride=4)
+        space = DesignSpace(mpe_shapes=((64, 32),), buffer_segments=(8,),
+                            hbm_stripes=(16, 32, 1), weight_bits=(8,))
+        results = explorer.explore(space, prune_factor=1.5)
+        assert [r.simulated for r in results] == [True, True, False]
+        assert built == [r.config.name for r in results if r.simulated]
+        for result in results:
+            alone = explorer.evaluate(result.config)
+            assert (alone.analytical_lower_cycles
+                    == result.analytical_lower_cycles > 0)
+            if result.simulated:
+                assert alone == result
+
     def test_invalid_workload(self, small_checkpoint):
         with pytest.raises(ValueError):
             DesignSpaceExplorer(small_checkpoint, n_prompt=0)

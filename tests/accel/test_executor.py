@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 
 from repro.accel.executor import GraphExecutor, _graph_to_checkpoint_name
-from repro.graph.builder import build_decode_graph
+from repro.graph.builder import GraphBuilder, build_decode_graph
 from repro.graph.fusion import fuse_graph
+from repro.kvpool import KVPool
 from repro.llama.kv_cache import KVCache
+from repro.llama.quantization import QuantSpec
 
 
 class TestNameMapping:
@@ -101,3 +103,68 @@ class TestGraphExecutorEquivalence:
             small_model, executor, small_config, [3, 17], fused=True
         )
         assert max(errors) < 1e-4
+
+
+def _dense(config):
+    return KVCache(config)
+
+
+def _paged(config):
+    return KVPool(config, 1 << 20, block_tokens=4).new_cache()
+
+
+def _int8(config):
+    return KVCache(config, quant=QuantSpec(bits=8, group_size=16))
+
+
+class TestValuesAreContextFree:
+    """What ``SpeedLLMAccelerator.execute`` rests on: the graph built at
+    context 0 computes, at every position, exactly what the graph built
+    for that position computes — the attention window is ``pos + 1``
+    whatever context a graph was built for."""
+
+    TOKENS = [1, 9, 33, 7, 12, 40, 3, 17, 5]
+
+    @pytest.mark.parametrize("new_cache", [_dense, _paged, _int8])
+    @pytest.mark.parametrize("include_logits", [True, False],
+                             ids=["logits", "nologits"])
+    @pytest.mark.parametrize("fused", [True, False], ids=["fused", "unfused"])
+    def test_context_zero_graph_equals_per_position_graphs(
+            self, small_checkpoint, small_config, fused, include_logits,
+            new_cache):
+        executor = GraphExecutor.from_checkpoint(small_checkpoint)
+        builder = GraphBuilder(small_config)
+
+        def graph_at(context):
+            graph = builder.build_decode_step(
+                context, include_logits=include_logits)
+            return fuse_graph(graph).graph if fused else graph
+
+        context_free = graph_at(0)
+        cache_free, cache_exact = new_cache(small_config), new_cache(small_config)
+        for pos, token in enumerate(self.TOKENS):
+            got = executor.execute(context_free, token, pos, cache_free)
+            want = executor.execute(graph_at(pos), token, pos, cache_exact)
+            assert got.shape == ((small_config.vocab_size,) if include_logits
+                                 else (small_config.dim,))
+            assert np.array_equal(got, want)
+        for layer in range(small_config.n_layers):
+            assert np.array_equal(cache_free.keys(layer),
+                                  cache_exact.keys(layer))
+            assert np.array_equal(cache_free.values(layer),
+                                  cache_exact.values(layer))
+
+    def test_execution_plan_is_derived_once_per_graph(
+            self, small_checkpoint, small_config, monkeypatch):
+        executor = GraphExecutor.from_checkpoint(small_checkpoint)
+        graph = build_decode_graph(small_config, 0)
+        calls = []
+        for name in ("topological_order", "graph_outputs"):
+            original = getattr(type(graph), name)
+            monkeypatch.setattr(
+                type(graph), name,
+                lambda self, _n=name, _f=original: calls.append(_n) or _f(self))
+        cache = KVCache(small_config)
+        for pos, token in enumerate(self.TOKENS):
+            executor.execute(graph, token, pos, cache)
+        assert sorted(calls) == ["graph_outputs", "topological_order"]

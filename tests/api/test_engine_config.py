@@ -5,7 +5,6 @@ from __future__ import annotations
 import pytest
 
 from repro.api import EngineConfig, FrontendError
-from repro.backend import LocalBackend, ShardedBackend
 from repro.serve.engine import AsyncServingEngine
 
 
@@ -50,7 +49,7 @@ class TestSchedulerMapping:
 class TestFactory:
     def test_build_engine_local_backend(self, llm):
         engine = EngineConfig(model="test-small").build_engine(llm=llm)
-        assert isinstance(engine.backend, LocalBackend)
+        assert engine.backend.n_shards == 1
         assert not engine.scheduler.config.paged
         assert engine.llm is llm
 
@@ -59,7 +58,7 @@ class TestFactory:
             model="test-small", paged=True, block_size=8,
             tensor_parallel=2, interconnect_gbps=16.0,
         ).build_engine(llm=llm)
-        assert isinstance(engine.backend, ShardedBackend)
+        assert engine.backend.interconnect.bandwidth_gbps == 16.0
         assert engine.backend.n_shards == 2
         assert engine.scheduler.config.paged
         assert engine.scheduler.kv.block_tokens == 8

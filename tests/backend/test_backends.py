@@ -12,7 +12,8 @@ from __future__ import annotations
 import pytest
 
 from repro.api import SamplingParams
-from repro.backend import LocalBackend, ShardedBackend
+from repro.accel.batching import BatchSlot
+from repro.backend import ExecutionBackend
 from repro.core.speedllm import SpeedLLM
 from repro.llama.kv_cache import KVCache
 from repro.serve import SchedulerConfig, ServingEngine
@@ -45,7 +46,7 @@ def _serve(llm, backend=None, scheduler_config=None, prompts=PROMPTS,
 class TestLocalBackend:
     def test_default_engine_uses_local_backend(self, llm):
         engine = ServingEngine(llm)
-        assert isinstance(engine.backend, LocalBackend)
+        assert engine.backend.compiler is llm.accelerator.timing
         assert engine.backend.n_shards == 1
         assert engine.backend.kv_shards == 1
 
@@ -58,9 +59,23 @@ class TestLocalBackend:
         assert report.compute_seconds == pytest.approx(report.makespan_seconds)
         assert len(report.shard_utilization) == 1
 
+    def test_degree_one_step_is_the_device_step(self, llm):
+        # Degree 1 is the ordinary case of the sharded arithmetic: no
+        # collective time, counters x 1, one shard.
+        backend = ExecutionBackend(llm.accelerator)
+        step = backend.execute_step(
+            [BatchSlot(token=5, pos=0, cache=KVCache(llm.model_config))])
+        device = llm.accelerator.timing.simulate_step([0])
+        assert step.seconds == step.compute_seconds == \
+            llm.accelerator.platform.cycles_to_seconds(device.cycles)
+        assert step.interconnect_seconds == 0.0
+        assert step.counters == device.counters
+        assert step.engine_busy == device.engine_busy
+        assert step.shard_utilization == [device.mpe_utilization]
+
     def test_explicit_local_backend_is_behavior_identical(self, llm):
         default = _serve(llm)
-        explicit = _serve(llm, backend=LocalBackend(llm.accelerator))
+        explicit = _serve(llm, backend=ExecutionBackend(llm.accelerator))
         assert [r.generated_tokens for r in explicit.requests] == \
             [r.generated_tokens for r in default.requests]
         assert explicit.makespan_seconds == default.makespan_seconds
@@ -71,7 +86,7 @@ class TestShardedTokenIdentity:
     @pytest.mark.parametrize("tp", [2, 4])
     def test_tokens_identical_to_local(self, llm, tp):
         local = _serve(llm)
-        sharded = _serve(llm, backend=ShardedBackend(llm.accelerator, tp))
+        sharded = _serve(llm, backend=ExecutionBackend(llm.accelerator, tp))
         assert [r.generated_tokens for r in sharded.requests] == \
             [r.generated_tokens for r in local.requests]
 
@@ -80,7 +95,7 @@ class TestShardedTokenIdentity:
         config = SchedulerConfig(paged=True, block_tokens=8,
                                  kv_budget_bytes=1 << 20)
         local = _serve(llm, scheduler_config=config)
-        sharded = _serve(llm, backend=ShardedBackend(llm.accelerator, tp),
+        sharded = _serve(llm, backend=ExecutionBackend(llm.accelerator, tp),
                          scheduler_config=config)
         assert [r.generated_tokens for r in sharded.requests] == \
             [r.generated_tokens for r in local.requests]
@@ -90,7 +105,7 @@ class TestShardedTokenIdentity:
                                 seed=3)
         local = ServingEngine(llm)
         sharded = ServingEngine(
-            llm, backend=ShardedBackend(llm.accelerator, 2))
+            llm, backend=ExecutionBackend(llm.accelerator, 2))
         for engine in (local, sharded):
             for prompt in PROMPTS[:3]:
                 engine.submit(prompt, params)
@@ -101,7 +116,7 @@ class TestShardedTokenIdentity:
 class TestShardedTiming:
     def test_per_step_compute_drops_and_interconnect_appears(self, llm):
         local = _serve(llm)
-        sharded = _serve(llm, backend=ShardedBackend(llm.accelerator, 2))
+        sharded = _serve(llm, backend=ExecutionBackend(llm.accelerator, 2))
         assert sharded.mean_step_compute_seconds < \
             local.mean_step_compute_seconds
         assert sharded.interconnect_seconds > 0.0
@@ -110,16 +125,16 @@ class TestShardedTiming:
         assert len(sharded.shard_utilization) == 2
 
     def test_faster_interconnect_shrinks_collective_share(self, llm):
-        slow = _serve(llm, backend=ShardedBackend(
+        slow = _serve(llm, backend=ExecutionBackend(
             llm.accelerator, 2, InterconnectModel(bandwidth_gbps=1.0)))
-        fast = _serve(llm, backend=ShardedBackend(
+        fast = _serve(llm, backend=ExecutionBackend(
             llm.accelerator, 2, InterconnectModel(bandwidth_gbps=100.0)))
         assert fast.interconnect_seconds < slow.interconnect_seconds
         assert fast.makespan_seconds < slow.makespan_seconds
 
     def test_energy_covers_every_board(self, llm):
         local = _serve(llm)
-        sharded = _serve(llm, backend=ShardedBackend(llm.accelerator, 2))
+        sharded = _serve(llm, backend=ExecutionBackend(llm.accelerator, 2))
         # Two boards burn at least as much static power as one and the
         # dynamic (counter-driven) energy is conserved, so total energy
         # never drops under sharding on this tiny model.
@@ -127,7 +142,7 @@ class TestShardedTiming:
         assert sharded.energy.total_j > 0
 
     def test_step_counters_are_aggregated_over_shards(self, llm):
-        backend = ShardedBackend(llm.accelerator, 2)
+        backend = ExecutionBackend(llm.accelerator, 2)
         engine = ServingEngine(llm, backend=backend)
         engine.submit(PROMPTS[0], SamplingParams(max_tokens=4))
         engine.run()
@@ -156,7 +171,7 @@ class TestShardedCapacity:
             kv_budget_bytes=footprint(PROMPTS[0]) + footprint(PROMPTS[1]))
         local = _serve(llm, scheduler_config=budget)
         # ...and twice that with the KV split across two shards.
-        sharded = _serve(llm, backend=ShardedBackend(llm.accelerator, 2),
+        sharded = _serve(llm, backend=ExecutionBackend(llm.accelerator, 2),
                          scheduler_config=budget)
         assert local.peak_running == 2
         assert sharded.peak_running > local.peak_running
@@ -166,7 +181,7 @@ class TestShardedCapacity:
     def test_gqa_limits_kv_scaling(self, llm):
         # test-small has 2 KV heads: tp=4 replicates them, so the KV
         # capacity multiplier is 2, not 4.
-        backend = ShardedBackend(llm.accelerator, 4)
+        backend = ExecutionBackend(llm.accelerator, 4)
         assert backend.n_shards == 4
         assert backend.kv_shards == 2
 
@@ -175,7 +190,7 @@ class TestShardedCapacity:
                                  kv_budget_bytes=1 << 20)
         local = ServingEngine(llm, config)
         sharded = ServingEngine(llm, config,
-                                backend=ShardedBackend(llm.accelerator, 2))
+                                backend=ExecutionBackend(llm.accelerator, 2))
         bytes_per_block = sharded.scheduler.kv.allocator.bytes_per_block
         assert sharded.scheduler.kv.n_blocks == \
             2 * (1 << 20) // bytes_per_block
@@ -184,16 +199,16 @@ class TestShardedCapacity:
 
 
 class TestValidation:
-    def test_tp1_rejected(self, llm):
-        with pytest.raises(ValueError, match="tensor_parallel"):
-            ShardedBackend(llm.accelerator, 1)
+    def test_tp0_rejected(self, llm):
+        with pytest.raises(ValueError, match="tensor-parallel"):
+            ExecutionBackend(llm.accelerator, 0)
 
     def test_indivisible_model_rejected(self, llm):
         with pytest.raises(ValueError, match="n_heads"):
-            ShardedBackend(llm.accelerator, 3)
+            ExecutionBackend(llm.accelerator, 3)
 
     def test_describe_reports_layout(self, llm):
-        backend = ShardedBackend(llm.accelerator, 2)
+        backend = ExecutionBackend(llm.accelerator, 2)
         description = backend.describe()
         assert description["backend"] == "sharded"
         assert description["n_shards"] == 2

@@ -103,6 +103,18 @@ class TestMemorySystemModel:
         names = {model.issue(1024, now=0)[1] for _ in range(4)}
         assert len(names) == 4
 
+    def test_ties_break_by_lexicographic_channel_name(self):
+        """Equally busy channels are picked in *name* order, so ``hbm10``
+        comes before ``hbm2``; every committed cycle count depends on
+        this sequence."""
+        model = self._model(32)
+        picked = [model.issue(64, now=0)[1] for _ in range(16)]
+        assert picked == [
+            "hbm0", "hbm1", "hbm10", "hbm11", "hbm12", "hbm13", "hbm14",
+            "hbm15", "hbm16", "hbm17", "hbm18", "hbm19", "hbm2", "hbm20",
+            "hbm21", "hbm22",
+        ]
+
     def test_contention_serialises_on_one_channel(self):
         model = self._model(1)
         first, _ = model.issue(1 << 16, now=0)

@@ -323,6 +323,29 @@ class TestCompileLookupAccounting:
                     + span.attrs["compile_cache_misses"]) == 1
 
 
+    def test_tensor_parallel_engine_reports_all_its_compile_cost(self):
+        """Values come from graphs built outside any compiler, so a
+        tensor-parallel engine lowers on its own sharded compiler only:
+        the accelerator's unsharded one does no work the report cannot
+        see."""
+        config = _config(tensor_parallel=2)
+        llm = config.build_llm()
+        engine = config.build_engine(llm=llm)
+        for prompt in PROMPTS:
+            engine.submit(prompt, SamplingParams(max_tokens=8))
+        report = engine.run()
+        assert [phase.stats.runs for phase in llm.accelerator.timing.phases
+                ] == [0] * len(llm.accelerator.timing.phases)
+        stats = engine.backend.compiler.stats()
+        # Summed per step, in a different order than the compiler's own
+        # running total, hence approx.
+        assert report.compile_seconds > 0
+        assert report.compile_seconds == pytest.approx(
+            stats["compile_seconds"])
+        assert report.compile_phase_seconds == pytest.approx(
+            stats["phase_seconds"])
+
+
 class TestTracingIsPassive:
     def test_enabled_tracer_changes_nothing(self, llm, engine_matrix_config):
         """Same tokens, same reported latencies, traced or not."""
