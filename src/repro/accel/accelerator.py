@@ -20,6 +20,7 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
@@ -137,12 +138,26 @@ class SpeedLLMAccelerator:
         self.timing = StepCompiler(
             self.model_config, self.config, self.platform
         )
-        # Functional weights: quantise+dequantise so the functional result
-        # reflects the quantised datapath; keep float32 when quantisation
-        # is off.  A serving-level QuantConfig resolves the spec per
-        # tensor (weights / logits head / fp32 overrides); the legacy
-        # weight_bits path keeps its uniform gcd-derived group size.
-        if self.config.quant is not None and quantize_weights:
+        self._quantize_weights = quantize_weights
+        #: The two graphs token values come from, keyed by need_logits;
+        #: built on first functional use, so timing-only runs never pay.
+        self._value_graphs: Dict[bool, Graph] = {}
+
+    @cached_property
+    def _functional_weights(self) -> Dict[str, np.ndarray]:
+        """Weights the datapath computes with — like the value graphs,
+        built on first functional use, so timing-only runs never pay.
+
+        Quantise+dequantise so the functional result reflects the
+        quantised datapath; keep float32 when quantisation is off.  A
+        serving-level QuantConfig resolves the spec per tensor (weights /
+        logits head / fp32 overrides); the legacy weight_bits path keeps
+        its uniform gcd-derived group size.
+        """
+        checkpoint = self.checkpoint
+        if not self._quantize_weights:
+            return dict(checkpoint.weights)
+        if self.config.quant is not None:
             qcfg = self.config.quant
             shared = self.model_config.shared_classifier
             weights = {}
@@ -156,8 +171,8 @@ class SpeedLLMAccelerator:
                     weights[name] = tensor
                 else:
                     weights[name] = dequantize(quantize(tensor, spec))
-            self._functional_weights = weights
-        elif quantize_weights and self.config.weight_bits < 32:
+            return weights
+        if self.config.weight_bits < 32:
             # Group size must divide every matrix's reduction axis (dim for
             # the projections, hidden for w2); cap at 64 for fidelity.
             group = math.gcd(
@@ -171,13 +186,12 @@ class SpeedLLMAccelerator:
                     weights[name] = dequantize(quantize(tensor, spec))
                 else:
                     weights[name] = tensor
-            self._functional_weights = weights
-        else:
-            self._functional_weights = dict(checkpoint.weights)
-        self._graph_executor = GraphExecutor(self.model_config, self._functional_weights)
-        #: The two graphs token values come from, keyed by need_logits;
-        #: built on first functional use, so timing-only runs never pay.
-        self._value_graphs: Dict[bool, Graph] = {}
+            return weights
+        return dict(checkpoint.weights)
+
+    @cached_property
+    def _graph_executor(self) -> GraphExecutor:
+        return GraphExecutor(self.model_config, self._functional_weights)
 
     # ------------------------------------------------------------------
     def functional_checkpoint(self) -> Checkpoint:

@@ -147,8 +147,8 @@ class DesignSpaceExplorer:
         """Fit-check, analytical estimate and simulation of one candidate.
 
         The bound needs the design's lowered program only, so a candidate
-        whose bound exceeds ``prune_above`` is returned unsimulated
-        without an accelerator (quantising every weight) being built.
+        whose bound exceeds ``prune_above`` is returned unsimulated;
+        a simulated one is timing-only, so no weight is ever quantised.
         """
         usage, budget = config.resources(), self.platform.resources
         result = CandidateResult(

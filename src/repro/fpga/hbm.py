@@ -18,7 +18,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from heapq import heapreplace
+from typing import Dict, List, Sequence, Tuple
 
 __all__ = ["MemoryChannelSpec", "MemorySystemSpec", "ChannelState", "MemorySystemModel"]
 
@@ -114,7 +115,13 @@ class MemorySystemSpec:
 
 @dataclass
 class ChannelState:
-    """Dynamic occupancy bookkeeping of one channel during simulation."""
+    """Dynamic occupancy bookkeeping of one channel during simulation.
+
+    A read-only record for everyone but the :class:`MemorySystemModel`
+    that owns it: the model is its only writer, because it keeps its
+    channels ordered by ``busy_until`` and a write from outside would
+    leave that order stale.
+    """
 
     spec: MemoryChannelSpec
     busy_until: int = 0
@@ -144,8 +151,22 @@ class MemorySystemModel:
         self.channels: Dict[str, ChannelState] = {
             c.name: ChannelState(spec=c) for c in spec.channels
         }
+        self._bytes_per_cycle = {
+            c.name: c.bytes_per_cycle(clock_hz) for c in spec.channels
+        }
+        self._reorder()
 
     # ------------------------------------------------------------------
+    def _reorder(self) -> None:
+        """Rebuild the arbitration order: a heap of ``(busy_until, name,
+        state)`` whose head is the least-busy channel, ties going to the
+        lexicographically smallest *name* (``hbm10`` before ``hbm2``), not
+        to declaration order.  Every committed cycle count depends on this
+        order.  Names are unique, so two states are never compared."""
+        self._order = sorted(
+            (s.busy_until, name, s) for name, s in self.channels.items()
+        )
+
     def reset(self) -> None:
         """Clear all dynamic state (between simulation runs)."""
         for state in self.channels.values():
@@ -153,6 +174,7 @@ class MemorySystemModel:
             state.bytes_transferred = 0
             state.n_transactions = 0
             state.busy_cycles = 0
+        self._reorder()
 
     def ideal_transfer_cycles(self, n_bytes: int) -> int:
         """Cycles to move ``n_bytes`` perfectly striped over all channels."""
@@ -167,12 +189,6 @@ class MemorySystemModel:
         return latency + math.ceil(n_bytes / per_cycle)
 
     # ------------------------------------------------------------------
-    def _pick_channel(self) -> ChannelState:
-        """Least-busy channel; ties go to the lexicographically smallest
-        *name* (``hbm10`` before ``hbm2``), not to declaration order.
-        Every committed cycle count depends on this order."""
-        return min(self.channels.values(), key=lambda s: (s.busy_until, s.spec.name))
-
     def issue(
         self,
         n_bytes: int,
@@ -191,22 +207,62 @@ class MemorySystemModel:
         requester that serialises on each completion (the unoptimized
         accelerator) therefore pays the latency on every transaction, while
         a pipelined requester hides it.
+
+        Without ``channel`` the least-busy channel is picked (see
+        :meth:`issue_striped`); a zero-byte transfer names the channel it
+        would have used and changes nothing.
         """
-        if n_bytes < 0:
+        if channel is None:
+            return self.issue_striped((n_bytes,), now)[0]
+        if channel not in self.channels:
+            raise ValueError(
+                f"unknown channel {channel!r}; known: {sorted(self.channels)}"
+            )
+        # Steering is arbitration among one channel.  It is rare, so
+        # re-sorting afterwards is cheap, and keeps the next automatic pick
+        # exactly what a scan over all channels would give.
+        state = self.channels[channel]
+        self._order = [(state.busy_until, channel, state)]
+        try:
+            return self.issue_striped((n_bytes,), now)[0]
+        finally:
+            self._reorder()
+
+    def issue_striped(
+        self,
+        sizes: Sequence[int],
+        now: int,
+    ) -> List[Tuple[int, str]]:
+        """Issue one transfer per entry of ``sizes`` at cycle ``now``, each
+        to the channel that is least busy when its turn comes.
+
+        This is one striped DMA transfer — and every automatic pick — in a
+        single call: the arguments are validated once and each stripe
+        replaces the head of the arbitration order instead of rescanning
+        the channels.  Returns ``(completion_cycle, channel_name)`` per
+        stripe, in order, with :meth:`issue`'s timing.
+        """
+        if sizes and min(sizes) < 0:
             raise ValueError("n_bytes must be >= 0")
         if now < 0:
             raise ValueError("now must be >= 0")
-        state = self.channels[channel] if channel is not None else self._pick_channel()
-        if n_bytes == 0:
-            return now, state.spec.name
-        start = max(now, state.busy_until)
-        burst = math.ceil(n_bytes / state.spec.bytes_per_cycle(self.clock_hz))
-        state.busy_until = start + burst
-        completion = start + state.spec.access_latency_cycles + burst
-        state.bytes_transferred += n_bytes
-        state.n_transactions += 1
-        state.busy_cycles += burst
-        return completion, state.spec.name
+        order = self._order
+        bytes_per_cycle = self._bytes_per_cycle
+        issued = []
+        for n_bytes in sizes:
+            busy_until, name, state = order[0]
+            if n_bytes == 0:
+                issued.append((now, name))
+                continue
+            burst = math.ceil(n_bytes / bytes_per_cycle[name])
+            busy_until = (now if now > busy_until else busy_until) + burst
+            heapreplace(order, (busy_until, name, state))
+            state.busy_until = busy_until
+            state.bytes_transferred += n_bytes
+            state.n_transactions += 1
+            state.busy_cycles += burst
+            issued.append((busy_until + state.spec.access_latency_cycles, name))
+        return issued
 
     # ------------------------------------------------------------------
     @property

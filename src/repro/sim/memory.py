@@ -147,20 +147,20 @@ class MemoryPort:
         if n_bytes == 0 or stripe == 1:
             return self._transfer(n_bytes, label, is_write=is_write, channel=None)
         chunk = n_bytes // stripe
-        remainder = n_bytes - chunk * (stripe - 1)
+        sizes = [chunk] * (stripe - 1) + [n_bytes - chunk * (stripe - 1)]
         now = self.sim.now
-        latest = now
-        for i in range(stripe):
-            size = remainder if i == stripe - 1 else chunk
-            completion, channel_name = self.model.issue(size, now, channel=None)
-            latest = max(latest, completion)
-            if size > 0:
-                self.counters.dma_transfers += 1
-                if self.trace is not None:
+        issued = self.model.issue_striped(sizes, now)
+        # Fewer bytes than stripes leaves every stripe but the last empty;
+        # an empty stripe occupies no channel and is not a transfer.
+        self.counters.dma_transfers += stripe if chunk else 1
+        if self.trace is not None:
+            for i, (size, (completion, channel_name)) in enumerate(zip(sizes, issued)):
+                if size > 0:
                     self.trace.record(
                         engine=f"{self.name}:{channel_name}", label=f"{label}[{i}]",
                         start=now, end=completion, category="transfer",
                     )
+        latest = max(issued)[0]  # pairs order by completion cycle first
         if is_write:
             self.counters.hbm_write_bytes += n_bytes
         else:

@@ -2,17 +2,23 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
+import repro.accel.accelerator as accelerator_module
 from repro.accel.accelerator import SpeedLLMAccelerator
 from repro.accel.batching import BatchSlot
 from repro.accel.config import AcceleratorConfig
+from repro.accel.dse import DesignSpace, DesignSpaceExplorer
 from repro.accel.variants import variant_config
 from repro.llama.generation import generate as reference_generate
 from repro.llama.kv_cache import KVCache
 from repro.llama.model import LlamaModel
+from repro.llama.quantization import QuantSpec, dequantize, quantize
 from repro.llama.sampler import Sampler
+from repro.quant import resolve_quant
 
 
 @pytest.fixture(scope="module")
@@ -132,6 +138,31 @@ class TestGenerate:
             accel.generate(list(range(small_config.max_seq_len)), max_new_tokens=1)
 
 
+def _eager_weights(checkpoint, config, quantize_weights=True):
+    """Functional weights as the constructor computed them when it did so
+    eagerly: the reference the lazily built ones must equal."""
+    model = checkpoint.config
+    if quantize_weights and config.quant is not None:
+        def spec_for(name, tensor):
+            return config.quant.spec_for(
+                name, ndim=tensor.ndim,
+                classifier=(model.shared_classifier
+                            and name == "tok_embeddings.weight"))
+    elif quantize_weights and config.weight_bits < 32:
+        group = math.gcd(math.gcd(model.dim, model.resolved_hidden_dim()), 64)
+        uniform = QuantSpec(bits=config.weight_bits, group_size=group or 1)
+
+        def spec_for(name, tensor):
+            return uniform if tensor.ndim >= 2 else None
+    else:
+        return dict(checkpoint.weights)
+    return {
+        name: tensor if spec_for(name, tensor) is None
+        else dequantize(quantize(tensor, spec_for(name, tensor)))
+        for name, tensor in checkpoint.weights.items()
+    }
+
+
 class TestValuesStayOutsideTheCompiler:
     def test_functional_pass_does_no_compiler_work(self, small_checkpoint,
                                                    small_config):
@@ -155,3 +186,56 @@ class TestValuesStayOutsideTheCompiler:
         accel = SpeedLLMAccelerator(small_checkpoint, AcceleratorConfig())
         accel.simulate_generation(n_prompt=2, n_generated=2)
         assert accel._value_graphs == {}
+
+    @pytest.fixture
+    def quantize_calls(self, monkeypatch):
+        calls = []
+
+        def counting(tensor, spec):
+            calls.append(spec)
+            return quantize(tensor, spec)
+
+        monkeypatch.setattr(accelerator_module, "quantize", counting)
+        return calls
+
+    def test_timing_only_run_quantises_nothing(self, small_checkpoint,
+                                               quantize_calls):
+        accel = SpeedLLMAccelerator(small_checkpoint, AcceleratorConfig())
+        accel.simulate_generation(n_prompt=2, n_generated=2)
+        assert quantize_calls == []
+        accel.execute(1, 0, KVCache(small_checkpoint.config))
+        n_matrices = sum(t.ndim >= 2 for t in small_checkpoint.weights.values())
+        assert len(quantize_calls) == n_matrices
+        accel.execute(2, 0, KVCache(small_checkpoint.config))
+        accel.functional_checkpoint()
+        assert len(quantize_calls) == n_matrices
+
+    def test_design_space_exploration_quantises_nothing(self, small_checkpoint,
+                                                        quantize_calls):
+        explorer = DesignSpaceExplorer(small_checkpoint, n_prompt=4,
+                                       n_generated=8, position_stride=4)
+        results = explorer.explore(DesignSpace(
+            mpe_shapes=((32, 16),), buffer_segments=(4,), hbm_stripes=(8, 16),
+            weight_bits=(8,)))
+        assert [r.simulated for r in results] == [True, True]
+        assert quantize_calls == []
+
+    @pytest.mark.parametrize("config, quantize_weights", [
+        (AcceleratorConfig(), True),
+        (AcceleratorConfig(quant=resolve_quant("int4", group_size=32)), True),
+        (AcceleratorConfig(quant=resolve_quant("int8")), False),
+        (AcceleratorConfig(), False),
+    ], ids=["weight-bits-int8", "quant-config-int4", "quant-config-off", "off"])
+    def test_lazy_weights_equal_the_eager_ones(self, small_checkpoint, config,
+                                               quantize_weights):
+        accel = SpeedLLMAccelerator(small_checkpoint, config,
+                                    quantize_weights=quantize_weights)
+        accel.simulate_generation(n_prompt=2, n_generated=2)
+        lazy = accel.functional_checkpoint().weights
+        eager = _eager_weights(small_checkpoint, config, quantize_weights)
+        assert list(lazy) == list(eager)
+        for name in eager:
+            assert np.array_equal(lazy[name], eager[name]), name
+        changed = any(not np.array_equal(lazy[name], tensor)
+                      for name, tensor in small_checkpoint.weights.items())
+        assert changed == quantize_weights

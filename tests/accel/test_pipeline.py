@@ -7,6 +7,8 @@ import pytest
 from repro.accel.compiler import ProgramCompiler
 from repro.accel.config import AcceleratorConfig, BufferConfig
 from repro.accel.pipeline import PipelineExecutor
+from repro.accel.variants import PAPER_VARIANTS
+from repro.compile.pipeline import StepCompiler
 from repro.fpga.u280 import u280
 from repro.graph.builder import build_decode_graph
 from repro.graph.fusion import fuse_graph
@@ -120,3 +122,129 @@ class TestOptimizationEffects:
         slow = _run(narrow, small_graph, platform)
         fast = _run(wide, small_graph, platform)
         assert slow.cycles > fast.cycles
+
+
+#: What ``PipelineExecutor.run`` computed at PR 17 — ``(cycles, engine_busy,
+#: n_flushes, counters.as_dict())`` — for the five paper variants on
+#: test-small at contexts 0 and 40, and for one 3-slot batched step with
+#: mixed ``need_logits``.  Recorded before the HBM arbitration was rewritten:
+#: a changed channel pick, stripe split or same-cycle order moves these.
+PINNED_RUNS = {
+    ("full", 0): (
+        2056, {"load": 4846, "mpe": 470, "sfu": 573, "store": 3705}, 0,
+        {"int8_macs": 171392, "sfu_flops": 6604, "hbm_read_bytes": 186308,
+         "hbm_write_bytes": 13440, "onchip_read_bytes": 16584,
+         "onchip_write_bytes": 16584, "instructions": 79, "mpe_tiles": 47,
+         "sfu_ops": 31, "dma_transfers": 2032, "buffer_stall_cycles": 0,
+         "memory_stall_cycles": 924, "dequant_flops": 0,
+         "quant_saved_bytes": 0},
+    ),
+    ("full", 40): (
+        2143, {"load": 5038, "mpe": 476, "sfu": 663, "store": 3710}, 0,
+        {"int8_macs": 186752, "sfu_flops": 9004, "hbm_read_bytes": 217028,
+         "hbm_write_bytes": 13440, "onchip_read_bytes": 50184,
+         "onchip_write_bytes": 50184, "instructions": 79, "mpe_tiles": 47,
+         "sfu_ops": 31, "dma_transfers": 2032, "buffer_stall_cycles": 0,
+         "memory_stall_cycles": 915, "dequant_flops": 0,
+         "quant_saved_bytes": 0},
+    ),
+    ("no-fusion", 0): (
+        2172, {"load": 5421, "mpe": 470, "sfu": 573, "store": 5138}, 0,
+        {"int8_macs": 171392, "sfu_flops": 6604, "hbm_read_bytes": 192804,
+         "hbm_write_bytes": 19936, "onchip_read_bytes": 9368,
+         "onchip_write_bytes": 9368, "instructions": 79, "mpe_tiles": 47,
+         "sfu_ops": 31, "dma_transfers": 2528, "buffer_stall_cycles": 0,
+         "memory_stall_cycles": 1040, "dequant_flops": 0,
+         "quant_saved_bytes": 0},
+    ),
+    ("no-fusion", 40): (
+        2262, {"load": 5564, "mpe": 476, "sfu": 663, "store": 5146}, 0,
+        {"int8_macs": 186752, "sfu_flops": 9004, "hbm_read_bytes": 227364,
+         "hbm_write_bytes": 23776, "onchip_read_bytes": 10328,
+         "onchip_write_bytes": 10328, "instructions": 79, "mpe_tiles": 47,
+         "sfu_ops": 31, "dma_transfers": 2528, "buffer_stall_cycles": 0,
+         "memory_stall_cycles": 1034, "dequant_flops": 0,
+         "quant_saved_bytes": 0},
+    ),
+    ("no-pipeline", 0): (
+        6737, {"load": 4717, "mpe": 470, "sfu": 573, "store": 3705}, 0,
+        {"int8_macs": 171392, "sfu_flops": 6604, "hbm_read_bytes": 186308,
+         "hbm_write_bytes": 13440, "onchip_read_bytes": 16584,
+         "onchip_write_bytes": 16584, "instructions": 79, "mpe_tiles": 47,
+         "sfu_ops": 31, "dma_transfers": 2032, "buffer_stall_cycles": 0,
+         "memory_stall_cycles": 0, "dequant_flops": 0, "quant_saved_bytes": 0},
+    ),
+    ("no-pipeline", 40): (
+        6863, {"load": 4747, "mpe": 476, "sfu": 663, "store": 3705}, 0,
+        {"int8_macs": 186752, "sfu_flops": 9004, "hbm_read_bytes": 217028,
+         "hbm_write_bytes": 13440, "onchip_read_bytes": 50184,
+         "onchip_write_bytes": 50184, "instructions": 79, "mpe_tiles": 47,
+         "sfu_ops": 31, "dma_transfers": 2032, "buffer_stall_cycles": 0,
+         "memory_stall_cycles": 0, "dequant_flops": 0, "quant_saved_bytes": 0},
+    ),
+    ("no-reuse", 0): (
+        4359, {"load": 5054, "mpe": 470, "sfu": 573, "store": 3705}, 9,
+        {"int8_macs": 171392, "sfu_flops": 6604, "hbm_read_bytes": 189380,
+         "hbm_write_bytes": 13440, "onchip_read_bytes": 16584,
+         "onchip_write_bytes": 16584, "instructions": 79, "mpe_tiles": 47,
+         "sfu_ops": 31, "dma_transfers": 2032, "buffer_stall_cycles": 2464,
+         "memory_stall_cycles": 1249, "dequant_flops": 0,
+         "quant_saved_bytes": 0},
+    ),
+    ("no-reuse", 40): (
+        4402, {"load": 5168, "mpe": 476, "sfu": 663, "store": 3705}, 9,
+        {"int8_macs": 186752, "sfu_flops": 9004, "hbm_read_bytes": 220100,
+         "hbm_write_bytes": 13440, "onchip_read_bytes": 50184,
+         "onchip_write_bytes": 50184, "instructions": 79, "mpe_tiles": 47,
+         "sfu_ops": 31, "dma_transfers": 2032, "buffer_stall_cycles": 2468,
+         "memory_stall_cycles": 1236, "dequant_flops": 0,
+         "quant_saved_bytes": 0},
+    ),
+    ("unoptimized", 0): (
+        9734, {"load": 5305, "mpe": 470, "sfu": 573, "store": 5135}, 9,
+        {"int8_macs": 171392, "sfu_flops": 6604, "hbm_read_bytes": 197668,
+         "hbm_write_bytes": 19936, "onchip_read_bytes": 9368,
+         "onchip_write_bytes": 9368, "instructions": 79, "mpe_tiles": 47,
+         "sfu_ops": 31, "dma_transfers": 2528, "buffer_stall_cycles": 1881,
+         "memory_stall_cycles": 0, "dequant_flops": 0, "quant_saved_bytes": 0},
+    ),
+    ("unoptimized", 40): (
+        9860, {"load": 5335, "mpe": 476, "sfu": 663, "store": 5135}, 9,
+        {"int8_macs": 186752, "sfu_flops": 9004, "hbm_read_bytes": 232228,
+         "hbm_write_bytes": 23776, "onchip_read_bytes": 10328,
+         "onchip_write_bytes": 10328, "instructions": 79, "mpe_tiles": 47,
+         "sfu_ops": 31, "dma_transfers": 2528, "buffer_stall_cycles": 1881,
+         "memory_stall_cycles": 0, "dequant_flops": 0, "quant_saved_bytes": 0},
+    ),
+    "batched": (
+        3888, {"load": 9575, "mpe": 728, "sfu": 1805, "store": 6955}, 0,
+        {"int8_macs": 470528, "sfu_flops": 22720, "hbm_read_bytes": 260172,
+         "hbm_write_bytes": 36224, "onchip_read_bytes": 93024,
+         "onchip_write_bytes": 93024, "instructions": 153, "mpe_tiles": 59,
+         "sfu_ops": 91, "dma_transfers": 3728, "buffer_stall_cycles": 0,
+         "memory_stall_cycles": 1266, "dequant_flops": 0,
+         "quant_saved_bytes": 0},
+    ),
+}
+
+
+def _facts(result):
+    return (result.cycles, result.engine_busy, result.n_flushes,
+            result.counters.as_dict())
+
+
+class TestExecutorResultsArePinned:
+    @pytest.mark.parametrize("variant", sorted(PAPER_VARIANTS))
+    @pytest.mark.parametrize("context_len", [0, 40])
+    def test_paper_variants(self, variant, context_len, small_config, platform):
+        config = AcceleratorConfig.variant(variant)
+        program = StepCompiler(small_config, config, platform).lower(context_len)
+        result = PipelineExecutor(config, platform).run(program)
+        assert _facts(result) == PINNED_RUNS[variant, context_len]
+
+    def test_batched_step_with_mixed_logits(self, small_config, platform):
+        config = AcceleratorConfig.variant("full")
+        step = StepCompiler(small_config, config, platform).compile_step(
+            [0, 17, 40], [False, True, False])
+        result = PipelineExecutor(config, platform).run(step.program)
+        assert _facts(result) == PINNED_RUNS["batched"]

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import math
+import random
+
 import pytest
 
 from repro.fpga.hbm import MemoryChannelSpec, MemorySystemModel, MemorySystemSpec
@@ -148,3 +151,84 @@ class TestMemorySystemModel:
             model.issue(-1, now=0)
         with pytest.raises(ValueError):
             model.issue(1, now=-1)
+
+    def test_unknown_channel_is_a_value_error_naming_the_known_ones(self):
+        model = self._model(2)
+        with pytest.raises(ValueError, match=r"'hbm99'.*\['hbm0', 'hbm1'\]"):
+            model.issue(64, now=0, channel="hbm99")
+        assert model.total_transactions == 0
+
+
+class _ScanReference:
+    """The arbitration as it was first written: a rescan of every channel
+    with ``min`` over ``(busy_until, name)`` per transfer.  The oracle
+    :class:`MemorySystemModel`'s ordered structure is checked against."""
+
+    def __init__(self, spec, clock_hz):
+        self.spec, self.clock_hz = spec, clock_hz
+        self.reset()
+
+    def reset(self):
+        self.channels = {c.name: dict(spec=c, busy_until=0, bytes_transferred=0,
+                                      n_transactions=0, busy_cycles=0)
+                         for c in self.spec.channels}
+
+    def issue(self, n_bytes, now, channel=None):
+        state = self.channels[channel] if channel is not None else min(
+            self.channels.values(), key=lambda s: (s["busy_until"], s["spec"].name))
+        if n_bytes == 0:
+            return now, state["spec"].name
+        start = max(now, state["busy_until"])
+        burst = math.ceil(n_bytes / state["spec"].bytes_per_cycle(self.clock_hz))
+        state["busy_until"] = start + burst
+        state["bytes_transferred"] += n_bytes
+        state["n_transactions"] += 1
+        state["busy_cycles"] += burst
+        return start + state["spec"].access_latency_cycles + burst, state["spec"].name
+
+
+class TestArbitrationMatchesTheScan:
+    @pytest.mark.parametrize("spec", [
+        MemorySystemSpec.u280_hbm(1), MemorySystemSpec.u280_hbm(2),
+        MemorySystemSpec.u280_hbm(5), MemorySystemSpec.u280_hbm(32),
+        MemorySystemSpec.u280_ddr(),
+    ], ids=["hbm1", "hbm2", "hbm5", "hbm32", "ddr"])
+    def test_random_operations(self, spec):
+        """Same ``(completion, name)`` for every operation and the same
+        per-channel record at the end, whatever mix of automatic,
+        steered, zero-byte and striped issues and resets came before."""
+        rng = random.Random(spec.n_channels)
+        model, ref = MemorySystemModel(spec, CLOCK), _ScanReference(spec, CLOCK)
+        names = [c.name for c in spec.channels]
+        now = 0
+        for step in range(5000):
+            now = rng.choice([now, now, now + rng.randrange(40),
+                              rng.randrange(1 << 16)])
+            n_bytes = rng.choice([0, 1, 63, 64, 4096, rng.randrange(1 << 20)])
+            op = rng.random()
+            if op < 0.002:
+                model.reset()
+                ref.reset()
+            elif op < 0.15:
+                channel = rng.choice(names)
+                assert model.issue(n_bytes, now, channel=channel) == \
+                    ref.issue(n_bytes, now, channel), step
+            elif op < 0.6:
+                assert model.issue(n_bytes, now) == ref.issue(n_bytes, now), step
+            else:
+                sizes = [rng.choice([0, n_bytes, rng.randrange(1 << 12)])
+                         for _ in range(rng.randrange(1, 20))]
+                assert model.issue_striped(sizes, now) == \
+                    [ref.issue(size, now) for size in sizes], step
+        assert model.total_transactions > 0
+        for name, state in model.channels.items():
+            assert vars(state) == ref.channels[name], name
+
+    def test_striped_issue_validates_like_issue(self):
+        model = MemorySystemModel(MemorySystemSpec.u280_hbm(4), CLOCK)
+        with pytest.raises(ValueError):
+            model.issue_striped([64, -1], now=0)
+        with pytest.raises(ValueError):
+            model.issue_striped([64], now=-1)
+        assert model.issue_striped([], now=0) == []
+        assert model.total_transactions == 0

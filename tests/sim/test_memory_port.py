@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.fpga.hbm import MemorySystemSpec
+from repro.fpga.hbm import MemorySystemModel, MemorySystemSpec
 from repro.sim.engine import Simulator
 from repro.sim.memory import MemoryPort
 from repro.sim.stats import RunCounters
@@ -144,3 +144,89 @@ class TestMemoryPort:
         sim.run()
         port.reset()
         assert port.model.total_bytes_transferred == 0
+
+
+def _stripe_by_stripe(model, n_bytes, stripe, now, label, records):
+    """A striped transfer as the port first issued it — one ``model.issue``
+    per stripe — appending the trace records it owes; returns completion."""
+    stripe = min(stripe, model.spec.n_channels)
+    if n_bytes == 0 or stripe == 1:
+        sizes, labels = [n_bytes], [label]
+    else:
+        chunk = n_bytes // stripe
+        sizes = [chunk] * (stripe - 1) + [n_bytes - chunk * (stripe - 1)]
+        labels = [f"{label}[{i}]" for i in range(stripe)]
+    latest = now
+    for size, stripe_label in zip(sizes, labels):
+        completion, channel = model.issue(size, now)
+        latest = max(latest, completion)
+        if size > 0:
+            records.append((f"hbm:{channel}", stripe_label, now, completion,
+                            "transfer"))
+    return latest
+
+
+class TestStripedIssueIsOneModelCall:
+    @pytest.mark.parametrize("stripe", [1, 4, 16, 64])
+    @pytest.mark.parametrize("n_bytes", [0, 5, 4096, (1 << 20) + 3])
+    def test_equals_the_same_bytes_issued_stripe_by_stripe(self, n_bytes, stripe):
+        """Reads and posted writes interleaved on one port (a write and
+        the next read share a cycle): completion cycles, counters and the
+        full trace equal those of per-stripe ``model.issue`` calls."""
+        trace = Trace()
+        sim, port, counters = _port(n_channels=32, trace=trace)
+        reference = MemorySystemModel(MemorySystemSpec.u280_hbm(32), CLOCK)
+        records, expected_done, done = [], {}, {}
+
+        def transfer(method, label):
+            expected_done[label] = _stripe_by_stripe(
+                reference, n_bytes, stripe, sim.now, label, records)
+            event = method(n_bytes, stripe, label)
+            event.add_callback(lambda _event: done.setdefault(label, sim.now))
+            return event
+
+        def proc():
+            for i in range(3):
+                yield transfer(port.read_striped, f"load{i}")
+                posted = transfer(port.write_striped, f"store{i}")
+                yield transfer(port.read_striped, f"reload{i}")
+                yield sim.timeout(7)
+                yield posted
+
+        sim.process(proc())
+        sim.run()
+        assert done == expected_done and len(done) == 9
+        assert [(e.engine, e.label, e.start, e.end, e.category)
+                for e in trace.events] == records
+        assert counters.dma_transfers == len(records)
+        assert counters.hbm_read_bytes == 6 * n_bytes
+        assert counters.hbm_write_bytes == 3 * n_bytes
+        assert {name: vars(state) for name, state in port.model.channels.items()} \
+            == {name: vars(state) for name, state in reference.channels.items()}
+
+    def test_fewer_bytes_than_stripes_is_one_transfer(self):
+        """5 bytes over 16 stripes: 15 empty stripes consume no channel
+        and count nothing; the last carries all five bytes."""
+        trace = Trace()
+        sim, port, counters = _port(n_channels=32, trace=trace)
+        port.read_striped(5, 16, "tiny")
+        assert counters.dma_transfers == 1
+        assert [(e.engine, e.label) for e in trace.events] == [("hbm:hbm0", "tiny[15]")]
+        assert port.model.total_transactions == 1
+
+    def test_invalid_striped_arguments_still_rejected(self):
+        _, port, _ = _port()
+        for method in (port.read_striped, port.write_striped):
+            with pytest.raises(ValueError):
+                method(-1, 4)
+            with pytest.raises(ValueError):
+                method(1024, 0)
+            with pytest.raises(ValueError):
+                method(1024, -2)
+
+    def test_unknown_channel_is_a_value_error(self):
+        _, port, _ = _port()
+        with pytest.raises(ValueError, match="hbm99"):
+            port.read(64, channel="hbm99")
+        with pytest.raises(ValueError, match="hbm99"):
+            port.write(64, channel="hbm99")
