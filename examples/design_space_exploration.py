@@ -17,11 +17,9 @@ from __future__ import annotations
 
 import argparse
 
-from repro import SpeedLLMAccelerator, preset, synthesize_weights, u280
-from repro.accel import AcceleratorConfig, BufferConfig, MPEConfig
+from repro import ExperimentConfig, ExperimentRunner
+from repro.accel import DesignSpace, DesignSpaceExplorer
 from repro.core.report import format_table
-from repro.fpga.resources import ResourceError
-from repro.workloads import ParameterSweep
 
 
 def main() -> None:
@@ -33,55 +31,32 @@ def main() -> None:
     parser.add_argument("--clock-mhz", type=float, default=225.0)
     args = parser.parse_args()
 
-    config = preset(args.model)
-    checkpoint = synthesize_weights(config, seed=0)
-    platform = u280(clock_mhz=args.clock_mhz)
-
-    sweep = ParameterSweep({
-        "mpe": [(32, 16), (64, 32), (128, 32)],
-        "segments": [4, 8],
-        "stripe": [8, 16, 32],
-    })
-    print(f"Exploring {len(sweep)} candidate designs for {args.model} "
+    runner = ExperimentRunner(ExperimentConfig(
+        model=args.model, n_prompt=8, n_generated=args.tokens,
+        position_stride=args.stride, clock_mhz=args.clock_mhz,
+        energy_accounting="board"))
+    explorer = DesignSpaceExplorer(runner)
+    space = DesignSpace()
+    platform = runner.platform
+    print(f"Exploring {len(space)} candidate designs for {args.model} "
           f"on the {platform.name} at {platform.clock_mhz:.0f} MHz\n")
 
-    rows = []
-    for point in sweep:
-        rows_, cols = point["mpe"]
-        candidate = AcceleratorConfig(
-            name=f"mpe{rows_}x{cols}-seg{point['segments']}-st{point['stripe']}",
-            mpe=MPEConfig(rows=rows_, cols=cols),
-            buffers=BufferConfig(n_segments=point["segments"], segment_kb=128),
-            hbm_stripe=point["stripe"],
-        )
-        accel = SpeedLLMAccelerator(checkpoint, candidate, platform=platform)
-        try:
-            report = accel.resource_report()
-        except ResourceError:
-            print(f"  {candidate.name}: does not fit the device, skipped")
-            continue
-        metrics = accel.simulate_generation(
-            n_prompt=8, n_generated=args.tokens, position_stride=args.stride
-        )
-        rows.append({
-            "design": candidate.name,
-            "dsp_util": report.fraction("dsp"),
-            "uram_util": report.fraction("uram"),
-            "latency_ms": metrics.total_seconds * 1e3,
-            "tokens_per_second": metrics.decode_tokens_per_second,
-            "tokens_per_joule": metrics.tokens_per_joule,
-            "mpe_utilization": metrics.mean_mpe_utilization,
-        })
+    results = explorer.explore(space)
+    for result in results:
+        if not result.fits:
+            print(f"  {result.config.name}: does not fit the device, skipped")
+    simulated = sorted((r for r in results if r.simulated),
+                       key=lambda r: r.latency_seconds)
+    print(format_table([r.as_row() for r in simulated], columns=[
+        "design", "dsp_fraction", "latency_ms", "tokens_per_second",
+        "tokens_per_joule"]))
 
-    rows.sort(key=lambda r: r["latency_ms"])
-    print(format_table(rows))
-
-    best = rows[0]
-    efficient = max(rows, key=lambda r: r["tokens_per_joule"])
-    print(f"\nFastest design:            {best['design']} "
-          f"({best['tokens_per_second']:.0f} tokens/s)")
-    print(f"Most energy-efficient:     {efficient['design']} "
-          f"({efficient['tokens_per_joule']:.1f} tokens/J)")
+    best = explorer.best(results, "latency")
+    efficient = explorer.best(results, "efficiency")
+    print(f"\nFastest design:            {best.config.name} "
+          f"({best.tokens_per_second:.0f} tokens/s)")
+    print(f"Most energy-efficient:     {efficient.config.name} "
+          f"({efficient.tokens_per_joule:.1f} tokens/J)")
 
 
 if __name__ == "__main__":

@@ -17,12 +17,7 @@ Quick start::
     print(out.text, out.latency_ms, out.decode_tokens_per_second)
 """
 
-from .accel import (
-    AcceleratorConfig,
-    GenerationMetrics,
-    SpeedLLMAccelerator,
-    variant_config,
-)
+from .accel import AcceleratorConfig, GenerationMetrics, SpeedLLMAccelerator
 from .api import (
     CompletionRequest,
     CompletionResponse,
@@ -60,7 +55,6 @@ __all__ = [
     "AcceleratorConfig",
     "GenerationMetrics",
     "SpeedLLMAccelerator",
-    "variant_config",
     "CompletionRequest",
     "CompletionResponse",
     "CompletionService",

@@ -12,15 +12,7 @@ from .memory_manager import BufferPool, BufferSegment
 from .mpe import MPETimingModel, TileShape
 from .pipeline import DISPATCH_CYCLES, PipelineExecutor, StepResult
 from .sfu import SFUTimingModel
-from .variants import (
-    ABLATION_VARIANTS,
-    FIG2A_VARIANTS,
-    FIG2B_VARIANTS,
-    PAPER_VARIANTS,
-    VariantSpec,
-    variant_config,
-    variant_specs,
-)
+from .variants import PAPER_VARIANTS, VariantSpec
 
 __all__ = [
     "AcceleratorGeneration",
@@ -53,11 +45,6 @@ __all__ = [
     "PipelineExecutor",
     "StepResult",
     "SFUTimingModel",
-    "ABLATION_VARIANTS",
-    "FIG2A_VARIANTS",
-    "FIG2B_VARIANTS",
     "PAPER_VARIANTS",
     "VariantSpec",
-    "variant_config",
-    "variant_specs",
 ]

@@ -7,6 +7,12 @@ the programs on the pipeline executor, and accumulates latency / traffic /
 energy over a whole generation (prefill + decode), while the functional
 graph executor produces the actual tokens.
 
+Functionally the accelerator is a *model* in the sense of
+:mod:`repro.llama.generation`: it answers ``forward(token, pos, cache)``
+and ``new_cache()``, so the decode loop, the teacher-forced comparison
+and the cross-entropy loop written over :class:`~repro.llama.model.
+LlamaModel` run over it unchanged.
+
 The per-position cost of a decode step varies only through the attention
 window length, and it varies smoothly, so long generations can be
 simulated with a ``position_stride > 1``: positions at the stride points
@@ -32,11 +38,11 @@ from ..fpga.u280 import FpgaPlatform, u280
 from ..graph.builder import GraphBuilder
 from ..graph.fusion import fuse_graph
 from ..graph.graph import Graph
+from ..llama import generation
 from ..llama.checkpoint import Checkpoint
 from ..llama.kv_cache import KVCache
 from ..llama.quantization import QuantSpec, dequantize, quantize
 from ..llama.sampler import Sampler
-from ..llama.tokenizer import EOS_ID
 from ..sim.stats import RunCounters
 from .batching import BatchSlot
 from .config import AcceleratorConfig
@@ -352,42 +358,25 @@ class SpeedLLMAccelerator:
         position_stride: int = 1,
     ) -> AcceleratorGeneration:
         """Generate tokens functionally and report simulated timing/energy."""
-        if not prompt_tokens:
-            raise ValueError("prompt_tokens must not be empty")
-        prompt_tokens = [int(t) for t in prompt_tokens]
-        sampler = sampler or Sampler()
-        max_len = self.model_config.max_seq_len
-        if len(prompt_tokens) >= max_len:
-            raise ValueError("prompt does not fit in the context window")
-
-        cache = KVCache(self.model_config)
-        for pos, token in enumerate(prompt_tokens):
-            logits = self.execute(token, pos, cache)
-        generated: List[int] = []
-        pos = len(prompt_tokens)
-        budget = min(max_new_tokens, max_len - len(prompt_tokens))
-        for _ in range(budget):
-            token = sampler.sample(logits)
-            generated.append(token)
-            if stop_at_eos and token == EOS_ID:
-                break
-            if pos >= max_len:
-                break
-            logits = self.execute(token, pos, cache)
-            pos += 1
-
+        result = generation.generate(
+            self, prompt_tokens, max_new_tokens,
+            sampler=sampler, stop_at_eos=stop_at_eos)
         metrics = self.simulate_generation(
-            n_prompt=len(prompt_tokens),
-            n_generated=len(generated),
+            n_prompt=result.n_prompt,
+            n_generated=result.n_generated,
             position_stride=position_stride,
         )
         return AcceleratorGeneration(
-            prompt_tokens=prompt_tokens,
-            generated_tokens=generated,
+            prompt_tokens=result.prompt_tokens,
+            generated_tokens=result.generated_tokens,
             metrics=metrics,
         )
 
-    def execute(
+    def new_cache(self) -> KVCache:
+        """A fresh KV cache spanning this model's context window."""
+        return KVCache(self.model_config)
+
+    def forward(
         self,
         token: int,
         pos: int,
@@ -421,5 +410,5 @@ class SpeedLLMAccelerator:
         the same step comes from ``self.timing.simulate_step`` with the
         slots' positions as context lengths.
         """
-        return [self.execute(slot.token, slot.pos, slot.cache, slot.need_logits)
+        return [self.forward(slot.token, slot.pos, slot.cache, slot.need_logits)
                 for slot in slots]

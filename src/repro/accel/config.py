@@ -123,10 +123,19 @@ class BufferConfig:
         return ResourceVector(uram=uram, bram_36k=16, lut=20_000, ff=25_000)
 
 
-VARIANT_NAMES: Tuple[str, ...] = (
-    "full", "no-fusion", "no-pipeline", "no-reuse",
-    "pipeline-only", "reuse-only", "fusion-only", "unoptimized",
-)
+#: (pipeline, memory_reuse, operator_fusion) of every named design point.
+_VARIANT_FLAGS: Dict[str, Tuple[bool, bool, bool]] = {
+    "full": (True, True, True),
+    "no-fusion": (True, True, False),
+    "no-pipeline": (False, True, True),
+    "no-reuse": (True, False, True),
+    "pipeline-only": (True, False, False),
+    "reuse-only": (False, True, False),
+    "fusion-only": (False, False, True),
+    "unoptimized": (False, False, False),
+}
+
+VARIANT_NAMES: Tuple[str, ...] = tuple(_VARIANT_FLAGS)
 
 
 @dataclass(frozen=True)
@@ -215,19 +224,10 @@ class AcceleratorConfig:
         all of them; ``no-X`` disables exactly one; ``X-only`` enables
         exactly one.  Additional keyword overrides are applied on top.
         """
-        flags = {
-            "full": (True, True, True),
-            "no-fusion": (True, True, False),
-            "no-pipeline": (False, True, True),
-            "no-reuse": (True, False, True),
-            "pipeline-only": (True, False, False),
-            "reuse-only": (False, True, False),
-            "fusion-only": (False, False, True),
-            "unoptimized": (False, False, False),
-        }
-        if name not in flags:
-            raise KeyError(f"unknown variant {name!r}; available: {sorted(flags)}")
-        pipeline, reuse, fusion = flags[name]
+        if name not in _VARIANT_FLAGS:
+            raise KeyError(
+                f"unknown variant {name!r}; available: {sorted(_VARIANT_FLAGS)}")
+        pipeline, reuse, fusion = _VARIANT_FLAGS[name]
         config = cls(
             name=f"speedllm-{name}",
             pipeline=pipeline,

@@ -12,21 +12,25 @@ small, reusable DSE loop:
 4. simulate the survivors cycle-accurately and rank them,
 5. report the latency/efficiency Pareto front.
 
-The ``examples/design_space_exploration.py`` script is a thin wrapper
-around this module.
+Checkpoint, platform and workload are the
+:class:`~repro.core.runner.ExperimentRunner`'s the explorer is built
+over, and every survivor is simulated by its
+:meth:`~repro.core.runner.ExperimentRunner.simulate`.  The
+``examples/design_space_exploration.py`` script is a thin wrapper around
+this module.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..compile.pipeline import StepCompiler
-from ..fpga.u280 import FpgaPlatform, u280
-from ..llama.checkpoint import Checkpoint
-from .accelerator import SpeedLLMAccelerator
 from .analytical import AnalyticalModel
 from .config import AcceleratorConfig, BufferConfig, MPEConfig
+
+if TYPE_CHECKING:  # pragma: no cover - typing only, core imports accel
+    from ..core.runner import ExperimentRunner
 
 __all__ = ["CandidateResult", "DesignSpace", "DesignSpaceExplorer", "pareto_front"]
 
@@ -110,33 +114,22 @@ def pareto_front(results: Sequence[CandidateResult]) -> List[CandidateResult]:
 
 
 class DesignSpaceExplorer:
-    """Evaluates a :class:`DesignSpace` for one model checkpoint."""
+    """Evaluates a :class:`DesignSpace` on one runner's model, platform
+    and workload."""
 
-    def __init__(
-        self,
-        checkpoint: Checkpoint,
-        platform: Optional[FpgaPlatform] = None,
-        n_prompt: int = 8,
-        n_generated: int = 24,
-        position_stride: int = 16,
-    ) -> None:
-        if n_prompt <= 0 or n_generated < 0:
-            raise ValueError("n_prompt must be positive and n_generated >= 0")
-        self.checkpoint = checkpoint
-        self.platform = platform or u280()
-        self.n_prompt = n_prompt
-        self.n_generated = n_generated
-        self.position_stride = position_stride
+    def __init__(self, runner: "ExperimentRunner") -> None:
+        self.runner = runner
 
     # ------------------------------------------------------------------
     def _lower_bound(self, config: AcceleratorConfig) -> int:
         """Analytical overlapped-cycle bound of the deepest decode step."""
-        model_config = self.checkpoint.config
-        context = min(self.n_prompt + self.n_generated - 1,
+        runner = self.runner
+        workload, model_config = runner.config, runner.model_config
+        context = min(workload.n_prompt + workload.n_generated - 1,
                       model_config.max_seq_len - 1)
         program = StepCompiler(
-            model_config, config, self.platform).lower(context)
-        return AnalyticalModel(config, self.platform).estimate(
+            model_config, config, runner.platform).lower(context)
+        return AnalyticalModel(config, runner.platform).estimate(
             program).overlapped_cycles
 
     def evaluate(
@@ -150,7 +143,7 @@ class DesignSpaceExplorer:
         whose bound exceeds ``prune_above`` is returned unsimulated;
         a simulated one is timing-only, so no weight is ever quantised.
         """
-        usage, budget = config.resources(), self.platform.resources
+        usage, budget = config.resources(), self.runner.platform.resources
         result = CandidateResult(
             config=config, fits=usage.fits_in(budget),
             dsp_fraction=usage.dsp / budget.dsp if budget.dsp else 0.0)
@@ -160,11 +153,7 @@ class DesignSpaceExplorer:
         if (prune_above is not None
                 and result.analytical_lower_cycles > prune_above):
             return result
-        accel = SpeedLLMAccelerator(self.checkpoint, config, platform=self.platform)
-        metrics = accel.simulate_generation(
-            n_prompt=self.n_prompt, n_generated=self.n_generated,
-            position_stride=self.position_stride,
-        )
+        metrics = self.runner.simulate(config)
         result.simulated = True
         result.latency_seconds = metrics.total_seconds
         result.tokens_per_second = metrics.decode_tokens_per_second

@@ -2,28 +2,19 @@
 
 Figure 2 of the paper compares the full SpeedLLM design against the
 "unoptimized accelerator", the "none parallel tech." variant and the
-"none fused" variant.  This module names those design points, maps them to
-:class:`~repro.accel.config.AcceleratorConfig` objects, and provides the
-bar orderings used by the benchmark harness so the generated tables follow
-the figure layout.
+"none fused" variant.  This module gives those design points the labels
+the paper's figures use; the flags behind each key are
+:meth:`AcceleratorConfig.variant <repro.accel.config.AcceleratorConfig.variant>`'s,
+and the Fig. 2(a) bar order is the default of
+:class:`~repro.core.runner.ExperimentConfig`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence
+from typing import Dict
 
-from .config import AcceleratorConfig
-
-__all__ = [
-    "VariantSpec",
-    "PAPER_VARIANTS",
-    "FIG2A_VARIANTS",
-    "FIG2B_VARIANTS",
-    "ABLATION_VARIANTS",
-    "variant_config",
-    "variant_specs",
-]
+__all__ = ["VariantSpec", "PAPER_VARIANTS"]
 
 
 @dataclass(frozen=True)
@@ -33,10 +24,6 @@ class VariantSpec:
     key: str            # internal variant key (AcceleratorConfig.variant name)
     paper_label: str    # label as it appears (or would appear) in the paper
     description: str
-
-    def config(self, **overrides) -> AcceleratorConfig:
-        """Instantiate the accelerator configuration for this variant."""
-        return AcceleratorConfig.variant(self.key, **overrides)
 
 
 PAPER_VARIANTS: Dict[str, VariantSpec] = {
@@ -67,32 +54,3 @@ PAPER_VARIANTS: Dict[str, VariantSpec] = {
         description="sequential execution, no buffer reuse, no fusion",
     ),
 }
-
-#: Bars of Fig. 2(a): normalized latency of the optimization ladder.
-FIG2A_VARIANTS: List[str] = [
-    "unoptimized", "no-pipeline", "no-reuse", "no-fusion", "full",
-]
-
-#: Bars of Fig. 2(b): effective energy of the designs named in §3.2.2.
-FIG2B_VARIANTS: List[str] = ["unoptimized", "no-pipeline", "no-fusion", "full"]
-
-#: Single-optimization design points for the ablation benches.
-ABLATION_VARIANTS: List[str] = [
-    "unoptimized", "pipeline-only", "reuse-only", "fusion-only", "full",
-]
-
-
-def variant_config(name: str, **overrides) -> AcceleratorConfig:
-    """Accelerator configuration for a paper variant or raw variant key."""
-    return AcceleratorConfig.variant(name, **overrides)
-
-
-def variant_specs(names: Sequence[str]) -> List[VariantSpec]:
-    """Resolve a list of variant names to their specs (raw keys allowed)."""
-    specs: List[VariantSpec] = []
-    for name in names:
-        if name in PAPER_VARIANTS:
-            specs.append(PAPER_VARIANTS[name])
-        else:
-            specs.append(VariantSpec(key=name, paper_label=name, description=name))
-    return specs

@@ -171,7 +171,10 @@ class EngineConfig:
         # Scheduler knobs are validated by SchedulerConfig itself; build
         # it eagerly so a bad EngineConfig fails at construction, not at
         # build_engine() time.
-        self.scheduler_config()
+        try:
+            self.scheduler_config()
+        except ValueError as exc:
+            raise FrontendError(str(exc)) from None
 
     # ------------------------------------------------------------------
     def quant_config(self) -> Optional["QuantConfig"]:
@@ -216,8 +219,8 @@ class EngineConfig:
         fp32 = self.quant == "fp32"
         if (self.autotune or self.ctx_bucket != 1 or quant is not None
                 or fp32 or self.trace_cycles):
-            from ..accel.variants import variant_config
-            accel_config = variant_config(self.variant).replace(
+            from ..accel.config import AcceleratorConfig
+            accel_config = AcceleratorConfig.variant(self.variant).replace(
                 autotune_tiling=self.autotune,
                 ctx_bucket=self.ctx_bucket,
                 quant=quant,
@@ -249,10 +252,16 @@ class EngineConfig:
         """
         from ..serve.engine import ServingEngine
         llm = llm or self.build_llm()
-        backend = ExecutionBackend(
-            llm.accelerator, self.tensor_parallel, InterconnectModel(
-                bandwidth_gbps=self.interconnect_gbps,
-                latency_s=self.interconnect_latency_us * 1e-6))
+        interconnect = InterconnectModel(
+            bandwidth_gbps=self.interconnect_gbps,
+            latency_s=self.interconnect_latency_us * 1e-6)
+        # Whether the model shards ``tensor_parallel`` ways is only known
+        # here: an injected ``llm`` may carry another model than ``model``.
+        try:
+            backend = ExecutionBackend(
+                llm.accelerator, self.tensor_parallel, interconnect)
+        except ValueError as exc:
+            raise FrontendError(str(exc)) from None
         return ServingEngine(llm, self.scheduler_config(), backend=backend,
                              tracer=tracer, metrics=metrics)
 

@@ -39,14 +39,20 @@ benchmark serves, against which twin, and what its JSON carries is
 Invoke via ``python -m repro.cli <subcommand>`` or the ``speedllm``
 console script installed with the package.  See ``docs/ARCHITECTURE.md``
 for how a request travels through the stack each command exercises.
+
+Exit status: 0 on success, 1 when a run fails what it checks (token
+identity, a quant gate, an invalid trace), 2 for a usage error — a flag
+argparse rejects, or a flag combination the library's configuration
+objects reject while the flags are mapped onto them.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from . import bench
 from .accel.variants import PAPER_VARIANTS
@@ -60,6 +66,7 @@ from .core.validation import validate_accelerator
 from .graph.builder import build_decode_graph
 from .graph.export import to_dot, to_json
 from .graph.fusion import fuse_graph
+from .graph.sharding import ShardSpec
 from .llama.config import available_presets, preset
 from .workloads.prompts import default_suite
 
@@ -223,6 +230,21 @@ def _json_to_file(path: str, payload, what: str = "results") -> None:
     print(f"{what} written to {path}")
 
 
+@contextlib.contextmanager
+def _configuring(args: argparse.Namespace) -> Iterator[None]:
+    """Flags becoming library configuration.
+
+    What a configuration object rejects here is a usage error: one
+    ``speedllm <cmd>: error: <message>`` line and exit status 2, the
+    same as a flag argparse itself rejects.  Anything raised once the
+    run is configured keeps its traceback.
+    """
+    try:
+        yield
+    except ValueError as exc:
+        args.usage_error(str(exc))
+
+
 def _spec_config(args: argparse.Namespace) -> Optional[SpecConfig]:
     """The speculative policy the CLI flags describe (None when off)."""
     if args.speculative is None:
@@ -242,7 +264,7 @@ def _engine_config(args: argparse.Namespace) -> EngineConfig:
     if arrival_rate is not None:
         arrival_policy = ("bursty" if getattr(args, "bursty", False)
                           else "poisson")
-    return EngineConfig(
+    config = EngineConfig(
         speculative=_spec_config(args),
         trace_cycles=getattr(args, "trace_cycles", False),
         model=args.model,
@@ -272,6 +294,10 @@ def _engine_config(args: argparse.Namespace) -> EngineConfig:
         arrival_rate=arrival_rate,
         burst_rate=getattr(args, "burst_rate", None),
     )
+    # build_engine refuses a model that does not shard this many ways,
+    # but only once the model is built; --model is known already.
+    ShardSpec.from_config(preset(args.model), args.tensor_parallel)
+    return config
 
 
 def _cluster_config(args: argparse.Namespace,
@@ -565,6 +591,8 @@ def build_parser() -> argparse.ArgumentParser:
     export.add_argument("--format", choices=("dot", "json"), default="dot")
     export.add_argument("--output", default="-",
                         help="output file ('-' for stdout)")
+    for subparser in sub.choices.values():
+        subparser.set_defaults(usage_error=subparser.error)
     return parser
 
 
@@ -593,13 +621,14 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    config = ExperimentConfig(
-        model=args.model,
-        n_prompt=args.prompt_tokens,
-        n_generated=args.tokens,
-        position_stride=args.stride,
-        energy_accounting=args.energy,
-    )
+    with _configuring(args):
+        config = ExperimentConfig(
+            model=args.model,
+            n_prompt=args.prompt_tokens,
+            n_generated=args.tokens,
+            position_stride=args.stride,
+            energy_accounting=args.energy,
+        )
     runner = ExperimentRunner(config)
     rows = runner.result_rows()
     normalized = runner.fig2a_normalized_latency()
@@ -664,8 +693,9 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
         return _cmd_bench_matrix(args)
     if args.replicas != 1 or args.disaggregate or args.autoscale:
         return _cmd_cluster_bench(args)
-    config = _engine_config(args)
-    suite = _serve_bench_suite(args)
+    with _configuring(args):
+        config = _engine_config(args)
+        suite = _serve_bench_suite(args)
     tracer, registry = _obs_sinks(args.trace_out, args.metrics_out)
     result = bench.serve_bench(
         config, suite, ignore_eos=args.ignore_eos,
@@ -791,8 +821,9 @@ def _print_compile_stats(stats) -> None:
 
 def _cmd_cluster_bench(args: argparse.Namespace) -> int:
     """``serve-bench --replicas N``: the suite through a replica cluster."""
-    cluster_config = _cluster_config(args, _engine_config(args))
-    suite = _serve_bench_suite(args)
+    with _configuring(args):
+        cluster_config = _cluster_config(args, _engine_config(args))
+        suite = _serve_bench_suite(args)
     tracer, registry = _obs_sinks(args.trace_out, args.metrics_out)
     result = bench.cluster_bench(
         cluster_config, suite, ignore_eos=args.ignore_eos, check=args.check,
@@ -864,9 +895,10 @@ def _cmd_bench_matrix(args: argparse.Namespace) -> int:
     plain_args = argparse.Namespace(**{
         **vars(args), "chunked_prefill": False, "prefill_chunk_tokens": None,
         "policy": "fifo", "speculative": None})
+    with _configuring(args):
+        base = _engine_config(plain_args)
     payload = bench.bench_matrix(
-        _engine_config(plain_args),
-        requests=args.requests, tokens=args.tokens,
+        base, requests=args.requests, tokens=args.tokens,
         ignore_eos=args.ignore_eos,
         prefill_chunk_tokens=args.prefill_chunk_tokens, log=print)
     write_json(args.bench_out, payload)
@@ -876,11 +908,14 @@ def _cmd_bench_matrix(args: argparse.Namespace) -> int:
 
 
 def _cmd_compile_bench(args: argparse.Namespace) -> int:
+    with _configuring(args):
+        config = EngineConfig(
+            model=args.model, variant=args.variant, seed=args.seed,
+            ctx_bucket=args.ctx_bucket, quant=args.quant,
+            quant_kv=args.quant_kv, quant_group=args.quant_group,
+            fp32_logits=args.fp32_logits)
     payload = bench.compile_bench(
-        EngineConfig(model=args.model, variant=args.variant, seed=args.seed,
-                     ctx_bucket=args.ctx_bucket, quant=args.quant,
-                     quant_kv=args.quant_kv, quant_group=args.quant_group),
-        requests=args.requests, prompt_words=args.prompt_words,
+        config, requests=args.requests, prompt_words=args.prompt_words,
         tokens=args.tokens, min_speedup=args.min_speedup,
         min_hit_rate=args.min_hit_rate)
     for failure in payload["failures"]:
@@ -931,7 +966,8 @@ _SERVE_API_PROMPTS = (
 
 
 def _cmd_serve_api(args: argparse.Namespace) -> int:
-    config = _engine_config(args)
+    with _configuring(args):
+        config = _engine_config(args)
     llm = config.build_llm()
     engine = config.build_engine(llm=llm)
     service = CompletionService(engine)
@@ -1129,11 +1165,12 @@ def _cmd_trace(args: argparse.Namespace) -> int:
               f"{other.get('n_spans', '?')} spans, "
               f"{len(other.get('requests', {}))} requests)")
         return 0
-    suite = bench.select_suite("mixed" if args.mixed else "default",
-                               args.requests, args.tokens, args.seed)
+    with _configuring(args):
+        suite = bench.select_suite("mixed" if args.mixed else "default",
+                                   args.requests, args.tokens, args.seed)
+        config = _engine_config(args)
     tracer, registry = _obs_sinks(args.out, args.metrics_out)
-    engine = _engine_config(args).build_engine(tracer=tracer,
-                                               metrics=registry)
+    engine = config.build_engine(tracer=tracer, metrics=registry)
     report = engine.serve(suite, SamplingParams(ignore_eos=args.ignore_eos))
     problems = _write_obs_outputs(
         args.out, args.metrics_out, tracer, registry, report,

@@ -352,8 +352,8 @@ class ClusterEngine:
                 # The prefill stub runs the prompt plus the first token;
                 # the original budget is restored on the decode side.
                 params = dataclasses.replace(creq.params, max_tokens=1)
-            handle = target.engine.submit(
-                creq.prompt, params,
+            handle = target.engine.submit_tokens(
+                creq.prompt_tokens, params, prompt=creq.prompt,
                 request_id=creq.request_id,
                 arrival_time=creq.arrival_time,
             )

@@ -27,6 +27,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Hashable, Optional, Sequence, Tuple
 
+from ..accel.batching import block_padded_context
 from ..accel.config import AcceleratorConfig
 from ..graph.sharding import ShardSpec
 from ..llama.config import LlamaConfig
@@ -55,17 +56,11 @@ class ShapeBucketSpec:
 
         The attention window (``context_len + 1`` positions) is rounded
         up to the bucket boundary and clamped to the model's context
-        window, mirroring :func:`~repro.accel.batching.
-        block_padded_context` — the same conservative padding paged KV
-        serving already applies.
+        window — :func:`~repro.accel.batching.block_padded_context`, the
+        conservative padding paged KV serving applies, at the bucket
+        granularity.
         """
-        if context_len < 0:
-            raise ValueError("context_len must be >= 0")
-        if self.granularity == 1:
-            return context_len
-        window = context_len + 1
-        padded = -(-window // self.granularity) * self.granularity
-        return min(padded, max_seq_len) - 1
+        return block_padded_context(context_len, self.granularity, max_seq_len)
 
     def bucket_contexts(
         self, context_lens: Sequence[int], max_seq_len: int

@@ -1,13 +1,18 @@
-"""Experiment runner: evaluate accelerator variants on a common workload.
+"""Experiment runner: evaluate accelerator design points on a common workload.
 
-This is the layer the benchmark scripts and the ``speedllm bench`` CLI
-subcommand drive.  Given a model preset, a workload (prompt length +
-decode length) and a list of design variants, it builds one
-:class:`~repro.accel.accelerator.SpeedLLMAccelerator` per variant over a
-shared synthetic checkpoint, simulates the generation, and returns
-:class:`~repro.core.metrics.VariantResult` records together with the
-normalised tables the paper's figures show (Fig. 2a normalized latency,
-Fig. 2b relative energy efficiency, and the headline speedup).
+This is the layer the ``speedllm bench`` CLI subcommand, the perf
+harness and design-space exploration drive.  A runner holds a model
+checkpoint, a platform and a workload (prompt length + decode length);
+:meth:`ExperimentRunner.simulate` is the one place a design point is
+simulated — it builds a
+:class:`~repro.accel.accelerator.SpeedLLMAccelerator` for an
+:class:`~repro.accel.config.AcceleratorConfig` over the shared
+checkpoint and simulates that workload.  The paper's named variants go
+through it (:meth:`~ExperimentRunner.run_variant`, returning
+:class:`~repro.core.metrics.VariantResult` records and the normalised
+tables the figures show: Fig. 2a normalized latency, Fig. 2b relative
+energy efficiency, the headline speedup), and so does every candidate of
+a :class:`~repro.accel.dse.DesignSpaceExplorer`.
 
 The runner evaluates *timing only* (``simulate_generation``), which is
 why it is cheap enough to sweep every variant: no tokens are decoded.
@@ -23,9 +28,9 @@ import dataclasses
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
-from ..accel.accelerator import SpeedLLMAccelerator
+from ..accel.accelerator import GenerationMetrics, SpeedLLMAccelerator
 from ..accel.config import AcceleratorConfig
-from ..accel.variants import PAPER_VARIANTS, variant_config
+from ..accel.variants import PAPER_VARIANTS
 from ..fpga.power import EnergyModelConfig
 from ..fpga.u280 import FpgaPlatform, u280
 from ..llama.checkpoint import Checkpoint, synthesize_weights
@@ -93,30 +98,25 @@ class ExperimentRunner:
                     platform, energy_config=EnergyModelConfig.effective()
                 )
         self.platform = platform
-        self._accelerators: Dict[str, SpeedLLMAccelerator] = {}
         self._results: Dict[str, VariantResult] = {}
 
     # ------------------------------------------------------------------
-    def accelerator_for(self, variant: str) -> SpeedLLMAccelerator:
-        """Build (and cache) the accelerator for ``variant``."""
-        if variant not in self._accelerators:
-            accel_config: AcceleratorConfig = variant_config(
-                variant, **self.config.accel_overrides
-            )
-            self._accelerators[variant] = SpeedLLMAccelerator(
-                self.checkpoint, accel_config, platform=self.platform
-            )
-        return self._accelerators[variant]
+    def simulate(self, accel_config: AcceleratorConfig) -> GenerationMetrics:
+        """Build ``accel_config`` over the shared checkpoint and platform
+        and simulate the configured workload (timing only)."""
+        accel = SpeedLLMAccelerator(
+            self.checkpoint, accel_config, platform=self.platform)
+        return accel.simulate_generation(
+            n_prompt=self.config.n_prompt,
+            n_generated=self.config.n_generated,
+            position_stride=self.config.position_stride,
+        )
 
     def run_variant(self, variant: str) -> VariantResult:
         """Simulate one variant on the configured workload (cached)."""
         if variant not in self._results:
-            accel = self.accelerator_for(variant)
-            metrics = accel.simulate_generation(
-                n_prompt=self.config.n_prompt,
-                n_generated=self.config.n_generated,
-                position_stride=self.config.position_stride,
-            )
+            metrics = self.simulate(AcceleratorConfig.variant(
+                variant, **self.config.accel_overrides))
             spec = PAPER_VARIANTS.get(variant)
             self._results[variant] = VariantResult(
                 variant=variant,

@@ -25,7 +25,6 @@ from typing import Dict, List, Optional
 
 from ..accel.accelerator import AcceleratorGeneration, GenerationMetrics, SpeedLLMAccelerator
 from ..accel.config import AcceleratorConfig
-from ..accel.variants import variant_config
 from ..api.params import SamplingParams
 from ..fpga.power import EnergyModelConfig
 from ..fpga.resources import UtilizationReport
@@ -113,7 +112,7 @@ class SpeedLLM:
         if self.checkpoint.config != self.model_config:
             self.model_config = self.checkpoint.config
         self.variant = variant
-        self.accel_config = accel_config or variant_config(variant)
+        self.accel_config = accel_config or AcceleratorConfig.variant(variant)
         if platform is None:
             platform = u280()
             if energy_accounting == "effective":

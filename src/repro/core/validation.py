@@ -3,7 +3,9 @@
 A co-designed accelerator is only useful if it computes the same model.
 This module runs a prompt suite through both the simulated accelerator
 (functional graph executor over the datapath weights) and the NumPy
-reference engine, and reports:
+reference engine — the teacher-forced
+:func:`~repro.llama.evaluate.divergence_report` over each prompt plus
+the reference's own greedy continuation — and reports:
 
 * greedy token agreement per prompt and overall,
 * the worst absolute logit deviation observed,
@@ -17,12 +19,11 @@ the real board.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
-
-import numpy as np
+from typing import List, Optional
 
 from ..accel.accelerator import SpeedLLMAccelerator
-from ..llama.kv_cache import KVCache
+from ..llama.evaluate import divergence_report
+from ..llama.generation import generate
 from ..llama.model import LlamaModel
 from ..llama.tokenizer import Tokenizer
 from ..workloads.prompts import PromptSuite, default_suite
@@ -90,40 +91,6 @@ class ValidationReport:
         return rows
 
 
-def _validate_workload(
-    accelerator: SpeedLLMAccelerator,
-    reference: LlamaModel,
-    tokens: Sequence[int],
-    n_decode: int,
-) -> tuple[int, int, float]:
-    """Teacher-forced comparison over prompt + greedy continuation."""
-    config = accelerator.model_config
-    cache_accel = KVCache(config)
-    cache_ref = reference.new_cache()
-
-    positions = 0
-    agreements = 0
-    max_err = 0.0
-    sequence = list(tokens)
-    pos = 0
-    budget = min(len(sequence) + n_decode, config.max_seq_len)
-    token = sequence[0]
-    while pos < budget - 1:
-        logits_accel = accelerator.execute(token, pos, cache_accel)
-        logits_ref = reference.forward(token, pos, cache_ref)
-        max_err = max(max_err, float(np.max(np.abs(logits_accel - logits_ref))))
-        accel_next = int(np.argmax(logits_accel))
-        ref_next = int(np.argmax(logits_ref))
-        agreements += int(accel_next == ref_next)
-        positions += 1
-        pos += 1
-        if pos < len(sequence):
-            token = sequence[pos]          # teacher forcing over the prompt
-        else:
-            token = ref_next               # greedy continuation
-    return positions, agreements, max_err
-
-
 def validate_accelerator(
     accelerator: SpeedLLMAccelerator,
     tokenizer: Tokenizer,
@@ -143,14 +110,15 @@ def validate_accelerator(
     reference = reference or LlamaModel(accelerator.functional_checkpoint())
     report = ValidationReport(threshold=threshold)
     for workload in suite:
-        tokens = tokenizer.encode(workload.prompt, bos=True)
-        positions, agreements, max_err = _validate_workload(
-            accelerator, reference, tokens, n_decode=min(n_decode, workload.max_new_tokens)
-        )
+        prompt = tokenizer.encode(workload.prompt, bos=True)
+        tail = generate(
+            reference, prompt, min(n_decode, workload.max_new_tokens),
+            stop_at_eos=False).generated_tokens
+        drift = divergence_report(accelerator, reference, [prompt + tail])
         report.prompts.append(PromptValidation(
             workload=workload.name,
-            n_positions=positions,
-            n_agreements=agreements,
-            max_logit_error=max_err,
+            n_positions=drift.n_positions,
+            n_agreements=drift.n_agreements,
+            max_logit_error=drift.max_logit_drift,
         ))
     return report

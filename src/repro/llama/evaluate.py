@@ -7,11 +7,17 @@ needs a way to quantify any functional drift.  This module provides:
 * :func:`cross_entropy` / :func:`perplexity` — teacher-forced next-token
   loss of a model over a text corpus (the metric TinyStories models are
   trained against);
-* :func:`token_agreement` — fraction of positions where two models pick
-  the same greedy next token, used to compare the quantised accelerator
-  datapath against the float32 reference;
+* :func:`divergence_report` / :func:`token_agreement` — the one
+  teacher-forced comparison of two models: the fraction of positions
+  where both pick the same greedy next token, and the logit drift
+  between them (quantised datapath vs float32 reference, simulated
+  accelerator vs NumPy engine);
 * :class:`EvaluationReport` — a small container the examples and tests
   share.
+
+"Model" here is what :mod:`repro.llama.generation` means by it:
+``forward(token, pos, cache)`` and ``new_cache()``, so every function
+below also takes a :class:`~repro.accel.accelerator.SpeedLLMAccelerator`.
 """
 
 from __future__ import annotations
@@ -60,7 +66,7 @@ def _sequence_nll(model: LlamaModel, tokens: Sequence[int]) -> tuple[float, int]
     cache = model.new_cache()
     total = 0.0
     count = 0
-    limit = min(len(tokens), model.config.max_seq_len)
+    limit = min(len(tokens), cache.capacity)
     for pos in range(limit - 1):
         logits = model.forward(tokens[pos], pos, cache)
         probs = softmax(logits)
@@ -70,8 +76,10 @@ def _sequence_nll(model: LlamaModel, tokens: Sequence[int]) -> tuple[float, int]
     return total, count
 
 
-def cross_entropy(model: LlamaModel, token_sequences: Iterable[Sequence[int]]) -> float:
-    """Mean per-token negative log-likelihood over the sequences (nats)."""
+def _mean_nll(
+    model: LlamaModel, token_sequences: Iterable[Sequence[int]]
+) -> tuple[float, int]:
+    """(mean per-token NLL in nats, scored tokens) over the sequences."""
     total = 0.0
     count = 0
     for tokens in token_sequences:
@@ -80,7 +88,12 @@ def cross_entropy(model: LlamaModel, token_sequences: Iterable[Sequence[int]]) -
         count += n
     if count == 0:
         raise ValueError("no scorable tokens in the evaluation set")
-    return total / count
+    return total / count, count
+
+
+def cross_entropy(model: LlamaModel, token_sequences: Iterable[Sequence[int]]) -> float:
+    """Mean per-token negative log-likelihood over the sequences (nats)."""
+    return _mean_nll(model, token_sequences)[0]
 
 
 def perplexity(model: LlamaModel, token_sequences: Iterable[Sequence[int]]) -> float:
@@ -98,16 +111,8 @@ def evaluate_corpus(
     docs = list(corpus if max_documents is None else corpus[:max_documents])
     if not docs:
         raise ValueError("evaluation corpus is empty")
-    sequences = [tokenizer.encode(doc, bos=True, eos=True) for doc in docs]
-    total = 0.0
-    count = 0
-    for tokens in sequences:
-        nll, n = _sequence_nll(model, tokens)
-        total += nll
-        count += n
-    if count == 0:
-        raise ValueError("evaluation corpus produced no scorable tokens")
-    ce = total / count
+    ce, count = _mean_nll(
+        model, (tokenizer.encode(doc, bos=True, eos=True) for doc in docs))
     return EvaluationReport(
         n_documents=len(docs),
         n_tokens=count,
@@ -127,24 +132,7 @@ def token_agreement(
     quantisation: 1.0 means the int8 datapath decodes identically to the
     float32 reference under teacher forcing.
     """
-    agree = 0
-    total = 0
-    for tokens in token_sequences:
-        tokens = list(tokens)
-        if len(tokens) < 2:
-            continue
-        cache_a = model_a.new_cache()
-        cache_b = model_b.new_cache()
-        limit = min(len(tokens),
-                    model_a.config.max_seq_len, model_b.config.max_seq_len)
-        for pos in range(limit - 1):
-            la = model_a.forward(tokens[pos], pos, cache_a)
-            lb = model_b.forward(tokens[pos], pos, cache_b)
-            agree += int(np.argmax(la) == np.argmax(lb))
-            total += 1
-    if total == 0:
-        raise ValueError("no comparable positions in the evaluation set")
-    return agree / total
+    return divergence_report(model_a, model_b, token_sequences).token_agreement
 
 
 @dataclass(frozen=True)
@@ -152,12 +140,17 @@ class DivergenceReport:
     """Teacher-forced drift between two models over a shared corpus."""
 
     n_positions: int
-    #: Fraction of positions whose greedy next token matches.
-    token_agreement: float
+    #: Positions whose greedy next token matches.
+    n_agreements: int
     #: Largest absolute logit difference seen at any position.
     max_logit_drift: float
     #: Mean absolute logit difference over all positions and vocab rows.
     mean_logit_drift: float
+
+    @property
+    def token_agreement(self) -> float:
+        """Fraction of positions whose greedy next token matches."""
+        return self.n_agreements / self.n_positions
 
     def as_dict(self) -> dict:
         return {
@@ -190,8 +183,7 @@ def divergence_report(
             continue
         cache_a = model_a.new_cache()
         cache_b = model_b.new_cache()
-        limit = min(len(tokens),
-                    model_a.config.max_seq_len, model_b.config.max_seq_len)
+        limit = min(len(tokens), cache_a.capacity, cache_b.capacity)
         for pos in range(limit - 1):
             la = model_a.forward(tokens[pos], pos, cache_a)
             lb = model_b.forward(tokens[pos], pos, cache_b)
@@ -204,7 +196,7 @@ def divergence_report(
         raise ValueError("no comparable positions in the evaluation set")
     return DivergenceReport(
         n_positions=total,
-        token_agreement=agree / total,
+        n_agreements=agree,
         max_logit_drift=max_drift,
         mean_logit_drift=drift_sum / total,
     )

@@ -1,12 +1,15 @@
 """Prefill + decode generation loop with timing hooks.
 
 This is the host-program equivalent of llama2.c's ``generate`` /
-``run`` loop.  It is used in two roles:
+``run`` loop, and the one single-sequence decode loop.  It runs over any
+*model* — an object answering ``forward(token, pos, cache)`` (the
+logits of one position) and ``new_cache()`` (a cache whose ``capacity``
+is the context window):
 
-* functional reference generation on the NumPy engine, and
-* the *workload definition* for the accelerator: the simulator replays the
-  same prefill/decode schedule, so the :class:`GenerationResult` structure
-  (token counts, stage boundaries) is shared between the two paths.
+* :class:`~repro.llama.model.LlamaModel`, the NumPy reference engine, and
+* :class:`~repro.accel.accelerator.SpeedLLMAccelerator`, whose
+  ``generate`` is this loop plus the simulated timing of the same
+  prefill/decode schedule.
 
 Latency in the paper is "total time for complete inference" measured by
 the host timing function; throughput is "output tokens / decode-stage
@@ -20,8 +23,6 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence
 
-
-from .kv_cache import KVCache
 from .model import LlamaModel
 from .sampler import Sampler
 from .tokenizer import BOS_ID, EOS_ID, Tokenizer
@@ -83,13 +84,14 @@ def generate(
     Parameters
     ----------
     model:
-        Reference inference engine.
+        The reference engine, or any other model (see the module
+        docstring) — the simulated accelerator runs this same loop.
     prompt_tokens:
         Prompt token ids (must be non-empty; prepend BOS yourself or use
         :func:`generate_text`).
     max_new_tokens:
         Upper bound on generated tokens; generation also stops at EOS or
-        at the model's context limit.
+        at the context limit (the capacity of the model's cache).
     sampler:
         Sampling policy; greedy when omitted.
     stop_at_eos:
@@ -103,17 +105,17 @@ def generate(
         raise ValueError("prompt_tokens must not be empty")
     prompt_tokens = list(int(t) for t in prompt_tokens)
     sampler = sampler or Sampler()
-    max_len = model.config.max_seq_len
+    cache = model.new_cache()
+    max_len = cache.capacity
     if len(prompt_tokens) >= max_len:
         raise ValueError(
             f"prompt of {len(prompt_tokens)} tokens does not fit in the "
             f"context window of {max_len}"
         )
 
-    cache: KVCache = model.new_cache()
-
     t0 = clock()
-    logits = model.forward_sequence(prompt_tokens, cache)
+    for pos, token in enumerate(prompt_tokens):
+        logits = model.forward(token, pos, cache)
     t1 = clock()
 
     generated: List[int] = []

@@ -206,8 +206,23 @@ class ServingEngine:
         overflows the context window is clamped here, at admission, so
         the overflow never has to be discovered mid-decode.
         """
+        return self.submit_tokens(
+            self.llm.encode(prompt), params, prompt=prompt,
+            request_id=request_id, arrival_time=arrival_time)
+
+    def submit_tokens(
+        self,
+        tokens: List[int],
+        params: Optional[SamplingParams] = None,
+        *,
+        prompt: str = "",
+        request_id: Optional[str] = None,
+        arrival_time: Optional[float] = None,
+    ) -> RequestHandle:
+        """:meth:`submit` for a caller that already holds the encoded
+        prompt (a cluster tokenises once, to route): same checks, same
+        request."""
         params = params or SamplingParams()
-        tokens = self.llm.encode(prompt)
         max_seq_len = self.model_config.max_seq_len
         if len(tokens) >= max_seq_len:
             raise PromptTooLongError(len(tokens), max_seq_len)

@@ -1,11 +1,10 @@
-"""Workload generation: TinyStories corpus, prompt suites, arrivals, sweeps."""
+"""Workload generation: TinyStories corpus, prompt suites, arrivals."""
 
 from .arrivals import bursty_arrival_times, poisson_arrival_times
 from .prompts import (PromptSuite, Workload, default_suite, latency_suite,
                       long_context_suite, mixed_chat_suite,
                       multi_turn_chat_suite, repetitive_suite,
                       shared_prefix_suite)
-from .sweep import ParameterSweep, SweepResult, run_sweep
 from .tinystories import CorpusStats, StoryGenerator, corpus_stats, generate_corpus
 
 __all__ = [
@@ -20,9 +19,6 @@ __all__ = [
     "multi_turn_chat_suite",
     "repetitive_suite",
     "shared_prefix_suite",
-    "ParameterSweep",
-    "SweepResult",
-    "run_sweep",
     "CorpusStats",
     "StoryGenerator",
     "corpus_stats",

@@ -12,7 +12,8 @@ from repro.accel.accelerator import SpeedLLMAccelerator
 from repro.accel.batching import BatchSlot
 from repro.accel.config import AcceleratorConfig
 from repro.accel.dse import DesignSpace, DesignSpaceExplorer
-from repro.accel.variants import variant_config
+from repro.core.runner import ExperimentConfig, ExperimentRunner
+from repro.llama.evaluate import cross_entropy, divergence_report
 from repro.llama.generation import generate as reference_generate
 from repro.llama.kv_cache import KVCache
 from repro.llama.model import LlamaModel
@@ -35,8 +36,8 @@ class TestCompilationCaches:
         assert accel.timing.lower(2) is accel.timing.lower(2)
 
     def test_fusion_respected(self, small_checkpoint):
-        fused = SpeedLLMAccelerator(small_checkpoint, variant_config("full"))
-        unfused = SpeedLLMAccelerator(small_checkpoint, variant_config("no-fusion"))
+        fused = SpeedLLMAccelerator(small_checkpoint, AcceleratorConfig.variant("full"))
+        unfused = SpeedLLMAccelerator(small_checkpoint, AcceleratorConfig.variant("no-fusion"))
         assert (len(fused.timing.graph_for(2))
                 < len(unfused.timing.graph_for(2)))
 
@@ -129,6 +130,19 @@ class TestGenerate:
                            sampler=Sampler(temperature=0.8, seed=3), position_stride=4)
         assert a.generated_tokens == b.generated_tokens
 
+    def test_accelerator_is_a_model(self, accel):
+        """``forward`` + ``new_cache`` are all the llama loops ask of a
+        model, so they score the accelerator like the reference engine
+        over its functional weights."""
+        reference = LlamaModel(accel.functional_checkpoint())
+        sequences = [[1, 9, 33, 7, 12, 40, 3], [2, 5, 5, 8]]
+        assert accel.new_cache().capacity == reference.new_cache().capacity
+        assert cross_entropy(accel, sequences) == pytest.approx(
+            cross_entropy(reference, sequences), rel=1e-6)
+        report = divergence_report(accel, reference, sequences)
+        assert report.n_agreements == report.n_positions == 9
+        assert report.max_logit_drift < 1e-4
+
     def test_empty_prompt_rejected(self, accel):
         with pytest.raises(ValueError):
             accel.generate([], max_new_tokens=4)
@@ -203,17 +217,19 @@ class TestValuesStayOutsideTheCompiler:
         accel = SpeedLLMAccelerator(small_checkpoint, AcceleratorConfig())
         accel.simulate_generation(n_prompt=2, n_generated=2)
         assert quantize_calls == []
-        accel.execute(1, 0, KVCache(small_checkpoint.config))
+        accel.forward(1, 0, KVCache(small_checkpoint.config))
         n_matrices = sum(t.ndim >= 2 for t in small_checkpoint.weights.values())
         assert len(quantize_calls) == n_matrices
-        accel.execute(2, 0, KVCache(small_checkpoint.config))
+        accel.forward(2, 0, KVCache(small_checkpoint.config))
         accel.functional_checkpoint()
         assert len(quantize_calls) == n_matrices
 
     def test_design_space_exploration_quantises_nothing(self, small_checkpoint,
                                                         quantize_calls):
-        explorer = DesignSpaceExplorer(small_checkpoint, n_prompt=4,
-                                       n_generated=8, position_stride=4)
+        explorer = DesignSpaceExplorer(ExperimentRunner(
+            ExperimentConfig(model="test-small", n_prompt=4, n_generated=8,
+                             position_stride=4),
+            checkpoint=small_checkpoint))
         results = explorer.explore(DesignSpace(
             mpe_shapes=((32, 16),), buffer_segments=(4,), hbm_stripes=(8, 16),
             weight_bits=(8,)))

@@ -7,13 +7,13 @@ import pytest
 from repro.accel.accelerator import SpeedLLMAccelerator
 from repro.accel.batching import (BatchSlot, block_padded_context,
                                   merge_batch_programs)
-from repro.accel.variants import variant_config
+from repro.accel.config import AcceleratorConfig
 from repro.llama.kv_cache import KVCache
 
 
 @pytest.fixture(scope="module")
 def accelerator(small_checkpoint):
-    return SpeedLLMAccelerator(small_checkpoint, variant_config("full"))
+    return SpeedLLMAccelerator(small_checkpoint, AcceleratorConfig.variant("full"))
 
 
 class TestMergeBatchPrograms:
@@ -67,7 +67,7 @@ class TestMergeBatchPrograms:
             sum(p.macs for op in full_tail for p in op.packets)
 
     def test_mismatched_topology_rejected(self, accelerator, micro_checkpoint):
-        other = SpeedLLMAccelerator(micro_checkpoint, variant_config("full"))
+        other = SpeedLLMAccelerator(micro_checkpoint, AcceleratorConfig.variant("full"))
         with pytest.raises(ValueError):
             merge_batch_programs(
                 [accelerator.timing.lower(4), other.timing.lower(4)],

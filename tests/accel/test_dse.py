@@ -11,12 +11,22 @@ from repro.accel.dse import (
     DesignSpaceExplorer,
     pareto_front,
 )
+from repro.core import runner as runner_module
+from repro.core.runner import ExperimentConfig, ExperimentRunner
+
+
+def _explorer(checkpoint, n_prompt=4):
+    """An explorer over the tests' workload; the pinned rows below are
+    priced with board energy accounting on the default platform."""
+    config = ExperimentConfig(
+        model="test-small", n_prompt=n_prompt, n_generated=8,
+        position_stride=4, energy_accounting="board")
+    return DesignSpaceExplorer(ExperimentRunner(config, checkpoint=checkpoint))
 
 
 @pytest.fixture(scope="module")
 def explorer(small_checkpoint):
-    return DesignSpaceExplorer(small_checkpoint, n_prompt=4, n_generated=8,
-                               position_stride=4)
+    return _explorer(small_checkpoint)
 
 
 SMALL_SPACE = DesignSpace(
@@ -73,9 +83,7 @@ class TestExplorer:
         with pytest.raises(ValueError):
             explorer.best(results, "style")
 
-    def test_pruning_skips_slow_candidates(self, small_checkpoint):
-        explorer = DesignSpaceExplorer(small_checkpoint, n_prompt=4,
-                                       n_generated=8, position_stride=4)
+    def test_pruning_skips_slow_candidates(self, explorer):
         space = DesignSpace(mpe_shapes=((64, 32),), buffer_segments=(8,),
                             hbm_stripes=(16, 1), weight_bits=(8,))
         results = explorer.explore(space, prune_factor=1.5)
@@ -90,18 +98,15 @@ class TestExplorer:
         """The bound needs a lowered program, not an accelerator: only
         simulated candidates construct one (quantising every weight), and
         a row reads the same whichever way it was reached."""
-        from repro.accel import dse
-
         built = []
 
-        class Counted(dse.SpeedLLMAccelerator):
+        class Counted(runner_module.SpeedLLMAccelerator):
             def __init__(self, checkpoint, config, **kwargs):
                 built.append(config.name)
                 super().__init__(checkpoint, config, **kwargs)
 
-        monkeypatch.setattr(dse, "SpeedLLMAccelerator", Counted)
-        explorer = DesignSpaceExplorer(small_checkpoint, n_prompt=4,
-                                       n_generated=8, position_stride=4)
+        monkeypatch.setattr(runner_module, "SpeedLLMAccelerator", Counted)
+        explorer = _explorer(small_checkpoint)
         space = DesignSpace(mpe_shapes=((64, 32),), buffer_segments=(8,),
                             hbm_stripes=(16, 32, 1), weight_bits=(8,))
         results = explorer.explore(space, prune_factor=1.5)
@@ -116,7 +121,79 @@ class TestExplorer:
 
     def test_invalid_workload(self, small_checkpoint):
         with pytest.raises(ValueError):
-            DesignSpaceExplorer(small_checkpoint, n_prompt=0)
+            _explorer(small_checkpoint, n_prompt=0)
+
+    @pytest.mark.parametrize("axis, values", [
+        pytest.param("mpe_shapes", ((32, 16), (64, 32), (128, 32), (128, 64)),
+                     id="mpe"),
+        pytest.param("buffer_segments", (2, 4, 8, 16), id="segments"),
+        pytest.param("hbm_stripes", (1, 4, 16, 32), id="stripe"),
+        pytest.param("weight_bits", (4, 8, 16), id="bits"),
+    ])
+    def test_single_axis_sweep(self, explorer, axis, values):
+        """The four ablation sweeps (MPE geometry, buffer pool, HBM stripe,
+        weight precision) are one-axis design spaces around the default
+        design: every point fits the U280 and decodes."""
+        default = dict(mpe_shapes=((64, 32),), buffer_segments=(8,),
+                       hbm_stripes=(16,), weight_bits=(8,))
+        results = explorer.explore(DesignSpace(**{**default, axis: values}))
+        assert len(results) == len(values)
+        for result in results:
+            assert result.fits and result.dsp_fraction < 1.0
+            assert result.simulated
+            assert result.tokens_per_second > 0
+
+
+#: ``explore`` of a 2x2x2 space on test-small (4 prompt + 8 generated
+#: positions, stride 4) as commit 60c96f5's explorer — which built and
+#: simulated its own accelerators — reported it: (design,
+#: analytical_lower_cycles, latency_seconds.hex(),
+#: tokens_per_joule.hex()).  Every design fits; with ``prune_factor=1.5``
+#: the four 1-channel stripes are not simulated.
+PINNED_SPACE = DesignSpace(mpe_shapes=((32, 16), (64, 32)),
+                           buffer_segments=(4, 8), hbm_stripes=(16, 1),
+                           weight_bits=(8,))
+PINNED_ROWS = [
+    ("mpe32x16-seg4-st16-w8", 2511,
+     "0x1.abe986e7fe0a2p-13", "0x1.ecb18c4898991p+9"),
+    ("mpe32x16-seg4-st1-w8", 3961,
+     "0x1.0b6dc758c4924p-12", "0x1.a4afc50722bf7p+9"),
+    ("mpe32x16-seg8-st16-w8", 2511,
+     "0x1.3b301e72788a2p-13", "0x1.2c93221e2af41p+10"),
+    ("mpe32x16-seg8-st1-w8", 3961,
+     "0x1.995d33b7bd710p-13", "0x1.fbc4676365770p+9"),
+    ("mpe64x32-seg4-st16-w8", 1973,
+     "0x1.27725fc3dfe93p-13", "0x1.68e4a88aee470p+10"),
+    ("mpe64x32-seg4-st1-w8", 3961,
+     "0x1.b0bfe8c246f9cp-13", "0x1.110115dee2baap+10"),
+    ("mpe64x32-seg8-st16-w8", 1973,
+     "0x1.cd72b07b70852p-14", "0x1.a97564f63f181p+10"),
+    ("mpe64x32-seg8-st1-w8", 3961,
+     "0x1.5d4ad54020f8cp-13", "0x1.40700704eecefp+10"),
+]
+
+
+class TestRowsArePinned:
+    @staticmethod
+    def _rows(results):
+        return [(r.config.name, r.fits, r.simulated, r.analytical_lower_cycles,
+                 r.latency_seconds.hex(), r.tokens_per_joule.hex())
+                for r in results]
+
+    def test_unpruned(self, explorer):
+        assert self._rows(explorer.explore(PINNED_SPACE)) == [
+            (name, True, True, lower, latency, efficiency)
+            for name, lower, latency, efficiency in PINNED_ROWS]
+
+    def test_pruned(self, explorer):
+        expected = []
+        for name, lower, latency, efficiency in PINNED_ROWS:
+            if name.endswith("-st1-w8"):    # bound 3961 > 1.5 x the best seen
+                expected.append((name, True, False, lower, "inf", "0x0.0p+0"))
+            else:
+                expected.append((name, True, True, lower, latency, efficiency))
+        assert self._rows(
+            explorer.explore(PINNED_SPACE, prune_factor=1.5)) == expected
 
 
 class TestParetoFront:

@@ -4,14 +4,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro.accel.variants import (
-    ABLATION_VARIANTS,
-    FIG2A_VARIANTS,
-    FIG2B_VARIANTS,
-    PAPER_VARIANTS,
-    variant_config,
-    variant_specs,
-)
+from repro.accel.config import VARIANT_NAMES, AcceleratorConfig
+from repro.accel.variants import PAPER_VARIANTS
+from repro.core.runner import ExperimentConfig
 
 
 class TestPaperVariants:
@@ -26,37 +21,36 @@ class TestPaperVariants:
         assert "unoptimized" in PAPER_VARIANTS["unoptimized"].paper_label
 
     def test_spec_config_flags(self):
-        cfg = PAPER_VARIANTS["no-pipeline"].config()
+        cfg = AcceleratorConfig.variant(PAPER_VARIANTS["no-pipeline"].key)
         assert cfg.pipeline is False and cfg.memory_reuse and cfg.operator_fusion
 
-    def test_figure_lists_reference_known_variants(self):
-        for name in FIG2A_VARIANTS + FIG2B_VARIANTS:
-            assert name in PAPER_VARIANTS
-        for name in ABLATION_VARIANTS:
-            variant_config(name)  # must resolve even if not a paper label
+    def test_labels_key_the_one_flag_table(self):
+        """Every labelled design point is a name of the flags table, and
+        VARIANT_NAMES is that table: each name resolves to its own flags."""
+        for key, spec in PAPER_VARIANTS.items():
+            assert spec.key == key
+            assert key in VARIANT_NAMES
+        flags = {(c.pipeline, c.memory_reuse, c.operator_fusion)
+                 for c in map(AcceleratorConfig.variant, VARIANT_NAMES)}
+        assert len(flags) == len(VARIANT_NAMES) == 8
 
     def test_fig2a_starts_at_baseline_ends_at_full(self):
-        assert FIG2A_VARIANTS[0] == "unoptimized"
-        assert FIG2A_VARIANTS[-1] == "full"
-
-    def test_fig2b_contains_the_three_paper_designs(self):
-        assert {"full", "no-fusion", "no-pipeline", "unoptimized"} == set(FIG2B_VARIANTS)
+        """The Fig. 2(a) bar order is the runner's default variant list."""
+        order = ExperimentConfig().variants
+        assert order[0] == "unoptimized"
+        assert order[-1] == "full"
+        assert set(order) == set(PAPER_VARIANTS)
 
 
 class TestHelpers:
-    def test_variant_config_accepts_raw_keys(self):
-        cfg = variant_config("pipeline-only")
+    def test_variant_accepts_raw_keys(self):
+        cfg = AcceleratorConfig.variant("pipeline-only")
         assert cfg.pipeline and not cfg.memory_reuse and not cfg.operator_fusion
 
-    def test_variant_config_with_overrides(self):
-        cfg = variant_config("full", hbm_stripe=2)
+    def test_variant_with_overrides(self):
+        cfg = AcceleratorConfig.variant("full", hbm_stripe=2)
         assert cfg.hbm_stripe == 2
 
     def test_unknown_variant_rejected(self):
         with pytest.raises(KeyError):
-            variant_config("warp-speed")
-
-    def test_variant_specs_fallback_label(self):
-        specs = variant_specs(["full", "pipeline-only"])
-        assert specs[0].paper_label == "SpeedLLM"
-        assert specs[1].paper_label == "pipeline-only"
+            AcceleratorConfig.variant("warp-speed")

@@ -28,6 +28,19 @@ class TestValidation:
         with pytest.raises(FrontendError):
             EngineConfig(tensor_parallel=-2)
 
+    def test_frontend_error_for_scheduler_knobs(self):
+        """The scheduler slice is wrapped like every other slice."""
+        with pytest.raises(FrontendError, match="max_batch_tokens"):
+            EngineConfig(max_batch_tokens=0)
+        with pytest.raises(FrontendError, match="chunked_prefill"):
+            EngineConfig(prefill_chunk_tokens=4)
+
+    def test_frontend_error_for_a_model_that_does_not_shard(self, llm):
+        """Known only at build time: the injected llm decides the model."""
+        config = EngineConfig(model="test-small", tensor_parallel=3)
+        with pytest.raises(FrontendError, match="n_heads"):
+            config.build_engine(llm=llm)
+
 
 class TestSchedulerMapping:
     def test_scheduler_config_carries_every_knob(self):

@@ -115,13 +115,13 @@ def test_identity_across_engine_matrix(llm, engine_matrix_config,
 def autotuned_llm(small_checkpoint, tiny_tokenizer):
     """The fixture llm's stack, rebuilt with tile autotuning and shape
     bucketing enabled — same weights, same tokenizer, retimed tiling."""
-    from repro.accel.variants import variant_config
+    from repro.accel.config import AcceleratorConfig
     from repro.core.speedllm import SpeedLLM
 
     return SpeedLLM(
         model="test-small", checkpoint=small_checkpoint,
         tokenizer=tiny_tokenizer,
-        accel_config=variant_config("full").replace(
+        accel_config=AcceleratorConfig.variant("full").replace(
             autotune_tiling=True, ctx_bucket=8),
     )
 

@@ -119,3 +119,26 @@ def test_results_preserve_submission_order(llm):
     results = cluster.results()
     assert len(results) == len(workloads)
     assert [r.prompt for r in results] == [w.prompt for w in workloads]
+
+
+@pytest.mark.parametrize("disaggregate", [False, True],
+                         ids=["unified", "disaggregated"])
+def test_each_prompt_is_tokenised_once(llm, monkeypatch, disaggregate):
+    """The cluster encodes a prompt to validate and route it, and hands
+    the replica (prefill stubs included) those tokens, not the string."""
+    encoded = []
+    encode = llm.tokenizer.encode
+
+    def counting(text, *args, **kwargs):
+        encoded.append(text)
+        return encode(text, *args, **kwargs)
+
+    monkeypatch.setattr(llm.tokenizer, "encode", counting)
+    workloads = _suite()
+    cluster = ClusterConfig(
+        engine=EngineConfig(model="test-small", max_batch_tokens=16,
+                            paged=True, block_size=8),
+        n_replicas=3, disaggregate=disaggregate).build_cluster(llm=llm)
+    report = cluster.serve(workloads, GREEDY)
+    assert report.pooled.n_requests == len(workloads)
+    assert sorted(encoded) == sorted(w.prompt for w in workloads)

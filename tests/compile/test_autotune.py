@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.accel.variants import variant_config
+from repro.accel.config import AcceleratorConfig
 from repro.compile import DEFAULT_PLAN, TileAutotuner, TilingPlan
 from repro.compile.pipeline import StepCompiler
 from repro.fpga import u280
@@ -57,9 +57,9 @@ class TestAutotunedCompiler:
     def _compilers(self):
         model = preset("stories15M")
         plat = u280()
-        fixed = StepCompiler(model, variant_config("full"), plat)
+        fixed = StepCompiler(model, AcceleratorConfig.variant("full"), plat)
         tuned = StepCompiler(
-            model, variant_config("full").replace(autotune_tiling=True), plat
+            model, AcceleratorConfig.variant("full").replace(autotune_tiling=True), plat
         )
         return fixed, tuned
 

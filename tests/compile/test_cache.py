@@ -15,7 +15,7 @@ import random
 
 import pytest
 
-from repro.accel.variants import variant_config
+from repro.accel.config import AcceleratorConfig
 from repro.compile import CompileCache, ShapeBucketSpec, compile_signature
 from repro.graph.sharding import ShardSpec
 from repro.llama.config import preset
@@ -126,7 +126,7 @@ class TestKeyProperties:
         """Compositions that bucket identically must produce cache hits."""
         rng = random.Random(1234)
         model = preset("stories15M")
-        config = variant_config("full").replace(ctx_bucket=32)
+        config = AcceleratorConfig.variant("full").replace(ctx_bucket=32)
         signature = compile_signature(model, config)
         buckets = ShapeBucketSpec(config.ctx_bucket)
         cache = CompileCache()
@@ -153,7 +153,7 @@ class TestKeyProperties:
         """
         rng = random.Random(987)
         model = preset("stories15M")
-        base = variant_config("full")
+        base = AcceleratorConfig.variant("full")
         shard = ShardSpec.from_config(model, tp=2)
         views = [
             ("full", base, None),
@@ -184,7 +184,7 @@ class TestKeyProperties:
         """Identical compositions with different verify-run groupings must
         compile distinct programs (the merger fuses per run)."""
         model = preset("stories15M")
-        config = variant_config("full")
+        config = AcceleratorConfig.variant("full")
         signature = compile_signature(model, config)
         buckets = ShapeBucketSpec(1)
         contexts, logits = (10, 10, 10), (True, True, True)

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.accel.accelerator import SpeedLLMAccelerator
-from repro.accel.variants import variant_config
+from repro.accel.config import AcceleratorConfig
 from repro.compile.pipeline import PHASE_ORDER, StepCompiler
 from repro.fpga import u280
 from repro.graph.sharding import ShardSpec
@@ -14,7 +14,7 @@ from repro.llama.config import preset
 
 @pytest.fixture()
 def compiler():
-    return StepCompiler(preset("stories15M"), variant_config("full"), u280())
+    return StepCompiler(preset("stories15M"), AcceleratorConfig.variant("full"), u280())
 
 
 class TestPhaseStructure:
@@ -27,7 +27,7 @@ class TestPhaseStructure:
     def test_shard_phase_enabled_with_shard(self):
         model = preset("stories15M")
         shard = ShardSpec.from_config(model, tp=2)
-        sharded = StepCompiler(model, variant_config("full"), u280(),
+        sharded = StepCompiler(model, AcceleratorConfig.variant("full"), u280(),
                                shard=shard)
         assert sharded.phases["shard"].enabled is True
         sharded.compile_step((16,))
@@ -35,7 +35,7 @@ class TestPhaseStructure:
 
     def test_fuse_phase_follows_operator_fusion_flag(self):
         model = preset("stories15M")
-        unfused_cfg = variant_config("full").replace(operator_fusion=False)
+        unfused_cfg = AcceleratorConfig.variant("full").replace(operator_fusion=False)
         unfused = StepCompiler(model, unfused_cfg, u280())
         assert unfused.phases["fuse"].enabled is False
         unfused.compile_step((16,))
@@ -52,7 +52,7 @@ class TestCompileStep:
         assert compiler.cache.misses == 1
 
     def test_context_bucketing_collapses_shapes(self):
-        config = variant_config("full").replace(ctx_bucket=32)
+        config = AcceleratorConfig.variant("full").replace(ctx_bucket=32)
         bucketed = StepCompiler(preset("stories15M"), config, u280())
         first = bucketed.compile_step((5,))
         again = bucketed.compile_step((25,))   # same 32-wide bucket
@@ -95,7 +95,7 @@ class TestSimulation:
     def test_one_shot_generation_sums_one_slot_steps(self, small_checkpoint):
         # simulate_generation has no timing path of its own: it consumes
         # the accelerator compiler's one-slot steps, position by position.
-        accel = SpeedLLMAccelerator(small_checkpoint, variant_config("full"))
+        accel = SpeedLLMAccelerator(small_checkpoint, AcceleratorConfig.variant("full"))
         metrics = accel.simulate_generation(n_prompt=2, n_generated=1)
         steps = [accel.timing.simulate_step([pos]) for pos in range(3)]
         assert metrics.prefill_cycles == steps[0].cycles + steps[1].cycles
@@ -116,7 +116,7 @@ class TestStats:
         assert stats["compile_seconds"] >= 0.0
 
     def test_autotune_stats_present_when_enabled(self):
-        config = variant_config("full").replace(autotune_tiling=True)
+        config = AcceleratorConfig.variant("full").replace(autotune_tiling=True)
         tuned = StepCompiler(preset("stories15M"), config, u280())
         tuned.compile_step((16,))
         stats = tuned.stats()

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.accel.variants import variant_config
+from repro.accel.config import AcceleratorConfig
 from repro.compile import DEFAULT_PLAN, TilingPlan, candidate_plans, clamped_fold
 from repro.llama.config import preset
 
@@ -44,17 +44,17 @@ class TestClampedFold:
 
 class TestCandidatePlans:
     def test_default_plan_is_always_first(self):
-        plans = candidate_plans(variant_config("full"), preset("stories15M"))
+        plans = candidate_plans(AcceleratorConfig.variant("full"), preset("stories15M"))
         assert plans[0] == DEFAULT_PLAN
         assert len(plans) == len(set(plans))
 
     def test_folds_are_powers_of_two(self):
-        plans = candidate_plans(variant_config("full"), preset("stories15M"))
+        plans = candidate_plans(AcceleratorConfig.variant("full"), preset("stories15M"))
         for plan in plans:
             assert plan.matmul_fold & (plan.matmul_fold - 1) == 0
 
     def test_folds_pruned_by_segment_capacity(self):
-        config = variant_config("full")
+        config = AcceleratorConfig.variant("full")
         tiny_segments = config.replace(
             buffers=config.buffers.__class__(n_segments=8, segment_kb=16))
         plans = candidate_plans(tiny_segments, preset("stories15M"))
@@ -63,5 +63,5 @@ class TestCandidatePlans:
         assert max(p.matmul_fold for p in plans) < 8
 
     def test_search_space_is_bounded(self):
-        plans = candidate_plans(variant_config("full"), preset("stories15M"))
+        plans = candidate_plans(AcceleratorConfig.variant("full"), preset("stories15M"))
         assert len(plans) <= 4

@@ -168,6 +168,60 @@ class TestServeBenchCommand:
         assert "peak concurrency" in out
 
 
+class TestRejectedConfiguration:
+    """A flag combination the configuration objects reject is a usage
+    error (status 2, one ``speedllm <cmd>: error:`` line), not the
+    status 1 a failed ``--check`` uses, and not a traceback."""
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--batch-tokens", "0"], "max_batch_tokens must be positive"),
+        (["--kv-budget-mb", "0"], "kv_budget_bytes must be positive"),
+        (["--prefill-chunk-tokens", "4"], "requires chunked_prefill"),
+        (["--speculative", "ngram", "--spec-tokens", "0"],
+         "num_draft_tokens must be in"),
+        (["--quant-kv"], "require a quant mode"),
+        (["--requests", "0"], "at least one workload"),
+        (["--tensor-parallel", "3"],
+         "n_heads (4) is not divisible by tensor-parallel degree 3"),
+        (["--replicas", "2", "--batch-tokens", "0"],
+         "max_batch_tokens must be positive"),
+        (["--replicas", "3", "--disaggregate", "--prefill-replicas", "3"],
+         "n_prefill_replicas must be in"),
+    ])
+    def test_serve_bench_exits_2_with_one_error_line(self, capsys, flags,
+                                                     message):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["serve-bench", "--model", "test-small", *flags])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1].startswith("speedllm serve-bench: error: ")
+        assert message in err.splitlines()[-1]
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [
+        ["compile-bench", "--model", "test-small", "--fp32-logits"],
+        ["serve-api", "--model", "test-small", "--ctx-bucket", "0"],
+        ["trace", "--model", "test-small", "--requests", "0"],
+        ["bench", "--model", "test-small", "--stride", "0"],
+    ])
+    def test_every_configuring_command_does(self, capsys, argv):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert f"speedllm {argv[0]}: error: " in capsys.readouterr().err
+
+    def test_errors_after_configuration_keep_their_type(self, monkeypatch):
+        """Only the flag-mapping region is a usage error."""
+        from repro import bench
+
+        def broken(*args, **kwargs):
+            raise ValueError("raised by the run, not by a flag")
+
+        monkeypatch.setattr(bench, "serve_bench", broken)
+        with pytest.raises(ValueError, match="raised by the run"):
+            main(["serve-bench", "--model", "test-small"])
+
+
 class TestCompileBenchCommand:
     def test_parser_defaults(self):
         args = build_parser().parse_args(["compile-bench"])
@@ -217,6 +271,19 @@ class TestCompileBenchCommand:
         captured = capsys.readouterr()
         assert code == 1
         assert "below the required" in captured.err
+
+    @pytest.mark.parametrize("flag, in_label", [([], False),
+                                                (["--fp32-logits"], True)])
+    def test_fp32_logits_reaches_the_engine(self, capsys, flag, in_label):
+        code = main([
+            "compile-bench", "--model", "test-small",
+            "--requests", "2", "--prompt-words", "12", "--tokens", "8",
+            "--ctx-bucket", "8", "--min-speedup", "0.5",
+            "--min-hit-rate", "0.5", "--quant", "int8", *flag, "--json", "-",
+        ])
+        assert code == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert ("fp32head" in payload["quant"]) == in_label
 
     def test_serve_bench_compile_stats_flag(self, capsys):
         code = main([

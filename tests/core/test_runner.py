@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.accel.config import AcceleratorConfig
 from repro.core.runner import ExperimentConfig, ExperimentRunner
 
 
@@ -86,4 +87,8 @@ class TestExperimentRunner:
                                n_prompt=2, n_generated=4, position_stride=2,
                                accel_overrides={"hbm_stripe": 2})
         runner = ExperimentRunner(cfg, checkpoint=small_checkpoint)
-        assert runner.accelerator_for("full").config.hbm_stripe == 2
+        overridden = runner.run_variant("full").metrics
+        assert overridden == runner.simulate(
+            AcceleratorConfig.variant("full", hbm_stripe=2))
+        assert overridden.total_cycles != runner.simulate(
+            AcceleratorConfig.variant("full")).total_cycles

@@ -6,9 +6,10 @@ import pytest
 
 from repro.accel.accelerator import SpeedLLMAccelerator
 from repro.accel.config import AcceleratorConfig
+from repro.core.speedllm import SpeedLLM
 from repro.core.validation import ValidationReport, validate_accelerator
 from repro.llama.model import LlamaModel
-from repro.workloads.prompts import PromptSuite, Workload
+from repro.workloads.prompts import PromptSuite, Workload, default_suite
 
 
 @pytest.fixture(scope="module")
@@ -71,3 +72,40 @@ class TestValidateAccelerator:
         assert report.agreement == 1.0
         assert report.max_logit_error == 0.0
         assert report.passed
+
+
+class TestRowsArePinned:
+    """Reference rows from commit 60c96f5's validation-private
+    teacher-forced loop; ``divergence_report`` over prompt + the
+    reference's greedy tail must reproduce them."""
+
+    @staticmethod
+    def _rows(report):
+        return [(p.workload, p.n_positions, p.n_agreements,
+                 float(p.max_logit_error).hex()) for p in report.prompts]
+
+    @pytest.mark.parametrize("variant", ["full", "no-fusion"])
+    def test_cli_suite_against_functional_reference(self, variant):
+        """``speedllm validate --prompts 3 --tokens 6``'s rows."""
+        llm = SpeedLLM(model="test-small", variant=variant)
+        report = validate_accelerator(
+            llm.accelerator, llm.tokenizer, default_suite(3, 6, seed=0),
+            n_decode=6)
+        assert self._rows(report) == [
+            ("story-0", 13, 13, 0.0.hex()),
+            ("story-1", 14, 14, 0.0.hex()),
+            ("story-2", 15, 15, 0.0.hex()),
+        ]
+
+    def test_against_float_reference(self, accel, small_checkpoint,
+                                     tiny_tokenizer):
+        """Against fp32 weights the int8 datapath drifts and flips one
+        greedy token; the tail the rows cover is the reference's own."""
+        report = validate_accelerator(
+            accel, tiny_tokenizer, default_suite(3, 6, seed=0), n_decode=6,
+            reference=LlamaModel(small_checkpoint), threshold=0.5)
+        assert self._rows(report) == [
+            ("story-0", 13, 13, "0x1.ece0300000000p-7"),
+            ("story-1", 16, 15, "0x1.d610200000000p-7"),
+            ("story-2", 16, 16, "0x1.bab9000000000p-7"),
+        ]

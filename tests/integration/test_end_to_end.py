@@ -46,6 +46,41 @@ class TestFullStackGeneration:
         assert (outputs["unoptimized"].metrics.total_cycles
                 > outputs["full"].metrics.total_cycles)
 
+    #: ``accelerator.generate`` of "Once upon a time" (12 tokens, EOS
+    #: ignored, stride 4) under commit 60c96f5's accelerator-private
+    #: decode loop: sampler arguments -> generated tokens.
+    PINNED_TOKENS = {
+        "greedy": ({}, [477, 154, 424, 424, 424, 424, 424, 424, 310, 51,
+                        510, 271]),
+        "sampled": ({"temperature": 0.8, "seed": 5},
+                    [415, 416, 264, 148, 27, 197, 208, 21, 23, 511, 332,
+                     121]),
+    }
+
+    @pytest.mark.parametrize("mode", ["greedy", "sampled"])
+    def test_one_decode_loop_behind_every_surface(self, llm, mode):
+        """The accelerator is a model: its ``generate`` is the llama decode
+        loop run over it, and the serving engine streams the same tokens."""
+        from repro.api import SamplingParams
+        from repro.serve import SchedulerConfig, ServingEngine
+
+        sampling, pinned = self.PINNED_TOKENS[mode]
+        prompt = llm.encode("Once upon a time")
+        assert prompt == [1, 82, 113, 102, 104, 359, 261, 361]
+        method = llm.accelerator.generate(
+            prompt, 12, sampler=Sampler(**sampling), stop_at_eos=False,
+            position_stride=4)
+        assert method.generated_tokens == pinned
+        assert method.metrics.total_cycles == 41399
+        loop = generate(llm.accelerator, prompt, 12,
+                        sampler=Sampler(**sampling), stop_at_eos=False)
+        assert loop.generated_tokens == pinned
+        engine = ServingEngine(llm, SchedulerConfig(max_batch_tokens=16))
+        handle = engine.submit("Once upon a time", SamplingParams(
+            max_tokens=12, ignore_eos=True, **sampling))
+        engine.run()
+        assert list(handle.token_ids) == pinned
+
     def test_energy_and_latency_reported_consistently(self, llm):
         out = llm.generate("Once upon a time", max_new_tokens=16)
         m = out.metrics

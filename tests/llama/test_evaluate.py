@@ -7,6 +7,7 @@ import pytest
 
 from repro.llama.evaluate import (
     cross_entropy,
+    divergence_report,
     evaluate_corpus,
     perplexity,
     token_agreement,
@@ -58,6 +59,13 @@ class TestEvaluateCorpus:
         with pytest.raises(ValueError):
             evaluate_corpus(small_model, tiny_tokenizer, [])
 
+    def test_is_cross_entropy_of_the_encoded_documents(
+            self, small_model, tiny_tokenizer, story_corpus):
+        docs = story_corpus[:2]
+        report = evaluate_corpus(small_model, tiny_tokenizer, docs)
+        assert report.cross_entropy == cross_entropy(small_model, [
+            tiny_tokenizer.encode(doc, bos=True, eos=True) for doc in docs])
+
 
 class TestTokenAgreement:
     def test_identical_models_agree_fully(self, micro_model):
@@ -84,3 +92,20 @@ class TestTokenAgreement:
     def test_no_positions_rejected(self, micro_model):
         with pytest.raises(ValueError):
             token_agreement(micro_model, micro_model, [[1]])
+
+    def test_is_the_divergence_report_agreement(self, micro_config):
+        a = LlamaModel(synthesize_weights(micro_config, seed=1))
+        b = LlamaModel(synthesize_weights(micro_config, seed=2))
+        sequences = [list(range(1, 24)), [3, 1, 4, 1, 5, 9, 2, 6]]
+        report = divergence_report(a, b, sequences)
+        assert token_agreement(a, b, sequences) == report.token_agreement
+        assert report.token_agreement == report.n_agreements / report.n_positions
+        assert report.n_positions == 22 + 7
+        assert 0 < report.n_agreements < report.n_positions
+
+    def test_window_is_the_cache_capacity(self, micro_model, micro_config):
+        """Sequences are scored up to the cache's capacity, whichever
+        model (or accelerator) supplies the cache."""
+        too_long = [1] * (micro_config.max_seq_len + 5)
+        report = divergence_report(micro_model, micro_model, [too_long])
+        assert report.n_positions == micro_config.max_seq_len - 1

@@ -14,7 +14,7 @@ import random
 
 import pytest
 
-from repro.accel.variants import variant_config
+from repro.accel.config import AcceleratorConfig
 from repro.compile import compile_signature
 from repro.llama.config import preset
 from repro.llama.quantization import QuantSpec
@@ -65,7 +65,7 @@ class TestCompileSignatureQuant:
         quants = [None] + [_random_quant(rng) for _ in range(8)]
         signatures = {}
         for quant in quants:
-            accel = variant_config("full").replace(quant=quant)
+            accel = AcceleratorConfig.variant("full").replace(quant=quant)
             signature = compile_signature(model, accel)
             for other_quant, other_sig in signatures.items():
                 if other_quant != (quant.signature()
@@ -76,10 +76,10 @@ class TestCompileSignatureQuant:
 
     def test_fp32_datapath_distinct_from_legacy_and_quant(self):
         model = preset("test-small")
-        legacy = compile_signature(model, variant_config("full"))
+        legacy = compile_signature(model, AcceleratorConfig.variant("full"))
         fp32 = compile_signature(
-            model, variant_config("full").replace(weight_bits=32))
+            model, AcceleratorConfig.variant("full").replace(weight_bits=32))
         int8 = compile_signature(
-            model, variant_config("full").replace(
+            model, AcceleratorConfig.variant("full").replace(
                 quant=QuantConfig(weights=QuantSpec(8, 64))))
         assert len({legacy, fp32, int8}) == 3
