@@ -8,7 +8,7 @@ from .dse import CandidateResult, DesignSpace, DesignSpaceExplorer, pareto_front
 from .config import AcceleratorConfig, BufferConfig, MPEConfig, SFUConfig, VARIANT_NAMES
 from .executor import GraphExecutor
 from .instructions import OpProgram, Program, TilePacket
-from .memory_manager import BufferPool, BufferSegment
+from .memory_manager import BufferPool
 from .mpe import MPETimingModel, TileShape
 from .pipeline import DISPATCH_CYCLES, PipelineExecutor, StepResult
 from .sfu import SFUTimingModel
@@ -38,7 +38,6 @@ __all__ = [
     "Program",
     "TilePacket",
     "BufferPool",
-    "BufferSegment",
     "MPETimingModel",
     "TileShape",
     "DISPATCH_CYCLES",

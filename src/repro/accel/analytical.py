@@ -88,7 +88,7 @@ class AnalyticalModel:
             )
             load += latency * sum(1 for p in program.packets() if p.load_bytes)
         compute = program.total_compute_cycles
-        dispatch = DISPATCH_CYCLES * len(program.ops)
+        dispatch = DISPATCH_CYCLES * sum(1 for op in program.ops if op.packets)
         flush = 0
         if not self.config.memory_reuse:
             flushes = n_packets // self.config.buffers.n_segments

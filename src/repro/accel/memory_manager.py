@@ -9,149 +9,100 @@ statically-double-buffered design: segments are handed out from a fixed
 pool and only returned in bulk once the whole pool has drained, paying a
 flush/reallocation penalty each time.
 
-:class:`BufferPool` implements both policies behind the same interface so
+:class:`BufferPool` is where that policy lives, behind one interface so
 the pipeline executor is policy-agnostic:
 
-* ``reuse=True``  — released segments go straight back to the free list.
+* ``reuse=True``  — a released segment is free again at its release.
 * ``reuse=False`` — released segments are parked as *retired*; only when
   every segment of the pool is retired does a flush (costing
-  ``reuse_flush_cycles``) return them to the free list.
+  ``reuse_flush_cycles``) free them all.
 
-Acquisition latency experienced by callers is accumulated in
-``RunCounters.buffer_stall_cycles``.
+The pool has no clock.  Segments are interchangeable, so it is a free
+count plus a heap of *pending* releases, each named by the key of the
+moment it happens (see :mod:`repro.accel.pipeline`: a tuple whose first
+element is the cycle and whose order is the order of events).  The
+executor posts releases as it learns them and :meth:`BufferPool.acquire`
+applies them in key order up to the moment of the request.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass
-from typing import Deque, List, Optional, Tuple
+from heapq import heappop, heappush
+from typing import List, Optional, Tuple
 
-from ..sim.engine import Event, Simulator
-from ..sim.stats import RunCounters
-from ..sim.trace import Trace
 from .config import BufferConfig
 
-__all__ = ["BufferPool", "BufferSegment"]
+__all__ = ["BufferPool", "NEVER"]
 
-
-@dataclass(frozen=True)
-class BufferSegment:
-    """Handle to one on-chip buffer segment."""
-
-    index: int
-    nbytes: int
+#: a key after every event (cycles are integers)
+NEVER: Tuple = (float("inf"),)
 
 
 class BufferPool:
     """Segment allocator with configurable reuse policy."""
 
-    def __init__(
-        self,
-        sim: Simulator,
-        config: BufferConfig,
-        reuse: bool,
-        counters: RunCounters,
-        trace: Optional[Trace] = None,
-    ) -> None:
-        self.sim = sim
+    def __init__(self, config: BufferConfig, reuse: bool) -> None:
         self.config = config
         self.reuse = reuse
-        self.counters = counters
-        self.trace = trace
-        self._free: List[BufferSegment] = [
-            BufferSegment(index=i, nbytes=config.segment_bytes)
-            for i in range(config.n_segments)
-        ]
-        self._retired: List[BufferSegment] = []
-        self._in_flight = 0
-        self._waiters: Deque[Tuple[Event, int]] = deque()
-        self._flush_pending = False
-        # statistics
-        self.n_acquires = 0
-        self.n_flushes = 0
+        self.free_segments = config.n_segments
+        self._retired = 0
+        # (key, ends a flush): releases not yet applied, and flush ends
+        self._pending: List[Tuple[Tuple, bool]] = []
+        #: one ``(key of the flush end, start cycle)`` per flush started
+        self.flushes: List[Tuple[Tuple, int]] = []
+
+    @property
+    def n_flushes(self) -> int:
+        return len(self.flushes)
 
     # ------------------------------------------------------------------
-    @property
-    def n_segments(self) -> int:
-        return self.config.n_segments
+    def release(self, key: Tuple) -> None:
+        """Post the return of one segment at the moment ``key``."""
+        heappush(self._pending, (key, False))
 
-    @property
-    def free_segments(self) -> int:
-        return len(self._free)
+    def acquire(self, at: Tuple, before: Tuple = NEVER) -> Optional[Tuple]:
+        """Take one segment for a request made at the moment ``at``.
 
-    @property
-    def in_flight(self) -> int:
-        return self._in_flight
+        Returns the key of the moment the requester holds it: ``(cycle,
+        at, 0)`` if one is free once every release before ``at`` has been
+        applied, else ``(cycle, key, 1)`` for the first later release —
+        the flush end, without reuse — that frees one.  Only releases
+        before ``before`` are final; if the grant does not happen by then
+        the answer is ``None``, nothing is taken, and the call can be
+        repeated with a later ``before``.
+        """
+        self.settle(at)
+        if self.free_segments:
+            self.free_segments -= 1
+            return (at[0], at, 0)
+        pending = self._pending
+        while pending and pending[0][0] < before:
+            key = self._apply_next()
+            if self.free_segments:
+                self.free_segments -= 1
+                return (key[0], key, 1)
+        return None
+
+    def settle(self, before: Tuple = NEVER) -> None:
+        """Apply every pending release (and flush end) before ``before``."""
+        pending = self._pending
+        while pending and pending[0][0] < before:
+            self._apply_next()
 
     # ------------------------------------------------------------------
-    def acquire(self, label: str = "") -> Event:
-        """Request one segment; the event's value is a :class:`BufferSegment`."""
-        event = self.sim.event(name=f"buffer.acquire({label})")
-        if self._free:
-            self._grant(event, requested_at=self.sim.now)
+    def _apply_next(self) -> Tuple:
+        key, ends_flush = heappop(self._pending)
+        if ends_flush:
+            self.free_segments = self.config.n_segments
+            self._retired = 0
+        elif self.reuse:
+            self.free_segments += 1
         else:
-            self._waiters.append((event, self.sim.now))
-        return event
-
-    def release(self, segment: BufferSegment) -> None:
-        """Return a segment after its data has been consumed."""
-        if not isinstance(segment, BufferSegment):
-            raise TypeError("release expects a BufferSegment")
-        if self._in_flight <= 0:
-            raise RuntimeError("release called with no segment in flight")
-        self._in_flight -= 1
-        if self.reuse:
-            self._free.append(segment)
-            self._serve_waiters()
-            return
-        # No-reuse policy: park until the whole pool has drained.
-        self._retired.append(segment)
-        if (
-            len(self._retired) == self.config.n_segments
-            and not self._flush_pending
-        ):
-            self._start_flush()
-
-    # ------------------------------------------------------------------
-    def _grant(self, event: Event, requested_at: int) -> None:
-        segment = self._free.pop(0)
-        self._in_flight += 1
-        self.n_acquires += 1
-        wait = self.sim.now - requested_at
-        if wait > 0:
-            self.counters.buffer_stall_cycles += wait
-        event.succeed(segment)
-
-    def _serve_waiters(self) -> None:
-        while self._waiters and self._free:
-            event, requested_at = self._waiters.popleft()
-            self._grant(event, requested_at)
-
-    def _start_flush(self) -> None:
-        """Model the bulk reallocation of the drained pool."""
-        self._flush_pending = True
-        self.n_flushes += 1
-        start = self.sim.now
-        flush_done = self.sim.timeout(self.config.reuse_flush_cycles)
-
-        def finish(_event: Event) -> None:
-            self._flush_pending = False
-            self._free.extend(self._retired)
-            self._retired.clear()
-            if self.trace is not None:
-                self.trace.record(
-                    engine="buffer-pool", label="flush",
-                    start=start, end=self.sim.now, category="stall",
-                )
-            self._serve_waiters()
-
-        flush_done.add_callback(finish)
-
-    # ------------------------------------------------------------------
-    def drain_overhead_estimate(self, n_packets: int) -> int:
-        """Analytic estimate of flush cycles for ``n_packets`` (no-reuse only)."""
-        if self.reuse or n_packets <= 0:
-            return 0
-        flushes = n_packets // self.config.n_segments
-        return flushes * self.config.reuse_flush_cycles
+            # No-reuse policy: park until the whole pool has drained, then
+            # model its bulk reallocation.
+            self._retired += 1
+            if self._retired == self.config.n_segments:
+                end = (key[0] + self.config.reuse_flush_cycles, key, 1)
+                self.flushes.append((end, key[0]))
+                heappush(self._pending, (end, True))
+        return key

@@ -32,6 +32,22 @@ class Graph:
     name: str = "graph"
     tensors: Dict[str, TensorSpec] = field(default_factory=dict)
     operators: Dict[str, Operator] = field(default_factory=dict)
+    # tensor -> its producer / its consumers in insertion order; written
+    # only where ``operators`` is, so the two never disagree
+    _producers: Dict[str, Operator] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
+    _consumers: Dict[str, List[Operator]] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        for op in self.operators.values():
+            self._index(op)
+
+    def _index(self, op: Operator) -> None:
+        for t in op.outputs:
+            self._producers.setdefault(t, op)
+        for t in dict.fromkeys(op.inputs):
+            self._consumers.setdefault(t, []).append(op)
 
     # ------------------------------------------------------------------
     # Construction
@@ -64,6 +80,7 @@ class Graph:
                     f"tensor {t!r} already produced by {producer.name!r}"
                 )
         self.operators[op.name] = op
+        self._index(op)
         return op
 
     # ------------------------------------------------------------------
@@ -91,14 +108,11 @@ class Graph:
 
     def producer_of(self, tensor: str) -> Optional[Operator]:
         """Return the operator producing ``tensor`` (None for graph inputs)."""
-        for op in self.operators.values():
-            if tensor in op.outputs:
-                return op
-        return None
+        return self._producers.get(tensor)
 
     def consumers_of(self, tensor: str) -> List[Operator]:
         """Return all operators that read ``tensor``."""
-        return [op for op in self.operators.values() if tensor in op.inputs]
+        return list(self._consumers.get(tensor, ()))
 
     def successors(self, op: Operator) -> List[Operator]:
         """Operators that consume any output of ``op``."""

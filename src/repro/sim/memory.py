@@ -1,9 +1,11 @@
 """Simulation-facing wrapper around the off-chip memory model.
 
-:class:`MemoryPort` lets simulation processes issue HBM/DDR transfers and
-wait for their completion, while the underlying
-:class:`~repro.fpga.hbm.MemorySystemModel` tracks per-channel occupancy
-(so concurrent transfers contend realistically) and the
+:class:`MemoryPort` issues HBM/DDR transfers at a cycle the caller names
+and returns the cycle they complete; it keeps no clock of its own.  The
+underlying :class:`~repro.fpga.hbm.MemorySystemModel` tracks per-channel
+occupancy (so concurrent transfers contend realistically) — which makes
+the *order* of calls part of the result: the caller must issue transfers
+in the order the modelled hardware would.  The
 :class:`~repro.sim.stats.RunCounters` accumulate traffic for the energy
 model.
 """
@@ -13,7 +15,6 @@ from __future__ import annotations
 from typing import Optional
 
 from ..fpga.hbm import MemorySystemModel, MemorySystemSpec
-from .engine import Event, Simulator
 from .stats import RunCounters
 from .trace import Trace
 
@@ -80,33 +81,32 @@ class MemoryPort:
 
     def __init__(
         self,
-        sim: Simulator,
         spec: MemorySystemSpec,
         clock_hz: float,
         counters: RunCounters,
         trace: Optional[Trace] = None,
         name: str = "hbm",
     ) -> None:
-        self.sim = sim
         self.model = MemorySystemModel(spec, clock_hz)
         self.counters = counters
         self.trace = trace
         self.name = name
 
     # ------------------------------------------------------------------
-    def read(self, n_bytes: int, label: str = "read", channel: str | None = None) -> Event:
-        """Issue a read of ``n_bytes``; the event triggers at completion."""
-        return self._transfer(n_bytes, label, is_write=False, channel=channel)
+    def read(self, n_bytes: int, now: int, label: str = "read",
+             channel: str | None = None) -> int:
+        """Issue a read of ``n_bytes`` at cycle ``now``; returns its completion cycle."""
+        return self._transfer(n_bytes, now, label, is_write=False, channel=channel)
 
-    def write(self, n_bytes: int, label: str = "write", channel: str | None = None) -> Event:
-        """Issue a write of ``n_bytes``; the event triggers at completion."""
-        return self._transfer(n_bytes, label, is_write=True, channel=channel)
+    def write(self, n_bytes: int, now: int, label: str = "write",
+              channel: str | None = None) -> int:
+        """Issue a write of ``n_bytes`` at cycle ``now``; returns its completion cycle."""
+        return self._transfer(n_bytes, now, label, is_write=True, channel=channel)
 
-    def _transfer(self, n_bytes: int, label: str, is_write: bool,
-                  channel: str | None) -> Event:
+    def _transfer(self, n_bytes: int, now: int, label: str, is_write: bool,
+                  channel: str | None) -> int:
         if n_bytes < 0:
             raise ValueError("n_bytes must be >= 0")
-        now = self.sim.now
         completion, channel_name = self.model.issue(n_bytes, now, channel=channel)
         if is_write:
             self.counters.hbm_write_bytes += n_bytes
@@ -119,36 +119,38 @@ class MemoryPort:
                 engine=f"{self.name}:{channel_name}", label=label,
                 start=now, end=completion, category="transfer",
             )
-        # Waiting past channel busy time counts as memory stall exposure
-        # only if the caller actually waits; the caller decides by yielding
-        # the event (pipelined designs overlap it with compute instead).
-        return self.sim.timeout(completion - now)
+        # Whether the time up to ``completion`` is exposed as a memory
+        # stall is the caller's decision: a sequential controller waits
+        # for it, a pipelined one overlaps it with compute.
+        return completion
 
     # ------------------------------------------------------------------
-    def read_striped(self, n_bytes: int, stripe: int, label: str = "read") -> Event:
-        """Read ``n_bytes`` split evenly across ``stripe`` channels.
+    def read_striped(self, n_bytes: int, stripe: int, now: int,
+                     label: str = "read") -> int:
+        """Read ``n_bytes`` split evenly across ``stripe`` channels at ``now``.
 
         Models a wide AXI/DMA engine that pulls a tile from several HBM
-        pseudo-channels concurrently; the returned event triggers when the
+        pseudo-channels concurrently; returns the cycle at which the
         slowest stripe finishes.
         """
-        return self._striped(n_bytes, stripe, label, is_write=False)
+        return self._striped(n_bytes, stripe, now, label, is_write=False)
 
-    def write_striped(self, n_bytes: int, stripe: int, label: str = "write") -> Event:
-        """Write ``n_bytes`` split evenly across ``stripe`` channels."""
-        return self._striped(n_bytes, stripe, label, is_write=True)
+    def write_striped(self, n_bytes: int, stripe: int, now: int,
+                      label: str = "write") -> int:
+        """Write ``n_bytes`` split evenly across ``stripe`` channels at ``now``."""
+        return self._striped(n_bytes, stripe, now, label, is_write=True)
 
-    def _striped(self, n_bytes: int, stripe: int, label: str, is_write: bool) -> Event:
+    def _striped(self, n_bytes: int, stripe: int, now: int, label: str,
+                 is_write: bool) -> int:
         if stripe <= 0:
             raise ValueError("stripe must be positive")
         if n_bytes < 0:
             raise ValueError("n_bytes must be >= 0")
         stripe = min(stripe, self.model.spec.n_channels)
         if n_bytes == 0 or stripe == 1:
-            return self._transfer(n_bytes, label, is_write=is_write, channel=None)
+            return self._transfer(n_bytes, now, label, is_write=is_write, channel=None)
         chunk = n_bytes // stripe
         sizes = [chunk] * (stripe - 1) + [n_bytes - chunk * (stripe - 1)]
-        now = self.sim.now
         issued = self.model.issue_striped(sizes, now)
         # Fewer bytes than stripes leaves every stripe but the last empty;
         # an empty stripe occupies no channel and is not a transfer.
@@ -165,7 +167,7 @@ class MemoryPort:
             self.counters.hbm_write_bytes += n_bytes
         else:
             self.counters.hbm_read_bytes += n_bytes
-        return self.sim.timeout(latest - now)
+        return latest
 
     # ------------------------------------------------------------------
     def ideal_cycles(self, n_bytes: int) -> int:

@@ -1,10 +1,12 @@
-"""Tests for the discrete-event simulation kernel."""
+"""Tests for the discrete-event kernel — since PR 21 the test-side oracle
+(``tests/accel/kernel_oracle.py``) the executor's recurrences are compared
+against, no longer a ``src/`` module."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.sim.engine import SimulationError, Simulator
+from tests.accel.kernel_oracle import SimulationError, Simulator
 
 
 class TestTimeouts:

@@ -1,4 +1,5 @@
-"""Tests for repro.sim.stream."""
+"""Tests for the bounded FIFO of the kernel oracle
+(``tests/accel/kernel_oracle.py``; ``repro.sim.stream`` until PR 21)."""
 
 from __future__ import annotations
 
@@ -6,8 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim.engine import SimulationError, Simulator
-from repro.sim.stream import Stream
+from tests.accel.kernel_oracle import SimulationError, Simulator, Stream
 
 
 class TestStreamBasics:
