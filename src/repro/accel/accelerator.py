@@ -385,12 +385,14 @@ class SpeedLLMAccelerator:
     ) -> np.ndarray:
         """Functionally execute one token position against ``cache``:
         the logits, or the last hidden state when ``need_logits`` is off.
+        The one-slot case of :meth:`execute_slots`."""
+        return self.execute_slots([BatchSlot(token, pos, cache, need_logits)])[0]
 
-        Values come from one of two context-free graphs (with / without
-        the classifier) built at context 0 outside the compiler: the
-        attention window is ``pos + 1`` whatever a graph was built for,
-        and nothing the compiler prices changes a value.
-        """
+    def _value_graph(self, need_logits: bool) -> Graph:
+        """One of the two context-free graphs values come from (with /
+        without the classifier), built at context 0 outside the compiler:
+        the attention window is ``pos + 1`` whatever a graph was built
+        for, and nothing the compiler prices changes a value."""
         graph = self._value_graphs.get(need_logits)
         if graph is None:
             graph = GraphBuilder(self.model_config).build_decode_step(
@@ -398,17 +400,19 @@ class SpeedLLMAccelerator:
             if self.config.operator_fusion:
                 graph = fuse_graph(graph).graph
             self._value_graphs[need_logits] = graph
-        return self._graph_executor.execute(graph, token, pos, cache)
+        return graph
 
     def execute_slots(self, slots: Sequence[BatchSlot]) -> List[np.ndarray]:
         """Functionally execute one batched step of token positions.
 
-        Slots are executed in order against their own KV caches, so a
-        request may contribute several consecutive prefill positions in a
-        single step.  Returns one array per slot: the logits where the
-        slot asked for them, the last hidden state otherwise.  Timing for
-        the same step comes from ``self.timing.simulate_step`` with the
-        slots' positions as context lengths.
+        Computed in the order the timing model charges it (weight
+        stationary: every operator over all slots, each slot's attention
+        against its own KV cache), so a request may contribute several
+        consecutive positions — in increasing order — to a step.  Returns
+        one array per slot, bit for bit what the slot yields alone: the
+        logits where asked for, the last hidden state otherwise.  A
+        rejected step raises before any cache is written.  Timing for the
+        same step comes from ``self.timing.simulate_step``.
         """
-        return [self.forward(slot.token, slot.pos, slot.cache, slot.need_logits)
-                for slot in slots]
+        return self._graph_executor.execute_step(
+            [self._value_graph(slot.need_logits) for slot in slots], slots)

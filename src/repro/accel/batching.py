@@ -31,6 +31,13 @@ The merged program runs on the unmodified
 reuse and HBM channel contention apply to batched steps exactly as they
 do to single-sequence steps.
 
+The host computes a step's *values* in the same order
+(:mod:`repro.accel.executor`): operator by operator, every slot's
+activation row through a weight matrix before the next matrix is touched,
+attention per slot against its own cache — so the amortization priced
+here is also what makes the functional pass cheap, while each row stays
+bit for bit what the slot yields alone.
+
 The merger is shard-agnostic: execution backends merge whatever
 single-sequence programs their :class:`~repro.compile.pipeline.
 StepCompiler` lowers, so a tensor-parallel shard's narrowed

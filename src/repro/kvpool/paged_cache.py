@@ -23,8 +23,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..llama.config import LlamaConfig
-from ..llama.kv_cache import KVCache
-from ..llama.quantization import dequantize, quantize
+from ..llama.kv_cache import KVCache, fake_quant_kv
 from .allocator import BlockAllocator, BlockAllocatorError
 
 __all__ = ["PagedKVCache"]
@@ -219,10 +218,9 @@ class PagedKVCache:
         key = np.asarray(key, dtype=self.dtype).reshape(self.config.kv_dim)
         value = np.asarray(value, dtype=self.dtype).reshape(self.config.kv_dim)
         if self.allocator.quant is not None:
-            # Fake-quant on write, mirroring the flat cache: reads see
-            # the int8 encoding's error regardless of paging.
-            key = dequantize(quantize(key, self.allocator.quant))
-            value = dequantize(quantize(value, self.allocator.quant))
+            # Mirroring the flat cache: reads see the int8 encoding's
+            # error regardless of paging.
+            key, value = fake_quant_kv(key, value, self.allocator.quant)
         self.allocator.keys(block)[layer, offset] = key
         self.allocator.values(block)[layer, offset] = value
         if layer == self.config.n_layers - 1:

@@ -16,7 +16,22 @@ import numpy as np
 from .config import LlamaConfig
 from .quantization import QuantSpec, dequantize, quantize
 
-__all__ = ["KVCache"]
+__all__ = ["KVCache", "fake_quant_kv"]
+
+
+def fake_quant_kv(
+    key: np.ndarray, value: np.ndarray, spec: QuantSpec
+) -> Tuple[np.ndarray, np.ndarray]:
+    """One position's key and value vectors as an int8-resident cache
+    returns them: quantised and dequantised (fake-quant on write, so
+    every read sees the encoding's error).  The two go through as one
+    ``[2, kv_dim]`` pass; groups never span rows, so each vector gets
+    exactly what quantising it alone gives.
+    """
+    pair = np.empty((2, key.shape[0]), dtype=np.float32)
+    pair[0], pair[1] = key, value
+    pair = dequantize(quantize(pair, spec))
+    return pair[0], pair[1]
 
 
 class KVCache:
@@ -179,9 +194,7 @@ class KVCache:
         key = np.asarray(key, dtype=self.dtype).reshape(self.config.kv_dim)
         value = np.asarray(value, dtype=self.dtype).reshape(self.config.kv_dim)
         if self.quant is not None:
-            # Fake-quant on write: reads see the int8 encoding's error.
-            key = dequantize(quantize(key, self.quant))
-            value = dequantize(quantize(value, self.quant))
+            key, value = fake_quant_kv(key, value, self.quant)
         self._keys[layer, pos] = key
         self._values[layer, pos] = value
         if layer == self.config.n_layers - 1:

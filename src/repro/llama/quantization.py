@@ -131,8 +131,9 @@ def _pad_last_axis(x: np.ndarray, padded_last: int) -> np.ndarray:
     last = x.shape[-1]
     if last == padded_last:
         return x
-    pad = [(0, 0)] * (x.ndim - 1) + [(0, padded_last - last)]
-    return np.pad(x, pad)
+    padded = np.zeros((*x.shape[:-1], padded_last), dtype=x.dtype)
+    padded[..., :last] = x
+    return padded
 
 
 def quantize(x: np.ndarray, spec: QuantSpec = INT8) -> QuantizedTensor:

@@ -1,6 +1,7 @@
-"""``hypothesis`` strategies for valid accelerator design points and
-synthetic programs — the generator shared by the executor's differential
-test and (ROADMAP item 3) the cross-layer invariant oracle.
+"""``hypothesis`` strategies for valid accelerator design points,
+synthetic programs and batched functional steps — the generators shared
+by the executor's differential tests and (ROADMAP item 3) the cross-layer
+invariant oracle.
 
 The ranges are chosen to provoke *same-cycle ties*, where the order of a
 read and a posted write on the HBM channel heap is decided by the order
@@ -12,7 +13,8 @@ empty.
 
 from __future__ import annotations
 
-from typing import Tuple
+from dataclasses import dataclass
+from typing import Optional, Tuple
 
 from hypothesis import strategies as st
 
@@ -20,8 +22,10 @@ from repro.accel.config import AcceleratorConfig, BufferConfig
 from repro.accel.instructions import OpProgram, Program, TilePacket
 from repro.fpga.u280 import FpgaPlatform, u280
 from repro.graph.ops import ComputeUnit
+from repro.llama.config import LlamaConfig, preset
 
-__all__ = ["platforms", "accelerator_configs", "programs", "executor_cases"]
+__all__ = ["platforms", "accelerator_configs", "programs", "executor_cases",
+           "STEP_MODELS", "StepCase", "steps"]
 
 
 def platforms() -> st.SearchStrategy[FpgaPlatform]:
@@ -78,3 +82,97 @@ def programs(draw, max_ops: int = 8, max_packets: int = 12) -> Program:
 def executor_cases() -> st.SearchStrategy[Tuple[AcceleratorConfig, FpgaPlatform, Program]]:
     """One ``PipelineExecutor(config, platform).run(program)`` call."""
     return st.tuples(accelerator_configs(), platforms(), programs())
+
+
+# ----------------------------------------------------------------------
+# Batched functional steps
+# ----------------------------------------------------------------------
+#: The models a generated step runs on: the two test presets (MHA with
+#: one-group heads, GQA) and stories15M's real operator shapes — the
+#: widths BLAS picks its kernels by — cut to two layers and a small
+#: vocabulary.
+STEP_MODELS = {
+    "test-micro": preset("test-micro"),
+    "test-small": preset("test-small"),
+    "mha-288": preset("stories15M").replace(
+        n_layers=2, vocab_size=96, max_seq_len=48, name="mha-288"),
+}
+
+
+@dataclass(frozen=True)
+class StepCase:
+    """A recipe for one ``execute_slots`` call and the state it runs on.
+
+    A recipe, not objects: the differential test builds it twice, once
+    for the op-major step and once for the slot-major oracle.
+    """
+
+    model: str  # key of STEP_MODELS
+    fused: bool
+    weight_bits: int  # 8: int8 functional weights, 32: float32
+    paged: bool
+    block_tokens: int
+    kv_group: Optional[int]  # group size of the quantised KV, None for fp32
+    #: Per cache: the index of the earlier (paged) cache it is forked
+    #: from — sharing every block copy-on-write — or None.
+    forked_from: Tuple[Optional[int], ...]
+    #: Per cache: tokens prefilled before the step (after the fork).
+    histories: Tuple[Tuple[int, ...], ...]
+    #: The step: (cache index, token, need_logits, speculative); a
+    #: cache's slots take consecutive positions from its length on.
+    slots: Tuple[Tuple[int, int, bool, bool], ...]
+
+    @property
+    def config(self) -> LlamaConfig:
+        return STEP_MODELS[self.model]
+
+
+@st.composite
+def steps(draw) -> StepCase:
+    """1–16 slots over 1–4 caches: mixed ``need_logits``, chunks of
+    consecutive positions interleaved across caches, sometimes a
+    speculative verify run, sometimes a cache filled to the last
+    position of the context window, paged caches forked off one another
+    so a step's first write copies a shared block."""
+    model = draw(st.sampled_from(sorted(STEP_MODELS)))
+    config = STEP_MODELS[model]
+    paged = draw(st.booleans())
+    n_slots = draw(st.integers(1, 16))
+    n_caches = draw(st.integers(1, min(4, n_slots)))
+    # Which cache each slot belongs to: every cache at least once.
+    owners = list(range(n_caches)) + draw(st.lists(
+        st.integers(0, n_caches - 1),
+        min_size=n_slots - n_caches, max_size=n_slots - n_caches))
+    counts = [owners.count(index) for index in range(n_caches)]
+    tokens = st.integers(0, config.vocab_size - 1)
+    forked_from, histories, lengths = [], [], []
+    for index, count in enumerate(counts):
+        parent = (draw(st.one_of(st.none(), st.integers(0, index - 1)))
+                  if paged and index else None)
+        inherited = 0 if parent is None else lengths[parent]
+        room = config.max_seq_len - count - inherited
+        if room < 0:
+            parent, inherited, room = None, 0, config.max_seq_len - count
+        # One cache in six is filled up to the end of the context window.
+        extra = (room if draw(st.integers(0, 5)) == 0
+                 else draw(st.integers(0, min(room, 10))))
+        forked_from.append(parent)
+        # A drawn salt, not a drawn list: a long history is state to
+        # attend over, and spends none of the example's entropy budget.
+        salt = draw(tokens)
+        histories.append(tuple((salt + 7 * i) % config.vocab_size
+                               for i in range(extra)))
+        lengths.append(inherited + extra)
+    order = draw(st.permutations(owners))
+    speculative = draw(st.one_of(st.none(), st.integers(0, n_caches - 1)))
+    slots = tuple(
+        (index, draw(tokens), index == speculative or draw(st.booleans()),
+         index == speculative)
+        for index in order)
+    return StepCase(
+        model=model, fused=draw(st.booleans()),
+        weight_bits=draw(st.sampled_from([8, 32])), paged=paged,
+        block_tokens=draw(st.sampled_from([1, 2, 4, 8])),
+        kv_group=draw(st.sampled_from([None, None, 16, 64])),
+        forked_from=tuple(forked_from), histories=tuple(histories),
+        slots=slots)

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.accel.accelerator import SpeedLLMAccelerator
 from repro.accel.batching import (BatchSlot, block_padded_context,
                                   merge_batch_programs)
 from repro.accel.config import AcceleratorConfig
+from repro.kvpool import KVPool
 from repro.llama.kv_cache import KVCache
 
 
@@ -206,8 +208,52 @@ class TestExecuteSlots:
             for pos, token in enumerate(tokens)
         ]
         outputs = accelerator.execute_slots(slots)
-        assert outputs[-1] == pytest.approx(stepwise_logits)
+        assert np.array_equal(outputs[-1], stepwise_logits)
         assert batched_cache.length == stepwise_cache.length
+
+    @pytest.mark.parametrize("need_logits", [True, False])
+    def test_forward_is_the_one_slot_step(
+        self, accelerator, small_config, need_logits
+    ):
+        one, other = KVCache(small_config), KVCache(small_config)
+        for pos, token in enumerate([1, 5, 9]):
+            got = accelerator.forward(token, pos, one, need_logits)
+            want = accelerator.execute_slots(
+                [BatchSlot(token, pos, other, need_logits)])[0]
+            assert got.shape == ((small_config.vocab_size,) if need_logits
+                                 else (small_config.dim,))
+            assert np.array_equal(got, want)
+
+    def test_empty_step(self, accelerator):
+        assert accelerator.execute_slots([]) == []
+
+    @pytest.mark.parametrize("bad, error", [
+        (dict(token=512, pos=2), IndexError),   # outside the vocabulary
+        (dict(token=3, pos=8), IndexError),     # past the cache capacity
+        (dict(token=3, pos=1), ValueError),     # not after its cache's pos 1
+    ])
+    def test_a_rejected_step_writes_nothing(
+        self, accelerator, small_config, bad, error
+    ):
+        """Every slot is validated before the first K/V row is written —
+        the slot-major loop left slots 0..2 of a rejected step behind."""
+        flat = KVCache(small_config, max_seq_len=8)
+        paged = KVPool(small_config, 1 << 16, block_tokens=4).new_cache(8)
+        accelerator.execute_slots([BatchSlot(7, 0, flat), BatchSlot(7, 0, paged)])
+
+        def state():
+            return [(cache.length,
+                     [cache.keys(layer, 8).tobytes() + cache.values(layer, 8).tobytes()
+                      for layer in range(small_config.n_layers)])
+                    for cache in (flat, paged)]
+
+        paged.ensure_capacity(8)  # all 8 rows attached, so state() can read them
+        before = state()
+        with pytest.raises(error):
+            accelerator.execute_slots([
+                BatchSlot(1, 1, flat), BatchSlot(2, 1, paged),
+                BatchSlot(4, 2, paged), BatchSlot(cache=flat, **bad)])
+        assert state() == before
 
 
 class TestSpeculativeRuns:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.accel.batching import BatchSlot
 from repro.accel.executor import GraphExecutor, _graph_to_checkpoint_name
 from repro.graph.builder import GraphBuilder, build_decode_graph
 from repro.graph.fusion import fuse_graph
@@ -93,8 +94,30 @@ class TestGraphExecutorEquivalence:
                    if k != "layers.0.attention.wq.weight"}
         executor = GraphExecutor(small_config, weights)
         graph = build_decode_graph(small_config, 0)
-        with pytest.raises(KeyError, match="wq"):
-            executor.execute(graph, 1, 0, KVCache(small_config))
+        cache = KVCache(small_config)
+        # Raised while the graph's program is built, inside the first
+        # execute — before anything is computed or cached.
+        with pytest.raises(KeyError, match=(
+                r"graph weight 'L0\.attention\.wq\.weight' \(checkpoint key "
+                r"'layers\.0\.attention\.wq\.weight'\) not found")):
+            executor.execute(graph, 1, 0, cache)
+        assert cache.length == 0 and not cache.keys(0, 1).any()
+
+    def test_slots_share_a_step_only_along_a_common_prefix(
+            self, executor, small_config):
+        """A slot may leave the step early (no logits: the same program,
+        cut short) but may not run a different program."""
+        full = build_decode_graph(small_config, 0)
+        prefix = GraphBuilder(small_config).build_decode_step(
+            0, include_logits=False)
+        shallow = build_decode_graph(small_config.replace(n_layers=2), 0)
+        slots = [BatchSlot(1, 0, KVCache(small_config)) for _ in range(2)]
+        hidden, logits = executor.execute_step([prefix, full], slots)
+        assert hidden.shape == (small_config.dim,)
+        assert np.array_equal(
+            logits, executor.execute(full, 1, 0, KVCache(small_config)))
+        with pytest.raises(ValueError, match="not a prefix"):
+            executor.execute_step([shallow, full], slots)
 
     def test_gqa_heads_handled(self, small_config, executor, small_model):
         """test-small uses 4 query heads over 2 KV heads."""

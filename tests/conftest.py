@@ -7,6 +7,7 @@ benchmarks (not the tests) exercise the stories15M configuration.
 from __future__ import annotations
 
 import pytest
+from hypothesis import settings
 
 from repro.llama import (
     LlamaModel,
@@ -16,6 +17,12 @@ from repro.llama import (
     train_bpe,
 )
 from repro.workloads import generate_corpus
+
+# `pytest --hypothesis-profile=thorough`: the differential tests that
+# take their example budget from the profile (tests/accel/
+# test_step_values.py) run 400 fixed examples instead of the default 100.
+settings.register_profile("thorough", max_examples=400, derandomize=True,
+                          deadline=None)
 
 #: The cross-config serving matrix every token-identity test runs over:
 #: reservation vs. paged KV vs. tensor-parallel execution, each with and

@@ -5,7 +5,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.llama.kv_cache import KVCache
+from repro.kvpool import KVPool
+from repro.llama.kv_cache import KVCache, fake_quant_kv
+from repro.llama.quantization import QuantSpec, dequantize, quantize
 
 
 class TestKVCache:
@@ -114,3 +116,41 @@ class TestKVCache:
     def test_float16_storage(self, micro_config):
         cache = KVCache(micro_config, dtype=np.float16)
         assert cache.nbytes == micro_config.kv_cache_elements() * 2
+
+
+class TestFakeQuantKV:
+    """Both caches quantise a position's K/V pair in one pass; a stored
+    row must be what quantising that vector alone gives."""
+
+    @pytest.mark.parametrize("kv_dim", [16, 32, 64, 96, 288])
+    @pytest.mark.parametrize("group_size", [16, 64])
+    @pytest.mark.parametrize("bits", [4, 8])
+    def test_the_pair_equals_two_separate_passes(self, kv_dim, group_size, bits):
+        spec = QuantSpec(bits=bits, group_size=group_size)
+        rng = np.random.default_rng(kv_dim + group_size + bits)
+        for scale in (1e-3, 1.0, 50.0):
+            key = (rng.standard_normal(kv_dim) * scale).astype(np.float32)
+            value = (rng.standard_normal(kv_dim) * scale).astype(np.float32)
+            value[: kv_dim // 4] = 0.0  # an all-zero group: scale 0
+            got_key, got_value = fake_quant_kv(key, value, spec)
+            assert np.array_equal(got_key, dequantize(quantize(key, spec)))
+            assert np.array_equal(got_value, dequantize(quantize(value, spec)))
+            assert got_key.dtype == got_value.dtype == np.float32
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float16])
+    def test_flat_and_paged_caches_store_those_rows(self, small_config, dtype):
+        spec = QuantSpec(bits=8, group_size=64)  # kv_dim 32: a padded group
+        flat = KVCache(small_config, dtype=dtype, quant=spec)
+        paged = KVPool(small_config, 1 << 16, block_tokens=4, dtype=dtype,
+                       quant=spec).new_cache()
+        rng = np.random.default_rng(0)
+        key = rng.standard_normal(small_config.kv_dim).astype(np.float32)
+        value = rng.standard_normal(small_config.kv_dim).astype(np.float32)
+        for cache in (flat, paged):
+            cache.append(0, key, value, pos=0)
+            assert np.array_equal(
+                cache.keys(0, 1)[0],
+                dequantize(quantize(key.astype(dtype), spec)).astype(dtype))
+            assert np.array_equal(
+                cache.values(0, 1)[0],
+                dequantize(quantize(value.astype(dtype), spec)).astype(dtype))

@@ -95,6 +95,16 @@ class TestQuantizeDequantize:
         assert recon.shape == (2, 65)
         assert np.linalg.norm(recon - x) / np.linalg.norm(x) < 0.01
 
+    @pytest.mark.parametrize("shape", [(65,), (2, 65), (3, 2, 33), (2, 64)])
+    def test_padding_is_trailing_zeros(self, shape):
+        x = np.random.default_rng(5).normal(size=shape).astype(np.float32)
+        qt = quantize(x, QuantSpec(group_size=64))
+        padded = qt.q.shape[-1]
+        assert padded % 64 == 0 and not qt.q[..., shape[-1]:].any()
+        widths = [(0, 0)] * (x.ndim - 1) + [(0, padded - shape[-1])]
+        assert np.array_equal(qt.q, quantize(np.pad(x, widths),
+                                             QuantSpec(group_size=64)).q)
+
     def test_nbytes_matches_spec(self):
         x = np.ones((4, 128), dtype=np.float32)
         qt = quantize(x, INT8)
