@@ -113,21 +113,15 @@ class MemorySystemSpec:
         return cls(channels=channels)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ChannelState:
-    """Dynamic occupancy bookkeeping of one channel during simulation.
-
-    A read-only record for everyone but the :class:`MemorySystemModel`
-    that owns it: the model is its only writer, because it keeps its
-    channels ordered by ``busy_until`` and a write from outside would
-    leave that order stale.
-    """
+    """One channel's record as of the moment it was read off
+    :attr:`MemorySystemModel.channels`: a snapshot, not a handle.  What a
+    channel carried, and when, is in the traced run (one ``hbm:<name>``
+    event per stripe); the model itself keeps traffic as totals only."""
 
     spec: MemoryChannelSpec
     busy_until: int = 0
-    bytes_transferred: int = 0
-    n_transactions: int = 0
-    busy_cycles: int = 0
 
 
 class MemorySystemModel:
@@ -137,10 +131,19 @@ class MemorySystemModel:
 
     * *analytically*, via :meth:`ideal_transfer_cycles`, for roofline-style
       estimates of a perfectly-striped transfer, and
-    * *transactionally*, via :meth:`issue`, during cycle-level simulation:
-      each transaction is steered to a channel (explicitly or by
-      least-loaded selection), serialised after that channel's previous
-      work, and the completion cycle is returned.
+    * *transactionally*, via :meth:`issue` / :meth:`issue_split`, during
+      cycle-level simulation: each transaction is steered to a channel
+      (explicitly or by least-loaded selection), serialised after that
+      channel's previous work, and the completion cycle is returned.
+
+    The arbitration order is ``_order``, a sorted list with one int per
+    channel: ``busy_until * n_channels + rank``, ``rank`` being the
+    channel's index among the sorted names.  Its head is the least-busy
+    channel, ties going to the lexicographically smallest *name*
+    (``hbm10`` before ``hbm2``), not to declaration order; every committed
+    cycle count depends on this order.  A *pick* is the key a served
+    channel re-enters the order with — :meth:`stripes` reads the stripe's
+    completion cycle and channel name off it.
     """
 
     def __init__(self, spec: MemorySystemSpec, clock_hz: float) -> None:
@@ -148,33 +151,29 @@ class MemorySystemModel:
             raise ValueError("clock_hz must be positive")
         self.spec = spec
         self.clock_hz = clock_hz
-        self.channels: Dict[str, ChannelState] = {
-            c.name: ChannelState(spec=c) for c in spec.channels
-        }
-        self._bytes_per_cycle = {
-            c.name: c.bytes_per_cycle(clock_hz) for c in spec.channels
-        }
-        self._reorder()
+        by_name = sorted(spec.channels, key=lambda c: c.name)
+        self._names = [c.name for c in by_name]
+        self._bytes_per_cycle = [c.bytes_per_cycle(clock_hz) for c in by_name]
+        self._latency = [c.access_latency_cycles for c in by_name]
+        # Whether a burst costs the same on whichever channel it lands.
+        self._uniform = (len(set(self._bytes_per_cycle)) == 1
+                         and len(set(self._latency)) == 1)
+        self.reset()
 
     # ------------------------------------------------------------------
-    def _reorder(self) -> None:
-        """Rebuild the arbitration order: a heap of ``(busy_until, name,
-        state)`` whose head is the least-busy channel, ties going to the
-        lexicographically smallest *name* (``hbm10`` before ``hbm2``), not
-        to declaration order.  Every committed cycle count depends on this
-        order.  Names are unique, so two states are never compared."""
-        self._order = sorted(
-            (s.busy_until, name, s) for name, s in self.channels.items()
-        )
-
     def reset(self) -> None:
         """Clear all dynamic state (between simulation runs)."""
-        for state in self.channels.values():
-            state.busy_until = 0
-            state.bytes_transferred = 0
-            state.n_transactions = 0
-            state.busy_cycles = 0
-        self._reorder()
+        self._order = list(range(len(self._names)))
+        self.total_bytes_transferred = 0
+        self.total_transactions = 0
+        self._busy_cycles = 0
+
+    @property
+    def channels(self) -> Dict[str, ChannelState]:
+        """Every channel's :class:`ChannelState` now, in declaration order."""
+        n = len(self._names)
+        busy = {self._names[key % n]: key // n for key in self._order}
+        return {c.name: ChannelState(c, busy[c.name]) for c in self.spec.channels}
 
     def ideal_transfer_cycles(self, n_bytes: int) -> int:
         """Cycles to move ``n_bytes`` perfectly striped over all channels."""
@@ -214,68 +213,107 @@ class MemorySystemModel:
         """
         if channel is None:
             return self.issue_striped((n_bytes,), now)[0]
-        if channel not in self.channels:
-            raise ValueError(
-                f"unknown channel {channel!r}; known: {sorted(self.channels)}"
-            )
-        # Steering is arbitration among one channel.  It is rare, so
-        # re-sorting afterwards is cheap, and keeps the next automatic pick
-        # exactly what a scan over all channels would give.
-        state = self.channels[channel]
-        self._order = [(state.busy_until, channel, state)]
-        try:
-            return self.issue_striped((n_bytes,), now)[0]
-        finally:
-            self._reorder()
+        if channel not in self._names:
+            raise ValueError(f"unknown channel {channel!r}; known: {self._names}")
+        # Steering is arbitration among one channel: the same loop over a
+        # one-entry order, whose entry then goes back among the others.
+        order, n = self._order, len(self._names)
+        rank = self._names.index(channel)
+        at = next(i for i, key in enumerate(order) if key % n == rank)
+        head = [order[at]]
+        picks = self._scan(head, (n_bytes,), now)
+        order[at] = head[0]
+        order.sort()
+        return self.stripes(picks)[0]
 
-    def issue_striped(
-        self,
-        sizes: Sequence[int],
-        now: int,
-    ) -> List[Tuple[int, str]]:
+    def issue_striped(self, sizes: Sequence[int], now: int) -> List[Tuple[int, str]]:
         """Issue one transfer per entry of ``sizes`` at cycle ``now``, each
         to the channel that is least busy when its turn comes.
 
-        This is one striped DMA transfer — and every automatic pick — in a
-        single call: the arguments are validated once and each stripe
-        replaces the head of the arbitration order instead of rescanning
-        the channels.  Returns ``(completion_cycle, channel_name)`` per
-        stripe, in order, with :meth:`issue`'s timing.
+        Returns ``(completion_cycle, channel_name)`` per stripe, in order,
+        with :meth:`issue`'s timing.
         """
+        return self.stripes(self._scan(self._order, sizes, now))
+
+    def issue_split(self, n_bytes: int, stripe: int, now: int) -> Tuple[int, List[int]]:
+        """Issue ``n_bytes`` at cycle ``now`` as one striped DMA transfer:
+        ``stripe - 1`` stripes of ``n_bytes // stripe`` bytes and a last
+        one with the rest, every stripe at least a byte.
+
+        Returns ``(cycle the slowest stripe completes, picks)``, the picks
+        being what :meth:`issue_striped` on those sizes would have chosen.
+        On channels of one speed, with ``busy`` the sorted ``busy_until``
+        and ``burst`` a leading stripe's cycles, ``max(now, busy[0]) +
+        burst > busy[stripe - 1]`` means every served channel comes back
+        strictly later than each of the first ``stripe`` that is still
+        untouched (strictly, so no name tie is left to decide anything):
+        the scan would take exactly those, in order, once each, and the
+        last stripe — the latest start and the longest burst — is the
+        slowest.  That is computed here in one step; otherwise the scan
+        runs.
+        """
+        order, n = self._order, len(self._names)
+        if not 0 < stripe <= n:
+            raise ValueError(f"stripe must be between 1 and {n}")
+        if n_bytes < stripe:
+            raise ValueError("n_bytes must give every stripe a byte")
+        if now < 0:
+            raise ValueError("now must be >= 0")
+        chunk = n_bytes // stripe
+        last = n_bytes - chunk * (stripe - 1)
+        per_cycle = self._bytes_per_cycle[0]  # every channel's, when uniform
+        burst = math.ceil(chunk / per_cycle)
+        first_free = order[0] // n
+        if (self._uniform and (now if now > first_free else first_free) + burst
+                > order[stripe - 1] // n):
+            idle, step = now * n, burst * n  # keys below ``idle`` start at ``now``
+            picks = [(key if key > idle else idle + key % n) + step
+                     for key in order[:stripe]]
+            last_burst = math.ceil(last / per_cycle)
+            picks[-1] += (last_burst - burst) * n
+            order[:stripe] = picks
+            order.sort()
+            self.total_bytes_transferred += n_bytes
+            self.total_transactions += stripe
+            self._busy_cycles += burst * (stripe - 1) + last_burst
+            return picks[-1] // n + self._latency[0], picks
+        picks = self._scan(order, [chunk] * (stripe - 1) + [last], now)
+        return max(self.stripes(picks))[0], picks  # pairs order by cycle first
+
+    def _scan(self, order: List[int], sizes: Sequence[int], now: int) -> List[int]:
+        """The arbitration itself, one stripe at a time: each stripe goes
+        to the head of ``order``, which re-enters it as the stripe's pick
+        (a sorted list is a heap, and is sorted again on the way out)."""
         if sizes and min(sizes) < 0:
             raise ValueError("n_bytes must be >= 0")
         if now < 0:
             raise ValueError("now must be >= 0")
-        order = self._order
-        bytes_per_cycle = self._bytes_per_cycle
-        issued = []
+        n = len(self._names)
+        picks = []
         for n_bytes in sizes:
-            busy_until, name, state = order[0]
+            busy_until, rank = divmod(order[0], n)
             if n_bytes == 0:
-                issued.append((now, name))
+                # Completes at ``now`` on the head and occupies nothing.
+                picks.append((now - self._latency[rank]) * n + rank)
                 continue
-            burst = math.ceil(n_bytes / bytes_per_cycle[name])
+            burst = math.ceil(n_bytes / self._bytes_per_cycle[rank])
             busy_until = (now if now > busy_until else busy_until) + burst
-            heapreplace(order, (busy_until, name, state))
-            state.busy_until = busy_until
-            state.bytes_transferred += n_bytes
-            state.n_transactions += 1
-            state.busy_cycles += burst
-            issued.append((busy_until + state.spec.access_latency_cycles, name))
-        return issued
+            picks.append(busy_until * n + rank)
+            heapreplace(order, picks[-1])
+            self.total_bytes_transferred += n_bytes
+            self.total_transactions += 1
+            self._busy_cycles += burst
+        order.sort()
+        return picks
+
+    def stripes(self, picks: Sequence[int]) -> List[Tuple[int, str]]:
+        """``(completion_cycle, channel_name)`` of each pick."""
+        n, names, latency = len(self._names), self._names, self._latency
+        return [(key // n + latency[key % n], names[key % n]) for key in picks]
 
     # ------------------------------------------------------------------
-    @property
-    def total_bytes_transferred(self) -> int:
-        return sum(s.bytes_transferred for s in self.channels.values())
-
-    @property
-    def total_transactions(self) -> int:
-        return sum(s.n_transactions for s in self.channels.values())
-
     def utilization(self, elapsed_cycles: int) -> float:
         """Average channel occupancy over ``elapsed_cycles``."""
         if elapsed_cycles <= 0:
             return 0.0
-        busy = sum(s.busy_cycles for s in self.channels.values())
-        return busy / (elapsed_cycles * len(self.channels))
+        return self._busy_cycles / (elapsed_cycles * len(self._names))

@@ -112,23 +112,32 @@ class Tokenizer:
         adjacent pair whose merged token has the highest score, exactly as
         llama2.c's ``encode`` does.
         """
-        data = text.encode("utf-8")
-        ids: List[int] = [N_SPECIAL + b for b in data]
-        # Iteratively merge the best-scoring adjacent pair.
-        while len(ids) >= 2:
-            best_score = -1e30
-            best_idx = -1
-            best_id = -1
-            for i in range(len(ids) - 1):
-                merged = self.vocab[ids[i]] + self.vocab[ids[i + 1]]
-                cand = self._token_to_id.get(merged)
-                if cand is not None and self.scores[cand] > best_score:
-                    best_score = self.scores[cand]
-                    best_idx = i
-                    best_id = cand
-            if best_idx < 0:
+        ids: List[int] = [N_SPECIAL + b for b in text.encode("utf-8")]
+        vocab, scores, lookup = self.vocab, self.scores, self._token_to_id.get
+        never = -1e30  # a pair scoring this or less is not merged
+
+        def merge_of(left: int, right: int) -> Tuple[float, int]:
+            cand = lookup(vocab[left] + vocab[right])
+            if cand is not None and scores[cand] > never:
+                return scores[cand], cand
+            return never, -1
+
+        # One (score, merged id) candidate per adjacent pair; a merge only
+        # changes the candidates of the two pairs it touches.
+        merges = [merge_of(*pair) for pair in zip(ids, ids[1:])]
+        pair_scores = [score for score, _ in merges]
+        pair_ids = [cand for _, cand in merges]
+        while pair_scores:
+            best = max(pair_scores)
+            if best <= never:
                 break
-            ids[best_idx:best_idx + 2] = [best_id]
+            i = pair_scores.index(best)  # the first of the highest, as a scan finds it
+            ids[i:i + 2] = [pair_ids[i]]
+            del pair_scores[i], pair_ids[i]
+            if i > 0:
+                pair_scores[i - 1], pair_ids[i - 1] = merge_of(ids[i - 1], ids[i])
+            if i < len(pair_scores):
+                pair_scores[i], pair_ids[i] = merge_of(ids[i], ids[i + 1])
         if bos:
             ids.insert(0, BOS_ID)
         if eos:

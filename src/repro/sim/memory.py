@@ -5,7 +5,9 @@ and returns the cycle they complete; it keeps no clock of its own.  The
 underlying :class:`~repro.fpga.hbm.MemorySystemModel` tracks per-channel
 occupancy (so concurrent transfers contend realistically) — which makes
 the *order* of calls part of the result: the caller must issue transfers
-in the order the modelled hardware would.  The
+in the order the modelled hardware would.  A striped transfer is one
+call into the model, which arbitrates all its stripes at once; what each
+stripe did is read back only to write the trace.  The
 :class:`~repro.sim.stats.RunCounters` accumulate traffic for the energy
 model.
 """
@@ -88,6 +90,7 @@ class MemoryPort:
         name: str = "hbm",
     ) -> None:
         self.model = MemorySystemModel(spec, clock_hz)
+        self._n_channels = spec.n_channels
         self.counters = counters
         self.trace = trace
         self.name = name
@@ -146,23 +149,22 @@ class MemoryPort:
             raise ValueError("stripe must be positive")
         if n_bytes < 0:
             raise ValueError("n_bytes must be >= 0")
-        stripe = min(stripe, self.model.spec.n_channels)
+        stripe = min(stripe, self._n_channels)
         if n_bytes == 0 or stripe == 1:
             return self._transfer(n_bytes, now, label, is_write=is_write, channel=None)
-        chunk = n_bytes // stripe
-        sizes = [chunk] * (stripe - 1) + [n_bytes - chunk * (stripe - 1)]
-        issued = self.model.issue_striped(sizes, now)
-        # Fewer bytes than stripes leaves every stripe but the last empty;
-        # an empty stripe occupies no channel and is not a transfer.
-        self.counters.dma_transfers += stripe if chunk else 1
+        if n_bytes < stripe:
+            # Every stripe but the last is empty; an empty stripe occupies
+            # no channel and is not a transfer.
+            return self._transfer(n_bytes, now, f"{label}[{stripe - 1}]",
+                                  is_write=is_write, channel=None)
+        latest, picks = self.model.issue_split(n_bytes, stripe, now)
+        self.counters.dma_transfers += stripe
         if self.trace is not None:
-            for i, (size, (completion, channel_name)) in enumerate(zip(sizes, issued)):
-                if size > 0:
-                    self.trace.record(
-                        engine=f"{self.name}:{channel_name}", label=f"{label}[{i}]",
-                        start=now, end=completion, category="transfer",
-                    )
-        latest = max(issued)[0]  # pairs order by completion cycle first
+            for i, (completion, channel_name) in enumerate(self.model.stripes(picks)):
+                self.trace.record(
+                    engine=f"{self.name}:{channel_name}", label=f"{label}[{i}]",
+                    start=now, end=completion, category="transfer",
+                )
         if is_write:
             self.counters.hbm_write_bytes += n_bytes
         else:

@@ -77,6 +77,22 @@ class TestCompiledPrograms:
         facts = _assert_matches_kernel(config, platform, step.program)
         assert facts[3]["quant_saved_bytes"] > 0
 
+    @pytest.mark.parametrize("n_channels, stripe", [(32, 32), (2, 16)],
+                             ids=["every-channel-each-transfer", "stripe-clamped"])
+    @pytest.mark.parametrize("variant", ["full", "no-reuse", "unoptimized"])
+    def test_stripe_regimes(self, variant, n_channels, stripe, small_config):
+        """A transfer that takes every channel there is, and a stripe
+        count clamped to two channels that are never idle."""
+        config = AcceleratorConfig.variant(variant, trace_enabled=True,
+                                           hbm_stripe=stripe)
+        platform = u280(n_hbm_channels=n_channels)
+        compiler = StepCompiler(small_config, config, platform)
+        _assert_matches_kernel(config, platform, compiler.lower(7))
+        step = compiler.compile_step([0, 17, 40], [False, True, False])
+        facts = _assert_matches_kernel(config, platform, step.program)
+        assert {e[0] for e in facts[4] if e[0].startswith("hbm:")} == \
+            {f"hbm:hbm{i}" for i in range(n_channels)}
+
     @pytest.mark.parametrize("variant", ["full", "no-reuse", "no-pipeline"])
     def test_tensor_parallel_shard(self, variant, small_config):
         config = AcceleratorConfig.variant(variant, trace_enabled=True)

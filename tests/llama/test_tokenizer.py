@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.llama.tokenizer import BOS_ID, EOS_ID, UNK_ID, Tokenizer, train_bpe
+from repro.llama.tokenizer import BOS_ID, EOS_ID, N_SPECIAL, UNK_ID, Tokenizer, train_bpe
+from repro.workloads import shared_prefix_suite
 
 
 class TestByteLevelTokenizer:
@@ -86,6 +89,53 @@ class TestTrainedBPE:
 
     def test_max_token_length_positive(self, tiny_tokenizer):
         assert tiny_tokenizer.max_token_length >= 1
+
+
+def _encode_by_rescanning(tok, text):
+    """``Tokenizer.encode`` as first written: every adjacent pair joined
+    and looked up again after every merge.  The reference the incremental
+    encoder is checked against."""
+    ids = [N_SPECIAL + b for b in text.encode("utf-8")]
+    while len(ids) >= 2:
+        best_score, best_idx, best_id = -1e30, -1, -1
+        for i in range(len(ids) - 1):
+            cand = tok._token_to_id.get(tok.vocab[ids[i]] + tok.vocab[ids[i + 1]])
+            if cand is not None and tok.scores[cand] > best_score:
+                best_score, best_idx, best_id = tok.scores[cand], i, cand
+        if best_idx < 0:
+            break
+        ids[best_idx:best_idx + 2] = [best_id]
+    return ids
+
+
+class TestEncodeMatchesTheRescan:
+    def test_serving_prompts_and_random_strings(self, tiny_tokenizer):
+        rng = random.Random(24)
+        alphabets = [" abcdehilnorstuy.,", "aé✨你 \n", [chr(i) for i in range(32, 127)]]
+        texts = [w.prompt for w in shared_prefix_suite(64, 32, 5, 16, seed=0, n_groups=16)]
+        texts += ["".join(rng.choices(rng.choice(alphabets), k=rng.randrange(0, 120)))
+                  for _ in range(300)]
+        for text in texts:
+            assert tiny_tokenizer.encode(text, bos=False) == \
+                _encode_by_rescanning(tiny_tokenizer, text), text
+
+    def test_tied_and_unmergeable_scores(self, byte_tokenizer):
+        """Few distinct scores, so most merges are decided by the tie
+        rule (the first of the highest pairs), and tokens scored at or
+        below -1e30 exist and are never produced."""
+        rng = random.Random(7)
+        learned = sorted({bytes(rng.choices(b"abc", k=rng.randrange(2, 5)))
+                          for _ in range(60)})
+        scores = [0.0] * byte_tokenizer.vocab_size + \
+            [rng.choice([1.0, 1.0, 0.0, -1e30, -2e30]) for _ in learned]
+        tok = Tokenizer(vocab=byte_tokenizer.vocab + learned, scores=scores)
+        never = {i for i, score in enumerate(scores) if score <= -1e30}
+        assert never
+        for _ in range(300):
+            text = "".join(rng.choices("abc", k=rng.randrange(0, 40)))
+            ids = tok.encode(text, bos=False)
+            assert ids == _encode_by_rescanning(tok, text), text
+            assert not never & set(ids)
 
 
 class TestSerialization:

@@ -139,8 +139,12 @@ class TestStripedIssueIsOneModelCall:
         assert counters.dma_transfers == len(records)
         assert counters.hbm_read_bytes == 6 * n_bytes
         assert counters.hbm_write_bytes == 3 * n_bytes
-        assert {name: vars(state) for name, state in port.model.channels.items()} \
-            == {name: vars(state) for name, state in reference.channels.items()}
+        # Per-channel ``busy_until`` (all a ``ChannelState`` holds) and the
+        # model's three traffic totals.
+        assert port.model.channels == reference.channels
+        assert [(m.total_bytes_transferred, m.total_transactions, m.utilization(1 << 20))
+                for m in (port.model, reference)] == [
+            (9 * n_bytes, len(records), reference.utilization(1 << 20))] * 2
 
     def test_fewer_bytes_than_stripes_is_one_transfer(self):
         """5 bytes over 16 stripes: 15 empty stripes consume no channel
