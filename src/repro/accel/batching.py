@@ -26,6 +26,11 @@ already-compiled single-sequence programs:
   per-sequence, but they share the operator's single instruction
   dispatch, so the per-operator control overhead is amortized too.
 
+Weight tiles are merged by counting slots, not walking them: slots
+sharing an operator's packet tuple (the compiler lowers an operator once)
+form one group, summed once times its size; a slot sharing nothing is a
+group of one.
+
 The merged program runs on the unmodified
 :class:`~repro.accel.pipeline.PipelineExecutor`, so pipelining, buffer
 reuse and HBM channel contention apply to batched steps exactly as they
@@ -48,8 +53,9 @@ model's — the weight-stationary amortization applies per shard.
 from __future__ import annotations
 
 import dataclasses
+from collections import Counter
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 from ..llama.kv_cache import KVCache
 from .config import MPEConfig
@@ -128,29 +134,45 @@ def batch_run_ids(slots: Sequence[BatchSlot]) -> Optional[List[int]]:
     return ids
 
 
-def _merged_weight_tile(packets: Sequence[TilePacket], mpe: MPEConfig) -> TilePacket:
+def _merged_weight_tile(counted: Sequence[Tuple[TilePacket, int]],
+                        mpe: MPEConfig) -> TilePacket:
     """Collapse one weight tile's per-sequence packets into a batched packet.
 
+    ``counted`` holds ``(packet, n_slots)`` pairs: the tile as each group
+    of slots that shares it lowered it, and how many slots the group has.
     ``tile_cycles = passes + pipeline_depth`` for a single activation
     vector; with the tile held stationary the array streams one vector per
     set of reduction passes and pays the fill/drain latency once, giving
     ``sum(passes_i) + pipeline_depth`` for the batch.
     """
-    first = packets[0]
+    first = counted[0][0]
     depth = mpe.pipeline_depth
-    compute = sum(max(p.compute_cycles - depth, 1) for p in packets) + depth
+    compute = sum(n * max(p.compute_cycles - depth, 1) for p, n in counted) + depth
     return dataclasses.replace(
         first,
         load_bytes=first.weight_bytes
-        + sum(p.load_bytes - p.weight_bytes for p in packets),
+        + sum(n * (p.load_bytes - p.weight_bytes) for p, n in counted),
         compute_cycles=compute,
-        store_bytes=sum(p.store_bytes for p in packets),
-        macs=sum(p.macs for p in packets),
-        sfu_flops=sum(p.sfu_flops for p in packets),
-        onchip_bytes=sum(p.onchip_bytes for p in packets),
+        store_bytes=sum(n * p.store_bytes for p, n in counted),
+        macs=sum(n * p.macs for p, n in counted),
+        sfu_flops=sum(n * p.sfu_flops for p, n in counted),
+        onchip_bytes=sum(n * p.onchip_bytes for p, n in counted),
         # Scale application happens per activation vector; the weight-tile
         # byte saving (saved_bytes) is paid once per batch like the tile.
-        dequant_flops=sum(p.dequant_flops for p in packets),
+        dequant_flops=sum(n * p.dequant_flops for p, n in counted),
+    )
+
+
+def _slot_packet(packet: TilePacket, slot: int) -> TilePacket:
+    """``packet`` as slot ``slot`` of a batch issues it."""
+    return TilePacket(
+        op_name=packet.op_name, unit=packet.unit,
+        load_bytes=packet.load_bytes, compute_cycles=packet.compute_cycles,
+        store_bytes=packet.store_bytes, macs=packet.macs,
+        sfu_flops=packet.sfu_flops, onchip_bytes=packet.onchip_bytes,
+        weight_bytes=packet.weight_bytes,
+        dequant_flops=packet.dequant_flops, saved_bytes=packet.saved_bytes,
+        label=f"{packet.label}#b{slot}",
     )
 
 
@@ -259,25 +281,26 @@ def merge_batch_programs(
                 f"({sorted({op.op_name for _, op in op_versions})}); batched "
                 "steps require a common decode-step topology prefix"
             )
-        n_packets = {len(op.packets) for _, op in op_versions}
-        if len(n_packets) != 1:
+        # Grouped by identity: hashing a tuple would walk every packet.
+        shared = {id(op.packets): op.packets for _, op in op_versions}
+        sizes = Counter(id(op.packets) for _, op in op_versions)
+        groups = [(shared[key], n) for key, n in sizes.items()]
+        if len({len(group_packets) for group_packets, _ in groups}) != 1:
             raise ValueError(
                 f"operator {lead.op_name!r} has mismatched packet counts "
                 "across the batch"
             )
         packets: List[TilePacket] = []
-        for k in range(len(lead.packets)):
-            versions = [(i, op.packets[k]) for i, op in op_versions]
-            first = versions[0][1]
+        for k, first in enumerate(lead.packets):
             if first.weight_bytes > 0:
                 packets.append(_merged_weight_tile(
-                    [p for _, p in versions], mpe
+                    [(group_packets[k], n) for group_packets, n in groups], mpe
                 ))
-            elif run_ids is None:
+                continue
+            versions = [(i, op.packets[k]) for i, op in op_versions]
+            if run_ids is None:
                 for i, packet in versions:
-                    packets.append(dataclasses.replace(
-                        packet, label=f"{packet.label}#b{i}"
-                    ))
+                    packets.append(_slot_packet(packet, i))
             else:
                 # Group the consecutive slots of each verify run: their
                 # per-sequence work fuses into one vectorized packet.
@@ -292,9 +315,7 @@ def merge_batch_programs(
                     group = versions[start:end]
                     if len(group) == 1:
                         i, packet = group[0]
-                        packets.append(dataclasses.replace(
-                            packet, label=f"{packet.label}#b{i}"
-                        ))
+                        packets.append(_slot_packet(packet, i))
                     else:
                         packets.append(_merged_run_packet(group, mpe))
                     start = end

@@ -22,11 +22,17 @@ graph operators live in off-chip memory (the host-visible activation
 buffer), so they cost a store on the producer and a load on the consumer.
 Weights always stream from HBM.  The KV cache lives in HBM; appends write
 only the new position, while attention reads the whole cached window.
+
+An operator is lowered once per compiler: its packets depend only on its
+*signature* (its fields, its fused members' and the specs of the tensors
+they name) and on what is fixed per compiler, so one immutable
+:class:`OpProgram` per signature is shared by every graph — projections
+at every context length, attention operators once per window.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from ..compile.tiling import DEFAULT_PLAN, TilingPlan, clamped_fold
 from ..graph.graph import Graph
@@ -59,6 +65,7 @@ class ProgramCompiler:
         self.plan = plan or DEFAULT_PLAN
         self.mpe = MPETimingModel(config.mpe)
         self.sfu = SFUTimingModel(config.sfu)
+        self._lowered: Dict[Tuple, OpProgram] = {}
 
     # ------------------------------------------------------------------
     def compile(self, graph: Graph, name: Optional[str] = None) -> Program:
@@ -113,7 +120,22 @@ class ProgramCompiler:
     # ------------------------------------------------------------------
     # Per-operator lowering
     # ------------------------------------------------------------------
+    @classmethod
+    def _signature(cls, graph: Graph, op: Operator) -> Tuple:
+        """Everything of ``graph`` and ``op`` that lowering ``op`` reads."""
+        return (op.name, op.kind, op.flops, op.weight_bytes,
+                tuple(op.attributes.items()), tuple(op.inputs), tuple(op.outputs),
+                tuple([graph.tensors.get(t) for t in (*op.inputs, *op.outputs)]),
+                tuple([cls._signature(graph, m) for m in op.fused_ops]))
+
     def _compile_op(self, graph: Graph, op: Operator) -> OpProgram:
+        key = self._signature(graph, op)
+        lowered = self._lowered.get(key)
+        if lowered is None:
+            lowered = self._lowered[key] = self._lower_op(graph, op)
+        return lowered
+
+    def _lower_op(self, graph: Graph, op: Operator) -> OpProgram:
         if op.kind is OpKind.FUSED:
             return self._compile_fused(graph, op)
         load_act = self._activation_load_bytes(graph, op)

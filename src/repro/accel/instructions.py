@@ -15,7 +15,7 @@ to operators.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List
+from typing import Dict, Iterator, List, Tuple
 
 from ..graph.ops import ComputeUnit
 
@@ -66,17 +66,23 @@ class TilePacket:
         return self.load_bytes > 0 or self.store_bytes > 0
 
 
-@dataclass
+@dataclass(frozen=True)
 class OpProgram:
-    """The packets emitted for a single graph operator."""
+    """The packets emitted for a single graph operator.
+
+    Immutable: the compiler hands the same lowered operator to every
+    program whose graph holds an operator of the same signature.
+    """
 
     op_name: str
     unit: ComputeUnit
-    packets: List[TilePacket] = field(default_factory=list)
+    packets: Tuple[TilePacket, ...] = ()
 
     def __post_init__(self) -> None:
         if not self.op_name:
             raise ValueError("op_name must not be empty")
+        # A tuple is kept as is (``tuple(t) is t``), so sharing survives.
+        object.__setattr__(self, "packets", tuple(self.packets))
 
     def __len__(self) -> int:
         return len(self.packets)

@@ -50,7 +50,7 @@ CPython's recursion limit.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..fpga.u280 import FpgaPlatform
 from ..graph.ops import ComputeUnit
@@ -151,7 +151,7 @@ class PipelineExecutor:
     # ------------------------------------------------------------------
     # Sequential (unoptimized) discipline
     # ------------------------------------------------------------------
-    def _run_sequential(self, packets: List[TilePacket], opens: List[bool],
+    def _run_sequential(self, packets: Sequence[TilePacket], opens: List[bool],
                         memory: MemoryPort, pool: BufferPool, counters: RunCounters,
                         busy: Dict[str, int], trace: Optional[Trace]) -> int:
         """Returns the cycle of the last compute end or store completion."""
@@ -201,7 +201,7 @@ class PipelineExecutor:
     # ------------------------------------------------------------------
     # Pipelined (data-stream parallel) discipline
     # ------------------------------------------------------------------
-    def _run_pipelined(self, packets: List[TilePacket], opens: List[bool],
+    def _run_pipelined(self, packets: Sequence[TilePacket], opens: List[bool],
                        memory: MemoryPort, pool: BufferPool, counters: RunCounters,
                        busy: Dict[str, int], trace: Optional[Trace]) -> int:
         """Returns the cycle of the last compute end or store completion."""

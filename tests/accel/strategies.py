@@ -1,6 +1,7 @@
 """``hypothesis`` strategies for valid accelerator design points,
-synthetic programs and batched functional steps — the generators shared
-by the executor's differential tests and (ROADMAP item 3) the cross-layer
+synthetic programs, batched functional steps and lowered decode-step
+graphs — the generators shared by the executor's, the compiler's and the
+batch merge's differential tests and (ROADMAP item 3) the cross-layer
 invariant oracle.
 
 The ranges are chosen to provoke *same-cycle ties*, where the order of a
@@ -20,12 +21,20 @@ from hypothesis import strategies as st
 
 from repro.accel.config import AcceleratorConfig, BufferConfig
 from repro.accel.instructions import OpProgram, Program, TilePacket
+from repro.compile.tiling import TilingPlan, candidate_plans
 from repro.fpga.u280 import FpgaPlatform, u280
+from repro.graph.builder import GraphBuilder
+from repro.graph.fusion import fuse_graph
+from repro.graph.graph import Graph
 from repro.graph.ops import ComputeUnit
+from repro.graph.sharding import ShardSpec
 from repro.llama.config import LlamaConfig, preset
+from repro.llama.quantization import QuantSpec
+from repro.quant.config import QuantConfig
 
 __all__ = ["platforms", "accelerator_configs", "programs", "executor_cases",
-           "STEP_MODELS", "StepCase", "steps"]
+           "STEP_MODELS", "StepCase", "steps", "LOWERING_MODELS",
+           "GraphView", "graph_views", "lowering_targets"]
 
 
 def platforms() -> st.SearchStrategy[FpgaPlatform]:
@@ -176,3 +185,76 @@ def steps(draw) -> StepCase:
         kv_group=draw(st.sampled_from([None, None, 16, 64])),
         forked_from=tuple(forked_from), histories=tuple(histories),
         slots=slots)
+
+
+# ----------------------------------------------------------------------
+# Lowered decode-step graphs
+# ----------------------------------------------------------------------
+#: The models a lowered graph is built for.  ``test-small-mha`` is
+#: test-small with one KV head per query head: its attention operators
+#: have test-small's names, FLOPs and attributes, and differ only in the
+#: shapes of the cache views they read.
+LOWERING_MODELS = {
+    "test-micro": preset("test-micro"),
+    "test-small": preset("test-small"),
+    "test-small-mha": preset("test-small").replace(
+        n_kv_heads=4, name="test-small-mha"),
+}
+
+#: Graph-side quantisation: float32, or int8 / int4 weights, each with a
+#: quantised KV cache.
+_QUANTS = {
+    None: None,
+    "int8-kv8": QuantConfig(weights=QuantSpec(8, 16), kv=QuantSpec(8, 16)),
+    "int4-kv8": QuantConfig(weights=QuantSpec(4, 16), kv=QuantSpec(8, 16)),
+}
+
+
+@dataclass(frozen=True)
+class GraphView:
+    """How a serving engine builds its decode-step graphs: the model,
+    operator fusion, the quantisation and the tensor-parallel shard."""
+
+    model: str  # key of LOWERING_MODELS
+    fused: bool
+    quant: Optional[str]  # key of _QUANTS
+    tp: int
+
+    @property
+    def config(self) -> LlamaConfig:
+        return LOWERING_MODELS[self.model]
+
+    def graph(self, context: int, logits: bool,
+              weight_dtype_bytes: float) -> Graph:
+        """A new graph object for one slot shape (never a cached one)."""
+        config = self.config
+        shard = ShardSpec.from_config(config, self.tp) if self.tp > 1 else None
+        graph = GraphBuilder(
+            config, weight_dtype_bytes=weight_dtype_bytes, shard=shard,
+            quant=_QUANTS[self.quant],
+        ).build_decode_step(context, include_logits=logits)
+        return fuse_graph(graph).graph if self.fused else graph
+
+
+def graph_views() -> st.SearchStrategy[GraphView]:
+    """Every model × fusion on and off × each quantisation × TP 1 and 2."""
+    return st.builds(
+        GraphView,
+        model=st.sampled_from(sorted(LOWERING_MODELS)),
+        fused=st.booleans(),
+        quant=st.sampled_from([None, "int8-kv8", "int4-kv8"]),
+        tp=st.sampled_from([1, 2]),
+    )
+
+
+@st.composite
+def lowering_targets(draw) -> Tuple[AcceleratorConfig, TilingPlan]:
+    """What a :class:`~repro.accel.compiler.ProgramCompiler` is built
+    from: a design point (int8 or int4 datapath) and one of the
+    autotuner's candidate tiling plans for it."""
+    config = draw(accelerator_configs(trace_enabled=False)).replace(
+        weight_bits=draw(st.sampled_from([8, 4])))
+    plans = {plan for model in LOWERING_MODELS.values()
+             for plan in candidate_plans(config, model)}
+    plan = draw(st.sampled_from(sorted(plans, key=lambda p: p.matmul_fold)))
+    return config, plan
