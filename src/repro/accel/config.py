@@ -155,8 +155,7 @@ class AcceleratorConfig:
     #: Serving-level quantisation (weights / KV / logits per tensor).
     #: When set it supersedes ``weight_bits`` for 2-D weight tensors:
     #: the graph builder annotates each operator with its effective
-    #: streamed bytes per element and the compile cache keys on
-    #: ``quant.signature()``.
+    #: streamed bytes per element.
     quant: Optional["QuantConfig"] = None
     hbm_stripe: int = 16             # pseudo-channels one DMA burst is spread over
     trace_enabled: bool = False

@@ -1090,7 +1090,7 @@ def _cmd_quantize(args: argparse.Namespace) -> int:
     path = save_quantized(quantized, out)
     reloaded = load_quantized(path)
     roundtrip = (reloaded.nbytes == quantized.nbytes
-                 and reloaded.quant.signature() == quant.signature()
+                 and reloaded.quant == quant
                  and len(reloaded.tensors) == len(quantized.tensors))
     summary = {
         "schema": "QUANTIZE_v1",

@@ -1,30 +1,26 @@
-"""The step compiler: ``build → shard → fuse → tile → schedule``.
+"""The step compiler: ``build → fuse → tile → schedule`` over three memos.
 
-:class:`StepCompiler` owns the explicit compilation pipeline for one
-(possibly sharded) timing view of a model.  Each stage is a named
-:class:`~repro.compile.phase.Phase`:
+:class:`StepCompiler` lowers and prices decode steps for one (possibly
+sharded) timing view of a model.  Work is kept at the unit that repeats:
 
-* **build**    — construct the decode-step graph for one ``(context_len,
-  include_logits)`` shape (memoized per shape; when this view is a tensor
-  shard the builder already emits the per-shard slice of every operator);
-* **shard**    — validate the shard view (enabled only when a
-  :class:`~repro.graph.sharding.ShardSpec` is attached);
-* **fuse**     — operator fusion (enabled by ``config.operator_fusion``,
-  memoized per graph);
-* **tile**     — lower a graph to a tile program under one
-  :class:`~repro.compile.tiling.TilingPlan` (memoized per graph × plan);
-* **schedule** — merge per-slot programs into the batched
-  weight-stationary step program, honouring speculative verify runs.
+* :meth:`StepCompiler.graph_for` memoises the decode-step graph of one
+  ``(context_len, include_logits)`` slot shape — **build** (when this
+  view is a tensor shard the builder already emits the per-shard slice of
+  every operator), then **fuse** when ``config.operator_fusion`` is on;
+* :meth:`StepCompiler.lower` memoises that graph's tile program under one
+  :class:`~repro.compile.tiling.TilingPlan` — **tile**;
+* :meth:`StepCompiler.compile_step` memoises a whole step in the LRU
+  :class:`~repro.compile.cache.CompileCache`, keyed by the bucketed
+  composition: each slot's program, merged into the batched
+  weight-stationary step program honouring speculative verify runs —
+  **schedule**.
 
-Whole-step products go through the shape-bucketed
-:class:`~repro.compile.cache.CompileCache`: the cache key is the compile
-signature plus the bucketed step composition, so a steady-state serving
-loop compiles once per bucket and replays the cached
-:class:`CompiledStep` everywhere else.  On a cache miss with
-``config.autotune_tiling`` enabled, the
-:class:`~repro.compile.autotune.TileAutotuner` scores every candidate
-plan with the cycle-accurate executor and the winner is what the cache
-stores.
+The compiler owns its cache, so a key needs nothing beyond the
+composition: everything else that shapes a program (model, shard,
+quantisation, toggles) is fixed for the compiler's lifetime.  On a
+cache miss with ``config.autotune_tiling`` enabled the step is lowered
+under every candidate plan, each is scored with the cycle-accurate
+executor, and the strictly lowest cycle count is what the cache stores.
 
 Timing results are attached to the cached step lazily: compiling a step
 does not pay for simulation until someone asks for cycles, and the
@@ -34,8 +30,9 @@ the program itself.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from ..accel.batching import block_padded_context, merge_batch_programs
 from ..accel.config import AcceleratorConfig
@@ -47,15 +44,13 @@ from ..graph.fusion import fuse_graph
 from ..graph.graph import Graph
 from ..graph.sharding import ShardSpec
 from ..llama.config import LlamaConfig
-from .autotune import TileAutotuner
-from .cache import CompileCache, ShapeBucketSpec, compile_signature
-from .phase import Phase, PhasePipeline
+from .cache import CompileCache
 from .tiling import DEFAULT_PLAN, TilingPlan, candidate_plans
 
 __all__ = ["CompileWork", "CompiledStep", "StepCompiler"]
 
-#: Phase order of the pipeline (stable; used by docs and tests).
-PHASE_ORDER = ("build", "shard", "fuse", "tile", "schedule")
+#: The compilation phases whose host seconds are accounted, in order.
+PHASE_ORDER = ("build", "fuse", "tile", "schedule")
 
 
 @dataclass(frozen=True)
@@ -98,17 +93,14 @@ class CompiledStep:
     compilation nor simulation.
     """
 
-    key: Tuple
     plan: TilingPlan
     contexts: Tuple[int, ...]
-    need_logits: Tuple[bool, ...]
-    run_ids: Optional[Tuple[int, ...]]
     program: Program
     result: Optional[StepResult] = None
 
 
 class StepCompiler:
-    """Phase-structured compiler for one model (or shard) timing view."""
+    """Compiler and cycle pricer for one model (or shard) timing view."""
 
     def __init__(
         self,
@@ -130,90 +122,62 @@ class StepCompiler:
         self._executor = PipelineExecutor(config, platform)
         # One ProgramCompiler per tiling plan (plans are few and frozen).
         self._tilers: Dict[TilingPlan, object] = {}
-        self.signature = compile_signature(model_config, config, shard)
-        self.buckets = ShapeBucketSpec(config.ctx_bucket)
+        self._graphs: Dict[Tuple[int, bool], Graph] = {}
+        self._programs: Dict[Tuple[int, bool, TilingPlan], Program] = {}
         self.cache = CompileCache()
-        self.autotuner: Optional[TileAutotuner] = None
-        if config.autotune_tiling:
-            self.autotuner = TileAutotuner(
-                candidate_plans(config, model_config))
-        self.phases = PhasePipeline([
-            Phase("build", self._build_graph, memoize=True),
-            Phase("shard", self._validate_shard,
-                  enabled=shard is not None,
-                  memoize=True, key=lambda graph: graph.name),
-            Phase("fuse", self._fuse_graph,
-                  enabled=config.operator_fusion,
-                  memoize=True, key=lambda graph: graph.name),
-            Phase("tile", self._tile_graph,
-                  memoize=True, key=lambda graph, plan: (graph.name, plan)),
-            Phase("schedule", self._schedule),
-        ])
+        #: Host seconds spent in each phase; a memo hit adds nothing.
+        self.phase_seconds: Dict[str, float] = dict.fromkeys(PHASE_ORDER, 0.0)
+        # Autotuning: the plans a miss is scored under (fixed tiling
+        # first) and what the searches found.
+        self.plans = candidate_plans(config, model_config)
+        self.searches = 0
+        self.candidates_scored = 0
+        self.wins = 0
+        self.cycles_saved = 0
+        self.search_seconds = 0.0
 
-    # ------------------------------------------------------------------
-    # Phase bodies
-    # ------------------------------------------------------------------
-    def _build_graph(self, context_len: int, include_logits: bool) -> Graph:
-        return self._builder.build_decode_step(
-            context_len, include_logits=include_logits
-        )
-
-    def _validate_shard(self, graph: Graph) -> Graph:
-        # Sharding is applied at graph construction (the builder emits the
-        # per-shard slice of every operator); this phase is the pipeline's
-        # checkpoint that the graph really is this view's shard.
-        assert self.shard is not None
-        tag = f"-tp{self.shard.tp}"
-        if tag not in graph.name:
-            raise ValueError(
-                f"graph {graph.name!r} is not a tp={self.shard.tp} shard view"
-            )
-        return graph
-
-    def _fuse_graph(self, graph: Graph) -> Graph:
-        return fuse_graph(graph).graph
-
-    def _tile_graph(self, graph: Graph, plan: TilingPlan) -> Program:
-        return self._tiler_for(plan).compile(graph)
-
-    def _schedule(
-        self,
-        programs: List[Program],
-        run_ids: Optional[Sequence[int]],
-    ) -> Program:
-        if len(programs) == 1:
-            return programs[0]
-        return merge_batch_programs(programs, self.config.mpe,
-                                    run_ids=run_ids)
-
-    def _tiler_for(self, plan: TilingPlan):
-        tiler = self._tilers.get(plan)
-        if tiler is None:
-            # Imported here: accel.compiler imports repro.compile.tiling,
-            # so a module-level import would be circular.
-            from ..accel.compiler import ProgramCompiler
-            tiler = ProgramCompiler(self.config, plan=plan)
-            self._tilers[plan] = tiler
-        return tiler
+    def _timed(self, phase: str, fn, *args, **kwargs):
+        start = time.perf_counter()
+        out = fn(*args, **kwargs)
+        self.phase_seconds[phase] += time.perf_counter() - start
+        return out
 
     # ------------------------------------------------------------------
     # Per-slot lowering
     # ------------------------------------------------------------------
+    def graph_for(self, context_len: int, include_logits: bool = True) -> Graph:
+        """The (fused) decode-step graph of one slot shape."""
+        key = (context_len, include_logits)
+        graph = self._graphs.get(key)
+        if graph is None:
+            graph = self._timed("build", self._builder.build_decode_step,
+                                context_len, include_logits=include_logits)
+            if self.config.operator_fusion:
+                graph = self._timed("fuse", fuse_graph, graph).graph
+            self._graphs[key] = graph
+        return graph
+
     def lower(
         self,
         context_len: int,
         include_logits: bool = True,
         plan: TilingPlan = DEFAULT_PLAN,
     ) -> Program:
-        """Run one slot shape through build → shard → fuse → tile."""
-        return self.phases["tile"](
-            self.graph_for(context_len, include_logits), plan)
-
-    def graph_for(self, context_len: int, include_logits: bool = True) -> Graph:
-        """The (fused) decode-step graph of one slot shape."""
-        graph = self.phases["build"](context_len, include_logits)
-        graph = self.phases["shard"](graph)
-        return self.phases["fuse"](graph)
+        """The tile program of one slot shape under ``plan``."""
+        key = (context_len, include_logits, plan)
+        program = self._programs.get(key)
+        if program is None:
+            graph = self.graph_for(context_len, include_logits)
+            tiler = self._tilers.get(plan)
+            if tiler is None:
+                # Imported here: accel.compiler imports repro.compile.tiling,
+                # so a module-level import would be circular.
+                from ..accel.compiler import ProgramCompiler
+                tiler = ProgramCompiler(self.config, plan=plan)
+                self._tilers[plan] = tiler
+            program = self._timed("tile", tiler.compile, graph)
+            self._programs[key] = program
+        return program
 
     # ------------------------------------------------------------------
     # Whole steps
@@ -228,18 +192,18 @@ class StepCompiler:
         """Compiled (and cached) program for one batched decode step.
 
         ``context_lens`` lists the context length of every token position
-        executed in the step (one entry per batch slot); ``need_logits``
-        marks the slots that run the classifier (all by default) —
-        prompt positions whose logits are never sampled use the reduced
-        graph.  ``run_ids`` groups consecutive slots into speculative
-        verify runs (:func:`~repro.accel.batching.batch_run_ids`): a
-        run's followers share the KV window its first position streamed,
-        so the same composition prices differently with runs, and the run
-        ids join the cache key.
+        executed in the step (one entry per batch slot), each in
+        ``[0, max_seq_len)``; ``need_logits`` marks the slots that run the
+        classifier (all by default) — prompt positions whose logits are
+        never sampled use the reduced graph.  ``run_ids`` groups
+        consecutive slots into speculative verify runs
+        (:func:`~repro.accel.batching.batch_run_ids`): a run's followers
+        share the KV window its first position streamed, so the same
+        composition prices differently with runs, and the run ids join
+        the cache key.
 
         Contexts are first padded to whole KV blocks (paged mode), then
-        rounded up to the cache's context bucket; the resulting
-        composition — together with this view's compile signature — is
+        rounded up to ``config.ctx_bucket``; the resulting composition is
         the cache key.  On a miss the step is lowered under the fixed
         tiling, or, with autotuning enabled, under every candidate plan
         with the cycle-accurate executor picking the winner.
@@ -251,43 +215,50 @@ class StepCompiler:
         if len(need_logits) != len(context_lens):
             raise ValueError("need_logits must match context_lens in length")
         max_seq_len = self.model_config.max_seq_len
+        outside = [ctx for ctx in context_lens if not 0 <= ctx < max_seq_len]
+        if outside:
+            raise ValueError(f"contexts {outside} are outside the model's "
+                             f"window [0, {max_seq_len})")
         if kv_block_tokens is not None:
             context_lens = [
                 block_padded_context(ctx, kv_block_tokens, max_seq_len)
                 for ctx in context_lens
             ]
-        bucketed = self.buckets.bucket_contexts(context_lens, max_seq_len)
-        logits_key = tuple(bool(flag) for flag in need_logits)
-        run_key = tuple(run_ids) if run_ids is not None else None
-        key = (self.signature, bucketed, logits_key, run_key)
+        contexts = tuple(
+            block_padded_context(ctx, self.config.ctx_bucket, max_seq_len)
+            for ctx in context_lens
+        )
+        logits = tuple(bool(flag) for flag in need_logits)
+        runs = tuple(run_ids) if run_ids is not None else None
         return self.cache.get_or_build(
-            key, lambda: self._compile_miss(key, bucketed, logits_key, run_key)
+            (contexts, logits, runs),
+            lambda: self._compile_miss(contexts, logits, runs),
         )
 
     def _compile_miss(
         self,
-        key: Tuple,
         contexts: Tuple[int, ...],
         need_logits: Tuple[bool, ...],
         run_ids: Optional[Tuple[int, ...]],
     ) -> CompiledStep:
-        if self.autotuner is None:
-            plan, result = DEFAULT_PLAN, None
+        if not self.config.autotune_tiling:
+            return CompiledStep(DEFAULT_PLAN, contexts, self._lower_step(
+                contexts, need_logits, run_ids, DEFAULT_PLAN))
+        start = time.perf_counter()
+        scored = []
+        for plan in self.plans:
             program = self._lower_step(contexts, need_logits, run_ids, plan)
-        else:
-            def evaluate(candidate: TilingPlan):
-                program = self._lower_step(contexts, need_logits,
-                                           run_ids, candidate)
-                result = self._executor.run(program)
-                return (program, result), result.cycles
-
-            outcome = self.autotuner.tune(evaluate)
-            plan = outcome.plan
-            program, result = outcome.payload
-        return CompiledStep(
-            key=key, plan=plan, contexts=contexts, need_logits=need_logits,
-            run_ids=run_ids, program=program, result=result,
-        )
+            scored.append(CompiledStep(plan, contexts, program,
+                                       self._executor.run(program)))
+        # min keeps the first of equal counts: ties go to the earlier plan.
+        best = min(scored, key=lambda step: step.result.cycles)
+        saved = scored[0].result.cycles - best.result.cycles
+        self.searches += 1
+        self.candidates_scored += len(scored)
+        self.wins += saved > 0
+        self.cycles_saved += saved
+        self.search_seconds += time.perf_counter() - start
+        return best
 
     def _lower_step(
         self,
@@ -298,7 +269,10 @@ class StepCompiler:
     ) -> Program:
         programs = [self.lower(ctx, logits, plan)
                     for ctx, logits in zip(contexts, need_logits)]
-        return self.phases["schedule"](programs, run_ids)
+        if len(programs) == 1:
+            return programs[0]
+        return self._timed("schedule", merge_batch_programs,
+                           programs, self.config.mpe, run_ids=run_ids)
 
     # ------------------------------------------------------------------
     # Simulation
@@ -326,26 +300,32 @@ class StepCompiler:
     # ------------------------------------------------------------------
     def work(self) -> CompileWork:
         """Cumulative compilation work; subtract two to price a lookup."""
-        tuner = self.autotuner
         return CompileWork(
             self.cache.misses,
             self.cache.evictions,
-            tuner.searches if tuner else 0,
-            tuner.candidates_scored if tuner else 0,
-            tuner.wins if tuner else 0,
-            self.phases.seconds_by_phase(),
+            self.searches,
+            self.candidates_scored,
+            self.wins,
+            dict(self.phase_seconds),
         )
 
     def stats(self) -> Dict[str, object]:
         """Phase timings, cache counters and autotune counters."""
         out: Dict[str, object] = {
-            "phases": self.phases.stats(),
-            "phase_seconds": self.phases.seconds_by_phase(),
-            "compile_seconds": self.phases.total_seconds,
+            "phase_seconds": dict(self.phase_seconds),
+            "compile_seconds": sum(self.phase_seconds.values()),
             "cache": self.cache.stats(),
         }
-        if self.autotuner is not None:
-            out["autotune"] = self.autotuner.stats()
+        if self.config.autotune_tiling:
+            out["autotune"] = {
+                "search_space": len(self.plans),
+                "searches": self.searches,
+                "candidates_scored": self.candidates_scored,
+                "wins": self.wins,
+                "win_ratio": self.wins / self.searches if self.searches else 0.0,
+                "cycles_saved": self.cycles_saved,
+                "seconds": self.search_seconds,
+            }
         return out
 
     #: Alias the benchmark harness binds.

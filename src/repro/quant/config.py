@@ -8,8 +8,11 @@ the same question for the KV cache.  It is consumed in three places:
   checkpoint per tensor so generated tokens reflect quantisation error;
 * the **timing** path (``GraphBuilder``/``ProgramCompiler``) shrinks
   streamed weight bytes per tensor and charges a dequant cost;
-* the **compile cache** mixes :meth:`QuantConfig.signature` into
-  ``compile_signature`` so differently-quantised programs never collide.
+* the **checkpoint sidecar** (``repro.quant.format``) stores it with the
+  packed tensors, and a reload must give back an equal config.
+
+The config is fixed per ``AcceleratorConfig``, so each step compiler —
+and the compile cache it owns — only ever sees one layout.
 """
 
 from __future__ import annotations
@@ -39,10 +42,6 @@ def canonical_tensor_name(name: str) -> str:
     checkpoint naming (``layers.3.attention.wq.weight``) so override
     patterns match either caller."""
     return _GRAPH_LAYER_RE.sub(r"layers.\1.", name)
-
-
-def _spec_signature(spec: Optional[QuantSpec]) -> Optional[Tuple[int, int]]:
-    return None if spec is None else (spec.bits, spec.group_size)
 
 
 def _spec_to_dict(spec: Optional[QuantSpec]) -> Optional[Dict[str, int]]:
@@ -147,16 +146,6 @@ class QuantConfig:
     # ------------------------------------------------------------------
     # Identity
     # ------------------------------------------------------------------
-    def signature(self) -> Tuple[Any, ...]:
-        """Hashable identity mixed into compile-cache signatures."""
-        return (
-            "quant",
-            _spec_signature(self.weights),
-            _spec_signature(self.kv),
-            _spec_signature(self.logits),
-            tuple((p, _spec_signature(s)) for p, s in self.overrides),
-        )
-
     @property
     def label(self) -> str:
         """Short human-readable tag used in reports and bench rows."""

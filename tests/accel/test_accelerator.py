@@ -193,8 +193,7 @@ class TestValuesStayOutsideTheCompiler:
             (small_config.dim,), (small_config.dim,),
             (small_config.vocab_size,)]
         assert sorted(accel._value_graphs) == [False, True]
-        assert [phase.stats.runs for phase in accel.timing.phases] == \
-            [0] * len(accel.timing.phases)
+        assert not any(accel.timing.phase_seconds.values())
 
     def test_timing_only_run_builds_no_value_graph(self, small_checkpoint):
         accel = SpeedLLMAccelerator(small_checkpoint, AcceleratorConfig())

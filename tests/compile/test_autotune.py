@@ -1,54 +1,59 @@
-"""Tile autotuner: winner selection, counters, and real-model wins."""
+"""Autotuned tiling: winner selection, counters, and real-model wins."""
 
 from __future__ import annotations
 
-import pytest
-
-from repro.accel.config import AcceleratorConfig
-from repro.compile import DEFAULT_PLAN, TileAutotuner, TilingPlan
+from repro.accel.config import AcceleratorConfig, BufferConfig
+from repro.compile import DEFAULT_PLAN, TilingPlan, candidate_plans
 from repro.compile.pipeline import StepCompiler
 from repro.fpga import u280
 from repro.llama.config import preset
 
 
-class TestTileAutotuner:
-    PLANS = [DEFAULT_PLAN, TilingPlan(2), TilingPlan(4)]
+def _tuned(model="test-small", **config):
+    accel = AcceleratorConfig.variant("full").replace(autotune_tiling=True,
+                                                      **config)
+    return StepCompiler(preset(model), accel, u280())
 
-    def test_requires_candidates(self):
-        with pytest.raises(ValueError):
-            TileAutotuner([])
 
-    def test_picks_minimum_cycle_plan(self):
-        tuner = TileAutotuner(self.PLANS)
-        costs = {1: 300, 2: 100, 4: 200}
-        outcome = tuner.tune(lambda p: (p.label, costs[p.matmul_fold]))
-        assert outcome.plan == TilingPlan(2)
-        assert outcome.payload == "fold2"
-        assert outcome.cycles == 100
-        assert outcome.baseline_cycles == 300
-        assert outcome.won
-        assert outcome.speedup == pytest.approx(3.0)
-
-    def test_ties_break_toward_earlier_candidate(self):
-        tuner = TileAutotuner(self.PLANS)
-        outcome = tuner.tune(lambda p: (None, 100))
-        assert outcome.plan == DEFAULT_PLAN
-        assert not outcome.won
-        assert outcome.speedup == 1.0
-
+class TestSearch:
     def test_counters_accumulate_across_searches(self):
-        tuner = TileAutotuner(self.PLANS)
-        tuner.tune(lambda p: (None, {1: 300, 2: 100, 4: 200}[p.matmul_fold]))
-        tuner.tune(lambda p: (None, 100))  # default ties: no win
-        assert tuner.searches == 2
-        assert tuner.candidates_scored == 6
-        assert tuner.wins == 1
-        assert tuner.win_ratio == 0.5
-        assert tuner.cycles_saved == 200
-        stats = tuner.stats()
-        assert stats["search_space"] == 3
+        tuned = _tuned()
+        plans = candidate_plans(tuned.config, tuned.model_config)
+        assert tuned.plans == plans and tuned.plans[0] == DEFAULT_PLAN
+        for contexts in [(8,), (40,), (8, 40)]:
+            tuned.compile_step(contexts)
+        tuned.compile_step((8,))                 # a hit searches nothing
+        assert tuned.searches == 3
+        assert tuned.candidates_scored == tuned.searches * len(plans)
+        stats = tuned.stats()["autotune"]
         assert set(stats) == {"search_space", "searches", "candidates_scored",
                               "wins", "win_ratio", "cycles_saved", "seconds"}
+        assert stats["search_space"] == len(plans)
+        assert stats["win_ratio"] == tuned.wins / 3
+        assert stats["seconds"] > 0.0
+
+    def test_winner_is_the_lowest_cycle_candidate(self):
+        tuned = _tuned()
+        step = tuned.compile_step((40,))
+        fixed = StepCompiler(tuned.model_config,
+                             tuned.config.replace(autotune_tiling=False),
+                             u280())
+        baseline = fixed.simulate_step((40,)).cycles
+        assert step.result.cycles <= baseline
+        assert tuned.cycles_saved == baseline - step.result.cycles
+        assert tuned.wins == (step.result.cycles < baseline)
+
+    def test_tie_keeps_the_fixed_plan_and_counts_no_win(self):
+        # Segments this small clamp every fold back to 1, so both plans
+        # lower to the same program and score the same cycles.
+        tuned = _tuned(buffers=BufferConfig(segment_kb=1))
+        tuned.plans = [DEFAULT_PLAN, TilingPlan(2)]
+        assert (list(tuned.lower(20, plan=TilingPlan(2)).packets())
+                == list(tuned.lower(20).packets()))
+        step = tuned.compile_step((20,))
+        assert step.plan == DEFAULT_PLAN
+        assert tuned.searches == 1 and tuned.candidates_scored == 2
+        assert tuned.wins == 0 and tuned.cycles_saved == 0
 
 
 class TestAutotunedCompiler:
@@ -77,5 +82,4 @@ class TestAutotunedCompiler:
         _, tuned = self._compilers()
         step = tuned.compile_step((250,))
         assert not step.plan.is_default
-        assert tuned.autotuner is not None
-        assert tuned.autotuner.wins == 1
+        assert tuned.wins == 1

@@ -1,12 +1,12 @@
-"""Shape-bucketed compile cache: bucketing, LRU accounting, key safety.
+"""Compile cache: LRU accounting, context bucketing, and step keys through
+the compiler.
 
 The key-correctness tests are property-based (seeded random sampling, no
-external dependency): cache keys are built exactly the way the
-:class:`~repro.compile.pipeline.StepCompiler` builds them, and the
-properties assert the two directions of correctness — compositions in
-one bucket *reuse* one program, and views whose compile signature
-differs (shard layout, quantization, bucketing policy) *never* collide
-no matter what shape tuples they serve.
+external dependency) and go through
+:meth:`~repro.compile.pipeline.StepCompiler.compile_step` itself: they
+assert the two directions of correctness — compositions in one bucket
+*reuse* one compiled step, and compilers for different timing views
+(shard layout, quantization, fusion) *never* hand out one another's.
 """
 
 from __future__ import annotations
@@ -16,49 +16,11 @@ import random
 import pytest
 
 from repro.accel.config import AcceleratorConfig
-from repro.compile import CompileCache, ShapeBucketSpec, compile_signature
+from repro.compile import CompileCache, StepCompiler
+from repro.fpga import u280
 from repro.graph.sharding import ShardSpec
 from repro.llama.config import preset
-
-
-class TestShapeBucketSpec:
-    def test_granularity_one_is_exact(self):
-        spec = ShapeBucketSpec(granularity=1)
-        for ctx in (0, 1, 13, 255):
-            assert spec.bucket_context(ctx, 256) == ctx
-
-    def test_windows_round_up_to_bucket_boundary(self):
-        spec = ShapeBucketSpec(granularity=32)
-        # Window = ctx + 1 positions, rounded up, returned as a context.
-        assert spec.bucket_context(0, 256) == 31
-        assert spec.bucket_context(31, 256) == 31
-        assert spec.bucket_context(32, 256) == 63
-        assert spec.bucket_context(100, 256) == 127
-
-    def test_bucket_clamped_to_model_window(self):
-        spec = ShapeBucketSpec(granularity=32)
-        assert spec.bucket_context(250, 256) == 255
-        assert spec.bucket_context(255, 256) == 255
-
-    def test_bucketing_is_monotone_and_idempotent(self):
-        spec = ShapeBucketSpec(granularity=16)
-        previous = -1
-        for ctx in range(0, 256):
-            bucket = spec.bucket_context(ctx, 256)
-            assert bucket >= ctx
-            assert bucket >= previous
-            assert spec.bucket_context(bucket, 256) == bucket
-            previous = bucket
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            ShapeBucketSpec(granularity=0)
-        with pytest.raises(ValueError):
-            ShapeBucketSpec(granularity=4).bucket_context(-1, 64)
-
-    def test_bucket_contexts_maps_each_slot(self):
-        spec = ShapeBucketSpec(granularity=8)
-        assert spec.bucket_contexts((3, 9, 20), 64) == (7, 15, 23)
+from repro.quant import QuantConfig
 
 
 class TestCompileCache:
@@ -93,12 +55,9 @@ class TestCompileCache:
         assert "b" not in cache
         assert cache.evictions == 1
 
-    def test_unbounded_cache(self):
-        cache = CompileCache(capacity=None)
-        for i in range(2000):
-            cache.put(i, i)
-        assert len(cache) == 2000
-        assert cache.evictions == 0
+    def test_capacity_must_be_positive(self):
+        with pytest.raises(ValueError):
+            CompileCache(capacity=0)
 
     def test_stats_keys(self):
         stats = CompileCache(capacity=8).stats()
@@ -106,92 +65,151 @@ class TestCompileCache:
                               "evictions", "hit_rate"}
 
 
-def _step_key(signature, buckets, max_seq_len, contexts, logits, runs=None):
-    """A cache key built the way StepCompiler.compile_step builds it."""
-    return (signature, buckets.bucket_contexts(contexts, max_seq_len),
-            tuple(bool(flag) for flag in logits),
-            tuple(runs) if runs is not None else None)
+def _compiler(config=None, shard=None, model="test-small"):
+    return StepCompiler(preset(model), config or AcceleratorConfig(), u280(),
+                        shard=shard)
 
 
-class TestKeyProperties:
+def _bucketed(bucket, model="test-small"):
+    return _compiler(AcceleratorConfig(ctx_bucket=bucket), model=model)
+
+
+class TestBucketing:
+    """``ctx_bucket`` rounds each slot's window up, clamped to the model's."""
+
+    def test_bucket_one_is_exact(self):
+        compiler = _bucketed(1)
+        for ctx in (0, 1, 13, 63):
+            assert compiler.compile_step((ctx,)).contexts == (ctx,)
+
+    def test_windows_round_up_to_bucket_boundary(self):
+        compiler = _bucketed(32, model="stories15M")
+        # Window = ctx + 1 positions, rounded up, returned as a context.
+        for ctx, bucket in ((0, 31), (31, 31), (32, 63), (100, 127)):
+            assert compiler.compile_step((ctx,)).contexts == (bucket,)
+
+    def test_bucket_clamped_to_model_window(self):
+        compiler = _bucketed(32, model="stories15M")
+        assert compiler.compile_step((250,)).contexts == (255,)
+        assert compiler.compile_step((255,)) is compiler.compile_step((250,))
+
+    def test_bucketing_is_monotone_and_idempotent(self):
+        compiler = _bucketed(16)
+        previous = -1
+        for ctx in range(compiler.model_config.max_seq_len):
+            step = compiler.compile_step((ctx,))
+            (bucket,) = step.contexts
+            assert bucket >= ctx
+            assert bucket >= previous
+            assert compiler.compile_step((bucket,)) is step
+            previous = bucket
+        assert compiler.cache.misses == 4
+
+    def test_bucket_must_be_positive(self):
+        with pytest.raises(ValueError):
+            AcceleratorConfig(ctx_bucket=0)
+        with pytest.raises(ValueError):
+            _bucketed(4).compile_step((-1,))
+
+    def test_each_slot_is_bucketed_on_its_own(self):
+        step = _bucketed(8).compile_step((3, 9, 20))
+        assert step.contexts == (7, 15, 23)
+
+
+def _random_composition(rng, max_seq_len):
+    n = rng.randint(1, 6)
+    contexts = tuple(rng.randrange(0, max_seq_len) for _ in range(n))
+    logits = tuple(rng.random() < 0.8 for _ in range(n))
+    return contexts, logits
+
+
+class TestStepKeys:
     """Seeded property tests over randomly drawn step compositions."""
 
-    def _random_composition(self, rng, max_seq_len):
-        n = rng.randint(1, 6)
-        contexts = tuple(rng.randrange(0, max_seq_len) for _ in range(n))
-        logits = tuple(rng.random() < 0.8 for _ in range(n))
-        return contexts, logits
+    def test_contexts_round_up_to_the_bucket_and_clamp(self):
+        assert _compiler().compile_step((0, 13, 63)).contexts == (0, 13, 63)
+        bucketed = _compiler(AcceleratorConfig(ctx_bucket=16))
+        # Window = ctx + 1 positions, rounded up, returned as a context.
+        assert bucketed.compile_step((0, 15, 16, 62)).contexts == (15, 15,
+                                                                   31, 63)
 
-    def test_same_bucket_compositions_share_one_program(self):
+    def test_same_bucket_compositions_share_one_step(self):
         """Compositions that bucket identically must produce cache hits."""
         rng = random.Random(1234)
-        model = preset("stories15M")
-        config = AcceleratorConfig.variant("full").replace(ctx_bucket=32)
-        signature = compile_signature(model, config)
-        buckets = ShapeBucketSpec(config.ctx_bucket)
-        cache = CompileCache()
-        for _ in range(300):
-            contexts, logits = self._random_composition(rng, model.max_seq_len)
-            key = _step_key(signature, buckets, model.max_seq_len,
-                            contexts, logits)
-            first = cache.get_or_build(key, object)
-            # Jitter every context within its bucket: same key, same entry.
-            jittered = tuple(
-                rng.randint(max(0, b - config.ctx_bucket + 1), b)
-                for b in buckets.bucket_contexts(contexts, model.max_seq_len)
-            )
-            jitter_key = _step_key(signature, buckets, model.max_seq_len,
-                                   jittered, logits)
-            assert cache.get_or_build(jitter_key, object) is first
+        bucket = 8
+        compiler = _compiler(AcceleratorConfig(ctx_bucket=bucket))
+        max_seq_len = compiler.model_config.max_seq_len
+        for _ in range(100):
+            contexts, logits = _random_composition(rng, max_seq_len)
+            first = compiler.compile_step(contexts, logits)
+            # Jitter every context within its bucket: same key, same step.
+            jittered = tuple(rng.randint(max(0, b - bucket + 1), b)
+                             for b in first.contexts)
+            assert compiler.compile_step(jittered, logits) is first
+        assert compiler.cache.hits >= 100
 
-    def test_distinct_views_never_collide(self):
-        """Signatures differing in shard/quantization/bucketing isolate keys.
-
-        Every (view, composition) pair maps to a unique key unless the
-        views are identical AND the bucketed compositions agree — a
-        collision would hand one timing view another view's program.
-        """
-        rng = random.Random(987)
-        model = preset("stories15M")
-        base = AcceleratorConfig.variant("full")
-        shard = ShardSpec.from_config(model, tp=2)
-        views = [
-            ("full", base, None),
-            ("int4", base.replace(weight_bits=4), None),
-            ("no-fusion", base.replace(operator_fusion=False), None),
-            ("bucketed", base.replace(ctx_bucket=32), None),
-            ("autotuned", base.replace(autotune_tiling=True), None),
-            ("tp2", base, shard),
-        ]
-        signatures = [compile_signature(model, cfg, shard=s)
-                      for _, cfg, s in views]
-        assert len(set(signatures)) == len(views), \
-            "every view must have a distinct compile signature"
-        seen = {}
-        for _ in range(200):
-            contexts, logits = self._random_composition(rng, model.max_seq_len)
-            for (name, cfg, _s), signature in zip(views, signatures):
-                buckets = ShapeBucketSpec(cfg.ctx_bucket)
-                key = _step_key(signature, buckets, model.max_seq_len,
-                                contexts, logits)
-                owner = (name,
-                         buckets.bucket_contexts(contexts, model.max_seq_len),
-                         logits)
-                assert seen.setdefault(key, owner) == owner, \
-                    f"key collision between views {seen[key]} and {owner}"
-
-    def test_speculative_run_grouping_joins_the_key(self):
+    def test_speculative_run_grouping_yields_distinct_steps(self):
         """Identical compositions with different verify-run groupings must
         compile distinct programs (the merger fuses per run)."""
-        model = preset("stories15M")
-        config = AcceleratorConfig.variant("full")
-        signature = compile_signature(model, config)
-        buckets = ShapeBucketSpec(1)
-        contexts, logits = (10, 10, 10), (True, True, True)
-        plain = _step_key(signature, buckets, model.max_seq_len,
-                          contexts, logits)
-        one_run = _step_key(signature, buckets, model.max_seq_len,
-                            contexts, logits, runs=(5, 5, 5))
-        two_runs = _step_key(signature, buckets, model.max_seq_len,
-                             contexts, logits, runs=(5, 5, 6))
-        assert len({plain, one_run, two_runs}) == 3
+        compiler = _compiler()
+        contexts = (10, 10, 10)
+        steps = [compiler.compile_step(contexts, run_ids=runs)
+                 for runs in (None, (5, 5, 5), (5, 5, 6))]
+        assert len({id(step) for step in steps}) == 3
+        assert compiler.cache.misses == 3
+        assert compiler.compile_step(contexts, run_ids=[5, 5, 6]) is steps[2]
+
+    def test_distinct_views_never_share_a_step(self):
+        """Compilers differing only in quantization, shard layout or fusion
+        never return the same object for one composition — a shared one
+        would hand one timing view another view's program."""
+        rng = random.Random(987)
+        model = preset("test-small")
+        base = AcceleratorConfig()
+        views = [
+            _compiler(base),
+            _compiler(base.replace(quant=QuantConfig.from_mode("int8"))),
+            _compiler(base.replace(quant=QuantConfig.from_mode("int4"))),
+            _compiler(base.replace(operator_fusion=False)),
+            _compiler(base, shard=ShardSpec.from_config(model, tp=2)),
+        ]
+        for _ in range(20):
+            contexts, logits = _random_composition(rng, model.max_seq_len)
+            steps = [view.compile_step(contexts, logits) for view in views]
+            assert len({id(step) for step in steps}) == len(views)
+            assert len({id(step.program) for step in steps}) == len(views)
+
+    def test_interleaved_views_price_like_fresh_compilers(self):
+        """Compiling through several views in turn leaks nothing between
+        them: each prices a composition exactly as a fresh compiler does."""
+        rng = random.Random(4321)
+        model = preset("test-small")
+        base = AcceleratorConfig()
+        configs = [
+            (base, None),
+            (base.replace(quant=QuantConfig.from_mode("int4")), None),
+            (base.replace(operator_fusion=False), None),
+            (base.replace(ctx_bucket=16), None),
+            (base, ShardSpec.from_config(model, tp=2)),
+        ]
+        views = [_compiler(config, shard) for config, shard in configs]
+        for _ in range(5):
+            contexts, logits = _random_composition(rng, model.max_seq_len)
+            for view, (config, shard) in zip(views, configs):
+                result = view.simulate_step(contexts, logits)
+                fresh = _compiler(config, shard).simulate_step(contexts, logits)
+                assert result.cycles == fresh.cycles
+                assert result.counters.hbm_bytes == fresh.counters.hbm_bytes
+
+    def test_evicted_step_recompiles_to_the_same_price(self):
+        compiler = _compiler()
+        compiler.cache = CompileCache(capacity=2)
+        first = compiler.compile_step((10, 20))
+        cycles = compiler.simulate(first).cycles
+        compiler.compile_step((30,))
+        compiler.compile_step((40,))            # evicts (10, 20)
+        assert compiler.work().compile_cache_evictions == 1
+        again = compiler.compile_step((10, 20))
+        assert again is not first
+        assert compiler.simulate(again).cycles == cycles
+        assert compiler.cache.misses == 4

@@ -334,8 +334,7 @@ class TestCompileLookupAccounting:
         for prompt in PROMPTS:
             engine.submit(prompt, SamplingParams(max_tokens=8))
         report = engine.run()
-        assert [phase.stats.runs for phase in llm.accelerator.timing.phases
-                ] == [0] * len(llm.accelerator.timing.phases)
+        assert not any(llm.accelerator.timing.phase_seconds.values())
         stats = engine.backend.compiler.stats()
         # Summed per step, in a different order than the compiler's own
         # running total, hence approx.

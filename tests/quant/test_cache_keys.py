@@ -1,11 +1,13 @@
-"""Quantisation configs must never collide in the compile cache.
+"""Quantisation configs must never share a compiled step.
 
-A cached program encodes the tile shapes and dequant cost of one
-quantisation layout; serving a different layout from the same cache
-entry would silently charge the wrong bytes.  These seeded property
-tests draw random pairs of quant configs and assert that *different*
-configs always produce different compile signatures (and equal configs
-produce equal ones).
+A compiled program encodes the tile shapes and dequant cost of one
+quantisation layout; serving a different layout's program would silently
+charge the wrong bytes.  Each :class:`~repro.compile.pipeline.StepCompiler`
+owns its compile cache and its config's one layout, so isolation rests on
+two things these seeded property tests check: ``QuantConfig`` equality
+tells layouts apart (``speedllm quantize``'s round trip compares configs
+with ``==``), and compilers differing only in quantisation never hand out
+one another's steps nor price differently from a fresh compiler.
 """
 
 from __future__ import annotations
@@ -15,7 +17,8 @@ import random
 import pytest
 
 from repro.accel.config import AcceleratorConfig
-from repro.compile import compile_signature
+from repro.compile import StepCompiler
+from repro.fpga import u280
 from repro.llama.config import preset
 from repro.llama.quantization import QuantSpec
 from repro.quant import QuantConfig
@@ -39,47 +42,55 @@ def _random_quant(rng: random.Random) -> QuantConfig:
                        overrides=overrides)
 
 
-class TestQuantSignatureProperty:
+def _compiler(quant=None, **config):
+    accel = AcceleratorConfig.variant("full").replace(quant=quant, **config)
+    return StepCompiler(preset("test-small"), accel, u280())
+
+
+class TestQuantConfigIdentity:
     @pytest.mark.parametrize("seed", range(10))
-    def test_distinct_configs_distinct_signatures(self, seed):
+    def test_equal_iff_same_layout(self, seed):
         rng = random.Random(6000 + seed)
         configs = [_random_quant(rng) for _ in range(12)]
         for a in configs:
+            assert QuantConfig.from_dict(a.to_dict()) == a
             for b in configs:
-                if a == b:
-                    assert a.signature() == b.signature()
+                if a.to_dict() == b.to_dict():
+                    assert a == b and hash(a) == hash(b)
                 else:
-                    assert a.signature() != b.signature()
+                    assert a != b
 
-    def test_signature_is_hashable(self):
+    def test_configs_are_hashable(self):
         rng = random.Random(1)
-        assert len({_random_quant(rng).signature()
-                    for _ in range(32)}) > 1
+        configs = [_random_quant(rng) for _ in range(32)]
+        assert len(set(configs)) > 1
+        assert all(config in set(configs) for config in configs)
 
 
-class TestCompileSignatureQuant:
+class TestCompilersDifferingOnlyInQuant:
     @pytest.mark.parametrize("seed", range(6))
-    def test_accel_configs_differing_only_in_quant_never_collide(self, seed):
+    def test_never_share_a_step(self, seed):
         rng = random.Random(7000 + seed)
-        model = preset("test-small")
         quants = [None] + [_random_quant(rng) for _ in range(8)]
-        signatures = {}
-        for quant in quants:
-            accel = AcceleratorConfig.variant("full").replace(quant=quant)
-            signature = compile_signature(model, accel)
-            for other_quant, other_sig in signatures.items():
-                if other_quant != (quant.signature()
-                                   if quant is not None else None):
-                    assert other_sig != signature
-            signatures[quant.signature()
-                       if quant is not None else None] = signature
+        compilers = [_compiler(quant) for quant in quants]
+        max_seq_len = compilers[0].model_config.max_seq_len
+        for _ in range(3):
+            contexts = tuple(rng.randrange(0, max_seq_len)
+                             for _ in range(rng.randint(1, 4)))
+            # Interleaved: every view compiles the composition in turn.
+            steps = [compiler.compile_step(contexts) for compiler in compilers]
+            assert len({id(step) for step in steps}) == len(compilers)
+            results = [compiler.simulate(step)
+                       for compiler, step in zip(compilers, steps)]
+            for quant, result in zip(quants, results):
+                fresh = _compiler(quant).simulate_step(contexts)
+                assert result.cycles == fresh.cycles
+                assert result.counters.hbm_bytes == fresh.counters.hbm_bytes
 
     def test_fp32_datapath_distinct_from_legacy_and_quant(self):
-        model = preset("test-small")
-        legacy = compile_signature(model, AcceleratorConfig.variant("full"))
-        fp32 = compile_signature(
-            model, AcceleratorConfig.variant("full").replace(weight_bits=32))
-        int8 = compile_signature(
-            model, AcceleratorConfig.variant("full").replace(
-                quant=QuantConfig(weights=QuantSpec(8, 64))))
-        assert len({legacy, fp32, int8}) == 3
+        legacy = _compiler().simulate_step((20, 40))
+        fp32 = _compiler(weight_bits=32).simulate_step((20, 40))
+        int8 = _compiler(QuantConfig(weights=QuantSpec(8, 64))).simulate_step(
+            (20, 40))
+        assert len({legacy.counters.hbm_bytes, fp32.counters.hbm_bytes,
+                    int8.counters.hbm_bytes}) == 3
