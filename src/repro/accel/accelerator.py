@@ -301,7 +301,10 @@ class SpeedLLMAccelerator:
             decode_seconds=decode_seconds,
             counters=counters,
             energy=energy,
-            mean_mpe_utilization=float(np.mean(utilizations)) if utilizations else 0.0,
+            # Each sampled step counts for the positions it stands in for
+            # (at stride 1 every weight is 1 and this is the plain mean).
+            mean_mpe_utilization=float(np.average(
+                utilizations, weights=[weights[pos] for pos in sampled])),
             n_buffer_flushes=flushes,
         )
 

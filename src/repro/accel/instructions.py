@@ -10,11 +10,19 @@ and how many bytes must be written back afterwards.
 A full decode step is a :class:`Program`: the ordered list of packets plus
 per-operator boundaries so the execution statistics can be attributed back
 to operators.
+
+An :class:`OpProgram` also answers, once, what the cycle simulator asks
+of it: a *timing signature* per packet (equal signatures time
+identically), a hash of them for the whole operator, its runs of equal
+signatures and its totals of the counters that depend on the packets
+alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import groupby
 from typing import Dict, Iterator, List, Tuple
 
 from ..graph.ops import ComputeUnit
@@ -86,6 +94,57 @@ class OpProgram:
 
     def __len__(self) -> int:
         return len(self.packets)
+
+    @cached_property
+    def signatures(self) -> Tuple[Tuple, ...]:
+        """Per packet, everything the cycle simulator reads of it: bytes
+        loaded, compute cycles, bytes stored, whether the MPE computes it,
+        and whether it opens the operator (and pays its dispatch).  Equal
+        packets of one operator share one tuple."""
+        shared: Dict[Tuple, Tuple] = {}
+        signatures, opens, mpe = [], True, ComputeUnit.MPE
+        for p in self.packets:
+            key = (p.load_bytes, p.compute_cycles, p.store_bytes, p.unit is mpe, opens)
+            signatures.append(shared.setdefault(key, key))
+            opens = False
+        return tuple(signatures)
+
+    @cached_property
+    def signature(self) -> int:
+        """A hash of :attr:`signatures`: operators that differ in it time
+        differently; equal ones very probably time the same."""
+        return hash(self.signatures)
+
+    @cached_property
+    def runs(self) -> Tuple[Tuple[int, int], ...]:
+        """``(first packet, length)`` of every maximal run of two or more
+        packets with one signature."""
+        runs, first = [], 0
+        for _, run in groupby(self.signatures):
+            length = len(list(run))
+            if length >= 2:
+                runs.append((first, length))
+            first += length
+        return tuple(runs)
+
+    @cached_property
+    def counter_totals(self) -> Tuple[int, ...]:
+        """Sums of what the packets alone decide: MACs, SFU FLOPs, on-chip
+        bytes, dequantisation FLOPs, quantisation-saved bytes, MPE tiles
+        and SFU operations."""
+        macs = flops = onchip = dequant = saved = mpe_tiles = sfu_ops = 0
+        mpe, sfu = ComputeUnit.MPE, ComputeUnit.SFU
+        for p in self.packets:
+            macs += p.macs
+            flops += p.sfu_flops
+            onchip += p.onchip_bytes
+            dequant += p.dequant_flops
+            saved += p.saved_bytes
+            if p.unit is mpe:
+                mpe_tiles += 1
+            elif p.unit is sfu:
+                sfu_ops += 1
+        return macs, flops, onchip, dequant, saved, mpe_tiles, sfu_ops
 
     @property
     def load_bytes(self) -> int:

@@ -23,12 +23,17 @@ moment it happens (see :mod:`repro.accel.pipeline`: a tuple whose first
 element is the cycle and whose order is the order of events).  The
 executor posts releases as it learns them and :meth:`BufferPool.acquire`
 applies them in key order up to the moment of the request.
+
+For the executor's periodic fast-forward the pool also reports its
+:meth:`~BufferPool.state` relative to a cycle (counts, and the pending
+releases as offsets) and can :meth:`~BufferPool.fast_forward`: rename its
+pending keys to their shifted copies and copy a period's flushes.
 """
 
 from __future__ import annotations
 
 from heapq import heappop, heappush
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .config import BufferConfig
 
@@ -88,6 +93,34 @@ class BufferPool:
         pending = self._pending
         while pending and pending[0][0] < before:
             self._apply_next()
+
+    # ------------------------------------------------------------------
+    @property
+    def pending(self) -> List[Tuple[Tuple, bool]]:
+        """``(key, ends a flush)`` of every release not yet applied, as a heap."""
+        return self._pending
+
+    def state(self, now: int) -> Tuple:
+        """The free and retired counts and the pending releases as
+        ``(cycle - now, ends a flush)``, sorted: what, with the keys'
+        order, decides every later grant."""
+        return (self.free_segments, self._retired,
+                tuple(sorted([(key[0] - now, ends) for key, ends in self._pending])))
+
+    def fast_forward(self, rekey: Dict[int, Tuple], since: int, periods: int,
+                     cycles: int) -> None:
+        """Jump ``periods`` repetitions of what the pool did since its
+        ``since``-th flush, each ``cycles`` after the last: the flushes
+        started since then are copied, shifted, once per period, and every
+        pending key ``k`` becomes ``rekey[id(k)]`` (which must order the
+        pending keys as before, so the heap stays a heap).  A copied
+        flush's end is the bare ``(cycle,)``: nothing compares it."""
+        self._pending[:] = [(rekey[id(key)], ends) for key, ends in self._pending]
+        started = self.flushes[since:]
+        for period in range(1, periods + 1):
+            shift = period * cycles
+            self.flushes.extend(((end[0] + shift,), start + shift)
+                                for end, start in started)
 
     # ------------------------------------------------------------------
     def _apply_next(self) -> Tuple:

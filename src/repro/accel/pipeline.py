@@ -45,20 +45,35 @@ cycle: a few levels when packets take time, but as deep as the run for
 consecutive packets that load nothing, compute for zero cycles and store
 nothing (no compiled program has one) — some 300 in a row exhaust
 CPython's recursion limit.
+
+The recurrence is made of ``max`` and ``+``, so a machine state that
+recurs shifted by Δ cycles recurs with its whole future shifted by Δ, as
+long as the packets ahead repeat too.  An untraced run therefore stops at
+a few packet boundaries — inside long runs of timing-identical packets
+and at operators whose sequence repeats (the classifier's tiles, the
+decoder layers) — to compare the state with the ones it has seen.  On a
+match ``p`` packets back it jumps whole periods at once: the live keys
+are rebuilt ``m·Δ`` later, and every counter, busy cycle, flush and HBM
+total grows by ``m`` times what it grew in the period (see
+:class:`_Periods`).  The result is the one walking every packet gives;
+``StepResult.packets_replayed`` counts what was jumped.  A traced run
+lists every event and never jumps.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from ..fpga.hbm import MemorySystemModel
 from ..fpga.u280 import FpgaPlatform
 from ..graph.ops import ComputeUnit
 from ..sim.memory import MemoryPort
 from ..sim.stats import RunCounters
 from ..sim.trace import Trace
 from .config import AcceleratorConfig
-from .instructions import Program, TilePacket
+from .instructions import OpProgram, Program, TilePacket
 from .memory_manager import NEVER, BufferPool
 
 __all__ = ["StepResult", "PipelineExecutor", "DISPATCH_CYCLES"]
@@ -79,6 +94,9 @@ class StepResult:
     (issue to completion, per transfer): a pipelined design keeps several
     transfers outstanding, so they overlap and the sum may exceed
     ``cycles`` — :attr:`load_utilization` clamps the ratio to 1.
+    ``packets_replayed`` counts the packets the simulator jumped over as
+    whole periods of a repeated machine state instead of walking them;
+    every other field is the same as if it had walked them.
     """
 
     program_name: str
@@ -87,6 +105,7 @@ class StepResult:
     trace: Optional[Trace] = None
     engine_busy: Dict[str, int] = field(default_factory=dict)
     n_flushes: int = 0
+    packets_replayed: int = 0
 
     @property
     def mpe_utilization(self) -> float:
@@ -115,30 +134,35 @@ class PipelineExecutor:
         trace = Trace() if self.config.trace_enabled else None
         memory = MemoryPort(self.platform.hbm, self.platform.clock_hz, counters, trace)
         pool = BufferPool(self.config.buffers, reuse=self.config.memory_reuse)
-        # One pass over the program: the packets in execution order, which
-        # of them open an operator (and pay its dispatch), and the counters
-        # that depend on the packets alone.
+        # The packets in execution order, which of them open an operator
+        # (and pay its dispatch), their timing signatures, and the counters
+        # that depend on the packets alone — per operator, computed once.
+        ops = [op_program for op_program in program.ops if op_program.packets]
         packets: List[TilePacket] = []
-        opens: List[bool] = []
-        for op_program in program.ops:
-            opens.extend(j == 0 for j in range(len(op_program.packets)))
+        signatures: List[Tuple] = []
+        firsts: List[int] = []
+        totals = [0] * 7
+        for op_program in ops:
+            firsts.append(len(packets))
             packets.extend(op_program.packets)
-        for packet in packets:
-            counters.int8_macs += packet.macs
-            counters.sfu_flops += packet.sfu_flops
-            counters.onchip_read_bytes += packet.onchip_bytes
-            counters.dequant_flops += packet.dequant_flops
-            counters.quant_saved_bytes += packet.saved_bytes
-            if packet.unit is ComputeUnit.MPE:
-                counters.mpe_tiles += 1
-            elif packet.unit is ComputeUnit.SFU:
-                counters.sfu_ops += 1
+            signatures.extend(op_program.signatures)
+            totals = [a + b for a, b in zip(totals, op_program.counter_totals)]
+        (counters.int8_macs, counters.sfu_flops, counters.onchip_read_bytes,
+         counters.dequant_flops, counters.quant_saved_bytes, counters.mpe_tiles,
+         counters.sfu_ops) = totals
         counters.instructions = len(packets)
         counters.onchip_write_bytes = counters.onchip_read_bytes
+        opens = [False] * len(packets)
+        for first in firsts:
+            opens[first] = True
 
-        discipline = self._run_pipelined if self.config.pipeline else self._run_sequential
+        # A traced run lists every event, so it never jumps.
+        checks = [] if trace is not None else _check_points(
+            ops, firsts, self.config.buffers.n_segments)
         busy = {"load": 0, "mpe": 0, "sfu": 0, "store": 0}
-        end = discipline(packets, opens, memory, pool, counters, busy, trace)
+        periods = _Periods(signatures, checks, memory.model, pool, counters, busy)
+        discipline = self._run_pipelined if self.config.pipeline else self._run_sequential
+        end = discipline(packets, opens, memory, pool, counters, busy, trace, periods)
         return StepResult(
             program_name=program.name,
             cycles=max([end] + [flush_end[0] for flush_end, _ in pool.flushes]),
@@ -146,6 +170,7 @@ class PipelineExecutor:
             trace=trace,
             engine_busy=busy,
             n_flushes=pool.n_flushes,
+            packets_replayed=periods.replayed,
         )
 
     # ------------------------------------------------------------------
@@ -153,11 +178,26 @@ class PipelineExecutor:
     # ------------------------------------------------------------------
     def _run_sequential(self, packets: Sequence[TilePacket], opens: List[bool],
                         memory: MemoryPort, pool: BufferPool, counters: RunCounters,
-                        busy: Dict[str, int], trace: Optional[Trace]) -> int:
+                        busy: Dict[str, int], trace: Optional[Trace],
+                        periods: "_Periods") -> int:
         """Returns the cycle of the last compute end or store completion."""
         stripe = self.config.hbm_stripe
         now = last_store = flushes_traced = 0
-        for packet, opens_operator in zip(packets, opens):
+        k, due = 0, periods.due
+        while k < len(packets):
+            if k == due:
+                # The next acquire applies every release before ``now``
+                # anyway; applied here, the state holds no past.
+                pool.settle((now,))
+                jump = periods.observe(k, k - 1, now, (), [], last_store)
+                if jump is not None:
+                    replayed, shift, _ = jump
+                    k, now, last_store = k + replayed, now + shift, last_store + shift
+                due = periods.next_check(k)
+                if jump is not None:
+                    continue  # the jump may have reached the end
+            packet, opens_operator = packets[k], opens[k]
+            k += 1
             if opens_operator:
                 now += DISPATCH_CYCLES
             # One requester: a release on the cycle of the request is as
@@ -203,10 +243,12 @@ class PipelineExecutor:
     # ------------------------------------------------------------------
     def _run_pipelined(self, packets: Sequence[TilePacket], opens: List[bool],
                        memory: MemoryPort, pool: BufferPool, counters: RunCounters,
-                       busy: Dict[str, int], trace: Optional[Trace]) -> int:
+                       busy: Dict[str, int], trace: Optional[Trace],
+                       periods: "_Periods") -> int:
         """Returns the cycle of the last compute end or store completion."""
         stripe = self.config.hbm_stripe
         n_packets = len(packets)
+        due = periods.due
         # Keys, per packet j — granted[j]: the loader holds j's segment and
         # issues its read; loaded[j]: that read completes; asks[j]: the
         # compute stage asks the ``loaded`` stream for j.
@@ -303,6 +345,31 @@ class PipelineExecutor:
             asks.append((computed[0], computed, 1))
             k += 1
             computed, turn = None, NEVER
+            if k == due:
+                # Live: the loader's last grant (its next request starts
+                # there) and the packets in flight, the asks the loader and
+                # the compute stage still wait on, and the pending acquire.
+                lo = min(k, i - 1)
+                live = granted[lo:i] + loaded[k:i] + asks[max(i - 3, 0):k + 1]
+                live += [key for key in (request, grant) if key is not None]
+                floor = min(key[0] for key in live)
+                if pool.pending:
+                    floor = min(floor, pool.pending[0][0][0])
+                jump = periods.observe(k, i, floor, (i - k, request is None, grant is None),
+                                       live, last_store)
+                if jump is not None:
+                    replayed, shift, fresh = jump
+                    granted.extend([None] * replayed)
+                    loaded.extend([None] * replayed)
+                    asks.extend([None] * replayed)
+                    for keys, first, end in ((granted, lo, i), (loaded, k, i),
+                                             (asks, max(i - 3, 0), k + 1)):
+                        for j in reversed(range(first, end)):  # may overlap
+                            keys[j + replayed] = fresh[id(keys[j])]
+                    request = None if request is None else fresh[id(request)]
+                    grant = None if grant is None else fresh[id(grant)]
+                    i, k, last_store = i + replayed, k + replayed, last_store + shift
+                due = periods.next_check(k)
         pool.settle()
         if trace is not None:
             # Events were recorded in the order of the merge, which is the
@@ -313,6 +380,165 @@ class PipelineExecutor:
             events = trace.events
             events[:] = [events[j] for j in sorted(range(len(tags)), key=tags.__getitem__)]
         return max(asks[-1][0], last_store)
+
+
+def _check_points(ops: Sequence[OpProgram], firsts: Sequence[int],
+                  n_segments: int) -> List[int]:
+    """The packet boundaries at which a jump is possible, in order: inside
+    a run of one signature every ``n_segments``-th packet (a no-reuse
+    pool's flush cycle) while two such strides remain, and the first
+    packet of an operator whose sequence of operator signatures repeats
+    for one more full period from there."""
+    points = set()
+    for first, op_program in zip(firsts, ops):
+        for start, length in op_program.runs:
+            start += first
+            points.update(range(start, start + length - 2 * n_segments + 1, n_segments))
+    signatures = [op_program.signature for op_program in ops]
+    following: Dict[int, int] = {}
+    for o in range(len(ops) - 1, -1, -1):
+        later = following.get(signatures[o])
+        following[signatures[o]] = o
+        if later is not None and signatures[o:later] == signatures[later:2 * later - o]:
+            points.add(firsts[o])
+    return sorted(points)
+
+
+class _Periods:
+    """Finds a machine state that recurs, shifted in time, and jumps whole
+    periods of it (see ``docs/ARCHITECTURE.md``, "Periodic fast-forward").
+
+    At a check a discipline hands over its *live* keys — those its future
+    reads — and the *floor*, a cycle no later event precedes.  A cheap
+    fingerprint (relative cycles, counts, the pool's and the HBM model's
+    states) is looked up first; only on a hit with room for a whole period
+    more are the canonical forms built: every live key and every ancestor
+    of one at or after the floor, in key order, each as ``(cycle - floor,
+    index, position of its parent or -1 for an older one)``, with the
+    equal neighbours marked.  A comparison of two keys descends only
+    through ancestors that tie on their cycle, and every later key's cycle
+    is at or after the floor, so no comparison the future makes reaches an
+    older ancestor except through a pair whose order the form records.
+    Equal forms ``p`` packets and ``delta`` cycles apart therefore have
+    futures equal but for ``delta`` for as long as the packets stay
+    ``p``-periodic.
+    """
+
+    def __init__(self, signatures: List[Tuple], checks: List[int], model: MemorySystemModel,
+                 pool: BufferPool, counters: RunCounters, busy: Dict[str, int]) -> None:
+        self.signatures = signatures
+        self.checks = checks
+        self.model = model
+        self.pool = pool
+        self.counters = counters
+        self.busy = busy
+        self.seen: Dict[Tuple, _Record] = {}  # the latest state per fingerprint
+        self.replayed = 0
+        self.due = self.next_check(-1)
+
+    def next_check(self, k: int) -> int:
+        """The first check after packet boundary ``k`` (-1 if none is left)."""
+        at = bisect_right(self.checks, k)
+        return self.checks[at] if at < len(self.checks) else -1
+
+    def observe(self, k: int, reach: int, floor: int, flags: Tuple, live: List[Tuple],
+                last_store: int) -> Optional[Tuple[int, int, Dict[int, Tuple]]]:
+        """The state at boundary ``k`` (``k`` packets done; it depends on
+        the packets up to ``reach``).  On a jump, the counters, busy
+        cycles, pool and HBM model are already advanced and the answer is
+        ``(packets jumped, cycles jumped, new key by id(old key))``."""
+        pool, model = self.pool, self.model
+        fingerprint = (flags, max(last_store - floor, 0),
+                       tuple([key[0] - floor for key in live]),
+                       pool.state(floor), model.arbitration_state(floor))
+        record = self.seen.get(fingerprint)
+        # Keys are immutable: kept, they still give the canonical form of
+        # this state when a later one meets its fingerprint.
+        current = _Record(k, floor, live, list(pool.pending),
+                          list(vars(self.counters).values()), list(self.busy.values()),
+                          model.totals(), pool.n_flushes)
+        self.seen[fingerprint] = current
+        if record is None:
+            return None
+        # Whole periods for which every packet the state can reach repeats
+        # the one ``period`` before it — checked before the (dearer)
+        # canonical forms, as most recurrences have no room to jump.
+        period = k - record.k
+        repeats = (_periodic_until(self.signatures, k, period) - 1 - reach) // period
+        if repeats < 1 or record.canonical()[0] != current.canonical()[0]:
+            return None
+        delta = floor - record.floor
+        shift = repeats * delta
+        fresh: Dict[int, Tuple] = {}
+        for node in current.canonical()[1]:  # a parent sorts before its children
+            fresh[id(node)] = (node[0] + shift,) if len(node) == 1 else (
+                node[0] + shift, fresh.get(id(node[1]), node[1]), node[2])
+        counters = self.counters
+        for name, before, now in zip(list(vars(counters)), record.counters,
+                                     current.counters):
+            setattr(counters, name, now + repeats * (now - before))
+        for name, before, now in zip(list(self.busy), record.busy, current.busy):
+            self.busy[name] = now + repeats * (now - before)
+        model.fast_forward(shift, [repeats * (now - before)
+                                   for before, now in zip(record.totals, current.totals)])
+        pool.fast_forward(fresh, record.n_flushes, repeats, delta)
+        self.replayed += repeats * period
+        return repeats * period, shift, fresh
+
+
+def _periodic_until(signatures: Sequence, start: int, period: int) -> int:
+    """The first ``j >= start`` with ``signatures[j] != signatures[j -
+    period]``, or ``len(signatures)``: slices of doubling length compared
+    whole, then the first that differs bisected."""
+    n, end, step = len(signatures), start, period
+    while end < n:
+        stop = min(end + step, n)
+        if signatures[end:stop] != signatures[end - period:stop - period]:
+            while stop - end > 1:
+                middle = (end + stop) // 2
+                if signatures[end:middle] == signatures[end - period:middle - period]:
+                    end = middle
+                else:
+                    stop = middle
+            return end
+        end, step = stop, 2 * step
+    return n
+
+
+@dataclass
+class _Record:
+    """A machine state :class:`_Periods` saw, and the running totals then."""
+
+    k: int
+    floor: int
+    live: List[Tuple]
+    pending: List[Tuple[Tuple, bool]]
+    counters: List[int]
+    busy: List[int]
+    totals: Tuple[int, int, int]
+    n_flushes: int
+    _canonical: Optional[Tuple] = None
+
+    def canonical(self) -> Tuple:
+        """``(canonical form, its nodes in key order)``, built once."""
+        if self._canonical is None:
+            floor, found = self.floor, {}
+            for key in self.live + [key for key, _ in self.pending]:
+                while key[0] >= floor and id(key) not in found:
+                    found[id(key)] = key
+                    if len(key) == 1:
+                        break
+                    key = key[1]
+            nodes = sorted(found.values())
+            at = {id(node): j for j, node in enumerate(nodes)}
+            shape = [(node[0] - floor,) if len(node) == 1 else
+                     (node[0] - floor, node[2], at.get(id(node[1]), -1),
+                      j > 0 and node == nodes[j - 1])
+                     for j, node in enumerate(nodes)]
+            form = (tuple(shape), tuple([at[id(key)] for key in self.live]),
+                    tuple(sorted([(at[id(key)], ends) for key, ends in self.pending])))
+            self._canonical = form, nodes
+        return self._canonical
 
 
 def _trace_flushes(trace: Trace, pool: BufferPool, already: int) -> int:

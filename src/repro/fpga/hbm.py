@@ -144,6 +144,12 @@ class MemorySystemModel:
     cycle count depends on this order.  A *pick* is the key a served
     channel re-enters the order with — :meth:`stripes` reads the stripe's
     completion cycle and channel name off it.
+
+    For the cycle simulator's periodic fast-forward the model encodes
+    this order relative to a cycle (:meth:`arbitration_state`: idle
+    channels keep only their place, the tie-break that still matters) and
+    moves every channel later by a whole number of cycles
+    (:meth:`fast_forward`).
     """
 
     def __init__(self, spec: MemorySystemSpec, clock_hz: float) -> None:
@@ -305,6 +311,31 @@ class MemorySystemModel:
             self._busy_cycles += burst
         order.sort()
         return picks
+
+    def arbitration_state(self, now: int) -> Tuple[int, ...]:
+        """The order as seen by requests made at ``now`` or later, one int
+        per channel in order: ``(busy_until - now) * n_channels + rank``
+        for a busy channel, the bare rank for an idle one (every idle
+        channel starts a burst at once; only its place in the order,
+        the tie-break, is left to matter).  Two models with equal states
+        at ``now`` and ``now + d`` serve the same requests shifted by
+        ``d`` identically."""
+        n, base = len(self._names), now * len(self._names)
+        return tuple([key - base if key > base else key % n for key in self._order])
+
+    def totals(self) -> Tuple[int, int, int]:
+        """Bytes, transactions and busy cycles summed over every channel."""
+        return self.total_bytes_transferred, self.total_transactions, self._busy_cycles
+
+    def fast_forward(self, cycles: int, totals: Sequence[int]) -> None:
+        """Every channel ``cycles`` later, and ``totals`` added to
+        :meth:`totals`: the state after repeating, shifted, whatever
+        took the model from an equal :meth:`arbitration_state` to this."""
+        shift = cycles * len(self._names)
+        self._order[:] = [key + shift for key in self._order]
+        self.total_bytes_transferred += totals[0]
+        self.total_transactions += totals[1]
+        self._busy_cycles += totals[2]
 
     def stripes(self, picks: Sequence[int]) -> List[Tuple[int, str]]:
         """``(completion_cycle, channel_name)`` of each pick."""

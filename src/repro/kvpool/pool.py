@@ -16,14 +16,14 @@ A scheduler owns exactly one manager and never asks which: both answer
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..llama.config import LlamaConfig
 from ..llama.kv_cache import KVCache
 from ..sim.memory import MemoryBudget
-from .allocator import BlockAllocator
+from .allocator import BlockAllocator, BlockAllocatorError
 from .paged_cache import PagedKVCache
 from .prefix import PrefixIndex
 
@@ -52,6 +52,8 @@ class ReservedKV:
         self.shards = shards
         self.quant = quant
         self.budget = MemoryBudget(capacity_bytes)
+        # The caches whose reservation is held, by identity.
+        self._held: Dict[int, KVCache] = {}
 
     @property
     def utilization(self) -> float:
@@ -80,8 +82,10 @@ class ReservedKV:
         not fit next to the reservations already held."""
         if not self.budget.reserve(self.footprint(worst_case_positions)):
             return None
-        return KVCache(self.config, max_seq_len=worst_case_positions,
-                       quant=self.quant), 0
+        cache = KVCache(self.config, max_seq_len=worst_case_positions,
+                        quant=self.quant)
+        self._held[id(cache)] = cache
+        return cache, 0
 
     def grow(self, cache: KVCache, n_positions: int) -> bool:
         return True  # the claim already covers every position
@@ -91,7 +95,13 @@ class ReservedKV:
 
     def release(self, cache: KVCache) -> None:
         """Return ``cache``'s reservation — its size is a function of
-        the capacity it was claimed with."""
+        the capacity it was claimed with.  A cache this manager does not
+        hold — never claimed here, or released already — is refused."""
+        if self._held.get(id(cache)) is not cache:
+            raise BlockAllocatorError(
+                "release of a KV cache whose reservation is not held "
+                "(released twice, or claimed elsewhere)")
+        del self._held[id(cache)]
         self.budget.release(self.footprint(cache.capacity))
 
     def cached_positions(self, tokens: Sequence[int]) -> int:

@@ -33,6 +33,7 @@ from repro.llama.quantization import QuantSpec
 from repro.quant.config import QuantConfig
 
 __all__ = ["platforms", "accelerator_configs", "programs", "executor_cases",
+           "periodic_programs", "periodic_cases",
            "STEP_MODELS", "StepCase", "steps", "LOWERING_MODELS",
            "GraphView", "graph_views", "lowering_targets"]
 
@@ -91,6 +92,68 @@ def programs(draw, max_ops: int = 8, max_packets: int = 12) -> Program:
 def executor_cases() -> st.SearchStrategy[Tuple[AcceleratorConfig, FpgaPlatform, Program]]:
     """One ``PipelineExecutor(config, platform).run(program)`` call."""
     return st.tuples(accelerator_configs(), platforms(), programs())
+
+
+# ----------------------------------------------------------------------
+# Programs that repeat themselves
+# ----------------------------------------------------------------------
+_PERIODIC_TILES = st.tuples(
+    st.sampled_from([0, 3, 64, 4096, 40000]),     # load bytes
+    st.sampled_from([0, 1, 7, 40, 300]),          # compute cycles
+    st.sampled_from([0, 1, 5, 64, 4096]),         # store bytes: 1 and 5 are
+    st.sampled_from([ComputeUnit.MPE, ComputeUnit.SFU]))  # under most stripes
+
+
+def _operator(name: str, tiles) -> OpProgram:
+    return OpProgram(name, ComputeUnit.MPE, [
+        TilePacket(name, unit, load, cycles, store, macs=cycles,
+                   sfu_flops=load % 7, onchip_bytes=store % 5, label=f"{name}.{j}")
+        for j, (load, cycles, store, unit) in enumerate(tiles)])
+
+
+@st.composite
+def periodic_programs(draw) -> Program:
+    """What the cycle simulator's periodic fast-forward is for: a long
+    run of one packet (128–256 of it, as a classifier's tiles), then a
+    block of 1–3 operators repeated 2–8 times (as decoder layers), then
+    up to two operators more.
+
+    The run's packet computes for 7 cycles or more and loads at most
+    4 KiB, as a classifier tile does.  (Some 300 consecutive packets that
+    take no time exhaust the recursion limit of a key comparison; and a
+    run that only waits on memory — latency or 40 KB loads — can drift
+    for hundreds of packets before its state recurs.)  Any other packet
+    may compute for zero cycles, and stores of 1 and 5 bytes leave most
+    stripes empty.
+    """
+    tile = draw(_PERIODIC_TILES.filter(lambda t: t[1] >= 7 and t[0] <= 4096))
+    ops = [_operator("run", [tile] * draw(st.integers(128, 256)))]
+    block = draw(st.lists(st.lists(_PERIODIC_TILES, min_size=1, max_size=4),
+                          min_size=1, max_size=3))
+    for repeat in range(draw(st.integers(2, 8))):
+        ops += [_operator(f"block{repeat}.{o}", tiles) for o, tiles in enumerate(block)]
+    ops += [_operator(f"tail{o}", tiles) for o, tiles in enumerate(draw(
+        st.lists(st.lists(_PERIODIC_TILES, min_size=1, max_size=4), max_size=2)))]
+    return Program("periodic", ops)
+
+
+def periodic_cases(pipeline: bool, reuse: bool
+                   ) -> st.SearchStrategy[Tuple[AcceleratorConfig, FpgaPlatform, Program]]:
+    """An untraced run of :func:`periodic_programs` under one discipline
+    and pool policy: pools of 1–8 segments, which mostly do not divide
+    the repeated block's length, and 1, 2 or 4 HBM channels, so the
+    arbitration order of idle channels cycles within the run."""
+    configs = st.builds(
+        AcceleratorConfig,
+        pipeline=st.just(pipeline),
+        memory_reuse=st.just(reuse),
+        hbm_stripe=st.one_of(st.sampled_from([1, 2, 3, 16]), st.integers(1, 64)),
+        buffers=st.builds(BufferConfig, n_segments=st.integers(1, 8),
+                          reuse_flush_cycles=st.sampled_from([0, 1, 24, 160])),
+    )
+    channels = st.sampled_from([1, 2, 4]).map(
+        lambda n_channels: u280(n_hbm_channels=n_channels))
+    return st.tuples(configs, channels, periodic_programs())
 
 
 # ----------------------------------------------------------------------

@@ -79,6 +79,25 @@ class TestSimulateGeneration:
         assert strided.total_cycles == pytest.approx(exact.total_cycles, rel=0.02)
         assert strided.counters.hbm_bytes == pytest.approx(exact.counters.hbm_bytes, rel=0.05)
 
+    def test_strided_utilization_weights_each_sample_by_its_positions(self, accel):
+        """At stride 8 over 28 positions the last sample (27) stands for
+        about 2 positions and an inner one for 8; each counts for that."""
+        m = accel.simulate_generation(n_prompt=4, n_generated=24, position_stride=8)
+        sampled = accel._sample_positions(28, 8)
+        weights = accel._position_weights(28, sampled)
+        utilization = {pos: accel.timing.simulate_step([pos]).mpe_utilization
+                       for pos in sampled}
+        weighted = sum(weights[p] * utilization[p] for p in sampled) / 28
+        unweighted = sum(utilization.values()) / len(sampled)
+        assert abs(weighted - unweighted) > 1e-4
+        assert m.mean_mpe_utilization == pytest.approx(weighted, rel=1e-12)
+
+    def test_unit_stride_utilization_is_the_plain_mean(self, accel):
+        m = accel.simulate_generation(n_prompt=3, n_generated=5)
+        utilizations = [accel.timing.simulate_step([p]).mpe_utilization
+                        for p in range(8)]
+        assert m.mean_mpe_utilization == float(np.mean(utilizations))
+
     def test_invalid_workloads_rejected(self, accel, small_config):
         with pytest.raises(ValueError):
             accel.simulate_generation(n_prompt=0, n_generated=4)

@@ -13,7 +13,7 @@ import random
 
 import pytest
 
-from repro.kvpool import KVPool, ReservedKV
+from repro.kvpool import BlockAllocatorError, KVPool, ReservedKV
 from repro.llama.kv_cache import KVCache
 from repro.llama.quantization import INT8
 
@@ -96,7 +96,7 @@ class TestOneContract:
         manager.release(cache)
         try:
             manager.release(cache)
-        except ValueError:
+        except BlockAllocatorError:
             pass  # the reservation ledger refuses; the pool ignores it
         assert manager.utilization == 0.0
         # Exactly one budget's worth is claimable afterwards.
@@ -122,3 +122,29 @@ class TestOneContract:
             # prompt revives exactly those positions.
             manager.release(cache)
             assert manager.claim(tokens, len(tokens), False)[1] == cached
+
+
+class TestReservedKVHolds:
+    """The reservation ledger counts bytes, so on its own it cannot tell
+    a second release of one cache from the release of another cache of
+    the same size; the manager tracks which caches it holds."""
+
+    def test_a_double_release_leaves_the_other_reservation_held(self, small_config):
+        manager = ReservedKV(small_config, 1 << 20)
+        first, _ = manager.claim([1, 2], 32, False)
+        second, _ = manager.claim([3, 4], 32, False)
+        assert manager.footprint(32) == 24_576
+        manager.release(first)
+        with pytest.raises(BlockAllocatorError, match="not held"):
+            manager.release(first)
+        assert manager.budget.reserved_bytes == 24_576
+        manager.release(second)
+        assert manager.budget.reserved_bytes == 0
+
+    def test_a_cache_claimed_elsewhere_is_refused(self, small_config):
+        mine, theirs = (ReservedKV(small_config, 1 << 20) for _ in range(2))
+        mine.claim([1], 32, False)
+        cache, _ = theirs.claim([1], 32, False)
+        with pytest.raises(BlockAllocatorError, match="not held"):
+            mine.release(cache)
+        assert mine.budget.reserved_bytes == 24_576
