@@ -87,36 +87,6 @@ class ProgramCompiler:
     def _is_cache_view(spec: TensorSpec) -> bool:
         return ".cache_" in spec.name or spec.name.startswith("cache_")
 
-    def _activation_load_bytes(self, graph: Graph, op: Operator) -> int:
-        """Bytes of non-weight inputs that must be fetched from off-chip."""
-        total = 0
-        for tname in op.inputs:
-            spec = graph.tensor(tname)
-            if spec.is_weight:
-                continue  # weights are accounted per-tile
-            if spec.resident == "offchip":
-                total += spec.nbytes
-        return total
-
-    def _activation_store_bytes(self, graph: Graph, op: Operator) -> int:
-        """Bytes of outputs written back to off-chip memory."""
-        total = 0
-        for tname in op.outputs:
-            spec = graph.tensor(tname)
-            if spec.resident != "offchip":
-                continue
-            if op.kind is OpKind.KV_APPEND or (
-                op.kind is OpKind.FUSED
-                and any(m.kind is OpKind.KV_APPEND for m in op.fused_ops)
-            ):
-                # The cache views have the full window shape, but an append
-                # only writes the newly produced position.
-                if self._is_cache_view(spec):
-                    total += spec.shape[-1] * spec.dtype_bytes
-                    continue
-            total += spec.nbytes
-        return total
-
     # ------------------------------------------------------------------
     # Per-operator lowering
     # ------------------------------------------------------------------
@@ -136,30 +106,19 @@ class ProgramCompiler:
         return lowered
 
     def _lower_op(self, graph: Graph, op: Operator) -> OpProgram:
-        if op.kind is OpKind.FUSED:
-            return self._compile_fused(graph, op)
-        load_act = self._activation_load_bytes(graph, op)
-        store_act = self._activation_store_bytes(graph, op)
-        if op.kind is OpKind.MATMUL:
-            packets = self._matmul_packets(op, load_act, store_act)
-        elif op.kind in (OpKind.ATTN_SCORE, OpKind.ATTN_CONTEXT):
-            packets = self._attention_packets(op, load_act, store_act)
-        else:
-            packets = [self._sfu_packet(op, load_act, store_act)]
-        return OpProgram(op_name=op.name, unit=op.unit, packets=packets)
-
-    def _compile_fused(self, graph: Graph, fused: Operator) -> OpProgram:
-        """Expand a fused region: members run back to back.
+        """Lower ``op`` as a fused region — a plain operator is one of a
+        single member — whose members run back to back.
 
         Each member loads only the *external* inputs it consumes itself and
         stores only its outputs that leave the region; tensors internal to
         the region are forwarded on chip (charged as on-chip traffic on the
         producing member's first packet) and generate no HBM transactions.
         """
-        produced_inside = {t for m in fused.fused_ops for t in m.outputs}
-        external_outputs = set(fused.outputs)
+        members = op.fused_ops if op.kind is OpKind.FUSED else (op,)
+        produced_inside = {t for m in members for t in m.outputs}
+        external_outputs = set(op.outputs)
         packets: List[TilePacket] = []
-        for member in fused.fused_ops:
+        for member in members:
             load_act = 0
             for tname in member.inputs:
                 if tname in produced_inside:
@@ -195,7 +154,7 @@ class ProgramCompiler:
                     label=first.label,
                 )
             packets.extend(member_packets)
-        return OpProgram(op_name=fused.name, unit=fused.unit, packets=packets)
+        return OpProgram(op_name=op.name, unit=op.unit, packets=packets)
 
     def _member_store_bytes(self, graph: Graph, member: Operator,
                             external_outputs: set) -> int:

@@ -130,9 +130,10 @@ class OpProgram:
     @cached_property
     def counter_totals(self) -> Tuple[int, ...]:
         """Sums of what the packets alone decide: MACs, SFU FLOPs, on-chip
-        bytes, dequantisation FLOPs, quantisation-saved bytes, MPE tiles
-        and SFU operations."""
+        bytes, dequantisation FLOPs, quantisation-saved bytes, MPE tiles,
+        SFU operations, and HBM bytes read and written."""
         macs = flops = onchip = dequant = saved = mpe_tiles = sfu_ops = 0
+        read = written = 0
         mpe, sfu = ComputeUnit.MPE, ComputeUnit.SFU
         for p in self.packets:
             macs += p.macs
@@ -140,11 +141,13 @@ class OpProgram:
             onchip += p.onchip_bytes
             dequant += p.dequant_flops
             saved += p.saved_bytes
+            read += p.load_bytes
+            written += p.store_bytes
             if p.unit is mpe:
                 mpe_tiles += 1
             elif p.unit is sfu:
                 sfu_ops += 1
-        return macs, flops, onchip, dequant, saved, mpe_tiles, sfu_ops
+        return macs, flops, onchip, dequant, saved, mpe_tiles, sfu_ops, read, written
 
     @property
     def load_bytes(self) -> int:

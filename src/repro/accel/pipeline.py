@@ -22,6 +22,12 @@ which is why operator fusion — fewer, larger operators — also saves
 control cycles.  An operator with no packets is never fetched: it
 dispatches nothing and costs nothing, under either discipline.
 
+A run owns one :class:`~repro.fpga.hbm.MemorySystemModel` and issues each
+transfer as one ``issue_split`` call on it.  Traffic is counted once:
+``hbm_read_bytes``/``hbm_write_bytes`` are the packets' byte sums, set
+before the walk with the other counters the packets alone decide, and
+``dma_transfers`` is the model's ``total_transactions`` after it.
+
 Each discipline is a plain loop over the packets; there is no event
 queue.  Sequential is one requester, so a running ``now`` is its whole
 state.  Pipelined is a merge of two cursors — the next packet whose read
@@ -64,12 +70,11 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..fpga.hbm import MemorySystemModel
 from ..fpga.u280 import FpgaPlatform
 from ..graph.ops import ComputeUnit
-from ..sim.memory import MemoryPort
 from ..sim.stats import RunCounters
 from ..sim.trace import Trace
 from .config import AcceleratorConfig
@@ -83,6 +88,9 @@ DISPATCH_CYCLES = 24
 
 #: parent of the three stages' first keys (see the module docstring)
 _ROOT = (-1,)
+
+#: ``transfer(n_bytes, now, label)``, returning the cycle it completes
+_Transfer = Callable[[int, int, str], int]
 
 
 @dataclass
@@ -132,7 +140,7 @@ class PipelineExecutor:
         """Simulate one program and return its cycle count and counters."""
         counters = RunCounters()
         trace = Trace() if self.config.trace_enabled else None
-        memory = MemoryPort(self.platform.hbm, self.platform.clock_hz, counters, trace)
+        hbm = MemorySystemModel(self.platform.hbm, self.platform.clock_hz)
         pool = BufferPool(self.config.buffers, reuse=self.config.memory_reuse)
         # The packets in execution order, which of them open an operator
         # (and pay its dispatch), their timing signatures, and the counters
@@ -141,7 +149,7 @@ class PipelineExecutor:
         packets: List[TilePacket] = []
         signatures: List[Tuple] = []
         firsts: List[int] = []
-        totals = [0] * 7
+        totals = [0] * 9
         for op_program in ops:
             firsts.append(len(packets))
             packets.extend(op_program.packets)
@@ -149,7 +157,7 @@ class PipelineExecutor:
             totals = [a + b for a, b in zip(totals, op_program.counter_totals)]
         (counters.int8_macs, counters.sfu_flops, counters.onchip_read_bytes,
          counters.dequant_flops, counters.quant_saved_bytes, counters.mpe_tiles,
-         counters.sfu_ops) = totals
+         counters.sfu_ops, counters.hbm_read_bytes, counters.hbm_write_bytes) = totals
         counters.instructions = len(packets)
         counters.onchip_write_bytes = counters.onchip_read_bytes
         opens = [False] * len(packets)
@@ -160,9 +168,12 @@ class PipelineExecutor:
         checks = [] if trace is not None else _check_points(
             ops, firsts, self.config.buffers.n_segments)
         busy = {"load": 0, "mpe": 0, "sfu": 0, "store": 0}
-        periods = _Periods(signatures, checks, memory.model, pool, counters, busy)
+        periods = _Periods(signatures, checks, hbm, pool, counters, busy)
         discipline = self._run_pipelined if self.config.pipeline else self._run_sequential
-        end = discipline(packets, opens, memory, pool, counters, busy, trace, periods)
+        transfer = _transfer(hbm, min(self.config.hbm_stripe, self.platform.hbm.n_channels),
+                             trace)
+        end = discipline(packets, opens, transfer, pool, counters, busy, trace, periods)
+        counters.dma_transfers = hbm.total_transactions
         return StepResult(
             program_name=program.name,
             cycles=max([end] + [flush_end[0] for flush_end, _ in pool.flushes]),
@@ -177,11 +188,10 @@ class PipelineExecutor:
     # Sequential (unoptimized) discipline
     # ------------------------------------------------------------------
     def _run_sequential(self, packets: Sequence[TilePacket], opens: List[bool],
-                        memory: MemoryPort, pool: BufferPool, counters: RunCounters,
+                        transfer: "_Transfer", pool: BufferPool, counters: RunCounters,
                         busy: Dict[str, int], trace: Optional[Trace],
                         periods: "_Periods") -> int:
         """Returns the cycle of the last compute end or store completion."""
-        stripe = self.config.hbm_stripe
         now = last_store = flushes_traced = 0
         k, due = 0, periods.due
         while k < len(packets):
@@ -213,7 +223,7 @@ class PipelineExecutor:
             # request, so it is exposed to the full access latency of
             # every transfer.
             if packet.load_bytes:
-                loaded = memory.read_striped(packet.load_bytes, stripe, now, packet.label)
+                loaded = transfer(packet.load_bytes, now, packet.label)
                 busy["load"] += loaded - now
                 now = loaded
             # compute
@@ -227,7 +237,7 @@ class PipelineExecutor:
             # for the write acknowledgement), but the staging segment is
             # only recycled once the data has left it.
             if packet.store_bytes:
-                stored = memory.write_striped(packet.store_bytes, stripe, now, packet.label)
+                stored = transfer(packet.store_bytes, now, packet.label)
                 busy["store"] += stored - now
                 last_store = max(last_store, stored)
                 pool.release((stored,))
@@ -242,11 +252,10 @@ class PipelineExecutor:
     # Pipelined (data-stream parallel) discipline
     # ------------------------------------------------------------------
     def _run_pipelined(self, packets: Sequence[TilePacket], opens: List[bool],
-                       memory: MemoryPort, pool: BufferPool, counters: RunCounters,
+                       transfer: "_Transfer", pool: BufferPool, counters: RunCounters,
                        busy: Dict[str, int], trace: Optional[Trace],
                        periods: "_Periods") -> int:
         """Returns the cycle of the last compute end or store completion."""
-        stripe = self.config.hbm_stripe
         n_packets = len(packets)
         due = periods.due
         # Keys, per packet j — granted[j]: the loader holds j's segment and
@@ -312,8 +321,7 @@ class PipelineExecutor:
                 packet = packets[i]
                 arrives = grant[0]
                 if packet.load_bytes:
-                    arrives = memory.read_striped(
-                        packet.load_bytes, stripe, grant[0], packet.label)
+                    arrives = transfer(packet.load_bytes, grant[0], packet.label)
                     if trace is not None:
                         tag(grant)
                 granted.append(grant)
@@ -333,8 +341,7 @@ class PipelineExecutor:
             # buffer segment is released when the memory system confirms
             # it, so small result slices never stall the compute stage.
             if packet.store_bytes:
-                stored = memory.write_striped(
-                    packet.store_bytes, stripe, computed[0], packet.label)
+                stored = transfer(packet.store_bytes, computed[0], packet.label)
                 busy["store"] += stored - computed[0]
                 last_store = max(last_store, stored)
                 pool.release((stored, turn, 0))
@@ -380,6 +387,36 @@ class PipelineExecutor:
             events = trace.events
             events[:] = [events[j] for j in sorted(range(len(tags)), key=tags.__getitem__)]
         return max(asks[-1][0], last_store)
+
+
+def _transfer(model: MemorySystemModel, stripe: int, trace: Optional[Trace]) -> _Transfer:
+    """``transfer(n_bytes, now, label)``: ``n_bytes`` (at least one) issued
+    at cycle ``now`` as one :meth:`~MemorySystemModel.issue_split` call
+    over ``stripe`` channels — over one when there are fewer bytes than
+    stripes, as every stripe but the last would be empty — returning the
+    cycle the slowest stripe completes.  A traced run records each stripe
+    as ``hbm:<channel>``, labelled ``label[i]``; ``label`` alone when
+    ``stripe`` is 1, and ``label[stripe - 1]`` for the lone stripe of a
+    short transfer.  Whether the time up to completion is a memory stall
+    is the caller's decision: a sequential controller waits for it, a
+    pipelined one overlaps it with compute."""
+    issue = model.issue_split
+
+    def transfer(n_bytes: int, now: int, label: str) -> int:
+        split = stripe if n_bytes >= stripe else 1
+        done, picks = issue(n_bytes, split, now)
+        if trace is not None:
+            if stripe == 1:
+                labels = [label]
+            elif split == 1:
+                labels = [f"{label}[{stripe - 1}]"]
+            else:
+                labels = [f"{label}[{i}]" for i in range(stripe)]
+            for (end, channel), name in zip(model.stripes(picks), labels):
+                trace.record(f"hbm:{channel}", name, now, end, category="transfer")
+        return done
+
+    return transfer
 
 
 def _check_points(ops: Sequence[OpProgram], firsts: Sequence[int],
@@ -515,7 +552,7 @@ class _Record:
     pending: List[Tuple[Tuple, bool]]
     counters: List[int]
     busy: List[int]
-    totals: Tuple[int, int, int]
+    totals: Tuple[int, ...]
     n_flushes: int
     _canonical: Optional[Tuple] = None
 

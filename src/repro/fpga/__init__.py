@@ -1,12 +1,11 @@
 """Alveo U280 hardware model: resources, off-chip memory, power, platform."""
 
-from .hbm import ChannelState, MemoryChannelSpec, MemorySystemModel, MemorySystemSpec
+from .hbm import MemoryChannelSpec, MemorySystemModel, MemorySystemSpec
 from .power import EnergyBreakdown, EnergyModel, EnergyModelConfig
 from .resources import ResourceBudget, ResourceError, ResourceVector, UtilizationReport
 from .u280 import U280_RESOURCES, FpgaPlatform, u280
 
 __all__ = [
-    "ChannelState",
     "MemoryChannelSpec",
     "MemorySystemModel",
     "MemorySystemSpec",

@@ -22,7 +22,6 @@ import numpy as np
 
 from ..llama.config import LlamaConfig
 from ..llama.kv_cache import KVCache
-from ..sim.memory import MemoryBudget
 from .allocator import BlockAllocator, BlockAllocatorError
 from .paged_cache import PagedKVCache
 from .prefix import PrefixIndex
@@ -48,17 +47,20 @@ class ReservedKV:
         every position, so a footprint is charged at that fraction."""
         if shards <= 0:
             raise ValueError("shards must be positive")
+        if capacity_bytes <= 0:
+            raise ValueError("capacity_bytes must be positive")
         self.config = config
         self.shards = shards
         self.quant = quant
-        self.budget = MemoryBudget(capacity_bytes)
+        self.capacity_bytes = int(capacity_bytes)
+        self.reserved_bytes = 0
         # The caches whose reservation is held, by identity.
         self._held: Dict[int, KVCache] = {}
 
     @property
     def utilization(self) -> float:
         """Fraction of the budget reserved right now."""
-        return self.budget.reserved_bytes / self.budget.capacity_bytes
+        return self.reserved_bytes / self.capacity_bytes
 
     def footprint(self, n_positions: int) -> int:
         """KV bytes ``n_positions`` cached positions occupy on one shard."""
@@ -69,10 +71,9 @@ class ReservedKV:
     def never_fits(self, n_positions: int) -> Optional[str]:
         """Why ``n_positions`` exceed the whole budget, or None if not."""
         needed = self.footprint(n_positions)
-        if needed <= self.budget.capacity_bytes:
+        if needed <= self.capacity_bytes:
             return None
-        return (f"needs {needed} KV bytes but the budget is "
-                f"{self.budget.capacity_bytes}")
+        return f"needs {needed} KV bytes but the budget is {self.capacity_bytes}"
 
     def claim(
         self, tokens: Sequence[int], worst_case_positions: int,
@@ -80,8 +81,10 @@ class ReservedKV:
     ) -> Optional[Tuple[KVCache, int]]:
         """Reserve the worst case; ``(cache, 0)`` or None when it does
         not fit next to the reservations already held."""
-        if not self.budget.reserve(self.footprint(worst_case_positions)):
+        needed = self.footprint(worst_case_positions)
+        if needed > self.capacity_bytes - self.reserved_bytes:
             return None
+        self.reserved_bytes += needed
         cache = KVCache(self.config, max_seq_len=worst_case_positions,
                         quant=self.quant)
         self._held[id(cache)] = cache
@@ -102,7 +105,7 @@ class ReservedKV:
                 "release of a KV cache whose reservation is not held "
                 "(released twice, or claimed elsewhere)")
         del self._held[id(cache)]
-        self.budget.release(self.footprint(cache.capacity))
+        self.reserved_bytes -= self.footprint(cache.capacity)
 
     def cached_positions(self, tokens: Sequence[int]) -> int:
         return 0

@@ -141,23 +141,39 @@ def _read_tensor(
 
 
 def load_quantized(path: Union[str, Path]) -> QuantizedCheckpoint:
-    """Read a ``.slq`` file back into a :class:`QuantizedCheckpoint`."""
+    """Read a ``.slq`` file back into a :class:`QuantizedCheckpoint`.
+
+    A malformed file raises :class:`ValueError` naming the file and the
+    byte offset being read when it was found out.
+    """
     path = Path(path)
     raw = path.read_bytes()
     if len(raw) < _PREAMBLE_SIZE:
-        raise ValueError(f"{path} is too small to be a quantized checkpoint")
+        raise ValueError(f"{path} is too small to be a quantized checkpoint "
+                         f"({len(raw)} bytes, at byte 0)")
     magic, version, header_len = struct.unpack(_PREAMBLE, raw[:_PREAMBLE_SIZE])
     if magic != FORMAT_MAGIC:
-        raise ValueError(f"{path} is not a quantized checkpoint (bad magic {magic!r})")
+        raise ValueError(f"{path} is not a quantized checkpoint "
+                         f"(bad magic {magic!r} at byte 0)")
     if version != FORMAT_VERSION:
-        raise ValueError(f"{path}: unsupported format version {version}")
-    header_end = _PREAMBLE_SIZE + header_len
-    header = json.loads(raw[_PREAMBLE_SIZE:header_end].decode("utf-8"))
-    config = LlamaConfig.from_dict(header["model"])
-    quant = QuantConfig.from_dict(header["quant"])
-    tensors: Dict[str, TensorLike] = {}
-    offset = header_end
-    for entry in header["tensors"]:
-        tensor, offset = _read_tensor(entry, raw, offset)
-        tensors[entry["name"]] = tensor
-    return QuantizedCheckpoint(config=config, quant=quant, tensors=tensors)
+        raise ValueError(f"{path}: unsupported format version {version} at byte 4")
+    offset = _PREAMBLE_SIZE
+    try:
+        header_end = _PREAMBLE_SIZE + header_len
+        if header_end > len(raw):
+            raise ValueError(f"a {header_len}-byte header overruns the "
+                             f"{len(raw)}-byte file")
+        header = json.loads(raw[_PREAMBLE_SIZE:header_end].decode("utf-8"))
+        config = LlamaConfig.from_dict(header["model"])
+        quant = QuantConfig.from_dict(header["quant"])
+        tensors: Dict[str, TensorLike] = {}
+        offset = header_end
+        for entry in header["tensors"]:
+            tensor, end = _read_tensor(entry, raw, offset)
+            tensors[entry["name"]] = tensor
+            offset = end
+        return QuantizedCheckpoint(config=config, quant=quant, tensors=tensors)
+    except (KeyError, IndexError, TypeError, AttributeError, OverflowError,
+            ValueError) as exc:
+        raise ValueError(f"{path}: malformed quantized checkpoint at byte "
+                         f"{offset}: {exc!r}") from exc

@@ -1,5 +1,6 @@
-"""Common components of the cycle-level simulation: the off-chip memory
-port, activity counters, the trace recorder and the interconnect model.
+"""Common components of the cycle-level simulation: activity counters,
+the trace recorder and the interconnect model.  Off-chip transfers go
+straight to :class:`~repro.fpga.hbm.MemorySystemModel`, one call each.
 
 There is no event kernel here.  The one thing that was ever simulated as
 communicating processes — the read–compute–write pipeline — is a pair of
@@ -8,14 +9,11 @@ clock of their own and are told the cycle by their caller.
 """
 
 from .interconnect import InterconnectModel
-from .memory import MemoryBudget, MemoryPort
 from .stats import RunCounters
 from .trace import Trace, TraceEvent
 
 __all__ = [
     "InterconnectModel",
-    "MemoryBudget",
-    "MemoryPort",
     "RunCounters",
     "Trace",
     "TraceEvent",

@@ -12,9 +12,18 @@ production code: :class:`KernelExecutor` has ``PipelineExecutor``'s
 interface, and ``test_executor_matches_kernel.py`` requires the two to
 agree on every cycle, counter and trace event.
 
-The only adaptation is :class:`_EventPort`: ``MemoryPort`` now returns a
-completion cycle instead of an event, so the port is wrapped to hand the
-processes the ``Timeout`` the old port built itself.
+:class:`MemoryPort` is the wrapper the executor issued its transfers
+through until it called the HBM model directly (``sim/memory.py``): the
+reference for per-transfer traffic counting — bytes and DMA transfers
+added per call — against which the executor's counters, summed from the
+packets and read off the model, are compared.  It is ``sim/memory.py``'s
+body with two adaptations: its one-stripe branch issues
+``issue_split(n, 1, now)``, as the model's ``issue`` is gone (so a
+zero-byte transfer is refused; no process issues one), and what nothing
+here calls — ``read``/``write``, channel steering, ``ideal_cycles``,
+``reset`` — is left out.  :class:`_EventPort` wraps it: ``MemoryPort``
+returns a completion cycle instead of an event, so the processes are
+handed the ``Timeout`` the old port built itself.
 """
 
 from __future__ import annotations
@@ -28,15 +37,15 @@ from typing import Any, Callable, Deque, Dict, Generator, Iterable, List, Option
 from repro.accel.config import AcceleratorConfig, BufferConfig
 from repro.accel.instructions import Program, TilePacket
 from repro.accel.pipeline import DISPATCH_CYCLES, StepResult
+from repro.fpga.hbm import MemorySystemModel, MemorySystemSpec
 from repro.fpga.u280 import FpgaPlatform
 from repro.graph.ops import ComputeUnit
-from repro.sim.memory import MemoryPort
 from repro.sim.stats import RunCounters
 from repro.sim.trace import Trace
 
 __all__ = [
     "Event", "Timeout", "Process", "Simulator", "SimulationError", "Stream",
-    "BufferPool", "BufferSegment", "KernelExecutor",
+    "BufferPool", "BufferSegment", "MemoryPort", "KernelExecutor",
 ]
 
 
@@ -434,8 +443,92 @@ class BufferPool:
 
 
 # ----------------------------------------------------------------------
-# sim/memory.py — the event-returning surface the processes were written to
+# sim/memory.py
 # ----------------------------------------------------------------------
+class MemoryPort:
+    """Issues read/write transactions against a memory system model."""
+
+    def __init__(
+        self,
+        spec: MemorySystemSpec,
+        clock_hz: float,
+        counters: RunCounters,
+        trace: Optional[Trace] = None,
+        name: str = "hbm",
+    ) -> None:
+        self.model = MemorySystemModel(spec, clock_hz)
+        self._n_channels = spec.n_channels
+        self.counters = counters
+        self.trace = trace
+        self.name = name
+
+    def _transfer(self, n_bytes: int, now: int, label: str, is_write: bool) -> int:
+        if n_bytes < 0:
+            raise ValueError("n_bytes must be >= 0")
+        completion, channel_name = self.model.stripes(
+            self.model.issue_split(n_bytes, 1, now)[1])[0]
+        if is_write:
+            self.counters.hbm_write_bytes += n_bytes
+        else:
+            self.counters.hbm_read_bytes += n_bytes
+        if n_bytes > 0:
+            self.counters.dma_transfers += 1
+        if self.trace is not None and n_bytes > 0:
+            self.trace.record(
+                engine=f"{self.name}:{channel_name}", label=label,
+                start=now, end=completion, category="transfer",
+            )
+        # Whether the time up to ``completion`` is exposed as a memory
+        # stall is the caller's decision: a sequential controller waits
+        # for it, a pipelined one overlaps it with compute.
+        return completion
+
+    # ------------------------------------------------------------------
+    def read_striped(self, n_bytes: int, stripe: int, now: int,
+                     label: str = "read") -> int:
+        """Read ``n_bytes`` split evenly across ``stripe`` channels at ``now``.
+
+        Models a wide AXI/DMA engine that pulls a tile from several HBM
+        pseudo-channels concurrently; returns the cycle at which the
+        slowest stripe finishes.
+        """
+        return self._striped(n_bytes, stripe, now, label, is_write=False)
+
+    def write_striped(self, n_bytes: int, stripe: int, now: int,
+                      label: str = "write") -> int:
+        """Write ``n_bytes`` split evenly across ``stripe`` channels at ``now``."""
+        return self._striped(n_bytes, stripe, now, label, is_write=True)
+
+    def _striped(self, n_bytes: int, stripe: int, now: int, label: str,
+                 is_write: bool) -> int:
+        if stripe <= 0:
+            raise ValueError("stripe must be positive")
+        if n_bytes < 0:
+            raise ValueError("n_bytes must be >= 0")
+        stripe = min(stripe, self._n_channels)
+        if n_bytes == 0 or stripe == 1:
+            return self._transfer(n_bytes, now, label, is_write=is_write)
+        if n_bytes < stripe:
+            # Every stripe but the last is empty; an empty stripe occupies
+            # no channel and is not a transfer.
+            return self._transfer(n_bytes, now, f"{label}[{stripe - 1}]",
+                                  is_write=is_write)
+        latest, picks = self.model.issue_split(n_bytes, stripe, now)
+        self.counters.dma_transfers += stripe
+        if self.trace is not None:
+            for i, (completion, channel_name) in enumerate(self.model.stripes(picks)):
+                self.trace.record(
+                    engine=f"{self.name}:{channel_name}", label=f"{label}[{i}]",
+                    start=now, end=completion, category="transfer",
+                )
+        if is_write:
+            self.counters.hbm_write_bytes += n_bytes
+        else:
+            self.counters.hbm_read_bytes += n_bytes
+        return latest
+
+
+# The event-returning surface the processes were written to.
 class _EventPort:
     """``MemoryPort`` as the kernel's processes saw it: a transfer issued at
     ``sim.now`` that returns the ``Timeout`` of its completion."""

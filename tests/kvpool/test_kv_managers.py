@@ -137,9 +137,9 @@ class TestReservedKVHolds:
         manager.release(first)
         with pytest.raises(BlockAllocatorError, match="not held"):
             manager.release(first)
-        assert manager.budget.reserved_bytes == 24_576
+        assert manager.reserved_bytes == 24_576
         manager.release(second)
-        assert manager.budget.reserved_bytes == 0
+        assert manager.reserved_bytes == 0
 
     def test_a_cache_claimed_elsewhere_is_refused(self, small_config):
         mine, theirs = (ReservedKV(small_config, 1 << 20) for _ in range(2))
@@ -147,4 +147,4 @@ class TestReservedKVHolds:
         cache, _ = theirs.claim([1], 32, False)
         with pytest.raises(BlockAllocatorError, match="not held"):
             mine.release(cache)
-        assert mine.budget.reserved_bytes == 24_576
+        assert mine.reserved_bytes == 24_576

@@ -165,3 +165,31 @@ class TestSidecarFormat:
         path.write_bytes(bytes(raw))
         with pytest.raises(ValueError):
             load_quantized(path)
+
+    def test_every_corrupted_copy_loads_or_names_the_file(self, tmp_path,
+                                                          small_checkpoint):
+        """A seeded corruptor: truncated copies and copies with one
+        preamble or header byte changed.  Each either loads or raises a
+        ``ValueError`` naming the file and a byte offset — never a decode,
+        JSON, key or shape error that says neither."""
+        converted = quantize_checkpoint(small_checkpoint,
+                                        resolve_quant("int8", quant_kv=True))
+        raw = save_quantized(converted, tmp_path / "model.slq").read_bytes()
+        header_end = 12 + int.from_bytes(raw[8:12], "little")
+        rng = np.random.default_rng(0)
+        copies = [raw[:int(rng.integers(0, header_end))] for _ in range(20)]
+        copies += [raw[:int(rng.integers(header_end, len(raw)))] for _ in range(20)]
+        for _ in range(40):
+            flipped = bytearray(raw)
+            flipped[int(rng.integers(0, header_end))] ^= int(rng.integers(1, 256))
+            copies.append(bytes(flipped))
+        refused = 0
+        for i, corrupted in enumerate(copies):
+            path = tmp_path / f"corrupt{i}.slq"
+            path.write_bytes(corrupted)
+            try:
+                load_quantized(path)
+            except ValueError as exc:
+                assert str(path) in str(exc) and "byte" in str(exc), exc
+                refused += 1
+        assert refused >= 40

@@ -230,10 +230,10 @@ class TestCancellation:
         victim = engine.submit(PROMPTS[0], SamplingParams(max_tokens=16))
         survivor = engine.submit(PROMPTS[1], SamplingParams(max_tokens=8))
         engine.step()  # both admitted and started
-        reserved_before = engine.scheduler.kv.budget.reserved_bytes
+        reserved_before = engine.scheduler.kv.reserved_bytes
         assert engine.cancel(victim) is True
         assert victim.state.value == "cancelled"
-        assert engine.scheduler.kv.budget.reserved_bytes < reserved_before
+        assert engine.scheduler.kv.reserved_bytes < reserved_before
         report = engine.run()
         assert report.n_requests == 1
         assert report.requests[0].request_id == survivor.request_id

@@ -170,10 +170,10 @@ class TestFinish:
         scheduler.submit(make_request("a"))
         scheduler.admit(now=0.0)
         request = scheduler.running[0]
-        reserved = scheduler.kv.budget.reserved_bytes
+        reserved = scheduler.kv.reserved_bytes
         assert reserved > 0
         scheduler.finish(request, now=2.0)
-        assert scheduler.kv.budget.reserved_bytes == 0
+        assert scheduler.kv.reserved_bytes == 0
         assert request.state is RequestState.FINISHED
         assert request.finish_time == 2.0
         assert not scheduler.running
@@ -237,5 +237,5 @@ class TestEdgeCases:
         ))
         admitted = scheduler.admit(now=0.0)
         assert [r.request_id for r in admitted] == ["full-window"]
-        assert (scheduler.kv.budget.reserved_bytes
+        assert (scheduler.kv.reserved_bytes
                 == KV.projected_nbytes(micro_config, micro_config.max_seq_len))

@@ -109,9 +109,9 @@ class TrafficHarness:
             for block, count in holders.items():
                 assert count <= pool.allocator.refcount(block)
         else:
-            budget = scheduler.kv.budget
-            assert budget.reserved_bytes <= budget.capacity_bytes
-            assert budget.reserved_bytes == sum(
+            kv = scheduler.kv
+            assert kv.reserved_bytes <= kv.capacity_bytes
+            assert kv.reserved_bytes == sum(
                 scheduler.kv.footprint(r.cache.capacity)
                 for r in scheduler.running)
         assert 0.0 <= scheduler.kv_utilization <= 1.0
@@ -234,7 +234,7 @@ class TestKVBudgetNeverExceeded:
             for request in harness.submitted:
                 assert not request.block_table
         else:
-            assert harness.scheduler.kv.budget.reserved_bytes == 0
+            assert harness.scheduler.kv.reserved_bytes == 0
 
 
 class TestPreemptionNeverInvertsUrgency:

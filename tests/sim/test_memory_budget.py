@@ -1,72 +1,79 @@
-"""Tests for the reserve/release byte ledger (repro.sim.memory.MemoryBudget)."""
+"""Tests for the reserve/release byte ledger, ``ReservedKV``'s
+``reserved_bytes`` counted against its ``capacity_bytes`` (a separate
+``repro.sim.memory.MemoryBudget`` before the manager kept it itself)."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.fpga.hbm import MemorySystemSpec
-from repro.sim.memory import MemoryBudget
+from repro.kvpool import BlockAllocatorError, ReservedKV
+from repro.llama.kv_cache import KVCache
+
+
+def _ledger(config, positions):
+    """A manager whose budget holds exactly ``positions`` cached positions,
+    and the bytes one position costs."""
+    unit = ReservedKV(config, 1).footprint(1)
+    return ReservedKV(config, positions * unit), unit
+
+
+def _available(kv):
+    return kv.capacity_bytes - kv.reserved_bytes
 
 
 class TestMemoryBudget:
-    def test_reserve_and_release_cycle(self):
-        budget = MemoryBudget(100)
-        assert budget.available_bytes == 100
-        assert budget.reserve(60)
-        assert budget.reserved_bytes == 60
-        assert budget.available_bytes == 40
-        assert not budget.reserve(41)
-        assert budget.reserve(40)
-        budget.release(60)
-        assert budget.available_bytes == 60
+    def test_reserve_and_release_cycle(self, small_config):
+        kv, unit = _ledger(small_config, 100)
+        assert _available(kv) == 100 * unit
+        first, _ = kv.claim([1], 60, False)
+        assert kv.reserved_bytes == 60 * unit
+        assert _available(kv) == 40 * unit
+        assert kv.claim([2], 41, True) is None
+        assert kv.claim([3], 40, True) is not None
+        kv.release(first)
+        assert _available(kv) == 60 * unit
 
-    def test_fits_is_side_effect_free(self):
-        budget = MemoryBudget(10)
-        assert budget.fits(10)
-        assert not budget.fits(11)
-        assert budget.reserved_bytes == 0
+    def test_fits_is_side_effect_free(self, small_config):
+        kv, unit = _ledger(small_config, 10)
+        assert kv.never_fits(10) is None
+        assert str(10 * unit) in kv.never_fits(11)
+        assert kv.reserved_bytes == 0
 
-    def test_over_release_raises(self):
-        budget = MemoryBudget(10)
-        budget.reserve(5)
-        with pytest.raises(ValueError):
-            budget.release(6)
+    def test_over_release_raises(self, small_config):
+        kv, _ = _ledger(small_config, 10)
+        kv.claim([1], 5, False)
+        with pytest.raises(BlockAllocatorError):
+            kv.release(KVCache(small_config, max_seq_len=6))
 
-    def test_double_release_raises(self):
+    def test_double_release_raises(self, small_config):
         # Releasing the same reservation twice must raise rather than
         # silently driving the ledger negative (and then over-admitting).
-        budget = MemoryBudget(10)
-        budget.reserve(6)
-        budget.release(6)
-        with pytest.raises(ValueError, match="only 0 reserved"):
-            budget.release(6)
-        assert budget.reserved_bytes == 0
-        assert budget.available_bytes == 10
+        kv, unit = _ledger(small_config, 10)
+        cache, _ = kv.claim([1], 6, False)
+        kv.release(cache)
+        with pytest.raises(BlockAllocatorError, match="not held"):
+            kv.release(cache)
+        assert kv.reserved_bytes == 0
+        assert _available(kv) == 10 * unit
 
-    def test_ledger_consistent_after_failed_release(self):
-        budget = MemoryBudget(10)
-        budget.reserve(4)
-        with pytest.raises(ValueError):
-            budget.release(5)
+    def test_ledger_consistent_after_failed_release(self, small_config):
+        kv, unit = _ledger(small_config, 10)
+        cache, _ = kv.claim([1], 4, False)
+        with pytest.raises(BlockAllocatorError):
+            kv.release(KVCache(small_config, max_seq_len=5))
         # The failed release must not have mutated anything.
-        assert budget.reserved_bytes == 4
-        budget.release(4)
-        assert budget.available_bytes == 10
+        assert kv.reserved_bytes == 4 * unit
+        kv.release(cache)
+        assert _available(kv) == 10 * unit
 
-    def test_negative_amounts_rejected(self):
-        budget = MemoryBudget(10)
-        with pytest.raises(ValueError):
-            budget.reserve(-1)
-        with pytest.raises(ValueError):
-            budget.release(-1)
+    def test_negative_amounts_rejected(self, small_config):
+        kv, _ = _ledger(small_config, 10)
+        for positions in (-1, 0):
+            with pytest.raises(ValueError):
+                kv.claim([1], positions, False)
+        assert kv.reserved_bytes == 0
 
-    def test_nonpositive_capacity_rejected(self):
-        with pytest.raises(ValueError):
-            MemoryBudget(0)
-
-    def test_from_spec_fraction(self):
-        spec = MemorySystemSpec.u280_hbm(4)
-        budget = MemoryBudget.from_spec(spec, fraction=0.5)
-        assert budget.capacity_bytes == spec.total_capacity_bytes // 2
-        with pytest.raises(ValueError):
-            MemoryBudget.from_spec(spec, fraction=0.0)
+    def test_nonpositive_capacity_rejected(self, small_config):
+        for capacity in (0, -1):
+            with pytest.raises(ValueError):
+                ReservedKV(small_config, capacity)
