@@ -1,11 +1,11 @@
 """Top-level SpeedLLM accelerator model.
 
 :class:`SpeedLLMAccelerator` ties every piece together for one design
-point: it quantises the model weights for the datapath, builds decode-step
-graphs, optionally fuses them, compiles them to tile programs, simulates
-the programs on the pipeline executor, and accumulates latency / traffic /
-energy over a whole generation (prefill + decode), while the functional
-graph executor produces the actual tokens.
+point: it quantises the model weights as its ``quant`` config stores
+them, builds decode-step graphs, optionally fuses them, compiles them to
+tile programs, simulates the programs on the pipeline executor, and
+accumulates latency / traffic / energy over a whole generation (prefill +
+decode), while the functional graph executor produces the actual tokens.
 
 Functionally the accelerator is a *model* in the sense of
 :mod:`repro.llama.generation`: it answers ``forward(token, pos, cache)``
@@ -24,7 +24,6 @@ every position exactly.
 from __future__ import annotations
 
 import bisect
-import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, List, Optional, Sequence
@@ -41,7 +40,7 @@ from ..graph.graph import Graph
 from ..llama import generation
 from ..llama.checkpoint import Checkpoint
 from ..llama.kv_cache import KVCache
-from ..llama.quantization import QuantSpec, dequantize, quantize
+from ..llama.quantization import dequantize, quantize
 from ..llama.sampler import Sampler
 from ..sim.stats import RunCounters
 from .batching import BatchSlot
@@ -131,7 +130,6 @@ class SpeedLLMAccelerator:
         checkpoint: Checkpoint,
         config: Optional[AcceleratorConfig] = None,
         platform: Optional[FpgaPlatform] = None,
-        quantize_weights: bool = True,
     ) -> None:
         self.checkpoint = checkpoint
         self.model_config = checkpoint.config
@@ -144,7 +142,6 @@ class SpeedLLMAccelerator:
         self.timing = StepCompiler(
             self.model_config, self.config, self.platform
         )
-        self._quantize_weights = quantize_weights
         #: The two graphs token values come from, keyed by need_logits;
         #: built on first functional use, so timing-only runs never pay.
         self._value_graphs: Dict[bool, Graph] = {}
@@ -154,46 +151,22 @@ class SpeedLLMAccelerator:
         """Weights the datapath computes with — like the value graphs,
         built on first functional use, so timing-only runs never pay.
 
-        Quantise+dequantise so the functional result reflects the
-        quantised datapath; keep float32 when quantisation is off.  A
-        serving-level QuantConfig resolves the spec per tensor (weights /
-        logits head / fp32 overrides); the legacy weight_bits path keeps
-        its uniform gcd-derived group size.
+        Every tensor is quantised and dequantised at the spec
+        ``config.quant`` resolves for it (at the model's groups), so the
+        functional result reflects the stored precision; a tensor it
+        keeps in float32 is passed through.
         """
-        checkpoint = self.checkpoint
-        if not self._quantize_weights:
-            return dict(checkpoint.weights)
-        if self.config.quant is not None:
-            qcfg = self.config.quant
-            shared = self.model_config.shared_classifier
-            weights = {}
-            for name, tensor in checkpoint.weights.items():
-                spec = qcfg.spec_for(
-                    name,
-                    classifier=shared and name == "tok_embeddings.weight",
-                    ndim=tensor.ndim,
-                )
-                if spec is None:
-                    weights[name] = tensor
-                else:
-                    weights[name] = dequantize(quantize(tensor, spec))
-            return weights
-        if self.config.weight_bits < 32:
-            # Group size must divide every matrix's reduction axis (dim for
-            # the projections, hidden for w2); cap at 64 for fidelity.
-            group = math.gcd(
-                self.model_config.dim, self.model_config.resolved_hidden_dim()
+        quant = self.config.quant.for_model(self.model_config)
+        shared = self.model_config.shared_classifier
+        weights = {}
+        for name, tensor in self.checkpoint.weights.items():
+            spec = quant.spec_for(
+                name,
+                classifier=shared and name == "tok_embeddings.weight",
+                ndim=tensor.ndim,
             )
-            group = math.gcd(group, 64) or 1
-            spec = QuantSpec(bits=self.config.weight_bits, group_size=group)
-            weights = {}
-            for name, tensor in checkpoint.weights.items():
-                if tensor.ndim >= 2:
-                    weights[name] = dequantize(quantize(tensor, spec))
-                else:
-                    weights[name] = tensor
-            return weights
-        return dict(checkpoint.weights)
+            weights[name] = tensor if spec is None else dequantize(quantize(tensor, spec))
+        return weights
 
     @cached_property
     def _graph_executor(self) -> GraphExecutor:
@@ -203,7 +176,7 @@ class SpeedLLMAccelerator:
     def functional_checkpoint(self) -> Checkpoint:
         """Checkpoint holding the weights the datapath actually computes with.
 
-        When the accelerator quantises weights to int8, these are the
+        Where ``config.quant`` quantises a tensor these are the
         dequantised values; a CPU reference run over this checkpoint is
         bit-comparable with the accelerator's functional output.
         """

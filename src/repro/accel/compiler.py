@@ -202,14 +202,14 @@ class ProgramCompiler:
     def _matmul_packets(self, op: Operator, load_act: int, store_act: int) -> List[TilePacket]:
         out_features = int(op.attributes.get("out_features", 0))
         in_features = int(op.attributes.get("in_features", 0))
-        if out_features <= 0 or in_features <= 0:
-            raise ValueError(f"matmul {op.name!r} lacks shape attributes")
-        # Quant-annotated operators carry their own effective streamed
-        # bytes per element (scale overhead included); everything else
-        # uses the accelerator-wide weight width.
-        quantized = "wbytes_per_el" in op.attributes
-        wb = float(op.attributes.get("wbytes_per_el",
-                                     self.config.weight_dtype_bytes))
+        if out_features <= 0 or in_features <= 0 or "wbytes_per_el" not in op.attributes:
+            raise ValueError(f"matmul {op.name!r} lacks shape attributes "
+                             "(out_features, in_features, wbytes_per_el)")
+        # The graph says how many bytes each weight element streams; an
+        # operator whose scales stream too (``quant_group``, 0 for a
+        # float32 one) is charged against float32 for ``saved_bytes``.
+        wb = float(op.attributes["wbytes_per_el"])
+        quantized = "quant_group" in op.attributes
         group = int(op.attributes.get("quant_group", 0))
         # The plan's fold is clamped per operator so a folded tile's
         # weight slice still fits one on-chip staging segment; operators

@@ -14,18 +14,21 @@ The three optimizations the paper contributes are boolean features:
 ``AcceleratorConfig.variant(...)`` builds the named design points used in
 the evaluation (Fig. 2): ``full``, ``no-fusion``, ``no-pipeline``,
 ``no-reuse`` and ``unoptimized``.
+
+How every weight and KV byte is stored is one field, ``quant`` (a
+:class:`~repro.quant.config.QuantConfig`): the paper's int8 datapath by
+default, :meth:`~repro.quant.config.QuantConfig.fp32` for full
+precision, or a serving-level mode.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 from ..fpga.resources import ResourceVector
-
-if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
-    from ..quant.config import QuantConfig
+from ..quant.config import QuantConfig
 
 __all__ = ["MPEConfig", "SFUConfig", "BufferConfig", "AcceleratorConfig", "VARIANT_NAMES"]
 
@@ -150,13 +153,10 @@ class AcceleratorConfig:
     pipeline: bool = True
     memory_reuse: bool = True
     operator_fusion: bool = True
-    # datapath
-    weight_bits: int = 8
-    #: Serving-level quantisation (weights / KV / logits per tensor).
-    #: When set it supersedes ``weight_bits`` for 2-D weight tensors:
-    #: the graph builder annotates each operator with its effective
-    #: streamed bytes per element.
-    quant: Optional["QuantConfig"] = None
+    #: How every weight and KV byte is stored (per tensor): the graph
+    #: builder annotates each operator with its streamed bytes per
+    #: element and the functional path fake-quantises to match.
+    quant: QuantConfig = field(default_factory=QuantConfig.datapath)
     hbm_stripe: int = 16             # pseudo-channels one DMA burst is spread over
     trace_enabled: bool = False
     # compilation pipeline (see repro.compile)
@@ -170,19 +170,14 @@ class AcceleratorConfig:
     ctx_bucket: int = 1
 
     def __post_init__(self) -> None:
-        if self.weight_bits not in (4, 8, 16, 32):
-            raise ValueError(f"unsupported weight_bits {self.weight_bits}")
+        if not isinstance(self.quant, QuantConfig):
+            raise TypeError(f"quant must be a QuantConfig, got {self.quant!r}")
         if self.hbm_stripe <= 0:
             raise ValueError("hbm_stripe must be positive")
         if self.ctx_bucket < 1:
             raise ValueError("ctx_bucket must be >= 1")
 
     # ------------------------------------------------------------------
-    @property
-    def weight_dtype_bytes(self) -> float:
-        """Bytes per weight element streamed from HBM (0.5 for int4)."""
-        return self.weight_bits / 8.0
-
     def resources(self) -> ResourceVector:
         """Total programmable-logic footprint of the design."""
         controller = ResourceVector(lut=60_000, ff=80_000, bram_36k=48)
@@ -207,8 +202,7 @@ class AcceleratorConfig:
             "pipeline": self.pipeline,
             "memory_reuse": self.memory_reuse,
             "operator_fusion": self.operator_fusion,
-            "weight_bits": self.weight_bits,
-            "quant": self.quant.label if self.quant is not None else None,
+            "quant": self.quant.label,
             "hbm_stripe": self.hbm_stripe,
             "autotune_tiling": self.autotune_tiling,
             "ctx_bucket": self.ctx_bucket,

@@ -26,6 +26,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..compile.pipeline import StepCompiler
+from ..quant.config import QuantConfig
 from .analytical import AnalyticalModel
 from .config import AcceleratorConfig, BufferConfig, MPEConfig
 
@@ -42,11 +43,12 @@ class DesignSpace:
     mpe_shapes: Tuple[Tuple[int, int], ...] = ((32, 16), (64, 32), (128, 32))
     buffer_segments: Tuple[int, ...] = (4, 8)
     hbm_stripes: Tuple[int, ...] = (8, 16, 32)
-    weight_bits: Tuple[int, ...] = (8,)
+    #: Storage precisions (the design point's ``quant``) swept.
+    quants: Tuple[QuantConfig, ...] = (QuantConfig.datapath(),)
 
     def __post_init__(self) -> None:
         if not (self.mpe_shapes and self.buffer_segments
-                and self.hbm_stripes and self.weight_bits):
+                and self.hbm_stripes and self.quants):
             raise ValueError("every design-space axis needs at least one value")
 
     def candidates(self) -> Iterable[AcceleratorConfig]:
@@ -54,18 +56,18 @@ class DesignSpace:
         for rows, cols in self.mpe_shapes:
             for segments in self.buffer_segments:
                 for stripe in self.hbm_stripes:
-                    for bits in self.weight_bits:
+                    for quant in self.quants:
                         yield AcceleratorConfig(
-                            name=f"mpe{rows}x{cols}-seg{segments}-st{stripe}-w{bits}",
+                            name=f"mpe{rows}x{cols}-seg{segments}-st{stripe}-{quant.label}",
                             mpe=MPEConfig(rows=rows, cols=cols),
                             buffers=BufferConfig(n_segments=segments, segment_kb=128),
                             hbm_stripe=stripe,
-                            weight_bits=bits,
+                            quant=quant,
                         )
 
     def __len__(self) -> int:
         return (len(self.mpe_shapes) * len(self.buffer_segments)
-                * len(self.hbm_stripes) * len(self.weight_bits))
+                * len(self.hbm_stripes) * len(self.quants))
 
 
 @dataclass

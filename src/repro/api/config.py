@@ -76,11 +76,12 @@ class EngineConfig:
     speculative: Optional[SpecConfig] = None
 
     # Quantisation -------------------------------------------------------
-    #: Weight quantisation: ``None`` (the legacy int8 datapath with no
-    #: byte accounting), a mode string (``"int8"`` / ``"int4"`` for the
-    #: quantised subsystem, ``"fp32"`` for a full-precision datapath —
-    #: the honest baseline quantised runs are compared against) or an
-    #: explicit :class:`repro.quant.QuantConfig`.
+    #: How weights and KV are stored: ``None`` (the accelerator's
+    #: default, the paper's int8 datapath with on-chip scales), a mode
+    #: string (``"int8"`` / ``"int4"`` for the quantised subsystem,
+    #: ``"fp32"`` for a full-precision datapath — the honest baseline
+    #: quantised runs are compared against) or an explicit
+    #: :class:`repro.quant.QuantConfig`.
     quant: Union[None, str, "QuantConfig"] = None
     #: Also store the KV cache group-quantised at INT8 (mode strings
     #: only; an explicit QuantConfig carries its own KV spec).
@@ -178,14 +179,8 @@ class EngineConfig:
 
     # ------------------------------------------------------------------
     def quant_config(self) -> Optional["QuantConfig"]:
-        """The resolved quantisation slice of this configuration.
-
-        ``"fp32"`` resolves to ``None`` like the default — it differs
-        only in :meth:`build_llm`, which widens the accelerator datapath
-        to full-precision weights instead of the legacy int8 streaming.
-        """
-        if self.quant == "fp32":
-            return None
+        """The resolved quantisation slice of this configuration:
+        ``None`` leaves the accelerator's default datapath in place."""
         from ..quant import resolve_quant
         return resolve_quant(
             self.quant,
@@ -213,20 +208,16 @@ class EngineConfig:
 
     def build_llm(self) -> "SpeedLLM":
         """Build the model + accelerator stack this config describes."""
+        from ..accel.config import AcceleratorConfig
         from ..core.speedllm import SpeedLLM
-        accel_config = None
         quant = self.quant_config()
-        fp32 = self.quant == "fp32"
-        if (self.autotune or self.ctx_bucket != 1 or quant is not None
-                or fp32 or self.trace_cycles):
-            from ..accel.config import AcceleratorConfig
-            accel_config = AcceleratorConfig.variant(self.variant).replace(
-                autotune_tiling=self.autotune,
-                ctx_bucket=self.ctx_bucket,
-                quant=quant,
-                trace_enabled=self.trace_cycles,
-                **({"weight_bits": 32} if fp32 else {}),
-            )
+        accel_config = AcceleratorConfig.variant(
+            self.variant,
+            autotune_tiling=self.autotune,
+            ctx_bucket=self.ctx_bucket,
+            trace_enabled=self.trace_cycles,
+            **({"quant": quant} if quant is not None else {}),
+        )
         platform = None
         if self.hbm_channels is not None:
             from ..fpga.u280 import u280

@@ -32,6 +32,7 @@ from .api import (CompletionRequest, CompletionResponse, CompletionService,
 from .cluster import ClusterConfig, ClusterReport
 from .llama.evaluate import divergence_report, perplexity
 from .llama.model import LlamaModel
+from .quant import QuantConfig
 from .serve import ServeReport, ServingEngine
 from .workloads.prompts import (PromptSuite, default_suite,
                                 long_context_suite, mixed_chat_suite,
@@ -265,7 +266,7 @@ def serve_bench(config: EngineConfig, suite, *, ignore_eos: bool = False,
 
     quant_comparison = None
     quant_failures: List[str] = []
-    if config.quant_config() is not None:
+    if config.quant_config() not in (None, QuantConfig.fp32()):
         quant_comparison, quant_failures = _fp32_twin_comparison(
             config, llm, report, streams, workloads, params, arrivals,
             min_agreement if check else None)

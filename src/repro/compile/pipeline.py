@@ -113,12 +113,8 @@ class StepCompiler:
         self.config = config
         self.platform = platform
         self.shard = shard
-        self._builder = GraphBuilder(
-            model_config,
-            weight_dtype_bytes=config.weight_dtype_bytes,
-            shard=shard,
-            quant=config.quant,
-        )
+        self._builder = GraphBuilder(model_config, shard=shard,
+                                     quant=config.quant)
         self._executor = PipelineExecutor(config, platform)
         # One ProgramCompiler per tiling plan (plans are few and frozen).
         self._tilers: Dict[TilingPlan, object] = {}

@@ -59,7 +59,7 @@ def clamped_fold(
     plan: TilingPlan,
     in_features: int,
     mpe_rows: int,
-    weight_dtype_bytes: float,
+    wbytes_per_el: float,
     segment_bytes: int,
 ) -> int:
     """The plan's fold clamped so one tile's weights fit a staging segment.
@@ -70,7 +70,7 @@ def clamped_fold(
     historical tiling — capacity never gets worse than the fixed plan.
     """
     fold = plan.matmul_fold
-    while fold > 1 and fold * mpe_rows * in_features * weight_dtype_bytes \
+    while fold > 1 and fold * mpe_rows * in_features * wbytes_per_el \
             > segment_bytes:
         fold //= 2
     return fold
@@ -89,7 +89,8 @@ def candidate_plans(
     smaller candidate anyway).  The default plan is always first.
     """
     rows = config.mpe.rows
-    wb = config.weight_dtype_bytes
+    # An ordinary weight's width; the compiler clamps per operator.
+    wb = config.quant.bytes_per_element(config.quant.weights)
     segment = config.buffers.segment_bytes
     reductions = {
         model_config.dim,

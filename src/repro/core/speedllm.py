@@ -79,7 +79,6 @@ class SpeedLLM:
         max_vocab: Optional[int] = None,
         tokenizer_corpus_docs: int = 400,
         position_stride: int = 8,
-        quantize_weights: bool = True,
     ) -> None:
         """Build the full stack for one model + one accelerator design point.
 
@@ -100,10 +99,10 @@ class SpeedLLM:
             models whose embedding tables are much smaller than 32k).
         position_stride:
             Timing-simulation stride used for generation metrics.
-        quantize_weights:
-            Whether the accelerator datapath quantises weights to
-            ``weight_bits`` (int8 by default).  Disable to make functional
-            outputs bit-identical to a float32 CPU run of the checkpoint.
+        accel_config:
+            The design point; its ``quant`` is how every weight and KV
+            byte is stored (``QuantConfig.fp32()`` makes functional
+            outputs bit-identical to a float32 CPU run of the checkpoint).
         """
         if energy_accounting not in ("board", "effective"):
             raise ValueError("energy_accounting must be 'board' or 'effective'")
@@ -144,7 +143,6 @@ class SpeedLLM:
 
         self.accelerator = SpeedLLMAccelerator(
             self.checkpoint, self.accel_config, platform=self.platform,
-            quantize_weights=quantize_weights,
         )
         self._reference_model: Optional[LlamaModel] = None
 

@@ -14,16 +14,14 @@ the simulator's timing and traffic models consume.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
+from dataclasses import dataclass, field
+from typing import Optional
 
 from ..llama.config import LlamaConfig
+from ..quant.config import QuantConfig
 from .graph import Graph
 from .ops import Operator, OpKind, TensorSpec
 from .sharding import ShardSpec
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
-    from ..quant.config import QuantConfig
 
 __all__ = ["GraphBuilder", "build_decode_graph"]
 
@@ -42,9 +40,6 @@ class GraphBuilder:
     ----------
     config:
         Model architecture.
-    weight_dtype_bytes:
-        Storage bytes per weight element as streamed from HBM (1 for the
-        int8 datapath the accelerator uses, 4 for float32 baselines).
     shard:
         Optional tensor-parallel partition.  When set, the builder emits
         the decode-step graph *one shard* executes: head-parallel
@@ -55,49 +50,34 @@ class GraphBuilder:
         operators of this graph — the execution backend charges them
         through its interconnect model.
     quant:
-        Optional serving-level quantisation config.  When set it
-        supersedes ``weight_dtype_bytes`` per 2-D weight tensor: matmul
-        and embed operators are annotated with their effective streamed
-        bytes per element (``wbytes_per_el``, scale overhead included)
-        and group size (``quant_group``), and — when the config
-        quantises the KV cache — the cache tensors shrink to one byte
-        per element with the scale traffic and dequant work annotated on
-        the attention/append operators.  The program compiler turns
-        these annotations into smaller weight tiles, per-tile
-        ``saved_bytes`` and SFU-side ``dequant_flops``.
+        How every weight and KV byte is stored (the paper's int8
+        datapath by default).  Matmul and embed operators are annotated
+        with their streamed bytes per element (``wbytes_per_el``); where
+        scales stream from HBM also with the group size (``quant_group``)
+        — the program compiler turns that into per-tile ``saved_bytes``
+        and SFU-side ``dequant_flops``.  When the config quantises the KV
+        cache the cache tensors shrink to one byte per element with the
+        scale traffic and dequant work annotated on the attention/append
+        operators.
     """
 
     config: LlamaConfig
-    weight_dtype_bytes: float = 1
     shard: Optional[ShardSpec] = None
-    quant: Optional["QuantConfig"] = None
-
-    def __post_init__(self) -> None:
-        if self.weight_dtype_bytes not in (0.5, 1, 2, 4):
-            raise ValueError(
-                "weight_dtype_bytes must be 0.5 (int4), 1, 2 or 4, got "
-                f"{self.weight_dtype_bytes}"
-            )
+    quant: QuantConfig = field(default_factory=QuantConfig.datapath)
 
     # ------------------------------------------------------------------
     # Quantisation annotation helpers
     # ------------------------------------------------------------------
     def _weight_quant(self, w_name: str, classifier: bool = False):
-        """Resolve ``(bytes_per_el, group, store_bytes, annotated)`` for a
-        2-D weight tensor.  Falls back to the builder-wide
-        ``weight_dtype_bytes`` when no quant config is active."""
-        if self.quant is None:
-            wb = self.weight_dtype_bytes
-            return wb, 0, max(1, int(wb)), False
+        """``(bytes_per_el, store_bytes, attrs)`` of a 2-D weight tensor:
+        a ``quant_group`` (0 for float32) unless its scales stay on chip."""
         spec = self.quant.spec_for(w_name, classifier=classifier)
-        if spec is None:
-            return 4.0, 0, 4, True
-        return spec.bytes_per_element, spec.group_size, 1, True
-
-    def _quant_attrs(self, wb: float, group: int, annotated: bool) -> dict:
-        if not annotated:
-            return {}
-        return {"wbytes_per_el": wb, "quant_group": group}
+        wb = self.quant.bytes_per_element(spec)
+        if spec is not None and self.quant.scales_on_chip:
+            return wb, max(1, spec.bits // 8), {"wbytes_per_el": wb}
+        group = 0 if spec is None else spec.group_size
+        return wb, 4 if spec is None else 1, {"wbytes_per_el": wb,
+                                              "quant_group": group}
 
     # ------------------------------------------------------------------
     def build_decode_step(self, context_len: int, name: Optional[str] = None,
@@ -147,17 +127,16 @@ class GraphBuilder:
         token = tensor("token", 1, dtype_bytes=4)
         # A shared embedding table doubles as the classifier matrix, so it
         # follows the (sensitive) logits spec under quantisation.
-        emb_wb, emb_group, emb_store, emb_annot = self._weight_quant(
+        emb_wb, emb_store, emb_attrs = self._weight_quant(
             "tok_embeddings.weight", classifier=cfg.shared_classifier
         )
         emb_table = tensor("tok_embeddings.weight", cfg.vocab_size, dim,
                            weight=True, dtype_bytes=emb_store)
         x = tensor("x.0", dim)
-        embed_attrs: dict = {"rows": 1}
-        if emb_annot:
-            embed_attrs.update(self._quant_attrs(emb_wb, emb_group, True))
+        embed_attrs: dict = {"rows": 1, **emb_attrs}
+        if "quant_group" in emb_attrs:
             # The gathered row is dequantised elementwise on the SFU.
-            embed_attrs["dequant_flops"] = dim if emb_group else 0
+            embed_attrs["dequant_flops"] = dim if emb_attrs["quant_group"] else 0
             embed_attrs["saved_bytes"] = max(0, int(dim * (4.0 - emb_wb)))
         g.add_operator(Operator(
             name="embed", kind=OpKind.EMBED,
@@ -188,7 +167,7 @@ class GraphBuilder:
         # Vocab-parallel classifier: each shard computes its slice of the
         # logits; the backend charges the gather separately.
         vocab = cfg.vocab_size if self.shard is None else self.shard.vocab
-        cls_wb, cls_group, cls_store, cls_annot = self._weight_quant(
+        cls_wb, cls_store, cls_attrs = self._weight_quant(
             cls_name, classifier=True
         )
         cls_w = tensor(cls_name, vocab, dim, weight=True,
@@ -200,7 +179,7 @@ class GraphBuilder:
             flops=2 * vocab * dim,
             weight_bytes=int(vocab * dim * cls_wb),
             attributes={"out_features": vocab, "in_features": dim,
-                        **self._quant_attrs(cls_wb, cls_group, cls_annot)},
+                        **cls_attrs},
         ))
         g.validate()
         return g
@@ -225,7 +204,7 @@ class GraphBuilder:
 
         def matmul(op_name: str, w_name: str, out_feat: int, in_feat: int,
                    inp: str, out: str) -> None:
-            mwb, mgroup, mstore, mannot = self._weight_quant(w_name)
+            mwb, mstore, mattrs = self._weight_quant(w_name)
             w = tensor(w_name, out_feat, in_feat, weight=True,
                        dtype_bytes=mstore)
             g.add_operator(Operator(
@@ -234,8 +213,7 @@ class GraphBuilder:
                 flops=2 * out_feat * in_feat,
                 weight_bytes=int(out_feat * in_feat * mwb),
                 attributes={"out_features": out_feat, "in_features": in_feat,
-                            "layer": layer,
-                            **self._quant_attrs(mwb, mgroup, mannot)},
+                            "layer": layer, **mattrs},
             ))
 
         # --- attention -------------------------------------------------
@@ -272,7 +250,7 @@ class GraphBuilder:
         # Quantised KV stores one byte per element plus per-group float32
         # scales; the scale traffic and (de)quantisation work are
         # annotated for the program compiler.
-        kv_spec = self.quant.kv if self.quant is not None else None
+        kv_spec = self.quant.kv
         kv_store = 1 if kv_spec is not None else _ACT_BYTES
         kv_attrs: dict = {}
         win_attrs: dict = {}
@@ -375,9 +353,9 @@ class GraphBuilder:
 def build_decode_graph(
     config: LlamaConfig,
     context_len: int,
-    weight_dtype_bytes: float = 1,
+    quant: Optional[QuantConfig] = None,
 ) -> Graph:
-    """Convenience wrapper: build one decode-step graph."""
-    return GraphBuilder(config, weight_dtype_bytes=weight_dtype_bytes).build_decode_step(
-        context_len
-    )
+    """Convenience wrapper: build one decode-step graph (under the
+    default datapath unless ``quant`` says otherwise)."""
+    builder = GraphBuilder(config) if quant is None else GraphBuilder(config, quant=quant)
+    return builder.build_decode_step(context_len)

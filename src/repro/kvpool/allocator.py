@@ -48,8 +48,6 @@ class BlockAllocator:
         Total KV budget; the block count is ``capacity // bytes_per_block``.
     block_tokens:
         Token positions per block.
-    dtype:
-        Storage dtype of the cached keys/values.
     quant:
         Optional KV quantisation spec.  Shrinks ``bytes_per_block`` to
         the group-quantised footprint (so the same budget holds more
@@ -63,17 +61,15 @@ class BlockAllocator:
         config: LlamaConfig,
         capacity_bytes: int,
         block_tokens: int = 16,
-        dtype: np.dtype = np.float32,
         quant=None,
     ) -> None:
         if block_tokens <= 0:
             raise ValueError("block_tokens must be positive")
         self.config = config
         self.block_tokens = int(block_tokens)
-        self.dtype = np.dtype(dtype)
         self.quant = quant
         self.bytes_per_block = KVCache.bytes_per_block(
-            config, self.block_tokens, self.dtype, quant
+            config, self.block_tokens, quant
         )
         self.n_blocks = int(capacity_bytes) // self.bytes_per_block
         if self.n_blocks <= 0:
@@ -82,8 +78,8 @@ class BlockAllocator:
                 f"{self.bytes_per_block}-byte blocks"
             )
         shape = (self.n_blocks, config.n_layers, self.block_tokens, config.kv_dim)
-        self._keys = np.zeros(shape, dtype=self.dtype)
-        self._values = np.zeros(shape, dtype=self.dtype)
+        self._keys = np.zeros(shape, dtype=np.float32)
+        self._values = np.zeros(shape, dtype=np.float32)
         self._free: List[int] = list(range(self.n_blocks - 1, -1, -1))
         self._refcount: Dict[int, int] = {}
         self._version = [0] * self.n_blocks

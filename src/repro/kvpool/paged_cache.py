@@ -40,7 +40,6 @@ class PagedKVCache:
         self.allocator = allocator
         self.config: LlamaConfig = allocator.config
         self.block_tokens = allocator.block_tokens
-        self.dtype = allocator.dtype
         self.capacity = int(
             self.config.max_seq_len if max_seq_len is None else max_seq_len
         )
@@ -67,7 +66,7 @@ class PagedKVCache:
     def used_nbytes(self) -> int:
         """Bytes of cache actually occupied by cached tokens."""
         return (
-            KVCache.bytes_per_position(self.config, self.dtype, self.allocator.quant)
+            KVCache.bytes_per_position(self.config, self.allocator.quant)
             * self._length
         )
 
@@ -215,8 +214,8 @@ class PagedKVCache:
             self.block_table[block_idx] = exclusive
             block = exclusive
         offset = pos % self.block_tokens
-        key = np.asarray(key, dtype=self.dtype).reshape(self.config.kv_dim)
-        value = np.asarray(value, dtype=self.dtype).reshape(self.config.kv_dim)
+        key = np.asarray(key, dtype=np.float32).reshape(self.config.kv_dim)
+        value = np.asarray(value, dtype=np.float32).reshape(self.config.kv_dim)
         if self.allocator.quant is not None:
             # Mirroring the flat cache: reads see the int8 encoding's
             # error regardless of paging.
@@ -228,7 +227,7 @@ class PagedKVCache:
 
     def _gather(self, storage, layer: int, length: int) -> np.ndarray:
         if length == 0:
-            return np.zeros((0, self.config.kv_dim), dtype=self.dtype)
+            return np.zeros((0, self.config.kv_dim), dtype=np.float32)
         n_full, tail = divmod(length, self.block_tokens)
         parts = [storage(self.block_table[i])[layer]
                  for i in range(n_full)]

@@ -18,8 +18,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from ..llama.config import LlamaConfig
 from ..llama.kv_cache import KVCache
 from .allocator import BlockAllocator, BlockAllocatorError
@@ -120,7 +118,6 @@ class KVPool:
         capacity_bytes: int,
         block_tokens: int = 16,
         watermark_fraction: float = 0.05,
-        dtype: np.dtype = np.float32,
         shards: int = 1,
         quant=None,
     ) -> None:
@@ -141,7 +138,7 @@ class KVPool:
         self.config = config
         self.shards = shards
         self.allocator = BlockAllocator(
-            config, capacity_bytes * shards, block_tokens, dtype, quant
+            config, capacity_bytes * shards, block_tokens, quant
         )
         self.index = PrefixIndex(self.allocator)
         self.block_tokens = self.allocator.block_tokens

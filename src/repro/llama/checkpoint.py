@@ -157,7 +157,13 @@ def save_checkpoint(checkpoint: Checkpoint, path: str | Path) -> Path:
 
 
 def load_checkpoint(path: str | Path) -> Checkpoint:
-    """Read a checkpoint written by :func:`save_checkpoint` (or llama2.c)."""
+    """Read a checkpoint written by :func:`save_checkpoint` (or llama2.c).
+
+    A malformed file — a header no model fits, fewer bytes than the
+    header promises, a weight that is not a finite float — raises
+    ``ValueError`` naming the file and the byte offset being read.
+    Bytes past the last tensor are ignored (llama2.c appends RoPE tables).
+    """
     path = Path(path)
     raw = path.read_bytes()
     if len(raw) < _HEADER_SIZE:
@@ -165,31 +171,38 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
     dim, hidden_dim, n_layers, n_heads, n_kv_heads, vocab, seq = struct.unpack(
         _HEADER_FORMAT, raw[:_HEADER_SIZE]
     )
-    shared = vocab > 0
-    config = LlamaConfig(
-        dim=dim,
-        hidden_dim=hidden_dim,
-        n_layers=n_layers,
-        n_heads=n_heads,
-        n_kv_heads=n_kv_heads,
-        vocab_size=abs(vocab),
-        max_seq_len=seq,
-        shared_classifier=shared,
-        name=path.stem,
-    )
+    try:
+        config = LlamaConfig(
+            dim=dim,
+            hidden_dim=hidden_dim,
+            n_layers=n_layers,
+            n_heads=n_heads,
+            n_kv_heads=n_kv_heads,
+            vocab_size=abs(vocab),
+            max_seq_len=seq,
+            shared_classifier=vocab > 0,
+            name=path.stem,
+        )
+    except ValueError as exc:
+        raise ValueError(f"{path}: malformed checkpoint header at byte 0: {exc}") from None
     expected_bytes = _HEADER_SIZE + 4 * config.n_params()
     if len(raw) < expected_bytes:
         raise ValueError(
             f"{path}: file has {len(raw)} bytes but the header describes a "
-            f"model needing {expected_bytes}"
+            f"model needing {expected_bytes} (truncated at byte {len(raw)})"
         )
     weights: Dict[str, np.ndarray] = {}
-    offset = _HEADER_SIZE
     buffer = np.frombuffer(raw, dtype=np.float32, offset=_HEADER_SIZE)
     cursor = 0
     for name, shape in _export_order(config):
         n = int(np.prod(shape))
-        weights[name] = buffer[cursor:cursor + n].reshape(shape).copy()
+        tensor = buffer[cursor:cursor + n]
+        bad = np.flatnonzero(~np.isfinite(tensor))
+        if bad.size:
+            raise ValueError(
+                f"{path}: non-finite weight in {name} at byte "
+                f"{_HEADER_SIZE + 4 * (cursor + int(bad[0]))}"
+            )
+        weights[name] = tensor.reshape(shape).copy()
         cursor += n
-    del offset
     return Checkpoint(config=config, weights=weights)

@@ -144,14 +144,13 @@ class LlamaConfig:
     # Size accounting (used by the accelerator memory planner)
     # ------------------------------------------------------------------
     def n_params(self) -> int:
-        """Total parameter count of the model (float elements)."""
-        total = 0
-        for _, shape in self.parameter_shapes():
-            n = 1
-            for s in shape:
-                n *= s
-            total += n
-        return total
+        """Total parameter count of the model (float elements): the sizes
+        :meth:`parameter_shapes` lists, in closed form so that a header
+        claiming a huge layer count costs nothing to check."""
+        dim, kv_dim, hidden = self.dim, self.kv_dim, self.resolved_hidden_dim()
+        per_layer = 2 * dim + 2 * dim * dim + 2 * kv_dim * dim + 3 * hidden * dim
+        tables = 1 if self.shared_classifier else 2
+        return tables * self.vocab_size * dim + self.n_layers * per_layer + dim
 
     def parameter_shapes(self) -> Iterator[Tuple[str, Tuple[int, ...]]]:
         """Yield ``(name, shape)`` for every weight tensor in the model.

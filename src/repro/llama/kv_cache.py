@@ -44,13 +44,11 @@ class KVCache:
     max_seq_len:
         Optional override of the cache capacity (defaults to the model's
         ``max_seq_len``).
-    dtype:
-        Storage dtype; float32 by default, float16 models HBM-resident
-        half-precision caches.
     quant:
-        Optional group-quantisation spec for the cached vectors.  Each
-        appended key/value vector is quantised and dequantised on write
-        (fake-quant), so every read reflects the error of the int8
+        How the cached vectors are stored: ``None`` for float32, or the
+        group-quantisation spec of a quantising ``QuantConfig.kv``.  Each
+        appended key/value vector is then quantised and dequantised on
+        write (fake-quant), so every read reflects the error of the int8
         HBM-resident encoding while the working arrays stay float32 for
         the NumPy attention kernels.  The byte-accounting statics accept
         the same spec so admission budgets and paged-block sizes shrink
@@ -61,7 +59,6 @@ class KVCache:
         self,
         config: LlamaConfig,
         max_seq_len: int | None = None,
-        dtype: np.dtype = np.float32,
         quant: Optional[QuantSpec] = None,
     ) -> None:
         self.config = config
@@ -70,11 +67,10 @@ class KVCache:
         )
         if self.capacity <= 0:
             raise ValueError("cache capacity must be positive")
-        self.dtype = np.dtype(dtype)
         self.quant = quant
         shape = (config.n_layers, self.capacity, config.kv_dim)
-        self._keys = np.zeros(shape, dtype=self.dtype)
-        self._values = np.zeros(shape, dtype=self.dtype)
+        self._keys = np.zeros(shape, dtype=np.float32)
+        self._values = np.zeros(shape, dtype=np.float32)
         self._length = 0
 
     # ------------------------------------------------------------------
@@ -90,31 +86,24 @@ class KVCache:
 
     def used_nbytes(self) -> int:
         """Bytes of cache actually occupied by cached tokens."""
-        return (
-            self.bytes_per_position(self.config, self.dtype, self.quant)
-            * self._length
-        )
+        return self.bytes_per_position(self.config, self.quant) * self._length
 
     @staticmethod
     def bytes_per_position(
         config: LlamaConfig,
-        dtype: np.dtype = np.float32,
         quant: Optional[QuantSpec] = None,
     ) -> int:
-        """Cache bytes one token position occupies across all layers.
-
-        With a ``quant`` spec the position stores each key/value vector
-        as group-quantised integers plus per-group float32 scales.
-        """
+        """Cache bytes one token position occupies across all layers:
+        float32 vectors, or with a ``quant`` spec group-quantised
+        integers plus per-group float32 scales."""
         if quant is not None:
             return int(2 * config.n_layers * quant.storage_bytes(config.kv_dim))
-        return int(2 * config.n_layers * config.kv_dim * np.dtype(dtype).itemsize)
+        return int(2 * config.n_layers * config.kv_dim * 4)
 
     @staticmethod
     def bytes_per_block(
         config: LlamaConfig,
         block_tokens: int,
-        dtype: np.dtype = np.float32,
         quant: Optional[QuantSpec] = None,
     ) -> int:
         """Cache bytes one fixed-size block of token positions occupies.
@@ -125,7 +114,7 @@ class KVCache:
         """
         if block_tokens <= 0:
             raise ValueError("block_tokens must be positive")
-        return KVCache.bytes_per_position(config, dtype, quant) * block_tokens
+        return KVCache.bytes_per_position(config, quant) * block_tokens
 
     @staticmethod
     def blocks_for(n_positions: int, block_tokens: int) -> int:
@@ -141,7 +130,6 @@ class KVCache:
         cls,
         config: LlamaConfig,
         n_positions: int,
-        dtype: np.dtype = np.float32,
         quant: Optional[QuantSpec] = None,
     ) -> int:
         """Storage a cache sized for ``n_positions`` will occupy.
@@ -153,7 +141,7 @@ class KVCache:
         """
         if n_positions < 0:
             raise ValueError("n_positions must be >= 0")
-        return cls.bytes_per_position(config, dtype, quant) * n_positions
+        return cls.bytes_per_position(config, quant) * n_positions
 
     def reset(self) -> None:
         """Truncate to length 0 without reallocating the buffers.
@@ -191,8 +179,8 @@ class KVCache:
             raise IndexError(
                 f"position {pos} exceeds cache capacity {self.capacity}"
             )
-        key = np.asarray(key, dtype=self.dtype).reshape(self.config.kv_dim)
-        value = np.asarray(value, dtype=self.dtype).reshape(self.config.kv_dim)
+        key = np.asarray(key, dtype=np.float32).reshape(self.config.kv_dim)
+        value = np.asarray(value, dtype=np.float32).reshape(self.config.kv_dim)
         if self.quant is not None:
             key, value = fake_quant_kv(key, value, self.quant)
         self._keys[layer, pos] = key

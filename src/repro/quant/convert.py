@@ -109,14 +109,16 @@ def quantize_checkpoint(
     """Quantise every tensor of ``checkpoint`` per ``quant``.
 
     Tensors the config resolves to ``None`` (norm scales, fp32
-    overrides, an fp32 logits head) are stored as float32 arrays.  With
+    overrides, an fp32 logits head) are stored as float32 arrays; the
+    rest at the groups :meth:`QuantConfig.for_model` gives.  With
     a shared classifier the embedding table doubles as the logits matrix
     and therefore follows the logits spec.
     """
     shared = checkpoint.config.shared_classifier
+    specs = quant.for_model(checkpoint.config)
     tensors: Dict[str, TensorLike] = {}
     for name, tensor in checkpoint.tensors():
-        spec = quant.spec_for(
+        spec = specs.spec_for(
             name,
             classifier=shared and name == "tok_embeddings.weight",
             ndim=tensor.ndim,

@@ -157,7 +157,7 @@ class ServingEngine:
         self.scheduler = Scheduler(
             self.model_config, scheduler_config,
             kv_shards=self.backend.kv_shards,
-            kv_quant=self.quant.kv if self.quant is not None else None,
+            kv_quant=self.quant.kv,
         )
         self.spec_config = self.scheduler.spec
         self.drafter = None
@@ -769,7 +769,7 @@ class ServingEngine:
             chunked_prefill=scheduler.config.chunked_prefill,
             paged=scheduler.config.paged,
             n_shards=self.backend.n_shards,
-            quant=self.quant.label if self.quant is not None else None,
+            quant=self.quant.label if self.quant.streams_scales else None,
             spec_method=spec.method if spec is not None else None,
         )
 

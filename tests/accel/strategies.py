@@ -181,7 +181,7 @@ class StepCase:
 
     model: str  # key of STEP_MODELS
     fused: bool
-    weight_bits: int  # 8: int8 functional weights, 32: float32
+    quant: QuantConfig  # the int8 datapath, or float32 weights
     paged: bool
     block_tokens: int
     kv_group: Optional[int]  # group size of the quantised KV, None for fp32
@@ -243,7 +243,8 @@ def steps(draw) -> StepCase:
         for index in order)
     return StepCase(
         model=model, fused=draw(st.booleans()),
-        weight_bits=draw(st.sampled_from([8, 32])), paged=paged,
+        quant=draw(st.sampled_from([QuantConfig.datapath(), QuantConfig.fp32()])),
+        paged=paged,
         block_tokens=draw(st.sampled_from([1, 2, 4, 8])),
         kv_group=draw(st.sampled_from([None, None, 16, 64])),
         forked_from=tuple(forked_from), histories=tuple(histories),
@@ -264,10 +265,12 @@ LOWERING_MODELS = {
         n_kv_heads=4, name="test-small-mha"),
 }
 
-#: Graph-side quantisation: float32, or int8 / int4 weights, each with a
-#: quantised KV cache.
+#: Graph-side quantisation: the int8 or int4 datapath, float32, or int8 /
+#: int4 weights with streamed scales, each with a quantised KV cache.
 _QUANTS = {
-    None: None,
+    "w8": QuantConfig.datapath(8),
+    "w4": QuantConfig.datapath(4),
+    "fp32": QuantConfig.fp32(),
     "int8-kv8": QuantConfig(weights=QuantSpec(8, 16), kv=QuantSpec(8, 16)),
     "int4-kv8": QuantConfig(weights=QuantSpec(4, 16), kv=QuantSpec(8, 16)),
 }
@@ -280,21 +283,19 @@ class GraphView:
 
     model: str  # key of LOWERING_MODELS
     fused: bool
-    quant: Optional[str]  # key of _QUANTS
+    quant: str  # key of _QUANTS
     tp: int
 
     @property
     def config(self) -> LlamaConfig:
         return LOWERING_MODELS[self.model]
 
-    def graph(self, context: int, logits: bool,
-              weight_dtype_bytes: float) -> Graph:
+    def graph(self, context: int, logits: bool) -> Graph:
         """A new graph object for one slot shape (never a cached one)."""
         config = self.config
         shard = ShardSpec.from_config(config, self.tp) if self.tp > 1 else None
         graph = GraphBuilder(
-            config, weight_dtype_bytes=weight_dtype_bytes, shard=shard,
-            quant=_QUANTS[self.quant],
+            config, shard=shard, quant=_QUANTS[self.quant],
         ).build_decode_step(context, include_logits=logits)
         return fuse_graph(graph).graph if self.fused else graph
 
@@ -305,7 +306,7 @@ def graph_views() -> st.SearchStrategy[GraphView]:
         GraphView,
         model=st.sampled_from(sorted(LOWERING_MODELS)),
         fused=st.booleans(),
-        quant=st.sampled_from([None, "int8-kv8", "int4-kv8"]),
+        quant=st.sampled_from(sorted(_QUANTS)),
         tp=st.sampled_from([1, 2]),
     )
 
@@ -316,7 +317,7 @@ def lowering_targets(draw) -> Tuple[AcceleratorConfig, TilingPlan]:
     from: a design point (int8 or int4 datapath) and one of the
     autotuner's candidate tiling plans for it."""
     config = draw(accelerator_configs(trace_enabled=False)).replace(
-        weight_bits=draw(st.sampled_from([8, 4])))
+        quant=QuantConfig.datapath(draw(st.sampled_from([8, 4]))))
     plans = {plan for model in LOWERING_MODELS.values()
              for plan in candidate_plans(config, model)}
     plan = draw(st.sampled_from(sorted(plans, key=lambda p: p.matmul_fold)))

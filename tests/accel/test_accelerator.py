@@ -19,7 +19,7 @@ from repro.llama.kv_cache import KVCache
 from repro.llama.model import LlamaModel
 from repro.llama.quantization import QuantSpec, dequantize, quantize
 from repro.llama.sampler import Sampler
-from repro.quant import resolve_quant
+from repro.quant import QuantConfig, resolve_quant
 
 
 @pytest.fixture(scope="module")
@@ -110,8 +110,8 @@ class TestSimulateGeneration:
 
     def test_quantized_vs_float_functional_weights(self, small_checkpoint):
         quantized = SpeedLLMAccelerator(small_checkpoint, AcceleratorConfig())
-        unquantized = SpeedLLMAccelerator(small_checkpoint, AcceleratorConfig(),
-                                          quantize_weights=False)
+        unquantized = SpeedLLMAccelerator(
+            small_checkpoint, AcceleratorConfig(quant=QuantConfig.fp32()))
         name = "layers.0.attention.wq.weight"
         assert not np.array_equal(
             quantized._functional_weights[name], small_checkpoint.weights[name]
@@ -128,8 +128,8 @@ class TestSimulateGeneration:
 class TestGenerate:
     def test_tokens_match_reference_engine(self, small_checkpoint):
         """Greedy decode through the accelerator equals the NumPy engine."""
-        accel = SpeedLLMAccelerator(small_checkpoint, AcceleratorConfig(),
-                                    quantize_weights=False)
+        accel = SpeedLLMAccelerator(
+            small_checkpoint, AcceleratorConfig(quant=QuantConfig.fp32()))
         model = LlamaModel(small_checkpoint)
         prompt = [1, 20, 7]
         accel_out = accel.generate(prompt, max_new_tokens=10, position_stride=4)
@@ -171,19 +171,23 @@ class TestGenerate:
             accel.generate(list(range(small_config.max_seq_len)), max_new_tokens=1)
 
 
-def _eager_weights(checkpoint, config, quantize_weights=True):
+def _eager_weights(checkpoint, weight_bits=8, quant=None,
+                   quantize_weights=True):
     """Functional weights as the constructor computed them when it did so
-    eagerly: the reference the lazily built ones must equal."""
+    eagerly, and when three knobs chose a precision — a datapath
+    ``weight_bits``, an optional serving ``QuantConfig`` superseding it,
+    and a ``quantize_weights`` switch: the reference the lazily built
+    ones, chosen by ``AcceleratorConfig.quant`` alone, must equal."""
     model = checkpoint.config
-    if quantize_weights and config.quant is not None:
+    if quantize_weights and quant is not None:
         def spec_for(name, tensor):
-            return config.quant.spec_for(
+            return quant.spec_for(
                 name, ndim=tensor.ndim,
                 classifier=(model.shared_classifier
                             and name == "tok_embeddings.weight"))
-    elif quantize_weights and config.weight_bits < 32:
+    elif quantize_weights and weight_bits < 32:
         group = math.gcd(math.gcd(model.dim, model.resolved_hidden_dim()), 64)
-        uniform = QuantSpec(bits=config.weight_bits, group_size=group or 1)
+        uniform = QuantSpec(bits=weight_bits, group_size=group or 1)
 
         def spec_for(name, tensor):
             return uniform if tensor.ndim >= 2 else None
@@ -249,27 +253,32 @@ class TestValuesStayOutsideTheCompiler:
                              position_stride=4),
             checkpoint=small_checkpoint))
         results = explorer.explore(DesignSpace(
-            mpe_shapes=((32, 16),), buffer_segments=(4,), hbm_stripes=(8, 16),
-            weight_bits=(8,)))
+            mpe_shapes=((32, 16),), buffer_segments=(4,), hbm_stripes=(8, 16)))
         assert [r.simulated for r in results] == [True, True]
         assert quantize_calls == []
 
-    @pytest.mark.parametrize("config, quantize_weights", [
-        (AcceleratorConfig(), True),
-        (AcceleratorConfig(quant=resolve_quant("int4", group_size=32)), True),
-        (AcceleratorConfig(quant=resolve_quant("int8")), False),
-        (AcceleratorConfig(), False),
-    ], ids=["weight-bits-int8", "quant-config-int4", "quant-config-off", "off"])
-    def test_lazy_weights_equal_the_eager_ones(self, small_checkpoint, config,
-                                               quantize_weights):
-        accel = SpeedLLMAccelerator(small_checkpoint, config,
-                                    quantize_weights=quantize_weights)
+    @pytest.mark.parametrize("quant, knobs", [
+        (QuantConfig.datapath(), {}),
+        (resolve_quant("int4", group_size=32),
+         {"quant": resolve_quant("int4", group_size=32)}),
+        (QuantConfig.fp32(),
+         {"quant": resolve_quant("int8"), "quantize_weights": False}),
+        (QuantConfig.fp32(), {"quantize_weights": False}),
+        (QuantConfig.datapath(4), {"weight_bits": 4}),
+        (QuantConfig.datapath(16), {"weight_bits": 16}),
+        (QuantConfig.fp32(), {"weight_bits": 32}),
+    ], ids=["weight-bits-int8", "quant-config-int4", "quant-config-off", "off",
+            "weight-bits-int4", "weight-bits-16", "weight-bits-32"])
+    def test_lazy_weights_equal_the_eager_ones(self, small_checkpoint, quant,
+                                               knobs):
+        accel = SpeedLLMAccelerator(small_checkpoint,
+                                    AcceleratorConfig(quant=quant))
         accel.simulate_generation(n_prompt=2, n_generated=2)
         lazy = accel.functional_checkpoint().weights
-        eager = _eager_weights(small_checkpoint, config, quantize_weights)
+        eager = _eager_weights(small_checkpoint, **knobs)
         assert list(lazy) == list(eager)
         for name in eager:
             assert np.array_equal(lazy[name], eager[name]), name
         changed = any(not np.array_equal(lazy[name], tensor)
                       for name, tensor in small_checkpoint.weights.items())
-        assert changed == quantize_weights
+        assert changed == (quant != QuantConfig.fp32())

@@ -12,6 +12,7 @@ from repro.accel.config import (
     VARIANT_NAMES,
 )
 from repro.fpga.u280 import U280_RESOURCES
+from repro.quant import QuantConfig
 
 
 class TestMPEConfig:
@@ -53,11 +54,16 @@ class TestAcceleratorConfig:
         cfg = AcceleratorConfig()
         assert cfg.pipeline and cfg.memory_reuse and cfg.operator_fusion
 
-    def test_weight_dtype_bytes(self):
-        assert AcceleratorConfig(weight_bits=8).weight_dtype_bytes == 1
-        assert AcceleratorConfig(weight_bits=16).weight_dtype_bytes == 2
+    def test_default_quant_is_the_int8_datapath(self):
+        quant = AcceleratorConfig().quant
+        assert quant == QuantConfig.datapath(8)
+        assert quant.bytes_per_element(quant.weights) == 1
+        wide = AcceleratorConfig(quant=QuantConfig.datapath(16)).quant
+        assert wide.bytes_per_element(wide.weights) == 2
         with pytest.raises(ValueError):
-            AcceleratorConfig(weight_bits=5)
+            QuantConfig.datapath(5)
+        with pytest.raises(TypeError):
+            AcceleratorConfig(quant=None)
 
     def test_design_fits_on_u280(self):
         assert AcceleratorConfig().resources().fits_in(U280_RESOURCES)
@@ -97,6 +103,7 @@ class TestVariants:
             AcceleratorConfig.variant("turbo")
 
     def test_variant_overrides_applied(self):
-        cfg = AcceleratorConfig.variant("full", hbm_stripe=8, weight_bits=4)
+        cfg = AcceleratorConfig.variant("full", hbm_stripe=8,
+                                        quant=QuantConfig.datapath(4))
         assert cfg.hbm_stripe == 8
-        assert cfg.weight_bits == 4
+        assert cfg.quant.weights.bits == 4

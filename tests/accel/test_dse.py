@@ -13,6 +13,7 @@ from repro.accel.dse import (
 )
 from repro.core import runner as runner_module
 from repro.core.runner import ExperimentConfig, ExperimentRunner
+from repro.quant import QuantConfig
 
 
 def _explorer(checkpoint, n_prompt=4):
@@ -33,7 +34,6 @@ SMALL_SPACE = DesignSpace(
     mpe_shapes=((32, 16), (64, 32)),
     buffer_segments=(4,),
     hbm_stripes=(8, 16),
-    weight_bits=(8,),
 )
 
 
@@ -85,7 +85,7 @@ class TestExplorer:
 
     def test_pruning_skips_slow_candidates(self, explorer):
         space = DesignSpace(mpe_shapes=((64, 32),), buffer_segments=(8,),
-                            hbm_stripes=(16, 1), weight_bits=(8,))
+                            hbm_stripes=(16, 1))
         results = explorer.explore(space, prune_factor=1.5)
         assert len(results) == 2
         # the 1-channel stripe design is analytically much slower than the
@@ -108,7 +108,7 @@ class TestExplorer:
         monkeypatch.setattr(runner_module, "SpeedLLMAccelerator", Counted)
         explorer = _explorer(small_checkpoint)
         space = DesignSpace(mpe_shapes=((64, 32),), buffer_segments=(8,),
-                            hbm_stripes=(16, 32, 1), weight_bits=(8,))
+                            hbm_stripes=(16, 32, 1))
         results = explorer.explore(space, prune_factor=1.5)
         assert [r.simulated for r in results] == [True, True, False]
         assert built == [r.config.name for r in results if r.simulated]
@@ -128,14 +128,15 @@ class TestExplorer:
                      id="mpe"),
         pytest.param("buffer_segments", (2, 4, 8, 16), id="segments"),
         pytest.param("hbm_stripes", (1, 4, 16, 32), id="stripe"),
-        pytest.param("weight_bits", (4, 8, 16), id="bits"),
+        pytest.param("quants", tuple(QuantConfig.datapath(bits)
+                                     for bits in (4, 8, 16)), id="bits"),
     ])
     def test_single_axis_sweep(self, explorer, axis, values):
         """The four ablation sweeps (MPE geometry, buffer pool, HBM stripe,
         weight precision) are one-axis design spaces around the default
         design: every point fits the U280 and decodes."""
         default = dict(mpe_shapes=((64, 32),), buffer_segments=(8,),
-                       hbm_stripes=(16,), weight_bits=(8,))
+                       hbm_stripes=(16,))
         results = explorer.explore(DesignSpace(**{**default, axis: values}))
         assert len(results) == len(values)
         for result in results:
@@ -151,8 +152,7 @@ class TestExplorer:
 #: tokens_per_joule.hex()).  Every design fits; with ``prune_factor=1.5``
 #: the four 1-channel stripes are not simulated.
 PINNED_SPACE = DesignSpace(mpe_shapes=((32, 16), (64, 32)),
-                           buffer_segments=(4, 8), hbm_stripes=(16, 1),
-                           weight_bits=(8,))
+                           buffer_segments=(4, 8), hbm_stripes=(16, 1))
 PINNED_ROWS = [
     ("mpe32x16-seg4-st16-w8", 2511,
      "0x1.abe986e7fe0a2p-13", "0x1.ecb18c4898991p+9"),

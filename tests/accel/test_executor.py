@@ -12,6 +12,7 @@ from repro.graph.fusion import fuse_graph
 from repro.kvpool import KVPool
 from repro.llama.kv_cache import KVCache
 from repro.llama.quantization import QuantSpec
+from repro.quant import QuantConfig
 
 
 class TestNameMapping:
@@ -38,7 +39,7 @@ class TestGraphExecutorEquivalence:
         errors = []
         for pos, token in enumerate(tokens):
             ref = model.forward(token, pos, cache_ref)
-            graph = build_decode_graph(config, pos, weight_dtype_bytes=4)
+            graph = build_decode_graph(config, pos, quant=QuantConfig.fp32())
             if fused:
                 graph = fuse_graph(graph).graph
             got = executor.execute(graph, token, pos, cache_graph)
@@ -62,7 +63,7 @@ class TestGraphExecutorEquivalence:
         assert max(errors) < 1e-4
 
     def test_fused_and_unfused_identical(self, executor, small_config):
-        graph = build_decode_graph(small_config, 0, weight_dtype_bytes=4)
+        graph = build_decode_graph(small_config, 0, quant=QuantConfig.fp32())
         fused = fuse_graph(graph).graph
         a = executor.execute(graph, 5, 0, KVCache(small_config))
         b = executor.execute(fused, 5, 0, KVCache(small_config))

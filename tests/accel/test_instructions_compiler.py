@@ -10,6 +10,7 @@ from repro.accel.instructions import OpProgram, Program, TilePacket
 from repro.graph.builder import build_decode_graph
 from repro.graph.fusion import fuse_graph
 from repro.graph.ops import ComputeUnit, OpKind
+from repro.quant import QuantConfig
 
 
 class TestTilePacket:
@@ -157,10 +158,10 @@ class TestCompilerOptimizationEffects:
 
     def test_weight_bits_change_load_bytes(self, small_config):
         from repro.graph.builder import GraphBuilder
-        int8_cfg = AcceleratorConfig(weight_bits=8)
-        fp16_cfg = AcceleratorConfig(weight_bits=16)
-        g8 = GraphBuilder(small_config, weight_dtype_bytes=1).build_decode_step(4)
-        g16 = GraphBuilder(small_config, weight_dtype_bytes=2).build_decode_step(4)
+        int8_cfg = AcceleratorConfig(quant=QuantConfig.datapath(8))
+        fp16_cfg = AcceleratorConfig(quant=QuantConfig.datapath(16))
+        g8 = GraphBuilder(small_config, quant=int8_cfg.quant).build_decode_step(4)
+        g16 = GraphBuilder(small_config, quant=fp16_cfg.quant).build_decode_step(4)
         p8 = ProgramCompiler(int8_cfg).compile(g8)
         p16 = ProgramCompiler(fp16_cfg).compile(g16)
         assert p16.total_load_bytes > p8.total_load_bytes

@@ -53,7 +53,7 @@ def test_memoised_lowering_matches_a_fresh_compiler():
         config, plan = target
         seen = set()
         for view, context, logits in slots:
-            graph = view.graph(context, logits, config.weight_dtype_bytes)
+            graph = view.graph(context, logits)
             memoised = _long_lived(config, plan).compile(graph)
             fresh = ProgramCompiler(config, plan=plan).compile(graph)
             assert memoised.name == fresh.name
@@ -68,9 +68,9 @@ def test_memoised_lowering_matches_a_fresh_compiler():
 
 
 def test_projections_are_shared_across_contexts_and_attention_is_not():
-    view = GraphView(model="test-small", fused=False, quant=None, tp=1)
+    view = GraphView(model="test-small", fused=False, quant="w8", tp=1)
     compiler = ProgramCompiler(AcceleratorConfig(), plan=DEFAULT_PLAN)
-    graphs = [view.graph(context, True, 1.0) for context in (37, 60)]
+    graphs = [view.graph(context, True) for context in (37, 60)]
     short, long = [compiler.compile(graph) for graph in graphs]
     kinds = {op.name: op.kind for op in graphs[0].topological_order()}
     projections = [name for name, kind in kinds.items() if kind is OpKind.MATMUL]

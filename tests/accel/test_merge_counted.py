@@ -59,7 +59,7 @@ def test_counted_merge_matches_the_slot_walking_merge():
         for context, logits, fresh in slots:
             compiler = ProgramCompiler(config, plan=plan) if fresh else shared
             programs.append(compiler.compile(
-                view.graph(context, logits, config.weight_dtype_bytes)))
+                view.graph(context, logits)))
         merged = merge_batch_programs(programs, config.mpe, run_ids=run_ids)
         expected = merge_oracle.merge_batch_programs(
             programs, config.mpe, run_ids=run_ids)

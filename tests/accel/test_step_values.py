@@ -26,19 +26,20 @@ from repro.kvpool import KVPool
 from repro.llama import synthesize_weights
 from repro.llama.kv_cache import KVCache
 from repro.llama.quantization import QuantSpec
+from repro.quant import QuantConfig
 
 from .strategies import STEP_MODELS, StepCase, steps
 from .value_oracle import SlotMajorExecutor
 
 
 @functools.lru_cache(maxsize=None)
-def _engines(model: str, fused: bool, weight_bits: int):
+def _engines(model: str, fused: bool, quant: QuantConfig):
     """The accelerator under test and the oracle over the same weights
     and the two graphs the accelerator's values come from."""
     config = STEP_MODELS[model]
     accelerator = SpeedLLMAccelerator(
         synthesize_weights(config, seed=3),
-        AcceleratorConfig(operator_fusion=fused, weight_bits=weight_bits))
+        AcceleratorConfig(operator_fusion=fused, quant=quant))
     oracle = SlotMajorExecutor(
         config, accelerator.functional_checkpoint().weights)
     graphs = {}
@@ -81,7 +82,7 @@ def _slots(case: StepCase, caches):
 
 def _assert_step_matches_oracle(case: StepCase) -> None:
     accelerator, oracle, graphs = _engines(
-        case.model, case.fused, case.weight_bits)
+        case.model, case.fused, case.quant)
     ours = _build_caches(case, oracle, graphs)
     theirs = copy.deepcopy(ours)  # one memo: a pool's caches keep sharing it
     got = accelerator.execute_slots(_slots(case, ours))
@@ -128,7 +129,7 @@ class TestAttentionLengths:
         if attn_len == "max_seq_len":
             attn_len = config.max_seq_len
         _assert_step_matches_oracle(StepCase(
-            model=model, fused=True, weight_bits=32, paged=paged,
+            model=model, fused=True, quant=QuantConfig.fp32(), paged=paged,
             block_tokens=4, kv_group=kv_group, forked_from=(None,),
             histories=(_tokens(config, attn_len - 1),),
             slots=((0, 5, True, False),)))
@@ -143,7 +144,8 @@ class TestAttentionLengths:
         block."""
         config = STEP_MODELS[model]
         _assert_step_matches_oracle(StepCase(
-            model=model, fused=False, weight_bits=8, paged=paged,
+            model=model, fused=False, quant=QuantConfig.datapath(),
+            paged=paged,
             block_tokens=4, kv_group=kv_group,
             forked_from=(None, None, 1 if paged else None),
             histories=(_tokens(config, 2), _tokens(config, 6, salt=1),

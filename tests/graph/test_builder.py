@@ -7,6 +7,7 @@ import pytest
 from repro.graph.builder import GraphBuilder, build_decode_graph
 from repro.graph.ops import OpKind
 from repro.llama.config import preset
+from repro.quant import QuantConfig
 
 
 class TestBuildDecodeGraph:
@@ -31,8 +32,8 @@ class TestBuildDecodeGraph:
         assert g.tensor("logits").shape == (micro_config.vocab_size,)
 
     def test_weight_bytes_match_quantization(self, micro_config):
-        g8 = build_decode_graph(micro_config, 0, weight_dtype_bytes=1)
-        g32 = build_decode_graph(micro_config, 0, weight_dtype_bytes=4)
+        g8 = build_decode_graph(micro_config, 0, quant=QuantConfig.datapath(8))
+        g32 = build_decode_graph(micro_config, 0, quant=QuantConfig.fp32())
         # norm weights stay float32, so the ratio is a bit below 4x
         assert g32.total_weight_bytes() > 3 * g8.total_weight_bytes()
 
@@ -65,7 +66,7 @@ class TestBuildDecodeGraph:
 
     def test_invalid_weight_dtype(self, micro_config):
         with pytest.raises(ValueError):
-            GraphBuilder(micro_config, weight_dtype_bytes=3)
+            GraphBuilder(micro_config, quant=QuantConfig.datapath(3))
 
     def test_gqa_shapes(self, small_config):
         g = build_decode_graph(small_config, 0)

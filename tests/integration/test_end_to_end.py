@@ -5,11 +5,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.accel.config import AcceleratorConfig
 from repro.core.speedllm import SpeedLLM
 from repro.llama.checkpoint import load_checkpoint, save_checkpoint
 from repro.llama.generation import generate
 from repro.llama.model import LlamaModel
 from repro.llama.sampler import Sampler
+from repro.quant import QuantConfig
 
 
 class TestFullStackGeneration:
@@ -102,10 +104,11 @@ class TestArtifactRoundtrip:
 
         reloaded = load_checkpoint(ckpt_path)
         reference = LlamaModel(reloaded)
-        # Disable datapath quantisation so the accelerator is bit-comparable
-        # with a float32 CPU run of the exported checkpoint.
-        llm = SpeedLLM.from_checkpoint(ckpt_path, tok_path, position_stride=4,
-                                       quantize_weights=False)
+        # Store the weights at full precision so the accelerator is
+        # bit-comparable with a float32 CPU run of the exported checkpoint.
+        llm = SpeedLLM.from_checkpoint(
+            ckpt_path, tok_path, position_stride=4,
+            accel_config=AcceleratorConfig(quant=QuantConfig.fp32()))
 
         prompt_ids = llm.encode("Sara hid a magic key")
         ref = generate(reference, prompt_ids, max_new_tokens=8, sampler=Sampler())

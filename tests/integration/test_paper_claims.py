@@ -30,6 +30,7 @@ from repro.core.metrics import normalized_energy_efficiency, normalized_latency
 from repro.core.runner import ExperimentConfig, ExperimentRunner
 from repro.graph import build_decode_graph, default_rules, fuse_graph
 from repro.llama.config import preset
+from repro.quant import QuantConfig
 
 
 @pytest.fixture(scope="module")
@@ -139,8 +140,8 @@ class TestAblationShape:
 
     def test_lower_precision_streams_faster(self, runner):
         """int4 streaming beats fp16 on the bandwidth-bound decode."""
-        int4 = runner.simulate(AcceleratorConfig(weight_bits=4))
-        fp16 = runner.simulate(AcceleratorConfig(weight_bits=16))
+        int4 = runner.simulate(AcceleratorConfig(quant=QuantConfig.datapath(4)))
+        fp16 = runner.simulate(AcceleratorConfig(quant=QuantConfig.datapath(16)))
         assert int4.decode_tokens_per_second > fp16.decode_tokens_per_second
 
     @pytest.mark.parametrize("rule", default_rules(), ids=lambda r: r.name)

@@ -104,3 +104,70 @@ class TestBinaryRoundtrip:
         (tmp_path / "empty.bin").write_bytes(b"abc")
         with pytest.raises(ValueError, match="too small"):
             load_checkpoint(tmp_path / "empty.bin")
+
+
+class TestCorruptedCheckpoints:
+    """A malformed file is refused naming itself and the byte offset read."""
+
+    def test_every_corrupted_copy_loads_finite_or_names_the_file(
+            self, micro_checkpoint, tmp_path):
+        """Seeded corruptor: truncations, header bit flips and weights
+        whose exponent bits are all set (inf or NaN).  Each copy either
+        loads with finite weights of the shapes its header declares, or
+        raises ``ValueError`` naming the file and a byte offset."""
+        raw = save_checkpoint(micro_checkpoint, tmp_path / "model.bin").read_bytes()
+        rng = np.random.default_rng(7)
+        refused = 0
+        for i in range(60):
+            data = bytearray(raw)
+            if i % 3 == 0:
+                data = data[: int(rng.integers(0, len(data)))]
+            elif i % 3 == 1:
+                data[int(rng.integers(0, 28))] ^= 1 << int(rng.integers(0, 8))
+            else:
+                at = 28 + 4 * int(rng.integers(0, (len(data) - 28) // 4))
+                data[at + 3] |= 0x7F
+                data[at + 2] |= 0x80
+            path = tmp_path / f"corrupt{i}.bin"
+            path.write_bytes(bytes(data))
+            try:
+                loaded = load_checkpoint(path)
+            except ValueError as exc:
+                assert str(path) in str(exc)
+                assert "byte" in str(exc)
+                refused += 1
+                continue
+            for name, shape in loaded.config.parameter_shapes():
+                assert loaded.weights[name].shape == shape
+                assert np.isfinite(loaded.weights[name]).all(), name
+        assert refused >= 40
+
+    def test_huge_layer_count_is_refused_without_walking_it(
+            self, micro_checkpoint, tmp_path):
+        """A flipped high bit in ``n_layers`` claims 2**28 layers: the size
+        check must refuse the file without walking them."""
+        data = bytearray(
+            save_checkpoint(micro_checkpoint, tmp_path / "model.bin").read_bytes())
+        data[8:12] = (micro_checkpoint.config.n_layers | 1 << 28).to_bytes(4, "little")
+        (tmp_path / "layers.bin").write_bytes(bytes(data))
+        with pytest.raises(ValueError, match="layers.bin.*header describes"):
+            load_checkpoint(tmp_path / "layers.bin")
+
+    def test_non_finite_weight_is_refused_at_its_offset(
+            self, micro_checkpoint, tmp_path):
+        path = save_checkpoint(micro_checkpoint, tmp_path / "model.bin")
+        weights = np.frombuffer(path.read_bytes()[28:], dtype=np.float32).copy()
+        weights[5] = np.nan
+        path.write_bytes(path.read_bytes()[:28] + weights.tobytes())
+        with pytest.raises(ValueError, match="tok_embeddings.weight at byte 48"):
+            load_checkpoint(path)
+
+
+class TestParameterCount:
+    @pytest.mark.parametrize("name", ["test-micro", "test-small", "stories15M",
+                                      "tinyllama1.1B"])
+    @pytest.mark.parametrize("shared", [True, False])
+    def test_closed_form_count_sums_the_shapes(self, name, shared):
+        config = preset(name).replace(shared_classifier=shared)
+        assert config.n_params() == sum(
+            int(np.prod(shape)) for _, shape in config.parameter_shapes())

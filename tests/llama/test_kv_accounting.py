@@ -6,13 +6,16 @@ import numpy as np
 import pytest
 
 from repro.llama.kv_cache import KVCache
+from repro.llama.quantization import QuantSpec
 
 
 class TestKvAccounting:
     def test_bytes_per_position(self, small_config):
         expected = 2 * small_config.n_layers * small_config.kv_dim * 4
         assert KVCache.bytes_per_position(small_config) == expected
-        assert KVCache.bytes_per_position(small_config, np.float16) == expected // 2
+        spec = QuantSpec(bits=8, group_size=16)
+        assert KVCache.bytes_per_position(small_config, spec) == (
+            2 * small_config.n_layers * spec.storage_bytes(small_config.kv_dim))
 
     def test_projected_matches_allocated(self, small_config):
         for positions in (1, 7, small_config.max_seq_len):

@@ -113,9 +113,12 @@ class TestKVCache:
             cache.append(layer, k, k, pos=0)
         assert cache.used_nbytes() == expected // 8
 
-    def test_float16_storage(self, micro_config):
-        cache = KVCache(micro_config, dtype=np.float16)
-        assert cache.nbytes == micro_config.kv_cache_elements() * 2
+    def test_storage_is_float32_whatever_the_spec(self, micro_config):
+        """A quantised cache charges its budget the quantised footprint
+        but keeps float32 working arrays for the attention kernels."""
+        for spec in (None, QuantSpec(bits=8, group_size=16)):
+            cache = KVCache(micro_config, quant=spec)
+            assert cache.nbytes == micro_config.kv_cache_elements() * 4
 
 
 class TestFakeQuantKV:
@@ -137,20 +140,17 @@ class TestFakeQuantKV:
             assert np.array_equal(got_value, dequantize(quantize(value, spec)))
             assert got_key.dtype == got_value.dtype == np.float32
 
-    @pytest.mark.parametrize("dtype", [np.float32, np.float16])
-    def test_flat_and_paged_caches_store_those_rows(self, small_config, dtype):
+    def test_flat_and_paged_caches_store_those_rows(self, small_config):
         spec = QuantSpec(bits=8, group_size=64)  # kv_dim 32: a padded group
-        flat = KVCache(small_config, dtype=dtype, quant=spec)
-        paged = KVPool(small_config, 1 << 16, block_tokens=4, dtype=dtype,
+        flat = KVCache(small_config, quant=spec)
+        paged = KVPool(small_config, 1 << 16, block_tokens=4,
                        quant=spec).new_cache()
         rng = np.random.default_rng(0)
         key = rng.standard_normal(small_config.kv_dim).astype(np.float32)
         value = rng.standard_normal(small_config.kv_dim).astype(np.float32)
         for cache in (flat, paged):
             cache.append(0, key, value, pos=0)
-            assert np.array_equal(
-                cache.keys(0, 1)[0],
-                dequantize(quantize(key.astype(dtype), spec)).astype(dtype))
-            assert np.array_equal(
-                cache.values(0, 1)[0],
-                dequantize(quantize(value.astype(dtype), spec)).astype(dtype))
+            assert np.array_equal(cache.keys(0, 1)[0],
+                                  dequantize(quantize(key, spec)))
+            assert np.array_equal(cache.values(0, 1)[0],
+                                  dequantize(quantize(value, spec)))

@@ -43,7 +43,9 @@ def _random_quant(rng: random.Random) -> QuantConfig:
 
 
 def _compiler(quant=None, **config):
-    accel = AcceleratorConfig.variant("full").replace(quant=quant, **config)
+    accel = AcceleratorConfig.variant("full", **config)
+    if quant is not None:
+        accel = accel.replace(quant=quant)
     return StepCompiler(preset("test-small"), accel, u280())
 
 
@@ -89,7 +91,7 @@ class TestCompilersDifferingOnlyInQuant:
 
     def test_fp32_datapath_distinct_from_legacy_and_quant(self):
         legacy = _compiler().simulate_step((20, 40))
-        fp32 = _compiler(weight_bits=32).simulate_step((20, 40))
+        fp32 = _compiler(QuantConfig.fp32()).simulate_step((20, 40))
         int8 = _compiler(QuantConfig(weights=QuantSpec(8, 64))).simulate_step(
             (20, 40))
         assert len({legacy.counters.hbm_bytes, fp32.counters.hbm_bytes,

@@ -64,10 +64,12 @@ class TestEngineConfigQuant:
         assert quant.weights.group_size == 32 and quant.kv is not None
 
     def test_fp32_mode_resolves_to_none_but_widens_datapath(self):
+        """"fp32" is a config that quantises nothing, and it is what the
+        accelerator stores its weights at."""
         config = EngineConfig(model="test-small", quant="fp32")
-        assert config.quant_config() is None
+        assert config.quant_config() == QuantConfig.fp32()
         llm = config.build_llm()
-        assert llm.accelerator.config.weight_bits == 32
+        assert llm.accelerator.config.quant == QuantConfig.fp32()
 
     def test_quant_kv_without_quant_rejected(self):
         with pytest.raises(FrontendError):

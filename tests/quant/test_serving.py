@@ -35,7 +35,7 @@ def quant_llm():
 
 @pytest.fixture(scope="module")
 def fp32_llm():
-    """The full-precision twin (weight_bits=32 datapath)."""
+    """The full-precision twin (a QuantConfig that quantises nothing)."""
     return EngineConfig(model="test-small", quant="fp32").build_llm()
 
 
