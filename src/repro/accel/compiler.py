@@ -70,12 +70,17 @@ class ProgramCompiler:
     # ------------------------------------------------------------------
     def compile(self, graph: Graph, name: Optional[str] = None) -> Program:
         """Lower ``graph`` to a :class:`Program`."""
-        program = Program(name=name or graph.name)
-        order = graph.topological_order()
-        for op in order:
-            program.add(self._compile_op(graph, op))
-        program.metadata["graph"] = graph.name
-        program.metadata["n_graph_ops"] = len(graph)
+        ops = [self.compile_op(graph, op) for op in graph.topological_order()]
+        return self.program(ops, graph.name, len(graph), name)
+
+    def program(self, ops: List[OpProgram], graph_name: str, n_graph_ops: int,
+                name: Optional[str] = None) -> Program:
+        """The :class:`Program` of ``ops`` lowered from a graph named
+        ``graph_name`` of ``n_graph_ops`` operators, as :meth:`compile`
+        returns it."""
+        program = Program(name=name or graph_name, ops=ops)
+        program.metadata["graph"] = graph_name
+        program.metadata["n_graph_ops"] = n_graph_ops
         if not self.plan.is_default:
             program.metadata["tiling_plan"] = self.plan.label
         return program
@@ -98,7 +103,9 @@ class ProgramCompiler:
                 tuple([graph.tensors.get(t) for t in (*op.inputs, *op.outputs)]),
                 tuple([cls._signature(graph, m) for m in op.fused_ops]))
 
-    def _compile_op(self, graph: Graph, op: Operator) -> OpProgram:
+    def compile_op(self, graph: Graph, op: Operator) -> OpProgram:
+        """The program of ``graph``'s operator ``op``, lowered once per
+        signature."""
         key = self._signature(graph, op)
         lowered = self._lowered.get(key)
         if lowered is None:

@@ -1,14 +1,22 @@
 """The step compiler: ``build → fuse → tile → schedule`` over three memos.
 
 :class:`StepCompiler` lowers and prices decode steps for one (possibly
-sharded) timing view of a model.  Work is kept at the unit that repeats:
+sharded) timing view of a model.  Work is kept at the unit that repeats,
+and a context is paid for only where it changes the step:
 
-* :meth:`StepCompiler.graph_for` memoises the decode-step graph of one
-  ``(context_len, include_logits)`` slot shape — **build** (when this
-  view is a tensor shard the builder already emits the per-shard slice of
-  every operator), then **fuse** when ``config.operator_fusion`` is on;
-* :meth:`StepCompiler.lower` memoises that graph's tile program under one
-  :class:`~repro.compile.tiling.TilingPlan` — **tile**;
+* a *template* per ``(include_logits, plan)`` — the first context asked
+  for is **built** as a whole step graph (when this view is a tensor
+  shard the builder already emits the per-shard slice of every operator),
+  **fused** when ``config.operator_fusion`` is on, ordered, and every
+  operator **tiled** under the :class:`~repro.compile.tiling.TilingPlan`.
+  Only the window operators — each layer's KV append and attention, and
+  a fused region holding one — depend on the context; they mark the
+  template's slots;
+* :meth:`StepCompiler.lower` memoises the program of one
+  ``(context_len, include_logits, plan)``: it builds and fuses only that
+  context's window operators, tiles them, and splices them into the
+  template's slots.  The program equals lowering the whole step graph
+  built at that context;
 * :meth:`StepCompiler.compile_step` memoises a whole step in the LRU
   :class:`~repro.compile.cache.CompileCache`, keyed by the bucketed
   composition: each slot's program, merged into the batched
@@ -32,20 +40,24 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Optional, Sequence, Tuple
 
 from ..accel.batching import block_padded_context, merge_batch_programs
 from ..accel.config import AcceleratorConfig
-from ..accel.instructions import Program
+from ..accel.instructions import OpProgram, Program
 from ..accel.pipeline import PipelineExecutor, StepResult
 from ..fpga.u280 import FpgaPlatform
 from ..graph.builder import GraphBuilder
 from ..graph.fusion import fuse_graph
 from ..graph.graph import Graph
+from ..graph.ops import OpKind, TensorSpec
 from ..graph.sharding import ShardSpec
 from ..llama.config import LlamaConfig
 from .cache import CompileCache
 from .tiling import DEFAULT_PLAN, TilingPlan, candidate_plans
+
+if TYPE_CHECKING:
+    from ..accel.compiler import ProgramCompiler
 
 __all__ = ["CompileWork", "CompiledStep", "StepCompiler"]
 
@@ -99,6 +111,50 @@ class CompiledStep:
     result: Optional[StepResult] = None
 
 
+#: The operator kinds whose shapes follow a step's KV window.
+_WINDOW_KINDS = frozenset({OpKind.KV_APPEND, OpKind.ATTN_SCORE,
+                           OpKind.SOFTMAX, OpKind.ATTN_CONTEXT})
+
+
+@dataclass(frozen=True)
+class _Template:
+    """One decode step lowered under one tiling plan, with a slot at
+    every operator that follows the KV window.
+
+    A window operator's program depends on its context; every other
+    operator's does not, and neither does the topological order, which
+    only the graph's structure decides.  So the programs of any context
+    are these, with that context's window lowered into the slots.
+    """
+
+    tiler: ProgramCompiler
+    ops: Tuple[OpProgram, ...]
+    #: ``(index into ops, operator name)`` of every window operator.
+    slots: Tuple[Tuple[int, str], ...]
+    #: Specs of the tensors the window operators read from the rest.
+    boundary: Dict[str, TensorSpec]
+    n_graph_ops: int
+
+    @classmethod
+    def lower(cls, graph: Graph, tiler: ProgramCompiler) -> _Template:
+        order = graph.topological_order()
+        slots = [(index, op) for index, op in enumerate(order)
+                 if _WINDOW_KINDS.intersection(op.member_kinds())]
+        produced = {t for _, op in slots for t in op.outputs}
+        boundary = {t: graph.tensors[t] for _, op in slots for t in op.inputs
+                    if t not in produced}
+        return cls(tiler, tuple(tiler.compile_op(graph, op) for op in order),
+                   tuple((index, op.name) for index, op in slots),
+                   boundary, len(graph))
+
+    def splice(self, window: Graph) -> Program:
+        """The program of the step whose window operators are ``window``'s."""
+        ops = list(self.ops)
+        for index, name in self.slots:
+            ops[index] = self.tiler.compile_op(window, window.operators[name])
+        return self.tiler.program(ops, window.name, self.n_graph_ops)
+
+
 class StepCompiler:
     """Compiler and cycle pricer for one model (or shard) timing view."""
 
@@ -117,8 +173,8 @@ class StepCompiler:
                                      quant=config.quant)
         self._executor = PipelineExecutor(config, platform)
         # One ProgramCompiler per tiling plan (plans are few and frozen).
-        self._tilers: Dict[TilingPlan, object] = {}
-        self._graphs: Dict[Tuple[int, bool], Graph] = {}
+        self._tilers: Dict[TilingPlan, ProgramCompiler] = {}
+        self._templates: Dict[Tuple[bool, TilingPlan], _Template] = {}
         self._programs: Dict[Tuple[int, bool, TilingPlan], Program] = {}
         self.cache = CompileCache()
         #: Host seconds spent in each phase; a memo hit adds nothing.
@@ -141,29 +197,36 @@ class StepCompiler:
     # ------------------------------------------------------------------
     # Per-slot lowering
     # ------------------------------------------------------------------
-    def graph_for(self, context_len: int, include_logits: bool = True) -> Graph:
-        """The (fused) decode-step graph of one slot shape."""
-        key = (context_len, include_logits)
-        graph = self._graphs.get(key)
-        if graph is None:
-            graph = self._timed("build", self._builder.build_decode_step,
-                                context_len, include_logits=include_logits)
-            if self.config.operator_fusion:
-                graph = self._timed("fuse", fuse_graph, graph).graph
-            self._graphs[key] = graph
-        return graph
-
     def lower(
         self,
         context_len: int,
         include_logits: bool = True,
         plan: TilingPlan = DEFAULT_PLAN,
     ) -> Program:
-        """The tile program of one slot shape under ``plan``."""
+        """The tile program of one slot shape under ``plan``: the
+        template's programs with this context's window spliced in."""
         key = (context_len, include_logits, plan)
         program = self._programs.get(key)
         if program is None:
-            graph = self.graph_for(context_len, include_logits)
+            template = self._template(context_len, include_logits, plan)
+            window = self._timed("build", self._builder.build_window,
+                                 context_len, template.boundary,
+                                 include_logits=include_logits)
+            if self.config.operator_fusion:
+                window = self._timed("fuse", fuse_graph, window).graph
+            program = self._timed("tile", template.splice, window)
+            self._programs[key] = program
+        return program
+
+    def _template(self, context_len: int, include_logits: bool,
+                  plan: TilingPlan) -> _Template:
+        key = (include_logits, plan)
+        template = self._templates.get(key)
+        if template is None:
+            graph = self._timed("build", self._builder.build_decode_step,
+                                context_len, include_logits=include_logits)
+            if self.config.operator_fusion:
+                graph = self._timed("fuse", fuse_graph, graph).graph
             tiler = self._tilers.get(plan)
             if tiler is None:
                 # Imported here: accel.compiler imports repro.compile.tiling,
@@ -171,9 +234,9 @@ class StepCompiler:
                 from ..accel.compiler import ProgramCompiler
                 tiler = ProgramCompiler(self.config, plan=plan)
                 self._tilers[plan] = tiler
-            program = self._timed("tile", tiler.compile, graph)
-            self._programs[key] = program
-        return program
+            template = self._timed("tile", _Template.lower, graph, tiler)
+            self._templates[key] = template
+        return template
 
     # ------------------------------------------------------------------
     # Whole steps

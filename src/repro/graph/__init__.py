@@ -1,17 +1,10 @@
-"""Operator-graph IR: Llama-2 decode graph, fusion pass, scheduling."""
+"""Operator-graph IR: Llama-2 decode graph, fusion pass, DOT/JSON export."""
 
 from .builder import GraphBuilder, build_decode_graph
 from .export import from_json_summary, to_dot, to_json
 from .fusion import FusionResult, FusionRule, FusionStats, default_rules, fuse_graph
 from .graph import Graph, GraphValidationError
 from .ops import ComputeUnit, Operator, OpKind, TensorSpec
-from .scheduling import (
-    GraphCostSummary,
-    Schedule,
-    ScheduledOp,
-    schedule_graph,
-    summarize_graph,
-)
 
 __all__ = [
     "GraphBuilder",
@@ -30,9 +23,4 @@ __all__ = [
     "Operator",
     "OpKind",
     "TensorSpec",
-    "GraphCostSummary",
-    "Schedule",
-    "ScheduledOp",
-    "schedule_graph",
-    "summarize_graph",
 ]

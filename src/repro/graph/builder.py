@@ -15,7 +15,8 @@ the simulator's timing and traffic models consume.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from functools import partial
+from typing import Mapping, Optional, Tuple
 
 from ..llama.config import LlamaConfig
 from ..quant.config import QuantConfig
@@ -30,6 +31,18 @@ _ACT_BYTES = 4  # activations stay float32 in the datapath
 
 def _ceil_div(a: int, b: int) -> int:
     return -(-a // b)
+
+
+def _tensor(g: Graph, tname: str, *shape: int, resident: str = "offchip",
+            weight: bool = False, dtype_bytes: int = _ACT_BYTES) -> str:
+    """Declare one tensor of ``g`` and return its name.  TensorSpec
+    element sizes are whole bytes; sub-byte weights keep their true
+    footprint in the operators' ``weight_bytes`` annotations."""
+    g.add_tensor(TensorSpec(
+        name=tname, shape=tuple(shape), dtype_bytes=dtype_bytes,
+        resident=resident, is_weight=weight,
+    ))
+    return tname
 
 
 @dataclass
@@ -98,30 +111,12 @@ class GraphBuilder:
             those positions with this reduced graph.
         """
         cfg = self.config
-        if context_len < 0:
-            raise ValueError("context_len must be >= 0")
-        if context_len >= cfg.max_seq_len:
-            raise ValueError(
-                f"context_len {context_len} must be below max_seq_len {cfg.max_seq_len}"
-            )
-        attn_len = context_len + 1
+        self._check_context(context_len)
         if name is None:
-            suffix = "" if include_logits else "-nologits"
-            if self.shard is not None:
-                suffix += f"-tp{self.shard.tp}"
-            name = f"{cfg.name}-decode-ctx{context_len}{suffix}"
+            name = self._step_name(context_len, include_logits)
         g = Graph(name=name)
-        dim, kv_dim, hidden = cfg.dim, cfg.kv_dim, cfg.resolved_hidden_dim()
-        # TensorSpec element sizes are whole bytes; sub-byte weights keep
-        # their true footprint in the operators' weight_bytes annotations.
-
-        def tensor(tname: str, *shape: int, resident: str = "offchip",
-                   weight: bool = False, dtype_bytes: int = _ACT_BYTES) -> str:
-            g.add_tensor(TensorSpec(
-                name=tname, shape=tuple(shape), dtype_bytes=dtype_bytes,
-                resident=resident, is_weight=weight,
-            ))
-            return tname
+        dim = cfg.dim
+        tensor = partial(_tensor, g)
 
         # Graph inputs -------------------------------------------------
         token = tensor("token", 1, dtype_bytes=4)
@@ -146,7 +141,7 @@ class GraphBuilder:
         ))
 
         for layer in range(cfg.n_layers):
-            x = self._decoder_block(g, tensor, x, layer, attn_len)
+            x = self._decoder_block(g, tensor, x, layer, context_len + 1)
 
         if not include_logits:
             g.validate()
@@ -184,22 +179,60 @@ class GraphBuilder:
         g.validate()
         return g
 
+    def build_window(self, context_len: int, boundary: Mapping[str, TensorSpec],
+                     include_logits: bool = True) -> Graph:
+        """Build the operators of one decode step that follow its KV window.
+
+        These are every layer's KV append and attention over
+        ``context_len + 1`` positions: the operators
+        :meth:`build_decode_step` emits through :meth:`_attention_window`,
+        with the same names, costs and attributes.  ``boundary`` holds the
+        specs of the tensors they read from the rest of the step (each
+        layer's ``q_rot``, ``k_rot`` and ``v``).  The graph is named as
+        :meth:`build_decode_step` names the step, so a program lowered
+        from the rest of the step and this window carries that name.
+        """
+        self._check_context(context_len)
+        g = Graph(name=self._step_name(context_len, include_logits))
+        for spec in boundary.values():
+            g.add_tensor(spec)
+        tensor = partial(_tensor, g)
+        for layer in range(self.config.n_layers):
+            p = f"L{layer}."
+            self._attention_window(g, tensor, layer, context_len + 1,
+                                   p + "q_rot", p + "k_rot", p + "v")
+        return g
+
     # ------------------------------------------------------------------
-    def _decoder_block(self, g: Graph, tensor, x: str, layer: int, attn_len: int) -> str:
+    def _check_context(self, context_len: int) -> None:
+        if context_len < 0:
+            raise ValueError("context_len must be >= 0")
+        if context_len >= self.config.max_seq_len:
+            raise ValueError(
+                f"context_len {context_len} must be below max_seq_len "
+                f"{self.config.max_seq_len}"
+            )
+
+    def _step_name(self, context_len: int, include_logits: bool) -> str:
+        suffix = "" if include_logits else "-nologits"
+        if self.shard is not None:
+            suffix += f"-tp{self.shard.tp}"
+        return f"{self.config.name}-decode-ctx{context_len}{suffix}"
+
+    def _widths(self) -> Tuple[int, int, int, int]:
+        """``(q_dim, kv_dim, n_heads, hidden)`` of one decoder block."""
         cfg = self.config
-        dim = cfg.dim
-        head_dim = cfg.head_dim
         if self.shard is None:
-            q_dim, kv_dim = dim, cfg.kv_dim
-            n_heads = cfg.n_heads
-            hidden = cfg.resolved_hidden_dim()
-        else:
-            # Per-shard widths: the shard owns a slice of the heads and
-            # FFN channels, while the full-``dim`` activations entering
-            # and leaving the block are replicated across shards.
-            q_dim, kv_dim = self.shard.q_width, self.shard.kv_width
-            n_heads = self.shard.n_heads
-            hidden = self.shard.hidden
+            return cfg.dim, cfg.kv_dim, cfg.n_heads, cfg.resolved_hidden_dim()
+        # Per-shard widths: the shard owns a slice of the heads and FFN
+        # channels, while the full-``dim`` activations entering and
+        # leaving the block are replicated across shards.
+        return (self.shard.q_width, self.shard.kv_width, self.shard.n_heads,
+                self.shard.hidden)
+
+    def _decoder_block(self, g: Graph, tensor, x: str, layer: int, attn_len: int) -> str:
+        dim = self.config.dim
+        q_dim, kv_dim, _, hidden = self._widths()
         p = f"L{layer}."
 
         def matmul(op_name: str, w_name: str, out_feat: int, in_feat: int,
@@ -246,6 +279,64 @@ class GraphBuilder:
             flops=6 * kv_dim, attributes={"layer": layer},
         ))
 
+        attn_out = self._attention_window(g, tensor, layer, attn_len,
+                                          q_rot, k_rot, v)
+
+        proj = tensor(p + "attn_proj", dim)
+        matmul(p + "wo", p + "attention.wo.weight", dim, q_dim, attn_out, proj)
+
+        x_attn = tensor(p + "x_attn", dim)
+        g.add_operator(Operator(
+            name=p + "residual_attn", kind=OpKind.ADD,
+            inputs=[x, proj], outputs=[x_attn],
+            flops=dim, attributes={"layer": layer},
+        ))
+
+        # --- feed forward ----------------------------------------------
+        ffn_norm_w = tensor(p + "ffn_norm.weight", dim, weight=True)
+        ffn_in = tensor(p + "ffn_norm_out", dim)
+        g.add_operator(Operator(
+            name=p + "ffn_norm", kind=OpKind.RMSNORM,
+            inputs=[x_attn, ffn_norm_w], outputs=[ffn_in],
+            flops=4 * dim, weight_bytes=dim * 4,
+            attributes={"layer": layer},
+        ))
+        gate = tensor(p + "gate", hidden)
+        up = tensor(p + "up", hidden)
+        matmul(p + "w1", p + "feed_forward.w1.weight", hidden, dim, ffn_in, gate)
+        matmul(p + "w3", p + "feed_forward.w3.weight", hidden, dim, ffn_in, up)
+
+        gate_act = tensor(p + "gate_act", hidden)
+        g.add_operator(Operator(
+            name=p + "silu", kind=OpKind.SILU,
+            inputs=[gate], outputs=[gate_act],
+            flops=4 * hidden, attributes={"layer": layer},
+        ))
+        h = tensor(p + "ffn_hidden", hidden)
+        g.add_operator(Operator(
+            name=p + "swiglu_mul", kind=OpKind.MUL,
+            inputs=[gate_act, up], outputs=[h],
+            flops=hidden, attributes={"layer": layer},
+        ))
+        ffn_out = tensor(p + "ffn_out", dim)
+        matmul(p + "w2", p + "feed_forward.w2.weight", dim, hidden, h, ffn_out)
+
+        x_out = tensor(f"x.{layer + 1}", dim)
+        g.add_operator(Operator(
+            name=p + "residual_ffn", kind=OpKind.ADD,
+            inputs=[x_attn, ffn_out], outputs=[x_out],
+            flops=dim, attributes={"layer": layer},
+        ))
+        return x_out
+
+    def _attention_window(self, g: Graph, tensor, layer: int, attn_len: int,
+                          q_rot: str, k_rot: str, v: str) -> str:
+        """One layer's KV append and attention over ``attn_len`` cached
+        positions — the only operators of a step whose shapes follow its
+        context length.  Returns the attention output."""
+        q_dim, kv_dim, n_heads, _ = self._widths()
+        head_dim = self.config.head_dim
+        p = f"L{layer}."
         # Cache append produces the updated cache views used by attention.
         # Quantised KV stores one byte per element plus per-group float32
         # scales; the scale traffic and (de)quantisation work are
@@ -301,53 +392,7 @@ class GraphBuilder:
             flops=2 * n_heads * head_dim * attn_len,
             attributes={"layer": layer, "attn_len": attn_len, **win_attrs},
         ))
-
-        proj = tensor(p + "attn_proj", dim)
-        matmul(p + "wo", p + "attention.wo.weight", dim, q_dim, attn_out, proj)
-
-        x_attn = tensor(p + "x_attn", dim)
-        g.add_operator(Operator(
-            name=p + "residual_attn", kind=OpKind.ADD,
-            inputs=[x, proj], outputs=[x_attn],
-            flops=dim, attributes={"layer": layer},
-        ))
-
-        # --- feed forward ----------------------------------------------
-        ffn_norm_w = tensor(p + "ffn_norm.weight", dim, weight=True)
-        ffn_in = tensor(p + "ffn_norm_out", dim)
-        g.add_operator(Operator(
-            name=p + "ffn_norm", kind=OpKind.RMSNORM,
-            inputs=[x_attn, ffn_norm_w], outputs=[ffn_in],
-            flops=4 * dim, weight_bytes=dim * 4,
-            attributes={"layer": layer},
-        ))
-        gate = tensor(p + "gate", hidden)
-        up = tensor(p + "up", hidden)
-        matmul(p + "w1", p + "feed_forward.w1.weight", hidden, dim, ffn_in, gate)
-        matmul(p + "w3", p + "feed_forward.w3.weight", hidden, dim, ffn_in, up)
-
-        gate_act = tensor(p + "gate_act", hidden)
-        g.add_operator(Operator(
-            name=p + "silu", kind=OpKind.SILU,
-            inputs=[gate], outputs=[gate_act],
-            flops=4 * hidden, attributes={"layer": layer},
-        ))
-        h = tensor(p + "ffn_hidden", hidden)
-        g.add_operator(Operator(
-            name=p + "swiglu_mul", kind=OpKind.MUL,
-            inputs=[gate_act, up], outputs=[h],
-            flops=hidden, attributes={"layer": layer},
-        ))
-        ffn_out = tensor(p + "ffn_out", dim)
-        matmul(p + "w2", p + "feed_forward.w2.weight", dim, hidden, h, ffn_out)
-
-        x_out = tensor(f"x.{layer + 1}", dim)
-        g.add_operator(Operator(
-            name=p + "residual_ffn", kind=OpKind.ADD,
-            inputs=[x_attn, ffn_out], outputs=[x_out],
-            flops=dim, attributes={"layer": layer},
-        ))
-        return x_out
+        return attn_out
 
 
 def build_decode_graph(

@@ -10,9 +10,12 @@ import pytest
 import repro.accel.accelerator as accelerator_module
 from repro.accel.accelerator import SpeedLLMAccelerator
 from repro.accel.batching import BatchSlot
+from repro.accel.compiler import ProgramCompiler
 from repro.accel.config import AcceleratorConfig
 from repro.accel.dse import DesignSpace, DesignSpaceExplorer
 from repro.core.runner import ExperimentConfig, ExperimentRunner
+from repro.graph.builder import GraphBuilder
+from repro.graph.fusion import fuse_graph
 from repro.llama.evaluate import cross_entropy, divergence_report
 from repro.llama.generation import generate as reference_generate
 from repro.llama.kv_cache import KVCache
@@ -27,10 +30,22 @@ def accel(small_checkpoint):
     return SpeedLLMAccelerator(small_checkpoint, AcceleratorConfig())
 
 
+def _step_graph(accel, context_len):
+    """The per-context build of one step graph: the oracle of the
+    compiler's template-and-window lowering."""
+    graph = GraphBuilder(accel.model_config, quant=accel.config.quant
+                         ).build_decode_step(context_len)
+    return fuse_graph(graph).graph if accel.config.operator_fusion else graph
+
+
 class TestCompilationCaches:
-    def test_graph_cached_per_context(self, accel):
-        assert accel.timing.graph_for(3) is accel.timing.graph_for(3)
-        assert accel.timing.graph_for(3) is not accel.timing.graph_for(4)
+    def test_program_is_the_per_context_build(self, accel):
+        program = accel.timing.lower(3)
+        reference = ProgramCompiler(accel.config).compile(_step_graph(accel, 3))
+        assert program.name == reference.name
+        assert program.metadata == reference.metadata
+        assert program.ops == reference.ops
+        assert accel.timing.lower(4) is not program
 
     def test_program_cached(self, accel):
         assert accel.timing.lower(2) is accel.timing.lower(2)
@@ -38,8 +53,9 @@ class TestCompilationCaches:
     def test_fusion_respected(self, small_checkpoint):
         fused = SpeedLLMAccelerator(small_checkpoint, AcceleratorConfig.variant("full"))
         unfused = SpeedLLMAccelerator(small_checkpoint, AcceleratorConfig.variant("no-fusion"))
-        assert (len(fused.timing.graph_for(2))
-                < len(unfused.timing.graph_for(2)))
+        assert len(fused.timing.lower(2)) == len(_step_graph(fused, 2))
+        assert len(unfused.timing.lower(2)) == len(_step_graph(unfused, 2))
+        assert len(fused.timing.lower(2)) < len(unfused.timing.lower(2))
 
     def test_step_result_cached(self, accel):
         timing = accel.timing

@@ -9,6 +9,8 @@ from repro.accel.accelerator import SpeedLLMAccelerator
 from repro.accel.batching import (BatchSlot, block_padded_context,
                                   merge_batch_programs)
 from repro.accel.config import AcceleratorConfig
+from repro.graph.builder import GraphBuilder
+from repro.graph.fusion import fuse_graph
 from repro.kvpool import KVPool
 from repro.llama.kv_cache import KVCache
 
@@ -197,9 +199,11 @@ class TestExecuteSlots:
         tokens = [1, 5, 9, 13]
         stepwise_cache = KVCache(small_config)
         stepwise_logits = None
+        builder = GraphBuilder(small_config, quant=accelerator.config.quant)
         for pos, token in enumerate(tokens):
+            graph = fuse_graph(builder.build_decode_step(pos)).graph
             stepwise_logits = accelerator._graph_executor.execute(
-                accelerator.timing.graph_for(pos), token, pos, stepwise_cache
+                graph, token, pos, stepwise_cache
             )
         batched_cache = KVCache(small_config)
         slots = [

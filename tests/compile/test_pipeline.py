@@ -9,7 +9,8 @@ from repro.accel.config import AcceleratorConfig
 from repro.compile import TilingPlan
 from repro.compile.pipeline import PHASE_ORDER, StepCompiler
 from repro.fpga import u280
-from repro.graph.ops import OpKind
+from repro.graph.builder import GraphBuilder
+from repro.graph.fusion import fuse_graph
 from repro.graph.sharding import ShardSpec
 from repro.llama.config import preset
 
@@ -27,31 +28,47 @@ class TestPhases:
         assert all(compiler.phase_seconds.values())
 
     def test_memos_compile_each_unit_once(self, compiler):
-        graph = compiler.graph_for(16)
         program = compiler.lower(16)
         spent = dict(compiler.phase_seconds)
-        assert compiler.graph_for(16) is graph
         assert compiler.lower(16) is program
-        assert compiler.graph_for(16, include_logits=False) is not graph
-        assert compiler.phase_seconds["tile"] == spent["tile"]
+        assert compiler.phase_seconds == spent
+        compiler.lower(17)
+        assert len(compiler._templates) == 1   # one template per (logits, plan)
+        assert compiler.lower(16, include_logits=False) is not program
+        assert len(compiler._templates) == 2
+
+    def test_contexts_share_the_template_programs(self, compiler):
+        short, long = compiler.lower(16), compiler.lower(40)
+        assert [op.op_name for op in short.ops] == [op.op_name for op in long.ops]
+        shared = [a is b for a, b in zip(short.ops, long.ops)]
+        # Per layer, the KV append and the fused attention core differ.
+        n_layers = compiler.model_config.n_layers
+        assert shared.count(False) == 2 * n_layers
 
     def test_sharded_compiler_builds_the_shard_graph(self, compiler):
         model = preset("stories15M")
         shard = ShardSpec.from_config(model, tp=2)
         sharded = StepCompiler(model, AcceleratorConfig.variant("full"), u280(),
                                shard=shard)
-        graph = sharded.graph_for(16)
-        assert graph.name == "stories15M-decode-ctx16-tp2+fused"
-        assert (graph.total_weight_bytes()
-                < compiler.graph_for(16).total_weight_bytes())
+        program = sharded.lower(16)
+        graph = fuse_graph(GraphBuilder(model, shard=shard).build_decode_step(16)).graph
+        assert program.name == graph.name == "stories15M-decode-ctx16-tp2+fused"
+        assert program.metadata["graph"] == graph.name
+        assert (sum(p.weight_bytes for p in program.packets())
+                < sum(p.weight_bytes for p in compiler.lower(16).packets()))
 
     def test_lower_is_keyed_by_plan(self, compiler):
         fixed = compiler.lower(16)
-        built = compiler.phase_seconds["build"]
         folded = compiler.lower(16, plan=TilingPlan(2))
         assert folded is not fixed
         assert compiler.lower(16, plan=TilingPlan(2)) is folded
-        assert compiler.phase_seconds["build"] == built   # one graph, two plans
+        assert [op.op_name for op in folded.ops] == [op.op_name for op in fixed.ops]
+        assert folded.metadata["tiling_plan"] == TilingPlan(2).label
+
+    def test_lower_refuses_a_context_outside_the_window(self, compiler):
+        compiler.lower(16)   # the template exists; the window still checks
+        with pytest.raises(ValueError, match="max_seq_len"):
+            compiler.lower(compiler.model_config.max_seq_len)
 
     def test_single_slot_step_is_the_slot_program(self, compiler):
         step = compiler.compile_step((16,))
@@ -70,8 +87,8 @@ class TestPhases:
         unfused.compile_step((16,))
         assert unfused.phase_seconds["fuse"] == 0.0
         assert unfused.phase_seconds["build"] > 0.0
-        assert OpKind.FUSED not in unfused.graph_for(16).count_kinds()
-        assert OpKind.FUSED in compiler.graph_for(16).count_kinds()
+        assert not any(op.op_name.startswith("fused[") for op in unfused.lower(16).ops)
+        assert any(op.op_name.startswith("fused[") for op in compiler.lower(16).ops)
 
 
 class TestCompileStep:

@@ -6,7 +6,9 @@ import pytest
 
 from repro.graph.builder import GraphBuilder, build_decode_graph
 from repro.graph.ops import OpKind
+from repro.graph.sharding import ShardSpec
 from repro.llama.config import preset
+from repro.llama.quantization import QuantSpec
 from repro.quant import QuantConfig
 
 
@@ -88,3 +90,43 @@ class TestBuildDecodeGraph:
         for op in g:
             for pred in g.predecessors(op):
                 assert positions[pred.name] < positions[op.name]
+
+
+_WINDOW_KINDS = {OpKind.KV_APPEND, OpKind.ATTN_SCORE, OpKind.SOFTMAX,
+                 OpKind.ATTN_CONTEXT}
+
+
+def _window_boundary(graph):
+    return {t: graph.tensor(t) for op in graph
+            if op.kind in (OpKind.KV_APPEND, OpKind.ATTN_SCORE)
+            for t in op.inputs if graph.producer_of(t).kind is not OpKind.KV_APPEND}
+
+
+class TestBuildWindow:
+    @pytest.mark.parametrize("model,tp,quant", [
+        ("test-micro", 1, QuantConfig.datapath(8)),
+        ("test-small", 2, QuantConfig(weights=QuantSpec(8, 16), kv=QuantSpec(8, 16))),
+        ("stories15M", 1, QuantConfig.fp32()),
+        ("stories15M", 2, QuantConfig(weights=QuantSpec(4, 16), kv=QuantSpec(8, 16))),
+    ])
+    def test_window_is_the_steps_window_operators(self, model, tp, quant):
+        config = preset(model)
+        shard = ShardSpec.from_config(config, tp) if tp > 1 else None
+        builder = GraphBuilder(config, shard=shard, quant=quant)
+        for context in (0, 9, config.max_seq_len - 1):
+            step = builder.build_decode_step(context, include_logits=False)
+            window = builder.build_window(context, _window_boundary(step),
+                                          include_logits=False)
+            assert window.name == step.name
+            assert list(window.operators.values()) == [
+                op for op in step if op.kind in _WINDOW_KINDS]
+            assert all(step.tensor(name) == spec
+                       for name, spec in window.tensors.items())
+
+    def test_window_rejects_a_context_outside_the_model(self, micro_config):
+        builder = GraphBuilder(micro_config)
+        boundary = _window_boundary(builder.build_decode_step(0))
+        with pytest.raises(ValueError):
+            builder.build_window(-1, boundary)
+        with pytest.raises(ValueError):
+            builder.build_window(micro_config.max_seq_len, boundary)
