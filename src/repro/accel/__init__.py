@@ -4,8 +4,8 @@ from .accelerator import AcceleratorGeneration, GenerationMetrics, SpeedLLMAccel
 from .analytical import AnalyticalEstimate, AnalyticalModel
 from .batching import BatchSlot, block_padded_context, merge_batch_programs
 from .compiler import ProgramCompiler
-from .dse import CandidateResult, DesignSpace, DesignSpaceExplorer, pareto_front
-from .config import AcceleratorConfig, BufferConfig, MPEConfig, SFUConfig, VARIANT_NAMES
+from .dse import CandidateResult, DesignSpace, DesignSpaceExplorer
+from .config import AcceleratorConfig, BufferConfig, MPEConfig, SFUConfig
 from .executor import GraphExecutor
 from .instructions import OpProgram, Program, TilePacket
 from .memory_manager import BufferPool
@@ -26,13 +26,11 @@ __all__ = [
     "CandidateResult",
     "DesignSpace",
     "DesignSpaceExplorer",
-    "pareto_front",
     "ProgramCompiler",
     "AcceleratorConfig",
     "BufferConfig",
     "MPEConfig",
     "SFUConfig",
-    "VARIANT_NAMES",
     "GraphExecutor",
     "OpProgram",
     "Program",

@@ -102,12 +102,6 @@ class AnalyticalModel:
         )
 
     # ------------------------------------------------------------------
-    def throughput_upper_bound(self, program: Program) -> float:
-        """Tokens/s upper bound if every decode step hit the lower bracket."""
-        estimate = self.estimate(program)
-        cycles = max(1, estimate.overlapped_cycles)
-        return self.platform.clock_hz / cycles
-
     def check_simulation(self, program: Program, simulated_cycles: int,
                          slack: float = 0.35) -> bool:
         """True if ``simulated_cycles`` falls within the analytical brackets.

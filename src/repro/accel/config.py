@@ -25,12 +25,13 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from typing import Dict, Tuple
+from typing import Dict
 
 from ..fpga.resources import ResourceVector
 from ..quant.config import QuantConfig
+from .variants import PAPER_VARIANTS
 
-__all__ = ["MPEConfig", "SFUConfig", "BufferConfig", "AcceleratorConfig", "VARIANT_NAMES"]
+__all__ = ["MPEConfig", "SFUConfig", "BufferConfig", "AcceleratorConfig"]
 
 
 @dataclass(frozen=True)
@@ -126,21 +127,6 @@ class BufferConfig:
         return ResourceVector(uram=uram, bram_36k=16, lut=20_000, ff=25_000)
 
 
-#: (pipeline, memory_reuse, operator_fusion) of every named design point.
-_VARIANT_FLAGS: Dict[str, Tuple[bool, bool, bool]] = {
-    "full": (True, True, True),
-    "no-fusion": (True, True, False),
-    "no-pipeline": (False, True, True),
-    "no-reuse": (True, False, True),
-    "pipeline-only": (True, False, False),
-    "reuse-only": (False, True, False),
-    "fusion-only": (False, False, True),
-    "unoptimized": (False, False, False),
-}
-
-VARIANT_NAMES: Tuple[str, ...] = tuple(_VARIANT_FLAGS)
-
-
 @dataclass(frozen=True)
 class AcceleratorConfig:
     """Complete accelerator design point."""
@@ -211,21 +197,22 @@ class AcceleratorConfig:
     # ------------------------------------------------------------------
     @classmethod
     def variant(cls, name: str, **overrides) -> "AcceleratorConfig":
-        """Build one of the paper's evaluation design points.
+        """Build one of the paper's evaluation design points
+        (:data:`~repro.accel.variants.PAPER_VARIANTS`).
 
         ``full`` enables all three optimizations; ``unoptimized`` disables
-        all of them; ``no-X`` disables exactly one; ``X-only`` enables
-        exactly one.  Additional keyword overrides are applied on top.
+        all of them; ``no-X`` disables exactly one.  Additional keyword
+        overrides are applied on top.
         """
-        if name not in _VARIANT_FLAGS:
+        if name not in PAPER_VARIANTS:
             raise KeyError(
-                f"unknown variant {name!r}; available: {sorted(_VARIANT_FLAGS)}")
-        pipeline, reuse, fusion = _VARIANT_FLAGS[name]
+                f"unknown variant {name!r}; available: {sorted(PAPER_VARIANTS)}")
+        spec = PAPER_VARIANTS[name]
         config = cls(
             name=f"speedllm-{name}",
-            pipeline=pipeline,
-            memory_reuse=reuse,
-            operator_fusion=fusion,
+            pipeline=spec.pipeline,
+            memory_reuse=spec.memory_reuse,
+            operator_fusion=spec.operator_fusion,
         )
         if overrides:
             config = config.replace(**overrides)

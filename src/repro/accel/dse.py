@@ -33,7 +33,7 @@ from .config import AcceleratorConfig, BufferConfig, MPEConfig
 if TYPE_CHECKING:  # pragma: no cover - typing only, core imports accel
     from ..core.runner import ExperimentRunner
 
-__all__ = ["CandidateResult", "DesignSpace", "DesignSpaceExplorer", "pareto_front"]
+__all__ = ["CandidateResult", "DesignSpace", "DesignSpaceExplorer"]
 
 
 @dataclass(frozen=True)
@@ -94,25 +94,6 @@ class CandidateResult:
             "tokens_per_second": self.tokens_per_second,
             "tokens_per_joule": self.tokens_per_joule,
         }
-
-
-def pareto_front(results: Sequence[CandidateResult]) -> List[CandidateResult]:
-    """Non-dominated set over (latency minimised, tokens/J maximised)."""
-    evaluated = [r for r in results if r.simulated]
-    front: List[CandidateResult] = []
-    for candidate in evaluated:
-        dominated = any(
-            other is not candidate
-            and other.latency_seconds <= candidate.latency_seconds
-            and other.tokens_per_joule >= candidate.tokens_per_joule
-            and (other.latency_seconds < candidate.latency_seconds
-                 or other.tokens_per_joule > candidate.tokens_per_joule)
-            for other in evaluated
-        )
-        if not dominated:
-            front.append(candidate)
-    front.sort(key=lambda r: r.latency_seconds)
-    return front
 
 
 class DesignSpaceExplorer:

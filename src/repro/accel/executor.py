@@ -40,7 +40,6 @@ import numpy as np
 
 from ..llama.checkpoint import Checkpoint
 from ..llama.config import LlamaConfig
-from ..llama.kv_cache import KVCache
 from ..llama.model import apply_rope, rmsnorm, rope_frequencies, silu, softmax
 from ..graph.graph import Graph
 from ..graph.ops import OpKind
@@ -144,22 +143,17 @@ class GraphExecutor:
         self._prefixes.add((id(short.graph), id(full.graph)))
 
     # ------------------------------------------------------------------
-    def execute(self, graph: Graph, token: int, pos: int, cache: KVCache) -> np.ndarray:
-        """Run one decode step at ``pos``: the one-slot step.
-
-        Nothing read from ``graph`` depends on the context it was built
-        for — the attention window is ``pos + 1`` — so one graph serves
-        every position.  A graph must not change once executed: its
-        program is compiled on the first run only.
-        """
-        return self.execute_step([graph], [BatchSlot(token, pos, cache)])[0]
-
     def execute_step(self, graphs: Sequence[Graph], slots: Sequence[BatchSlot]) -> List[np.ndarray]:
         """Run slot ``i`` through ``graphs[i]``, all slots op-major; one
         result array per slot.  Every slot is validated before the first
         cache row is written, so a rejected step changes nothing: slots
         sharing a cache must come in strictly increasing position, and
         every graph's program must be a prefix of the longest one's.
+
+        Nothing read from a graph depends on the context it was built
+        for — the attention window is ``pos + 1`` — so one graph serves
+        every position.  A graph must not change once executed: its
+        program is compiled on the first run only.
         """
         latest: Dict[int, int] = {}
         for slot in slots:

@@ -69,10 +69,6 @@ class TilePacket:
         if self.weight_bytes > self.load_bytes:
             raise ValueError("weight_bytes cannot exceed load_bytes")
 
-    @property
-    def moves_data(self) -> bool:
-        return self.load_bytes > 0 or self.store_bytes > 0
-
 
 @dataclass(frozen=True)
 class OpProgram:
@@ -198,31 +194,5 @@ class Program:
         return sum(op.store_bytes for op in self.ops)
 
     @property
-    def total_offchip_bytes(self) -> int:
-        return self.total_load_bytes + self.total_store_bytes
-
-    @property
     def total_compute_cycles(self) -> int:
         return sum(op.compute_cycles for op in self.ops)
-
-    @property
-    def total_macs(self) -> int:
-        return sum(op.macs for op in self.ops)
-
-    def by_unit(self) -> Dict[ComputeUnit, List[OpProgram]]:
-        """Group operator programs by compute unit."""
-        out: Dict[ComputeUnit, List[OpProgram]] = {}
-        for op in self.ops:
-            out.setdefault(op.unit, []).append(op)
-        return out
-
-    def summary(self) -> Dict[str, int]:
-        """Aggregate statistics used by tests and reports."""
-        return {
-            "n_ops": len(self.ops),
-            "n_packets": self.n_packets,
-            "load_bytes": self.total_load_bytes,
-            "store_bytes": self.total_store_bytes,
-            "compute_cycles": self.total_compute_cycles,
-            "macs": self.total_macs,
-        }

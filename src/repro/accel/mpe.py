@@ -84,31 +84,3 @@ class MPETimingModel:
         passes = math.ceil(tile.in_features / self.config.cols)
         folds = math.ceil(tile.out_rows / self.config.rows)
         return folds * passes + self.config.pipeline_depth
-
-    def matvec_cycles(self, out_features: int, in_features: int) -> int:
-        """Total compute cycles of a full mat-vec (tiles back to back)."""
-        return sum(self.tile_cycles(t) for t in self.split_matvec(out_features, in_features))
-
-    def matvec_macs(self, out_features: int, in_features: int) -> int:
-        """MAC count of the product (for the energy model)."""
-        return out_features * in_features
-
-    # ------------------------------------------------------------------
-    def attention_cycles(self, n_heads: int, head_dim: int, seq_len: int) -> int:
-        """Cycles for a score or context product over ``seq_len`` positions.
-
-        Each head is a ``seq_len x head_dim`` mat-vec; heads are processed
-        as row blocks on the same array.
-        """
-        if n_heads <= 0 or head_dim <= 0 or seq_len <= 0:
-            raise ValueError("attention dimensions must be positive")
-        total = 0
-        for _ in range(n_heads):
-            total += self.matvec_cycles(seq_len, head_dim)
-        return total
-
-    def peak_throughput_gops(self, clock_hz: float) -> float:
-        """Peak int8 throughput in GOPS (2 ops per MAC)."""
-        if clock_hz <= 0:
-            raise ValueError("clock_hz must be positive")
-        return 2.0 * self.config.macs_per_cycle * clock_hz / 1e9

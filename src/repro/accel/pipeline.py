@@ -101,7 +101,7 @@ class StepResult:
     ``engine_busy["load"|"store"]`` are *sums of in-flight intervals*
     (issue to completion, per transfer): a pipelined design keeps several
     transfers outstanding, so they overlap and the sum may exceed
-    ``cycles`` — :attr:`load_utilization` clamps the ratio to 1.
+    ``cycles``.
     ``packets_replayed`` counts the packets the simulator jumped over as
     whole periods of a repeated machine state instead of walking them;
     every other field is the same as if it had walked them.
@@ -120,12 +120,6 @@ class StepResult:
         if self.cycles <= 0:
             return 0.0
         return min(1.0, self.engine_busy.get("mpe", 0) / self.cycles)
-
-    @property
-    def load_utilization(self) -> float:
-        if self.cycles <= 0:
-            return 0.0
-        return min(1.0, self.engine_busy.get("load", 0) / self.cycles)
 
 
 class PipelineExecutor:

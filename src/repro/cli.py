@@ -600,17 +600,19 @@ def build_parser() -> argparse.ArgumentParser:
 # Subcommand implementations
 # ----------------------------------------------------------------------
 def _cmd_generate(args: argparse.Namespace) -> int:
-    if args.checkpoint:
-        llm = SpeedLLM.from_checkpoint(
-            args.checkpoint, args.tokenizer, variant=args.variant,
-            position_stride=args.stride,
-        )
-    else:
-        llm = SpeedLLM(model=args.model, variant=args.variant, seed=args.seed,
-                       position_stride=args.stride)
-    out = llm.generate(args.prompt, max_new_tokens=args.tokens,
-                       temperature=args.temperature, top_p=args.top_p,
-                       seed=args.seed)
+    with _configuring(args):
+        params = SamplingParams(max_tokens=args.tokens,
+                                temperature=args.temperature, top_p=args.top_p,
+                                seed=args.seed)
+        if args.checkpoint:
+            llm = SpeedLLM.from_checkpoint(
+                args.checkpoint, args.tokenizer, variant=args.variant,
+                position_stride=args.stride,
+            )
+        else:
+            llm = SpeedLLM(model=args.model, variant=args.variant, seed=args.seed,
+                           position_stride=args.stride)
+    out = llm.generate(args.prompt, params=params)
     print(out.text)
     print()
     print(f"latency            {out.latency_ms:.3f} ms")
@@ -1121,10 +1123,11 @@ def _cmd_quantize(args: argparse.Namespace) -> int:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    llm = SpeedLLM(model=args.model, variant=args.variant, seed=args.seed,
-                   position_stride=8)
-    suite = default_suite(n_prompts=args.prompts, max_new_tokens=args.tokens,
-                          seed=args.seed)
+    with _configuring(args):
+        suite = default_suite(n_prompts=args.prompts, max_new_tokens=args.tokens,
+                              seed=args.seed)
+        llm = SpeedLLM(model=args.model, variant=args.variant, seed=args.seed,
+                       position_stride=8)
     report = validate_accelerator(llm.accelerator, llm.tokenizer, suite,
                                   n_decode=args.tokens)
     print(format_table(report.as_rows()))
@@ -1135,7 +1138,8 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _cmd_export_graph(args: argparse.Namespace) -> int:
-    graph = build_decode_graph(preset(args.model), args.context)
+    with _configuring(args):
+        graph = build_decode_graph(preset(args.model), args.context)
     if args.fused:
         graph = fuse_graph(graph).graph
     text = to_dot(graph) if args.format == "dot" else to_json(graph)

@@ -98,11 +98,6 @@ class ClusterReport(KVTransferTotals):
         return len(self.replicas)
 
     @property
-    def peak_replicas(self) -> int:
-        """Largest number of not-yet-retired replicas at any report time."""
-        return len([r for r in self.replicas if r.retired_at is None])
-
-    @property
     def throughput_tokens_per_second(self) -> float:
         return self.pooled.throughput_tokens_per_second
 

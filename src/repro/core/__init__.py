@@ -11,7 +11,6 @@ from .cost import (
 from .metrics import (
     LatencySummary,
     VariantResult,
-    geometric_mean,
     normalized_energy_efficiency,
     normalized_latency,
     percentile,
@@ -31,7 +30,6 @@ __all__ = [
     "gpu_decode_throughput",
     "LatencySummary",
     "VariantResult",
-    "geometric_mean",
     "normalized_energy_efficiency",
     "normalized_latency",
     "percentile",

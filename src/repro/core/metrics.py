@@ -8,7 +8,6 @@ effective energy, throughput) plus small statistics utilities.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Sequence
 
@@ -22,7 +21,6 @@ __all__ = [
     "normalized_latency",
     "normalized_energy_efficiency",
     "speedup",
-    "geometric_mean",
     "percentile",
     "LatencySummary",
 ]
@@ -132,16 +130,6 @@ def normalized_energy_efficiency(
     if base <= 0:
         raise ValueError("baseline energy efficiency must be positive")
     return {name: r.tokens_per_joule / base for name, r in table.items()}
-
-
-def geometric_mean(values: Iterable[float]) -> float:
-    """Geometric mean of positive values (0 if the iterable is empty)."""
-    values = list(values)
-    if not values:
-        return 0.0
-    if any(v <= 0 for v in values):
-        raise ValueError("geometric mean requires positive values")
-    return math.exp(sum(math.log(v) for v in values) / len(values))
 
 
 def percentile(values: Sequence[float], q: float) -> float:

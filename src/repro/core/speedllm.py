@@ -106,6 +106,8 @@ class SpeedLLM:
         """
         if energy_accounting not in ("board", "effective"):
             raise ValueError("energy_accounting must be 'board' or 'effective'")
+        if position_stride <= 0:
+            raise ValueError("position_stride must be positive")
         self.model_config = model if isinstance(model, LlamaConfig) else preset(model)
         self.checkpoint = checkpoint or synthesize_weights(self.model_config, seed=seed)
         if self.checkpoint.config != self.model_config:
@@ -233,19 +235,6 @@ class SpeedLLM:
     # ------------------------------------------------------------------
     # Analysis
     # ------------------------------------------------------------------
-    def benchmark(
-        self,
-        n_prompt: int = 8,
-        n_generated: int = 64,
-        position_stride: Optional[int] = None,
-    ) -> GenerationMetrics:
-        """Timing/energy of a synthetic workload without functional decode."""
-        return self.accelerator.simulate_generation(
-            n_prompt=n_prompt,
-            n_generated=n_generated,
-            position_stride=position_stride or self.position_stride,
-        )
-
     def resource_report(self) -> UtilizationReport:
         """U280 resource utilisation of the configured design."""
         return self.accelerator.resource_report()

@@ -68,14 +68,6 @@ class MemorySystemSpec:
     def n_channels(self) -> int:
         return len(self.channels)
 
-    @property
-    def total_bandwidth_gbps(self) -> float:
-        return sum(c.bandwidth_gbps for c in self.channels)
-
-    @property
-    def total_capacity_bytes(self) -> int:
-        return sum(c.capacity_bytes for c in self.channels)
-
     @classmethod
     def u280_hbm(cls, n_pseudo_channels: int = 32) -> "MemorySystemSpec":
         """The U280 HBM2 subsystem: 32 pseudo-channels, 256 MB / 14.4 GB/s each."""

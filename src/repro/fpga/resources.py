@@ -146,10 +146,6 @@ class ResourceBudget:
             used = used + vec
         return used
 
-    @property
-    def free(self) -> ResourceVector:
-        return self.total - self.used
-
     def utilization(self) -> "UtilizationReport":
         """Produce the utilisation report of the current allocations."""
         return UtilizationReport(total=self.total, used=self.used,
@@ -170,17 +166,6 @@ class UtilizationReport:
         if total == 0:
             return 0.0
         return getattr(self.used, resource) / total
-
-    def fractions(self) -> Dict[str, float]:
-        """Utilisation fraction of every resource class."""
-        return {
-            name: self.fraction(name)
-            for name in ("lut", "ff", "dsp", "bram_36k", "uram")
-        }
-
-    def peak_fraction(self) -> float:
-        """Highest utilisation across resource classes (the fit limiter)."""
-        return max(self.fractions().values())
 
     def as_table(self) -> List[str]:
         """Render the report as fixed-width text lines."""

@@ -17,7 +17,7 @@ Datasheet figures (XCU280, Alveo U280 product brief):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
 from .hbm import MemorySystemSpec
@@ -97,18 +97,10 @@ class FpgaPlatform:
         """Energy model parameterised for this card."""
         return EnergyModel(self.energy_config)
 
-    def with_clock(self, clock_mhz: float) -> "FpgaPlatform":
-        """Copy of the platform at a different kernel clock."""
-        return replace(self, clock_mhz=clock_mhz)
-
     @property
     def onchip_bytes(self) -> int:
         """Total on-chip SRAM capacity (BRAM + URAM)."""
         return self.resources.onchip_bytes
-
-    @property
-    def hbm_bandwidth_gbps(self) -> float:
-        return self.hbm.total_bandwidth_gbps
 
 
 def u280(

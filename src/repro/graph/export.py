@@ -9,12 +9,12 @@ required to produce the files.
 from __future__ import annotations
 
 import json
-from typing import Dict, List
+from typing import Dict
 
 from .graph import Graph
 from .ops import ComputeUnit, OpKind
 
-__all__ = ["to_dot", "to_json", "from_json_summary"]
+__all__ = ["to_dot", "to_json"]
 
 _UNIT_COLORS = {
     ComputeUnit.MPE: "lightblue",
@@ -94,25 +94,3 @@ def to_json(graph: Graph) -> str:
         ],
     }
     return json.dumps(payload, indent=2)
-
-
-def from_json_summary(text: str) -> Dict[str, object]:
-    """Parse a :func:`to_json` document into summary statistics.
-
-    This does not reconstruct an executable :class:`Graph` (weights and
-    attributes are not round-tripped); it returns the structural summary
-    used by reports: operator/tensor counts, kind histogram, total FLOPs.
-    """
-    payload = json.loads(text)
-    operators: List[dict] = payload.get("operators", [])
-    kinds: Dict[str, int] = {}
-    for op in operators:
-        kinds[op["kind"]] = kinds.get(op["kind"], 0) + 1
-    return {
-        "name": payload.get("name", ""),
-        "n_operators": len(operators),
-        "n_tensors": len(payload.get("tensors", [])),
-        "kind_histogram": kinds,
-        "total_flops": sum(op.get("flops", 0) for op in operators),
-        "total_weight_bytes": sum(op.get("weight_bytes", 0) for op in operators),
-    }

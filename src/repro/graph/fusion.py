@@ -74,10 +74,6 @@ class FusionStats:
     eliminated_bytes: int = 0
     rule_counts: Dict[str, int] = field(default_factory=dict)
 
-    @property
-    def ops_removed(self) -> int:
-        return self.ops_before - self.ops_after
-
 
 @dataclass
 class FusionResult:

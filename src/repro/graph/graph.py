@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Set
 
-from .ops import Operator, OpKind, TensorSpec
+from .ops import Operator, TensorSpec
 
 __all__ = ["Graph", "GraphValidationError"]
 
@@ -136,16 +136,6 @@ class Graph:
                 out.append(producer)
         return out
 
-    def graph_inputs(self) -> List[str]:
-        """Tensors consumed but never produced inside the graph."""
-        produced = {t for op in self.operators.values() for t in op.outputs}
-        inputs: List[str] = []
-        for op in self.operators.values():
-            for t in op.inputs:
-                if t not in produced and t not in inputs:
-                    inputs.append(t)
-        return inputs
-
     def graph_outputs(self) -> List[str]:
         """Tensors produced but never consumed inside the graph."""
         consumed = {t for op in self.operators.values() for t in op.inputs}
@@ -155,12 +145,6 @@ class Graph:
                 if t not in consumed and t not in outputs:
                     outputs.append(t)
         return outputs
-
-    def intermediate_tensors(self) -> List[str]:
-        """Tensors both produced and consumed within the graph."""
-        produced = {t for op in self.operators.values() for t in op.outputs}
-        consumed = {t for op in self.operators.values() for t in op.inputs}
-        return [t for t in self.tensors if t in produced and t in consumed]
 
     # ------------------------------------------------------------------
     # Validation / ordering
@@ -217,34 +201,3 @@ class Graph:
     def total_weight_bytes(self) -> int:
         """Total parameter bytes streamed by one execution of the graph."""
         return sum(op.total_weight_bytes() for op in self.operators.values())
-
-    def intermediate_activation_bytes(self) -> int:
-        """Bytes of intermediate (producer->consumer) activation traffic.
-
-        This is the quantity the operator-fusion optimization removes: each
-        intermediate tensor that stays off-chip costs a write plus a read.
-        """
-        return sum(
-            self.tensors[t].nbytes
-            for t in self.intermediate_tensors()
-            if self.tensors[t].resident == "offchip"
-        )
-
-    def count_kinds(self) -> Dict[OpKind, int]:
-        """Histogram of operator kinds."""
-        hist: Dict[OpKind, int] = {}
-        for op in self.operators.values():
-            hist[op.kind] = hist.get(op.kind, 0) + 1
-        return hist
-
-    def summary(self) -> str:
-        """Human-readable one-paragraph description (for reports/examples)."""
-        kinds = ", ".join(
-            f"{k.value}:{v}" for k, v in sorted(self.count_kinds().items(), key=lambda kv: kv[0].value)
-        )
-        return (
-            f"Graph {self.name!r}: {len(self.operators)} ops ({kinds}), "
-            f"{len(self.tensors)} tensors, {self.total_flops():,} FLOPs, "
-            f"{self.total_weight_bytes():,} weight bytes, "
-            f"{self.intermediate_activation_bytes():,} intermediate activation bytes"
-        )

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Tuple
+from typing import Dict, List, Tuple
 
 
 __all__ = ["OpKind", "TensorSpec", "Operator", "ComputeUnit"]
@@ -112,9 +112,7 @@ class Operator:
     """One node of the compute graph.
 
     Cost-model fields (``flops``, ``weight_bytes``) are filled by the
-    builder from the configuration; activation byte counts are derived
-    from the input/output tensor specs by :meth:`input_bytes` /
-    :meth:`output_bytes`.
+    builder from the configuration.
     """
 
     name: str
@@ -148,14 +146,6 @@ class Operator:
                 return ComputeUnit.MPE
             return ComputeUnit.SFU
         return self.kind.default_unit
-
-    def input_bytes(self, tensors: Mapping[str, TensorSpec]) -> int:
-        """Total activation bytes read from outside the operator."""
-        return sum(tensors[t].nbytes for t in self.inputs if not tensors[t].is_weight)
-
-    def output_bytes(self, tensors: Mapping[str, TensorSpec]) -> int:
-        """Total activation bytes produced by the operator."""
-        return sum(tensors[t].nbytes for t in self.outputs)
 
     def total_weight_bytes(self) -> int:
         """Weight bytes streamed for this operator (including fused members)."""

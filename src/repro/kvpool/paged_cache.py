@@ -2,7 +2,7 @@
 
 :class:`PagedKVCache` presents the same API the functional executor and
 the serving engine already use on :class:`~repro.llama.kv_cache.KVCache`
-(``append`` / ``keys`` / ``values`` / ``view`` / ``length`` /
+(``append`` / ``keys`` / ``values`` / ``length`` /
 ``capacity`` / ``reset``), but the storage behind logical position ``p``
 is row ``p % block_tokens`` of physical block ``table[p // block_tokens]``
 in the shared :class:`~repro.kvpool.allocator.BlockAllocator`.  Attention
@@ -18,12 +18,12 @@ Appending into a position whose backing block is shared (prefix hit or
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 import numpy as np
 
 from ..llama.config import LlamaConfig
-from ..llama.kv_cache import KVCache, fake_quant_kv
+from ..llama.kv_cache import fake_quant_kv
 from .allocator import BlockAllocator, BlockAllocatorError
 
 __all__ = ["PagedKVCache"]
@@ -62,13 +62,6 @@ class PagedKVCache:
     def nbytes(self) -> int:
         """Physical bytes currently attached to this sequence."""
         return self.n_blocks * self.allocator.bytes_per_block
-
-    def used_nbytes(self) -> int:
-        """Bytes of cache actually occupied by cached tokens."""
-        return (
-            KVCache.bytes_per_position(self.config, self.allocator.quant)
-            * self._length
-        )
 
     # ------------------------------------------------------------------
     # Block management
@@ -246,7 +239,3 @@ class PagedKVCache:
         """Gather the cached values of ``layer`` up to ``length``."""
         length = self._length if length is None else length
         return self._gather(self.allocator.values, layer, length)
-
-    def view(self, layer: int, length: int | None = None) -> Tuple[np.ndarray, np.ndarray]:
-        """Return ``(keys, values)`` for attention in ``layer``."""
-        return self.keys(layer, length), self.values(layer, length)

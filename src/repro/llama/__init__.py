@@ -8,14 +8,8 @@ loop and the weight quantisation used by the accelerator datapath.
 
 from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint, synthesize_weights
 from .config import LlamaConfig, available_presets, preset
-from .evaluate import (
-    EvaluationReport,
-    cross_entropy,
-    evaluate_corpus,
-    perplexity,
-    token_agreement,
-)
-from .generation import GenerationResult, GenerationTiming, generate, generate_text
+from .evaluate import cross_entropy, perplexity, token_agreement
+from .generation import GenerationResult, GenerationTiming, generate
 from .kv_cache import KVCache
 from .model import (
     ForwardTrace,
@@ -27,17 +21,7 @@ from .model import (
     softmax,
     swiglu,
 )
-from .quantization import (
-    INT4,
-    INT8,
-    QuantizedTensor,
-    QuantSpec,
-    dequantize,
-    quantization_error,
-    quantize,
-    quantize_state_dict,
-    quantized_matvec,
-)
+from .quantization import INT8, QuantizedTensor, QuantSpec, dequantize, quantize
 from .sampler import Sampler, greedy, sample_temperature, sample_top_p
 from .tokenizer import BOS_ID, EOS_ID, UNK_ID, Tokenizer, train_bpe
 
@@ -46,9 +30,7 @@ __all__ = [
     "load_checkpoint",
     "save_checkpoint",
     "synthesize_weights",
-    "EvaluationReport",
     "cross_entropy",
-    "evaluate_corpus",
     "perplexity",
     "token_agreement",
     "LlamaConfig",
@@ -57,7 +39,6 @@ __all__ = [
     "GenerationResult",
     "GenerationTiming",
     "generate",
-    "generate_text",
     "KVCache",
     "ForwardTrace",
     "LlamaModel",
@@ -67,15 +48,11 @@ __all__ = [
     "silu",
     "softmax",
     "swiglu",
-    "INT4",
     "INT8",
     "QuantizedTensor",
     "QuantSpec",
     "dequantize",
-    "quantization_error",
     "quantize",
-    "quantize_state_dict",
-    "quantized_matvec",
     "Sampler",
     "greedy",
     "sample_temperature",

@@ -29,7 +29,6 @@ __all__ = [
     "synthesize_weights",
     "save_checkpoint",
     "load_checkpoint",
-    "checkpoint_nbytes",
 ]
 
 _HEADER_FORMAT = "<7i"  # dim, hidden_dim, n_layers, n_heads, n_kv_heads, vocab, seq
@@ -99,11 +98,6 @@ def synthesize_weights(
         else:
             weights[name] = rng.normal(0.0, std, size=shape).astype(np.float32)
     return Checkpoint(config=config, weights=weights)
-
-
-def checkpoint_nbytes(config: LlamaConfig) -> int:
-    """Size in bytes of a float32 checkpoint file for ``config``."""
-    return _HEADER_SIZE + 4 * config.n_params()
 
 
 def _export_order(config: LlamaConfig) -> Iterator[Tuple[str, Tuple[int, ...]]]:

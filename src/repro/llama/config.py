@@ -13,7 +13,6 @@ hashed, compared, serialised and embedded in experiment reports.
 from __future__ import annotations
 
 import dataclasses
-import json
 from dataclasses import dataclass
 from typing import Any, Dict, Iterator, Mapping, Tuple
 
@@ -217,15 +216,6 @@ class LlamaConfig:
         """Construct a config from a mapping, ignoring unknown keys."""
         known = {f.name for f in dataclasses.fields(cls)}
         return cls(**{k: v for k, v in data.items() if k in known})
-
-    def to_json(self) -> str:
-        """Serialise the configuration to a JSON string."""
-        return json.dumps(self.to_dict(), sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "LlamaConfig":
-        """Inverse of :meth:`to_json`."""
-        return cls.from_dict(json.loads(text))
 
     def replace(self, **changes: Any) -> "LlamaConfig":
         """Return a copy with ``changes`` applied."""

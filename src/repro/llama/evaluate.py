@@ -11,9 +11,7 @@ needs a way to quantify any functional drift.  This module provides:
   teacher-forced comparison of two models: the fraction of positions
   where both pick the same greedy next token, and the logit drift
   between them (quantised datapath vs float32 reference, simulated
-  accelerator vs NumPy engine);
-* :class:`EvaluationReport` — a small container the examples and tests
-  share.
+  accelerator vs NumPy engine).
 
 "Model" here is what :mod:`repro.llama.generation` means by it:
 ``forward(token, pos, cache)`` and ``new_cache()``, so every function
@@ -28,35 +26,14 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .model import LlamaModel, softmax
-from .tokenizer import Tokenizer
 
 __all__ = [
     "DivergenceReport",
-    "EvaluationReport",
     "cross_entropy",
     "divergence_report",
     "perplexity",
     "token_agreement",
-    "evaluate_corpus",
 ]
-
-
-@dataclass(frozen=True)
-class EvaluationReport:
-    """Aggregate quality metrics over an evaluation corpus."""
-
-    n_documents: int
-    n_tokens: int
-    cross_entropy: float
-    perplexity: float
-
-    def as_dict(self) -> dict:
-        return {
-            "n_documents": self.n_documents,
-            "n_tokens": self.n_tokens,
-            "cross_entropy": self.cross_entropy,
-            "perplexity": self.perplexity,
-        }
 
 
 def _sequence_nll(model: LlamaModel, tokens: Sequence[int]) -> tuple[float, int]:
@@ -99,26 +76,6 @@ def cross_entropy(model: LlamaModel, token_sequences: Iterable[Sequence[int]]) -
 def perplexity(model: LlamaModel, token_sequences: Iterable[Sequence[int]]) -> float:
     """exp(cross entropy)."""
     return float(np.exp(cross_entropy(model, token_sequences)))
-
-
-def evaluate_corpus(
-    model: LlamaModel,
-    tokenizer: Tokenizer,
-    corpus: Sequence[str],
-    max_documents: int | None = None,
-) -> EvaluationReport:
-    """Tokenise ``corpus`` and report cross-entropy / perplexity."""
-    docs = list(corpus if max_documents is None else corpus[:max_documents])
-    if not docs:
-        raise ValueError("evaluation corpus is empty")
-    ce, count = _mean_nll(
-        model, (tokenizer.encode(doc, bos=True, eos=True) for doc in docs))
-    return EvaluationReport(
-        n_documents=len(docs),
-        n_tokens=count,
-        cross_entropy=ce,
-        perplexity=float(np.exp(ce)),
-    )
 
 
 def token_agreement(

@@ -25,9 +25,9 @@ from typing import Callable, List, Optional, Sequence
 
 from .model import LlamaModel
 from .sampler import Sampler
-from .tokenizer import BOS_ID, EOS_ID, Tokenizer
+from .tokenizer import EOS_ID
 
-__all__ = ["GenerationTiming", "GenerationResult", "generate", "generate_text"]
+__all__ = ["GenerationTiming", "GenerationResult", "generate"]
 
 
 @dataclass
@@ -87,8 +87,7 @@ def generate(
         The reference engine, or any other model (see the module
         docstring) — the simulated accelerator runs this same loop.
     prompt_tokens:
-        Prompt token ids (must be non-empty; prepend BOS yourself or use
-        :func:`generate_text`).
+        Prompt token ids (must be non-empty; prepend BOS yourself).
     max_new_tokens:
         Upper bound on generated tokens; generation also stops at EOS or
         at the context limit (the capacity of the model's cache).
@@ -140,22 +139,3 @@ def generate(
         generated_tokens=generated,
         timing=timing,
     )
-
-
-def generate_text(
-    model: LlamaModel,
-    tokenizer: Tokenizer,
-    prompt: str,
-    max_new_tokens: int = 128,
-    sampler: Optional[Sampler] = None,
-) -> str:
-    """End-to-end text generation: encode, generate, decode.
-
-    The prompt is encoded with a BOS prefix (llama2.c convention).  The
-    returned string is the decoded completion (not including the prompt).
-    """
-    tokens = tokenizer.encode(prompt, bos=True, eos=False)
-    if not tokens:
-        tokens = [BOS_ID]
-    result = generate(model, tokens, max_new_tokens=max_new_tokens, sampler=sampler)
-    return tokenizer.decode(result.generated_tokens)

@@ -84,10 +84,6 @@ class KVCache:
         """Total allocated cache storage in bytes."""
         return int(self._keys.nbytes + self._values.nbytes)
 
-    def used_nbytes(self) -> int:
-        """Bytes of cache actually occupied by cached tokens."""
-        return self.bytes_per_position(self.config, self.quant) * self._length
-
     @staticmethod
     def bytes_per_position(
         config: LlamaConfig,
@@ -197,7 +193,3 @@ class KVCache:
         """Return a view of the cached values of ``layer`` up to ``length``."""
         length = self._length if length is None else length
         return self._values[layer, :length]
-
-    def view(self, layer: int, length: int | None = None) -> Tuple[np.ndarray, np.ndarray]:
-        """Return ``(keys, values)`` views for attention in ``layer``."""
-        return self.keys(layer, length), self.values(layer, length)

@@ -15,7 +15,7 @@ All operators are exposed as standalone functions (``rmsnorm``,
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -127,8 +127,8 @@ class LlamaModel:
     Notes
     -----
     The engine processes one token per :meth:`forward` call (the llama2.c
-    decode loop); :meth:`forward_sequence` runs prefill over a prompt by
-    iterating positions, matching how the accelerator schedules prefill.
+    decode loop); prefill iterates positions, matching how the
+    accelerator schedules prefill.
     """
 
     def __init__(self, checkpoint: Checkpoint) -> None:
@@ -247,28 +247,3 @@ class LlamaModel:
         if trace is not None:
             trace.record(f"layer{layer}.out", x)
         return x
-
-    # ------------------------------------------------------------------
-    def forward_sequence(
-        self,
-        tokens: List[int],
-        cache: KVCache,
-        start_pos: int = 0,
-    ) -> np.ndarray:
-        """Run the model over ``tokens`` sequentially (prefill).
-
-        Returns the logits of the final position only, which is what the
-        decode loop needs to sample the first generated token.
-        """
-        if not tokens:
-            raise ValueError("forward_sequence requires at least one token")
-        logits = np.zeros(self.config.vocab_size, dtype=np.float32)
-        for offset, token in enumerate(tokens):
-            logits = self.forward(token, start_pos + offset, cache)
-        return logits
-
-    # ------------------------------------------------------------------
-    def logits_for_prompt(self, tokens: List[int]) -> np.ndarray:
-        """Convenience helper: fresh cache, prefill, return final logits."""
-        cache = self.new_cache()
-        return self.forward_sequence(tokens, cache)

@@ -19,7 +19,7 @@ and :func:`dequantize` slices it back off.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -30,10 +30,7 @@ __all__ = [
     "dequantize",
     "pack_int4",
     "unpack_int4",
-    "quantized_matvec",
-    "quantization_error",
     "INT8",
-    "INT4",
 ]
 
 
@@ -93,7 +90,6 @@ class QuantSpec:
 
 
 INT8 = QuantSpec(bits=8, group_size=64)
-INT4 = QuantSpec(bits=4, group_size=64)
 
 
 @dataclass
@@ -222,60 +218,3 @@ def unpack_int4(packed: np.ndarray, n_values: int) -> np.ndarray:
     values[0::2] = lo.astype(np.int8)
     values[1::2] = hi.astype(np.int8)
     return values[:n_values]
-
-
-def quantized_matvec(w: QuantizedTensor, x: np.ndarray) -> np.ndarray:
-    """Compute ``w @ x`` where ``w`` is a quantised (out, in) matrix.
-
-    The activation vector ``x`` stays in float32 (weight-only
-    quantisation), matching the accelerator datapath: the MPE accumulates
-    each group's integer weights against the activations and the SFU
-    applies the group scale at the accumulator, so no dequantised weight
-    matrix is ever materialised.
-    """
-    if len(w.original_shape) != 2:
-        raise ValueError("quantized_matvec expects a 2-D weight tensor")
-    x = np.asarray(x, dtype=np.float32)
-    if x.shape[-1] != w.original_shape[1]:
-        raise ValueError(
-            f"shape mismatch: weight {w.original_shape} @ x {x.shape}"
-        )
-    spec = w.spec
-    out_features, in_features = w.original_shape
-    padded = spec.padded_elements(in_features)
-    n_groups = padded // spec.group_size
-    xg = _pad_last_axis(x, padded).reshape(n_groups, spec.group_size)
-    qg = w.q.astype(np.float32).reshape(out_features, n_groups, spec.group_size)
-    # Per-group partial accumulations, scaled at the accumulator.
-    partial = np.einsum("ogk,gk->og", qg, xg)
-    return (partial * w.scales.reshape(out_features, n_groups)).sum(axis=-1)
-
-
-def quantization_error(x: np.ndarray, spec: QuantSpec = INT8) -> float:
-    """Return the relative L2 error introduced by quantising ``x``."""
-    x = np.asarray(x, dtype=np.float32)
-    approx = dequantize(quantize(x, spec))
-    denom = float(np.linalg.norm(x))
-    if denom == 0.0:
-        return 0.0
-    return float(np.linalg.norm(x - approx)) / denom
-
-
-def quantize_state_dict(
-    weights: Dict[str, np.ndarray],
-    spec: QuantSpec = INT8,
-    skip_1d: bool = True,
-) -> Dict[str, QuantizedTensor | np.ndarray]:
-    """Quantise every matrix in a weight dictionary.
-
-    One-dimensional tensors (norm scales) stay in float32 when
-    ``skip_1d`` is true, matching the accelerator which keeps them
-    on-chip in full precision.
-    """
-    out: Dict[str, QuantizedTensor | np.ndarray] = {}
-    for name, tensor in weights.items():
-        if skip_1d and tensor.ndim == 1:
-            out[name] = np.asarray(tensor, dtype=np.float32)
-        else:
-            out[name] = quantize(tensor, spec)
-    return out

@@ -26,13 +26,12 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterable, List, Sequence, Tuple
 
-__all__ = ["Tokenizer", "train_bpe", "SPECIAL_TOKENS"]
+__all__ = ["Tokenizer", "train_bpe"]
 
 UNK_ID = 0
 BOS_ID = 1
 EOS_ID = 2
 N_SPECIAL = 3
-SPECIAL_TOKENS = {"<unk>": UNK_ID, "<s>": BOS_ID, "</s>": EOS_ID}
 
 
 def _byte_token(b: int) -> bytes:
@@ -82,20 +81,11 @@ class Tokenizer:
         """Total number of tokens including specials and byte fallbacks."""
         return len(self.vocab)
 
-    @property
-    def max_token_length(self) -> int:
-        """Length in bytes of the longest token (llama2.c header field)."""
-        return max(len(t) for t in self.vocab)
-
     def id_to_token(self, token_id: int) -> bytes:
         """Return the byte string of ``token_id``."""
         if not 0 <= token_id < len(self.vocab):
             raise IndexError(f"token id {token_id} out of range")
         return self.vocab[token_id]
-
-    def token_to_id(self, token: bytes) -> int:
-        """Return the id of ``token`` or ``UNK_ID`` when unknown."""
-        return self._token_to_id.get(token, UNK_ID)
 
     # ------------------------------------------------------------------
     # Encoding / decoding
@@ -153,17 +143,6 @@ class Tokenizer:
             chunks.append(self.id_to_token(token_id))
         return b"".join(chunks).decode("utf-8", errors="replace")
 
-    def decode_token(self, token_id: int, prev_id: int | None = None) -> str:
-        """Decode a single token for streaming output.
-
-        Mirrors llama2.c: a leading space encoded in the token following a
-        BOS is preserved as-is; raw bytes that do not form valid UTF-8 are
-        replaced.
-        """
-        if token_id in (BOS_ID, EOS_ID, UNK_ID):
-            return ""
-        return self.id_to_token(token_id).decode("utf-8", errors="replace")
-
     # ------------------------------------------------------------------
     # Serialisation (llama2.c tokenizer.bin layout)
     # ------------------------------------------------------------------
@@ -171,7 +150,8 @@ class Tokenizer:
         """Write the tokenizer in a ``tokenizer.bin``-style binary layout."""
         path = Path(path)
         with path.open("wb") as fh:
-            fh.write(struct.pack("<i", self.max_token_length))
+            # llama2.c's header: the longest token's length in bytes
+            fh.write(struct.pack("<i", max(len(t) for t in self.vocab)))
             for tok, score in zip(self.vocab, self.scores):
                 fh.write(struct.pack("<fi", float(score), len(tok)))
                 fh.write(tok)
@@ -184,7 +164,7 @@ class Tokenizer:
         raw = path.read_bytes()
         if len(raw) < 4:
             raise ValueError(f"{path} is not a tokenizer file")
-        offset = 4  # max_token_length header (unused on load)
+        offset = 4  # longest-token header (unused on load)
         vocab: List[bytes] = []
         scores: List[float] = []
         while offset < len(raw):
@@ -193,29 +173,6 @@ class Tokenizer:
             vocab.append(raw[offset:offset + length])
             offset += length
             scores.append(score)
-        return cls(vocab=vocab, scores=scores)
-
-    # ------------------------------------------------------------------
-    @classmethod
-    def byte_level(cls, vocab_size: int | None = None) -> "Tokenizer":
-        """Create a tokenizer with no learned merges (bytes only).
-
-        If ``vocab_size`` is given and larger than the base vocabulary,
-        the vocab is padded with unused placeholder tokens so the model's
-        embedding table size can be matched exactly.
-        """
-        vocab: List[bytes] = [b"<unk>", b"<s>", b"</s>"]
-        vocab.extend(_byte_token(b) for b in range(256))
-        scores = [0.0] * len(vocab)
-        if vocab_size is not None:
-            if vocab_size < len(vocab):
-                raise ValueError(
-                    f"vocab_size {vocab_size} smaller than base vocabulary "
-                    f"({len(vocab)})"
-                )
-            for i in range(vocab_size - len(vocab)):
-                vocab.append(f"<pad{i}>".encode("utf-8"))
-                scores.append(-1e9)
         return cls(vocab=vocab, scores=scores)
 
 

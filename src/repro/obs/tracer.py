@@ -206,20 +206,6 @@ class Tracer:
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
-    def spans_named(self, name: str) -> List[Span]:
-        return [s for s in self.spans if s.name == name]
-
-    def spans_for(self, request_id: str) -> List[Span]:
-        return [s for s in self.spans if s.request_id == request_id]
-
-    def request_ids(self) -> List[str]:
-        """Distinct request ids in first-emission order."""
-        seen: Dict[str, None] = {}
-        for span in self.spans:
-            if span.request_id is not None and span.request_id not in seen:
-                seen[span.request_id] = None
-        return list(seen)
-
     def tracks(self) -> List[str]:
         """Distinct tracks in first-emission order."""
         seen: Dict[str, None] = {}

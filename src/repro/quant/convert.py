@@ -18,7 +18,7 @@ import numpy as np
 
 from repro.llama.checkpoint import Checkpoint
 from repro.llama.config import LlamaConfig
-from repro.llama.quantization import QuantizedTensor, dequantize, quantize
+from repro.llama.quantization import QuantizedTensor, quantize
 
 from .config import QuantConfig
 
@@ -72,21 +72,6 @@ class QuantizedCheckpoint:
     def items(self) -> Iterator[Tuple[str, TensorLike]]:
         for name, _ in self.config.parameter_shapes():
             yield name, self.tensors[name]
-
-    def functional_weights(self) -> Dict[str, np.ndarray]:
-        """Dequantised float32 weights for the functional simulator.
-
-        This is the fake-quant view: values carry the quantisation error
-        of the stored representation, but the simulator's NumPy kernels
-        consume plain float32 arrays.
-        """
-        out: Dict[str, np.ndarray] = {}
-        for name, tensor in self.items():
-            if isinstance(tensor, QuantizedTensor):
-                out[name] = dequantize(tensor)
-            else:
-                out[name] = np.asarray(tensor, dtype=np.float32)
-        return out
 
     def summary(self) -> Dict[str, Union[int, float, str]]:
         """Counters for CLI output and the conversion report."""

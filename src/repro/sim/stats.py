@@ -54,10 +54,6 @@ class RunCounters:
         """Total on-chip SRAM traffic (reads + writes)."""
         return self.onchip_read_bytes + self.onchip_write_bytes
 
-    @property
-    def stall_cycles(self) -> int:
-        return self.buffer_stall_cycles + self.memory_stall_cycles
-
     def as_dict(self) -> Dict[str, int]:
         return {
             "int8_macs": self.int8_macs,

@@ -11,14 +11,12 @@ to generate — the unit of work every benchmark and example operates on.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import List
 
 from .tinystories import StoryGenerator
 
-__all__ = ["Workload", "PromptSuite", "default_suite", "latency_suite",
-           "long_context_suite", "mixed_chat_suite",
-           "multi_turn_chat_suite", "repetitive_suite",
-           "shared_prefix_suite"]
+__all__ = ["Workload", "PromptSuite", "default_suite", "long_context_suite",
+           "mixed_chat_suite", "repetitive_suite", "shared_prefix_suite"]
 
 
 @dataclass(frozen=True)
@@ -62,10 +60,6 @@ class PromptSuite:
 
     def __len__(self) -> int:
         return len(self.workloads)
-
-    @property
-    def total_new_tokens(self) -> int:
-        return sum(w.max_new_tokens for w in self.workloads)
 
 
 def default_suite(
@@ -134,50 +128,6 @@ def shared_prefix_suite(
                 session=f"tenant-{group}" if n_groups > 1 else "",
             ))
     return PromptSuite(name="shared-prefix", workloads=tuple(workloads))
-
-
-def multi_turn_chat_suite(
-    n_sessions: int = 4,
-    n_turns: int = 3,
-    first_turn_words: int = 12,
-    turn_words: int = 6,
-    max_new_tokens: int = 16,
-    seed: int = 29,
-) -> PromptSuite:
-    """Session-tagged conversations where each turn extends the last.
-
-    Every session is an independent chat; turn ``t``'s prompt is turn
-    ``t-1``'s prompt plus a fresh user utterance, so consecutive turns
-    of one session share an ever-growing prefix — exactly the reuse a
-    per-replica radix cache captures when the router keeps a session on
-    one replica.  (This is the *user-side* context: an open-loop suite
-    cannot splice model responses into later prompts, so the shared
-    prefix is the accumulated user turns.)
-
-    Turns are interleaved round-robin across sessions (turn 0 of every
-    session, then turn 1, ...), so a session's turns arrive in order
-    while the engine always has several sessions in flight.
-    """
-    if n_sessions <= 0 or n_turns <= 0:
-        raise ValueError("n_sessions and n_turns must be positive")
-    if first_turn_words <= 0 or turn_words <= 0:
-        raise ValueError("first_turn_words and turn_words must be positive")
-    gen = StoryGenerator(seed=seed)
-    contexts: List[str] = [gen.prompt(max_words=first_turn_words)
-                           for _ in range(n_sessions)]
-    workloads: List[Workload] = []
-    for turn in range(n_turns):
-        for session in range(n_sessions):
-            if turn > 0:
-                contexts[session] = (
-                    f"{contexts[session]} {gen.prompt(max_words=turn_words)}")
-            workloads.append(Workload(
-                name=f"chat-s{session}-t{turn}",
-                prompt=contexts[session],
-                max_new_tokens=max_new_tokens,
-                session=f"session-{session}",
-            ))
-    return PromptSuite(name="multi-turn-chat", workloads=tuple(workloads))
 
 
 def repetitive_suite(
@@ -306,25 +256,3 @@ def long_context_suite(
         for i in range(n_prompts)
     )
     return PromptSuite(name="long-context", workloads=workloads)
-
-
-def latency_suite(
-    decode_lengths: Sequence[int] = (32, 64, 128, 192),
-    seed: int = 11,
-) -> PromptSuite:
-    """Suite sweeping decode length, used by the Fig. 2(a) benchmark.
-
-    The paper reports latency for "complete inference"; sweeping the
-    decode budget makes the pipeline/fusion effects visible across the
-    regime the stories15M context window supports (max 256 positions).
-    """
-    gen = StoryGenerator(seed=seed)
-    workloads = tuple(
-        Workload(
-            name=f"decode-{n}",
-            prompt=gen.prompt(max_words=8),
-            max_new_tokens=n,
-        )
-        for n in decode_lengths
-    )
-    return PromptSuite(name="latency", workloads=workloads)

@@ -19,9 +19,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Iterator, List, Sequence
+from typing import Iterator, List
 
-__all__ = ["StoryGenerator", "generate_corpus", "CorpusStats", "corpus_stats"]
+__all__ = ["StoryGenerator", "generate_corpus"]
 
 _CHARACTERS = [
     "Lily", "Tom", "Mia", "Ben", "Sara", "Max", "Anna", "Sam", "Lucy", "Tim",
@@ -108,37 +108,3 @@ def generate_corpus(n_documents: int = 1000, seed: int = 0) -> List[str]:
     """Produce a reproducible corpus of ``n_documents`` stories."""
     gen = StoryGenerator(seed=seed)
     return list(gen.stories(n_documents))
-
-
-@dataclass(frozen=True)
-class CorpusStats:
-    """Summary statistics of a text corpus."""
-
-    n_documents: int
-    n_words: int
-    n_chars: int
-    vocabulary: int
-
-    @property
-    def mean_words_per_document(self) -> float:
-        if self.n_documents == 0:
-            return 0.0
-        return self.n_words / self.n_documents
-
-
-def corpus_stats(corpus: Sequence[str]) -> CorpusStats:
-    """Compute document/word/character/vocabulary counts for ``corpus``."""
-    words: set[str] = set()
-    n_words = 0
-    n_chars = 0
-    for doc in corpus:
-        doc_words = doc.split()
-        n_words += len(doc_words)
-        n_chars += len(doc)
-        words.update(w.lower().strip(".,!?") for w in doc_words)
-    return CorpusStats(
-        n_documents=len(corpus),
-        n_words=n_words,
-        n_chars=n_chars,
-        vocabulary=len(words),
-    )

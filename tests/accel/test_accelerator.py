@@ -12,6 +12,7 @@ from repro.accel.accelerator import SpeedLLMAccelerator
 from repro.accel.batching import BatchSlot
 from repro.accel.compiler import ProgramCompiler
 from repro.accel.config import AcceleratorConfig
+from repro.accel.variants import PAPER_VARIANTS
 from repro.accel.dse import DesignSpace, DesignSpaceExplorer
 from repro.core.runner import ExperimentConfig, ExperimentRunner
 from repro.graph.builder import GraphBuilder
@@ -65,7 +66,7 @@ class TestCompilationCaches:
 class TestResourceReport:
     def test_design_fits_u280(self, accel):
         report = accel.resource_report()
-        assert report.peak_fraction() < 1.0
+        assert all(report.fraction(name) < 1.0 for name in report.total.as_dict())
         assert report.fraction("dsp") > 0
 
 
@@ -88,12 +89,28 @@ class TestSimulateGeneration:
         long = accel.simulate_generation(n_prompt=4, n_generated=16)
         assert long.total_cycles > short.total_cycles
 
-    def test_stride_approximates_exact_simulation(self, small_checkpoint):
-        accel = SpeedLLMAccelerator(small_checkpoint, AcceleratorConfig())
-        exact = accel.simulate_generation(n_prompt=4, n_generated=24, position_stride=1)
-        strided = accel.simulate_generation(n_prompt=4, n_generated=24, position_stride=8)
-        assert strided.total_cycles == pytest.approx(exact.total_cycles, rel=0.02)
-        assert strided.counters.hbm_bytes == pytest.approx(exact.counters.hbm_bytes, rel=0.05)
+    @pytest.mark.parametrize("variant", sorted(PAPER_VARIANTS))
+    def test_stride_approximates_exact_simulation(self, small_checkpoint, variant):
+        """The interpolation the paper headline rests on, bounded: over
+        the whole test-small window, every stride in use stays within
+        0.5 % of simulating every position (0.41 % at worst when this was
+        pinned, ``full`` at stride 64) and moves no HBM byte."""
+        accel = SpeedLLMAccelerator(small_checkpoint,
+                                    AcceleratorConfig.variant(variant))
+        window = small_checkpoint.config.max_seq_len
+        for n_prompt in (1, 16):
+            exact = accel.simulate_generation(n_prompt, window - n_prompt,
+                                              position_stride=1)
+            for stride in (8, 32, 64):
+                strided = accel.simulate_generation(
+                    n_prompt, window - n_prompt, position_stride=stride)
+                assert strided.total_cycles == pytest.approx(
+                    exact.total_cycles, rel=0.005)
+                assert strided.decode_seconds == pytest.approx(
+                    exact.decode_seconds, rel=0.005)
+                assert strided.energy.total_j == pytest.approx(
+                    exact.energy.total_j, rel=0.005)
+                assert strided.counters.hbm_bytes == exact.counters.hbm_bytes
 
     def test_strided_utilization_weights_each_sample_by_its_positions(self, accel):
         """At stride 8 over 28 positions the last sample (27) stands for

@@ -51,12 +51,6 @@ class TestAnalyticalEstimate:
         est_slow = AnalyticalModel(slow, platform).estimate(program_slow)
         assert est_slow.load_cycles > est_fast.load_cycles
 
-    def test_throughput_upper_bound_positive(self, small_config, platform):
-        config = AcceleratorConfig()
-        program = _program(config, small_config)
-        model = AnalyticalModel(config, platform)
-        assert model.throughput_upper_bound(program) > 0
-
 
 class TestSimulationBrackets:
     @pytest.mark.parametrize("variant", ["full", "no-pipeline", "unoptimized"])

@@ -40,7 +40,8 @@ class TestMergeBatchPrograms:
         ctxs = [4, 4, 4, 4]
         single = accelerator.timing.lower(4)
         merged = accelerator.timing.compile_step(ctxs).program
-        assert merged.total_macs == len(ctxs) * single.total_macs
+        assert (sum(op.macs for op in merged.ops)
+                == len(ctxs) * sum(op.macs for op in single.ops))
         # Weight-tile compute amortizes only the systolic fill/drain, so
         # it grows with the batch but stays below B separate tiles.
         assert merged.total_compute_cycles > single.total_compute_cycles
@@ -202,9 +203,8 @@ class TestExecuteSlots:
         builder = GraphBuilder(small_config, quant=accelerator.config.quant)
         for pos, token in enumerate(tokens):
             graph = fuse_graph(builder.build_decode_step(pos)).graph
-            stepwise_logits = accelerator._graph_executor.execute(
-                graph, token, pos, stepwise_cache
-            )
+            stepwise_logits = accelerator._graph_executor.execute_step(
+                [graph], [BatchSlot(token, pos, stepwise_cache)])[0]
         batched_cache = KVCache(small_config)
         slots = [
             BatchSlot(token=token, pos=pos, cache=batched_cache,
@@ -304,7 +304,7 @@ class TestSpeculativeRuns:
                 assert len(run_op.packets) < len(flat_op.packets)
         # Compute work is conserved: every position still scores its
         # window and streams through every weight tile.
-        assert run.total_macs == flat.total_macs
+        assert sum(op.macs for op in run.ops) == sum(op.macs for op in flat.ops)
 
     def test_run_amortizes_attention_kv_reads(self, accelerator):
         ctxs = [8, 9, 10, 11]

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+
 import pytest
 
 from repro.accel.config import (
@@ -9,8 +11,8 @@ from repro.accel.config import (
     BufferConfig,
     MPEConfig,
     SFUConfig,
-    VARIANT_NAMES,
 )
+from repro.accel.variants import PAPER_VARIANTS
 from repro.fpga.u280 import U280_RESOURCES
 from repro.quant import QuantConfig
 
@@ -82,10 +84,21 @@ class TestAcceleratorConfig:
 
 
 class TestVariants:
-    @pytest.mark.parametrize("name", VARIANT_NAMES)
+    @pytest.mark.parametrize("name", sorted(PAPER_VARIANTS))
     def test_all_variants_construct(self, name):
         cfg = AcceleratorConfig.variant(name)
         assert cfg.name == f"speedllm-{name}"
+
+    @pytest.mark.parametrize("pipeline, memory_reuse, operator_fusion",
+                             list(itertools.product((True, False), repeat=3)))
+    def test_every_flag_combination_constructs(self, pipeline, memory_reuse,
+                                               operator_fusion):
+        cfg = AcceleratorConfig(pipeline=pipeline, memory_reuse=memory_reuse,
+                                operator_fusion=operator_fusion)
+        described = cfg.describe()
+        assert (described["pipeline"], described["memory_reuse"],
+                described["operator_fusion"]) == (pipeline, memory_reuse,
+                                                  operator_fusion)
 
     def test_flag_combinations(self):
         assert AcceleratorConfig.variant("unoptimized").pipeline is False
@@ -95,8 +108,6 @@ class TestVariants:
         assert AcceleratorConfig.variant("no-fusion").pipeline is True
         assert AcceleratorConfig.variant("no-pipeline").pipeline is False
         assert AcceleratorConfig.variant("no-reuse").memory_reuse is False
-        assert AcceleratorConfig.variant("pipeline-only").pipeline is True
-        assert AcceleratorConfig.variant("pipeline-only").memory_reuse is False
 
     def test_unknown_variant_rejected(self):
         with pytest.raises(KeyError):

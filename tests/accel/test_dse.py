@@ -5,12 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.accel.config import AcceleratorConfig, MPEConfig
-from repro.accel.dse import (
-    CandidateResult,
-    DesignSpace,
-    DesignSpaceExplorer,
-    pareto_front,
-)
+from repro.accel.dse import DesignSpace, DesignSpaceExplorer
 from repro.core import runner as runner_module
 from repro.core.runner import ExperimentConfig, ExperimentRunner
 from repro.quant import QuantConfig
@@ -194,30 +189,3 @@ class TestRowsArePinned:
                 expected.append((name, True, True, lower, latency, efficiency))
         assert self._rows(
             explorer.explore(PINNED_SPACE, prune_factor=1.5)) == expected
-
-
-class TestParetoFront:
-    def _candidate(self, name, latency, efficiency):
-        return CandidateResult(
-            config=AcceleratorConfig(name=name), fits=True, simulated=True,
-            latency_seconds=latency, tokens_per_joule=efficiency,
-        )
-
-    def test_front_excludes_dominated_points(self):
-        a = self._candidate("fast-efficient", 1.0, 100.0)
-        b = self._candidate("slow-inefficient", 2.0, 50.0)    # dominated by a
-        c = self._candidate("slow-very-efficient", 3.0, 200.0)
-        front = pareto_front([a, b, c])
-        assert [r.config.name for r in front] == ["fast-efficient",
-                                                  "slow-very-efficient"]
-
-    def test_front_ignores_unsimulated(self):
-        a = self._candidate("only", 1.0, 1.0)
-        unsim = CandidateResult(config=AcceleratorConfig(name="x"), fits=True)
-        assert pareto_front([a, unsim]) == [a]
-
-    def test_real_exploration_has_nonempty_front(self, explorer):
-        results = explorer.explore(SMALL_SPACE)
-        front = pareto_front(results)
-        assert front
-        assert all(r.simulated for r in front)

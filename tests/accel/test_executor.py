@@ -15,6 +15,11 @@ from repro.llama.quantization import QuantSpec
 from repro.quant import QuantConfig
 
 
+def _execute(executor, graph, token, pos, cache):
+    """The one-slot step."""
+    return executor.execute_step([graph], [BatchSlot(token, pos, cache)])[0]
+
+
 class TestNameMapping:
     def test_layer_tensor(self):
         assert (_graph_to_checkpoint_name("L3.attention.wq.weight")
@@ -42,7 +47,7 @@ class TestGraphExecutorEquivalence:
             graph = build_decode_graph(config, pos, quant=QuantConfig.fp32())
             if fused:
                 graph = fuse_graph(graph).graph
-            got = executor.execute(graph, token, pos, cache_graph)
+            got = _execute(executor, graph, token, pos, cache_graph)
             errors.append(np.max(np.abs(ref - got)))
         return errors
 
@@ -65,30 +70,30 @@ class TestGraphExecutorEquivalence:
     def test_fused_and_unfused_identical(self, executor, small_config):
         graph = build_decode_graph(small_config, 0, quant=QuantConfig.fp32())
         fused = fuse_graph(graph).graph
-        a = executor.execute(graph, 5, 0, KVCache(small_config))
-        b = executor.execute(fused, 5, 0, KVCache(small_config))
+        a = _execute(executor, graph, 5, 0, KVCache(small_config))
+        b = _execute(executor, fused, 5, 0, KVCache(small_config))
         assert np.array_equal(a, b)
 
     def test_logits_shape(self, executor, small_config):
         graph = build_decode_graph(small_config, 0)
-        logits = executor.execute(graph, 1, 0, KVCache(small_config))
+        logits = _execute(executor, graph, 1, 0, KVCache(small_config))
         assert logits.shape == (small_config.vocab_size,)
 
     def test_kv_cache_updated(self, executor, small_config):
         cache = KVCache(small_config)
         graph = build_decode_graph(small_config, 0)
-        executor.execute(graph, 1, 0, cache)
+        _execute(executor, graph, 1, 0, cache)
         assert cache.length == 1
 
     def test_token_out_of_range(self, executor, small_config):
         graph = build_decode_graph(small_config, 0)
         with pytest.raises(IndexError):
-            executor.execute(graph, small_config.vocab_size, 0, KVCache(small_config))
+            _execute(executor, graph, small_config.vocab_size, 0, KVCache(small_config))
 
     def test_position_beyond_capacity(self, executor, small_config):
         graph = build_decode_graph(small_config, 0)
         with pytest.raises(IndexError):
-            executor.execute(graph, 1, 99, KVCache(small_config, max_seq_len=4))
+            _execute(executor, graph, 1, 99, KVCache(small_config, max_seq_len=4))
 
     def test_missing_weight_reported(self, small_config, small_checkpoint):
         weights = {k: v for k, v in small_checkpoint.weights.items()
@@ -97,11 +102,11 @@ class TestGraphExecutorEquivalence:
         graph = build_decode_graph(small_config, 0)
         cache = KVCache(small_config)
         # Raised while the graph's program is built, inside the first
-        # execute — before anything is computed or cached.
+        # step — before anything is computed or cached.
         with pytest.raises(KeyError, match=(
                 r"graph weight 'L0\.attention\.wq\.weight' \(checkpoint key "
                 r"'layers\.0\.attention\.wq\.weight'\) not found")):
-            executor.execute(graph, 1, 0, cache)
+            _execute(executor, graph, 1, 0, cache)
         assert cache.length == 0 and not cache.keys(0, 1).any()
 
     def test_slots_share_a_step_only_along_a_common_prefix(
@@ -116,7 +121,7 @@ class TestGraphExecutorEquivalence:
         hidden, logits = executor.execute_step([prefix, full], slots)
         assert hidden.shape == (small_config.dim,)
         assert np.array_equal(
-            logits, executor.execute(full, 1, 0, KVCache(small_config)))
+            logits, _execute(executor, full, 1, 0, KVCache(small_config)))
         with pytest.raises(ValueError, match="not a prefix"):
             executor.execute_step([shallow, full], slots)
 
@@ -142,7 +147,7 @@ def _int8(config):
 
 
 class TestValuesAreContextFree:
-    """What ``SpeedLLMAccelerator.execute`` rests on: the graph built at
+    """What ``SpeedLLMAccelerator.forward`` rests on: the graph built at
     context 0 computes, at every position, exactly what the graph built
     for that position computes — the attention window is ``pos + 1``
     whatever context a graph was built for."""
@@ -167,8 +172,8 @@ class TestValuesAreContextFree:
         context_free = graph_at(0)
         cache_free, cache_exact = new_cache(small_config), new_cache(small_config)
         for pos, token in enumerate(self.TOKENS):
-            got = executor.execute(context_free, token, pos, cache_free)
-            want = executor.execute(graph_at(pos), token, pos, cache_exact)
+            got = _execute(executor, context_free, token, pos, cache_free)
+            want = _execute(executor, graph_at(pos), token, pos, cache_exact)
             assert got.shape == ((small_config.vocab_size,) if include_logits
                                  else (small_config.dim,))
             assert np.array_equal(got, want)
@@ -190,5 +195,5 @@ class TestValuesAreContextFree:
                 lambda self, _n=name, _f=original: calls.append(_n) or _f(self))
         cache = KVCache(small_config)
         for pos, token in enumerate(self.TOKENS):
-            executor.execute(graph, token, pos, cache)
+            _execute(executor, graph, token, pos, cache)
         assert sorted(calls) == ["graph_outputs", "topological_order"]

@@ -9,10 +9,12 @@ the two to agree on ``cycles``, ``engine_busy``, ``n_flushes``, all
 
 from __future__ import annotations
 
+import itertools
+
 import pytest
 from hypothesis import given, settings
 
-from repro.accel.config import VARIANT_NAMES, AcceleratorConfig
+from repro.accel.config import AcceleratorConfig
 from repro.accel.instructions import OpProgram, Program, TilePacket
 from repro.accel.pipeline import DISPATCH_CYCLES, PipelineExecutor
 from repro.compile.pipeline import StepCompiler
@@ -23,6 +25,11 @@ from repro.quant.config import QuantConfig
 
 from .kernel_oracle import KernelExecutor
 from .strategies import executor_cases
+
+#: Every (pipeline, memory_reuse, operator_fusion) design point.
+ALL_FLAGS = pytest.mark.parametrize(
+    "pipeline, memory_reuse, operator_fusion",
+    list(itertools.product((True, False), repeat=3)))
 
 
 def _facts(result):
@@ -49,9 +56,12 @@ class TestGeneratedPrograms:
 
 
 class TestCompiledPrograms:
-    @pytest.mark.parametrize("variant", VARIANT_NAMES)
-    def test_variants_single_slot_and_batched(self, variant, small_config):
-        config = AcceleratorConfig.variant(variant, trace_enabled=True)
+    @ALL_FLAGS
+    def test_variants_single_slot_and_batched(self, pipeline, memory_reuse,
+                                              operator_fusion, small_config):
+        config = AcceleratorConfig(pipeline=pipeline, memory_reuse=memory_reuse,
+                                   operator_fusion=operator_fusion,
+                                   trace_enabled=True)
         platform = u280()
         compiler = StepCompiler(small_config, config, platform)
         for context_len in (0, 7, 40):
@@ -113,9 +123,11 @@ class TestOperatorsWithoutPackets:
     below) but keyed the pipelined dispatch by the operator's first
     packet, so the same operator was free there (34)."""
 
-    @pytest.mark.parametrize("variant", VARIANT_NAMES)
-    def test_an_empty_operator_dispatches_nothing_and_costs_nothing(self, variant):
-        config = AcceleratorConfig.variant(variant)
+    @ALL_FLAGS
+    def test_an_empty_operator_dispatches_nothing_and_costs_nothing(
+            self, pipeline, memory_reuse, operator_fusion):
+        config = AcceleratorConfig(pipeline=pipeline, memory_reuse=memory_reuse,
+                                   operator_fusion=operator_fusion)
         executor = PipelineExecutor(config, u280())
         work = OpProgram("work", ComputeUnit.MPE, [_tile(10)])
         empty = lambda name: OpProgram(name, ComputeUnit.SFU, [])

@@ -19,14 +19,6 @@ class TestTilePacket:
             TilePacket(op_name="x", unit=ComputeUnit.MPE, load_bytes=-1,
                        compute_cycles=1, store_bytes=0)
 
-    def test_moves_data(self):
-        p = TilePacket(op_name="x", unit=ComputeUnit.MPE, load_bytes=0,
-                       compute_cycles=1, store_bytes=0)
-        assert not p.moves_data
-        q = TilePacket(op_name="x", unit=ComputeUnit.MPE, load_bytes=8,
-                       compute_cycles=1, store_bytes=0)
-        assert q.moves_data
-
 
 class TestProgramContainers:
     def test_op_program_aggregates(self):
@@ -43,7 +35,7 @@ class TestProgramContainers:
         assert op.macs == 120
         assert len(op) == 2
 
-    def test_program_aggregates_and_grouping(self):
+    def test_program_aggregates(self):
         prog = Program(name="p")
         prog.add(OpProgram(op_name="a", unit=ComputeUnit.MPE, packets=[
             TilePacket(op_name="a", unit=ComputeUnit.MPE, load_bytes=10,
@@ -54,10 +46,8 @@ class TestProgramContainers:
         assert prog.n_packets == 2
         assert prog.total_load_bytes == 30
         assert prog.total_store_bytes == 3
-        assert prog.total_offchip_bytes == 33
         assert prog.total_compute_cycles == 12
-        assert set(prog.by_unit()) == {ComputeUnit.MPE, ComputeUnit.SFU}
-        assert prog.summary()["n_ops"] == 2
+        assert len(prog.ops) == 2
 
 
 class TestCompiler:
@@ -91,7 +81,7 @@ class TestCompiler:
             op.total_flops() for op in graph
             if op.kind in (OpKind.MATMUL, OpKind.ATTN_SCORE, OpKind.ATTN_CONTEXT)
         )
-        assert program.total_macs == mpe_flops // 2
+        assert sum(op.macs for op in program.ops) == mpe_flops // 2
 
     def test_sfu_ops_single_packet(self, program, graph):
         for op in graph:
@@ -138,9 +128,11 @@ class TestCompilerOptimizationEffects:
         fused = fuse_graph(graph).graph
         unfused_prog = compiler.compile(graph)
         fused_prog = compiler.compile(fused)
-        assert fused_prog.total_offchip_bytes < unfused_prog.total_offchip_bytes
+        assert (fused_prog.total_load_bytes + fused_prog.total_store_bytes
+                < unfused_prog.total_load_bytes + unfused_prog.total_store_bytes)
         # compute work is preserved
-        assert fused_prog.total_macs == unfused_prog.total_macs
+        assert (sum(op.macs for op in fused_prog.ops)
+                == sum(op.macs for op in unfused_prog.ops))
 
     def test_fusion_reduces_packet_count(self, small_config):
         config = AcceleratorConfig()
@@ -154,7 +146,8 @@ class TestCompilerOptimizationEffects:
         with_reuse = ProgramCompiler(AcceleratorConfig.variant("full")).compile(graph)
         without = ProgramCompiler(AcceleratorConfig.variant("no-reuse")).compile(graph)
         assert without.total_load_bytes > with_reuse.total_load_bytes
-        assert without.total_macs == with_reuse.total_macs
+        assert (sum(op.macs for op in without.ops)
+                == sum(op.macs for op in with_reuse.ops))
 
     def test_weight_bits_change_load_bytes(self, small_config):
         from repro.graph.builder import GraphBuilder

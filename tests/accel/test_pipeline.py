@@ -44,13 +44,12 @@ class TestStepResult:
         config = AcceleratorConfig()
         program = ProgramCompiler(config).compile(small_graph)
         result = PipelineExecutor(config, platform).run(program)
-        assert result.counters.int8_macs == program.total_macs
+        assert result.counters.int8_macs == sum(op.macs for op in program.ops)
         assert result.counters.instructions == program.n_packets
 
     def test_utilization_bounds(self, small_graph, platform):
         result = _run(AcceleratorConfig(), small_graph, platform)
         assert 0 < result.mpe_utilization <= 1.0
-        assert 0 <= result.load_utilization <= 1.0
 
     def test_deterministic(self, small_graph, platform):
         config = AcceleratorConfig()

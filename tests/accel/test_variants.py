@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import itertools
+
 import pytest
 
-from repro.accel.config import VARIANT_NAMES, AcceleratorConfig
+from repro.accel.config import AcceleratorConfig
 from repro.accel.variants import PAPER_VARIANTS
 from repro.core.runner import ExperimentConfig
 
@@ -24,15 +26,29 @@ class TestPaperVariants:
         cfg = AcceleratorConfig.variant(PAPER_VARIANTS["no-pipeline"].key)
         assert cfg.pipeline is False and cfg.memory_reuse and cfg.operator_fusion
 
-    def test_labels_key_the_one_flag_table(self):
-        """Every labelled design point is a name of the flags table, and
-        VARIANT_NAMES is that table: each name resolves to its own flags."""
+    def test_one_table_of_named_flags(self):
+        """Each key names its own spec, and ``variant`` builds its flags."""
         for key, spec in PAPER_VARIANTS.items():
             assert spec.key == key
-            assert key in VARIANT_NAMES
-        flags = {(c.pipeline, c.memory_reuse, c.operator_fusion)
-                 for c in map(AcceleratorConfig.variant, VARIANT_NAMES)}
-        assert len(flags) == len(VARIANT_NAMES) == 8
+            cfg = AcceleratorConfig.variant(key)
+            assert (cfg.pipeline, cfg.memory_reuse, cfg.operator_fusion) == (
+                spec.pipeline, spec.memory_reuse, spec.operator_fusion)
+
+    @pytest.mark.parametrize("pipeline, memory_reuse, operator_fusion",
+                             list(itertools.product((True, False), repeat=3)))
+    def test_every_flag_combination_is_a_config(self, pipeline, memory_reuse,
+                                                operator_fusion):
+        """The three toggles are independent: all eight combinations build,
+        and a combination the paper names is exactly that variant."""
+        flags = (pipeline, memory_reuse, operator_fusion)
+        cfg = AcceleratorConfig(pipeline=pipeline, memory_reuse=memory_reuse,
+                                operator_fusion=operator_fusion)
+        named = [key for key, spec in PAPER_VARIANTS.items()
+                 if (spec.pipeline, spec.memory_reuse, spec.operator_fusion) == flags]
+        assert len(named) <= 1
+        for key in named:
+            assert AcceleratorConfig.variant(key) == cfg.replace(
+                name=f"speedllm-{key}")
 
     def test_fig2a_starts_at_baseline_ends_at_full(self):
         """The Fig. 2(a) bar order is the runner's default variant list."""
@@ -43,9 +59,10 @@ class TestPaperVariants:
 
 
 class TestHelpers:
-    def test_variant_accepts_raw_keys(self):
-        cfg = AcceleratorConfig.variant("pipeline-only")
-        assert cfg.pipeline and not cfg.memory_reuse and not cfg.operator_fusion
+    @pytest.mark.parametrize("name", ["pipeline-only", "reuse-only", "fusion-only"])
+    def test_only_the_paper_design_points_have_names(self, name):
+        with pytest.raises(KeyError, match="unknown variant"):
+            AcceleratorConfig.variant(name)
 
     def test_variant_with_overrides(self):
         cfg = AcceleratorConfig.variant("full", hbm_stripe=2)

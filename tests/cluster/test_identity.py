@@ -12,7 +12,7 @@ import pytest
 
 from repro.api import EngineConfig, SamplingParams
 from repro.cluster import ClusterConfig
-from repro.workloads import multi_turn_chat_suite, shared_prefix_suite
+from repro.workloads import StoryGenerator, Workload, shared_prefix_suite
 
 ENGINE_SHAPES = [
     pytest.param({}, id="reservation"),
@@ -29,6 +29,22 @@ SEEDED = SamplingParams(max_tokens=8, temperature=0.9, top_p=0.9, seed=11,
 def _suite():
     return list(shared_prefix_suite(n_prompts=8, n_groups=4, system_words=16,
                                     tail_words=3, max_new_tokens=8, seed=11))
+
+
+def _chat_sessions(n_sessions, n_turns, max_new_tokens, seed):
+    """Session-tagged turns, each extending its session's previous
+    prompt, interleaved round-robin across the sessions."""
+    gen = StoryGenerator(seed=seed)
+    contexts = [gen.prompt(max_words=12) for _ in range(n_sessions)]
+    workloads = []
+    for turn in range(n_turns):
+        for session in range(n_sessions):
+            if turn:
+                contexts[session] += " " + gen.prompt(max_words=6)
+            workloads.append(Workload(
+                name=f"chat-s{session}-t{turn}", prompt=contexts[session],
+                max_new_tokens=max_new_tokens, session=f"session-{session}"))
+    return workloads
 
 
 def _cluster_streams(llm, cluster_config, workloads, params, arrivals=None):
@@ -98,8 +114,8 @@ def test_autoscaled_run_matches_single_engine(llm, single_engine_streams):
 def test_staggered_arrivals_match_single_engine(llm, single_engine_streams):
     config = EngineConfig(model="test-small", max_batch_tokens=16,
                           paged=True, block_size=8)
-    workloads = list(multi_turn_chat_suite(n_sessions=3, n_turns=2,
-                                           max_new_tokens=6, seed=5))
+    workloads = _chat_sessions(n_sessions=3, n_turns=2, max_new_tokens=6,
+                               seed=5)
     arrivals = [i * 1e-4 for i in range(len(workloads))]
     reference = single_engine_streams(config, workloads, GREEDY,
                                       arrivals=arrivals)

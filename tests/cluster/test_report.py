@@ -270,11 +270,6 @@ class TestClusterReportShape:
         assert [row["replica"] for row in cluster["replicas"]] == [0, 1]
         assert cluster["replicas"][1]["retired_at"] == 2.0
 
-    def test_peak_replicas_excludes_retired(self):
-        report = self._cluster_report()
-        assert report.n_replicas == 2
-        assert report.peak_replicas == 1
-
     def test_replica_summary_row_reports_latency_percentiles(self):
         row = self._cluster_report().replicas[0].as_dict()
         assert row["pool"] == "unified"

@@ -11,7 +11,6 @@ from hypothesis import settings
 
 from repro.llama import (
     LlamaModel,
-    Tokenizer,
     preset,
     synthesize_weights,
     train_bpe,
@@ -89,7 +88,7 @@ def tiny_tokenizer(story_corpus):
 
 @pytest.fixture(scope="session")
 def byte_tokenizer():
-    return Tokenizer.byte_level()
+    return train_bpe([], vocab_size=259)   # bytes only, no merges
 
 
 @pytest.fixture(params=ENGINE_MATRIX)

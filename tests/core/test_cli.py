@@ -203,6 +203,12 @@ class TestRejectedConfiguration:
         ["serve-api", "--model", "test-small", "--ctx-bucket", "0"],
         ["trace", "--model", "test-small", "--requests", "0"],
         ["bench", "--model", "test-small", "--stride", "0"],
+        ["generate", "hi", "--model", "test-small", "--stride", "0"],
+        ["generate", "hi", "--model", "test-small", "--tokens", "0"],
+        ["validate", "--model", "test-small", "--tokens", "0"],
+        ["validate", "--model", "test-small", "--prompts", "0"],
+        ["export-graph", "--model", "test-micro", "--context", "-1"],
+        ["export-graph", "--model", "test-micro", "--context", "99999"],
     ])
     def test_every_configuring_command_does(self, capsys, argv):
         with pytest.raises(SystemExit) as exit_info:

@@ -7,7 +7,6 @@ import pytest
 from repro.accel.accelerator import GenerationMetrics
 from repro.core.metrics import (
     VariantResult,
-    geometric_mean,
     normalized_energy_efficiency,
     normalized_latency,
     speedup,
@@ -73,15 +72,3 @@ class TestNormalization:
     def test_duplicate_variant_rejected(self, results):
         with pytest.raises(ValueError, match="duplicate"):
             normalized_latency(results + [results[0]])
-
-
-class TestGeometricMean:
-    def test_known_value(self):
-        assert geometric_mean([1.0, 4.0]) == pytest.approx(2.0)
-
-    def test_empty(self):
-        assert geometric_mean([]) == 0.0
-
-    def test_non_positive_rejected(self):
-        with pytest.raises(ValueError):
-            geometric_mean([1.0, 0.0])

@@ -47,6 +47,13 @@ class TestConstruction:
             SpeedLLM(model="test-small", checkpoint=small_checkpoint,
                      tokenizer=tiny_tokenizer, energy_accounting="magic")
 
+    @pytest.mark.parametrize("stride", [0, -1])
+    def test_non_positive_stride_rejected(self, small_checkpoint, tiny_tokenizer,
+                                          stride):
+        with pytest.raises(ValueError, match="position_stride must be positive"):
+            SpeedLLM(model="test-small", checkpoint=small_checkpoint,
+                     tokenizer=tiny_tokenizer, position_stride=stride)
+
     def test_describe(self, llm):
         desc = llm.describe()
         assert desc["model"] == "test-small"
@@ -89,13 +96,9 @@ class TestGeneration:
 
 
 class TestAnalysis:
-    def test_benchmark_returns_metrics(self, llm):
-        metrics = llm.benchmark(n_prompt=4, n_generated=8)
-        assert metrics.total_cycles > 0
-        assert metrics.decode_tokens_per_second > 0
-
     def test_resource_report_fits(self, llm):
-        assert llm.resource_report().peak_fraction() < 1.0
+        report = llm.resource_report()
+        assert all(report.fraction(name) < 1.0 for name in report.total.as_dict())
 
     def test_variant_changes_latency(self, small_checkpoint, tiny_tokenizer):
         fast = SpeedLLM(model="test-small", checkpoint=small_checkpoint,
@@ -103,6 +106,8 @@ class TestAnalysis:
         slow = SpeedLLM(model="test-small", checkpoint=small_checkpoint,
                         tokenizer=tiny_tokenizer, variant="unoptimized",
                         position_stride=4)
-        m_fast = fast.benchmark(n_prompt=4, n_generated=8)
-        m_slow = slow.benchmark(n_prompt=4, n_generated=8)
+        m_fast = fast.accelerator.simulate_generation(
+            n_prompt=4, n_generated=8, position_stride=4)
+        m_slow = slow.accelerator.simulate_generation(
+            n_prompt=4, n_generated=8, position_stride=4)
         assert m_slow.total_cycles > m_fast.total_cycles

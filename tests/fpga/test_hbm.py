@@ -35,8 +35,8 @@ class TestMemorySystemSpec:
     def test_u280_hbm_defaults(self):
         hbm = MemorySystemSpec.u280_hbm()
         assert hbm.n_channels == 32
-        assert hbm.total_capacity_bytes == 8 * 1024 ** 3
-        assert 430 < hbm.total_bandwidth_gbps < 470
+        assert sum(c.capacity_bytes for c in hbm.channels) == 8 * 1024 ** 3
+        assert 430 < sum(c.bandwidth_gbps for c in hbm.channels) < 470
 
     def test_u280_hbm_channel_subset(self):
         assert MemorySystemSpec.u280_hbm(8).n_channels == 8
@@ -48,7 +48,7 @@ class TestMemorySystemSpec:
     def test_u280_ddr(self):
         ddr = MemorySystemSpec.u280_ddr()
         assert ddr.n_channels == 2
-        assert ddr.total_capacity_bytes == 32 * 1024 ** 3
+        assert sum(c.capacity_bytes for c in ddr.channels) == 32 * 1024 ** 3
 
     def test_duplicate_channel_names_rejected(self):
         chan = MemoryChannelSpec("x", 1.0, 1, 1024)

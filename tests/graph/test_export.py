@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 
 from repro.graph.builder import build_decode_graph
-from repro.graph.export import from_json_summary, to_dot, to_json
+from repro.graph.export import to_dot, to_json
 from repro.graph.fusion import fuse_graph
 
 
@@ -35,16 +35,15 @@ class TestDotExport:
 
 
 class TestJsonExport:
-    def test_roundtrip_summary(self, micro_config):
+    def test_payload_matches_graph(self, micro_config):
         g = build_decode_graph(micro_config, 2)
-        text = to_json(g)
-        json.loads(text)  # valid JSON
-        summary = from_json_summary(text)
-        assert summary["n_operators"] == len(g)
-        assert summary["n_tensors"] == len(g.tensors)
-        assert summary["total_flops"] == g.total_flops()
-        assert summary["total_weight_bytes"] == g.total_weight_bytes()
-        assert summary["kind_histogram"]["matmul"] > 0
+        payload = json.loads(to_json(g))
+        operators = payload["operators"]
+        assert len(operators) == len(g)
+        assert len(payload["tensors"]) == len(g.tensors)
+        assert sum(op["flops"] for op in operators) == g.total_flops()
+        assert sum(op["weight_bytes"] for op in operators) == g.total_weight_bytes()
+        assert any(op["kind"] == "matmul" for op in operators)
 
     def test_fused_members_listed(self, micro_config):
         g = fuse_graph(build_decode_graph(micro_config, 1)).graph

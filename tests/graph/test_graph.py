@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 
 from repro.graph.graph import Graph, GraphValidationError
@@ -76,11 +78,9 @@ class TestQueries:
         assert {o.name for o in g.successors(g.op("op1"))} == {"op2", "op3"}
         assert [o.name for o in g.predecessors(g.op("op2"))] == ["op1"]
 
-    def test_graph_inputs_outputs_intermediates(self):
+    def test_graph_outputs(self):
         g = _chain_graph()
-        assert g.graph_inputs() == ["a"]
         assert set(g.graph_outputs()) == {"c", "d"}
-        assert g.intermediate_tensors() == ["b"]
 
     def test_iteration_and_len(self):
         g = _chain_graph()
@@ -112,18 +112,4 @@ class TestStatistics:
     def test_total_flops_and_kinds(self):
         g = _chain_graph()
         assert g.total_flops() == 12
-        assert g.count_kinds() == {OpKind.SILU: 3}
-
-    def test_intermediate_activation_bytes_counts_offchip_only(self):
-        g = Graph()
-        g.add_tensor(_tensor("a"))
-        g.add_tensor(_tensor("b", resident="onchip"))
-        g.add_tensor(_tensor("c"))
-        g.add_operator(Operator(name="op1", kind=OpKind.SILU, inputs=["a"], outputs=["b"]))
-        g.add_operator(Operator(name="op2", kind=OpKind.SILU, inputs=["b"], outputs=["c"]))
-        assert g.intermediate_activation_bytes() == 0
-
-    def test_summary_mentions_counts(self):
-        text = _chain_graph().summary()
-        assert "3 ops" in text
-        assert "4 tensors" in text
+        assert Counter(op.kind for op in g) == {OpKind.SILU: 3}

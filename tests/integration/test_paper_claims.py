@@ -150,8 +150,9 @@ class TestAblationShape:
         graph = build_decode_graph(small_config, context_len=16)
         fused = fuse_graph(graph, [rule])
         assert fused.stats.fused_regions > 0
-        assert (compiler.compile(fused.graph).total_offchip_bytes
-                <= compiler.compile(graph).total_offchip_bytes)
+        fused_prog, unfused_prog = compiler.compile(fused.graph), compiler.compile(graph)
+        assert (fused_prog.total_load_bytes + fused_prog.total_store_bytes
+                <= unfused_prog.total_load_bytes + unfused_prog.total_store_bytes)
 
     def test_full_rule_set_saves_hbm_traffic(self, results):
         """Fusion removes off-chip traffic; its latency/energy effect is

@@ -44,10 +44,8 @@ class TestViewParity:
                 paged.append(layer, k, v, pos)
         assert flat.length == paged.length == 10
         for layer in range(micro_config.n_layers):
-            fk, fv = flat.view(layer)
-            pk, pv = paged.view(layer)
-            assert np.array_equal(fk, pk)
-            assert np.array_equal(fv, pv)
+            assert np.array_equal(flat.keys(layer), paged.keys(layer))
+            assert np.array_equal(flat.values(layer), paged.values(layer))
         # Partial windows too (attention reads arbitrary lengths).
         assert np.array_equal(flat.keys(0, 7), paged.keys(0, 7))
         assert np.array_equal(flat.values(1, 3), paged.values(1, 3))

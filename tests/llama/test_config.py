@@ -135,9 +135,9 @@ class TestValidation:
 
 
 class TestSerialization:
-    def test_json_roundtrip(self):
+    def test_dict_roundtrip(self):
         cfg = preset("stories15M")
-        assert LlamaConfig.from_json(cfg.to_json()) == cfg
+        assert LlamaConfig.from_dict(cfg.to_dict()) == cfg
 
     def test_from_dict_ignores_unknown_keys(self):
         cfg = LlamaConfig.from_dict(

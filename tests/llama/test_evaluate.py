@@ -8,7 +8,6 @@ import pytest
 from repro.llama.evaluate import (
     cross_entropy,
     divergence_report,
-    evaluate_corpus,
     perplexity,
     token_agreement,
 )
@@ -43,28 +42,6 @@ class TestCrossEntropyPerplexity:
     def test_deterministic(self, micro_model):
         seqs = [[1, 2, 3, 4, 5]]
         assert cross_entropy(micro_model, seqs) == cross_entropy(micro_model, seqs)
-
-
-class TestEvaluateCorpus:
-    def test_report_fields(self, small_model, tiny_tokenizer, story_corpus):
-        report = evaluate_corpus(small_model, tiny_tokenizer,
-                                 story_corpus, max_documents=3)
-        assert report.n_documents == 3
-        assert report.n_tokens > 10
-        assert report.perplexity == pytest.approx(np.exp(report.cross_entropy))
-        assert set(report.as_dict()) == {
-            "n_documents", "n_tokens", "cross_entropy", "perplexity"}
-
-    def test_empty_corpus_rejected(self, small_model, tiny_tokenizer):
-        with pytest.raises(ValueError):
-            evaluate_corpus(small_model, tiny_tokenizer, [])
-
-    def test_is_cross_entropy_of_the_encoded_documents(
-            self, small_model, tiny_tokenizer, story_corpus):
-        docs = story_corpus[:2]
-        report = evaluate_corpus(small_model, tiny_tokenizer, docs)
-        assert report.cross_entropy == cross_entropy(small_model, [
-            tiny_tokenizer.encode(doc, bos=True, eos=True) for doc in docs])
 
 
 class TestTokenAgreement:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.llama.generation import GenerationTiming, generate, generate_text
+from repro.llama.generation import GenerationTiming, generate
 from repro.llama.sampler import Sampler
 from repro.llama.tokenizer import EOS_ID
 
@@ -92,15 +92,3 @@ class TestGenerate:
         from repro.llama.generation import GenerationResult
         result = GenerationResult(prompt_tokens=[1], generated_tokens=[])
         assert result.decode_tokens_per_second() == 0.0
-
-
-class TestGenerateText:
-    def test_returns_string(self, small_model, tiny_tokenizer):
-        text = generate_text(small_model, tiny_tokenizer,
-                             "Once upon a time", max_new_tokens=8)
-        assert isinstance(text, str)
-
-    def test_prompt_not_included_in_output(self, small_model, tiny_tokenizer):
-        prompt = "Lily went to the park"
-        text = generate_text(small_model, tiny_tokenizer, prompt, max_new_tokens=4)
-        assert not text.startswith(prompt)

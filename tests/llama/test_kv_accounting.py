@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.llama.kv_cache import KVCache
@@ -21,14 +20,6 @@ class TestKvAccounting:
         for positions in (1, 7, small_config.max_seq_len):
             cache = KVCache(small_config, max_seq_len=positions)
             assert KVCache.projected_nbytes(small_config, positions) == cache.nbytes
-
-    def test_used_bytes_consistent_with_per_position(self, small_config):
-        cache = KVCache(small_config)
-        key = np.zeros(small_config.kv_dim)
-        for pos in range(3):
-            for layer in range(small_config.n_layers):
-                cache.append(layer, key, key, pos)
-        assert cache.used_nbytes() == 3 * KVCache.bytes_per_position(small_config)
 
     def test_negative_positions_rejected(self, small_config):
         with pytest.raises(ValueError):

@@ -119,19 +119,6 @@ class TestForwardPass:
         out2 = micro_model.forward(5, 1, cache2)
         assert not np.allclose(out1, out2)
 
-    def test_forward_sequence_equals_manual_loop(self, micro_model):
-        tokens = [1, 4, 7, 2]
-        cache = micro_model.new_cache()
-        expected = None
-        for pos, tok in enumerate(tokens):
-            expected = micro_model.forward(tok, pos, cache)
-        got = micro_model.forward_sequence(tokens, micro_model.new_cache())
-        assert np.allclose(got, expected)
-
-    def test_forward_sequence_requires_tokens(self, micro_model):
-        with pytest.raises(ValueError):
-            micro_model.forward_sequence([], micro_model.new_cache())
-
     def test_token_out_of_vocab(self, micro_model, micro_config):
         with pytest.raises(IndexError):
             micro_model.forward(micro_config.vocab_size, 0, micro_model.new_cache())
@@ -144,7 +131,8 @@ class TestForwardPass:
     def test_gqa_model_runs(self, small_model, small_config):
         assert small_config.n_kv_heads < small_config.n_heads
         cache = small_model.new_cache()
-        logits = small_model.forward_sequence([1, 2, 3], cache)
+        for pos, token in enumerate([1, 2, 3]):
+            logits = small_model.forward(token, pos, cache)
         assert logits.shape == (small_config.vocab_size,)
         assert cache.length == 3
 
@@ -154,10 +142,6 @@ class TestForwardPass:
         assert "embedding" in trace.activations
         assert "logits" in trace.activations
         assert f"layer{micro_config.n_layers - 1}.out" in trace.activations
-
-    def test_logits_for_prompt(self, micro_model):
-        out = micro_model.logits_for_prompt([1, 2, 3])
-        assert out.shape == (micro_model.config.vocab_size,)
 
     def test_shared_classifier_ties_embeddings(self, micro_checkpoint):
         """Logit of token t is embedding[t] . hidden when the classifier is tied."""

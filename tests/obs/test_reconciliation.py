@@ -93,7 +93,7 @@ class TestExactReconciliation:
         assert validate_chrome_trace(
             build_chrome_trace(tracer, report=report)) == []
         # Decode spans carry the per-step spec acceptance deltas.
-        decodes = tracer.spans_named(spans.DECODE)
+        decodes = [s for s in tracer.spans if s.name == spans.DECODE]
         assert any(s.attrs.get("draft_tokens", 0) > 0 for s in decodes)
 
     def test_through_preemption_and_readmission(self, llm):
@@ -113,10 +113,10 @@ class TestExactReconciliation:
             engine.submit(prompt, SamplingParams(max_tokens=10))
         report = engine.run(max_steps=3000)
         assert report.n_preemptions > 0
-        marks = tracer.spans_named(spans.PREEMPTED)
+        marks = [s for s in tracer.spans if s.name == spans.PREEMPTED]
         assert len(marks) == report.n_preemptions
-        readmitted = [s for s in tracer.spans_named(spans.QUEUED)
-                      if s.attrs.get("readmitted")]
+        readmitted = [s for s in tracer.spans
+                      if s.name == spans.QUEUED and s.attrs.get("readmitted")]
         assert readmitted, "no queued span marked as a readmission"
         assert_exact_reconciliation(tracer, report)
         assert validate_chrome_trace(
@@ -315,7 +315,7 @@ class TestCompileLookupAccounting:
             assert report.n_steps > 0
             assert (report.compile_cache_hits + report.compile_cache_misses
                     == report.n_steps)
-        steps = tracer.spans_named(spans.STEP)
+        steps = [s for s in tracer.spans if s.name == spans.STEP]
         # The last report covers every traced step (a cluster's is pooled).
         assert len(steps) == reports[-1].n_steps
         for span in steps:

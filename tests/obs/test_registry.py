@@ -26,7 +26,7 @@ class TestInstruments:
         gauge = Gauge()
         gauge.set(10)
         gauge.inc(5)
-        gauge.dec(2)
+        gauge.inc(-2)
         assert gauge.value == 13.0
 
     def test_histogram_cumulative_buckets(self):

@@ -60,19 +60,18 @@ class TestTracer:
     def test_emission_and_queries(self):
         tracer = self._tracer()
         assert len(tracer) == 5
-        assert [s.name for s in tracer.spans_for("r0")] == [
+        assert [s.name for s in tracer.spans if s.request_id == "r0"] == [
             spans.REQUEST, spans.QUEUED, spans.TOKEN]
-        assert len(tracer.spans_named(spans.REQUEST)) == 2
-        assert tracer.request_ids() == ["r0", "r1"]
+        assert len([s for s in tracer.spans if s.name == spans.REQUEST]) == 2
         assert tracer.tracks() == ["engine-0", "replica-1"]
         assert tracer.bounds() == (0.0, 4.0)
 
     def test_attrs_are_captured(self):
         tracer = self._tracer()
-        (root,) = [s for s in tracer.spans_for("r0")
-                   if s.name == spans.REQUEST]
+        (root,) = [s for s in tracer.spans
+                   if s.request_id == "r0" and s.name == spans.REQUEST]
         assert root.attrs["finish_reason"] == "length"
-        (step,) = tracer.spans_named(spans.STEP)
+        (step,) = [s for s in tracer.spans if s.name == spans.STEP]
         assert step.attrs["n_slots"] == 4
         assert step.request_id is None
 

@@ -21,7 +21,7 @@ from repro.fpga.u280 import u280
 from repro.graph.builder import GraphBuilder
 from repro.llama.checkpoint import synthesize_weights
 from repro.llama.config import preset
-from repro.llama.quantization import QuantSpec
+from repro.llama.quantization import QuantizedTensor, QuantSpec, dequantize
 from repro.quant import QuantConfig, quantize_checkpoint
 
 
@@ -161,7 +161,9 @@ def test_the_sidecar_and_the_accelerator_store_the_same_values(model, precision)
     quant = _PRECISIONS[precision]
     accelerator = SpeedLLMAccelerator(checkpoint, AcceleratorConfig(quant=quant))
     computed = accelerator.functional_checkpoint().weights
-    stored = quantize_checkpoint(checkpoint, quant).functional_weights()
+    stored = {name: dequantize(tensor) if isinstance(tensor, QuantizedTensor)
+              else np.asarray(tensor, dtype=np.float32)
+              for name, tensor in quantize_checkpoint(checkpoint, quant).items()}
     assert list(computed) == list(stored)
     for name in stored:
         assert np.array_equal(computed[name], stored[name]), name

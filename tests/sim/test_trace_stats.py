@@ -46,7 +46,6 @@ class TestRunCounters:
     def test_defaults_zero(self):
         counters = RunCounters()
         assert counters.hbm_bytes == 0
-        assert counters.stall_cycles == 0
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
@@ -54,11 +53,9 @@ class TestRunCounters:
 
     def test_derived_sums(self):
         counters = RunCounters(hbm_read_bytes=10, hbm_write_bytes=5,
-                               onchip_read_bytes=3, onchip_write_bytes=4,
-                               buffer_stall_cycles=7, memory_stall_cycles=2)
+                               onchip_read_bytes=3, onchip_write_bytes=4)
         assert counters.hbm_bytes == 15
         assert counters.onchip_bytes == 7
-        assert counters.stall_cycles == 9
 
     def test_merge_adds_every_field(self):
         a = RunCounters(int8_macs=5, instructions=2)

@@ -5,8 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.workloads.prompts import (PromptSuite, Workload, default_suite,
-                                     latency_suite, repetitive_suite,
-                                     shared_prefix_suite)
+                                     repetitive_suite, shared_prefix_suite)
 
 
 class TestWorkload:
@@ -27,18 +26,13 @@ class TestSuites:
     def test_default_suite_sizes(self):
         suite = default_suite(n_prompts=3, max_new_tokens=32)
         assert len(suite) == 3
-        assert suite.total_new_tokens == 3 * 32
+        assert [w.max_new_tokens for w in suite] == [32] * 3
         assert all(isinstance(w, Workload) for w in suite)
 
     def test_default_suite_deterministic(self):
         a = default_suite(seed=1)
         b = default_suite(seed=1)
         assert [w.prompt for w in a] == [w.prompt for w in b]
-
-    def test_latency_suite_decode_lengths(self):
-        suite = latency_suite(decode_lengths=(16, 32, 64))
-        assert [w.max_new_tokens for w in suite] == [16, 32, 64]
-        assert [w.name for w in suite] == ["decode-16", "decode-32", "decode-64"]
 
     def test_empty_suite_rejected(self):
         with pytest.raises(ValueError):
@@ -139,34 +133,3 @@ class TestSharedPrefixGroups:
             shared_prefix_suite(n_prompts=4, n_groups=0)
         with pytest.raises(ValueError):
             shared_prefix_suite(n_prompts=4, n_groups=5)
-
-
-class TestMultiTurnChatSuite:
-    def test_turns_extend_prior_context(self):
-        from repro.workloads.prompts import multi_turn_chat_suite
-        suite = list(multi_turn_chat_suite(n_sessions=3, n_turns=4, seed=9))
-        by_session = {}
-        for w in suite:
-            by_session.setdefault(w.session, []).append(w.prompt)
-        assert set(by_session) == {"session-0", "session-1", "session-2"}
-        for prompts in by_session.values():
-            assert len(prompts) == 4
-            for earlier, later in zip(prompts, prompts[1:]):
-                assert later.startswith(earlier)
-                assert len(later) > len(earlier)
-
-    def test_turns_interleave_round_robin(self):
-        from repro.workloads.prompts import multi_turn_chat_suite
-        suite = list(multi_turn_chat_suite(n_sessions=2, n_turns=2, seed=9))
-        assert [w.name for w in suite] == [
-            "chat-s0-t0", "chat-s1-t0", "chat-s0-t1", "chat-s1-t1"]
-
-    def test_deterministic_and_validated(self):
-        from repro.workloads.prompts import multi_turn_chat_suite
-        a = multi_turn_chat_suite(seed=2)
-        b = multi_turn_chat_suite(seed=2)
-        assert [w.prompt for w in a] == [w.prompt for w in b]
-        with pytest.raises(ValueError):
-            multi_turn_chat_suite(n_sessions=0)
-        with pytest.raises(ValueError):
-            multi_turn_chat_suite(n_turns=0)

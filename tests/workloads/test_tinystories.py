@@ -4,12 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.workloads.tinystories import (
-    CorpusStats,
-    StoryGenerator,
-    corpus_stats,
-    generate_corpus,
-)
+from repro.workloads.tinystories import StoryGenerator, generate_corpus
 
 
 class TestStoryGenerator:
@@ -46,18 +41,3 @@ class TestCorpus:
 
     def test_corpus_deterministic(self):
         assert generate_corpus(10, seed=5) == generate_corpus(10, seed=5)
-
-    def test_corpus_stats(self):
-        corpus = generate_corpus(50, seed=6)
-        stats = corpus_stats(corpus)
-        assert stats.n_documents == 50
-        assert stats.n_words > 50 * 10
-        assert stats.n_chars > stats.n_words
-        # TinyStories-like: small closed vocabulary
-        assert stats.vocabulary < 400
-        assert stats.mean_words_per_document > 10
-
-    def test_empty_corpus_stats(self):
-        stats = corpus_stats([])
-        assert stats == CorpusStats(0, 0, 0, 0)
-        assert stats.mean_words_per_document == 0.0
