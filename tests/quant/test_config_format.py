@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.accel import AcceleratorConfig, SpeedLLMAccelerator
 from repro.api import EngineConfig
 from repro.api.errors import FrontendError
 from repro.llama.quantization import QuantSpec, QuantizedTensor
@@ -119,6 +120,17 @@ class TestConvertAccounting:
         int8 = quantize_checkpoint(small_checkpoint, resolve_quant("int8"))
         int4 = quantize_checkpoint(small_checkpoint, resolve_quant("int4"))
         assert int4.nbytes < int8.nbytes
+
+    def test_functional_weights_carry_quant_error(self, small_checkpoint):
+        accel = SpeedLLMAccelerator(
+            small_checkpoint, AcceleratorConfig(quant=resolve_quant("int8")))
+        functional = accel._functional_weights
+        reference = dict(small_checkpoint.weights)
+        drift = max(
+            float(np.abs(functional[name] - reference[name]).max())
+            for name in reference
+        )
+        assert 0 < drift < 0.1
 
 
 class TestSidecarFormat:

@@ -75,3 +75,19 @@ class TestInt4PackUnpack:
     def test_packed_bytes_are_pure_function_of_values(self):
         values = np.array([-8, -1, 0, 7, 3], dtype=np.int8)
         assert np.array_equal(pack_int4(values), pack_int4(values.copy()))
+
+
+class TestDequantizedProductTolerance:
+    """The datapath multiplies by dequantised weights: close to fp32."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_close_to_full_precision_product(self, seed):
+        rng = np.random.default_rng(5000 + seed)
+        dense = _random_matrix(rng, 16, 128, 0.2)
+        x = rng.normal(0.0, 1.0, size=128).astype(np.float32)
+        got = dequantize(quantize(dense, QuantSpec(8, 32))) @ x
+        want = dense @ x
+        # int8 group quantisation keeps the product within ~1% of the
+        # fp32 result for well-scaled activations.
+        err = np.abs(got - want).max()
+        assert err <= 0.01 * max(1.0, np.abs(want).max())

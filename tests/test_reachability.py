@@ -30,9 +30,12 @@ from __future__ import annotations
 import ast
 import functools
 import re
+import textwrap
 from collections import defaultdict
 from pathlib import Path
-from typing import Dict, FrozenSet, Iterator, List, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Set, Tuple
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
@@ -168,11 +171,16 @@ def _reader_files() -> List[Path]:
             + sorted((ROOT / "examples").glob("*.py")))
 
 
-def _scan() -> Tuple[List[Subject], Dict[str, List[Tuple[Path, int]]]]:
+def _index(sources: Iterable[Tuple[Path, str]]
+           ) -> Tuple[List[Subject], Dict[str, List[Tuple[Path, int]]]]:
+    """(subjects, name -> [(path, line) of each read]) of ``sources``.
+
+    Subjects come only from the files under ``src/repro``; every file is
+    a reader.
+    """
     subjects: List[Subject] = []
     readers: Dict[str, List[Tuple[Path, int]]] = defaultdict(list)
-    for path in _reader_files():
-        source = path.read_text(encoding="utf-8")
+    for path, source in sources:
         tree = ast.parse(source, filename=str(path))
         if path.is_relative_to(PACKAGE):
             subjects.extend(_subjects(path, tree))
@@ -181,15 +189,19 @@ def _scan() -> Tuple[List[Subject], Dict[str, List[Tuple[Path, int]]]]:
     return subjects, readers
 
 
+def _scan() -> Tuple[List[Subject], Dict[str, List[Tuple[Path, int]]]]:
+    return _index((path, path.read_text(encoding="utf-8"))
+                  for path in _reader_files())
+
+
 def _is_entry_point(module: str) -> bool:
     return any(module == entry or module.startswith(entry + ".")
                for entry in ENTRY_POINTS)
 
 
-@functools.lru_cache(maxsize=None)
-def _undriven() -> Tuple[FrozenSet[str], FrozenSet[str]]:
-    """(keys of undriven subjects, keys of every subject)."""
-    subjects, readers = _scan()
+def _undriven_in(subjects: List[Subject],
+                 readers: Dict[str, List[Tuple[Path, int]]]) -> FrozenSet[str]:
+    """Keys of the subjects no read outside their own definition drives."""
     undriven: Set[str] = set()
     for module, qualname, name, path, first, last in subjects:
         if _is_entry_point(module):
@@ -197,7 +209,15 @@ def _undriven() -> Tuple[FrozenSet[str], FrozenSet[str]]:
         if not any(where != path or not first <= line <= last
                    for where, line in readers.get(name, ())):
             undriven.add(f"{module}:{qualname}")
-    return frozenset(undriven), frozenset(f"{s[0]}:{s[1]}" for s in subjects)
+    return frozenset(undriven)
+
+
+@functools.lru_cache(maxsize=None)
+def _undriven() -> Tuple[FrozenSet[str], FrozenSet[str]]:
+    """(keys of undriven subjects, keys of every subject)."""
+    subjects, readers = _scan()
+    return (_undriven_in(subjects, readers),
+            frozenset(f"{s[0]}:{s[1]}" for s in subjects))
 
 
 def test_every_public_name_has_a_reader_outside_the_tests():
@@ -232,3 +252,149 @@ def test_deleted_designs_stay_deleted():
                 if re.search(pattern, line):
                     found.append(f"{path.relative_to(ROOT)}:{number}: {what}: {line.strip()}")
     assert not found, "deleted designs are back under src/:\n  " + "\n  ".join(found)
+
+
+# ----------------------------------------------------------------------
+# The scan's own rules, on small synthetic sources.
+
+
+def _undriven_of(**files: str) -> FrozenSet[str]:
+    """Undriven subject keys of ``files``: ``repro/<name>.py`` -> source.
+
+    A name ending in ``_example`` is a reader outside the package instead
+    (``examples/<name>.py``).
+    """
+    sources = []
+    for name, source in files.items():
+        path = (ROOT / "examples" / f"{name}.py" if name.endswith("_example")
+                else PACKAGE / f"{name}.py")
+        sources.append((path, textwrap.dedent(source)))
+    return _undriven_in(*_index(sources))
+
+
+def _reads_of(source: str) -> Set[str]:
+    return {name for name, _ in _reads(ast.parse(textwrap.dedent(source)))}
+
+
+def _subject_names(source: str) -> Set[str]:
+    tree = ast.parse(textwrap.dedent(source))
+    return {s[1] for s in _subjects(PACKAGE / "demo.py", tree)}
+
+
+class TestScanRules:
+    def test_module_name_of_a_package_init_is_the_package(self):
+        assert _module_name(PACKAGE / "accel" / "__init__.py") == "repro.accel"
+        assert _module_name(PACKAGE / "accel" / "dse.py") == "repro.accel.dse"
+
+    def test_functions_classes_and_constants_are_subjects(self):
+        assert _subject_names("""
+            def f(): pass
+            async def g(): pass
+            class C: pass
+            LIMIT = 3
+            WIDTH: int = 4
+        """) == {"f", "g", "C", "LIMIT", "WIDTH"}
+
+    def test_public_methods_and_properties_are_subjects(self):
+        assert _subject_names("""
+            class C:
+                def run(self): pass
+                @property
+                def size(self): return 1
+        """) == {"C", "C.run", "C.size"}
+
+    def test_private_names_and_dunders_are_not_subjects(self):
+        assert _subject_names("""
+            def _helper(): pass
+            _CACHE = {}
+            class _Hidden:
+                def run(self): pass
+            class C:
+                def __init__(self): pass
+                def __len__(self): return 0
+                def _step(self): pass
+        """) == {"C"}
+
+    def test_nested_definitions_are_not_subjects(self):
+        assert _subject_names("""
+            def outer():
+                def inner(): pass
+                return inner
+            class C:
+                LIMIT = 3
+                class Inner: pass
+        """) == {"outer", "C"}
+
+    @pytest.mark.parametrize("line", [
+        "import target",
+        "from pkg import target",
+        "from pkg import target as alias",
+    ])
+    def test_import_lines_are_not_reads(self, line):
+        assert "target" not in _reads_of(line)
+
+    def test_all_is_not_a_read(self):
+        assert not {"target", "other"} & _reads_of("""
+            __all__ = ["target"]
+            __all__ += ["other"]
+            __all__: list = ["target"]
+        """)
+
+    def test_identifier_string_is_a_read(self):
+        assert "target" in _reads_of("getattr(obj, 'target')")
+
+    @pytest.mark.parametrize("text", ["target value", "target.attr", "target()"])
+    def test_other_strings_are_not_reads(self, text):
+        assert "target" not in _reads_of(f"label = {text!r}")
+
+    def test_fstring_text_is_not_a_read(self):
+        names = _reads_of("label = f'target{value}'")
+        assert "target" not in names
+        assert "value" in names
+
+    def test_names_attributes_parameters_and_keywords_are_reads(self):
+        assert {"first", "second", "third", "fourth"} <= _reads_of("""
+            first
+            obj.second
+            def use(third): pass
+            call(fourth=1)
+        """)
+
+    def test_a_read_inside_its_own_definition_does_not_drive(self):
+        assert _undriven_of(demo="""
+            def walk(n):
+                return walk(n - 1) if n else 0
+        """) == {"repro.demo:walk"}
+
+    def test_a_read_elsewhere_in_the_same_file_drives(self):
+        assert _undriven_of(demo="""
+            def walk(n):
+                return n
+            START = walk(0)
+        """) == {"repro.demo:START"}
+
+    def test_a_read_in_another_package_module_drives(self):
+        assert _undriven_of(demo="def walk(n): return n",
+                            user="def use(): return 1 + walk(2)") == {"repro.user:use"}
+
+    def test_a_read_in_an_example_drives(self):
+        assert not _undriven_of(demo="def walk(n): return n",
+                                run_example="walk(1)")
+
+    def test_a_method_is_driven_by_any_same_named_attribute(self):
+        assert _undriven_of(demo="""
+            class Cache:
+                def fork(self): return Cache()
+                def grow(self): return 0
+        """, run_example="Cache().grow()") == {"repro.demo:Cache.fork"}
+
+    @pytest.mark.parametrize("module, entry", [
+        ("repro.api", True),
+        ("repro.cli", True),
+        ("repro.bench", True),
+        ("repro.bench.harness", True),
+        ("repro.client", False),
+        ("repro.core.api", False),
+    ])
+    def test_entry_point_modules(self, module, entry):
+        assert _is_entry_point(module) is entry
