@@ -38,7 +38,6 @@ from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Set, Tup
 
 import numpy as np
 
-from ..llama.checkpoint import Checkpoint
 from ..llama.config import LlamaConfig
 from ..llama.model import apply_rope, rmsnorm, rope_frequencies, silu, softmax
 from ..graph.graph import Graph
@@ -87,11 +86,6 @@ class GraphExecutor:
         self._programs: Dict[int, _Program] = {}
         #: (id(short graph), id(long graph)) pairs shown to be prefixes.
         self._prefixes: Set[Tuple[int, int]] = set()
-
-    @classmethod
-    def from_checkpoint(cls, checkpoint: Checkpoint) -> "GraphExecutor":
-        """Build an executor over a checkpoint's float32 weights."""
-        return cls(checkpoint.config, checkpoint.weights)
 
     # ------------------------------------------------------------------
     def _weight(self, graph_name: str) -> np.ndarray:

@@ -67,7 +67,9 @@ from .graph.builder import build_decode_graph
 from .graph.export import to_dot, to_json
 from .graph.fusion import fuse_graph
 from .graph.sharding import ShardSpec
+from .llama.checkpoint import load_checkpoint
 from .llama.config import available_presets, preset
+from .llama.tokenizer import Tokenizer
 from .workloads.prompts import default_suite
 
 __all__ = ["main", "build_parser"]
@@ -604,13 +606,19 @@ def _cmd_generate(args: argparse.Namespace) -> int:
         params = SamplingParams(max_tokens=args.tokens,
                                 temperature=args.temperature, top_p=args.top_p,
                                 seed=args.seed)
-        if args.checkpoint:
-            llm = SpeedLLM.from_checkpoint(
-                args.checkpoint, args.tokenizer, variant=args.variant,
-                position_stride=args.stride,
-            )
-        else:
+    # A file that fails to load is not a usage error: it keeps its
+    # traceback, as in ``quantize``.
+    checkpoint = tokenizer = None
+    if args.checkpoint:
+        checkpoint = load_checkpoint(args.checkpoint)
+        tokenizer = Tokenizer.load(args.tokenizer) if args.tokenizer else None
+    with _configuring(args):
+        if checkpoint is None:
             llm = SpeedLLM(model=args.model, variant=args.variant, seed=args.seed,
+                           position_stride=args.stride)
+        else:
+            llm = SpeedLLM(model=checkpoint.config, checkpoint=checkpoint,
+                           tokenizer=tokenizer, variant=args.variant,
                            position_stride=args.stride)
     out = llm.generate(args.prompt, params=params)
     print(out.text)
@@ -1076,7 +1084,7 @@ def _cmd_quantize(args: argparse.Namespace) -> int:
     never materialised fp32 — and is verified by reloading it and
     checking the byte accounting round-trips exactly.
     """
-    from .llama.checkpoint import load_checkpoint, synthesize_weights
+    from .llama.checkpoint import synthesize_weights
     from .quant import (load_quantized, quantize_checkpoint, resolve_quant,
                         save_quantized)
 

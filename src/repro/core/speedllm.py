@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Dict, List, Optional
 
 from ..accel.accelerator import AcceleratorGeneration, GenerationMetrics, SpeedLLMAccelerator
@@ -29,7 +28,7 @@ from ..api.params import SamplingParams
 from ..fpga.power import EnergyModelConfig
 from ..fpga.resources import UtilizationReport
 from ..fpga.u280 import FpgaPlatform, u280
-from ..llama.checkpoint import Checkpoint, load_checkpoint, synthesize_weights
+from ..llama.checkpoint import Checkpoint, synthesize_weights
 from ..llama.config import LlamaConfig, preset
 from ..llama.generation import generate as reference_generate
 from ..llama.model import LlamaModel
@@ -147,22 +146,6 @@ class SpeedLLM:
             self.checkpoint, self.accel_config, platform=self.platform,
         )
         self._reference_model: Optional[LlamaModel] = None
-
-    # ------------------------------------------------------------------
-    # Constructors
-    # ------------------------------------------------------------------
-    @classmethod
-    def from_checkpoint(
-        cls,
-        checkpoint_path: str | Path,
-        tokenizer_path: Optional[str | Path] = None,
-        **kwargs,
-    ) -> "SpeedLLM":
-        """Load a real llama2.c checkpoint (and optionally tokenizer) from disk."""
-        checkpoint = load_checkpoint(checkpoint_path)
-        tokenizer = Tokenizer.load(tokenizer_path) if tokenizer_path else None
-        return cls(model=checkpoint.config, checkpoint=checkpoint,
-                   tokenizer=tokenizer, **kwargs)
 
     # ------------------------------------------------------------------
     # Generation

@@ -36,7 +36,7 @@ class TestNameMapping:
 class TestGraphExecutorEquivalence:
     @pytest.fixture(scope="class")
     def executor(self, small_checkpoint):
-        return GraphExecutor.from_checkpoint(small_checkpoint)
+        return GraphExecutor(small_checkpoint.config, small_checkpoint.weights)
 
     def _decode_sequence(self, model, executor, config, tokens, fused):
         cache_ref = model.new_cache()
@@ -161,7 +161,7 @@ class TestValuesAreContextFree:
     def test_context_zero_graph_equals_per_position_graphs(
             self, small_checkpoint, small_config, fused, include_logits,
             new_cache):
-        executor = GraphExecutor.from_checkpoint(small_checkpoint)
+        executor = GraphExecutor(small_checkpoint.config, small_checkpoint.weights)
         builder = GraphBuilder(small_config)
 
         def graph_at(context):
@@ -185,7 +185,7 @@ class TestValuesAreContextFree:
 
     def test_execution_plan_is_derived_once_per_graph(
             self, small_checkpoint, small_config, monkeypatch):
-        executor = GraphExecutor.from_checkpoint(small_checkpoint)
+        executor = GraphExecutor(small_checkpoint.config, small_checkpoint.weights)
         graph = build_decode_graph(small_config, 0)
         calls = []
         for name in ("topological_order", "graph_outputs"):

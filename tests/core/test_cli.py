@@ -216,6 +216,31 @@ class TestRejectedConfiguration:
         assert exit_info.value.code == 2
         assert f"speedllm {argv[0]}: error: " in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", [
+        ["generate", "hi", "--tokens", "4"],
+        ["quantize"],
+    ])
+    def test_an_unloadable_checkpoint_is_not_a_usage_error(self, tmp_path,
+                                                           command):
+        """A bad file raises the same way in every command that loads one."""
+        bad = tmp_path / "bad.bin"
+        bad.write_bytes(b"\x00" * 5)
+        with pytest.raises(ValueError, match="bad.bin"):
+            main([*command, "--checkpoint", str(bad)])
+        with pytest.raises(OSError):
+            main([*command, "--checkpoint", str(tmp_path / "missing.bin")])
+
+    def test_a_checkpoint_with_a_bad_flag_is_a_usage_error(
+            self, capsys, tmp_path, small_checkpoint):
+        from repro.llama.checkpoint import save_checkpoint
+        ckpt = save_checkpoint(small_checkpoint, tmp_path / "m.bin")
+        with pytest.raises(SystemExit) as exit_info:
+            main(["generate", "hi", "--checkpoint", str(ckpt),
+                  "--stride", "0"])
+        assert exit_info.value.code == 2
+        assert ("speedllm generate: error: position_stride must be positive"
+                in capsys.readouterr().err)
+
     def test_errors_after_configuration_keep_their_type(self, monkeypatch):
         """Only the flag-mapping region is a usage error."""
         from repro import bench

@@ -5,7 +5,8 @@ from __future__ import annotations
 import pytest
 
 from repro.core.speedllm import SpeedLLM, SpeedLLMOutput
-from repro.llama.checkpoint import save_checkpoint
+from repro.llama.checkpoint import load_checkpoint, save_checkpoint
+from repro.llama.tokenizer import Tokenizer
 
 
 @pytest.fixture(scope="module")
@@ -63,7 +64,9 @@ class TestConstruction:
     def test_from_checkpoint_file(self, small_checkpoint, tiny_tokenizer, tmp_path):
         ckpt_path = save_checkpoint(small_checkpoint, tmp_path / "model.bin")
         tok_path = tiny_tokenizer.save(tmp_path / "tokenizer.bin")
-        llm = SpeedLLM.from_checkpoint(ckpt_path, tok_path, position_stride=4)
+        checkpoint = load_checkpoint(ckpt_path)
+        llm = SpeedLLM(model=checkpoint.config, checkpoint=checkpoint,
+                       tokenizer=Tokenizer.load(tok_path), position_stride=4)
         assert llm.model_config.dim == small_checkpoint.config.dim
         out = llm.generate("Once upon a time", max_new_tokens=4)
         assert isinstance(out, SpeedLLMOutput)

@@ -19,6 +19,12 @@ def _offchip_intermediate_bytes(graph):
                and spec.resident == "offchip")
 
 
+def _inputs(graph):
+    """Tensors consumed but never produced inside ``graph``."""
+    produced = {t for op in graph for t in op.outputs}
+    return {t for op in graph for t in op.inputs if t not in produced}
+
+
 class TestFusionRules:
     def test_default_rules_cover_paper_patterns(self):
         names = {r.name for r in default_rules()}
@@ -74,8 +80,9 @@ class TestFuseDecodeGraph:
         assert counts["matmul-rope"] == 2 * n     # wq->rope_q and wk->rope_k
         assert counts["norm-classifier"] == 1
 
-    def test_same_outputs(self, graphs):
+    def test_same_inputs_and_outputs(self, graphs):
         unfused, result = graphs
+        assert _inputs(unfused) == _inputs(result.graph)
         assert set(unfused.graph_outputs()) == set(result.graph.graph_outputs())
 
     def test_original_graph_untouched(self, small_config):

@@ -11,6 +11,7 @@ from repro.llama.checkpoint import load_checkpoint, save_checkpoint
 from repro.llama.generation import generate
 from repro.llama.model import LlamaModel
 from repro.llama.sampler import Sampler
+from repro.llama.tokenizer import Tokenizer
 from repro.quant import QuantConfig
 
 
@@ -106,8 +107,9 @@ class TestArtifactRoundtrip:
         reference = LlamaModel(reloaded)
         # Store the weights at full precision so the accelerator is
         # bit-comparable with a float32 CPU run of the exported checkpoint.
-        llm = SpeedLLM.from_checkpoint(
-            ckpt_path, tok_path, position_stride=4,
+        llm = SpeedLLM(
+            model=reloaded.config, checkpoint=reloaded,
+            tokenizer=Tokenizer.load(tok_path), position_stride=4,
             accel_config=AcceleratorConfig(quant=QuantConfig.fp32()))
 
         prompt_ids = llm.encode("Sara hid a magic key")

@@ -2,10 +2,10 @@
 
 A *subject* is a public module-level function, class or assigned constant
 under ``src/repro``, or a public method or property of such a class.  It
-is *driven* when its name appears outside its own definition as an
-identifier (a name, attribute, parameter, keyword argument or
-definition), or as a string literal that is exactly the identifier (the
-benchmark harness binds attributes by string), in any of:
+is *driven* when its name is read outside its own definition (as a name,
+an attribute or a keyword argument, or as a string literal that is
+exactly the identifier: the benchmark harness binds attributes by
+string) in any of:
 
 * ``src/repro``;
 * ``benchmarks/perf/*.py`` (not its tests);
@@ -13,13 +13,16 @@ benchmark harness binds attributes by string), in any of:
 
 Names in ``import`` statements and inside ``__all__`` do not count, so a
 package ``__init__`` that re-exports a name is not a reader of it.
+Neither do the names that a ``def``, a ``class`` or a parameter binds, so
+two unread definitions of one name do not keep each other alive.
 Everything defined in the entry-point modules (``repro.api``,
 ``repro.bench``, ``repro.cli``) is driven.
 
-Any same-named identifier counts as a read, so the test can miss dead
-code but never flags live code.  ``ALLOWED`` names the few oracles and fixtures
-that only the tests read; an entry that no longer exists, or that has
-gained a real reader, fails the test too.
+Any same-named read counts, whatever object it reaches, so the test can
+miss dead code (a method nothing calls, named like an attribute read
+elsewhere) but never flags live code.  ``ALLOWED`` names the few oracles
+and fixtures that only the tests read; an entry that no longer exists, or
+that has gained a real reader, fails the test too.
 
 ``GONE`` keeps deleted designs deleted: each pattern must match no line
 of any file under ``src/``.
@@ -140,9 +143,9 @@ def _is_all(node: ast.AST) -> bool:
 def _reads(node: ast.AST) -> Iterator[Tuple[str, int]]:
     """(identifier, line) of every name read under ``node``.
 
-    A name is any identifier token (a variable, attribute, keyword
-    argument, parameter or definition) or a string constant that is
-    exactly an identifier.  Imports, ``__all__`` and the literal text of
+    A read is a variable, an attribute, a keyword argument or a string
+    constant that is exactly an identifier.  Imports, ``__all__``, the
+    names that definitions and parameters bind, and the literal text of
     f-strings are skipped.
     """
     for child in ast.iter_child_nodes(node):
@@ -155,9 +158,7 @@ def _reads(node: ast.AST) -> Iterator[Tuple[str, int]]:
             yield child.id, line
         elif isinstance(child, ast.Attribute):
             yield child.attr, child.end_lineno
-        elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            yield child.name, line
-        elif isinstance(child, (ast.arg, ast.keyword)) and child.arg:
+        elif isinstance(child, ast.keyword) and child.arg:
             yield child.arg, line
         elif (isinstance(child, ast.Constant) and isinstance(child.value, str)
               and child.value.isidentifier() and not isinstance(node, ast.JoinedStr)):
@@ -352,12 +353,18 @@ class TestScanRules:
         assert "target" not in names
         assert "value" in names
 
-    def test_names_attributes_parameters_and_keywords_are_reads(self):
-        assert {"first", "second", "third", "fourth"} <= _reads_of("""
+    def test_names_attributes_and_keywords_are_reads(self):
+        assert {"first", "second", "third"} <= _reads_of("""
             first
             obj.second
-            def use(third): pass
-            call(fourth=1)
+            call(third=1)
+        """)
+
+    def test_definitions_and_parameters_are_not_reads(self):
+        assert not {"walk", "Cache", "depth", "rest", "options"} & _reads_of("""
+            def walk(depth, *rest, **options): pass
+            async def walk(): pass
+            class Cache: pass
         """)
 
     def test_a_read_inside_its_own_definition_does_not_drive(self):
@@ -387,6 +394,17 @@ class TestScanRules:
                 def fork(self): return Cache()
                 def grow(self): return 0
         """, run_example="Cache().grow()") == {"repro.demo:Cache.fork"}
+
+    def test_same_named_definitions_do_not_drive_each_other(self):
+        assert _undriven_of(demo="""
+            class Cache:
+                def view(self): return 0
+            class PagedCache:
+                def view(self): return 1
+            def view(): return 2
+        """, run_example="Cache(); PagedCache()") == {
+            "repro.demo:Cache.view", "repro.demo:PagedCache.view",
+            "repro.demo:view"}
 
     @pytest.mark.parametrize("module, entry", [
         ("repro.api", True),

@@ -41,3 +41,10 @@ class TestCorpus:
 
     def test_corpus_deterministic(self):
         assert generate_corpus(10, seed=5) == generate_corpus(10, seed=5)
+
+    def test_corpus_is_tinystories_like(self):
+        corpus = generate_corpus(50, seed=6)
+        words = [w for doc in corpus for w in doc.split()]
+        assert len(words) > 50 * 10
+        # TinyStories-like: small closed vocabulary
+        assert len({w.lower().strip(".,!?") for w in words}) < 400
