@@ -63,20 +63,24 @@ are rebuilt ``m·Δ`` later, and every counter, busy cycle, flush and HBM
 total grows by ``m`` times what it grew in the period (see
 :class:`_Periods`).  The result is the one walking every packet gives;
 ``StepResult.packets_replayed`` counts what was jumped.  A traced run
-lists every event and never jumps.
+(``trace_enabled``) lists every interval, as a
+:class:`~repro.obs.tracer.Span` on the ``cycles`` clock in
+``StepResult.spans``, and never jumps.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from functools import lru_cache
+from types import MappingProxyType
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..fpga.hbm import MemorySystemModel
 from ..fpga.u280 import FpgaPlatform
 from ..graph.ops import ComputeUnit
+from ..obs.tracer import CYCLES, Span
 from ..sim.stats import RunCounters
-from ..sim.trace import Trace
 from .config import AcceleratorConfig
 from .instructions import OpProgram, Program, TilePacket
 from .memory_manager import NEVER, BufferPool
@@ -105,12 +109,15 @@ class StepResult:
     ``packets_replayed`` counts the packets the simulator jumped over as
     whole periods of a repeated machine state instead of walking them;
     every other field is the same as if it had walked them.
+    ``spans`` (traced runs only) are the run's intervals in event order,
+    in cycles from its start, one ``accel:<engine>`` lane each; a cached
+    result shares them with every step that reuses it.
     """
 
     program_name: str
     cycles: int
     counters: RunCounters
-    trace: Optional[Trace] = None
+    spans: Optional[Tuple[Span, ...]] = None
     engine_busy: Dict[str, int] = field(default_factory=dict)
     n_flushes: int = 0
     packets_replayed: int = 0
@@ -133,7 +140,7 @@ class PipelineExecutor:
     def run(self, program: Program) -> StepResult:
         """Simulate one program and return its cycle count and counters."""
         counters = RunCounters()
-        trace = Trace() if self.config.trace_enabled else None
+        spans: Optional[List[Span]] = [] if self.config.trace_enabled else None
         hbm = MemorySystemModel(self.platform.hbm, self.platform.clock_hz)
         pool = BufferPool(self.config.buffers, reuse=self.config.memory_reuse)
         # The packets in execution order, which of them open an operator
@@ -158,21 +165,21 @@ class PipelineExecutor:
         for first in firsts:
             opens[first] = True
 
-        # A traced run lists every event, so it never jumps.
-        checks = [] if trace is not None else _check_points(
+        # A traced run lists every interval, so it never jumps.
+        checks = [] if spans is not None else _check_points(
             ops, firsts, self.config.buffers.n_segments)
         busy = {"load": 0, "mpe": 0, "sfu": 0, "store": 0}
         periods = _Periods(signatures, checks, hbm, pool, counters, busy)
         discipline = self._run_pipelined if self.config.pipeline else self._run_sequential
         transfer = _transfer(hbm, min(self.config.hbm_stripe, self.platform.hbm.n_channels),
-                             trace)
-        end = discipline(packets, opens, transfer, pool, counters, busy, trace, periods)
+                             spans)
+        end = discipline(packets, opens, transfer, pool, counters, busy, spans, periods)
         counters.dma_transfers = hbm.total_transactions
         return StepResult(
             program_name=program.name,
             cycles=max([end] + [flush_end[0] for flush_end, _ in pool.flushes]),
             counters=counters,
-            trace=trace,
+            spans=None if spans is None else tuple(spans),
             engine_busy=busy,
             n_flushes=pool.n_flushes,
             packets_replayed=periods.replayed,
@@ -183,7 +190,7 @@ class PipelineExecutor:
     # ------------------------------------------------------------------
     def _run_sequential(self, packets: Sequence[TilePacket], opens: List[bool],
                         transfer: "_Transfer", pool: BufferPool, counters: RunCounters,
-                        busy: Dict[str, int], trace: Optional[Trace],
+                        busy: Dict[str, int], spans: Optional[List[Span]],
                         periods: "_Periods") -> int:
         """Returns the cycle of the last compute end or store completion."""
         now = last_store = flushes_traced = 0
@@ -209,10 +216,10 @@ class PipelineExecutor:
             granted = pool.acquire((now,))[0]
             counters.buffer_stall_cycles += granted - now
             now = granted
-            if trace is not None:
+            if spans is not None:
                 # A flush empties the pool, so it has ended by the time the
                 # next segment is granted.
-                flushes_traced = _trace_flushes(trace, pool, flushes_traced)
+                flushes_traced = _trace_flushes(spans, pool, flushes_traced)
             # read: the sequential controller has a single outstanding
             # request, so it is exposed to the full access latency of
             # every transfer.
@@ -225,8 +232,8 @@ class PipelineExecutor:
             start = now
             now += packet.compute_cycles
             busy[engine] += packet.compute_cycles
-            if trace is not None:
-                trace.record(engine, packet.label, start, now)
+            if spans is not None:
+                spans.append(_span(engine, packet.label, start, now))
             # write back: stores are posted (the controller does not wait
             # for the write acknowledgement), but the staging segment is
             # only recycled once the data has left it.
@@ -238,8 +245,8 @@ class PipelineExecutor:
             else:
                 pool.release((now,))
         pool.settle()
-        if trace is not None:
-            _trace_flushes(trace, pool, flushes_traced)
+        if spans is not None:
+            _trace_flushes(spans, pool, flushes_traced)
         return max(now, last_store)
 
     # ------------------------------------------------------------------
@@ -247,7 +254,7 @@ class PipelineExecutor:
     # ------------------------------------------------------------------
     def _run_pipelined(self, packets: Sequence[TilePacket], opens: List[bool],
                        transfer: "_Transfer", pool: BufferPool, counters: RunCounters,
-                       busy: Dict[str, int], trace: Optional[Trace],
+                       busy: Dict[str, int], spans: Optional[List[Span]],
                        periods: "_Periods") -> int:
         """Returns the cycle of the last compute end or store completion."""
         n_packets = len(packets)
@@ -258,11 +265,11 @@ class PipelineExecutor:
         granted: List[Tuple] = []
         loaded: List[Tuple] = []
         asks: List[Tuple] = [(0, _ROOT, 1)]
-        tags: List[Tuple] = []   # tracing: the key of each event recorded
+        tags: List[Tuple] = []   # tracing: the key of each span recorded
 
         def tag(key: Tuple) -> None:
-            """Every event recorded since the last call was recorded at ``key``."""
-            tags.extend([key] * (len(trace.events) - len(tags)))
+            """Every span recorded since the last call was recorded at ``key``."""
+            tags.extend([key] * (len(spans) - len(tags)))
 
         # i: next packet to read; k: next packet to compute and write back,
         # i - 3 <= k < i (two stream slots plus the tile being computed).
@@ -316,7 +323,7 @@ class PipelineExecutor:
                 arrives = grant[0]
                 if packet.load_bytes:
                     arrives = transfer(packet.load_bytes, grant[0], packet.label)
-                    if trace is not None:
+                    if spans is not None:
                         tag(grant)
                 granted.append(grant)
                 loaded.append((arrives, grant, 0))
@@ -328,8 +335,8 @@ class PipelineExecutor:
                 busy["load"] += start - granted[k][0]
             engine = "mpe" if packet.unit is ComputeUnit.MPE else "sfu"
             busy[engine] += packet.compute_cycles
-            if trace is not None:
-                trace.record(engine, packet.label, start, computed[0])
+            if spans is not None:
+                spans.append(_span(engine, packet.label, start, computed[0]))
                 tag(computed)
             # Write-back is fire-and-forget: the store is issued and the
             # buffer segment is released when the memory system confirms
@@ -339,7 +346,7 @@ class PipelineExecutor:
                 busy["store"] += stored - computed[0]
                 last_store = max(last_store, stored)
                 pool.release((stored, turn, 0))
-                if trace is not None:
+                if spans is not None:
                     tag(turn)
             else:
                 pool.release(turn)
@@ -372,18 +379,18 @@ class PipelineExecutor:
                     i, k, last_store = i + replayed, k + replayed, last_store + shift
                 due = periods.next_check(k)
         pool.settle()
-        if trace is not None:
-            # Events were recorded in the order of the merge, which is the
+        if spans is not None:
+            # Spans were recorded in the order of the merge, which is the
             # queue's only for reads against writes; the keys restore it
             # for the computes and flushes recorded between them.
-            _trace_flushes(trace, pool, 0)
+            _trace_flushes(spans, pool, 0)
             tags.extend(flush_end for flush_end, _ in pool.flushes)
-            events = trace.events
-            events[:] = [events[j] for j in sorted(range(len(tags)), key=tags.__getitem__)]
+            spans[:] = [spans[j] for j in sorted(range(len(tags)), key=tags.__getitem__)]
         return max(asks[-1][0], last_store)
 
 
-def _transfer(model: MemorySystemModel, stripe: int, trace: Optional[Trace]) -> _Transfer:
+def _transfer(model: MemorySystemModel, stripe: int,
+              spans: Optional[List[Span]]) -> _Transfer:
     """``transfer(n_bytes, now, label)``: ``n_bytes`` (at least one) issued
     at cycle ``now`` as one :meth:`~MemorySystemModel.issue_split` call
     over ``stripe`` channels — over one when there are fewer bytes than
@@ -399,7 +406,7 @@ def _transfer(model: MemorySystemModel, stripe: int, trace: Optional[Trace]) -> 
     def transfer(n_bytes: int, now: int, label: str) -> int:
         split = stripe if n_bytes >= stripe else 1
         done, picks = issue(n_bytes, split, now)
-        if trace is not None:
+        if spans is not None:
             if stripe == 1:
                 labels = [label]
             elif split == 1:
@@ -407,7 +414,7 @@ def _transfer(model: MemorySystemModel, stripe: int, trace: Optional[Trace]) -> 
             else:
                 labels = [f"{label}[{i}]" for i in range(stripe)]
             for (end, channel), name in zip(model.stripes(picks), labels):
-                trace.record(f"hbm:{channel}", name, now, end, category="transfer")
+                spans.append(_span(f"hbm:{channel}", name, now, end))
         return done
 
     return transfer
@@ -572,8 +579,19 @@ class _Record:
         return self._canonical
 
 
-def _trace_flushes(trace: Trace, pool: BufferPool, already: int) -> int:
+def _trace_flushes(spans: List[Span], pool: BufferPool, already: int) -> int:
     """Record the pool's flushes from the ``already``-th on; returns their count."""
     for flush_end, start in pool.flushes[already:]:
-        trace.record("buffer-pool", "flush", start, flush_end[0], category="stall")
+        spans.append(_span("buffer-pool", "flush", start, flush_end[0]))
     return len(pool.flushes)
+
+
+def _span(engine: str, label: str, start: int, end: int) -> Span:
+    """One interval on ``engine``'s lane, in cycles."""
+    return Span(label, start, end, attrs=_lane(engine), clock=CYCLES)
+
+
+@lru_cache(maxsize=None)
+def _lane(engine: str) -> Mapping[str, str]:
+    """The attributes of every span on ``engine``'s lane, shared read-only."""
+    return MappingProxyType({"lane": f"accel:{engine}"})

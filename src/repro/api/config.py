@@ -93,10 +93,10 @@ class EngineConfig:
     fp32_logits: bool = False
 
     # Observability ------------------------------------------------------
-    #: Record cycle-level execution traces on the accelerator so the
-    #: timeline export can merge hardware intervals under each step span
-    #: (:meth:`repro.obs.Tracer.merge_cycle_trace`).  Off by default —
-    #: traced steps defeat the compile cache's shape sharing.
+    #: Record each step's accelerator intervals (cycle-clock spans) so
+    #: the timeline export can place them under its step span.  Off by
+    #: default: a traced step walks every packet (no periodic jump) and
+    #: keeps every interval it records.
     trace_cycles: bool = False
 
     # Compilation pipeline ----------------------------------------------

@@ -26,7 +26,7 @@ values.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -34,9 +34,9 @@ from ..accel.batching import BatchSlot, batch_run_ids
 from ..compile.pipeline import CompileWork, StepCompiler
 from ..fpga.power import EnergyBreakdown
 from ..graph.sharding import ShardSpec
+from ..obs.tracer import Span
 from ..sim.interconnect import InterconnectModel
 from ..sim.stats import RunCounters
-from ..sim.trace import Trace
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..accel.accelerator import SpeedLLMAccelerator
@@ -72,11 +72,11 @@ class BackendStep:
     #: the engine that caused it is charged, however many share the
     #: compiler.
     compile_work: CompileWork = field(default_factory=CompileWork)
-    #: Cycle-level execution trace of the step, present only when the
-    #: accelerator config enables tracing
-    #: (``AcceleratorConfig.trace_enabled``).  May be a cached object
-    #: shared across steps — consumers must copy, never mutate.
-    trace: Optional[Trace] = None
+    #: The step's intervals on the cycle clock (one representative
+    #: shard's), present only when the accelerator config enables
+    #: tracing (``AcceleratorConfig.trace_enabled``).  The compiler's
+    #: cached result holds them, shared by every step that reuses it.
+    cycle_spans: Optional[Tuple[Span, ...]] = None
 
 
 class ExecutionBackend:
@@ -173,7 +173,7 @@ class ExecutionBackend:
             engine_busy={k: v * tp for k, v in timing.engine_busy.items()},
             shard_utilization=[timing.mpe_utilization] * tp,
             compile_work=compile_work,
-            trace=timing.trace,
+            cycle_spans=timing.spans,
         )
 
     # ------------------------------------------------------------------

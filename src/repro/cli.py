@@ -183,9 +183,9 @@ def _add_trace_options(parser: argparse.ArgumentParser) -> None:
                         help="write the Prometheus text exposition of the "
                              "live metrics registry to PATH")
     parser.add_argument("--trace-cycles", action="store_true",
-                        help="with --trace-out: also record cycle-level "
-                             "accelerator intervals and merge them under "
-                             "each step span")
+                        help="with --trace-out (required): also record "
+                             "cycle-level accelerator intervals and place "
+                             "them under each step span")
 
 
 def _obs_sinks(trace_out: Optional[str], metrics_out: Optional[str]):
@@ -473,7 +473,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_engine_options(trace)
     trace.add_argument("--trace-cycles", action="store_true",
                        help="also record cycle-level accelerator intervals "
-                            "and merge them under each step span")
+                            "and place them under each step span")
     trace.add_argument("--metrics-out", default=None, metavar="PATH",
                        help="also write the Prometheus text exposition of "
                             "the live metrics registry to PATH")
@@ -699,6 +699,11 @@ def _check_verdict(mismatches: list) -> str:
 
 
 def _cmd_serve_bench(args: argparse.Namespace) -> int:
+    if args.trace_cycles and not args.trace_out:
+        # Every step would walk every packet and keep every interval,
+        # for a trace nothing writes.
+        args.usage_error("--trace-cycles records intervals only a trace "
+                         "shows: it needs --trace-out")
     if args.bench_out:
         return _cmd_bench_matrix(args)
     if args.replicas != 1 or args.disaggregate or args.autoscale:

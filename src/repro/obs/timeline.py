@@ -8,10 +8,17 @@ flavour), loadable by Perfetto (https://ui.perfetto.dev) and
 * one *process* (pid) per track — an engine, or a cluster replica;
 * one *thread* (tid) per request within its track, so a request's
   queued/prefill/decode spans stack on one lane; engine-level step spans
-  and rescaled accelerator cycle intervals get their own lanes;
+  and accelerator cycle intervals get their own lanes;
 * ``"X"`` complete events for spans, ``"i"`` instant events for tokens,
   preemptions and routing decisions; timestamps are microseconds of
   *simulated* time.
+
+A ``step`` span refers to its step's cycle-clock spans (cached by the
+step compiler and shared by every step of that shape).  This export is
+the only place they meet the simulated clock: each is written right
+after its step, at ``step start + cycle * seconds_per_cycle``, on the
+``accel:<engine>`` lane its engine names — ``mpe``/``sfu`` are work,
+``hbm:<channel>`` a transfer, ``buffer-pool`` a stall.
 
 The export embeds an ``otherData`` section (ignored by viewers) carrying
 the schema tag, the run bounds, and — when a report is supplied — each
@@ -36,8 +43,8 @@ import math
 from typing import TYPE_CHECKING, Dict, Iterable, List, Optional
 
 from .registry import STEP_COUNTERS
-from .tracer import (REQUEST, REQUEST_INSTANTS, STAGE_SPANS, TOKEN, Span,
-                     Tracer)
+from .tracer import (CYCLE_SPANS, REQUEST, REQUEST_INSTANTS,
+                     SECONDS_PER_CYCLE, STAGE_SPANS, TOKEN, Span, Tracer)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..serve.metrics import ServeReport
@@ -68,12 +75,23 @@ _RECONCILED = {
 }
 
 
+#: Span attributes that place a span and are not written as its args.
+_PLACEMENT = frozenset({"lane", CYCLE_SPANS, SECONDS_PER_CYCLE})
+
+
 def _lane(span: Span) -> str:
     """Thread label of a span within its track."""
     if span.request_id is not None:
         return span.request_id
     lane = span.attrs.get("lane")
     return str(lane) if lane is not None else "engine"
+
+
+def _accel_category(lane: str) -> str:
+    """Category of the spans on an ``accel:<engine>`` lane."""
+    if lane.startswith("accel:hbm:"):
+        return "transfer"
+    return "stall" if lane == "accel:buffer-pool" else "work"
 
 
 def reconcile_spans(spans: Iterable[Span]) -> Dict[str, Dict[str, object]]:
@@ -139,10 +157,13 @@ def build_chrome_trace(
         events.append({"ph": "M", "pid": pid, "tid": 0,
                        "name": "process_sort_index",
                        "args": {"sort_index": pid}})
-    for span in tracer.spans:
-        pid = pids[span.track]
-        lane = _lane(span)
-        key = (span.track, lane)
+    starts: List[float] = []
+    ends: List[float] = []
+
+    def add(track: str, lane: str, name: str, category: str,
+            args: Dict[str, object], start: float, end: float) -> None:
+        pid = pids[track]
+        key = (track, lane)
         tid = tids.get(key)
         if tid is None:
             tid = len(tids) + 1
@@ -152,36 +173,54 @@ def build_chrome_trace(
             events.append({"ph": "M", "pid": pid, "tid": tid,
                            "name": "thread_sort_index",
                            "args": {"sort_index": tid}})
+        event: Dict[str, object] = {
+            "name": name,
+            "cat": category,
+            "pid": pid,
+            "tid": tid,
+            "ts": start * _US,
+            "args": args,
+        }
+        if end == start:
+            event["ph"] = "i"
+            event["s"] = "t"  # thread-scoped instant
+        else:
+            event["ph"] = "X"
+            event["dur"] = (end - start) * _US
+        events.append(event)
+        starts.append(start)
+        ends.append(end)
+
+    for span in tracer.spans:
         args: Dict[str, object] = {
-            k: v for k, v in span.attrs.items() if k != "lane"}
+            k: v for k, v in span.attrs.items() if k not in _PLACEMENT}
         if span.request_id is not None:
             args["request_id"] = span.request_id
         category = str(span.attrs.get(
             "category",
             "request" if span.request_id is not None else "engine"))
-        event: Dict[str, object] = {
-            "name": span.name,
-            "cat": category,
-            "pid": pid,
-            "tid": tid,
-            "ts": span.start * _US,
-            "args": args,
-        }
-        if span.is_instant:
-            event["ph"] = "i"
-            event["s"] = "t"  # thread-scoped instant
-        else:
-            event["ph"] = "X"
-            event["dur"] = span.duration * _US
-        events.append(event)
+        add(span.track, _lane(span), span.name, category, args,
+            span.start, span.end)
+        cycle_spans = span.attrs.get(CYCLE_SPANS)
+        if cycle_spans:
+            origin = span.start
+            seconds_per_cycle = span.attrs[SECONDS_PER_CYCLE]
+            for cycle_span in cycle_spans:
+                lane = cycle_span.attrs["lane"]
+                category = _accel_category(lane)
+                add(span.track, lane, cycle_span.name, category,
+                    {"category": category},
+                    origin + cycle_span.start * seconds_per_cycle,
+                    origin + cycle_span.end * seconds_per_cycle)
 
-    start, end = tracer.bounds()
+    start = min(starts, default=0.0)
+    end = max(ends, default=0.0)
     other: Dict[str, object] = {
         "schema": TRACE_SCHEMA,
         "clock": "simulated-seconds",
         "start_seconds": start,
         "makespan_seconds": end,
-        "n_spans": len(tracer.spans),
+        "n_spans": len(starts),
         "tracks": tracer.tracks(),
     }
     if report is not None:

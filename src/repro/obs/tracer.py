@@ -3,11 +3,20 @@
 A :class:`Span` is one named interval of a request's journey through the
 serving stack — queued, prefill, decode, handoff — or a zero-duration
 instant event (a committed token, a preemption, a routing decision).
-Every timestamp is *simulated* seconds on the engine clock, the same
-clock :class:`~repro.serve.metrics.RequestMetrics` reports latencies on,
-which is what makes the trace a correctness audit and not just a viewer:
-TTFT and ITL recomputed purely from spans must equal the reported values
-(the property tests pin this, bit-exact).
+Its ``clock`` tag says what its timestamps count:
+
+* ``sim_s`` (every span the :class:`Tracer` emits) — *simulated* seconds
+  on the engine clock, the same clock
+  :class:`~repro.serve.metrics.RequestMetrics` reports latencies on,
+  which is what makes the trace a correctness audit and not just a
+  viewer: TTFT and ITL recomputed purely from spans must equal the
+  reported values (the property tests pin this, bit-exact);
+* ``cycles`` — accelerator cycles from the start of one step, recorded
+  by :class:`~repro.accel.pipeline.PipelineExecutor` into the step's
+  cached result.  The tracer never holds these: a ``step`` span refers
+  to its step's cycle spans (``attrs["cycle_spans"]``, with
+  ``attrs["seconds_per_cycle"]``), and only the timeline export places
+  them on the simulated clock.
 
 The :class:`Tracer` is designed to cost nothing when disabled: every
 emit method returns immediately on ``enabled=False``, and the hot paths
@@ -39,10 +48,14 @@ routed     instant  the cluster router pinned a request to a replica
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Optional
 
 __all__ = [
+    "CYCLES",
+    "CYCLE_SPANS",
     "NULL_TRACER",
+    "SECONDS_PER_CYCLE",
+    "SIM_S",
     "Span",
     "Tracer",
     "DECODE",
@@ -68,6 +81,15 @@ TOKEN = "token"
 PREEMPTED = "preempted"
 ROUTED = "routed"
 
+#: Span clocks: simulated seconds, and accelerator cycles from a step's start.
+SIM_S = "sim_s"
+CYCLES = "cycles"
+
+#: Attributes of a ``step`` span that place its cycle spans on the
+#: simulated clock: the spans, and the seconds one cycle lasts.
+CYCLE_SPANS = "cycle_spans"
+SECONDS_PER_CYCLE = "seconds_per_cycle"
+
 #: Stage spans that must nest inside their request's root span.
 STAGE_SPANS = frozenset({QUEUED, PREFILL, DECODE, HANDOFF})
 #: Instant events that must fall inside their request's root span.
@@ -89,20 +111,18 @@ class Span:
     #: Structured context: tier, KV blocks, prefix hits, spec acceptance,
     #: compile cache deltas — whatever the emitting site knows.
     attrs: Mapping[str, object] = field(default_factory=dict)
+    #: What ``start`` and ``end`` count: :data:`SIM_S` or :data:`CYCLES`.
+    clock: str = SIM_S
 
     def __post_init__(self) -> None:
         if self.end < self.start:
             raise ValueError(
                 f"span {self.name!r} ends ({self.end}) before it starts "
                 f"({self.start})")
-
-    @property
-    def duration(self) -> float:
-        return self.end - self.start
-
-    @property
-    def is_instant(self) -> bool:
-        return self.end == self.start
+        if self.start < 0 and self.clock == CYCLES:
+            raise ValueError(
+                f"cycle span {self.name!r} starts at cycle {self.start}, "
+                "before its step")
 
 
 class Tracer:
@@ -173,36 +193,6 @@ class Tracer:
             beneficiary_priority=event.beneficiary_priority,
         )
 
-    def merge_cycle_trace(
-        self,
-        trace,
-        *,
-        offset_seconds: float,
-        seconds_per_cycle: float,
-        track: str = "engine-0",
-    ) -> None:
-        """Rescale a cycle-level :class:`~repro.sim.trace.Trace` onto the
-        simulated clock and copy its intervals in.
-
-        ``offset_seconds`` is the engine clock when the step started;
-        each event lands at ``offset + cycle * seconds_per_cycle``.  The
-        source trace is never mutated — step results are cached and
-        shared across steps, so the same ``Trace`` object may be merged
-        many times at different offsets.
-        """
-        if not self.enabled:
-            return
-        for event in trace.events:
-            self.spans.append(Span(
-                name=event.label,
-                start=offset_seconds + event.start * seconds_per_cycle,
-                end=offset_seconds + event.end * seconds_per_cycle,
-                request_id=None,
-                track=track,
-                attrs={"lane": f"accel:{event.engine}",
-                       "category": event.category},
-            ))
-
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
@@ -213,13 +203,6 @@ class Tracer:
             if span.track not in seen:
                 seen[span.track] = None
         return list(seen)
-
-    def bounds(self) -> Tuple[float, float]:
-        """(earliest start, latest end) over every span; (0, 0) if empty."""
-        if not self.spans:
-            return (0.0, 0.0)
-        return (min(s.start for s in self.spans),
-                max(s.end for s in self.spans))
 
 
 #: Shared disabled tracer; the default everywhere tracing is optional.

@@ -318,10 +318,10 @@ class ServingEngine:
         return snapshot
 
     def _trace_step(self, snapshot: list, clock_before: float,
-                    record: StepTotals, cycle_trace) -> None:
-        """Emit the step's spans: one stage span per scheduled request,
-        one engine-lane ``step`` span (the span view of ``record``), and
-        the rescaled cycle trace."""
+                    record: StepTotals, cycle_spans) -> None:
+        """Emit the step's spans: one stage span per scheduled request
+        and one engine-lane ``step`` span (the span view of ``record``),
+        which refers to the step's cycle spans when it has them."""
         tracer = self.tracer
         track = self.trace_track
         for entry in snapshot:
@@ -342,6 +342,10 @@ class ServingEngine:
             tracer.span(
                 entry["phase"], clock_before, self.clock,
                 request_id=request.request_id, track=track, **attrs)
+        accel = {} if cycle_spans is None else {
+            spans.CYCLE_SPANS: cycle_spans,
+            spans.SECONDS_PER_CYCLE: self.platform.cycles_to_seconds(1),
+        }
         tracer.span(
             spans.STEP, clock_before, self.clock,
             track=track,
@@ -350,14 +354,8 @@ class ServingEngine:
             kv_utilization=record.kv_utilization_sum,
             compile_cache_hits=record.compile_cache_hits,
             compile_cache_misses=record.compile_cache_misses,
+            **accel,
         )
-        if cycle_trace is not None:
-            tracer.merge_cycle_trace(
-                cycle_trace,
-                offset_seconds=clock_before,
-                seconds_per_cycle=self.platform.cycles_to_seconds(1),
-                track=track,
-            )
 
     def _publish_step(self, record: StepTotals) -> None:
         """Feed the live registry: the counter view of ``record``, then
@@ -469,7 +467,7 @@ class ServingEngine:
                     finished.append(request)
         self.totals = totals + record
         if snapshot is not None:
-            self._trace_step(snapshot, clock_before, record, step.trace)
+            self._trace_step(snapshot, clock_before, record, step.cycle_spans)
         if self.metrics is not None:
             self._publish_step(record)
         return finished

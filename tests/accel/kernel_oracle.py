@@ -24,6 +24,13 @@ here calls — ``read``/``write``, channel steering, ``ideal_cycles``,
 ``reset`` — is left out.  :class:`_EventPort` wraps it: ``MemoryPort``
 returns a completion cycle instead of an event, so the processes are
 handed the ``Timeout`` the old port built itself.
+
+:class:`Trace` is the recorder the executor wrote to before it recorded
+cycle-clock :class:`~repro.obs.tracer.Span` objects (``sim/trace.py``),
+with the category each interval was recorded under; :func:`trace_events`
+puts the executor's spans in its terms, so the two compare with ``==``.
+:class:`KernelExecutor` returns a :class:`KernelResult`, a
+``StepResult`` carrying that trace.
 """
 
 from __future__ import annotations
@@ -31,7 +38,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Callable, Deque, Dict, Generator, Iterable, List, Optional, Tuple
 
 from repro.accel.config import AcceleratorConfig, BufferConfig
@@ -40,13 +47,71 @@ from repro.accel.pipeline import DISPATCH_CYCLES, StepResult
 from repro.fpga.hbm import MemorySystemModel, MemorySystemSpec
 from repro.fpga.u280 import FpgaPlatform
 from repro.graph.ops import ComputeUnit
+from repro.obs.timeline import _accel_category
+from repro.obs.tracer import CYCLES, Span
 from repro.sim.stats import RunCounters
-from repro.sim.trace import Trace
 
 __all__ = [
     "Event", "Timeout", "Process", "Simulator", "SimulationError", "Stream",
     "BufferPool", "BufferSegment", "MemoryPort", "KernelExecutor",
+    "KernelResult", "Trace", "TraceEvent", "trace_events",
 ]
+
+
+# ----------------------------------------------------------------------
+# sim/trace.py
+# ----------------------------------------------------------------------
+@dataclass(frozen=True)
+class TraceEvent:
+    """One half-open interval ``[start, end)`` of activity on an engine."""
+
+    engine: str
+    label: str
+    start: int
+    end: int
+    category: str = "work"
+
+    def __post_init__(self) -> None:
+        if self.start < 0 or self.end < self.start:
+            raise ValueError(
+                f"invalid trace interval [{self.start}, {self.end}) for {self.label!r}"
+            )
+
+    @property
+    def duration(self) -> int:
+        return self.end - self.start
+
+
+@dataclass
+class Trace:
+    """An append-only list of :class:`TraceEvent`."""
+
+    events: List[TraceEvent] = field(default_factory=list)
+    enabled: bool = True
+
+    def record(self, engine: str, label: str, start: int, end: int,
+               category: str = "work") -> None:
+        """Append one interval (no-op when tracing is disabled)."""
+        if not self.enabled:
+            return
+        self.events.append(TraceEvent(engine=engine, label=label,
+                                       start=start, end=end, category=category))
+
+    def __len__(self) -> int:
+        return len(self.events)
+
+
+def trace_events(spans: Iterable[Span]) -> List[TraceEvent]:
+    """The executor's cycle spans as this trace records them: the engine
+    is the lane without its ``accel:`` prefix, and the category is the
+    one the timeline export gives the lane."""
+    events = []
+    for span in spans:
+        assert span.clock == CYCLES and span.request_id is None, span
+        lane = span.attrs["lane"]
+        events.append(TraceEvent(lane.removeprefix("accel:"), span.name, span.start,
+                                 span.end, _accel_category(lane)))
+    return events
 
 
 # ----------------------------------------------------------------------
@@ -549,6 +614,13 @@ class _EventPort:
 # ----------------------------------------------------------------------
 # accel/pipeline.py
 # ----------------------------------------------------------------------
+@dataclass
+class KernelResult(StepResult):
+    """``StepResult`` as it was: the run's intervals in a :class:`Trace`."""
+
+    trace: Optional[Trace] = None
+
+
 class KernelExecutor:
     """``PipelineExecutor`` as three generator processes on the kernel."""
 
@@ -557,7 +629,7 @@ class KernelExecutor:
         self.platform = platform
 
     # ------------------------------------------------------------------
-    def run(self, program: Program) -> StepResult:
+    def run(self, program: Program) -> KernelResult:
         """Simulate one program and return its cycle count and counters."""
         sim = Simulator()
         counters = RunCounters()
@@ -580,7 +652,7 @@ class KernelExecutor:
 
         cycles = sim.run()
         self._accumulate_packet_counters(program, counters)
-        return StepResult(
+        return KernelResult(
             program_name=program.name,
             cycles=cycles,
             counters=counters,

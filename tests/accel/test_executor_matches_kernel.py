@@ -4,7 +4,9 @@
 running them through a queue; ``kernel_oracle.KernelExecutor`` is the
 process simulation it had before, kept verbatim.  Every case requires
 the two to agree on ``cycles``, ``engine_busy``, ``n_flushes``, all
-``RunCounters`` and — traced — the whole event list, in order.
+``RunCounters`` and — traced — the whole event list, in order: the
+executor's cycle spans, each with the category the timeline export
+gives its lane, against the kernel's recorded trace.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from repro.graph.ops import ComputeUnit
 from repro.graph.sharding import ShardSpec
 from repro.quant.config import QuantConfig
 
-from .kernel_oracle import KernelExecutor
+from .kernel_oracle import KernelExecutor, KernelResult, trace_events
 from .strategies import executor_cases
 
 #: Every (pipeline, memory_reuse, operator_fusion) design point.
@@ -34,7 +36,8 @@ ALL_FLAGS = pytest.mark.parametrize(
 
 def _facts(result):
     events = [(e.engine, e.label, e.start, e.end, e.category)
-              for e in result.trace.events]
+              for e in (result.trace.events if isinstance(result, KernelResult)
+                        else trace_events(result.spans))]
     return (result.cycles, result.engine_busy, result.n_flushes,
             result.counters.as_dict(), events)
 

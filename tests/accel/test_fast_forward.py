@@ -109,4 +109,5 @@ def test_a_traced_run_walks_every_packet_to_the_same_numbers(stories_step):
     assert untraced.packets_replayed > 0
     assert traced.packets_replayed == 0
     assert _facts(traced) == _facts(untraced)
-    assert len(traced.trace.events) > untraced.counters.instructions
+    assert len(traced.spans) > untraced.counters.instructions
+    assert untraced.spans is None

@@ -15,6 +15,8 @@ from repro.accel.pipeline import DISPATCH_CYCLES, PipelineExecutor
 from repro.fpga.u280 import u280
 from repro.graph.ops import ComputeUnit
 
+from .kernel_oracle import trace_events
+
 
 def _pool(reuse: bool, n_segments=2, flush=100):
     return BufferPool(
@@ -113,7 +115,7 @@ class TestReusePolicy:
         for pipeline in (False, True):
             result = _run(reuse=False, n_packets=4, compute=0, flush=10,
                           pipeline=pipeline, trace=True)
-            flushes = [ev for ev in result.trace.events if ev.category == "stall"]
+            flushes = [ev for ev in trace_events(result.spans) if ev.category == "stall"]
             assert len(flushes) == result.n_flushes == 2
             assert all((ev.engine, ev.label, ev.duration) == ("buffer-pool", "flush", 10)
                        for ev in flushes)

@@ -6,12 +6,17 @@ import pytest
 
 from repro.accel.compiler import ProgramCompiler
 from repro.accel.config import AcceleratorConfig, BufferConfig
-from repro.accel.pipeline import PipelineExecutor
+from repro.accel.instructions import OpProgram, Program, TilePacket
+from repro.accel.pipeline import DISPATCH_CYCLES, PipelineExecutor
 from repro.accel.variants import PAPER_VARIANTS
 from repro.compile.pipeline import StepCompiler
 from repro.fpga.u280 import u280
 from repro.graph.builder import build_decode_graph
 from repro.graph.fusion import fuse_graph
+from repro.graph.ops import ComputeUnit
+from repro.obs.tracer import CYCLES
+
+from .kernel_oracle import TraceEvent, trace_events
 
 
 @pytest.fixture(scope="module")
@@ -61,12 +66,35 @@ class TestStepResult:
     def test_trace_enabled_records_events(self, small_graph, platform):
         config = AcceleratorConfig(trace_enabled=True)
         result = _run(config, small_graph, platform)
-        assert result.trace is not None
-        assert len(result.trace) > 0
+        assert result.spans is not None
+        assert len(result.spans) > 0
+        assert all(span.clock == CYCLES for span in result.spans)
 
     def test_trace_disabled_by_default(self, small_graph, platform):
         result = _run(AcceleratorConfig(), small_graph, platform)
-        assert result.trace is None
+        assert result.spans is None
+
+
+def _one_packet(load, compute):
+    config = AcceleratorConfig(pipeline=False, hbm_stripe=1, trace_enabled=True)
+    program = Program("one", [OpProgram("x", ComputeUnit.MPE, [
+        TilePacket("x", ComputeUnit.MPE, load, compute, 0, label="x")])])
+    return PipelineExecutor(config, u280(n_hbm_channels=1)).run(program)
+
+
+class TestCycleSpans:
+    def test_records_in_order(self):
+        result = _one_packet(load=4096, compute=10)
+        loaded = result.spans[0].end
+        assert trace_events(result.spans) == [
+            TraceEvent("hbm:hbm0", "x", DISPATCH_CYCLES, loaded, "transfer"),
+            TraceEvent("mpe", "x", loaded, loaded + 10),
+        ]
+        assert loaded > DISPATCH_CYCLES and result.cycles == loaded + 10
+
+    def test_zero_length_interval_is_recorded(self):
+        (span,) = _one_packet(load=0, compute=0).spans
+        assert (span.name, span.start, span.end) == ("x", DISPATCH_CYCLES, DISPATCH_CYCLES)
 
 
 class TestOptimizationEffects:

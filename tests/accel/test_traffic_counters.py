@@ -26,6 +26,7 @@ from repro.accel.pipeline import PipelineExecutor
 from repro.fpga.u280 import u280
 from repro.graph.ops import ComputeUnit
 
+from .kernel_oracle import trace_events
 from .strategies import accelerator_configs, periodic_cases, programs
 
 
@@ -73,9 +74,9 @@ def test_traffic_counters_are_the_packets_and_the_model(pipeline, reuse):
         assert counters.dma_transfers == sum(
             _transfers(p.load_bytes, stripe) + _transfers(p.store_bytes, stripe)
             for p in packets)
-        if result.trace is not None:
+        if result.spans is not None:
             assert counters.dma_transfers == sum(
-                event.engine.startswith("hbm:") for event in result.trace.events)
+                event.engine.startswith("hbm:") for event in trace_events(result.spans))
         jumped += result.packets_replayed > 0
 
     check()
@@ -97,7 +98,8 @@ def test_traced_stripes_are_labelled_by_their_index(stripe, load, labels):
         TilePacket("x", ComputeUnit.MPE, load, 1, 0, label="x")])])
     config = AcceleratorConfig(hbm_stripe=stripe, trace_enabled=True)
     result = PipelineExecutor(config, u280()).run(program)
-    events = [event for event in result.trace.events if event.engine.startswith("hbm:")]
+    events = [event for event in trace_events(result.spans)
+              if event.engine.startswith("hbm:")]
     assert [event.label for event in events] == labels
     assert len({event.engine for event in events}) == len(labels)
     assert result.counters.dma_transfers == len(labels)

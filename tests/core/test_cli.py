@@ -187,6 +187,12 @@ class TestRejectedConfiguration:
          "max_batch_tokens must be positive"),
         (["--replicas", "3", "--disaggregate", "--prefill-replicas", "3"],
          "n_prefill_replicas must be in"),
+        # Cycle tracing with no trace to write: single engine, cluster and
+        # the BENCH_v1 matrix.
+        (["--trace-cycles"], "it needs --trace-out"),
+        (["--trace-cycles", "--metrics-out", "m.prom"], "it needs --trace-out"),
+        (["--trace-cycles", "--replicas", "2"], "it needs --trace-out"),
+        (["--trace-cycles", "--bench-out", "bench.json"], "it needs --trace-out"),
     ])
     def test_serve_bench_exits_2_with_one_error_line(self, capsys, flags,
                                                      message):

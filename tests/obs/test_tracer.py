@@ -5,17 +5,20 @@ from __future__ import annotations
 import pytest
 
 from repro.obs import tracer as spans
-from repro.obs.tracer import NULL_TRACER, Span, Tracer
+from repro.obs.timeline import build_chrome_trace
+from repro.obs.tracer import CYCLES, NULL_TRACER, SIM_S, Span, Tracer
 from repro.serve.scheduler import PreemptionEvent
-from repro.sim.trace import Trace
 
 
 class TestSpan:
     def test_duration_and_instant(self):
-        span = Span("prefill", 1.0, 3.5)
-        assert span.duration == 2.5
-        assert not span.is_instant
-        assert Span("token", 2.0, 2.0).is_instant
+        tracer = Tracer()
+        tracer.span("prefill", 1.0, 3.5)
+        tracer.instant("token", 2.0)
+        prefill, token = [e for e in build_chrome_trace(tracer)["traceEvents"]
+                          if e["ph"] != "M"]
+        assert (prefill["ph"], prefill["dur"]) == ("X", 2.5e6)
+        assert token["ph"] == "i" and "dur" not in token
 
     def test_backwards_interval_rejected(self):
         with pytest.raises(ValueError, match="ends .* before it starts"):
@@ -26,6 +29,17 @@ class TestSpan:
         assert span.request_id is None
         assert span.track == "engine-0"
         assert dict(span.attrs) == {}
+        assert span.clock == SIM_S
+
+    def test_cycle_span_interval(self):
+        span = Span("t0", 10, 25, clock=CYCLES)
+        assert (span.start, span.end, span.clock) == (10, 25, CYCLES)
+
+    def test_invalid_cycle_span_rejected(self):
+        with pytest.raises(ValueError, match="ends .* before it starts"):
+            Span("t0", 10, 5, clock=CYCLES)
+        with pytest.raises(ValueError, match="starts at cycle -1"):
+            Span("t0", -1, 5, clock=CYCLES)
 
 
 class TestDisabledTracer:
@@ -34,12 +48,11 @@ class TestDisabledTracer:
         tracer.span("prefill", 0.0, 1.0, request_id="r0")
         tracer.instant("token", 0.5, request_id="r0", index=0)
         tracer.preemption(PreemptionEvent("v", 1, "b", 0, time=0.2))
-        cycles = Trace()
-        cycles.record("mpe", "gemm", 0, 10)
-        tracer.merge_cycle_trace(cycles, offset_seconds=0.0,
-                                 seconds_per_cycle=1e-9)
+        _step(tracer, 0.0, [_cycles("mpe", "gemm", 0, 10)], 1e-9)
         assert len(tracer) == 0
-        assert tracer.bounds() == (0.0, 0.0)
+        other = build_chrome_trace(tracer)["otherData"]
+        assert (other["start_seconds"], other["makespan_seconds"]) == (0.0, 0.0)
+        assert other["n_spans"] == 0
 
     def test_null_tracer_is_disabled(self):
         assert NULL_TRACER.enabled is False
@@ -64,7 +77,8 @@ class TestTracer:
             spans.REQUEST, spans.QUEUED, spans.TOKEN]
         assert len([s for s in tracer.spans if s.name == spans.REQUEST]) == 2
         assert tracer.tracks() == ["engine-0", "replica-1"]
-        assert tracer.bounds() == (0.0, 4.0)
+        other = build_chrome_trace(tracer)["otherData"]
+        assert (other["start_seconds"], other["makespan_seconds"]) == (0.0, 4.0)
 
     def test_attrs_are_captured(self):
         tracer = self._tracer()
@@ -81,7 +95,7 @@ class TestTracer:
         tracer.preemption(event, track="replica-2")
         (mark,) = tracer.spans
         assert mark.name == spans.PREEMPTED
-        assert mark.is_instant and mark.start == 1.25
+        assert mark.start == mark.end == 1.25
         assert mark.request_id == "victim"
         assert mark.track == "replica-2"
         assert mark.attrs["victim_priority"] == 3
@@ -89,34 +103,57 @@ class TestTracer:
         assert mark.attrs["beneficiary_priority"] == 0
 
 
-class TestMergeCycleTrace:
-    def test_rescales_onto_the_simulated_clock(self):
-        cycles = Trace()
-        cycles.record("mpe", "gemm", 100, 300)
-        cycles.record("load", "weights", 0, 50, category="transfer")
-        tracer = Tracer()
-        tracer.merge_cycle_trace(cycles, offset_seconds=2.0,
-                                 seconds_per_cycle=1e-3, track="replica-0")
-        gemm = next(s for s in tracer.spans if s.name == "gemm")
-        assert gemm.start == pytest.approx(2.0 + 100 * 1e-3)
-        assert gemm.end == pytest.approx(2.0 + 300 * 1e-3)
-        assert gemm.track == "replica-0"
-        assert gemm.attrs["lane"] == "accel:mpe"
-        assert gemm.attrs["category"] == "work"
-        load = next(s for s in tracer.spans if s.name == "weights")
-        assert load.attrs == {"lane": "accel:load", "category": "transfer"}
+def _cycles(engine, label, start, end):
+    return Span(label, start, end, attrs={"lane": f"accel:{engine}"}, clock=CYCLES)
 
-    def test_source_trace_is_never_mutated(self):
-        # Step results are cached and shared, so the same Trace object is
-        # merged many times at different offsets.
-        cycles = Trace()
-        cycles.record("mpe", "gemm", 0, 10)
+
+def _step(tracer, start, cycle_spans, seconds_per_cycle, track="engine-0"):
+    """A step span lasting its cycle spans, referring to them."""
+    end = start + max(span.end for span in cycle_spans) * seconds_per_cycle
+    tracer.span(spans.STEP, start, end, track=track, n_slots=1,
+                **{spans.CYCLE_SPANS: tuple(cycle_spans),
+                   spans.SECONDS_PER_CYCLE: seconds_per_cycle})
+
+
+def _accel_events(payload):
+    """The exported accelerator events, with their lane names."""
+    events = payload["traceEvents"]
+    lanes = {(e["pid"], e["tid"]): e["args"]["name"] for e in events
+             if e["name"] == "thread_name"}
+    return [(lanes[e["pid"], e["tid"]], e) for e in events
+            if e["ph"] != "M" and lanes[e["pid"], e["tid"]].startswith("accel:")]
+
+
+class TestCycleSpansExport:
+    def test_rescales_onto_the_simulated_clock(self):
         tracer = Tracer()
-        tracer.merge_cycle_trace(cycles, offset_seconds=1.0,
-                                 seconds_per_cycle=1e-6)
-        tracer.merge_cycle_trace(cycles, offset_seconds=5.0,
-                                 seconds_per_cycle=1e-6)
-        assert len(cycles) == 1
-        assert cycles.events[0].start == 0
-        starts = sorted(s.start for s in tracer.spans)
-        assert starts == [1.0, 5.0]
+        _step(tracer, 2.0, [_cycles("mpe", "gemm", 100, 300),
+                            _cycles("hbm:hbm0", "weights", 0, 50),
+                            _cycles("buffer-pool", "flush", 300, 310)],
+              1e-3, track="replica-0")
+        assert len(tracer) == 1
+        payload = build_chrome_trace(tracer)
+        (step,) = [e for e in payload["traceEvents"] if e["name"] == spans.STEP]
+        assert step["args"] == {"n_slots": 1}
+        (mpe, gemm), (hbm, load), (pool, flush) = _accel_events(payload)
+        assert gemm["ts"] == (2.0 + 100 * 1e-3) * 1e6
+        assert gemm["dur"] == ((2.0 + 300 * 1e-3) - (2.0 + 100 * 1e-3)) * 1e6
+        assert gemm["pid"] == step["pid"]
+        assert (mpe, gemm["cat"], gemm["args"]) == ("accel:mpe", "work",
+                                                    {"category": "work"})
+        assert (hbm, load["cat"], load["args"]) == ("accel:hbm:hbm0", "transfer",
+                                                    {"category": "transfer"})
+        assert (pool, flush["cat"]) == ("accel:buffer-pool", "stall")
+        assert payload["otherData"]["n_spans"] == 4
+        assert payload["otherData"]["tracks"] == ["replica-0"]
+
+    def test_cycle_spans_are_never_mutated(self):
+        # Step results are cached and shared, so the same cycle spans
+        # belong to many steps at different offsets.
+        cycle_spans = [_cycles("mpe", "gemm", 0, 10)]
+        tracer = Tracer()
+        _step(tracer, 1.0, cycle_spans, 1e-6)
+        _step(tracer, 5.0, cycle_spans, 1e-6)
+        events = [e for _, e in _accel_events(build_chrome_trace(tracer))]
+        assert cycle_spans == [_cycles("mpe", "gemm", 0, 10)]
+        assert sorted(e["ts"] for e in events) == [1.0 * 1e6, 5.0 * 1e6]

@@ -16,8 +16,7 @@ from repro.fpga.hbm import MemorySystemModel, MemorySystemSpec
 from repro.fpga.u280 import u280
 from repro.graph.ops import ComputeUnit
 from repro.sim.stats import RunCounters
-from repro.sim.trace import Trace
-from tests.accel.kernel_oracle import MemoryPort
+from tests.accel.kernel_oracle import MemoryPort, Trace, trace_events
 
 CLOCK = 225e6
 
@@ -29,11 +28,11 @@ def _port(n_channels=4, trace=None, counters=None):
     return port, counters
 
 
-def _executor_transfer(n_channels=4, stripe=1, trace=None):
+def _executor_transfer(n_channels=4, stripe=1, spans=None):
     """The executor's ``transfer(n_bytes, now, label)`` over a fresh model,
     with the stripe clamped to the channel count as ``run`` clamps it."""
     model = MemorySystemModel(MemorySystemSpec.u280_hbm(n_channels), CLOCK)
-    return _transfer(model, min(stripe, n_channels), trace), model
+    return _transfer(model, min(stripe, n_channels), spans), model
 
 
 def _run(packets, hbm_stripe=16, n_channels=32):
@@ -45,7 +44,7 @@ def _run(packets, hbm_stripe=16, n_channels=32):
 
 
 def _hbm_events(result):
-    return [(e.engine, e.label) for e in result.trace.events
+    return [(e.engine, e.label) for e in trace_events(result.spans)
             if e.engine.startswith("hbm:")]
 
 
@@ -129,9 +128,9 @@ class TestMemoryPort:
         assert len(trace) == 1
         assert trace.events[0].category == "transfer"
         assert "tile0" in trace.events[0].label
-        executor_trace = Trace()
-        _executor_transfer(trace=executor_trace)[0](4096, 0, "tile0")
-        assert executor_trace.events == trace.events
+        executor_spans = []
+        _executor_transfer(spans=executor_spans)[0](4096, 0, "tile0")
+        assert trace_events(executor_spans) == trace.events
 
     def test_ideal_cycles_lower_bound(self):
         """No striped transfer beats the channels' aggregate bandwidth."""
@@ -185,9 +184,9 @@ class TestStripedIssueIsOneModelCall:
         place in the arbitration order equal those of per-stripe model
         calls.  A transfer of no bytes is not issued, as the executor
         issues none."""
-        trace, executor_trace = Trace(), Trace()
+        trace, executor_spans = Trace(), []
         port, counters = _port(n_channels=32, trace=trace)
-        transfer, executor_model = _executor_transfer(32, stripe, executor_trace)
+        transfer, executor_model = _executor_transfer(32, stripe, executor_spans)
         reference = MemorySystemModel(MemorySystemSpec.u280_hbm(32), CLOCK)
         records, expected_done, done = [], {}, {}
 
@@ -210,7 +209,7 @@ class TestStripedIssueIsOneModelCall:
         assert done == expected_done and len(done) == 9
         assert [(e.engine, e.label, e.start, e.end, e.category)
                 for e in trace.events] == records
-        assert executor_trace.events == trace.events
+        assert trace_events(executor_spans) == trace.events
         assert counters.dma_transfers == len(records)
         assert counters.hbm_read_bytes == 6 * n_bytes
         assert counters.hbm_write_bytes == 3 * n_bytes
@@ -222,15 +221,15 @@ class TestStripedIssueIsOneModelCall:
     def test_fewer_bytes_than_stripes_is_one_transfer(self):
         """5 bytes over 16 stripes: 15 empty stripes consume no channel
         and count nothing; the last carries all five bytes."""
-        trace, executor_trace = Trace(), Trace()
+        trace, executor_spans = Trace(), []
         port, counters = _port(n_channels=32, trace=trace)
         port.read_striped(5, 16, 0, "tiny")
         assert counters.dma_transfers == 1
         assert [(e.engine, e.label) for e in trace.events] == [("hbm:hbm0", "tiny[15]")]
         assert port.model.total_transactions == 1
-        transfer, model = _executor_transfer(32, 16, executor_trace)
+        transfer, model = _executor_transfer(32, 16, executor_spans)
         transfer(5, 0, "tiny")
-        assert executor_trace.events == trace.events
+        assert trace_events(executor_spans) == trace.events
         assert model.total_transactions == 1
 
     def test_invalid_striped_arguments_still_rejected(self):

@@ -1,45 +1,10 @@
-"""Tests for repro.sim.trace and repro.sim.stats."""
+"""Tests for repro.sim.stats."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.sim.stats import RunCounters
-from repro.sim.trace import Trace, TraceEvent
-
-
-class TestTraceEvent:
-    def test_duration(self):
-        assert TraceEvent("mpe", "t0", 10, 25).duration == 15
-
-    def test_invalid_interval_rejected(self):
-        with pytest.raises(ValueError):
-            TraceEvent("mpe", "t0", 10, 5)
-        with pytest.raises(ValueError):
-            TraceEvent("mpe", "t0", -1, 5)
-
-
-class TestTrace:
-    def test_records_in_order(self):
-        trace = Trace()
-        trace.record("mpe", "a", 0, 10)
-        trace.record("load", "x", 0, 15, category="transfer")
-        assert len(trace) == 2
-        assert trace.events == [
-            TraceEvent("mpe", "a", 0, 10),
-            TraceEvent("load", "x", 0, 15, category="transfer"),
-        ]
-
-    def test_disabled_trace_records_nothing(self):
-        trace = Trace(enabled=False)
-        trace.record("mpe", "a", 0, 5)
-        assert len(trace) == 0
-
-    def test_zero_length_event_is_recorded(self):
-        trace = Trace()
-        trace.record("mpe", "flash", 10, 10)
-        (ev,) = trace.events
-        assert ev.duration == 0
 
 
 class TestRunCounters:

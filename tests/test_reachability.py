@@ -86,6 +86,10 @@ GONE: Tuple[Tuple[str, str], ...] = (
     # stored.
     ("second precision decision",
      r"weight_bits|quantize_weights|weight_dtype_bytes|dtype: np\.dtype"),
+    # One span type: the executor records cycle-clock Spans and the
+    # timeline export alone converts them; the copying merge is a
+    # test-side oracle (tests/obs/cycle_merge_oracle.py).
+    ("second trace recorder", r"TraceEvent|merge_cycle_trace|sim\.trace"),
 )
 
 
