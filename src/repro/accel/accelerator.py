@@ -142,13 +142,10 @@ class SpeedLLMAccelerator:
         self.timing = StepCompiler(
             self.model_config, self.config, self.platform
         )
-        #: The two graphs token values come from, keyed by need_logits;
-        #: built on first functional use, so timing-only runs never pay.
-        self._value_graphs: Dict[bool, Graph] = {}
 
     @cached_property
     def _functional_weights(self) -> Dict[str, np.ndarray]:
-        """Weights the datapath computes with — like the value graphs,
+        """Weights the datapath computes with — like the value graph,
         built on first functional use, so timing-only runs never pay.
 
         Every tensor is quantised and dequantised at the spec
@@ -364,19 +361,14 @@ class SpeedLLMAccelerator:
         The one-slot case of :meth:`execute_slots`."""
         return self.execute_slots([BatchSlot(token, pos, cache, need_logits)])[0]
 
-    def _value_graph(self, need_logits: bool) -> Graph:
-        """One of the two context-free graphs values come from (with /
-        without the classifier), built at context 0 outside the compiler:
-        the attention window is ``pos + 1`` whatever a graph was built
-        for, and nothing the compiler prices changes a value."""
-        graph = self._value_graphs.get(need_logits)
-        if graph is None:
-            graph = GraphBuilder(self.model_config).build_decode_step(
-                0, include_logits=need_logits)
-            if self.config.operator_fusion:
-                graph = fuse_graph(graph).graph
-            self._value_graphs[need_logits] = graph
-        return graph
+    @cached_property
+    def _value_graph(self) -> Graph:
+        """The context-free step graph values come from, built at context
+        0 outside the compiler on first functional use: the attention
+        window is ``pos + 1`` whatever the graph was built for, and
+        nothing the compiler prices changes a value."""
+        graph = GraphBuilder(self.model_config).build_decode_step(0)
+        return fuse_graph(graph).graph if self.config.operator_fusion else graph
 
     def execute_slots(self, slots: Sequence[BatchSlot]) -> List[np.ndarray]:
         """Functionally execute one batched step of token positions.
@@ -390,5 +382,4 @@ class SpeedLLMAccelerator:
         rejected step raises before any cache is written.  Timing for the
         same step comes from ``self.timing.simulate_step``.
         """
-        return self._graph_executor.execute_step(
-            [self._value_graph(slot.need_logits) for slot in slots], slots)
+        return self._graph_executor.execute_step(self._value_graph, slots)

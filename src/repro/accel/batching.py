@@ -27,9 +27,11 @@ already-compiled single-sequence programs:
   dispatch, so the per-operator control overhead is amortized too.
 
 Weight tiles are merged by counting slots, not walking them: slots
-sharing an operator's packet tuple (the compiler lowers an operator once)
-form one group, summed once times its size; a slot sharing nothing is a
-group of one.
+sharing an operator's packet tuple form one group, summed once times its
+size; a slot sharing nothing is a group of one.  The step compiler
+lowers each tiling plan's step once and only the KV window per context,
+so every operator outside the window is one packet tuple for all slots,
+with or without logits.
 
 The merged program runs on the unmodified
 :class:`~repro.accel.pipeline.PipelineExecutor`, so pipelining, buffer
@@ -241,7 +243,6 @@ def _merged_run_packet(
 def merge_batch_programs(
     programs: Sequence[Program],
     mpe: MPEConfig,
-    name: Optional[str] = None,
     run_ids: Optional[Sequence[int]] = None,
 ) -> Program:
     """Merge per-sequence decode-step programs into one batched program.
@@ -264,12 +265,12 @@ def merge_batch_programs(
         raise ValueError("run_ids must match programs in length")
     if len(programs) == 1:
         return programs[0]
-    # Programs may differ in length: positions that skip the classifier
-    # compile to a strict prefix of the full decode step (the final norm
-    # and classifier are the topologically last operators).  Operators are
+    # Programs may differ in length: a position that skips the classifier
+    # runs the step's body, a prefix of the full step (the final norm and
+    # classifier are the topologically last operators).  Operators are
     # aligned from the front; each one merges the sequences that have it.
     n_ops = max(len(program.ops) for program in programs)
-    merged = Program(name=name or f"{programs[0].name}-batch{len(programs)}")
+    merged = Program()
     for j in range(n_ops):
         op_versions = [(i, program.ops[j])
                        for i, program in enumerate(programs)
@@ -321,6 +322,4 @@ def merge_batch_programs(
                     start = end
         merged.add(OpProgram(op_name=lead.op_name, unit=lead.unit,
                              packets=packets))
-    merged.metadata["batch_size"] = len(programs)
-    merged.metadata["graph"] = programs[0].metadata.get("graph")
     return merged

@@ -23,16 +23,15 @@ buffer), so they cost a store on the producer and a load on the consumer.
 Weights always stream from HBM.  The KV cache lives in HBM; appends write
 only the new position, while attention reads the whole cached window.
 
-An operator is lowered once per compiler: its packets depend only on its
-*signature* (its fields, its fused members' and the specs of the tensors
-they name) and on what is fixed per compiler, so one immutable
-:class:`OpProgram` per signature is shared by every graph — projections
-at every context length, attention operators once per window.
+The compiler keeps no memo: every call lowers the graph it is given.
+The unit that repeats is a whole step, and
+:class:`~repro.compile.pipeline.StepCompiler` lowers it once per tiling
+plan, then only the KV-window operators once per context.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional
 
 from ..compile.tiling import DEFAULT_PLAN, TilingPlan, clamped_fold
 from ..graph.graph import Graph
@@ -65,25 +64,12 @@ class ProgramCompiler:
         self.plan = plan or DEFAULT_PLAN
         self.mpe = MPETimingModel(config.mpe)
         self.sfu = SFUTimingModel(config.sfu)
-        self._lowered: Dict[Tuple, OpProgram] = {}
 
     # ------------------------------------------------------------------
-    def compile(self, graph: Graph, name: Optional[str] = None) -> Program:
-        """Lower ``graph`` to a :class:`Program`."""
-        ops = [self.compile_op(graph, op) for op in graph.topological_order()]
-        return self.program(ops, graph.name, len(graph), name)
-
-    def program(self, ops: List[OpProgram], graph_name: str, n_graph_ops: int,
-                name: Optional[str] = None) -> Program:
-        """The :class:`Program` of ``ops`` lowered from a graph named
-        ``graph_name`` of ``n_graph_ops`` operators, as :meth:`compile`
-        returns it."""
-        program = Program(name=name or graph_name, ops=ops)
-        program.metadata["graph"] = graph_name
-        program.metadata["n_graph_ops"] = n_graph_ops
-        if not self.plan.is_default:
-            program.metadata["tiling_plan"] = self.plan.label
-        return program
+    def compile(self, graph: Graph) -> Program:
+        """Lower ``graph`` to a :class:`Program`: one operator program per
+        operator, in topological order."""
+        return Program([self._lower_op(graph, op) for op in graph.topological_order()])
 
     # ------------------------------------------------------------------
     # Residency helpers
@@ -95,23 +81,6 @@ class ProgramCompiler:
     # ------------------------------------------------------------------
     # Per-operator lowering
     # ------------------------------------------------------------------
-    @classmethod
-    def _signature(cls, graph: Graph, op: Operator) -> Tuple:
-        """Everything of ``graph`` and ``op`` that lowering ``op`` reads."""
-        return (op.name, op.kind, op.flops, op.weight_bytes,
-                tuple(op.attributes.items()), tuple(op.inputs), tuple(op.outputs),
-                tuple([graph.tensors.get(t) for t in (*op.inputs, *op.outputs)]),
-                tuple([cls._signature(graph, m) for m in op.fused_ops]))
-
-    def compile_op(self, graph: Graph, op: Operator) -> OpProgram:
-        """The program of ``graph``'s operator ``op``, lowered once per
-        signature."""
-        key = self._signature(graph, op)
-        lowered = self._lowered.get(key)
-        if lowered is None:
-            lowered = self._lowered[key] = self._lower_op(graph, op)
-        return lowered
-
     def _lower_op(self, graph: Graph, op: Operator) -> OpProgram:
         """Lower ``op`` as a fused region — a plain operator is one of a
         single member — whose members run back to back.

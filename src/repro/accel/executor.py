@@ -16,30 +16,33 @@ A graph is compiled once into a flat *value program*: FUSED members
 inlined, weights resolved to their float32 arrays (graph tensors are
 named ``L{i}.<tensor>``, checkpoints ``layers.{i}.<tensor>``; under a
 quantised datapath the weights are the dequantised ones), ``KV_APPEND``
-layers and the result tensor read off.  A step then runs **op-major**,
-the order :mod:`repro.accel.batching` prices: each operator over all the
-step's slots, activations stacked as one ``[n_slots, width]`` array, so
-a weight matrix is cache-hot for every row after the first.  ``MATMUL``
-stays one GEMV per row — the BLAS call a lone slot makes, so a row's bits
-do not depend on its batch; the row-wise operators are one NumPy call for
-all rows; ``KV_APPEND``, attention and ``SOFTMAX`` run per slot against
-the slot's own cache, all heads in one batched ``matmul``.  Slots whose
-program is a prefix of the step's longest (no logits wanted) leave the
-stack where theirs ends.  The order is safe because slots of different
-caches are independent and slots of one cache come in increasing
-position: layer *l*'s ``KV_APPEND`` sweep writes row *p* before any
-slot's attention at layer *l* reads it, and each slot's window stops at
-its own ``pos + 1``.
+layers read off, and the program split where the last decoder block
+writes :func:`~repro.graph.builder.hidden_state`: the *body* before, the
+final norm and classifier (the *tail*) after.  A step then runs
+**op-major**, the order :mod:`repro.accel.batching` prices: each
+operator over all the step's slots, activations stacked as one
+``[n_slots, width]`` array, so a weight matrix is cache-hot for every
+row after the first.  ``MATMUL`` stays one GEMV per row — the BLAS call
+a lone slot makes, so a row's bits do not depend on its batch; the
+row-wise operators are one NumPy call for all rows; ``KV_APPEND``,
+attention and ``SOFTMAX`` run per slot against the slot's own cache, all
+heads in one batched ``matmul``.  The body runs over every slot, the
+tail over the slots that want logits; a slot that does not yields its
+hidden state.  The order is safe because slots of different caches are
+independent and slots of one cache come in increasing position: layer
+*l*'s ``KV_APPEND`` sweep writes row *p* before any slot's attention at
+layer *l* reads it, and each slot's window stops at its own ``pos + 1``.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..llama.config import LlamaConfig
 from ..llama.model import apply_rope, rmsnorm, rope_frequencies, silu, softmax
+from ..graph.builder import hidden_state
 from ..graph.graph import Graph
 from ..graph.ops import OpKind
 from .batching import BatchSlot
@@ -60,7 +63,8 @@ class _Instruction(NamedTuple):
 class _Program(NamedTuple):
     graph: Graph  # pinned, so its id() is not reused while the entry lives
     instructions: List[_Instruction]
-    result: str
+    #: How many instructions the body is: up to the hidden state.
+    body: int
 
 
 def _graph_to_checkpoint_name(name: str) -> str:
@@ -84,8 +88,6 @@ class GraphExecutor:
                                       config.rope_theta)
         #: The value program of each graph run so far, by id(graph).
         self._programs: Dict[int, _Program] = {}
-        #: (id(short graph), id(long graph)) pairs shown to be prefixes.
-        self._prefixes: Set[Tuple[int, int]] = set()
 
     # ------------------------------------------------------------------
     def _weight(self, graph_name: str) -> np.ndarray:
@@ -98,11 +100,9 @@ class GraphExecutor:
             ) from None
 
     def _compile(self, graph: Graph) -> _Program:
-        """Flatten a graph (once) into the program a step runs."""
-        outputs = graph.graph_outputs()
-        if "logits" not in outputs and len(outputs) != 1:
-            raise RuntimeError("graph did not produce a 'logits' tensor")
-        instructions, produced = [], {"token"}
+        """Flatten a step graph (once) into the program a step runs."""
+        hidden = hidden_state(self.config)
+        instructions, produced, body = [], {"token"}, None
         for op in graph.topological_order():
             for member in (op.fused_ops if op.kind is OpKind.FUSED else [op]):
                 instructions.append(_Instruction(
@@ -111,40 +111,23 @@ class GraphExecutor:
                     tuple(None if name in produced else self._weight(name)
                           for name in member.inputs)))
                 produced.update(member.outputs)
-        program = self._programs[id(graph)] = _Program(
-            graph, instructions, "logits" if "logits" in outputs else outputs[0])
+                if hidden in member.outputs:
+                    body = len(instructions)
+        if body is None or "logits" not in graph.graph_outputs():
+            raise RuntimeError(f"graph {graph.name!r} is not a decode step: it "
+                               f"does not produce {hidden!r} and 'logits'")
+        program = self._programs[id(graph)] = _Program(graph, instructions, body)
         return program
 
-    def _check_prefix(self, short: _Program, full: _Program) -> None:
-        """A slot may stop early only where the step's longest program
-        has computed exactly the short one, and needs nothing of it but
-        its result from there on.  Checked once per pair of graphs."""
-        if (id(short.graph), id(full.graph)) in self._prefixes:
-            return
-        end = len(short.instructions)
-        tail = full.instructions[end:]
-        made_later = {name for step in tail for name in step.outputs}
-        carried = {name for step in tail
-                   for name, weight in zip(step.inputs, step.weights)
-                   if weight is None and name not in made_later}
-        # [:4] is everything but the weights, which the names stand for.
-        if ([step[:4] for step in full.instructions[:end]]
-                != [step[:4] for step in short.instructions]
-                or not carried <= {short.result}):
-            raise ValueError(
-                f"graph {short.graph.name!r} is not a prefix of "
-                f"{full.graph.name!r}: their slots cannot share a step")
-        self._prefixes.add((id(short.graph), id(full.graph)))
-
     # ------------------------------------------------------------------
-    def execute_step(self, graphs: Sequence[Graph], slots: Sequence[BatchSlot]) -> List[np.ndarray]:
-        """Run slot ``i`` through ``graphs[i]``, all slots op-major; one
-        result array per slot.  Every slot is validated before the first
-        cache row is written, so a rejected step changes nothing: slots
-        sharing a cache must come in strictly increasing position, and
-        every graph's program must be a prefix of the longest one's.
+    def execute_step(self, graph: Graph, slots: Sequence[BatchSlot]) -> List[np.ndarray]:
+        """Run every slot through the step ``graph``, op-major; one
+        result array per slot: the logits where ``need_logits`` is on,
+        the hidden state otherwise.  Every slot is validated before the
+        first cache row is written, so a rejected step changes nothing:
+        slots sharing a cache must come in strictly increasing position.
 
-        Nothing read from a graph depends on the context it was built
+        Nothing read from the graph depends on the context it was built
         for — the attention window is ``pos + 1`` — so one graph serves
         every position.  A graph must not change once executed: its
         program is compiled on the first run only.
@@ -163,28 +146,20 @@ class GraphExecutor:
             latest[id(slot.cache)] = slot.pos
         if not slots:
             return []
-        programs = [self._programs.get(id(g)) or self._compile(g) for g in graphs]
-        full = max(programs, key=lambda program: len(program.instructions))
-        #: Where rows leave the stack: program length -> (result, rows).
-        ends: Dict[int, Tuple[str, Set[int]]] = {}
-        for row, program in enumerate(programs):
-            if program is not full:
-                self._check_prefix(program, full)
-            ends.setdefault(len(program.instructions), (program.result, set()))[1].add(row)
-
-        results: List[Optional[np.ndarray]] = [None] * len(slots)
-        live, slots, start = list(range(len(slots))), list(slots), 0
+        program = self._programs.get(id(graph)) or self._compile(graph)
+        body, hidden = program.body, hidden_state(self.config)
         values = {"token": np.array([slot.token for slot in slots], dtype=np.int64)}
-        for end in sorted(ends):
-            self._run(full.instructions[start:end], values, slots)
-            result, leaving = ends[end]
-            stacked = values[result]
-            for at, row in enumerate(live):
-                if row in leaving:
-                    results[row] = stacked[at]
-            keep = [at for at, row in enumerate(live) if row not in leaving]
-            live, slots = [live[at] for at in keep], [slots[at] for at in keep]
-            values, start = {result: stacked[keep]}, end
+        self._run(program.instructions[:body], values, slots)
+        results: List[np.ndarray] = list(values[hidden])
+        rows = [row for row, slot in enumerate(slots) if slot.need_logits]
+        if not rows:
+            return results
+        if len(rows) < len(slots):
+            # The tail reads nothing of the body but the hidden state.
+            values, slots = {hidden: values[hidden][rows]}, [slots[row] for row in rows]
+        self._run(program.instructions[body:], values, slots)
+        for at, row in enumerate(rows):
+            results[row] = values["logits"][at]
         return results
 
     # ------------------------------------------------------------------

@@ -166,9 +166,7 @@ class OpProgram:
 class Program:
     """A compiled decode step: ordered operator programs."""
 
-    name: str
     ops: List[OpProgram] = field(default_factory=list)
-    metadata: Dict[str, object] = field(default_factory=dict)
 
     def add(self, op_program: OpProgram) -> None:
         self.ops.append(op_program)

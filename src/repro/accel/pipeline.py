@@ -114,7 +114,6 @@ class StepResult:
     result shares them with every step that reuses it.
     """
 
-    program_name: str
     cycles: int
     counters: RunCounters
     spans: Optional[Tuple[Span, ...]] = None
@@ -176,7 +175,6 @@ class PipelineExecutor:
         end = discipline(packets, opens, transfer, pool, counters, busy, spans, periods)
         counters.dma_transfers = hbm.total_transactions
         return StepResult(
-            program_name=program.name,
             cycles=max([end] + [flush_end[0] for flush_end, _ in pool.flushes]),
             counters=counters,
             spans=None if spans is None else tuple(spans),

@@ -46,7 +46,6 @@ class EngineConfig:
     model: Union[str, LlamaConfig] = "stories15M"
     variant: str = "full"
     seed: int = 0
-    position_stride: int = 8
     max_vocab: Optional[int] = None
 
     # Scheduler / KV memory --------------------------------------------
@@ -139,8 +138,6 @@ class EngineConfig:
             raise FrontendError("interconnect_gbps must be positive")
         if self.interconnect_latency_us < 0:
             raise FrontendError("interconnect_latency_us must be >= 0")
-        if self.position_stride <= 0:
-            raise FrontendError("position_stride must be positive")
         if self.arrival_policy not in ARRIVAL_POLICIES:
             raise FrontendError(
                 f"arrival_policy must be one of {ARRIVAL_POLICIES}, got "
@@ -224,7 +221,7 @@ class EngineConfig:
             platform = u280(n_hbm_channels=self.hbm_channels)
         return SpeedLLM(
             model=self.model, variant=self.variant, seed=self.seed,
-            position_stride=self.position_stride, max_vocab=self.max_vocab,
+            max_vocab=self.max_vocab,
             accel_config=accel_config, platform=platform,
         )
 

@@ -1139,8 +1139,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     with _configuring(args):
         suite = default_suite(n_prompts=args.prompts, max_new_tokens=args.tokens,
                               seed=args.seed)
-        llm = SpeedLLM(model=args.model, variant=args.variant, seed=args.seed,
-                       position_stride=8)
+        llm = SpeedLLM(model=args.model, variant=args.variant, seed=args.seed)
     report = validate_accelerator(llm.accelerator, llm.tokenizer, suite,
                                   n_decode=args.tokens)
     print(format_table(report.as_rows()))

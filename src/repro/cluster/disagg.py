@@ -134,7 +134,7 @@ def harvest_handoff(
         keys=keys,
         values=values,
         n_positions=n_positions,
-        bytes_per_position=KVCache.bytes_per_position(config),
+        bytes_per_position=KVCache.bytes_per_position(config, engine.quant.kv),
         finish_clock=engine.clock,
         arrival_time=request.arrival_time,
         admitted_time=request.admitted_time,

@@ -4,19 +4,22 @@
 sharded) timing view of a model.  Work is kept at the unit that repeats,
 and a context is paid for only where it changes the step:
 
-* a *template* per ``(include_logits, plan)`` — the first context asked
-  for is **built** as a whole step graph (when this view is a tensor
-  shard the builder already emits the per-shard slice of every operator),
-  **fused** when ``config.operator_fusion`` is on, ordered, and every
-  operator **tiled** under the :class:`~repro.compile.tiling.TilingPlan`.
-  Only the window operators — each layer's KV append and attention, and
-  a fused region holding one — depend on the context; they mark the
-  template's slots;
+* a *template* per plan — the first context asked for is **built** as
+  a whole step graph (when this view is a tensor shard the builder
+  already emits the per-shard slice of every operator), **fused** when
+  ``config.operator_fusion`` is on, and **tiled** under the
+  :class:`~repro.compile.tiling.TilingPlan` by
+  :meth:`~repro.accel.compiler.ProgramCompiler.compile`.  Only the
+  window operators — each layer's KV append and attention, and a fused
+  region holding one — depend on the context; they mark the template's
+  slots.  The template also records its *body*: the operators up to the
+  one writing :func:`~repro.graph.builder.hidden_state`;
 * :meth:`StepCompiler.lower` memoises the program of one
-  ``(context_len, include_logits, plan)``: it builds and fuses only that
-  context's window operators, tiles them, and splices them into the
-  template's slots.  The program equals lowering the whole step graph
-  built at that context;
+  ``(context_len, plan)``: it builds and fuses only that context's
+  window operators, tiles them, and splices them into the template's
+  slots.  The program equals lowering the whole step graph built at
+  that context.  A slot without logits runs the program's body, the
+  same operator programs cut before the final norm and classifier;
 * :meth:`StepCompiler.compile_step` memoises a whole step in the LRU
   :class:`~repro.compile.cache.CompileCache`, keyed by the bucketed
   composition: each slot's program, merged into the batched
@@ -47,7 +50,7 @@ from ..accel.config import AcceleratorConfig
 from ..accel.instructions import OpProgram, Program
 from ..accel.pipeline import PipelineExecutor, StepResult
 from ..fpga.u280 import FpgaPlatform
-from ..graph.builder import GraphBuilder
+from ..graph.builder import GraphBuilder, hidden_state
 from ..graph.fusion import fuse_graph
 from ..graph.graph import Graph
 from ..graph.ops import OpKind, TensorSpec
@@ -133,26 +136,31 @@ class _Template:
     slots: Tuple[Tuple[int, str], ...]
     #: Specs of the tensors the window operators read from the rest.
     boundary: Dict[str, TensorSpec]
-    n_graph_ops: int
+    #: How many of ``ops`` a slot without logits runs: up to and
+    #: including the operator that writes the hidden state.
+    body: int
 
     @classmethod
-    def lower(cls, graph: Graph, tiler: ProgramCompiler) -> _Template:
+    def lower(cls, graph: Graph, tiler: ProgramCompiler, hidden: str) -> _Template:
         order = graph.topological_order()
         slots = [(index, op) for index, op in enumerate(order)
                  if _WINDOW_KINDS.intersection(op.member_kinds())]
         produced = {t for _, op in slots for t in op.outputs}
         boundary = {t: graph.tensors[t] for _, op in slots for t in op.inputs
                     if t not in produced}
-        return cls(tiler, tuple(tiler.compile_op(graph, op) for op in order),
+        body = next(index for index, op in enumerate(order)
+                    if hidden in op.outputs) + 1
+        return cls(tiler, tuple(tiler.compile(graph).ops),
                    tuple((index, op.name) for index, op in slots),
-                   boundary, len(graph))
+                   boundary, body)
 
     def splice(self, window: Graph) -> Program:
         """The program of the step whose window operators are ``window``'s."""
+        lowered = {op.op_name: op for op in self.tiler.compile(window).ops}
         ops = list(self.ops)
         for index, name in self.slots:
-            ops[index] = self.tiler.compile_op(window, window.operators[name])
-        return self.tiler.program(ops, window.name, self.n_graph_ops)
+            ops[index] = lowered[name]
+        return Program(ops)
 
 
 class StepCompiler:
@@ -172,10 +180,8 @@ class StepCompiler:
         self._builder = GraphBuilder(model_config, shard=shard,
                                      quant=config.quant)
         self._executor = PipelineExecutor(config, platform)
-        # One ProgramCompiler per tiling plan (plans are few and frozen).
-        self._tilers: Dict[TilingPlan, ProgramCompiler] = {}
-        self._templates: Dict[Tuple[bool, TilingPlan], _Template] = {}
-        self._programs: Dict[Tuple[int, bool, TilingPlan], Program] = {}
+        self._templates: Dict[TilingPlan, _Template] = {}
+        self._programs: Dict[Tuple[int, TilingPlan], Program] = {}
         self.cache = CompileCache()
         #: Host seconds spent in each phase; a memo hit adds nothing.
         self.phase_seconds: Dict[str, float] = dict.fromkeys(PHASE_ORDER, 0.0)
@@ -200,42 +206,40 @@ class StepCompiler:
     def lower(
         self,
         context_len: int,
-        include_logits: bool = True,
+        need_logits: bool = True,
         plan: TilingPlan = DEFAULT_PLAN,
     ) -> Program:
         """The tile program of one slot shape under ``plan``: the
-        template's programs with this context's window spliced in."""
-        key = (context_len, include_logits, plan)
+        template's programs with this context's window spliced in, or,
+        for a slot without logits, the body of that program."""
+        key = (context_len, plan)
         program = self._programs.get(key)
         if program is None:
-            template = self._template(context_len, include_logits, plan)
+            template = self._template(context_len, plan)
             window = self._timed("build", self._builder.build_window,
-                                 context_len, template.boundary,
-                                 include_logits=include_logits)
+                                 context_len, template.boundary)
             if self.config.operator_fusion:
                 window = self._timed("fuse", fuse_graph, window).graph
             program = self._timed("tile", template.splice, window)
             self._programs[key] = program
-        return program
+        if need_logits:
+            return program
+        return Program(program.ops[:self._templates[plan].body])
 
-    def _template(self, context_len: int, include_logits: bool,
-                  plan: TilingPlan) -> _Template:
-        key = (include_logits, plan)
-        template = self._templates.get(key)
+    def _template(self, context_len: int, plan: TilingPlan) -> _Template:
+        template = self._templates.get(plan)
         if template is None:
             graph = self._timed("build", self._builder.build_decode_step,
-                                context_len, include_logits=include_logits)
+                                context_len)
             if self.config.operator_fusion:
                 graph = self._timed("fuse", fuse_graph, graph).graph
-            tiler = self._tilers.get(plan)
-            if tiler is None:
-                # Imported here: accel.compiler imports repro.compile.tiling,
-                # so a module-level import would be circular.
-                from ..accel.compiler import ProgramCompiler
-                tiler = ProgramCompiler(self.config, plan=plan)
-                self._tilers[plan] = tiler
-            template = self._timed("tile", _Template.lower, graph, tiler)
-            self._templates[key] = template
+            # Imported here: accel.compiler imports repro.compile.tiling,
+            # so a module-level import would be circular.
+            from ..accel.compiler import ProgramCompiler
+            template = self._timed("tile", _Template.lower, graph,
+                                   ProgramCompiler(self.config, plan=plan),
+                                   hidden_state(self.model_config))
+            self._templates[plan] = template
         return template
 
     # ------------------------------------------------------------------
@@ -254,7 +258,7 @@ class StepCompiler:
         executed in the step (one entry per batch slot), each in
         ``[0, max_seq_len)``; ``need_logits`` marks the slots that run the
         classifier (all by default) — prompt positions whose logits are
-        never sampled use the reduced graph.  ``run_ids`` groups
+        never sampled run the step's body alone.  ``run_ids`` groups
         consecutive slots into speculative verify runs
         (:func:`~repro.accel.batching.batch_run_ids`): a run's followers
         share the KV window its first position streamed, so the same

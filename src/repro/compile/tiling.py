@@ -42,11 +42,6 @@ class TilingPlan:
             raise ValueError("matmul_fold must be >= 1")
 
     @property
-    def is_default(self) -> bool:
-        """Whether this plan reproduces the fixed tiling exactly."""
-        return self.matmul_fold == 1
-
-    @property
     def label(self) -> str:
         return f"fold{self.matmul_fold}"
 

@@ -24,9 +24,19 @@ from .graph import Graph
 from .ops import Operator, OpKind, TensorSpec
 from .sharding import ShardSpec
 
-__all__ = ["GraphBuilder", "build_decode_graph"]
+__all__ = ["GraphBuilder", "build_decode_graph", "hidden_state"]
 
 _ACT_BYTES = 4  # activations stay float32 in the datapath
+
+
+def hidden_state(config: LlamaConfig) -> str:
+    """The tensor the last decoder block writes.
+
+    A step's *body* runs up to the operator that writes it; the final
+    norm and the classifier after it are the step's *tail*.  A position
+    whose logits are never sampled runs the body alone and yields this
+    tensor."""
+    return f"x.{config.n_layers}"
 
 
 def _ceil_div(a: int, b: int) -> int:
@@ -93,8 +103,7 @@ class GraphBuilder:
                                               "quant_group": group}
 
     # ------------------------------------------------------------------
-    def build_decode_step(self, context_len: int, name: Optional[str] = None,
-                          include_logits: bool = True) -> Graph:
+    def build_decode_step(self, context_len: int, name: Optional[str] = None) -> Graph:
         """Build the graph of one decode step.
 
         Parameters
@@ -102,18 +111,15 @@ class GraphBuilder:
         context_len:
             Number of positions already in the KV cache (the new token
             attends over ``context_len + 1`` positions including itself).
-        include_logits:
-            When False, stop after the last decoder block: no final norm
-            and no classifier matmul.  Prompt positions whose logits are
-            never sampled (every prefill position except the last) only
-            need their KV-cache contribution, and the classifier is the
-            single largest weight matrix, so batched serving compiles
-            those positions with this reduced graph.
+
+        The final norm and the classifier come last and read only
+        :func:`hidden_state`, so the operators before them (the body)
+        are what a position whose logits are never sampled runs.
         """
         cfg = self.config
         self._check_context(context_len)
         if name is None:
-            name = self._step_name(context_len, include_logits)
+            name = self._step_name(context_len)
         g = Graph(name=name)
         dim = cfg.dim
         tensor = partial(_tensor, g)
@@ -142,10 +148,6 @@ class GraphBuilder:
 
         for layer in range(cfg.n_layers):
             x = self._decoder_block(g, tensor, x, layer, context_len + 1)
-
-        if not include_logits:
-            g.validate()
-            return g
 
         # Final norm + classifier ---------------------------------------
         norm_w = tensor("norm.weight", dim, weight=True)
@@ -179,8 +181,7 @@ class GraphBuilder:
         g.validate()
         return g
 
-    def build_window(self, context_len: int, boundary: Mapping[str, TensorSpec],
-                     include_logits: bool = True) -> Graph:
+    def build_window(self, context_len: int, boundary: Mapping[str, TensorSpec]) -> Graph:
         """Build the operators of one decode step that follow its KV window.
 
         These are every layer's KV append and attention over
@@ -189,11 +190,10 @@ class GraphBuilder:
         with the same names, costs and attributes.  ``boundary`` holds the
         specs of the tensors they read from the rest of the step (each
         layer's ``q_rot``, ``k_rot`` and ``v``).  The graph is named as
-        :meth:`build_decode_step` names the step, so a program lowered
-        from the rest of the step and this window carries that name.
+        :meth:`build_decode_step` names the step.
         """
         self._check_context(context_len)
-        g = Graph(name=self._step_name(context_len, include_logits))
+        g = Graph(name=self._step_name(context_len))
         for spec in boundary.values():
             g.add_tensor(spec)
         tensor = partial(_tensor, g)
@@ -213,10 +213,8 @@ class GraphBuilder:
                 f"{self.config.max_seq_len}"
             )
 
-    def _step_name(self, context_len: int, include_logits: bool) -> str:
-        suffix = "" if include_logits else "-nologits"
-        if self.shard is not None:
-            suffix += f"-tp{self.shard.tp}"
+    def _step_name(self, context_len: int) -> str:
+        suffix = "" if self.shard is None else f"-tp{self.shard.tp}"
         return f"{self.config.name}-decode-ctx{context_len}{suffix}"
 
     def _widths(self) -> Tuple[int, int, int, int]:

@@ -653,7 +653,6 @@ class KernelExecutor:
         cycles = sim.run()
         self._accumulate_packet_counters(program, counters)
         return KernelResult(
-            program_name=program.name,
             cycles=cycles,
             counters=counters,
             trace=trace if self.config.trace_enabled else None,

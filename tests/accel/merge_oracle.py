@@ -41,7 +41,6 @@ def _merged_weight_tile(packets: Sequence[TilePacket], mpe: MPEConfig) -> TilePa
 def merge_batch_programs(
     programs: Sequence[Program],
     mpe: MPEConfig,
-    name: Optional[str] = None,
     run_ids: Optional[Sequence[int]] = None,
 ) -> Program:
     if not programs:
@@ -51,7 +50,7 @@ def merge_batch_programs(
     if len(programs) == 1:
         return programs[0]
     n_ops = max(len(program.ops) for program in programs)
-    merged = Program(name=name or f"{programs[0].name}-batch{len(programs)}")
+    merged = Program()
     for j in range(n_ops):
         op_versions = [(i, program.ops[j])
                        for i, program in enumerate(programs)
@@ -102,6 +101,4 @@ def merge_batch_programs(
                     start = end
         merged.add(OpProgram(op_name=lead.op_name, unit=lead.unit,
                              packets=packets))
-    merged.metadata["batch_size"] = len(programs)
-    merged.metadata["graph"] = programs[0].metadata.get("graph")
     return merged

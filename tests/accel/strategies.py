@@ -23,7 +23,8 @@ from repro.accel.config import AcceleratorConfig, BufferConfig
 from repro.accel.instructions import OpProgram, Program, TilePacket
 from repro.compile.tiling import TilingPlan, candidate_plans
 from repro.fpga.u280 import FpgaPlatform, u280
-from repro.graph.builder import GraphBuilder
+from repro.compile.pipeline import StepCompiler
+from repro.graph.builder import GraphBuilder, hidden_state
 from repro.graph.fusion import fuse_graph
 from repro.graph.graph import Graph
 from repro.graph.ops import ComputeUnit
@@ -35,7 +36,7 @@ from repro.quant.config import QuantConfig
 __all__ = ["platforms", "accelerator_configs", "programs", "executor_cases",
            "periodic_programs", "periodic_cases",
            "STEP_MODELS", "StepCase", "steps", "LOWERING_MODELS",
-           "GraphView", "graph_views", "lowering_targets"]
+           "GraphView", "body_graph", "graph_views", "lowering_targets"]
 
 
 def platforms() -> st.SearchStrategy[FpgaPlatform]:
@@ -86,7 +87,7 @@ def programs(draw, max_ops: int = 8, max_packets: int = 12) -> Program:
                        label=f"op{o}.{j}")
             for j, (load, cycles, store, unit) in enumerate(tiles)
         ]))
-    return Program("generated", ops)
+    return Program(ops)
 
 
 def executor_cases() -> st.SearchStrategy[Tuple[AcceleratorConfig, FpgaPlatform, Program]]:
@@ -134,7 +135,7 @@ def periodic_programs(draw) -> Program:
         ops += [_operator(f"block{repeat}.{o}", tiles) for o, tiles in enumerate(block)]
     ops += [_operator(f"tail{o}", tiles) for o, tiles in enumerate(draw(
         st.lists(st.lists(_PERIODIC_TILES, min_size=1, max_size=4), max_size=2)))]
-    return Program("periodic", ops)
+    return Program(ops)
 
 
 def periodic_cases(pipeline: bool, reuse: bool
@@ -290,14 +291,36 @@ class GraphView:
     def config(self) -> LlamaConfig:
         return LOWERING_MODELS[self.model]
 
+    @property
+    def shard(self) -> Optional[ShardSpec]:
+        return ShardSpec.from_config(self.config, self.tp) if self.tp > 1 else None
+
     def graph(self, context: int, logits: bool) -> Graph:
-        """A new graph object for one slot shape (never a cached one)."""
-        config = self.config
-        shard = ShardSpec.from_config(config, self.tp) if self.tp > 1 else None
+        """A new graph object for one slot shape (never a cached one):
+        the step graph, or its body for a slot without logits."""
         graph = GraphBuilder(
-            config, shard=shard, quant=_QUANTS[self.quant],
-        ).build_decode_step(context, include_logits=logits)
-        return fuse_graph(graph).graph if self.fused else graph
+            self.config, shard=self.shard, quant=_QUANTS[self.quant],
+        ).build_decode_step(context)
+        if self.fused:
+            graph = fuse_graph(graph).graph
+        return graph if logits else body_graph(graph, self.config)
+
+    def step_compiler(self, design: AcceleratorConfig) -> StepCompiler:
+        """A step compiler of this view on ``design``'s hardware."""
+        return StepCompiler(
+            self.config,
+            design.replace(operator_fusion=self.fused, quant=_QUANTS[self.quant]),
+            u280(), shard=self.shard)
+
+
+def body_graph(graph: Graph, config: LlamaConfig) -> Graph:
+    """``graph`` without the operators after the one that writes
+    ``hidden_state(config)``: what a slot without logits runs."""
+    order = graph.topological_order()
+    hidden = hidden_state(config)
+    end = next(i for i, op in enumerate(order) if hidden in op.outputs) + 1
+    return Graph(name=graph.name, tensors=dict(graph.tensors),
+                 operators={op.name: op for op in order[:end]})
 
 
 def graph_views() -> st.SearchStrategy[GraphView]:

@@ -43,8 +43,6 @@ class TestCompilationCaches:
     def test_program_is_the_per_context_build(self, accel):
         program = accel.timing.lower(3)
         reference = ProgramCompiler(accel.config).compile(_step_graph(accel, 3))
-        assert program.name == reference.name
-        assert program.metadata == reference.metadata
         assert program.ops == reference.ops
         assert accel.timing.lower(4) is not program
 
@@ -236,7 +234,7 @@ def _eager_weights(checkpoint, weight_bits=8, quant=None,
 class TestValuesStayOutsideTheCompiler:
     def test_functional_pass_does_no_compiler_work(self, small_checkpoint,
                                                    small_config):
-        """Values come from two graphs built outside the compiler, so a
+        """Values come from one graph built outside the compiler, so a
         functional step leaves every accounted phase untouched."""
         accel = SpeedLLMAccelerator(small_checkpoint, AcceleratorConfig())
         cache = KVCache(small_config)
@@ -248,13 +246,13 @@ class TestValuesStayOutsideTheCompiler:
         assert [out.shape for out in outputs] == [
             (small_config.dim,), (small_config.dim,),
             (small_config.vocab_size,)]
-        assert sorted(accel._value_graphs) == [False, True]
+        assert "_value_graph" in vars(accel)
         assert not any(accel.timing.phase_seconds.values())
 
     def test_timing_only_run_builds_no_value_graph(self, small_checkpoint):
         accel = SpeedLLMAccelerator(small_checkpoint, AcceleratorConfig())
         accel.simulate_generation(n_prompt=2, n_generated=2)
-        assert accel._value_graphs == {}
+        assert "_value_graph" not in vars(accel)
 
     @pytest.fixture
     def quantize_calls(self, monkeypatch):

@@ -54,7 +54,8 @@ class TestMergeBatchPrograms:
         assert [op.op_name for op in merged.ops] == [
             op.op_name for op in single.ops
         ]
-        assert merged.metadata["batch_size"] == 2
+        # Weight tiles merge; each sequence keeps its own SFU packets.
+        assert single.n_packets < merged.n_packets < 2 * single.n_packets
 
     def test_mixed_logits_flags_align_as_prefix(self, accelerator):
         ctxs = [4, 5, 6]
@@ -155,14 +156,17 @@ class TestMergeEdgeCases:
             accelerator.timing.compile_step([])
 
     def test_single_slot_merge_is_identity(self, accelerator):
-        # One slot must not be rebuilt: the merger returns the cached
-        # single-sequence program object itself, logits or not.
-        for include_logits in (True, False):
-            program = accelerator.timing.lower(5, include_logits)
+        # One slot must not be rebuilt: the merger returns the slot's
+        # program object itself, and the step runs the cached operator
+        # programs of the slot, logits or not.
+        for need_logits in (True, False):
+            program = accelerator.timing.lower(5, need_logits)
             merged = merge_batch_programs([program], accelerator.config.mpe)
             assert merged is program
-            step = accelerator.timing.compile_step([5], [include_logits])
-            assert step.program is program
+            step = accelerator.timing.compile_step([5], [need_logits])
+            assert len(step.program.ops) == len(program.ops)
+            assert all(a is b for a, b in zip(step.program.ops, program.ops))
+        assert step.program.ops == accelerator.timing.lower(5).ops[:len(program.ops)]
 
     def test_heterogeneous_contexts_spanning_a_block_boundary(
         self, accelerator
@@ -204,7 +208,7 @@ class TestExecuteSlots:
         for pos, token in enumerate(tokens):
             graph = fuse_graph(builder.build_decode_step(pos)).graph
             stepwise_logits = accelerator._graph_executor.execute_step(
-                [graph], [BatchSlot(token, pos, stepwise_cache)])[0]
+                graph, [BatchSlot(token, pos, stepwise_cache)])[0]
         batched_cache = KVCache(small_config)
         slots = [
             BatchSlot(token=token, pos=pos, cache=batched_cache,

@@ -9,15 +9,17 @@ from repro.accel.batching import BatchSlot
 from repro.accel.executor import GraphExecutor, _graph_to_checkpoint_name
 from repro.graph.builder import GraphBuilder, build_decode_graph
 from repro.graph.fusion import fuse_graph
+from repro.graph.graph import Graph
 from repro.kvpool import KVPool
 from repro.llama.kv_cache import KVCache
 from repro.llama.quantization import QuantSpec
 from repro.quant import QuantConfig
 
 
-def _execute(executor, graph, token, pos, cache):
+def _execute(executor, graph, token, pos, cache, need_logits=True):
     """The one-slot step."""
-    return executor.execute_step([graph], [BatchSlot(token, pos, cache)])[0]
+    return executor.execute_step(
+        graph, [BatchSlot(token, pos, cache, need_logits)])[0]
 
 
 class TestNameMapping:
@@ -109,21 +111,35 @@ class TestGraphExecutorEquivalence:
             _execute(executor, graph, 1, 0, cache)
         assert cache.length == 0 and not cache.keys(0, 1).any()
 
-    def test_slots_share_a_step_only_along_a_common_prefix(
+    def test_a_slot_without_logits_leaves_at_the_hidden_state(
             self, executor, small_config):
-        """A slot may leave the step early (no logits: the same program,
-        cut short) but may not run a different program."""
-        full = build_decode_graph(small_config, 0)
-        prefix = GraphBuilder(small_config).build_decode_step(
-            0, include_logits=False)
-        shallow = build_decode_graph(small_config.replace(n_layers=2), 0)
-        slots = [BatchSlot(1, 0, KVCache(small_config)) for _ in range(2)]
-        hidden, logits = executor.execute_step([prefix, full], slots)
-        assert hidden.shape == (small_config.dim,)
-        assert np.array_equal(
-            logits, _execute(executor, full, 1, 0, KVCache(small_config)))
-        with pytest.raises(ValueError, match="not a prefix"):
-            executor.execute_step([shallow, full], slots)
+        """The body runs over every slot, the tail over the slots that
+        want logits: a row's result is what it yields alone."""
+        graph = build_decode_graph(small_config, 0)
+        caches = [KVCache(small_config) for _ in range(3)]
+        flags = [False, True, False]
+        slots = [BatchSlot(1 + row, 0, cache, flag)
+                 for row, (cache, flag) in enumerate(zip(caches, flags))]
+        got = executor.execute_step(graph, slots)
+        for row, flag in enumerate(flags):
+            alone = _execute(executor, graph, 1 + row, 0,
+                             KVCache(small_config), flag)
+            assert got[row].shape == ((small_config.vocab_size,) if flag
+                                      else (small_config.dim,))
+            assert np.array_equal(got[row], alone)
+            assert caches[row].length == 1
+
+    def test_a_graph_without_a_tail_is_not_a_step(self, executor, small_config):
+        """Only a whole decode step runs: a graph that never writes the
+        logits is refused before any cache row is written."""
+        graph = build_decode_graph(small_config, 0)
+        body = Graph(name="body", tensors=dict(graph.tensors), operators={
+            name: op for name, op in graph.operators.items()
+            if name not in ("final_norm", "classifier")})
+        cache = KVCache(small_config)
+        with pytest.raises(RuntimeError, match="not a decode step"):
+            _execute(executor, body, 1, 0, cache, need_logits=False)
+        assert cache.length == 0
 
     def test_gqa_heads_handled(self, small_config, executor, small_model):
         """test-small uses 4 query heads over 2 KV heads."""
@@ -155,26 +171,27 @@ class TestValuesAreContextFree:
     TOKENS = [1, 9, 33, 7, 12, 40, 3, 17, 5]
 
     @pytest.mark.parametrize("new_cache", [_dense, _paged, _int8])
-    @pytest.mark.parametrize("include_logits", [True, False],
+    @pytest.mark.parametrize("need_logits", [True, False],
                              ids=["logits", "nologits"])
     @pytest.mark.parametrize("fused", [True, False], ids=["fused", "unfused"])
     def test_context_zero_graph_equals_per_position_graphs(
-            self, small_checkpoint, small_config, fused, include_logits,
+            self, small_checkpoint, small_config, fused, need_logits,
             new_cache):
         executor = GraphExecutor(small_checkpoint.config, small_checkpoint.weights)
         builder = GraphBuilder(small_config)
 
         def graph_at(context):
-            graph = builder.build_decode_step(
-                context, include_logits=include_logits)
+            graph = builder.build_decode_step(context)
             return fuse_graph(graph).graph if fused else graph
 
         context_free = graph_at(0)
         cache_free, cache_exact = new_cache(small_config), new_cache(small_config)
         for pos, token in enumerate(self.TOKENS):
-            got = _execute(executor, context_free, token, pos, cache_free)
-            want = _execute(executor, graph_at(pos), token, pos, cache_exact)
-            assert got.shape == ((small_config.vocab_size,) if include_logits
+            got = _execute(executor, context_free, token, pos, cache_free,
+                           need_logits)
+            want = _execute(executor, graph_at(pos), token, pos, cache_exact,
+                            need_logits)
+            assert got.shape == ((small_config.vocab_size,) if need_logits
                                  else (small_config.dim,))
             assert np.array_equal(got, want)
         for layer in range(small_config.n_layers):

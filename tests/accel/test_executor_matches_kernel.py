@@ -134,8 +134,8 @@ class TestOperatorsWithoutPackets:
         executor = PipelineExecutor(config, u280())
         work = OpProgram("work", ComputeUnit.MPE, [_tile(10)])
         empty = lambda name: OpProgram(name, ComputeUnit.SFU, [])
-        padded = executor.run(Program("padded", [empty("a"), work, empty("b")]))
-        plain = executor.run(Program("plain", [work]))
+        padded = executor.run(Program([empty("a"), work, empty("b")]))
+        plain = executor.run(Program([work]))
         assert padded.cycles == plain.cycles == DISPATCH_CYCLES + 10
         assert padded.counters.as_dict() == plain.counters.as_dict()
         assert padded.counters.instructions == 1
@@ -143,7 +143,7 @@ class TestOperatorsWithoutPackets:
     @pytest.mark.parametrize("pipeline", [False, True])
     def test_a_program_of_empty_operators_takes_no_time(self, pipeline):
         config = AcceleratorConfig(pipeline=pipeline)
-        program = Program("hollow", [OpProgram("a", ComputeUnit.SFU, [])] * 3)
+        program = Program([OpProgram("a", ComputeUnit.SFU, [])] * 3)
         result = PipelineExecutor(config, u280()).run(program)
         assert result.cycles == 0 and result.counters.instructions == 0
 
@@ -160,7 +160,7 @@ class TestLongPrograms:
         packets = [_tile(7 + i % 5, load=4096 if i % 3 else 0,
                          store=64 if i % 4 == 0 else 0, label=f"t{i}")
                    for i in range(20_000)]
-        program = Program("long", [
+        program = Program([
             OpProgram(f"op{o}", ComputeUnit.MPE, packets[o:o + 500])
             for o in range(0, len(packets), 500)
         ])

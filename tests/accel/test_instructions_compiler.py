@@ -36,7 +36,7 @@ class TestProgramContainers:
         assert len(op) == 2
 
     def test_program_aggregates(self):
-        prog = Program(name="p")
+        prog = Program()
         prog.add(OpProgram(op_name="a", unit=ComputeUnit.MPE, packets=[
             TilePacket(op_name="a", unit=ComputeUnit.MPE, load_bytes=10,
                        compute_cycles=5, store_bytes=1, macs=2)]))

@@ -1,21 +1,14 @@
-"""An operator is lowered once per compiler, and a step's context only
-once per window.
-
-``ProgramCompiler`` keeps one immutable ``OpProgram`` per lowering
-signature and hands it to every graph holding an operator of that
-signature.  The differential test compiles generated graphs twice: once
-through a long-lived compiler (shared by every example with the same
-design point and tiling plan, so its memo holds graphs of other models,
-shards, quantisations, fusion settings and context lengths) and once
-through a fresh compiler per graph, which can share nothing.  Every
-packet, label included, must be equal.
+"""A step is lowered once per tiling plan, and its context only once per
+window; a slot without logits runs the same program's body.
 
 ``StepCompiler.lower`` builds, fuses and lowers a whole step once per
-``(include_logits, plan)`` and, per context, only the window operators
-(KV append and attention) it splices in.  Its oracle is the per-context
-build: the full step graph, fused when the design fuses, lowered by a
-fresh ``ProgramCompiler``.  Name, metadata and every packet must be
-equal, whichever context the long-lived compiler built its template from.
+plan and, per context, only the window operators (KV append and
+attention) it splices in.  A slot without logits takes the operators up
+to the one writing ``hidden_state``.  Its oracle is the per-context
+build: the full step graph, fused when the design fuses, cut after the
+hidden state for a slot without logits, lowered by a fresh
+``ProgramCompiler``.  Every packet must be equal, whichever context the
+long-lived compiler built its template from.
 """
 
 from __future__ import annotations
@@ -42,61 +35,24 @@ from repro.llama.config import preset
 from repro.llama.quantization import QuantSpec
 from repro.quant.config import QuantConfig
 
-from .strategies import GraphView, graph_views, lowering_targets
-
-
-@functools.lru_cache(maxsize=None)
-def _long_lived(config: AcceleratorConfig, plan: TilingPlan) -> ProgramCompiler:
-    return ProgramCompiler(config, plan=plan)
-
-
-@st.composite
-def _slot_graphs(draw):
-    """2–6 slot shapes, each of its own view: contexts 1…max_seq_len−1,
-    with and without logits."""
-    slots = []
-    for view in draw(st.lists(graph_views(), min_size=2, max_size=6)):
-        context = draw(st.integers(1, view.config.max_seq_len - 1))
-        slots.append((view, context, draw(st.booleans())))
-    return slots
-
-
-def test_memoised_lowering_matches_a_fresh_compiler():
-    shared_ops = 0
-
-    # max_examples comes from the hypothesis profile: 100 by default,
-    # 400 under --hypothesis-profile=thorough (tests/conftest.py).
-    @settings(derandomize=True, deadline=None, database=None)
-    @given(lowering_targets(), _slot_graphs())
-    def check(target, slots):
-        nonlocal shared_ops
-        config, plan = target
-        seen = set()
-        for view, context, logits in slots:
-            graph = view.graph(context, logits)
-            memoised = _long_lived(config, plan).compile(graph)
-            fresh = ProgramCompiler(config, plan=plan).compile(graph)
-            assert memoised.name == fresh.name
-            assert memoised.metadata == fresh.metadata
-            assert memoised.ops == fresh.ops
-            shared_ops += sum(id(op.packets) in seen for op in memoised.ops)
-            seen.update(id(op.packets) for op in memoised.ops)
-
-    check()
-    # Later graphs of an example reused operators lowered for earlier ones.
-    assert shared_ops > 0
+from .strategies import body_graph
 
 
 def test_projections_are_shared_across_contexts_and_attention_is_not():
-    view = GraphView(model="test-small", fused=False, quant="w8", tp=1)
-    compiler = ProgramCompiler(AcceleratorConfig(), plan=DEFAULT_PLAN)
-    graphs = [view.graph(context, True) for context in (37, 60)]
-    short, long = [compiler.compile(graph) for graph in graphs]
-    kinds = {op.name: op.kind for op in graphs[0].topological_order()}
+    """The template's projections are the same objects at every context
+    and for a slot without logits; a window's attention is its own."""
+    compiler = _step_compiler("test-small", "no-fusion", "w8", 1)
+    short, long = compiler.lower(37), compiler.lower(60)
+    body = compiler.lower(60, need_logits=False)
+    graph = GraphBuilder(compiler.model_config).build_decode_step(37)
+    kinds = {op.name: op.kind for op in graph.topological_order()}
     projections = [name for name, kind in kinds.items() if kind is OpKind.MATMUL]
     attention = [name for name, kind in kinds.items()
                  if kind in (OpKind.ATTN_SCORE, OpKind.ATTN_CONTEXT)]
     assert projections and attention
+    assert len(body.ops) == len(long.ops) - 2   # no final norm, no classifier
+    assert all(c is b for b, c in zip(long.ops, body.ops))
+    assert "classifier" in projections
     for a, b in zip(short.ops, long.ops):
         assert a.op_name == b.op_name
         if a.op_name in projections:
@@ -134,18 +90,19 @@ _long_lived_step_compiler = functools.lru_cache(maxsize=None)(_step_compiler)
 def _per_context_build(compiler: StepCompiler, context: int, logits: bool,
                        plan: TilingPlan) -> Program:
     """The oracle: the full step graph of ``context``, fused when the
-    design fuses, lowered by a fresh compiler."""
+    design fuses, without the operators after the hidden state when the
+    slot wants no logits, lowered by a fresh compiler."""
     graph = GraphBuilder(compiler.model_config, shard=compiler.shard,
                          quant=compiler.config.quant,
-                         ).build_decode_step(context, include_logits=logits)
+                         ).build_decode_step(context)
     if compiler.config.operator_fusion:
         graph = fuse_graph(graph).graph
+    if not logits:
+        graph = body_graph(graph, compiler.model_config)
     return ProgramCompiler(compiler.config, plan=plan).compile(graph)
 
 
 def _assert_same(program: Program, reference: Program) -> None:
-    assert program.name == reference.name
-    assert program.metadata == reference.metadata
     assert program.ops == reference.ops
 
 

@@ -36,7 +36,7 @@ def _run(reuse: bool, n_packets: int, compute: int, n_segments=2, flush=100,
     )
     packets = [TilePacket("op", ComputeUnit.SFU, 0, compute, 0, label=f"t{i}")
                for i in range(n_packets)]
-    program = Program("loop", [OpProgram("op", ComputeUnit.SFU, packets)])
+    program = Program([OpProgram("op", ComputeUnit.SFU, packets)])
     return PipelineExecutor(config, u280()).run(program)
 
 

@@ -28,26 +28,26 @@ from repro.llama.kv_cache import KVCache
 from repro.llama.quantization import QuantSpec
 from repro.quant import QuantConfig
 
-from .strategies import STEP_MODELS, StepCase, steps
+from .strategies import STEP_MODELS, StepCase, body_graph, steps
 from .value_oracle import SlotMajorExecutor
 
 
 @functools.lru_cache(maxsize=None)
 def _engines(model: str, fused: bool, quant: QuantConfig):
-    """The accelerator under test and the oracle over the same weights
-    and the two graphs the accelerator's values come from."""
+    """The accelerator under test and the oracle over the same weights,
+    and the step graph the accelerator's values come from with its body:
+    the oracle's graph for a slot without logits, whose result is the
+    hidden state."""
     config = STEP_MODELS[model]
     accelerator = SpeedLLMAccelerator(
         synthesize_weights(config, seed=3),
         AcceleratorConfig(operator_fusion=fused, quant=quant))
     oracle = SlotMajorExecutor(
         config, accelerator.functional_checkpoint().weights)
-    graphs = {}
-    for need_logits in (True, False):
-        graph = GraphBuilder(config).build_decode_step(
-            0, include_logits=need_logits)
-        graphs[need_logits] = fuse_graph(graph).graph if fused else graph
-    return accelerator, oracle, graphs
+    graph = GraphBuilder(config).build_decode_step(0)
+    if fused:
+        graph = fuse_graph(graph).graph
+    return accelerator, oracle, {True: graph, False: body_graph(graph, config)}
 
 
 def _build_caches(case: StepCase, oracle, graphs):

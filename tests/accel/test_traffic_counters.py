@@ -50,7 +50,7 @@ def _cases(draw, pipeline: bool, reuse: bool):
         TilePacket("edge", ComputeUnit.MPE, load, 1, store, label=f"edge.{j}")
         for j, (load, store) in enumerate(draw(
             st.lists(st.tuples(sizes, sizes), min_size=1, max_size=4)))])
-    return config, platform, Program(program.name, program.ops + [edge])
+    return config, platform, Program(program.ops + [edge])
 
 
 @pytest.mark.parametrize("reuse", [True, False], ids=["reuse", "no-reuse"])
@@ -94,7 +94,7 @@ def test_traced_stripes_are_labelled_by_their_index(stripe, load, labels):
     the last stripe's index alone for fewer bytes than stripes (every
     other stripe would be empty), every index otherwise — the stripe
     clamped to the 32 channels."""
-    program = Program("one", [OpProgram("x", ComputeUnit.MPE, [
+    program = Program([OpProgram("x", ComputeUnit.MPE, [
         TilePacket("x", ComputeUnit.MPE, load, 1, 0, label="x")])])
     config = AcceleratorConfig(hbm_stripe=stripe, trace_enabled=True)
     result = PipelineExecutor(config, u280()).run(program)

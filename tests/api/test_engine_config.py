@@ -13,7 +13,6 @@ class TestValidation:
         {"tensor_parallel": 0},
         {"interconnect_gbps": 0.0},
         {"interconnect_latency_us": -1.0},
-        {"position_stride": 0},
         {"arrival_policy": "bursty"},
         {"arrival_policy": "poisson"},               # needs a rate
         {"arrival_policy": "poisson", "arrival_rate": 0.0},

@@ -8,9 +8,12 @@ double-counted, and request timestamps survive the handoff.
 
 from __future__ import annotations
 
+import pytest
+
 from repro.api import EngineConfig, SamplingParams
 from repro.cluster import ClusterConfig
-
+from repro.llama.kv_cache import KVCache
+from repro.llama.quantization import QuantSpec
 from repro.workloads import shared_prefix_suite
 
 PARAMS = SamplingParams(ignore_eos=True)
@@ -56,6 +59,23 @@ class TestKvTransferAccounting:
         assert full_report.kv_transfer_saved_positions == 0
         assert full_report.kv_transfers == paged_report.kv_transfers
         assert paged_report.kv_transfer_bytes < full_report.kv_transfer_bytes
+
+    @pytest.mark.parametrize("paged", [False, True], ids=["reserved", "paged"])
+    @pytest.mark.parametrize("kv", [None, QuantSpec(bits=8, group_size=64)],
+                             ids=["fp32-kv", "int8-kv"])
+    def test_wire_bytes_are_the_stored_kv_bytes(self, kv, paged):
+        """A handoff carries the KV as the cache stores it: a quantised
+        cache ships its integers and scales, not float32 vectors."""
+        quant = {} if kv is None else {"quant": "int8", "quant_kv": True}
+        engine = EngineConfig(model="test-small", max_batch_tokens=16,
+                              paged=paged, block_size=8, **quant)
+        cluster, report = _run(None, engine, n_replicas=2)
+        assert report.kv_transfers == len(_suite())
+        positions = sum(len(m.prompt_tokens) for m in cluster.results())
+        wire = positions - report.kv_transfer_saved_positions
+        assert wire > 0 and (report.kv_transfer_saved_positions > 0) == paged
+        assert report.kv_transfer_bytes == wire * KVCache.bytes_per_position(
+            cluster.replicas[0].engine.model_config, kv)
 
     def test_one_token_budget_never_hands_off(self, llm):
         engine = EngineConfig(model="test-small", max_batch_tokens=16,

@@ -81,5 +81,5 @@ class TestAutotunedCompiler:
         # winner must not be the fixed tiling there.
         _, tuned = self._compilers()
         step = tuned.compile_step((250,))
-        assert not step.plan.is_default
+        assert step.plan != DEFAULT_PLAN
         assert tuned.wins == 1

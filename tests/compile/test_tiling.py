@@ -12,8 +12,7 @@ from repro.llama.config import preset
 class TestTilingPlan:
     def test_default_plan_is_fixed_tiling(self):
         assert DEFAULT_PLAN.matmul_fold == 1
-        assert DEFAULT_PLAN.is_default
-        assert TilingPlan(2).is_default is False
+        assert DEFAULT_PLAN == TilingPlan(1) != TilingPlan(2)
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -6,7 +6,8 @@ from collections import Counter
 
 import pytest
 
-from repro.graph.builder import GraphBuilder, build_decode_graph
+from repro.graph.builder import GraphBuilder, build_decode_graph, hidden_state
+from repro.graph.fusion import fuse_graph
 from repro.graph.ops import OpKind
 from repro.graph.sharding import ShardSpec
 from repro.llama.config import preset
@@ -34,6 +35,30 @@ class TestBuildDecodeGraph:
         outputs = g.graph_outputs()
         assert "logits" in outputs
         assert g.tensor("logits").shape == (micro_config.vocab_size,)
+
+    @pytest.mark.parametrize("fused", [False, True], ids=["unfused", "fused"])
+    @pytest.mark.parametrize("tp", [1, 2])
+    def test_the_tail_reads_only_the_hidden_state(self, small_config, fused, tp):
+        """What lets a slot without logits run the step's body: the
+        operators after the one writing the hidden state are the final
+        norm and the classifier, and they read nothing of the body but
+        that tensor."""
+        shard = ShardSpec.from_config(small_config, tp) if tp > 1 else None
+        g = GraphBuilder(small_config, shard=shard).build_decode_step(3)
+        if fused:
+            g = fuse_graph(g).graph
+        order = g.topological_order()
+        hidden = hidden_state(small_config)
+        assert hidden == f"x.{small_config.n_layers}"
+        body = next(i for i, op in enumerate(order) if hidden in op.outputs) + 1
+        tail = order[body:]
+        assert [kind for op in tail for kind in op.member_kinds()] == [
+            OpKind.RMSNORM, OpKind.MATMUL]
+        made_in_tail = {t for op in tail for t in op.outputs}
+        read = {t for op in tail for t in op.inputs
+                if not g.tensor(t).is_weight and t not in made_in_tail}
+        assert read == {hidden}
+        assert "logits" in made_in_tail
 
     def test_weight_bytes_match_quantization(self, micro_config):
         g8 = build_decode_graph(micro_config, 0, quant=QuantConfig.datapath(8))
@@ -116,9 +141,8 @@ class TestBuildWindow:
         shard = ShardSpec.from_config(config, tp) if tp > 1 else None
         builder = GraphBuilder(config, shard=shard, quant=quant)
         for context in (0, 9, config.max_seq_len - 1):
-            step = builder.build_decode_step(context, include_logits=False)
-            window = builder.build_window(context, _window_boundary(step),
-                                          include_logits=False)
+            step = builder.build_decode_step(context)
+            window = builder.build_window(context, _window_boundary(step))
             assert window.name == step.name
             assert list(window.operators.values()) == [
                 op for op in step if op.kind in _WINDOW_KINDS]

@@ -36,7 +36,7 @@ def _executor_transfer(n_channels=4, stripe=1, spans=None):
 
 
 def _run(packets, hbm_stripe=16, n_channels=32):
-    program = Program("p", [OpProgram("x", ComputeUnit.MPE, [
+    program = Program([OpProgram("x", ComputeUnit.MPE, [
         TilePacket("x", ComputeUnit.MPE, load, 1, store, label=f"x.{j}")
         for j, (load, store) in enumerate(packets)])])
     config = AcceleratorConfig(hbm_stripe=hbm_stripe, trace_enabled=True)
@@ -144,7 +144,7 @@ class TestMemoryPort:
         """Every run starts on idle channels: a run owns a fresh model, so
         running a program again neither queues behind the last run's
         transfers nor adds to its counters."""
-        program = Program("p", [OpProgram("x", ComputeUnit.MPE, [
+        program = Program([OpProgram("x", ComputeUnit.MPE, [
             TilePacket("x", ComputeUnit.MPE, 1 << 20, 1, 0, label="x")])])
         executor = PipelineExecutor(AcceleratorConfig(), u280(n_hbm_channels=1))
         first, second = executor.run(program), executor.run(program)
