@@ -31,7 +31,7 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from ..fpga.power import EnergyBreakdown
-from ..fpga.resources import UtilizationReport
+from ..fpga.resources import ResourceError, UtilizationReport
 from ..compile.pipeline import StepCompiler
 from ..fpga.u280 import FpgaPlatform, u280
 from ..graph.builder import GraphBuilder
@@ -64,7 +64,6 @@ class GenerationMetrics:
     counters: RunCounters
     energy: EnergyBreakdown
     mean_mpe_utilization: float = 0.0
-    n_buffer_flushes: int = 0
 
     @property
     def total_cycles(self) -> int:
@@ -182,12 +181,18 @@ class SpeedLLMAccelerator:
 
     # ------------------------------------------------------------------
     def resource_report(self) -> UtilizationReport:
-        """Place the design against the platform budget and report utilisation."""
-        budget = self.platform.new_budget()
-        budget.allocate("mpe", self.config.mpe.resources())
-        budget.allocate("sfu", self.config.sfu.resources())
-        budget.allocate("buffers", self.config.buffers.resources())
-        return budget.utilization()
+        """Utilisation of the design's footprint on the platform.
+
+        The footprint is :meth:`AcceleratorConfig.resources`, the one the
+        design-space explorer fits; :class:`ResourceError` if it does not
+        fit the platform.
+        """
+        used, total = self.config.resources(), self.platform.resources
+        if not used.fits_in(total):
+            raise ResourceError(
+                f"design {self.config.name!r} ({used.as_dict()}) exceeds the "
+                f"device budget {total.as_dict()}")
+        return UtilizationReport(total=total, used=used)
 
     # ------------------------------------------------------------------
     # Timing simulation
@@ -242,7 +247,6 @@ class SpeedLLMAccelerator:
         counters = RunCounters()
         weights = self._position_weights(total_positions, sampled)
         utilizations: List[float] = []
-        flushes = 0
         busy_cycles = 0.0
         for pos in sampled:
             step = results[pos]
@@ -252,7 +256,6 @@ class SpeedLLMAccelerator:
                 setattr(scaled, name, int(round(value * w)))
             counters = counters + scaled
             utilizations.append(step.mpe_utilization)
-            flushes += int(round(step.n_flushes * w))
             busy_cycles += w * (
                 step.engine_busy.get("mpe", 0) + step.engine_busy.get("sfu", 0)
             )
@@ -275,7 +278,6 @@ class SpeedLLMAccelerator:
             # (at stride 1 every weight is 1 and this is the plain mean).
             mean_mpe_utilization=float(np.average(
                 utilizations, weights=[weights[pos] for pos in sampled])),
-            n_buffer_flushes=flushes,
         )
 
     def energy_for(
@@ -368,7 +370,7 @@ class SpeedLLMAccelerator:
         window is ``pos + 1`` whatever the graph was built for, and
         nothing the compiler prices changes a value."""
         graph = GraphBuilder(self.model_config).build_decode_step(0)
-        return fuse_graph(graph).graph if self.config.operator_fusion else graph
+        return fuse_graph(graph) if self.config.operator_fusion else graph
 
     def execute_slots(self, slots: Sequence[BatchSlot]) -> List[np.ndarray]:
         """Functionally execute one batched step of token positions.

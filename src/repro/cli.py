@@ -1153,7 +1153,7 @@ def _cmd_export_graph(args: argparse.Namespace) -> int:
     with _configuring(args):
         graph = build_decode_graph(preset(args.model), args.context)
     if args.fused:
-        graph = fuse_graph(graph).graph
+        graph = fuse_graph(graph)
     text = to_dot(graph) if args.format == "dot" else to_json(graph)
     if args.output == "-":
         print(text)

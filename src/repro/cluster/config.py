@@ -48,20 +48,12 @@ class ClusterConfig:
     n_replicas: int = 2
     #: Routing policy: "rr", "least-loaded" or "affinity".
     route: str = "rr"
-    #: Affinity spill guard (see
-    #: :class:`~repro.cluster.routing.PrefixAffinityPolicy`).
-    affinity_spill_factor: float = 2.0
-    affinity_spill_slack_tokens: int = 128
 
     # Disaggregated prefill/decode --------------------------------------
     disaggregate: bool = False
     #: Replicas dedicated to prefill when disaggregated; the remaining
     #: ``n_replicas - n_prefill_replicas`` form the decode pool.
     n_prefill_replicas: int = 1
-    #: Point-to-point link the prompt KV handoff crosses (priced by the
-    #: same interconnect cost model tensor parallelism uses).
-    kv_transfer_gbps: float = 25.0
-    kv_transfer_latency_us: float = 10.0
 
     # Autoscaling --------------------------------------------------------
     autoscale: bool = False
@@ -91,14 +83,6 @@ class ClusterConfig:
                 raise FrontendError(
                     f"n_prefill_replicas must be in [1, {self.n_replicas - 1}]"
                     f", got {self.n_prefill_replicas}")
-        if self.kv_transfer_gbps <= 0:
-            raise FrontendError("kv_transfer_gbps must be positive")
-        if self.kv_transfer_latency_us < 0:
-            raise FrontendError("kv_transfer_latency_us must be >= 0")
-        if self.affinity_spill_factor < 1.0:
-            raise FrontendError("affinity_spill_factor must be >= 1")
-        if self.affinity_spill_slack_tokens < 0:
-            raise FrontendError("affinity_spill_slack_tokens must be >= 0")
         if self.autoscale:
             if self.min_replicas < 1:
                 raise FrontendError("min_replicas must be >= 1")
@@ -140,11 +124,7 @@ class ClusterConfig:
     def build_router(self) -> Router:
         """The routing seam this configuration describes."""
         return Router(build_routing_policy(
-            self.route,
-            block_tokens=self.engine.block_size,
-            spill_factor=self.affinity_spill_factor,
-            spill_slack_tokens=self.affinity_spill_slack_tokens,
-        ))
+            self.route, block_tokens=self.engine.block_size))
 
     def build_cluster(
         self,

@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import dataclasses
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence
 
 from ..api.errors import KVCapacityError, PromptTooLongError
@@ -126,6 +126,12 @@ class _Handoff:
     target_index: Optional[int] = None
 
 
+#: The point-to-point link a disaggregated prompt's KV handoff crosses,
+#: priced by the same interconnect cost model tensor parallelism uses.
+KV_TRANSFER_GBPS = 25.0
+KV_TRANSFER_LATENCY_US = 10.0
+
+
 class ClusterEngine:
     """Data-parallel serving: a router in front of N engine replicas."""
 
@@ -156,8 +162,8 @@ class ClusterEngine:
                 pool = "unified"
             self._spawn(pool, now=0.0)
         self.kv_link = InterconnectModel(
-            bandwidth_gbps=config.kv_transfer_gbps,
-            latency_s=config.kv_transfer_latency_us * 1e-6,
+            bandwidth_gbps=KV_TRANSFER_GBPS,
+            latency_s=KV_TRANSFER_LATENCY_US * 1e-6,
         )
         self._orders = 0
         self._pending: List[tuple] = []  # heap of (arrival, order, creq)

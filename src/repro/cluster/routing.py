@@ -96,6 +96,12 @@ class LeastLoadedPolicy(RoutingPolicy):
         return min(replicas, key=lambda r: (r.load_score, r.index))
 
 
+#: The affinity spill guard: a sticky target whose load score exceeds
+#: ``SPILL_FACTOR * (coldest load + SPILL_SLACK_TOKENS)`` is passed over.
+SPILL_FACTOR = 2.0
+SPILL_SLACK_TOKENS = 128
+
+
 class PrefixAffinityPolicy(RoutingPolicy):
     """Sticky prefix-keyed placement; spill when the sticky target is hot.
 
@@ -105,7 +111,7 @@ class PrefixAffinityPolicy(RoutingPolicy):
     time is pinned to the least-loaded replica (new sessions follow the
     load); a repeat key follows its pin (its prefix is in that replica's
     cache).  The spill guard compares the sticky target's ``load_score``
-    against ``spill_factor * (min load + spill_slack_tokens)``; the
+    against ``SPILL_FACTOR * (min load + SPILL_SLACK_TOKENS)``; the
     slack keeps a near-empty cluster from spilling on the first sign of
     load (losing all affinity), while the factor bounds how lopsided a
     hot prefix may make the cluster.  A spill re-pins the key, so a
@@ -114,21 +120,10 @@ class PrefixAffinityPolicy(RoutingPolicy):
 
     name = "affinity"
 
-    def __init__(
-        self,
-        block_tokens: int = 16,
-        spill_factor: float = 2.0,
-        spill_slack_tokens: int = 128,
-    ) -> None:
+    def __init__(self, block_tokens: int = 16) -> None:
         if block_tokens <= 0:
             raise ValueError("block_tokens must be positive")
-        if spill_factor < 1.0:
-            raise ValueError("spill_factor must be >= 1")
-        if spill_slack_tokens < 0:
-            raise ValueError("spill_slack_tokens must be >= 0")
         self.block_tokens = block_tokens
-        self.spill_factor = spill_factor
-        self.spill_slack_tokens = spill_slack_tokens
         #: Affinity accounting the router surfaces: repeat-key requests
         #: routed to the replica the key last landed on, and requests
         #: diverted by the load guard.
@@ -151,8 +146,7 @@ class PrefixAffinityPolicy(RoutingPolicy):
             # the key: place with the load and pin there.
             choice = coldest
         else:
-            threshold = self.spill_factor * (
-                coldest.load_score + self.spill_slack_tokens)
+            threshold = SPILL_FACTOR * (coldest.load_score + SPILL_SLACK_TOKENS)
             if sticky.load_score > threshold:
                 self.spills += 1
                 choice = coldest
@@ -163,23 +157,14 @@ class PrefixAffinityPolicy(RoutingPolicy):
         return choice
 
 
-def build_routing_policy(
-    name: str,
-    block_tokens: int = 16,
-    spill_factor: float = 2.0,
-    spill_slack_tokens: int = 128,
-) -> RoutingPolicy:
+def build_routing_policy(name: str, block_tokens: int = 16) -> RoutingPolicy:
     """Instantiate the named routing policy."""
     if name == "rr":
         return RoundRobinPolicy()
     if name == "least-loaded":
         return LeastLoadedPolicy()
     if name == "affinity":
-        return PrefixAffinityPolicy(
-            block_tokens=block_tokens,
-            spill_factor=spill_factor,
-            spill_slack_tokens=spill_slack_tokens,
-        )
+        return PrefixAffinityPolicy(block_tokens=block_tokens)
     raise ValueError(f"route must be one of {ROUTES}, got {name!r}")
 
 

@@ -109,7 +109,6 @@ class CompiledStep:
     """
 
     plan: TilingPlan
-    contexts: Tuple[int, ...]
     program: Program
     result: Optional[StepResult] = None
 
@@ -219,7 +218,7 @@ class StepCompiler:
             window = self._timed("build", self._builder.build_window,
                                  context_len, template.boundary)
             if self.config.operator_fusion:
-                window = self._timed("fuse", fuse_graph, window).graph
+                window = self._timed("fuse", fuse_graph, window)
             program = self._timed("tile", template.splice, window)
             self._programs[key] = program
         if need_logits:
@@ -232,7 +231,7 @@ class StepCompiler:
             graph = self._timed("build", self._builder.build_decode_step,
                                 context_len)
             if self.config.operator_fusion:
-                graph = self._timed("fuse", fuse_graph, graph).graph
+                graph = self._timed("fuse", fuse_graph, graph)
             # Imported here: accel.compiler imports repro.compile.tiling,
             # so a module-level import would be circular.
             from ..accel.compiler import ProgramCompiler
@@ -305,13 +304,13 @@ class StepCompiler:
         run_ids: Optional[Tuple[int, ...]],
     ) -> CompiledStep:
         if not self.config.autotune_tiling:
-            return CompiledStep(DEFAULT_PLAN, contexts, self._lower_step(
+            return CompiledStep(DEFAULT_PLAN, self._lower_step(
                 contexts, need_logits, run_ids, DEFAULT_PLAN))
         start = time.perf_counter()
         scored = []
         for plan in self.plans:
             program = self._lower_step(contexts, need_logits, run_ids, plan)
-            scored.append(CompiledStep(plan, contexts, program,
+            scored.append(CompiledStep(plan, program,
                                        self._executor.run(program)))
         # min keeps the first of equal counts: ties go to the earlier plan.
         best = min(scored, key=lambda step: step.result.cycles)

@@ -25,7 +25,7 @@ Functional correctness is covered separately by
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 from ..accel.accelerator import GenerationMetrics, SpeedLLMAccelerator
@@ -58,7 +58,6 @@ class ExperimentConfig:
     seed: int = 0
     energy_accounting: str = "effective"   # "effective" (Fig. 2b) or "board"
     clock_mhz: float = 225.0
-    accel_overrides: Dict[str, object] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if self.n_prompt <= 0 or self.n_generated < 0:
@@ -115,8 +114,7 @@ class ExperimentRunner:
     def run_variant(self, variant: str) -> VariantResult:
         """Simulate one variant on the configured workload (cached)."""
         if variant not in self._results:
-            metrics = self.simulate(AcceleratorConfig.variant(
-                variant, **self.config.accel_overrides))
+            metrics = self.simulate(AcceleratorConfig.variant(variant))
             spec = PAPER_VARIANTS.get(variant)
             self._results[variant] = VariantResult(
                 variant=variant,

@@ -30,8 +30,6 @@ from ..fpga.resources import UtilizationReport
 from ..fpga.u280 import FpgaPlatform, u280
 from ..llama.checkpoint import Checkpoint, synthesize_weights
 from ..llama.config import LlamaConfig, preset
-from ..llama.generation import generate as reference_generate
-from ..llama.model import LlamaModel
 from ..llama.tokenizer import Tokenizer, train_bpe
 from ..workloads.tinystories import generate_corpus
 
@@ -145,7 +143,6 @@ class SpeedLLM:
         self.accelerator = SpeedLLMAccelerator(
             self.checkpoint, self.accel_config, platform=self.platform,
         )
-        self._reference_model: Optional[LlamaModel] = None
 
     # ------------------------------------------------------------------
     # Generation
@@ -186,34 +183,6 @@ class SpeedLLM:
             generated_tokens=result.generated_tokens,
             metrics=result.metrics,
         )
-
-    def reference_generate(
-        self,
-        prompt: str,
-        max_new_tokens: int = 64,
-        temperature: float = 0.0,
-        top_p: float = 1.0,
-        seed: int = 0,
-        params: Optional[SamplingParams] = None,
-    ) -> str:
-        """Generate with the NumPy reference engine.
-
-        The reference model runs over the accelerator's *functional*
-        weights (i.e. the dequantised int8 values when the datapath is
-        quantised), so greedy decodes are token-for-token comparable with
-        :meth:`generate`.
-        """
-        if params is None:
-            params = SamplingParams(max_tokens=max_new_tokens,
-                                    temperature=temperature, top_p=top_p,
-                                    seed=seed)
-        if self._reference_model is None:
-            self._reference_model = LlamaModel(self.accelerator.functional_checkpoint())
-        result = reference_generate(
-            self._reference_model, self.encode(prompt),
-            max_new_tokens=params.max_tokens, sampler=params.build_sampler(),
-        )
-        return self.tokenizer.decode(result.generated_tokens)
 
     # ------------------------------------------------------------------
     # Analysis

@@ -2,7 +2,7 @@
 
 from .hbm import MemoryChannelSpec, MemorySystemModel, MemorySystemSpec
 from .power import EnergyBreakdown, EnergyModel, EnergyModelConfig
-from .resources import ResourceBudget, ResourceError, ResourceVector, UtilizationReport
+from .resources import ResourceError, ResourceVector, UtilizationReport
 from .u280 import U280_RESOURCES, FpgaPlatform, u280
 
 __all__ = [
@@ -12,7 +12,6 @@ __all__ = [
     "EnergyBreakdown",
     "EnergyModel",
     "EnergyModelConfig",
-    "ResourceBudget",
     "ResourceError",
     "ResourceVector",
     "UtilizationReport",

@@ -1,11 +1,10 @@
-"""Off-chip memory system model: HBM2 stacks and DDR4 of the Alveo U280.
+"""Off-chip memory system model: the HBM2 stacks of the Alveo U280.
 
 The U280 has two HBM2 stacks exposing 32 pseudo-channels (8 GB total,
-~460 GB/s aggregate) plus two DDR4-2400 DIMM channels (32 GB, ~38 GB/s
-aggregate).  The accelerator streams weights and spills activations
-through these channels; their bandwidth and access latency are the main
-determinant of decode latency for a memory-bound LLM workload, so the
-simulator models each channel's occupancy individually.
+~460 GB/s aggregate).  The accelerator streams weights and spills
+activations through these channels; their bandwidth and access latency
+are the main determinant of decode latency for a memory-bound LLM
+workload, so the simulator models each channel's occupancy individually.
 
 The model is transaction-level: a transfer of ``n`` bytes on a channel
 occupies that channel for ``ceil(n / bytes_per_cycle)`` cycles after an
@@ -81,20 +80,6 @@ class MemorySystemSpec:
                 capacity_bytes=256 * 1024 * 1024,
             )
             for i in range(n_pseudo_channels)
-        )
-        return cls(channels=channels)
-
-    @classmethod
-    def u280_ddr(cls) -> "MemorySystemSpec":
-        """The U280 DDR4 subsystem: two 16 GB DIMMs at ~19.2 GB/s each."""
-        channels = tuple(
-            MemoryChannelSpec(
-                name=f"ddr{i}",
-                bandwidth_gbps=19.2,
-                access_latency_cycles=160,
-                capacity_bytes=16 * 1024 * 1024 * 1024,
-            )
-            for i in range(2)
         )
         return cls(channels=channels)
 

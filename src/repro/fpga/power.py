@@ -11,7 +11,7 @@ replace the measurement with an activity-based model:
   energy-efficient even when its dynamic power is higher;
 * compute energy is charged per MAC (int8 DSP operation);
 * on-chip energy per byte moved through BRAM/URAM;
-* off-chip energy per byte moved through HBM/DDR — the component operator
+* off-chip energy per byte moved through HBM — the component operator
   fusion and memory reuse reduce.
 
 The per-operation constants are order-of-magnitude figures from published
@@ -34,9 +34,9 @@ class EnergyModelConfig:
 
     Two power baselines are provided:
 
-    * :meth:`board` (the default values) — whole-card energy, including the
-      U280 shell/HBM-PHY/regulator static power.  Use it for absolute
-      energy estimates.
+    * the default values — whole-card energy, including the U280
+      shell/HBM-PHY/regulator static power.  Use them for absolute energy
+      estimates.
     * :meth:`effective` — kernel-level "effective energy" as the paper's
       Fig. 2(b) reports it: a small leakage term plus power proportional to
       datapath activity, which is what an on-board power-rail delta
@@ -50,21 +50,15 @@ class EnergyModelConfig:
     pj_per_sfu_flop: float = 1.2          # float special-function op
     pj_per_onchip_byte: float = 0.8       # BRAM/URAM access
     pj_per_hbm_byte: float = 6.0          # HBM2 access energy
-    pj_per_ddr_byte: float = 15.0         # DDR4 access energy
 
     def __post_init__(self) -> None:
         for name in (
             "static_power_w", "clock_power_w_per_mhz", "active_power_w",
             "pj_per_int8_mac", "pj_per_sfu_flop", "pj_per_onchip_byte",
-            "pj_per_hbm_byte", "pj_per_ddr_byte",
+            "pj_per_hbm_byte",
         ):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be non-negative")
-
-    @classmethod
-    def board(cls) -> "EnergyModelConfig":
-        """Whole-board energy accounting (default constants)."""
-        return cls()
 
     @classmethod
     def effective(cls) -> "EnergyModelConfig":
@@ -112,7 +106,7 @@ class EnergyBreakdown:
 
 
 class EnergyModel:
-    """Turns activity counters into energy and average power."""
+    """Turns activity counters into energy."""
 
     def __init__(self, config: EnergyModelConfig | None = None) -> None:
         self.config = config or EnergyModelConfig()
@@ -126,7 +120,6 @@ class EnergyModel:
         sfu_flops: int = 0,
         onchip_bytes: int = 0,
         hbm_bytes: int = 0,
-        ddr_bytes: int = 0,
         busy_seconds: float = 0.0,
     ) -> EnergyBreakdown:
         """Compute the energy of a run from its activity counters.
@@ -146,7 +139,6 @@ class EnergyModel:
         for name, value in (
             ("int8_macs", int8_macs), ("sfu_flops", sfu_flops),
             ("onchip_bytes", onchip_bytes), ("hbm_bytes", hbm_bytes),
-            ("ddr_bytes", ddr_bytes),
         ):
             if value < 0:
                 raise ValueError(f"{name} must be >= 0")
@@ -159,20 +151,5 @@ class EnergyModel:
             compute_j=int8_macs * cfg.pj_per_int8_mac * pj,
             sfu_j=sfu_flops * cfg.pj_per_sfu_flop * pj,
             onchip_j=onchip_bytes * cfg.pj_per_onchip_byte * pj,
-            offchip_j=hbm_bytes * cfg.pj_per_hbm_byte * pj
-            + ddr_bytes * cfg.pj_per_ddr_byte * pj,
+            offchip_j=hbm_bytes * cfg.pj_per_hbm_byte * pj,
         )
-
-    def average_power_w(self, breakdown: EnergyBreakdown, elapsed_seconds: float) -> float:
-        """Average board power over the run."""
-        if elapsed_seconds <= 0:
-            return 0.0
-        return breakdown.total_j / elapsed_seconds
-
-    def tokens_per_joule(self, n_tokens: int, breakdown: EnergyBreakdown) -> float:
-        """Energy efficiency in the paper's sense (output tokens / joule)."""
-        if n_tokens < 0:
-            raise ValueError("n_tokens must be >= 0")
-        if breakdown.total_j <= 0:
-            return 0.0
-        return n_tokens / breakdown.total_j

@@ -1,10 +1,11 @@
 """FPGA resource inventory and utilisation accounting.
 
 The Alveo U280 exposes a fixed budget of LUTs, flip-flops, DSP slices,
-BRAM and URAM blocks spread over three super-logic regions (SLRs).  The
-accelerator's compute arrays and on-chip buffers are "placed" against this
-budget: the fit report tells us whether a configuration is realisable and
-its utilisation drives the dynamic power model.
+BRAM and URAM blocks spread over three super-logic regions (SLRs).  A
+design's footprint (its compute arrays, buffers and controller) is
+checked against this budget: the fit report tells us whether a
+configuration is realisable.  Power is not derived from it; the energy
+model charges activity counters (:mod:`repro.fpga.power`).
 
 Numbers for the U280 come from the public Xilinx data sheet
 (XCU280 / UltraScale+ HBM device).
@@ -12,10 +13,10 @@ Numbers for the U280 come from the public Xilinx data sheet
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Mapping
+from dataclasses import dataclass
+from typing import Dict, List
 
-__all__ = ["ResourceVector", "ResourceBudget", "UtilizationReport", "ResourceError"]
+__all__ = ["ResourceVector", "UtilizationReport", "ResourceError"]
 
 
 class ResourceError(ValueError):
@@ -60,18 +61,6 @@ class ResourceVector:
             uram=self.uram - other.uram,
         )
 
-    def scaled(self, factor: int) -> "ResourceVector":
-        """Return ``factor`` copies of this vector (integer replication)."""
-        if factor < 0:
-            raise ValueError("factor must be non-negative")
-        return ResourceVector(
-            lut=self.lut * factor,
-            ff=self.ff * factor,
-            dsp=self.dsp * factor,
-            bram_36k=self.bram_36k * factor,
-            uram=self.uram * factor,
-        )
-
     def fits_in(self, budget: "ResourceVector") -> bool:
         """True if every component is within ``budget``."""
         return (
@@ -108,57 +97,12 @@ class ResourceVector:
         return self.bram_bytes + self.uram_bytes
 
 
-@dataclass
-class ResourceBudget:
-    """Total device budget plus a running tally of allocations by name."""
-
-    total: ResourceVector
-    allocations: Dict[str, ResourceVector] = field(default_factory=dict)
-
-    def allocate(self, name: str, request: ResourceVector) -> None:
-        """Reserve ``request`` under ``name``.
-
-        Raises
-        ------
-        ResourceError
-            If the allocation would exceed the device budget.
-        """
-        if name in self.allocations:
-            raise ResourceError(f"allocation {name!r} already exists")
-        new_used = self.used + request
-        if not new_used.fits_in(self.total):
-            raise ResourceError(
-                f"allocation {name!r} ({request.as_dict()}) exceeds the device "
-                f"budget; used {self.used.as_dict()} of {self.total.as_dict()}"
-            )
-        self.allocations[name] = request
-
-    def release(self, name: str) -> None:
-        """Release a previously made allocation."""
-        if name not in self.allocations:
-            raise ResourceError(f"no allocation named {name!r}")
-        del self.allocations[name]
-
-    @property
-    def used(self) -> ResourceVector:
-        used = ResourceVector()
-        for vec in self.allocations.values():
-            used = used + vec
-        return used
-
-    def utilization(self) -> "UtilizationReport":
-        """Produce the utilisation report of the current allocations."""
-        return UtilizationReport(total=self.total, used=self.used,
-                                 by_block=dict(self.allocations))
-
-
 @dataclass(frozen=True)
 class UtilizationReport:
     """Fraction of each resource class consumed by the design."""
 
     total: ResourceVector
     used: ResourceVector
-    by_block: Mapping[str, ResourceVector] = field(default_factory=dict)
 
     def fraction(self, resource: str) -> float:
         """Utilisation fraction of one resource class (0..1)."""

@@ -1,15 +1,15 @@
 """The Alveo U280 platform description used by the accelerator.
 
-Bundles the device resource budget, the off-chip memory system and the
-kernel clock into one object, and provides the published board facts the
+Bundles the device resource budget, the HBM subsystem and the kernel
+clock into one object, and provides the published board facts the
 cost-efficiency comparison needs (list price, TDP).
 
 Datasheet figures (XCU280, Alveo U280 product brief):
 
 * 1,304k LUTs, 2,607k flip-flops, 9,024 DSP48E2 slices
 * 2,016 block RAMs (36 Kb) ≈ 8.8 MB, 960 UltraRAMs (288 Kb) ≈ 33.7 MB
-* 8 GB HBM2 at ~460 GB/s over 32 pseudo-channels
-* 32 GB DDR4-2400 over two channels (~38 GB/s)
+* 8 GB HBM2 at ~460 GB/s over 32 pseudo-channels (the card's 32 GB of
+  DDR4 is not modelled: the accelerator keeps weights and KV in HBM)
 * typical kernel clocks 200–300 MHz for HLS designs (the paper uses
   Vitis 2021.1); 225 MHz is our default
 * board max power 225 W, list price ≈ $8,000 (paper §3.2.2)
@@ -18,11 +18,10 @@ Datasheet figures (XCU280, Alveo U280 product brief):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 from .hbm import MemorySystemSpec
 from .power import EnergyModel, EnergyModelConfig
-from .resources import ResourceBudget, ResourceVector
+from .resources import ResourceVector
 
 __all__ = ["FpgaPlatform", "u280", "U280_RESOURCES"]
 
@@ -45,9 +44,8 @@ class FpgaPlatform:
         Marketing name of the card.
     resources:
         Programmable-logic resource totals.
-    hbm / ddr:
-        Off-chip memory subsystems (``ddr`` may be ``None`` for HBM-only
-        parts).
+    hbm:
+        Off-chip memory subsystem.
     clock_mhz:
         Kernel clock used by the accelerator.
     price_usd:
@@ -59,7 +57,6 @@ class FpgaPlatform:
     name: str
     resources: ResourceVector
     hbm: MemorySystemSpec
-    ddr: Optional[MemorySystemSpec]
     clock_mhz: float
     price_usd: float
     max_power_w: float
@@ -89,10 +86,6 @@ class FpgaPlatform:
             raise ValueError("cycles must be >= 0")
         return cycles * self.cycle_seconds
 
-    def new_budget(self) -> ResourceBudget:
-        """Fresh resource budget for placing a design on this card."""
-        return ResourceBudget(total=self.resources)
-
     def energy_model(self) -> EnergyModel:
         """Energy model parameterised for this card."""
         return EnergyModel(self.energy_config)
@@ -113,7 +106,6 @@ def u280(
         name="Xilinx Alveo U280",
         resources=U280_RESOURCES,
         hbm=MemorySystemSpec.u280_hbm(n_hbm_channels),
-        ddr=MemorySystemSpec.u280_ddr(),
         clock_mhz=clock_mhz,
         price_usd=price_usd,
         max_power_w=225.0,

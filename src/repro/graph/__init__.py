@@ -2,7 +2,7 @@
 
 from .builder import GraphBuilder, build_decode_graph
 from .export import to_dot, to_json
-from .fusion import FusionResult, FusionRule, FusionStats, default_rules, fuse_graph
+from .fusion import FusionRule, default_rules, fuse_graph
 from .graph import Graph, GraphValidationError
 from .ops import ComputeUnit, Operator, OpKind, TensorSpec
 
@@ -11,9 +11,7 @@ __all__ = [
     "build_decode_graph",
     "to_dot",
     "to_json",
-    "FusionResult",
     "FusionRule",
-    "FusionStats",
     "default_rules",
     "fuse_graph",
     "Graph",

@@ -25,13 +25,13 @@ The default rule set mirrors the fusions llama2-style accelerators apply:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import List, Optional, Sequence, Set, Tuple
 
 from .graph import Graph
 from .ops import Operator, OpKind
 
-__all__ = ["FusionRule", "FusionStats", "FusionResult", "default_rules", "fuse_graph"]
+__all__ = ["FusionRule", "default_rules", "fuse_graph"]
 
 
 @dataclass(frozen=True)
@@ -61,26 +61,6 @@ def default_rules() -> List[FusionRule]:
         FusionRule("matmul-rope", (OpKind.MATMUL, OpKind.ROPE)),
         FusionRule("norm-classifier", (OpKind.RMSNORM, OpKind.MATMUL)),
     ]
-
-
-@dataclass
-class FusionStats:
-    """Accounting of what a fusion pass achieved."""
-
-    ops_before: int = 0
-    ops_after: int = 0
-    fused_regions: int = 0
-    eliminated_tensors: int = 0
-    eliminated_bytes: int = 0
-    rule_counts: Dict[str, int] = field(default_factory=dict)
-
-
-@dataclass
-class FusionResult:
-    """Fused graph plus the statistics of the rewrite."""
-
-    graph: Graph
-    stats: FusionStats
 
 
 def _match_chain(
@@ -158,12 +138,14 @@ def _fused_operator(graph: Graph, chain: List[Operator], rule: FusionRule) -> Tu
 def fuse_graph(
     graph: Graph,
     rules: Optional[Sequence[FusionRule]] = None,
-) -> FusionResult:
+) -> Graph:
     """Apply ``rules`` (default :func:`default_rules`) to ``graph``.
 
     Returns a new graph; the input graph is not modified.  Longer rules
     are tried first so, e.g., the three-operator attention fusion wins
-    over any two-operator rule sharing a prefix.
+    over any two-operator rule sharing a prefix.  Each fused operator
+    names its rule in ``attributes["rule"]``, and the intermediate tensors
+    it folds away are absent from the new graph's ``tensors``.
     """
     rules = list(rules) if rules is not None else default_rules()
     rules.sort(key=len, reverse=True)
@@ -172,7 +154,6 @@ def fuse_graph(
     claimed: Set[str] = set()
     replacements: List[Tuple[List[Operator], Operator, List[str]]] = []
     eliminated_tensors: Set[str] = set()
-    rule_counts: Dict[str, int] = {}
 
     for op in order:
         if op.name in claimed:
@@ -185,7 +166,6 @@ def fuse_graph(
             claimed.update(member.name for member in chain)
             replacements.append((chain, fused, eliminated))
             eliminated_tensors.update(eliminated)
-            rule_counts[rule.name] = rule_counts.get(rule.name, 0) + 1
             break
 
     # Build the rewritten graph.
@@ -211,14 +191,4 @@ def fuse_graph(
             fused_graph.add_operator(op)
 
     fused_graph.validate()
-
-    eliminated_bytes = sum(graph.tensors[t].nbytes for t in eliminated_tensors)
-    stats = FusionStats(
-        ops_before=len(graph),
-        ops_after=len(fused_graph),
-        fused_regions=len(replacements),
-        eliminated_tensors=len(eliminated_tensors),
-        eliminated_bytes=eliminated_bytes,
-        rule_counts=rule_counts,
-    )
-    return FusionResult(graph=fused_graph, stats=stats)
+    return fused_graph

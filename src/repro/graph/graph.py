@@ -92,13 +92,6 @@ class Graph:
     def __iter__(self) -> Iterator[Operator]:
         return iter(self.operators.values())
 
-    def op(self, name: str) -> Operator:
-        """Look up an operator by name."""
-        try:
-            return self.operators[name]
-        except KeyError:
-            raise KeyError(f"no operator named {name!r}") from None
-
     def tensor(self, name: str) -> TensorSpec:
         """Look up a tensor by name."""
         try:

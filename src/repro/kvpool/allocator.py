@@ -113,9 +113,6 @@ class BlockAllocator:
         self._check_id(block)
         return self._version[block]
 
-    def tag(self, block: int) -> Optional[tuple]:
-        return self._tag.get(block)
-
     def can_allocate(self, n: int) -> bool:
         return n <= self.n_allocatable
 

@@ -9,7 +9,7 @@ loop and the weight quantisation used by the accelerator datapath.
 from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint, synthesize_weights
 from .config import LlamaConfig, available_presets, preset
 from .evaluate import cross_entropy, perplexity, token_agreement
-from .generation import GenerationResult, GenerationTiming, generate
+from .generation import GenerationResult, generate
 from .kv_cache import KVCache
 from .model import (
     ForwardTrace,
@@ -37,7 +37,6 @@ __all__ = [
     "available_presets",
     "preset",
     "GenerationResult",
-    "GenerationTiming",
     "generate",
     "KVCache",
     "ForwardTrace",

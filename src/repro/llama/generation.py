@@ -1,4 +1,4 @@
-"""Prefill + decode generation loop with timing hooks.
+"""Prefill + decode generation loop.
 
 This is the host-program equivalent of llama2.c's ``generate`` /
 ``run`` loop, and the one single-sequence decode loop.  It runs over any
@@ -11,36 +11,22 @@ is the context window):
   ``generate`` is this loop plus the simulated timing of the same
   prefill/decode schedule.
 
-Latency in the paper is "total time for complete inference" measured by
-the host timing function; throughput is "output tokens / decode-stage
-duration" (§3.2.1).  :class:`GenerationTiming` captures exactly those two
-stage durations so the metrics layer can reproduce both definitions.
+The loop keeps no clock.  The paper's latency and throughput (§3.2.1)
+are measured on the accelerator's simulated clock, which
+:meth:`~repro.accel.accelerator.SpeedLLMAccelerator.simulate_generation`
+prices for the same prefill/decode schedule.
 """
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import List, Optional, Sequence
 
 from .model import LlamaModel
 from .sampler import Sampler
 from .tokenizer import EOS_ID
 
-__all__ = ["GenerationTiming", "GenerationResult", "generate"]
-
-
-@dataclass
-class GenerationTiming:
-    """Wall-clock (or simulated-clock) stage durations in seconds."""
-
-    prefill_seconds: float = 0.0
-    decode_seconds: float = 0.0
-
-    @property
-    def total_seconds(self) -> float:
-        """End-to-end inference latency."""
-        return self.prefill_seconds + self.decode_seconds
+__all__ = ["GenerationResult", "generate"]
 
 
 @dataclass
@@ -49,7 +35,6 @@ class GenerationResult:
 
     prompt_tokens: List[int]
     generated_tokens: List[int]
-    timing: GenerationTiming = field(default_factory=GenerationTiming)
 
     @property
     def n_prompt(self) -> int:
@@ -59,16 +44,6 @@ class GenerationResult:
     def n_generated(self) -> int:
         return len(self.generated_tokens)
 
-    @property
-    def total_tokens(self) -> int:
-        return self.n_prompt + self.n_generated
-
-    def decode_tokens_per_second(self) -> float:
-        """Throughput as defined by the paper (decode stage only)."""
-        if self.timing.decode_seconds <= 0:
-            return 0.0
-        return self.n_generated / self.timing.decode_seconds
-
 
 def generate(
     model: LlamaModel,
@@ -76,8 +51,6 @@ def generate(
     max_new_tokens: int,
     sampler: Optional[Sampler] = None,
     stop_at_eos: bool = True,
-    clock: Callable[[], float] = time.perf_counter,
-    on_token: Optional[Callable[[int], None]] = None,
 ) -> GenerationResult:
     """Run prefill over ``prompt_tokens`` then decode ``max_new_tokens``.
 
@@ -95,10 +68,6 @@ def generate(
         Sampling policy; greedy when omitted.
     stop_at_eos:
         Whether an EOS token terminates decoding early.
-    clock:
-        Time source (injectable for deterministic tests).
-    on_token:
-        Optional callback invoked with each newly generated token id.
     """
     if not prompt_tokens:
         raise ValueError("prompt_tokens must not be empty")
@@ -112,10 +81,8 @@ def generate(
             f"context window of {max_len}"
         )
 
-    t0 = clock()
     for pos, token in enumerate(prompt_tokens):
         logits = model.forward(token, pos, cache)
-    t1 = clock()
 
     generated: List[int] = []
     pos = len(prompt_tokens)
@@ -123,19 +90,10 @@ def generate(
     for _ in range(budget):
         token = sampler.sample(logits)
         generated.append(token)
-        if on_token is not None:
-            on_token(token)
         if stop_at_eos and token == EOS_ID:
             break
         if pos >= max_len:
             break
         logits = model.forward(token, pos, cache)
         pos += 1
-    t2 = clock()
-
-    timing = GenerationTiming(prefill_seconds=t1 - t0, decode_seconds=t2 - t1)
-    return GenerationResult(
-        prompt_tokens=prompt_tokens,
-        generated_tokens=generated,
-        timing=timing,
-    )
+    return GenerationResult(prompt_tokens=prompt_tokens, generated_tokens=generated)

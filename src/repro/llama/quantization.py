@@ -117,10 +117,6 @@ class QuantizedTensor:
         n = int(np.prod(self.original_shape))
         return self.spec.storage_bytes(n)
 
-    def dequantize(self) -> np.ndarray:
-        """Reconstruct the float32 tensor."""
-        return dequantize(self)
-
 
 def _pad_last_axis(x: np.ndarray, padded_last: int) -> np.ndarray:
     """Zero-pad the last axis of ``x`` up to ``padded_last`` elements."""

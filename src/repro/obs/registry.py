@@ -206,9 +206,6 @@ class MetricsRegistry:
                             buckets=buckets).child(_label_key(labels))
 
     # ------------------------------------------------------------------
-    def names(self) -> List[str]:
-        return sorted(self._families)
-
     def render(self) -> str:
         """Prometheus text exposition of every instrument."""
         lines: List[str] = []

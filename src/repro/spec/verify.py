@@ -54,10 +54,6 @@ class SpecOutcome:
     #: Leading draft tokens that were accepted (``<= n_draft``).
     n_accepted: int
 
-    @property
-    def n_committed(self) -> int:
-        return len(self.committed)
-
 
 def verify_run(
     draft_tokens: Sequence[int],

@@ -29,11 +29,6 @@ class Workload:
     #: SLO tier served under a priority/fairness scheduling policy
     #: (smaller = more urgent; the default fifo policy ignores it).
     priority: int = 0
-    #: Conversation/session tag: workloads sharing a session extend the
-    #: same context and profit from landing on the same replica's prefix
-    #: cache.  Empty for independent one-shot requests; only the cluster
-    #: affinity router and the suite builders interpret it.
-    session: str = ""
 
     def __post_init__(self) -> None:
         if self.max_new_tokens <= 0:
@@ -125,7 +120,6 @@ def shared_prefix_suite(
                       else f"shared-{group}-{member}"),
                 prompt=f"{system} {gen.prompt(max_words=tail_words)}",
                 max_new_tokens=max_new_tokens,
-                session=f"tenant-{group}" if n_groups > 1 else "",
             ))
     return PromptSuite(name="shared-prefix", workloads=tuple(workloads))
 

@@ -302,7 +302,7 @@ class GraphView:
             self.config, shard=self.shard, quant=_QUANTS[self.quant],
         ).build_decode_step(context)
         if self.fused:
-            graph = fuse_graph(graph).graph
+            graph = fuse_graph(graph)
         return graph if logits else body_graph(graph, self.config)
 
     def step_compiler(self, design: AcceleratorConfig) -> StepCompiler:

@@ -11,10 +11,12 @@ import repro.accel.accelerator as accelerator_module
 from repro.accel.accelerator import SpeedLLMAccelerator
 from repro.accel.batching import BatchSlot
 from repro.accel.compiler import ProgramCompiler
-from repro.accel.config import AcceleratorConfig
+from repro.accel.config import AcceleratorConfig, MPEConfig
 from repro.accel.variants import PAPER_VARIANTS
 from repro.accel.dse import DesignSpace, DesignSpaceExplorer
 from repro.core.runner import ExperimentConfig, ExperimentRunner
+from repro.fpga.resources import ResourceError
+from repro.fpga.u280 import u280
 from repro.graph.builder import GraphBuilder
 from repro.graph.fusion import fuse_graph
 from repro.llama.evaluate import cross_entropy, divergence_report
@@ -36,7 +38,7 @@ def _step_graph(accel, context_len):
     compiler's template-and-window lowering."""
     graph = GraphBuilder(accel.model_config, quant=accel.config.quant
                          ).build_decode_step(context_len)
-    return fuse_graph(graph).graph if accel.config.operator_fusion else graph
+    return fuse_graph(graph) if accel.config.operator_fusion else graph
 
 
 class TestCompilationCaches:
@@ -66,6 +68,21 @@ class TestResourceReport:
         report = accel.resource_report()
         assert all(report.fraction(name) < 1.0 for name in report.total.as_dict())
         assert report.fraction("dsp") > 0
+
+    @pytest.mark.parametrize("variant", sorted(PAPER_VARIANTS))
+    def test_report_counts_the_footprint_dse_fits(self, small_checkpoint, variant):
+        """One total per design: the report's ``used`` is the footprint
+        the design-space explorer fits, controller included."""
+        config = AcceleratorConfig.variant(variant)
+        report = SpeedLLMAccelerator(small_checkpoint, config).resource_report()
+        assert report.used == config.resources()
+        assert report.total == u280().resources
+
+    def test_oversized_mpe_raises(self, small_checkpoint):
+        config = AcceleratorConfig(mpe=MPEConfig(rows=256, cols=256))
+        assert not config.resources().fits_in(u280().resources)
+        with pytest.raises(ResourceError, match="exceeds"):
+            SpeedLLMAccelerator(small_checkpoint, config).resource_report()
 
 
 class TestSimulateGeneration:

@@ -21,7 +21,7 @@ def platform():
 def _program(config, model_config, context_len=4):
     graph = build_decode_graph(model_config, context_len)
     if config.operator_fusion:
-        graph = fuse_graph(graph).graph
+        graph = fuse_graph(graph)
     return ProgramCompiler(config).compile(graph)
 
 

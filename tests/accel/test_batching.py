@@ -206,7 +206,7 @@ class TestExecuteSlots:
         stepwise_logits = None
         builder = GraphBuilder(small_config, quant=accelerator.config.quant)
         for pos, token in enumerate(tokens):
-            graph = fuse_graph(builder.build_decode_step(pos)).graph
+            graph = fuse_graph(builder.build_decode_step(pos))
             stepwise_logits = accelerator._graph_executor.execute_step(
                 graph, [BatchSlot(token, pos, stepwise_cache)])[0]
         batched_cache = KVCache(small_config)

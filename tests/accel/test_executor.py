@@ -48,7 +48,7 @@ class TestGraphExecutorEquivalence:
             ref = model.forward(token, pos, cache_ref)
             graph = build_decode_graph(config, pos, quant=QuantConfig.fp32())
             if fused:
-                graph = fuse_graph(graph).graph
+                graph = fuse_graph(graph)
             got = _execute(executor, graph, token, pos, cache_graph)
             errors.append(np.max(np.abs(ref - got)))
         return errors
@@ -71,7 +71,7 @@ class TestGraphExecutorEquivalence:
 
     def test_fused_and_unfused_identical(self, executor, small_config):
         graph = build_decode_graph(small_config, 0, quant=QuantConfig.fp32())
-        fused = fuse_graph(graph).graph
+        fused = fuse_graph(graph)
         a = _execute(executor, graph, 5, 0, KVCache(small_config))
         b = _execute(executor, fused, 5, 0, KVCache(small_config))
         assert np.array_equal(a, b)
@@ -182,7 +182,7 @@ class TestValuesAreContextFree:
 
         def graph_at(context):
             graph = builder.build_decode_step(context)
-            return fuse_graph(graph).graph if fused else graph
+            return fuse_graph(graph) if fused else graph
 
         context_free = graph_at(0)
         cache_free, cache_exact = new_cache(small_config), new_cache(small_config)

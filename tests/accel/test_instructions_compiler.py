@@ -125,7 +125,7 @@ class TestCompilerOptimizationEffects:
         config = AcceleratorConfig()
         compiler = ProgramCompiler(config)
         graph = build_decode_graph(small_config, 8)
-        fused = fuse_graph(graph).graph
+        fused = fuse_graph(graph)
         unfused_prog = compiler.compile(graph)
         fused_prog = compiler.compile(fused)
         assert (fused_prog.total_load_bytes + fused_prog.total_store_bytes
@@ -138,7 +138,7 @@ class TestCompilerOptimizationEffects:
         config = AcceleratorConfig()
         compiler = ProgramCompiler(config)
         graph = build_decode_graph(small_config, 8)
-        fused = fuse_graph(graph).graph
+        fused = fuse_graph(graph)
         assert compiler.compile(fused).n_packets <= compiler.compile(graph).n_packets
 
     def test_no_reuse_refetches_activations(self, small_config):

@@ -96,7 +96,7 @@ def _per_context_build(compiler: StepCompiler, context: int, logits: bool,
                          quant=compiler.config.quant,
                          ).build_decode_step(context)
     if compiler.config.operator_fusion:
-        graph = fuse_graph(graph).graph
+        graph = fuse_graph(graph)
     if not logits:
         graph = body_graph(graph, compiler.model_config)
     return ProgramCompiler(compiler.config, plan=plan).compile(graph)

@@ -122,7 +122,7 @@ class TestOptimizationEffects:
 
     def test_fusion_reduces_traffic_through_executor(self, small_config, platform):
         graph = build_decode_graph(small_config, 8)
-        fused = fuse_graph(graph).graph
+        fused = fuse_graph(graph)
         config = AcceleratorConfig()
         plain = _run(config, graph, platform)
         with_fusion = _run(config, fused, platform)

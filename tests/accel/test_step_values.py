@@ -46,7 +46,7 @@ def _engines(model: str, fused: bool, quant: QuantConfig):
         config, accelerator.functional_checkpoint().weights)
     graph = GraphBuilder(config).build_decode_step(0)
     if fused:
-        graph = fuse_graph(graph).graph
+        graph = fuse_graph(graph)
     return accelerator, oracle, {True: graph, False: body_graph(graph, config)}
 
 

@@ -23,13 +23,13 @@ class TestPaperVariants:
         assert "unoptimized" in PAPER_VARIANTS["unoptimized"].paper_label
 
     def test_spec_config_flags(self):
-        cfg = AcceleratorConfig.variant(PAPER_VARIANTS["no-pipeline"].key)
+        cfg = AcceleratorConfig.variant("no-pipeline")
         assert cfg.pipeline is False and cfg.memory_reuse and cfg.operator_fusion
 
     def test_one_table_of_named_flags(self):
-        """Each key names its own spec, and ``variant`` builds its flags."""
+        """``variant`` builds each key's flags under the key's name."""
         for key, spec in PAPER_VARIANTS.items():
-            assert spec.key == key
+            assert AcceleratorConfig.variant(key).name == f"speedllm-{key}"
             cfg = AcceleratorConfig.variant(key)
             assert (cfg.pipeline, cfg.memory_reuse, cfg.operator_fusion) == (
                 spec.pipeline, spec.memory_reuse, spec.operator_fusion)

@@ -43,7 +43,7 @@ def _chat_sessions(n_sessions, n_turns, max_new_tokens, seed):
                 contexts[session] += " " + gen.prompt(max_words=6)
             workloads.append(Workload(
                 name=f"chat-s{session}-t{turn}", prompt=contexts[session],
-                max_new_tokens=max_new_tokens, session=f"session-{session}"))
+                max_new_tokens=max_new_tokens))
     return workloads
 
 

@@ -8,7 +8,7 @@ from repro.api.errors import FrontendError
 from repro.cluster import (ROUTES, ClusterConfig, LeastLoadedPolicy,
                            PrefixAffinityPolicy, RoundRobinPolicy, Router,
                            build_routing_policy)
-from repro.cluster.routing import routable
+from repro.cluster.routing import SPILL_FACTOR, SPILL_SLACK_TOKENS, routable
 
 
 class Stub:
@@ -71,12 +71,12 @@ class TestPrefixAffinity:
         assert policy.hits == 1
 
     def test_spill_repins_to_coldest(self):
-        policy = PrefixAffinityPolicy(block_tokens=4, spill_factor=1.5,
-                                      spill_slack_tokens=0)
+        policy = PrefixAffinityPolicy(block_tokens=4)
         replicas = [Stub(0, load=10.0), Stub(1, load=10.0)]
         tokens = [3, 3, 3, 3]
         assert policy.select(replicas, tokens).index == 0
-        # Overload the sticky target far past the guard threshold.
+        # Overload the sticky target far past the guard threshold,
+        # 2 * (10 + 128) = 276.
         replicas[0].load_score = 1000.0
         spilled = policy.select(replicas, tokens)
         assert spilled.index == 1
@@ -88,13 +88,24 @@ class TestPrefixAffinity:
         assert policy.hits == 1
 
     def test_slack_prevents_spill_on_near_empty_cluster(self):
-        policy = PrefixAffinityPolicy(block_tokens=4, spill_factor=2.0,
-                                      spill_slack_tokens=128)
+        policy = PrefixAffinityPolicy(block_tokens=4)
         replicas = [Stub(0, load=100.0), Stub(1, load=0.0)]
         tokens = [5, 5, 5, 5]
         policy.select(replicas, tokens)  # pins to 1 (coldest)
         replicas[1].load_score = 200.0   # busy, but under 2*(100+128)
         assert policy.select(replicas, tokens).index == 1
+
+    def test_spill_threshold_is_factor_times_coldest_plus_slack(self):
+        assert (SPILL_FACTOR, SPILL_SLACK_TOKENS) == (2.0, 128)
+        policy = PrefixAffinityPolicy(block_tokens=4)
+        replicas = [Stub(0, load=0.0), Stub(1, load=50.0)]
+        tokens = [6, 6, 6, 6]
+        policy.select(replicas, tokens)  # pins to 0 (coldest)
+        replicas[0].load_score = 2 * (50 + 128)     # at the threshold: stays
+        assert policy.select(replicas, tokens).index == 0
+        replicas[0].load_score = 2 * (50 + 128) + 1  # above it: spills
+        assert policy.select(replicas, tokens).index == 1
+        assert (policy.hits, policy.spills) == (1, 1)
 
     def test_pin_to_vanished_replica_falls_back(self):
         policy = PrefixAffinityPolicy(block_tokens=4)
@@ -111,13 +122,9 @@ class TestRouterAndFactory:
         assert isinstance(build_routing_policy("rr"), RoundRobinPolicy)
         assert isinstance(build_routing_policy("least-loaded"),
                           LeastLoadedPolicy)
-        affinity = build_routing_policy("affinity", block_tokens=8,
-                                        spill_factor=3.0,
-                                        spill_slack_tokens=7)
+        affinity = build_routing_policy("affinity", block_tokens=8)
         assert isinstance(affinity, PrefixAffinityPolicy)
         assert affinity.block_tokens == 8
-        assert affinity.spill_factor == 3.0
-        assert affinity.spill_slack_tokens == 7
         with pytest.raises(ValueError):
             build_routing_policy("nope")
 
@@ -170,8 +177,6 @@ class TestClusterConfigValidation:
         with pytest.raises(FrontendError):
             ClusterConfig(n_replicas=3, disaggregate=True,
                           n_prefill_replicas=3)
-        with pytest.raises(FrontendError):
-            ClusterConfig(kv_transfer_gbps=0.0)
         with pytest.raises(FrontendError):
             ClusterConfig(autoscale=True, n_replicas=2,
                           scale_up_queue_depth=2, scale_down_queue_depth=2)

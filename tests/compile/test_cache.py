@@ -79,31 +79,37 @@ class TestBucketing:
 
     def test_bucket_one_is_exact(self):
         compiler = _bucketed(1)
-        for ctx in (0, 1, 13, 63):
-            assert compiler.compile_step((ctx,)).contexts == (ctx,)
+        steps = [compiler.compile_step((ctx,)) for ctx in (0, 1, 13, 63)]
+        assert len({id(step) for step in steps}) == 4
+        assert compiler.cache.misses == 4
 
     def test_windows_round_up_to_bucket_boundary(self):
         compiler = _bucketed(32, model="stories15M")
         # Window = ctx + 1 positions, rounded up, returned as a context.
         for ctx, bucket in ((0, 31), (31, 31), (32, 63), (100, 127)):
-            assert compiler.compile_step((ctx,)).contexts == (bucket,)
+            step = compiler.compile_step((ctx,))
+            assert compiler.compile_step((bucket,)) is step
+            assert compiler.compile_step((bucket + 1,)) is not step
 
     def test_bucket_clamped_to_model_window(self):
         compiler = _bucketed(32, model="stories15M")
-        assert compiler.compile_step((250,)).contexts == (255,)
-        assert compiler.compile_step((255,)) is compiler.compile_step((250,))
+        step = compiler.compile_step((250,))
+        assert compiler.compile_step((224,)) is step
+        assert compiler.compile_step((255,)) is step
+        assert compiler.compile_step((223,)) is not step
 
     def test_bucketing_is_monotone_and_idempotent(self):
         compiler = _bucketed(16)
-        previous = -1
+        seen = []
         for ctx in range(compiler.model_config.max_seq_len):
             step = compiler.compile_step((ctx,))
-            (bucket,) = step.contexts
-            assert bucket >= ctx
-            assert bucket >= previous
-            assert compiler.compile_step((bucket,)) is step
-            previous = bucket
-        assert compiler.cache.misses == 4
+            # A new step starts exactly at each 16-position boundary, and
+            # an earlier bucket's step never comes back.
+            assert (not seen or step is not seen[-1]) == (ctx % 16 == 0)
+            if ctx % 16 == 0:
+                assert all(step is not earlier for earlier in seen)
+                seen.append(step)
+        assert compiler.cache.misses == len(seen) == 4
 
     def test_bucket_must_be_positive(self):
         with pytest.raises(ValueError):
@@ -112,8 +118,11 @@ class TestBucketing:
             _bucketed(4).compile_step((-1,))
 
     def test_each_slot_is_bucketed_on_its_own(self):
-        step = _bucketed(8).compile_step((3, 9, 20))
-        assert step.contexts == (7, 15, 23)
+        compiler = _bucketed(8)
+        step = compiler.compile_step((3, 9, 20))
+        assert compiler.compile_step((0, 8, 16)) is step
+        assert compiler.compile_step((7, 15, 23)) is step
+        assert compiler.compile_step((7, 15, 24)) is not step
 
 
 def _random_composition(rng, max_seq_len):
@@ -127,11 +136,13 @@ class TestStepKeys:
     """Seeded property tests over randomly drawn step compositions."""
 
     def test_contexts_round_up_to_the_bucket_and_clamp(self):
-        assert _compiler().compile_step((0, 13, 63)).contexts == (0, 13, 63)
+        exact = _compiler()
+        assert (exact.compile_step((0, 13, 63))
+                is not exact.compile_step((1, 13, 63)))
         bucketed = _compiler(AcceleratorConfig(ctx_bucket=16))
         # Window = ctx + 1 positions, rounded up, returned as a context.
-        assert bucketed.compile_step((0, 15, 16, 62)).contexts == (15, 15,
-                                                                   31, 63)
+        assert (bucketed.compile_step((0, 15, 16, 62))
+                is bucketed.compile_step((15, 15, 31, 63)))
 
     def test_same_bucket_compositions_share_one_step(self):
         """Compositions that bucket identically must produce cache hits."""
@@ -142,9 +153,11 @@ class TestStepKeys:
         for _ in range(100):
             contexts, logits = _random_composition(rng, max_seq_len)
             first = compiler.compile_step(contexts, logits)
-            # Jitter every context within its bucket: same key, same step.
-            jittered = tuple(rng.randint(max(0, b - bucket + 1), b)
-                             for b in first.contexts)
+            # Jitter every context within its bucket (the window is a
+            # multiple of ``bucket`` here): same key, same step.
+            jittered = tuple(rng.randint(c // bucket * bucket,
+                                         c // bucket * bucket + bucket - 1)
+                             for c in contexts)
             assert compiler.compile_step(jittered, logits) is first
         assert compiler.cache.hits >= 100
 

@@ -6,6 +6,8 @@ import pytest
 
 from repro.core.speedllm import SpeedLLM, SpeedLLMOutput
 from repro.llama.checkpoint import load_checkpoint, save_checkpoint
+from repro.llama.generation import generate
+from repro.llama.model import LlamaModel
 from repro.llama.tokenizer import Tokenizer
 
 
@@ -84,9 +86,11 @@ class TestGeneration:
 
     def test_greedy_matches_reference_engine(self, llm):
         prompt = "Tom and Mia played in the garden"
-        accel_text = llm.generate(prompt, max_new_tokens=10).text
-        ref_text = llm.reference_generate(prompt, max_new_tokens=10)
-        assert accel_text == ref_text
+        accel = llm.generate(prompt, max_new_tokens=10)
+        ref = generate(LlamaModel(llm.accelerator.functional_checkpoint()),
+                       llm.encode(prompt), max_new_tokens=10)
+        assert accel.generated_tokens == ref.generated_tokens
+        assert accel.text == llm.tokenizer.decode(ref.generated_tokens)
 
     def test_stochastic_generation_seeded(self, llm):
         a = llm.generate("Once", max_new_tokens=6, temperature=0.8, seed=4).text

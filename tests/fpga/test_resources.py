@@ -6,12 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.fpga.resources import (
-    ResourceBudget,
-    ResourceError,
-    ResourceVector,
-    UtilizationReport,
-)
+from repro.fpga.resources import ResourceVector, UtilizationReport
 
 vectors = st.builds(
     ResourceVector,
@@ -30,11 +25,6 @@ class TestResourceVector:
         assert (a + b).lut == 15
         assert (a + b).ff == 3
         assert (a + b - b) == a
-
-    def test_scaled(self):
-        assert ResourceVector(dsp=3).scaled(4).dsp == 12
-        with pytest.raises(ValueError):
-            ResourceVector(dsp=3).scaled(-1)
 
     def test_fits_in(self):
         small = ResourceVector(lut=10, dsp=5)
@@ -66,32 +56,6 @@ class TestResourceVector:
     def test_sum_always_fits_its_parts(self, a, b):
         total = a + b
         assert a.fits_in(total) and b.fits_in(total)
-
-
-class TestResourceBudget:
-    def test_allocate_and_release(self):
-        budget = ResourceBudget(total=ResourceVector(lut=100, dsp=10))
-        budget.allocate("mpe", ResourceVector(lut=60, dsp=8))
-        assert budget.used.lut == 60
-        budget.release("mpe")
-        assert budget.used.lut == 0
-
-    def test_over_allocation_rejected(self):
-        budget = ResourceBudget(total=ResourceVector(lut=100))
-        budget.allocate("a", ResourceVector(lut=80))
-        with pytest.raises(ResourceError, match="exceeds"):
-            budget.allocate("b", ResourceVector(lut=30))
-
-    def test_duplicate_name_rejected(self):
-        budget = ResourceBudget(total=ResourceVector(lut=100))
-        budget.allocate("a", ResourceVector(lut=10))
-        with pytest.raises(ResourceError, match="already exists"):
-            budget.allocate("a", ResourceVector(lut=10))
-
-    def test_release_unknown_rejected(self):
-        budget = ResourceBudget(total=ResourceVector(lut=100))
-        with pytest.raises(ResourceError):
-            budget.release("ghost")
 
 
 class TestUtilizationReport:

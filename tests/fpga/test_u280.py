@@ -15,10 +15,9 @@ class TestU280Platform:
         assert plat.resources.bram_36k == 2016
         assert plat.resources.uram == 960
 
-    def test_memory_subsystems(self):
+    def test_hbm_subsystem(self):
         plat = u280()
         assert plat.hbm.n_channels == 32
-        assert plat.ddr is not None and plat.ddr.n_channels == 2
         assert sum(c.bandwidth_gbps for c in plat.hbm.channels) > 400
 
     def test_onchip_capacity_tens_of_megabytes(self):
@@ -36,12 +35,6 @@ class TestU280Platform:
         with pytest.raises(ValueError):
             plat.cycles_to_seconds(-1)
 
-    def test_new_budget_is_fresh(self):
-        plat = u280()
-        budget = plat.new_budget()
-        assert budget.used.dsp == 0
-        assert budget.total == plat.resources
-
     def test_energy_model_uses_platform_config(self):
         plat = u280()
         model = plat.energy_model()
@@ -54,7 +47,7 @@ class TestU280Platform:
         with pytest.raises(ValueError):
             FpgaPlatform(
                 name="bad", resources=U280_RESOURCES,
-                hbm=u280().hbm, ddr=None, clock_mhz=0,
+                hbm=u280().hbm, clock_mhz=0,
                 price_usd=1, max_power_w=1,
             )
         with pytest.raises(ValueError):

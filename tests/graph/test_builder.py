@@ -46,7 +46,7 @@ class TestBuildDecodeGraph:
         shard = ShardSpec.from_config(small_config, tp) if tp > 1 else None
         g = GraphBuilder(small_config, shard=shard).build_decode_step(3)
         if fused:
-            g = fuse_graph(g).graph
+            g = fuse_graph(g)
         order = g.topological_order()
         hidden = hidden_state(small_config)
         assert hidden == f"x.{small_config.n_layers}"
@@ -106,7 +106,7 @@ class TestBuildDecodeGraph:
 
     def test_kv_append_attributes(self, micro_config):
         g = build_decode_graph(micro_config, 4)
-        op = g.op("L1.kv_append")
+        op, = (o for o in g if o.name == "L1.kv_append")
         assert op.attributes["attn_len"] == 5
         assert op.attributes["kv_dim"] == micro_config.kv_dim
 

@@ -24,7 +24,7 @@ class TestDotExport:
         assert '"L0.attn_norm" -> "L0.wq"' in dot
 
     def test_fused_nodes_marked(self, micro_config):
-        g = fuse_graph(build_decode_graph(micro_config, 1)).graph
+        g = fuse_graph(build_decode_graph(micro_config, 1))
         dot = to_dot(g)
         assert "doubleoctagon" in dot
 
@@ -46,7 +46,7 @@ class TestJsonExport:
         assert any(op["kind"] == "matmul" for op in operators)
 
     def test_fused_members_listed(self, micro_config):
-        g = fuse_graph(build_decode_graph(micro_config, 1)).graph
+        g = fuse_graph(build_decode_graph(micro_config, 1))
         payload = json.loads(to_json(g))
         fused_ops = [op for op in payload["operators"] if op["kind"] == "fused"]
         assert fused_ops

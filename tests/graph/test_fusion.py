@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 
 from repro.graph.builder import build_decode_graph
@@ -17,6 +19,17 @@ def _offchip_intermediate_bytes(graph):
     return sum(spec.nbytes for name, spec in graph.tensors.items()
                if name in produced and name in consumed
                and spec.resident == "offchip")
+
+
+def _rule_counts(graph):
+    """Fused regions per rule, read off the fused operators' ``rule``."""
+    return Counter(op.attributes["rule"] for op in graph if op.kind is OpKind.FUSED)
+
+
+def _eliminated_bytes(unfused, fused):
+    """Bytes of the tensors of ``unfused`` that fusion folded away."""
+    return sum(spec.nbytes for name, spec in unfused.tensors.items()
+               if name not in fused.tensors)
 
 
 def _inputs(graph):
@@ -44,36 +57,34 @@ class TestFuseDecodeGraph:
     @pytest.fixture(scope="class")
     def graphs(self, small_config):
         unfused = build_decode_graph(small_config, context_len=4)
-        result = fuse_graph(unfused)
-        return unfused, result
+        return unfused, fuse_graph(unfused)
 
     def test_reduces_operator_count(self, graphs):
-        unfused, result = graphs
-        assert len(result.graph) < len(unfused)
-        assert result.stats.ops_after == len(result.graph)
+        unfused, fused = graphs
+        assert len(fused) < len(unfused)
 
     def test_fused_graph_validates(self, graphs):
-        _, result = graphs
-        result.graph.validate()
+        _, fused = graphs
+        fused.validate()
 
     def test_preserves_total_flops(self, graphs):
-        unfused, result = graphs
-        assert result.graph.total_flops() == unfused.total_flops()
+        unfused, fused = graphs
+        assert fused.total_flops() == unfused.total_flops()
 
     def test_preserves_weight_bytes(self, graphs):
-        unfused, result = graphs
-        assert result.graph.total_weight_bytes() == unfused.total_weight_bytes()
+        unfused, fused = graphs
+        assert fused.total_weight_bytes() == unfused.total_weight_bytes()
 
     def test_eliminates_intermediate_traffic(self, graphs):
-        unfused, result = graphs
-        assert result.stats.eliminated_tensors > 0
-        assert result.stats.eliminated_bytes > 0
-        assert (_offchip_intermediate_bytes(result.graph)
+        unfused, fused = graphs
+        assert set(fused.tensors) < set(unfused.tensors)
+        assert _eliminated_bytes(unfused, fused) > 0
+        assert (_offchip_intermediate_bytes(fused)
                 < _offchip_intermediate_bytes(unfused))
 
     def test_rule_counts_per_layer(self, graphs, small_config):
-        _, result = graphs
-        counts = result.stats.rule_counts
+        _, fused = graphs
+        counts = _rule_counts(fused)
         n = small_config.n_layers
         assert counts["attention-core"] == n
         assert counts["swiglu-down"] == n
@@ -81,9 +92,9 @@ class TestFuseDecodeGraph:
         assert counts["norm-classifier"] == 1
 
     def test_same_inputs_and_outputs(self, graphs):
-        unfused, result = graphs
-        assert _inputs(unfused) == _inputs(result.graph)
-        assert set(unfused.graph_outputs()) == set(result.graph.graph_outputs())
+        unfused, fused = graphs
+        assert _inputs(unfused) == _inputs(fused)
+        assert set(unfused.graph_outputs()) == set(fused.graph_outputs())
 
     def test_original_graph_untouched(self, small_config):
         unfused = build_decode_graph(small_config, context_len=2)
@@ -92,14 +103,14 @@ class TestFuseDecodeGraph:
         assert len(unfused) == n_ops_before
 
     def test_second_pass_is_noop(self, graphs):
-        _, result = graphs
-        again = fuse_graph(result.graph)
-        assert again.stats.fused_regions == 0
-        assert len(again.graph) == len(result.graph)
+        _, fused = graphs
+        again = fuse_graph(fused)
+        assert [op.name for op in again] == [op.name for op in fused]
+        assert set(again.tensors) == set(fused.tensors)
 
     def test_fused_ops_record_rule(self, graphs):
-        _, result = graphs
-        fused_ops = [op for op in result.graph if op.kind is OpKind.FUSED]
+        _, fused = graphs
+        fused_ops = [op for op in fused if op.kind is OpKind.FUSED]
         assert fused_ops
         assert all("rule" in op.attributes for op in fused_ops)
 
@@ -121,15 +132,15 @@ class TestChainMatching:
 
     def test_exclusive_chain_fused(self):
         g = self._linear_graph(multi_consumer=False)
-        result = fuse_graph(g, [FusionRule("silu-mul", (OpKind.SILU, OpKind.MUL))])
-        assert result.stats.fused_regions == 1
-        assert "b" not in result.graph.tensors        # internal tensor removed
+        fused = fuse_graph(g, [FusionRule("silu-mul", (OpKind.SILU, OpKind.MUL))])
+        assert _rule_counts(fused) == {"silu-mul": 1}
+        assert "b" not in fused.tensors        # internal tensor removed
 
     def test_shared_intermediate_blocks_fusion(self):
         g = self._linear_graph(multi_consumer=True)
-        result = fuse_graph(g, [FusionRule("silu-mul", (OpKind.SILU, OpKind.MUL))])
-        assert result.stats.fused_regions == 0
-        assert "b" in result.graph.tensors
+        fused = fuse_graph(g, [FusionRule("silu-mul", (OpKind.SILU, OpKind.MUL))])
+        assert not _rule_counts(fused)
+        assert "b" in fused.tensors
 
     def test_longer_rules_win(self, small_config):
         """The 3-op attention rule must beat a 2-op prefix rule."""
@@ -139,6 +150,6 @@ class TestChainMatching:
             FusionRule("attention-core",
                        (OpKind.ATTN_SCORE, OpKind.SOFTMAX, OpKind.ATTN_CONTEXT)),
         ]
-        result = fuse_graph(graph, rules)
-        assert result.stats.rule_counts.get("attention-core") == small_config.n_layers
-        assert "score-softmax" not in result.stats.rule_counts
+        counts = _rule_counts(fuse_graph(graph, rules))
+        assert counts["attention-core"] == small_config.n_layers
+        assert "score-softmax" not in counts

@@ -28,10 +28,11 @@ class TestFullStackGeneration:
             "Tom saw a red ball",
             "One day, the little dog",
         ]
+        reference = LlamaModel(llm.accelerator.functional_checkpoint())
         for prompt in prompts:
             accel = llm.generate(prompt, max_new_tokens=12)
-            ref = llm.reference_generate(prompt, max_new_tokens=12)
-            assert accel.text == ref
+            ref = generate(reference, llm.encode(prompt), max_new_tokens=12)
+            assert accel.generated_tokens == ref.generated_tokens
 
     def test_variants_produce_identical_text_different_latency(
         self, small_checkpoint, tiny_tokenizer

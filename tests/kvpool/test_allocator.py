@@ -102,7 +102,13 @@ class TestSharing:
         c = allocator.allocate()  # free list empty -> evicts a
         assert c == a
         assert not allocator.holds(a, va)
-        assert allocator.tag(a) is None
+        # The eviction dropped a's tag, so releasing it frees the block
+        # instead of caching it, and b stays cached.
+        vb, vc = allocator.version(b), allocator.version(c)
+        allocator.release(c)
+        assert not allocator.holds(c, vc)
+        assert allocator.allocate() == c
+        assert allocator.holds(b, vb)
 
     def test_untagged_release_goes_to_free_list(self, micro_config):
         allocator = make_allocator(micro_config, n_blocks=2)

@@ -72,7 +72,7 @@ class TestQuantizeDequantize:
         assert qt.shape == (3, 2, 64)
         assert qt.q.shape == (3, 2, 64)
         assert qt.scales.shape == (3, 2, 1)
-        assert qt.dequantize().shape == x.shape
+        assert dequantize(qt).shape == x.shape
 
     def test_values_clipped_to_qmax(self):
         x = np.linspace(-10, 10, 64, dtype=np.float32).reshape(1, 64)

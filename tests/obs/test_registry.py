@@ -84,11 +84,13 @@ class TestRegistry:
             with pytest.raises(ValueError, match="invalid metric name"):
                 registry.counter(bad)
 
-    def test_names_sorted(self):
+    def test_families_render_sorted_by_name(self):
         registry = MetricsRegistry()
         registry.gauge("b_metric")
         registry.counter("a_metric_total")
-        assert registry.names() == ["a_metric_total", "b_metric"]
+        assert [line for line in registry.render().splitlines()
+                if line.startswith("# TYPE")] == [
+            "# TYPE a_metric_total counter", "# TYPE b_metric gauge"]
 
 
 class TestRender:

@@ -31,7 +31,7 @@ class TestGreedyVerify:
         outcome = verify_run(draft, outputs, Sampler())
         assert outcome.committed == [3, 5, 9, 11]
         assert outcome.n_accepted == 3
-        assert outcome.n_committed == len(draft) + 1
+        assert len(outcome.committed) == len(draft) + 1
 
     def test_first_mismatch_commits_correction_and_stops(self):
         draft = [3, 5, 9]
@@ -104,7 +104,7 @@ class TestRejectionSampling:
         for seed in rng_seeds:
             outcome = verify_run(
                 draft, outputs, Sampler(temperature=1.2, seed=seed))
-            assert 1 <= outcome.n_committed <= len(draft) + 1
+            assert 1 <= len(outcome.committed) <= len(draft) + 1
             assert outcome.n_accepted <= outcome.n_draft == len(draft)
 
     def test_top_p_distribution_used_for_acceptance(self):

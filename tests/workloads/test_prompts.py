@@ -107,20 +107,19 @@ class TestSharedPrefixGroups:
                                       n_groups=1)
         assert [w.prompt for w in legacy] == [w.prompt for w in grouped]
         assert [w.name for w in legacy] == [w.name for w in grouped]
-        assert all(w.session == "" for w in grouped)
 
     def test_groups_share_preamble_within_not_across(self):
         suite = shared_prefix_suite(n_prompts=6, n_groups=3,
                                     system_words=10, tail_words=2, seed=3)
-        by_session = {}
+        by_group = {}
         for w in suite:
-            by_session.setdefault(w.session, []).append(
-                " ".join(w.prompt.split()[:10]))
-        assert set(by_session) == {"tenant-0", "tenant-1", "tenant-2"}
-        # One preamble per group...
-        assert all(len(set(v)) == 1 for v in by_session.values())
+            group = w.name.rsplit("-", 1)[0]
+            by_group.setdefault(group, []).append(" ".join(w.prompt.split()[:10]))
+        assert set(by_group) == {"shared-0", "shared-1", "shared-2"}
+        # One preamble per group, two members each...
+        assert all(len(v) == 2 and len(set(v)) == 1 for v in by_group.values())
         # ...and three distinct preambles across groups.
-        assert len({v[0] for v in by_session.values()}) == 3
+        assert len({v[0] for v in by_group.values()}) == 3
 
     def test_remainder_spread_and_names(self):
         suite = shared_prefix_suite(n_prompts=5, n_groups=2, seed=3)
