@@ -33,6 +33,15 @@ lowers each tiling plan's step once and only the KV window per context,
 so every operator outside the window is one packet tuple for all slots,
 with or without logits.
 
+A merged packet depends on its operator and little else, so it is built
+once per operator and kept on it (:attr:`~repro.accel.instructions.
+OpProgram.merged_packets`): a slot's ``#b{i}`` copies once per slot
+index, the weight tiles of a group that every slot shares once per group
+size.  The step compiler hands one operator to every slot and every
+step, so a cold step builds only what no earlier step built.  Weight
+tiles over several groups and verify-run packets depend on the whole
+composition and are built on each merge.
+
 The merged program runs on the unmodified
 :class:`~repro.accel.pipeline.PipelineExecutor`, so pipelining, buffer
 reuse and HBM channel contention apply to batched steps exactly as they
@@ -54,7 +63,6 @@ model's — the weight-stationary amortization applies per shard.
 
 from __future__ import annotations
 
-import dataclasses
 from collections import Counter
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
@@ -149,20 +157,37 @@ def _merged_weight_tile(counted: Sequence[Tuple[TilePacket, int]],
     """
     first = counted[0][0]
     depth = mpe.pipeline_depth
-    compute = sum(n * max(p.compute_cycles - depth, 1) for p, n in counted) + depth
-    return dataclasses.replace(
-        first,
+    return TilePacket(
+        op_name=first.op_name, unit=first.unit,
         load_bytes=first.weight_bytes
         + sum(n * (p.load_bytes - p.weight_bytes) for p, n in counted),
-        compute_cycles=compute,
+        compute_cycles=sum(n * max(p.compute_cycles - depth, 1)
+                           for p, n in counted) + depth,
         store_bytes=sum(n * p.store_bytes for p, n in counted),
         macs=sum(n * p.macs for p, n in counted),
         sfu_flops=sum(n * p.sfu_flops for p, n in counted),
         onchip_bytes=sum(n * p.onchip_bytes for p, n in counted),
+        weight_bytes=first.weight_bytes,
         # Scale application happens per activation vector; the weight-tile
         # byte saving (saved_bytes) is paid once per batch like the tile.
         dequant_flops=sum(n * p.dequant_flops for p, n in counted),
+        saved_bytes=first.saved_bytes,
+        label=first.label,
     )
+
+
+def _shared_tiles(op: OpProgram, n_slots: int,
+                  mpe: MPEConfig) -> Tuple[Optional[TilePacket], ...]:
+    """``op``'s weight tiles merged over ``n_slots`` slots that all share
+    it (None at every other packet), built once per operator."""
+    key = (n_slots, mpe.pipeline_depth)
+    tiles = op.merged_packets.get(key)
+    if tiles is None:
+        tiles = op.merged_packets[key] = tuple(
+            _merged_weight_tile(((p, n_slots),), mpe) if p.weight_bytes > 0
+            else None
+            for p in op.packets)
+    return tiles
 
 
 def _slot_packet(packet: TilePacket, slot: int) -> TilePacket:
@@ -176,6 +201,17 @@ def _slot_packet(packet: TilePacket, slot: int) -> TilePacket:
         dequant_flops=packet.dequant_flops, saved_bytes=packet.saved_bytes,
         label=f"{packet.label}#b{slot}",
     )
+
+
+def _slot_packets(op: OpProgram, slot: int) -> Tuple[Optional[TilePacket], ...]:
+    """``op``'s per-sequence packets as slot ``slot`` of a batch issues
+    them (None at its weight tiles), built once per operator."""
+    packets = op.merged_packets.get(slot)
+    if packets is None:
+        packets = op.merged_packets[slot] = tuple(
+            None if p.weight_bytes > 0 else _slot_packet(p, slot)
+            for p in op.packets)
+    return packets
 
 
 def _merged_run_packet(
@@ -226,18 +262,37 @@ def _merged_run_packet(
     # per-position stores (SFU appends) keep their per-position savings.
     saved = (lead.saved_bytes if lead.unit is ComputeUnit.MPE
              else sum(p.saved_bytes for _, p in group))
-    return dataclasses.replace(
-        lead,
+    return TilePacket(
+        op_name=lead.op_name, unit=lead.unit,
         load_bytes=load,
         compute_cycles=compute,
         store_bytes=sum(p.store_bytes for _, p in group),
         macs=sum(p.macs for _, p in group),
         sfu_flops=sum(p.sfu_flops for _, p in group),
         onchip_bytes=onchip,
+        weight_bytes=lead.weight_bytes,
         dequant_flops=sum(p.dequant_flops for _, p in group),
         saved_bytes=saved,
         label=f"{lead.label}#run{lead_index}x{len(group)}",
     )
+
+
+def _verify_runs(op_versions: Sequence[Tuple[int, OpProgram]],
+                 run_ids: Optional[Sequence[int]]
+                 ) -> List[List[Tuple[int, OpProgram]]]:
+    """``op_versions`` cut into verify runs: consecutive slots sharing a
+    run id.  Without run ids every slot is a run of its own."""
+    if run_ids is None:
+        return [[version] for version in op_versions]
+    runs: List[List[Tuple[int, OpProgram]]] = []
+    for version in op_versions:
+        i = version[0]
+        if (runs and runs[-1][-1][0] == i - 1
+                and run_ids[i] == run_ids[runs[-1][0][0]]):
+            runs[-1].append(version)
+        else:
+            runs.append([version])
+    return runs
 
 
 def merge_batch_programs(
@@ -291,35 +346,29 @@ def merge_batch_programs(
                 f"operator {lead.op_name!r} has mismatched packet counts "
                 "across the batch"
             )
+        if len(groups) == 1:
+            tiles = _shared_tiles(lead, len(op_versions), mpe)
+        else:
+            tiles = tuple(
+                _merged_weight_tile(
+                    [(group_packets[k], n) for group_packets, n in groups], mpe)
+                if first.weight_bytes > 0 else None
+                for k, first in enumerate(lead.packets))
+        runs = _verify_runs(op_versions, run_ids)
         packets: List[TilePacket] = []
-        for k, first in enumerate(lead.packets):
-            if first.weight_bytes > 0:
-                packets.append(_merged_weight_tile(
-                    [(group_packets[k], n) for group_packets, n in groups], mpe
-                ))
+        for k, tile in enumerate(tiles):
+            if tile is not None:
+                packets.append(tile)
                 continue
-            versions = [(i, op.packets[k]) for i, op in op_versions]
-            if run_ids is None:
-                for i, packet in versions:
-                    packets.append(_slot_packet(packet, i))
-            else:
-                # Group the consecutive slots of each verify run: their
-                # per-sequence work fuses into one vectorized packet.
-                start = 0
-                while start < len(versions):
-                    end = start + 1
-                    anchor = versions[start][0]
-                    while (end < len(versions)
-                           and versions[end][0] == versions[end - 1][0] + 1
-                           and run_ids[versions[end][0]] == run_ids[anchor]):
-                        end += 1
-                    group = versions[start:end]
-                    if len(group) == 1:
-                        i, packet = group[0]
-                        packets.append(_slot_packet(packet, i))
-                    else:
-                        packets.append(_merged_run_packet(group, mpe))
-                    start = end
+            for run in runs:
+                if len(run) == 1:
+                    i, op = run[0]
+                    packets.append(_slot_packets(op, i)[k])
+                else:
+                    # The consecutive slots of a verify run: their
+                    # per-sequence work fuses into one vectorized packet.
+                    packets.append(_merged_run_packet(
+                        [(i, op.packets[k]) for i, op in run], mpe))
         merged.add(OpProgram(op_name=lead.op_name, unit=lead.unit,
                              packets=packets))
     return merged

@@ -15,7 +15,10 @@ An :class:`OpProgram` also answers, once, what the cycle simulator asks
 of it: a *timing signature* per packet (equal signatures time
 identically), a hash of them for the whole operator, its runs of equal
 signatures and its totals of the counters that depend on the packets
-alone.
+alone.  And it keeps what the batch merger builds of it — its packets as
+one slot of a batch issues them, its weight tiles merged over a group of
+slots — for as long as the operator lives: a step compiler hands one
+operator to every slot and step, so each of those is built once.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import groupby
-from typing import Dict, Iterator, List, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from ..graph.ops import ComputeUnit
 
@@ -61,11 +64,16 @@ class TilePacket:
     label: str = ""
 
     def __post_init__(self) -> None:
-        for name in ("load_bytes", "compute_cycles", "store_bytes",
-                     "macs", "sfu_flops", "onchip_bytes", "weight_bytes",
-                     "dequant_flops", "saved_bytes"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
+        # One comparison on the way in; the fields are named only when
+        # one of them is negative.
+        if min(self.load_bytes, self.compute_cycles, self.store_bytes,
+               self.macs, self.sfu_flops, self.onchip_bytes,
+               self.weight_bytes, self.dequant_flops, self.saved_bytes) < 0:
+            for name in ("load_bytes", "compute_cycles", "store_bytes",
+                         "macs", "sfu_flops", "onchip_bytes", "weight_bytes",
+                         "dequant_flops", "saved_bytes"):
+                if getattr(self, name) < 0:
+                    raise ValueError(f"{name} must be >= 0")
         if self.weight_bytes > self.load_bytes:
             raise ValueError("weight_bytes cannot exceed load_bytes")
 
@@ -144,6 +152,17 @@ class OpProgram:
             elif p.unit is sfu:
                 sfu_ops += 1
         return macs, flops, onchip, dequant, saved, mpe_tiles, sfu_ops, read, written
+
+    @cached_property
+    def merged_packets(self) -> Dict[object, Tuple[Optional[TilePacket], ...]]:
+        """What :func:`~repro.accel.batching.merge_batch_programs` built
+        of this operator, one entry per packet (None where it builds
+        something else): under a slot index, the packets that slot of a
+        batch issues; under ``(n_slots, pipeline_depth)``, the weight
+        tiles merged over that many slots sharing the operator.  Both
+        follow from the packets and the key alone, and an entry lives
+        exactly as long as the operator."""
+        return {}
 
     @property
     def load_bytes(self) -> int:

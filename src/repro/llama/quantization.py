@@ -13,7 +13,8 @@ of the input tensor.  A last axis that is not divisible by the group size
 is padded with zeros up to the next group boundary (real checkpoint
 shapes — e.g. hidden dims like 176 — are rarely multiples of 64); the
 padding never affects the per-group scales (zeros have zero magnitude)
-and :func:`dequantize` slices it back off.
+and :func:`dequantize` slices it back off.  A NaN or an infinity has no
+integer code: :func:`quantize` rejects it with ``ValueError``.
 """
 
 from __future__ import annotations
@@ -144,6 +145,13 @@ def quantize(x: np.ndarray, spec: QuantSpec = INT8) -> QuantizedTensor:
     -------
     QuantizedTensor
         The quantised representation.
+
+    Raises
+    ------
+    ValueError
+        If ``x`` is a scalar or holds a NaN or an infinity: a non-finite
+        value has no integer code.  NaN and ±inf reach the per-group
+        absmax, so the check reads one value per group.
     """
     x = np.asarray(x, dtype=np.float32)
     if x.ndim == 0:
@@ -155,13 +163,21 @@ def quantize(x: np.ndarray, spec: QuantSpec = INT8) -> QuantizedTensor:
         *x.shape[:-1], padded_last // spec.group_size, spec.group_size
     )
     absmax = np.abs(grouped).max(axis=-1)
+    if not np.isfinite(absmax).all():
+        raise ValueError("cannot quantise non-finite values (NaN or inf)")
     scales = absmax / float(spec.qmax)
     # Avoid division by zero for all-zero groups: scale 0 encodes to 0.
     safe_scales = np.where(scales == 0.0, 1.0, scales)
-    q = np.round(grouped / safe_scales[..., None]).astype(np.int32)
-    q = np.clip(q, -spec.qmax, spec.qmax).astype(np.int8)
+    # One float32 working array, rounded and clipped in place: its values
+    # are whole numbers in [-qmax, qmax], so one cast stores them.
+    q = np.divide(grouped, safe_scales[..., None])
+    np.round(q, out=q)
+    np.clip(q, -spec.qmax, spec.qmax, out=q)
+    if spec.bits > 8:
+        # Wider codes keep their low byte in the int8 storage.
+        q = q.astype(np.int16)
     return QuantizedTensor(
-        q=q.reshape(*x.shape[:-1], padded_last),
+        q=q.astype(np.int8).reshape(*x.shape[:-1], padded_last),
         scales=scales.astype(np.float32),
         spec=spec,
         original_shape=tuple(x.shape),
@@ -173,12 +189,12 @@ def dequantize(qt: QuantizedTensor) -> np.ndarray:
     spec = qt.spec
     last = qt.original_shape[-1]
     padded_last = spec.padded_elements(last)
-    grouped = qt.q.astype(np.float32).reshape(
+    grouped = qt.q.reshape(
         *qt.original_shape[:-1], padded_last // spec.group_size, spec.group_size
     )
-    out = grouped * qt.scales[..., None]
+    out = np.multiply(grouped, qt.scales[..., None], dtype=np.float32)
     out = out.reshape(*qt.original_shape[:-1], padded_last)[..., :last]
-    return np.ascontiguousarray(out, dtype=np.float32)
+    return np.ascontiguousarray(out)
 
 
 def pack_int4(q: np.ndarray) -> np.ndarray:

@@ -5,8 +5,9 @@ is walked, one weight tile at a time.
 by the identity of each operator's (shared) packet tuple and merges
 weight tiles as count-weighted sums over the distinct groups.  This is
 the slot-walking body it replaced, kept verbatim as the oracle of
-``tests/accel/test_merge_counted.py``.  Only weight tiles changed; the
-speculative verify-run merge is the module's own.
+``tests/accel/test_merge_counted.py``, together with the verify-run
+merge as it was before the merger built its packets directly and kept
+them on the operators they came from.
 """
 
 from __future__ import annotations
@@ -14,9 +15,8 @@ from __future__ import annotations
 import dataclasses
 from typing import List, Optional, Sequence
 
-from repro.accel.batching import _merged_run_packet
 from repro.accel.config import MPEConfig
-from repro.accel.instructions import OpProgram, Program, TilePacket
+from repro.accel.instructions import ComputeUnit, OpProgram, Program, TilePacket
 
 __all__ = ["merge_batch_programs"]
 
@@ -35,6 +35,68 @@ def _merged_weight_tile(packets: Sequence[TilePacket], mpe: MPEConfig) -> TilePa
         sfu_flops=sum(p.sfu_flops for p in packets),
         onchip_bytes=sum(p.onchip_bytes for p in packets),
         dequant_flops=sum(p.dequant_flops for p in packets),
+    )
+
+
+def _merged_run_packet(
+    group: Sequence[tuple], mpe: MPEConfig
+) -> TilePacket:
+    """Fuse one op's per-sequence packets across a speculative verify run.
+
+    ``group`` holds ``(slot_index, packet)`` pairs for the consecutive
+    positions of one request's verify run.  A multi-token verify kernel
+    processes those positions in a single vectorized pass, so the run
+    issues **one** packet per operator — paying the buffer acquisition,
+    HBM access latency and dispatch slot once — instead of one packet per
+    draft token:
+
+    * **Attention products** (MPE packets without weights) share the KV
+      window: position ``i+1`` attends over position ``i``'s window plus
+      the key/value the run itself just produced on chip, so the fused
+      packet loads the first position's window from HBM plus only the
+      incremental bytes later positions add (non-zero only when paged
+      block padding crosses a block boundary mid-run).  The re-read
+      overlap moves to on-chip traffic; every position still pays its
+      full score/context *compute*, pipelined like a weight tile
+      (``sum(passes) + fill/drain once``).
+    * **SFU / DMA packets** (norms, RoPE, softmax, KV appends) operate on
+      per-position activations: bytes and flops sum, but the run shares
+      one instruction and one transfer's access latency.
+    """
+    lead_index, lead = group[0]
+    if lead.unit is ComputeUnit.MPE:
+        depth = mpe.pipeline_depth
+        compute = sum(
+            max(p.compute_cycles - depth, 1) for _, p in group
+        ) + depth
+        load = lead.load_bytes
+        onchip = lead.onchip_bytes
+        previous = lead
+        for _, packet in group[1:]:
+            incremental = max(packet.load_bytes - previous.load_bytes, 0)
+            load += incremental
+            onchip += packet.onchip_bytes + (packet.load_bytes - incremental)
+            previous = packet
+    else:
+        compute = sum(p.compute_cycles for _, p in group)
+        load = sum(p.load_bytes for _, p in group)
+        onchip = sum(p.onchip_bytes for _, p in group)
+    # Every position still applies its own dequant scales; the KV-window
+    # byte saving is only realised once for the shared window (MPE), while
+    # per-position stores (SFU appends) keep their per-position savings.
+    saved = (lead.saved_bytes if lead.unit is ComputeUnit.MPE
+             else sum(p.saved_bytes for _, p in group))
+    return dataclasses.replace(
+        lead,
+        load_bytes=load,
+        compute_cycles=compute,
+        store_bytes=sum(p.store_bytes for _, p in group),
+        macs=sum(p.macs for _, p in group),
+        sfu_flops=sum(p.sfu_flops for _, p in group),
+        onchip_bytes=onchip,
+        dequant_flops=sum(p.dequant_flops for _, p in group),
+        saved_bytes=saved,
+        label=f"{lead.label}#run{lead_index}x{len(group)}",
     )
 
 

@@ -19,6 +19,25 @@ class TestTilePacket:
             TilePacket(op_name="x", unit=ComputeUnit.MPE, load_bytes=-1,
                        compute_cycles=1, store_bytes=0)
 
+    @pytest.mark.parametrize("name", [
+        "load_bytes", "compute_cycles", "store_bytes", "macs", "sfu_flops",
+        "onchip_bytes", "weight_bytes", "dequant_flops", "saved_bytes"])
+    def test_each_negative_count_is_named(self, name):
+        fields = dict(op_name="x", unit=ComputeUnit.MPE, load_bytes=8,
+                      compute_cycles=1, store_bytes=0)
+        fields[name] = -1
+        with pytest.raises(ValueError, match=rf"^{name} must be >= 0$"):
+            TilePacket(**fields)
+
+    def test_weight_bytes_within_load_bytes(self):
+        with pytest.raises(ValueError,
+                           match="^weight_bytes cannot exceed load_bytes$"):
+            TilePacket(op_name="x", unit=ComputeUnit.MPE, load_bytes=8,
+                       compute_cycles=1, store_bytes=0, weight_bytes=9)
+        assert TilePacket(op_name="x", unit=ComputeUnit.MPE, load_bytes=8,
+                          compute_cycles=0, store_bytes=0,
+                          weight_bytes=8).weight_bytes == 8
+
 
 class TestProgramContainers:
     def test_op_program_aggregates(self):

@@ -1,0 +1,92 @@
+"""The in-place quantiser against the one it replaced (``quant_oracle``).
+
+Generated tensors are finite float32 of one to three dimensions, with a
+last axis that is often not a whole number of groups, whole groups of
+zeros, and magnitudes up to the float32 extremes (subnormals and the
+largest finite values), at 4, 8 and 16 bits and group sizes 1–128.
+Codes, scales and dequantised values must be equal in value and dtype —
+compared as bytes, so even a sign of zero may not differ.  The
+stories15M weights the accelerator computes with must be the oracle's
+bit for bit.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+
+from repro.accel import accelerator as accelerator_module
+from repro.accel.accelerator import SpeedLLMAccelerator
+from repro.llama import preset, synthesize_weights
+from repro.llama.quantization import QuantSpec, dequantize, quantize
+
+from . import quant_oracle
+
+_F32 = np.finfo(np.float32)
+_EXTREMES = [0.0, -0.0, float(_F32.smallest_subnormal),
+             -float(_F32.smallest_subnormal), float(_F32.tiny),
+             float(_F32.max), -float(_F32.max), 65504.0, -1e30]
+
+
+def _assert_identical(got: np.ndarray, want: np.ndarray) -> None:
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(got, want)
+    assert got.tobytes() == want.tobytes()
+
+
+@st.composite
+def _cases(draw):
+    """A finite float32 tensor and a spec to quantise it at."""
+    spec = QuantSpec(bits=draw(st.sampled_from([4, 8, 16])),
+                     group_size=draw(st.integers(1, 128)))
+    lead = draw(st.lists(st.integers(1, 3), max_size=2))
+    last = draw(st.one_of(
+        st.integers(1, 3).map(lambda n: n * spec.group_size),   # whole groups
+        st.integers(1, 300)))                                   # often padded
+    elements = st.one_of(
+        st.floats(width=32, allow_nan=False, allow_infinity=False),
+        st.sampled_from(_EXTREMES))
+    x = draw(arrays(np.float32, (*lead, last), elements=elements,
+                    fill=st.sampled_from([0.0, 1.0, -float(_F32.max)])))
+    # Whole groups of zeros along the last axis.
+    for group in draw(st.lists(st.integers(0, spec.groups_for(last) - 1),
+                               max_size=3)):
+        x[..., group * spec.group_size:(group + 1) * spec.group_size] = 0.0
+    return x, spec
+
+
+def test_in_place_quantiser_matches_the_oracle():
+    # max_examples comes from the hypothesis profile: 100 by default,
+    # 400 under --hypothesis-profile=thorough (tests/conftest.py).
+    @settings(derandomize=True, deadline=None, database=None)
+    @given(_cases())
+    def check(case):
+        x, spec = case
+        before = x.copy()
+        got, want = quantize(x, spec), quant_oracle.quantize(x, spec)
+        _assert_identical(x, before)   # the input is never written
+        _assert_identical(got.q, want.q)
+        _assert_identical(got.scales, want.scales)
+        assert got.original_shape == want.original_shape
+        # Near the float32 maximum a code times its scale may overflow to
+        # inf; it must do so in both.
+        with np.errstate(over="ignore"):
+            _assert_identical(dequantize(got), quant_oracle.dequantize(want))
+
+    check()
+
+
+def test_stories15m_functional_weights_match_the_oracle(monkeypatch):
+    checkpoint = synthesize_weights(preset("stories15M"), seed=0)
+    weights = SpeedLLMAccelerator(checkpoint)._functional_weights
+    monkeypatch.setattr(accelerator_module, "quantize", quant_oracle.quantize)
+    monkeypatch.setattr(accelerator_module, "dequantize", quant_oracle.dequantize)
+    expected = SpeedLLMAccelerator(checkpoint)._functional_weights
+    assert weights.keys() == expected.keys()
+    quantised = [name for name in weights
+                 if weights[name] is not checkpoint.weights[name]]
+    assert quantised   # the default datapath quantises the weights
+    for name, tensor in weights.items():
+        _assert_identical(tensor, expected[name])

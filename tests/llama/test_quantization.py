@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from repro.llama.kv_cache import fake_quant_kv
 from repro.llama.quantization import INT8, QuantSpec, dequantize, quantize
 
 INT4 = QuantSpec(bits=4, group_size=64)
@@ -119,3 +120,26 @@ class TestQuantizeDequantize:
         scales = np.abs(grouped).max(axis=-1) / 127.0
         bound = np.repeat(scales, 64, axis=-1).reshape(4, 64) * 0.51 + 1e-6
         assert np.all(np.abs(recon - x) <= bound)
+
+
+class TestNonFinite:
+    """A NaN or an infinity has no integer code: quantising one raises,
+    whether it sits in a weight tensor or in a key/value pair."""
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf],
+                             ids=["nan", "+inf", "-inf"])
+    def test_weight_tensor(self, bad):
+        x = np.random.default_rng(3).normal(size=(8, 100)).astype(np.float32)
+        x[5, 77] = bad   # in the padded last group
+        with pytest.raises(ValueError, match="non-finite"):
+            quantize(x, QuantSpec(group_size=64))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf],
+                             ids=["nan", "+inf", "-inf"])
+    @pytest.mark.parametrize("row", ["key", "value"])
+    def test_kv_pair(self, bad, row):
+        rng = np.random.default_rng(4)
+        key, value = rng.normal(size=(2, 32)).astype(np.float32)
+        (key if row == "key" else value)[9] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            fake_quant_kv(key, value, QuantSpec(bits=8, group_size=16))
