@@ -376,10 +376,12 @@ class SpeedLLMAccelerator:
         """Functionally execute one batched step of token positions.
 
         Computed in the order the timing model charges it (weight
-        stationary: every operator over all slots, each slot's attention
-        against its own KV cache), so a request may contribute several
-        consecutive positions — in increasing order — to a step.  Returns
-        one array per slot, bit for bit what the slot yields alone: the
+        stationary: every operator over all slots, each block of at most
+        512 KiB of a weight matrix applied to every slot before the next
+        is read, each slot's attention against its own KV cache), so a
+        request may contribute several consecutive positions — in
+        increasing order — to a step.  Returns one array per slot, bit for
+        bit what the slot yields alone at any BLAS thread count: the
         logits where asked for, the last hidden state otherwise.  A
         rejected step raises before any cache is written.  Timing for the
         same step comes from ``self.timing.simulate_step``.

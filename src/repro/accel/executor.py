@@ -21,17 +21,36 @@ writes :func:`~repro.graph.builder.hidden_state`: the *body* before, the
 final norm and classifier (the *tail*) after.  A step then runs
 **op-major**, the order :mod:`repro.accel.batching` prices: each
 operator over all the step's slots, activations stacked as one
-``[n_slots, width]`` array, so a weight matrix is cache-hot for every
-row after the first.  ``MATMUL`` stays one GEMV per row — the BLAS call
-a lone slot makes, so a row's bits do not depend on its batch; the
-row-wise operators are one NumPy call for all rows; ``KV_APPEND``,
-attention and ``SOFTMAX`` run per slot against the slot's own cache, all
-heads in one batched ``matmul``.  The body runs over every slot, the
-tail over the slots that want logits; a slot that does not yields its
-hidden state.  The order is safe because slots of different caches are
-independent and slots of one cache come in increasing position: layer
-*l*'s ``KV_APPEND`` sweep writes row *p* before any slot's attention at
-layer *l* reads it, and each slot's window stops at its own ``pos + 1``.
+``[n_slots, width]`` array.  The row-wise operators are one NumPy call
+for all rows; ``KV_APPEND``, attention and ``SOFTMAX`` run per slot
+against the slot's own cache, all heads in one batched ``matmul``.  The
+body runs over every slot, the tail over the slots that want logits; a
+slot that does not yields its hidden state.  The order is safe because
+slots of different caches are independent and slots of one cache come
+in increasing position: layer *l*'s ``KV_APPEND`` sweep writes row *p*
+before any slot's attention at layer *l* reads it, and each slot's
+window stops at its own ``pos + 1``.
+
+``MATMUL`` is weight-stationary, as the accelerator is.  The program
+holds each weight matrix cut into row blocks of at most 512 KiB, every
+block but the last a whole multiple of 64 rows (and never a last block
+of one row, which NumPy would compute as a dot product).  A step applies
+one block to every row, one GEMV per row and block, before it reads the
+next, so the block stays in a 2 MiB L2 for rows 2..n; the stories15M
+classifier (32000 x 288, 36.9 MB) would otherwise stream from memory
+once per logits row.  There is one path: a matrix within the budget is
+one block, and a lone slot makes the calls every row of a batch makes,
+so a row's bits do not depend on its batch, at any BLAS thread count.
+
+The cuts rely on OpenBLAS's sgemv kernels computing output rows in
+fours: cut at a multiple of 4, a row's bits are those of the
+whole-matrix GEMV ``W @ x`` — when BLAS runs on one thread.  A threaded
+BLAS splits a whole-matrix GEMV between threads at row counts that need
+not be multiples of 4, so the whole-matrix result itself varies with the
+thread count at odd row counts (with two threads, 32001 x 288,
+30001 x 64 and 5003 x 176 differ from one thread).  Values are therefore
+equal across batch compositions at any thread count, and equal to a
+single-thread whole-matrix GEMV only with BLAS pinned to one thread.
 """
 
 from __future__ import annotations
@@ -50,6 +69,23 @@ from .batching import BatchSlot
 __all__ = ["GraphExecutor"]
 
 
+#: The most bytes of a weight matrix ``MATMUL`` applies to every slot row
+#: before it reads the next rows, so the block stays in a 2 MiB L2 while
+#: rows 2..n use it.  Swept on the stories15M classifier (32000 x 288) with
+#: one thread of OpenBLAS 0.3.31's Haswell sgemv, 2 MiB of L2 a core:
+#: streamed from DRAM, 4 rows take 14.95 ms whole, 8.08 ms in 1024-row
+#: blocks, 6.59 ms in 512-row and 6.47 ms in 384-row ones, and 7 rows
+#: 19.3 -> 9.2 ms; resident in a 300 MiB L3, 4 rows take 6.5 ms whole,
+#: 4.3 ms in 1 MiB blocks, 4.7 ms in 512 KiB and 7.3 ms in 256 KiB.  A lone
+#: row is unchanged.  Every matrix is cut, the 885 KB FFN ones too: keeping
+#: a matrix whole while it fits 1 MiB served no faster.
+_BLOCK_BYTES = 512 * 1024
+#: Every block but the last is a whole multiple of this many rows.  The
+#: sgemv kernels compute output rows in fours, so a cut at a multiple of
+#: 4 leaves every row's bits those of the whole-matrix GEMV.
+_BLOCK_ROWS = 64
+
+
 class _Instruction(NamedTuple):
     kind: OpKind
     layer: int
@@ -58,6 +94,8 @@ class _Instruction(NamedTuple):
     #: Per input: its float32 array if it is a weight, None if it is an
     #: activation (looked up by name among the step's stacked values).
     weights: Tuple[Optional[np.ndarray], ...]
+    #: A ``MATMUL``'s weight as :func:`_row_blocks`; empty otherwise.
+    blocks: Tuple[Tuple[int, np.ndarray], ...]
 
 
 class _Program(NamedTuple):
@@ -76,6 +114,33 @@ def _graph_to_checkpoint_name(name: str) -> str:
         if prefix[1:].isdigit():
             return f"layers.{prefix[1:]}.{rest}"
     return name
+
+
+def _row_blocks(matrix: np.ndarray) -> Tuple[Tuple[int, np.ndarray], ...]:
+    """``matrix`` cut into consecutive views of at most ``_BLOCK_BYTES``
+    (never under ``_BLOCK_ROWS`` rows), each with its first row index.
+
+    NumPy computes a one-row matrix times a vector as a dot product, whose
+    bits differ from the GEMV's, so a last block of one row takes
+    ``_BLOCK_ROWS`` rows from the block before it."""
+    rows = max(1, _BLOCK_BYTES // (_BLOCK_ROWS * matrix[0].nbytes)) * _BLOCK_ROWS
+    starts = list(range(0, len(matrix), rows))
+    if len(starts) > 1 and starts[-1] == len(matrix) - 1:
+        starts[-1] -= _BLOCK_ROWS
+        if starts[-1] == starts[-2]:  # blocks of _BLOCK_ROWS: merge the last two
+            del starts[-1]
+    return tuple((lo, matrix[lo:hi])
+                 for lo, hi in zip(starts, starts[1:] + [len(matrix)]))
+
+
+def _matmul(blocks: Sequence[Tuple[int, np.ndarray]], a: np.ndarray) -> np.ndarray:
+    """Every row of ``a`` times the matrix ``blocks`` cut: one GEMV per row
+    and block, a block applied to every row before the next is read."""
+    out = np.empty((len(a), blocks[-1][0] + len(blocks[-1][1])), dtype=np.float32)
+    for lo, block in blocks:
+        for row in range(len(a)):
+            np.matmul(block, a[row], out=out[row, lo:lo + len(block)])
+    return out
 
 
 class GraphExecutor:
@@ -105,11 +170,12 @@ class GraphExecutor:
         instructions, produced, body = [], {"token"}, None
         for op in graph.topological_order():
             for member in (op.fused_ops if op.kind is OpKind.FUSED else [op]):
+                weights = tuple(None if name in produced else self._weight(name)
+                                for name in member.inputs)
                 instructions.append(_Instruction(
                     member.kind, int(member.attributes.get("layer", -1)),
-                    tuple(member.outputs), tuple(member.inputs),
-                    tuple(None if name in produced else self._weight(name)
-                          for name in member.inputs)))
+                    tuple(member.outputs), tuple(member.inputs), weights,
+                    _row_blocks(weights[-1]) if member.kind is OpKind.MATMUL else ()))
                 produced.update(member.outputs)
                 if hidden in member.outputs:
                     body = len(instructions)
@@ -176,14 +242,12 @@ class GraphExecutor:
         kv_heads, group = cfg.n_kv_heads, cfg.group_size
         angles = self._rope[[slot.pos for slot in slots]][:, None]
         scale = np.sqrt(np.float32(head_dim))
-        for kind, layer, outputs, inputs, weights in instructions:
+        for kind, layer, outputs, inputs, weights, blocks in instructions:
             args = [values[name] if weight is None else weight
                     for name, weight in zip(inputs, weights)]
             a, b = args[0], args[-1]  # every operator has one or two inputs
             if kind is OpKind.MATMUL:
-                out = np.empty((n, b.shape[0]), dtype=np.float32)
-                for row in range(n):  # the lone slot's GEMV, the matrix now hot
-                    np.matmul(b, a[row], out=out[row])
+                out = _matmul(blocks, a)
             elif kind is OpKind.EMBED:
                 out = b[a]
             elif kind is OpKind.RMSNORM:

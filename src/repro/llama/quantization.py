@@ -42,7 +42,7 @@ class QuantSpec:
     Attributes
     ----------
     bits:
-        Bit width of the stored integers (4 or 8).
+        Bit width of the stored integers (4, 8 or 16).
     group_size:
         Number of consecutive elements sharing one scale factor.
     """
@@ -98,9 +98,9 @@ class QuantizedTensor:
     """A tensor stored as group-quantised integers plus per-group scales.
 
     ``q`` has the original shape with the last axis padded up to a whole
-    number of groups (stored as ``int8`` regardless of the logical bit
-    width for simplicity); ``scales`` has the original shape with the
-    last axis replaced by the group count.
+    number of groups, as ``int8`` (int4 codes too) or, above 8 bits,
+    ``int16``; ``scales`` has the original shape with the last axis
+    replaced by the group count.
     """
 
     q: np.ndarray
@@ -173,11 +173,9 @@ def quantize(x: np.ndarray, spec: QuantSpec = INT8) -> QuantizedTensor:
     q = np.divide(grouped, safe_scales[..., None])
     np.round(q, out=q)
     np.clip(q, -spec.qmax, spec.qmax, out=q)
-    if spec.bits > 8:
-        # Wider codes keep their low byte in the int8 storage.
-        q = q.astype(np.int16)
+    codes = q.astype(np.int16 if spec.bits > 8 else np.int8)
     return QuantizedTensor(
-        q=q.astype(np.int8).reshape(*x.shape[:-1], padded_last),
+        q=codes.reshape(*x.shape[:-1], padded_last),
         scales=scales.astype(np.float32),
         spec=spec,
         original_shape=tuple(x.shape),

@@ -12,7 +12,8 @@ The JSON header records the model config, the quant config, and a
 tensor directory (name, logical shape, storage spec, payload byte
 counts) in canonical checkpoint order.  The payload concatenates, per
 tensor, the integer data (int8 raw, or int4 packed two-per-byte) and
-the float32 group scales; fp32 tensors are stored raw.  Loading
+the float32 group scales; fp32 tensors are stored raw.  Wider codes
+have no encoding: writing or reading one raises ``ValueError``.  Loading
 reconstructs :class:`QuantizedTensor`s directly from the integer payload
 — no float32 weight matrix is materialised.
 """
@@ -48,6 +49,9 @@ def _tensor_payload(tensor: TensorLike) -> Tuple[Dict[str, Any], List[bytes]]:
     """Return the directory entry and payload chunks for one tensor."""
     if isinstance(tensor, QuantizedTensor):
         spec = tensor.spec
+        if spec.bits > 8:
+            raise ValueError(f"cannot write {spec} to a .slq file: it stores "
+                             "codes as int8 or packed int4")
         if spec.bits == 4:
             q_bytes = pack_int4(tensor.q).tobytes()
         else:
@@ -112,6 +116,8 @@ def _read_tensor(
             .copy()
         )
         return tensor, offset + q_nbytes
+    if spec.bits > 8:
+        raise ValueError(f"{spec} has no .slq encoding (int8 or int4 codes)")
     padded_last = spec.padded_elements(shape[-1])
     padded_shape = shape[:-1] + (padded_last,)
     n_padded = int(np.prod(padded_shape))

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
@@ -167,6 +169,26 @@ class TestSidecarFormat:
         raw[:4] = b"XXXX"
         path.write_bytes(bytes(raw))
         with pytest.raises(ValueError):
+            load_quantized(path)
+
+    def test_codes_wider_than_a_byte_are_refused_both_ways(self, tmp_path,
+                                                           small_checkpoint):
+        """The sidecar stores int8 or packed int4 codes: writing a 16-bit
+        tensor raises naming its spec, and a header claiming one raises
+        naming the file rather than reading its codes as int8."""
+        wide = quantize_checkpoint(small_checkpoint, QuantConfig.datapath(16))
+        with pytest.raises(ValueError, match=r"QuantSpec\(bits=16, group_size="):
+            save_quantized(wide, tmp_path / "wide.slq")
+        converted = quantize_checkpoint(small_checkpoint, resolve_quant("int8"))
+        raw = save_quantized(converted, tmp_path / "model.slq").read_bytes()
+        header_end = 12 + int.from_bytes(raw[8:12], "little")
+        header = json.loads(raw[12:header_end])
+        next(entry for entry in header["tensors"] if entry["spec"])["spec"]["bits"] = 16
+        encoded = json.dumps(header, sort_keys=True).encode("utf-8")
+        path = tmp_path / "claims-16.slq"
+        path.write_bytes(raw[:8] + len(encoded).to_bytes(4, "little") + encoded
+                         + raw[header_end:])
+        with pytest.raises(ValueError, match="claims-16.slq.*byte.*bits=16"):
             load_quantized(path)
 
     def test_every_corrupted_copy_loads_or_names_the_file(self, tmp_path,
