@@ -5,11 +5,11 @@ design point and by its baseline twin — and every comparison this
 reproduction ships is a plain function here: :func:`serve_bench` (an
 engine vs sequential generation, its *plain* twin and, quantised, its
 *fp32* twin), :func:`cluster_bench` (a replica cluster vs a *single
-engine*), :func:`compile_bench` (autotuned vs *fixed* tiling) and
-:func:`bench_matrix` (the rows of ``BENCH_v1.json``).  Nothing in this
-module parses arguments, prints or writes files: ``repro.cli`` maps flags
-onto a config, calls one function and prints the record it gets back, and
-tests call the same functions, failure branches included.
+engine*), :func:`compile_bench` (autotuned vs *fixed* tiling), :func:`api_bench`
+(streams vs *non-streamed* twins) and :func:`bench_matrix` (the rows of
+``BENCH_v1.json``).  Nothing here parses arguments, prints or writes files:
+``repro.cli`` maps flags onto a config, calls one function and hands the record
+to a view, and tests call the same functions, failure branches included.
 
 Every twin, probe and baseline run is ``config.build_engine(llm).serve(
 workloads, params, arrivals)`` followed by ``engine.streams()`` —
@@ -25,7 +25,7 @@ from __future__ import annotations
 import dataclasses
 import time
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional
+from typing import Callable, Dict, Iterable, List, Optional, Sequence
 
 from .api import (CompletionRequest, CompletionResponse, CompletionService,
                   EngineConfig, SamplingParams, SpecConfig)
@@ -42,8 +42,10 @@ __all__ = [
     "BENCH_SCHEMA",
     "BENCH_MATRIX",
     "QUANT_BENCH_ROWS",
+    "ApiBench",
     "ClusterBench",
     "ServeBench",
+    "api_bench",
     "baseline_config",
     "bench_matrix",
     "cluster_bench",
@@ -195,7 +197,8 @@ class ServeBench:
 
     @property
     def failures(self) -> List[str]:
-        return self.mismatches + self.quant_failures
+        return self.mismatches + [f"QUANT CHECK FAIL: {failure}"
+                                  for failure in self.quant_failures]
 
 
 def serve_bench(config: EngineConfig, suite, *, ignore_eos: bool = False,
@@ -425,6 +428,65 @@ def cluster_bench(cluster_config: ClusterConfig, suite, *,
         ("fail" if mismatches else "pass") if check else None)
     return ClusterBench(report=report, payload=payload,
                         mismatches=mismatches)
+
+
+# ----------------------------------------------------------------------
+# serve-api: streamed completions vs their non-streamed twins
+# ----------------------------------------------------------------------
+@dataclass
+class ApiBench:
+    """Everything one :func:`api_bench` run returned."""
+
+    #: The JSON document ``serve-api --json`` publishes.
+    payload: dict
+    #: Completions whose stream differs from its non-streamed twin (``check``).
+    mismatches: List[str]
+
+
+def api_bench(config: EngineConfig, requests: Sequence[CompletionRequest], *,
+              check: bool = False) -> ApiBench:
+    """Run ``requests`` one by one through the completions API.
+
+    A streamed request is drained chunk by chunk and reassembled.
+    ``check`` re-runs each request non-streamed on a fresh engine over the
+    same ``llm`` (identical weights and tokenizer) and records each one
+    whose reassembled text, or streamed token ids, differ from it.
+    """
+    llm = config.build_llm()
+    engine = config.build_engine(llm=llm)
+    service = CompletionService(engine)
+    records = []
+    for request in requests:
+        if request.stream:
+            chunks = list(service.stream(request))
+            records.append({
+                "id": chunks[-1].id, "prompt": request.prompt,
+                "text": "".join(chunk.text for chunk in chunks),
+                "token_ids": [t for chunk in chunks for t in chunk.choices[0].token_ids],
+                "finish_reason": chunks[-1].finish_reason, "n_chunks": len(chunks),
+                "streamed": True})
+        else:
+            response = service.create(request)
+            records.append({
+                "id": response.id, "prompt": request.prompt, "text": response.text,
+                "finish_reason": response.choices[0].finish_reason,
+                "usage": response.usage.as_dict(), "streamed": False})
+    mismatches: List[str] = []
+    if check:
+        twin = CompletionService(config.build_engine(llm=llm))
+        for request, record in zip(requests, records):
+            response = twin.create(dataclasses.replace(request, stream=False))
+            record["batch_text"] = response.text
+            record["match"] = response.text == record["text"] and (
+                "token_ids" not in record
+                or list(response.choices[0].token_ids) == record["token_ids"])
+            if not record["match"]:
+                mismatches.append(f"MISMATCH on {request.prompt!r}:\n"
+                                  f"  stream: {record['text']!r}\n"
+                                  f"  batch:  {response.text!r}")
+    payload = {"model": llm.model_config.name, "backend": engine.backend.describe(),
+               "completions": records, "aggregate": engine.report().as_dict()}
+    return ApiBench(payload=payload, mismatches=mismatches)
 
 
 # ----------------------------------------------------------------------

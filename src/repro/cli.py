@@ -1,10 +1,10 @@
 """Command-line interface of the SpeedLLM reproduction.
 
-This module parses arguments, maps them onto an
-:class:`~repro.api.EngineConfig` / :class:`~repro.cluster.ClusterConfig`,
-calls one library function and prints what it returns; what each
-benchmark serves, against which twin, and what its JSON carries is
-:mod:`repro.bench`'s.  The subcommands:
+This module is a shell: each subcommand maps its flags onto a config,
+calls one library function and hands the typed result to a view in
+:mod:`repro.core.report`; :func:`main` alone emits what the handler
+returns.  What each benchmark serves, against which twin, and what its
+JSON carries is :mod:`repro.bench`'s.  The subcommands:
 
 * ``generate``  — run one text generation on the simulated accelerator
   and print the completion plus the latency/throughput/energy metrics;
@@ -20,17 +20,18 @@ benchmark serves, against which twin, and what its JSON carries is
   writes the :func:`repro.bench.bench_matrix` report;
 * ``trace``     — serve a suite with the tracer on and write (or, with
   ``--validate``, check) a Perfetto-loadable Chrome-trace timeline;
-* ``quantize`` — convert a checkpoint (a preset's synthetic weights or
-  a llama2.c ``.bin``) into a ``.slq`` quantised sidecar file holding
-  packed INT8/INT4 payloads plus per-group scales, and verify the
-  sidecar round-trips;
+* ``quantize`` — :func:`repro.quant.convert_to_sidecar`: convert a
+  checkpoint (a preset's synthetic weights or a llama2.c ``.bin``) into
+  a ``.slq`` quantised sidecar file holding packed INT8/INT4 payloads
+  plus per-group scales, and verify the sidecar round-trips;
 * ``compile-bench`` — :func:`repro.bench.compile_bench`: fixed vs
   autotuned tiling on the long-context suite, then a warm re-serve;
   ``--min-speedup`` and ``--min-hit-rate`` turn the two headline numbers
   into exit-code assertions CI can gate on;
-* ``serve-api`` — the frontend-API demo: run OpenAI-style completions
-  (streamed chunk-by-chunk by default) through the engine, optionally
-  asserting that the reassembled stream matches the non-streamed result;
+* ``serve-api`` — :func:`repro.bench.api_bench`, the frontend-API demo:
+  run OpenAI-style completions (streamed chunk-by-chunk by default)
+  through the engine, optionally asserting that the reassembled stream
+  matches the non-streamed result;
 * ``validate``  — check that the accelerator's functional output matches
   the reference engine on a prompt suite;
 * ``export-graph`` — dump one decode-step operator graph (optionally
@@ -52,14 +53,15 @@ import argparse
 import contextlib
 import json
 import sys
-from typing import Iterator, Optional, Sequence
+from dataclasses import dataclass
+from typing import Any, Iterator, List, Optional, Sequence, Tuple
 
 from . import bench
 from .accel.variants import PAPER_VARIANTS
-from .api import (CompletionRequest, CompletionService, EngineConfig,
-                  SamplingParams, SpecConfig)
+from .api import CompletionRequest, EngineConfig, SamplingParams, SpecConfig
 from .cluster import ROUTES, ClusterConfig
-from .core.report import format_table, render_bar_chart, write_json
+from .core import report
+from .core.report import write_json
 from .core.runner import ExperimentConfig, ExperimentRunner
 from .core.speedllm import SpeedLLM
 from .core.validation import validate_accelerator
@@ -67,12 +69,33 @@ from .graph.builder import build_decode_graph
 from .graph.export import to_dot, to_json
 from .graph.fusion import fuse_graph
 from .graph.sharding import ShardSpec
-from .llama.checkpoint import load_checkpoint
+from .llama.checkpoint import load_checkpoint, synthesize_weights
 from .llama.config import available_presets, preset
 from .llama.tokenizer import Tokenizer
-from .workloads.prompts import default_suite
+from .quant import convert_to_sidecar, resolve_quant
+from .workloads.prompts import default_suite, long_context_suite
 
 __all__ = ["main", "build_parser"]
+
+
+def _add_model(parser: argparse.ArgumentParser, default: str = "stories15M",
+               variant: bool = True) -> None:
+    """``--model`` and, unless ``variant`` is off, the design ``--variant``."""
+    parser.add_argument("--model", default=default, choices=available_presets())
+    if variant:
+        parser.add_argument("--variant", default="full",
+                            choices=sorted(PAPER_VARIANTS))
+
+
+def _add_seed(parser: argparse.ArgumentParser, default: int = 0,
+              help: Optional[str] = None) -> None:
+    parser.add_argument("--seed", type=int, default=default, help=help)
+
+
+def _add_json(parser: argparse.ArgumentParser, what: str) -> None:
+    """``--json``: where :func:`main` writes the command's payload."""
+    parser.add_argument("--json", default=None,
+                        help=f"write {what} to this path ('-' for stdout)")
 
 
 def _add_engine_options(parser: argparse.ArgumentParser) -> None:
@@ -152,40 +175,40 @@ def _add_engine_options(parser: argparse.ArgumentParser) -> None:
                              "microseconds (with --tensor-parallel > 1)")
 
 
-def _add_quant_options(parser: argparse.ArgumentParser) -> None:
-    """Quantisation flags shared by serving and compile benchmarks."""
-    parser.add_argument("--quant", choices=("int8", "int4", "fp32"),
-                        default=None,
-                        help="weight quantisation for the datapath: 'int8' "
-                             "or 'int4' group-quantised streaming with "
-                             "byte-accurate savings accounting, 'fp32' a "
-                             "full-precision datapath (the honest baseline "
-                             "quantised runs are compared against)")
+def _add_quant_options(parser: argparse.ArgumentParser,
+                       mode: str = "--quant") -> None:
+    """Quantisation flags; ``mode`` is the flag that picks int8/int4
+    (``--quant``, added here, or ``quantize``'s own ``--mode``)."""
+    if mode == "--quant":
+        parser.add_argument("--quant", choices=("int8", "int4", "fp32"),
+                            default=None,
+                            help="weight quantisation for the datapath: "
+                                 "'int8' or 'int4' group-quantised streaming "
+                                 "with byte-accurate savings accounting, "
+                                 "'fp32' a full-precision datapath (the "
+                                 "honest baseline quantised runs are "
+                                 "compared against)")
     parser.add_argument("--quant-kv", action="store_true",
                         help="also store the KV cache group-quantised at "
-                             "INT8 (with --quant int8/int4)")
+                             f"INT8 (with {mode} int8/int4)")
     parser.add_argument("--quant-group", type=int, default=64,
                         help="quantisation group size (scales stored per "
                              "group of this many weights)")
     parser.add_argument("--fp32-logits", action="store_true",
                         help="keep the classifier head (and a shared "
-                             "embedding table) at fp32 (with --quant)")
+                             f"embedding table) at fp32 (with {mode})")
 
 
-def _add_trace_options(parser: argparse.ArgumentParser) -> None:
-    """Observability flags of the serving benchmarks."""
-    parser.add_argument("--trace-out", default=None, metavar="PATH",
-                        help="write a Perfetto-loadable Chrome-trace "
-                             "timeline of the featured run to PATH "
-                             "(request-lifecycle spans on the simulated "
-                             "clock, one track per replica)")
+def _add_obs_options(parser: argparse.ArgumentParser) -> None:
+    """Observability flags of the commands that can write a trace."""
     parser.add_argument("--metrics-out", default=None, metavar="PATH",
                         help="write the Prometheus text exposition of the "
                              "live metrics registry to PATH")
     parser.add_argument("--trace-cycles", action="store_true",
-                        help="with --trace-out (required): also record "
-                             "cycle-level accelerator intervals and place "
-                             "them under each step span")
+                        help="also record cycle-level accelerator intervals "
+                             "and place them under each step span of the "
+                             "written trace (serve-bench: needs "
+                             "--trace-out)")
 
 
 def _obs_sinks(trace_out: Optional[str], metrics_out: Optional[str]):
@@ -196,40 +219,50 @@ def _obs_sinks(trace_out: Optional[str], metrics_out: Optional[str]):
 
 
 def _write_obs_outputs(trace_out: Optional[str], metrics_out: Optional[str],
-                       tracer, registry, report, meta: dict,
-                       json_on_stdout: bool = False) -> list:
-    """Write the trace / metrics artifacts; the trace's problems."""
-    problems = []
-    # Keep stdout clean when the report itself streams there (--json -).
-    out = sys.stderr if json_on_stdout else sys.stdout
+                       tracer, registry, served,
+                       meta: dict) -> Tuple[List[str], List[str]]:
+    """Write the trace / metrics files: (lines naming them, the trace's
+    ``TRACE INVALID:`` problems)."""
+    notes, problems = [], []
     if tracer is not None:
         from .obs import (build_chrome_trace, validate_chrome_trace,
                           write_chrome_trace)
-        payload = build_chrome_trace(tracer, report=report,
+        payload = build_chrome_trace(tracer, report=served,
                                      registry=registry, meta=meta)
-        problems = validate_chrome_trace(payload)
-        for problem in problems:
-            print(f"TRACE INVALID: {problem}", file=sys.stderr)
+        problems = [f"TRACE INVALID: {problem}"
+                    for problem in validate_chrome_trace(payload)]
         write_chrome_trace(trace_out, payload)
-        print(f"trace written to {trace_out} "
-              f"({payload['otherData']['n_spans']} spans over "
-              f"{len(payload['otherData']['tracks'])} tracks; open in "
-              "Perfetto or chrome://tracing)", file=out)
+        notes.append(f"trace written to {trace_out} "
+                     f"({payload['otherData']['n_spans']} spans over "
+                     f"{len(payload['otherData']['tracks'])} tracks; open in "
+                     "Perfetto or chrome://tracing)")
     if registry is not None:
         with open(metrics_out, "w", encoding="utf-8") as fh:
             fh.write(registry.render())
-        print(f"metrics written to {metrics_out}", file=out)
-    return problems
+        notes.append(f"metrics written to {metrics_out}")
+    return notes, problems
 
 
-def _json_to_stdout(payload) -> None:
-    """``--json -``: the payload is the command's whole stdout."""
-    print(json.dumps(payload, indent=2, sort_keys=True, default=str))
+@dataclass
+class _Outcome:
+    """What one subcommand hands :func:`main` to emit."""
 
-
-def _json_to_file(path: str, payload, what: str = "results") -> None:
-    write_json(path, payload)
-    print(f"{what} written to {path}")
+    #: The view; printed unless ``--json -``.
+    text: Optional[str] = None
+    #: What ``--json`` writes.
+    payload: Any = None
+    #: Lines for stderr; any of them makes the exit status 1.
+    failures: Sequence[str] = ()
+    #: Exit status when there are no failures.
+    code: int = 0
+    #: Lines naming files the run wrote: stdout before the text (stderr under --json -).
+    notes: Sequence[str] = ()
+    #: Lines for stderr that are not failures.
+    log: Sequence[str] = ()
+    #: How the ``--json PATH`` line names the payload.
+    what: str = "results"
+    #: Where the payload goes instead of ``--json`` (``--bench-out``).
+    json_path: Optional[str] = None
 
 
 @contextlib.contextmanager
@@ -268,7 +301,7 @@ def _engine_config(args: argparse.Namespace) -> EngineConfig:
                           else "poisson")
     config = EngineConfig(
         speculative=_spec_config(args),
-        trace_cycles=getattr(args, "trace_cycles", False),
+        trace_cycles=getattr(args, "trace_cycles", False),  # not serve-api
         model=args.model,
         variant=args.variant,
         seed=args.seed,
@@ -282,13 +315,13 @@ def _engine_config(args: argparse.Namespace) -> EngineConfig:
         prefill_chunk_tokens=args.prefill_chunk_tokens,
         policy=args.policy,
         fairness_aging_s=args.fairness_aging,
-        quant=getattr(args, "quant", None),
-        quant_kv=getattr(args, "quant_kv", False),
-        quant_group=getattr(args, "quant_group", 64),
-        fp32_logits=getattr(args, "fp32_logits", False),
-        hbm_channels=getattr(args, "hbm_channels", None),
-        autotune=getattr(args, "autotune", False),
-        ctx_bucket=getattr(args, "ctx_bucket", 1),
+        quant=args.quant,
+        quant_kv=args.quant_kv,
+        quant_group=args.quant_group,
+        fp32_logits=args.fp32_logits,
+        hbm_channels=args.hbm_channels,
+        autotune=args.autotune,
+        ctx_bucket=args.ctx_bucket,
         tensor_parallel=args.tensor_parallel,
         interconnect_gbps=args.interconnect_gbps,
         interconnect_latency_us=args.interconnect_latency_us,
@@ -302,20 +335,6 @@ def _engine_config(args: argparse.Namespace) -> EngineConfig:
     return config
 
 
-def _cluster_config(args: argparse.Namespace,
-                    engine: EngineConfig) -> ClusterConfig:
-    """Map the cluster CLI flags onto one declarative cluster config."""
-    return ClusterConfig(
-        engine=engine,
-        n_replicas=args.replicas,
-        route=args.route,
-        disaggregate=args.disaggregate,
-        n_prefill_replicas=args.prefill_replicas,
-        autoscale=args.autoscale,
-        max_replicas=args.max_replicas,
-    )
-
-
 def build_parser() -> argparse.ArgumentParser:
     """Construct the top-level argument parser (exposed for testing)."""
     parser = argparse.ArgumentParser(
@@ -327,12 +346,11 @@ def build_parser() -> argparse.ArgumentParser:
     # generate ----------------------------------------------------------
     gen = sub.add_parser("generate", help="generate text on the simulated accelerator")
     gen.add_argument("prompt", help="prompt text")
-    gen.add_argument("--model", default="stories15M", choices=available_presets())
-    gen.add_argument("--variant", default="full", choices=sorted(PAPER_VARIANTS))
+    _add_model(gen)
     gen.add_argument("--tokens", type=int, default=48)
     gen.add_argument("--temperature", type=float, default=0.0)
     gen.add_argument("--top-p", type=float, default=1.0)
-    gen.add_argument("--seed", type=int, default=0)
+    _add_seed(gen)
     gen.add_argument("--stride", type=int, default=16,
                      help="timing-simulation position stride")
     gen.add_argument("--checkpoint", default=None,
@@ -342,25 +360,24 @@ def build_parser() -> argparse.ArgumentParser:
 
     # bench -------------------------------------------------------------
     bench = sub.add_parser("bench", help="run the Fig. 2 variant comparison")
-    bench.add_argument("--model", default="stories15M", choices=available_presets())
+    _add_model(bench, variant=False)
     bench.add_argument("--prompt-tokens", type=int, default=8)
     bench.add_argument("--tokens", type=int, default=64)
     bench.add_argument("--stride", type=int, default=16)
     bench.add_argument("--energy", choices=("effective", "board"), default="effective")
-    bench.add_argument("--json", default=None, help="write result rows to this path")
+    _add_json(bench, "result rows")
 
     # serve-bench -------------------------------------------------------
     serve = sub.add_parser(
         "serve-bench",
         help="benchmark continuous-batching serving against sequential generation",
     )
-    serve.add_argument("--model", default="stories15M", choices=available_presets())
-    serve.add_argument("--variant", default="full", choices=sorted(PAPER_VARIANTS))
+    _add_model(serve)
     serve.add_argument("--requests", type=int, default=8,
                        help="number of concurrent requests to serve")
     serve.add_argument("--tokens", type=int, default=32,
                        help="decode budget per request")
-    serve.add_argument("--seed", type=int, default=3)
+    _add_seed(serve, 3)
     _add_engine_options(serve)
     serve.add_argument("--shared-prefix", action="store_true",
                        help="serve prompts sharing one system preamble "
@@ -440,10 +457,13 @@ def build_parser() -> argparse.ArgumentParser:
                             "serving: per-phase compile seconds, compile "
                             "cache hit rate and the autotuner's search "
                             "size/win ratio")
-    serve.add_argument("--json", default=None,
-                       help="write per-request rows and aggregates to this "
-                            "path ('-' for stdout)")
-    _add_trace_options(serve)
+    _add_json(serve, "per-request rows and aggregates")
+    serve.add_argument("--trace-out", default=None, metavar="PATH",
+                       help="write a Perfetto-loadable Chrome-trace "
+                            "timeline of the featured run to PATH "
+                            "(request-lifecycle spans on the simulated "
+                            "clock, one track per replica)")
+    _add_obs_options(serve)
 
     # trace -------------------------------------------------------------
     trace = sub.add_parser(
@@ -456,27 +476,19 @@ def build_parser() -> argparse.ArgumentParser:
                             "span nesting, clock bounds, span-derived "
                             "TTFT/ITL vs the embedded report) instead of "
                             "generating one; exits non-zero on problems")
-    trace.add_argument("--model", default="stories15M",
-                       choices=available_presets())
-    trace.add_argument("--variant", default="full",
-                       choices=sorted(PAPER_VARIANTS))
+    _add_model(trace)
     trace.add_argument("--requests", type=int, default=6,
                        help="number of requests in the traced suite")
     trace.add_argument("--tokens", type=int, default=16,
                        help="decode budget per request")
-    trace.add_argument("--seed", type=int, default=0)
+    _add_seed(trace)
     trace.add_argument("--mixed", action="store_true",
                        help="trace the mixed chat/document suite instead "
                             "of the default one")
     trace.add_argument("--ignore-eos", action="store_true",
                        help="never retire on EOS (fixed-length decode)")
     _add_engine_options(trace)
-    trace.add_argument("--trace-cycles", action="store_true",
-                       help="also record cycle-level accelerator intervals "
-                            "and place them under each step span")
-    trace.add_argument("--metrics-out", default=None, metavar="PATH",
-                       help="also write the Prometheus text exposition of "
-                            "the live metrics registry to PATH")
+    _add_obs_options(trace)
     trace.add_argument("--out", default="trace.json",
                        help="trace JSON output path (default: trace.json)")
 
@@ -485,28 +497,19 @@ def build_parser() -> argparse.ArgumentParser:
         "quantize",
         help="convert a checkpoint to a quantised .slq sidecar file",
     )
-    quant.add_argument("--model", default="stories15M",
-                       choices=available_presets())
+    _add_model(quant, variant=False)
     quant.add_argument("--checkpoint", default=None,
                        help="llama2.c .bin checkpoint to quantise "
                             "(default: the preset's synthetic weights)")
-    quant.add_argument("--seed", type=int, default=0,
-                       help="seed of the synthetic weights (without "
-                            "--checkpoint)")
+    _add_seed(quant, help="seed of the synthetic weights (without "
+                          "--checkpoint)")
     quant.add_argument("--mode", choices=("int8", "int4"), default="int8",
                        help="weight quantisation mode")
-    quant.add_argument("--quant-group", type=int, default=64,
-                       help="quantisation group size")
-    quant.add_argument("--quant-kv", action="store_true",
-                       help="record an INT8 KV-cache spec in the sidecar")
-    quant.add_argument("--fp32-logits", action="store_true",
-                       help="keep the classifier head at fp32")
+    _add_quant_options(quant, mode="--mode")
     quant.add_argument("--out", default=None,
                        help="output .slq path (default: "
                             "<model>-<mode>.slq)")
-    quant.add_argument("--json", default=None,
-                       help="write the conversion summary to this path "
-                            "('-' for stdout)")
+    _add_json(quant, "the conversion summary")
 
     # compile-bench -----------------------------------------------------
     cbench = sub.add_parser(
@@ -514,17 +517,14 @@ def build_parser() -> argparse.ArgumentParser:
         help="fixed vs autotuned tiling on the long-context suite, plus a "
              "warm re-serve measuring wall-clock compile-cache reuse",
     )
-    cbench.add_argument("--model", default="stories15M",
-                        choices=available_presets())
-    cbench.add_argument("--variant", default="full",
-                        choices=sorted(PAPER_VARIANTS))
+    _add_model(cbench)
     cbench.add_argument("--requests", type=int, default=4,
                         help="long-context requests to serve")
     cbench.add_argument("--prompt-words", type=int, default=48,
                         help="words per long-context prompt")
     cbench.add_argument("--tokens", type=int, default=96,
                         help="decode budget per request")
-    cbench.add_argument("--seed", type=int, default=37)
+    _add_seed(cbench, 37)
     _add_quant_options(cbench)
     cbench.add_argument("--ctx-bucket", type=int, default=32,
                         help="compile-cache context-bucket granularity "
@@ -536,18 +536,15 @@ def build_parser() -> argparse.ArgumentParser:
     cbench.add_argument("--min-hit-rate", type=float, default=0.90,
                         help="fail unless the steady-state (warm re-serve) "
                              "compile-cache hit rate reaches this")
-    cbench.add_argument("--json", default=None,
-                        help="write the comparison report to this path "
-                             "('-' for stdout)")
+    _add_json(cbench, "the comparison report")
 
     # serve-api ---------------------------------------------------------
     api = sub.add_parser(
         "serve-api",
         help="OpenAI-style streamed completions over the serving engine",
     )
-    api.add_argument("--model", default="stories15M", choices=available_presets())
-    api.add_argument("--variant", default="full", choices=sorted(PAPER_VARIANTS))
-    api.add_argument("--seed", type=int, default=0)
+    _add_model(api)
+    _add_seed(api)
     api.add_argument("--prompt", action="append", default=None,
                      help="prompt to complete (repeatable; default: a small "
                           "demo suite)")
@@ -569,23 +566,20 @@ def build_parser() -> argparse.ArgumentParser:
                           "unless the reassembled stream matches it "
                           "token-for-token")
     _add_engine_options(api)
-    api.add_argument("--json", default=None,
-                     help="write completions and the serving report to this "
-                          "path ('-' for stdout)")
+    _add_json(api, "completions and the serving report")
 
     # validate ----------------------------------------------------------
     val = sub.add_parser("validate",
                          help="compare accelerator output against the reference engine")
-    val.add_argument("--model", default="test-small", choices=available_presets())
-    val.add_argument("--variant", default="full", choices=sorted(PAPER_VARIANTS))
+    _add_model(val, "test-small")
     val.add_argument("--prompts", type=int, default=3)
     val.add_argument("--tokens", type=int, default=12)
-    val.add_argument("--seed", type=int, default=0)
+    _add_seed(val)
 
     # export-graph ------------------------------------------------------
     export = sub.add_parser("export-graph",
                             help="export a decode-step operator graph")
-    export.add_argument("--model", default="stories15M", choices=available_presets())
+    _add_model(export, variant=False)
     export.add_argument("--context", type=int, default=0,
                         help="context length of the decode step")
     export.add_argument("--fused", action="store_true",
@@ -599,9 +593,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 # ----------------------------------------------------------------------
-# Subcommand implementations
+# Subcommand implementations: flags in, one library call, a view out
 # ----------------------------------------------------------------------
-def _cmd_generate(args: argparse.Namespace) -> int:
+def _cmd_generate(args: argparse.Namespace) -> _Outcome:
+    if args.tokenizer and not args.checkpoint:
+        args.usage_error("--tokenizer is the vocabulary of a checkpoint: "
+                         "it needs --checkpoint")
     with _configuring(args):
         params = SamplingParams(max_tokens=args.tokens,
                                 temperature=args.temperature, top_p=args.top_p,
@@ -620,17 +617,11 @@ def _cmd_generate(args: argparse.Namespace) -> int:
             llm = SpeedLLM(model=checkpoint.config, checkpoint=checkpoint,
                            tokenizer=tokenizer, variant=args.variant,
                            position_stride=args.stride)
-    out = llm.generate(args.prompt, params=params)
-    print(out.text)
-    print()
-    print(f"latency            {out.latency_ms:.3f} ms")
-    print(f"decode throughput  {out.decode_tokens_per_second:.1f} tokens/s")
-    print(f"energy efficiency  {out.tokens_per_joule:.1f} tokens/J")
-    print(f"average power      {out.metrics.average_power_w:.1f} W")
-    return 0
+    return _Outcome(text=report.generate_view(
+        llm.generate(args.prompt, params=params)))
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
+def _cmd_bench(args: argparse.Namespace) -> _Outcome:
     with _configuring(args):
         config = ExperimentConfig(
             model=args.model,
@@ -641,47 +632,8 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         )
     runner = ExperimentRunner(config)
     rows = runner.result_rows()
-    normalized = runner.fig2a_normalized_latency()
-    efficiency = runner.fig2b_energy_efficiency()
-    for row in rows:
-        row["normalized_latency"] = normalized[row["variant"]]
-        row["relative_efficiency"] = efficiency[row["variant"]]
-    print(format_table(rows, columns=[
-        "variant", "latency_ms", "normalized_latency",
-        "decode_tokens_per_second", "tokens_per_joule", "relative_efficiency",
-    ]))
-    print()
-    print(render_bar_chart({v: 1.0 / n for v, n in normalized.items()}, unit="x"))
-    print(f"\nheadline speedup: {runner.headline_speedup():.2f}x (paper: up to 4.8x)")
-    if args.json:
-        _json_to_file(args.json, rows, what="rows")
-    return 0
-
-
-def _print_quant_comparison(comparison: dict) -> None:
-    """Human-readable accuracy-vs-speed block for --quant runs."""
-    teacher = comparison["teacher_forced"]
-    print(f"quant mode             {comparison['quant']}")
-    print(f"fp32 throughput        "
-          f"{comparison['fp32_throughput_tokens_per_second']:.1f} tokens/s")
-    print(f"quant throughput       "
-          f"{comparison['quant_throughput_tokens_per_second']:.1f} tokens/s "
-          f"({comparison['quant_speedup']:.2f}x vs fp32)")
-    print(f"hbm bytes streamed     {comparison['quant_hbm_bytes']} vs "
-          f"{comparison['fp32_hbm_bytes']} fp32 "
-          f"({comparison['quant_bytes_saved']} saved, "
-          f"{comparison['quant_saved_fraction']:.1%} of the fp32-equivalent "
-          "stream)")
-    print(f"dequant overhead       "
-          f"{comparison['dequant_overhead_fraction']:.1%} of SFU flops")
-    print(f"teacher-forced         {teacher['token_agreement']:.1%} greedy "
-          f"agreement over {teacher['n_positions']} positions, max logit "
-          f"drift {teacher['max_logit_drift']:.3g}")
-    print(f"free-decode prefix     "
-          f"{comparison['greedy_prefix_agreement']:.1%} mean agreement "
-          "before first divergence")
-    print(f"perplexity             {comparison['perplexity_quant']:.3f} "
-          f"quant vs {comparison['perplexity_fp32']:.3f} fp32")
+    return _Outcome(text=report.bench_view(rows, runner.headline_speedup()),
+                    payload=rows, what="rows")
 
 
 def _serve_bench_suite(args: argparse.Namespace):
@@ -694,11 +646,7 @@ def _serve_bench_suite(args: argparse.Namespace):
                               adversarial=args.adversarial)
 
 
-def _check_verdict(mismatches: list) -> str:
-    return "PASS" if not mismatches else f"{len(mismatches)} MISMATCHES"
-
-
-def _cmd_serve_bench(args: argparse.Namespace) -> int:
+def _cmd_serve_bench(args: argparse.Namespace) -> _Outcome:
     if args.trace_cycles and not args.trace_out:
         # Every step would walk every packet and keep every interval,
         # for a trace nothing writes.
@@ -706,203 +654,44 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
                          "shows: it needs --trace-out")
     if args.bench_out:
         return _cmd_bench_matrix(args)
-    if args.replicas != 1 or args.disaggregate or args.autoscale:
-        return _cmd_cluster_bench(args)
+    cluster = args.replicas != 1 or args.disaggregate or args.autoscale
     with _configuring(args):
         config = _engine_config(args)
+        cluster_config = ClusterConfig(
+            engine=config, n_replicas=args.replicas, route=args.route,
+            disaggregate=args.disaggregate, n_prefill_replicas=args.prefill_replicas,
+            autoscale=args.autoscale, max_replicas=args.max_replicas) if cluster else None
         suite = _serve_bench_suite(args)
     tracer, registry = _obs_sinks(args.trace_out, args.metrics_out)
-    result = bench.serve_bench(
-        config, suite, ignore_eos=args.ignore_eos,
-        stagger_mixed=args.mixed and args.arrival_rate is None,
-        check=args.check, min_agreement=args.min_agreement,
-        tracer=tracer, metrics=registry)
-    report, aggregate = result.report, result.aggregate
-    for mismatch in result.mismatches:
-        print(mismatch, file=sys.stderr)
-    for failure in result.quant_failures:
-        print(f"QUANT CHECK FAIL: {failure}", file=sys.stderr)
-    trace_problems = _write_obs_outputs(
-        args.trace_out, args.metrics_out, tracer, registry, report,
-        meta={"command": "serve-bench", "model": args.model,
-              "n_requests": len(suite)},
-        json_on_stdout=args.json == "-")
-    code = 1 if result.failures or trace_problems else 0
-    if args.json == "-":
-        _json_to_stdout(result.payload)
-        return code
-
-    print(format_table(report.request_rows()))
-    print()
-    print(f"requests served        {report.n_requests} "
-          f"({report.total_generated_tokens} tokens in {report.n_steps} steps)")
-    print(f"mean batch occupancy   {report.mean_batch_tokens:.1f} tokens/step")
-    print(f"latency p50 / p95      {aggregate['latency_p50_ms']:.3f} / "
-          f"{aggregate['latency_p95_ms']:.3f} ms")
-    print(f"ttft p50 / p95         {aggregate['ttft_p50_ms']:.3f} / "
-          f"{aggregate['ttft_p95_ms']:.3f} ms")
-    print(f"itl p50 / p95 / p99    {aggregate['itl_p50_ms']:.3f} / "
-          f"{aggregate['itl_p95_ms']:.3f} / "
-          f"{aggregate['itl_p99_ms']:.3f} ms")
-    print(f"mean queue wait        {aggregate['mean_queue_wait_ms']:.3f} ms")
-    if report.policy != "fifo" or report.chunked_prefill:
-        chunk = ("chunked prefill "
-                 f"({config.scheduler_config().step_prefill_budget} "
-                 "tokens/step)" if report.chunked_prefill
-                 else "monolithic prefill")
-        print(f"scheduling             {report.policy} policy, {chunk}")
-    if len(report.tiers) > 1:
-        print()
-        print(format_table([
-            {"tier": tier, **{k: round(v, 3) if isinstance(v, float) else v
-                              for k, v in row.items()}}
-            for tier, row in report.tier_breakdown().items()
-        ], columns=["tier", "n_requests", "ttft_p50_ms", "ttft_p95_ms",
-                    "itl_p50_ms", "itl_p95_ms", "itl_p99_ms",
-                    "mean_queue_wait_ms"]))
-        print()
-    if report.n_shards > 1:
-        print(f"tensor parallel        {report.n_shards} shards")
-        print(f"per-step compute       "
-              f"{aggregate['mean_step_compute_ms']:.4f} ms "
-              f"(max over shards)")
-        print(f"interconnect fraction  {report.interconnect_fraction:.1%} "
-              f"of step time")
-        print(f"mean shard utilization "
-              f"{sum(report.shard_utilization) / report.n_shards:.1%}")
-    if report.paged:
-        print(f"peak concurrency       {report.peak_running} running")
-        print(f"prefix-hit rate        {report.prefix_hit_rate:.1%} "
-              f"({report.prefix_hit_tokens} of "
-              f"{report.total_prefill_tokens} prefill tokens)")
-        print(f"preemptions            {report.n_preemptions}")
-        print(f"mean KV utilization    {report.mean_kv_utilization:.1%}")
-    if report.speculative:
-        print(f"speculative method     {report.spec_method} "
-              f"(K={config.speculative.num_draft_tokens})")
-        print(f"draft acceptance       {report.acceptance_rate:.1%} "
-              f"({report.spec_accepted_tokens} of "
-              f"{report.spec_draft_tokens} draft tokens)")
-        print(f"tokens per decode turn {report.tokens_per_decode_step:.2f}")
-    if result.plain_report is not None:
-        print(f"baseline throughput    "
-              f"{aggregate['plain_throughput_tokens_per_second']:.1f} "
-              f"tokens/s (no spec, unchunked, fifo)")
-        if "speculative_speedup" in aggregate:
-            print(f"speculative speedup    "
-                  f"{aggregate['speculative_speedup']:.2f}x")
-        print(f"baseline itl p95       "
-              f"{aggregate['baseline_itl_p95_ms']:.3f} ms "
-              f"({aggregate['itl_p95_reduction']:+.1%} reduction)")
-    if result.quant_comparison is not None:
-        _print_quant_comparison(result.quant_comparison)
-    if args.check:
-        print(f"token identity check   {_check_verdict(result.mismatches)}")
-        if result.quant_comparison is not None:
-            print(f"quant check            "
-                  f"{'FAIL' if result.quant_failures else 'PASS'}")
-    if args.compile_stats:
-        _print_compile_stats(result.engine.backend.compiler.stats())
-    print(f"sequential throughput  "
-          f"{result.sequential_throughput:.1f} tokens/s")
-    print(f"batched throughput     {report.throughput_tokens_per_second:.1f} tokens/s")
-    print(f"continuous-batching speedup: {aggregate['speedup']:.2f}x")
-    if args.json:
-        _json_to_file(args.json, result.payload)
-    return code
+    meta = {"command": "serve-bench", "model": args.model,
+            "n_requests": len(suite)}
+    if cluster:
+        # ``serve-bench --replicas N``: the suite through a replica cluster.
+        result = bench.cluster_bench(
+            cluster_config, suite, ignore_eos=args.ignore_eos,
+            check=args.check, tracer=tracer, metrics=registry)
+        served, failures = result.report.pooled, result.mismatches
+        meta.update(n_replicas=cluster_config.n_replicas,
+                    disaggregated=cluster_config.disaggregate)
+        text = report.cluster_bench_view(result, check=args.check)
+    else:
+        result = bench.serve_bench(
+            config, suite, ignore_eos=args.ignore_eos,
+            stagger_mixed=args.mixed and args.arrival_rate is None,
+            check=args.check, min_agreement=args.min_agreement,
+            tracer=tracer, metrics=registry)
+        served, failures = result.report, result.failures
+        text = report.serve_bench_view(
+            result, check=args.check,
+            compile_stats=(result.engine.backend.compiler.stats()
+                           if args.compile_stats else None))
+    notes, problems = _write_obs_outputs(args.trace_out, args.metrics_out,
+                                         tracer, registry, served, meta)
+    return _Outcome(text=text, payload=result.payload, notes=notes,
+                    failures=[*failures, *problems])
 
 
-def _print_compile_stats(stats) -> None:
-    """Human-readable compilation-pipeline breakdown (--compile-stats)."""
-    phase_seconds = stats.get("phase_seconds", {})
-    total = stats.get("compile_seconds", 0.0)
-    phases = "  ".join(f"{name} {seconds * 1e3:.1f}ms"
-                       for name, seconds in phase_seconds.items())
-    print(f"compile phases         {phases} (total {total * 1e3:.1f}ms)")
-    cache = stats.get("cache", {})
-    print(f"compile cache          {cache.get('hits', 0)} hits / "
-          f"{cache.get('misses', 0)} misses "
-          f"({cache.get('hit_rate', 0.0):.1%} hit rate, "
-          f"{cache.get('evictions', 0)} evictions, "
-          f"{cache.get('entries', 0)} resident)")
-    autotune = stats.get("autotune")
-    if autotune:
-        print(f"tile autotuner         {autotune.get('searches', 0)} searches "
-              f"over {autotune.get('search_space', 0)} plans "
-              f"({autotune.get('candidates_scored', 0)} candidates scored), "
-              f"win ratio {autotune.get('win_ratio', 0.0):.1%}, "
-              f"{autotune.get('cycles_saved', 0)} cycles saved")
-
-
-def _cmd_cluster_bench(args: argparse.Namespace) -> int:
-    """``serve-bench --replicas N``: the suite through a replica cluster."""
-    with _configuring(args):
-        cluster_config = _cluster_config(args, _engine_config(args))
-        suite = _serve_bench_suite(args)
-    tracer, registry = _obs_sinks(args.trace_out, args.metrics_out)
-    result = bench.cluster_bench(
-        cluster_config, suite, ignore_eos=args.ignore_eos, check=args.check,
-        tracer=tracer, metrics=registry)
-    report = result.report
-    for mismatch in result.mismatches:
-        print(mismatch, file=sys.stderr)
-    trace_problems = _write_obs_outputs(
-        args.trace_out, args.metrics_out, tracer, registry, report.pooled,
-        meta={"command": "serve-bench", "model": args.model,
-              "n_requests": len(suite),
-              "n_replicas": cluster_config.n_replicas,
-              "disaggregated": cluster_config.disaggregate},
-        json_on_stdout=args.json == "-")
-    code = 1 if result.mismatches or trace_problems else 0
-    if args.json == "-":
-        _json_to_stdout(result.payload)
-        return code
-
-    print(format_table([s.as_dict() for s in report.replicas],
-                       columns=["replica", "pool", "n_requests", "n_steps",
-                                "generated_tokens", "ttft_p50_ms",
-                                "itl_p50_ms", "prefix_hit_rate"]))
-    print()
-    print(f"replicas               {report.n_replicas} "
-          f"(route={report.route}"
-          f"{', disaggregated' if report.disaggregated else ''}"
-          f"{', autoscaled' if report.autoscaled else ''})")
-    print(f"requests served        {report.pooled.n_requests} "
-          f"({report.pooled.total_generated_tokens} tokens)")
-    print(f"routing decisions      {report.routing.get('decisions')}")
-    if "affinity_hits" in report.routing:
-        print(f"affinity hits/spills   {report.routing['affinity_hits']} / "
-              f"{report.routing['affinity_spills']}")
-    if report.pooled.paged:
-        print(f"pooled prefix-hit rate {report.prefix_hit_rate:.1%}")
-    ttft = report.pooled.ttft_summary()
-    itl = report.pooled.itl_summary()
-    print(f"pooled ttft p50/p95/p99  {ttft.p50 * 1e3:.3f} / "
-          f"{ttft.p95 * 1e3:.3f} / {ttft.p99 * 1e3:.3f} ms")
-    print(f"pooled itl p50/p95/p99   {itl.p50 * 1e3:.3f} / "
-          f"{itl.p95 * 1e3:.3f} / {itl.p99 * 1e3:.3f} ms")
-    if report.disaggregated:
-        print(f"kv handoffs            {report.kv_transfers} "
-              f"({report.kv_transfer_bytes} bytes, "
-              f"{report.kv_transfer_seconds * 1e3:.3f} ms on the wire, "
-              f"{report.kv_transfer_saved_positions} positions served "
-              "from decode-side prefix cache)")
-    if report.autoscaled:
-        for event in report.autoscale_events:
-            print(f"  autoscale {event['action']:<7s} replica "
-                  f"{event['replica']} at t={event['time'] * 1e3:.3f} ms "
-                  f"(queued={event['queued']})")
-    if args.check:
-        print(f"token identity check   {_check_verdict(result.mismatches)}")
-    print(f"cluster makespan       {report.makespan_seconds * 1e3:.3f} ms")
-    print(f"pooled throughput      "
-          f"{report.throughput_tokens_per_second:.1f} tokens/s")
-    if args.json:
-        _json_to_file(args.json, result.payload)
-    return code
-
-
-def _cmd_bench_matrix(args: argparse.Namespace) -> int:
+def _cmd_bench_matrix(args: argparse.Namespace) -> _Outcome:
     """``serve-bench --bench-out``: write the BENCH_v1 config matrix."""
     # The base config is the plain baseline; feature flags the user set
     # (--chunked-prefill, --policy, --speculative) are irrelevant here —
@@ -912,64 +701,36 @@ def _cmd_bench_matrix(args: argparse.Namespace) -> int:
         "policy": "fifo", "speculative": None})
     with _configuring(args):
         base = _engine_config(plain_args)
+    progress: List[str] = []
     payload = bench.bench_matrix(
         base, requests=args.requests, tokens=args.tokens,
         ignore_eos=args.ignore_eos,
-        prefill_chunk_tokens=args.prefill_chunk_tokens, log=print)
-    write_json(args.bench_out, payload)
-    print(f"benchmark report ({bench.BENCH_SCHEMA}) written to "
-          f"{args.bench_out}")
-    return 0
+        prefill_chunk_tokens=args.prefill_chunk_tokens, log=progress.append)
+    return _Outcome(text="\n".join(progress), payload=payload,
+                    json_path=args.bench_out,
+                    what=f"benchmark report ({bench.BENCH_SCHEMA})")
 
 
-def _cmd_compile_bench(args: argparse.Namespace) -> int:
+def _cmd_compile_bench(args: argparse.Namespace) -> _Outcome:
     with _configuring(args):
         config = EngineConfig(
             model=args.model, variant=args.variant, seed=args.seed,
             ctx_bucket=args.ctx_bucket, quant=args.quant,
             quant_kv=args.quant_kv, quant_group=args.quant_group,
             fp32_logits=args.fp32_logits)
+        # The suite compile_bench serves: a size it rejects is a flag's.
+        long_context_suite(n_prompts=args.requests,
+                           prompt_words=args.prompt_words,
+                           max_new_tokens=args.tokens, seed=args.seed)
     payload = bench.compile_bench(
         config, requests=args.requests, prompt_words=args.prompt_words,
         tokens=args.tokens, min_speedup=args.min_speedup,
         min_hit_rate=args.min_hit_rate)
-    for failure in payload["failures"]:
-        print(f"FAIL: {failure}", file=sys.stderr)
-    code = 1 if payload["failures"] else 0
-    if args.json == "-":
-        _json_to_stdout(payload)
-        return code
-
-    fixed, auto = payload["fixed"], payload["autotuned"]
-    host = payload["host"]
-    print(f"suite                  {payload['suite']} "
-          f"({payload['n_requests']} requests x "
-          f"{payload['max_new_tokens']} tokens, single-stream, "
-          f"ctx bucket {payload['ctx_bucket']})")
-    if payload.get("quant"):
-        print(f"quantisation           {payload['quant']}")
-    print(f"fixed tiling           "
-          f"{fixed['throughput_tokens_per_second']:.1f} tokens/s "
-          f"({fixed['n_steps']} steps)")
-    print(f"autotuned tiling       "
-          f"{auto['throughput_tokens_per_second']:.1f} tokens/s "
-          f"({auto['n_steps']} steps)")
-    print(f"autotuned speedup      {payload['speedup']:.4f}x "
-          f"(required >= {args.min_speedup:.2f}x)")
-    autotune = payload["autotune"]
-    print(f"autotune searches      {autotune.get('searches', 0)} over "
-          f"{autotune.get('search_space', 0)} plans, win ratio "
-          f"{autotune.get('win_ratio', 0.0):.1%}")
-    print(f"cache hit rate         cold {payload['cold_hit_rate']:.1%}, "
-          f"steady-state {payload['steady_state_hit_rate']:.1%} "
-          f"(required >= {args.min_hit_rate:.0%})")
-    print(f"stepping wall clock    cold {host['cold_seconds']:.2f}s, "
-          f"warm {host['warm_seconds']:.2f}s "
-          f"({host['warm_vs_cold_speedup']:.2f}x from cache reuse)")
-    print(f"token identity         {payload['token_identity'].upper()}")
-    if args.json:
-        _json_to_file(args.json, payload)
-    return code
+    return _Outcome(
+        text=report.compile_bench_view(payload, min_speedup=args.min_speedup,
+                                       min_hit_rate=args.min_hit_rate),
+        payload=payload,
+        failures=[f"FAIL: {failure}" for failure in payload["failures"]])
 
 
 #: Demo prompts of the serve-api walkthrough (used when --prompt absent).
@@ -980,219 +741,86 @@ _SERVE_API_PROMPTS = (
 )
 
 
-def _cmd_serve_api(args: argparse.Namespace) -> int:
+def _cmd_serve_api(args: argparse.Namespace) -> _Outcome:
     with _configuring(args):
         config = _engine_config(args)
-    llm = config.build_llm()
-    engine = config.build_engine(llm=llm)
-    service = CompletionService(engine)
-    prompts = args.prompt or list(_SERVE_API_PROMPTS)
-    quiet = args.json == "-"
-
-    def request_for(i: int, prompt: str) -> CompletionRequest:
-        return CompletionRequest(
-            prompt=prompt,
-            max_tokens=args.max_tokens,
-            temperature=args.temperature,
-            top_p=args.top_p,
-            seed=args.seed + i,
-            stop=tuple(args.stop or ()),
-            logprobs=args.logprobs,
-            stream=not args.no_stream,
-        )
-
-    records = []
-    for i, prompt in enumerate(prompts):
-        request = request_for(i, prompt)
-        if args.no_stream:
-            response = service.create(request)
-            record = {
-                "id": response.id,
-                "prompt": prompt,
-                "text": response.text,
-                "finish_reason": response.choices[0].finish_reason,
-                "usage": response.usage.as_dict(),
-                "streamed": False,
-            }
-            if not quiet:
-                print(f"[{response.id}] {prompt!r}")
-                print(f"  {response.text!r}  "
-                      f"(finish_reason={response.choices[0].finish_reason})")
-        else:
-            chunks = list(service.stream(request))
-            text = "".join(chunk.text for chunk in chunks)
-            token_ids = [t for chunk in chunks
-                         for t in chunk.choices[0].token_ids]
-            record = {
-                "id": chunks[-1].id,
-                "prompt": prompt,
-                "text": text,
-                "token_ids": token_ids,
-                "finish_reason": chunks[-1].finish_reason,
-                "n_chunks": len(chunks),
-                "streamed": True,
-            }
-            if not quiet:
-                print(f"[{chunks[-1].id}] {prompt!r}")
-                print("  ", end="")
-                for chunk in chunks:
-                    print(chunk.text, end="", flush=True)
-                print(f"  (finish_reason={chunks[-1].finish_reason}, "
-                      f"{len(chunks)} chunks)")
-        records.append(record)
-
-    failures = 0
-    if args.check:
-        # Re-run every completion non-streamed on a fresh engine built
-        # from the same config (same llm, so identical weights/tokenizer)
-        # and require the reassembled stream to match it exactly.
-        import dataclasses
-        check_engine = config.build_engine(llm=llm)
-        check_service = CompletionService(check_engine)
-        for i, (prompt, record) in enumerate(zip(prompts, records)):
-            response = check_service.create(
-                dataclasses.replace(request_for(i, prompt), stream=False))
-            match = response.text == record["text"]
-            if record.get("token_ids") is not None:
-                match = match and (
-                    list(response.choices[0].token_ids) == record["token_ids"]
-                )
-            record["batch_text"] = response.text
-            record["match"] = match
-            if not match:
-                failures += 1
-                print(f"MISMATCH on {prompt!r}:\n"
-                      f"  stream: {record['text']!r}\n"
-                      f"  batch:  {response.text!r}", file=sys.stderr)
-        if not quiet:
-            verdict = "OK" if failures == 0 else f"{failures} MISMATCHES"
-            print(f"\nstream-vs-batch check: {verdict} "
-                  f"({len(prompts)} completions)")
-
-    payload = {
-        "model": llm.model_config.name,
-        "backend": engine.backend.describe(),
-        "completions": records,
-        "aggregate": engine.report().as_dict(),
-    }
-    if args.json == "-":
-        _json_to_stdout(payload)
-    elif args.json:
-        _json_to_file(args.json, payload)
-    return 1 if failures else 0
+        requests = [CompletionRequest(
+            prompt=prompt, max_tokens=args.max_tokens, temperature=args.temperature,
+            top_p=args.top_p, seed=args.seed + i, stop=tuple(args.stop or ()),
+            logprobs=args.logprobs, stream=not args.no_stream)
+            for i, prompt in enumerate(args.prompt or _SERVE_API_PROMPTS)]
+        for request in requests:
+            request.to_sampling_params()  # rejects a bad sampling flag
+    result = bench.api_bench(config, requests, check=args.check)
+    return _Outcome(text=report.serve_api_view(result, check=args.check),
+                    payload=result.payload, failures=result.mismatches)
 
 
-def _cmd_quantize(args: argparse.Namespace) -> int:
-    """Convert a checkpoint to a ``.slq`` quantised sidecar file.
-
-    The sidecar stores packed integer payloads plus per-group scales —
-    never materialised fp32 — and is verified by reloading it and
-    checking the byte accounting round-trips exactly.
-    """
-    from .llama.checkpoint import synthesize_weights
-    from .quant import (load_quantized, quantize_checkpoint, resolve_quant,
-                        save_quantized)
-
+def _cmd_quantize(args: argparse.Namespace) -> _Outcome:
+    """Convert a checkpoint to a ``.slq`` quantised sidecar file."""
+    with _configuring(args):
+        quant = resolve_quant(args.mode, group_size=args.quant_group,
+                              quant_kv=args.quant_kv,
+                              fp32_logits=args.fp32_logits)
     if args.checkpoint:
         checkpoint = load_checkpoint(args.checkpoint)
     else:
         checkpoint = synthesize_weights(preset(args.model), seed=args.seed)
-    quant = resolve_quant(args.mode, group_size=args.quant_group,
-                          quant_kv=args.quant_kv,
-                          fp32_logits=args.fp32_logits)
-    quantized = quantize_checkpoint(checkpoint, quant)
-    out = args.out or f"{checkpoint.config.name}-{args.mode}.slq"
-    path = save_quantized(quantized, out)
-    reloaded = load_quantized(path)
-    roundtrip = (reloaded.nbytes == quantized.nbytes
-                 and reloaded.quant == quant
-                 and len(reloaded.tensors) == len(quantized.tensors))
-    summary = {
-        "schema": "QUANTIZE_v1",
-        "model": checkpoint.config.name,
-        "path": str(path),
-        "file_bytes": path.stat().st_size,
-        "roundtrip": "pass" if roundtrip else "fail",
-        **quantized.summary(),
-    }
-    if args.json == "-":
-        _json_to_stdout(summary)
-        return 0 if roundtrip else 1
-    print(f"model                  {summary['model']} "
-          f"({summary['tensors']} tensors, "
-          f"{summary['quantized_tensors']} quantised)")
-    print(f"quantisation           {summary['quant']}")
-    print(f"fp32 bytes             {summary['fp32_bytes']}")
-    print(f"quantised bytes        {summary['quantized_bytes']} "
-          f"({summary['compression']:.3f}x compression, "
-          f"{summary['bytes_saved']} bytes saved)")
-    print(f"sidecar                {path} ({summary['file_bytes']} bytes "
-          "on disk)")
-    print(f"reload round-trip      "
-          f"{'PASS' if roundtrip else 'FAIL'}")
-    if args.json:
-        _json_to_file(args.json, summary, what="summary")
-    return 0 if roundtrip else 1
+    summary = convert_to_sidecar(
+        checkpoint, quant,
+        args.out or f"{checkpoint.config.name}-{args.mode}.slq")
+    return _Outcome(text=report.quantize_view(summary), payload=summary,
+                    code=0 if summary["roundtrip"] == "pass" else 1,
+                    what="summary")
 
 
-def _cmd_validate(args: argparse.Namespace) -> int:
+def _cmd_validate(args: argparse.Namespace) -> _Outcome:
     with _configuring(args):
         suite = default_suite(n_prompts=args.prompts, max_new_tokens=args.tokens,
                               seed=args.seed)
         llm = SpeedLLM(model=args.model, variant=args.variant, seed=args.seed)
-    report = validate_accelerator(llm.accelerator, llm.tokenizer, suite,
+    result = validate_accelerator(llm.accelerator, llm.tokenizer, suite,
                                   n_decode=args.tokens)
-    print(format_table(report.as_rows()))
-    print(f"\nagreement {report.agreement:.4f}, "
-          f"max logit error {report.max_logit_error:.2e}, "
-          f"{'PASS' if report.passed else 'FAIL'}")
-    return 0 if report.passed else 1
+    return _Outcome(text=report.validate_view(result),
+                    code=0 if result.passed else 1)
 
 
-def _cmd_export_graph(args: argparse.Namespace) -> int:
+def _cmd_export_graph(args: argparse.Namespace) -> _Outcome:
     with _configuring(args):
         graph = build_decode_graph(preset(args.model), args.context)
     if args.fused:
         graph = fuse_graph(graph)
     text = to_dot(graph) if args.format == "dot" else to_json(graph)
     if args.output == "-":
-        print(text)
-    else:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        print(f"wrote {args.format} graph ({len(graph)} operators) to {args.output}",
-              file=sys.stderr)
-    return 0
+        return _Outcome(text=text)
+    with open(args.output, "w", encoding="utf-8") as fh:
+        fh.write(text)
+    return _Outcome(log=[f"wrote {args.format} graph ({len(graph)} operators) "
+                         f"to {args.output}"])
 
 
-def _cmd_trace(args: argparse.Namespace) -> int:
+def _cmd_trace(args: argparse.Namespace) -> _Outcome:
     if args.validate:
         from .obs import validate_chrome_trace
         with open(args.validate, "r", encoding="utf-8") as fh:
             payload = json.load(fh)
         problems = validate_chrome_trace(payload)
-        for problem in problems:
-            print(f"INVALID: {problem}", file=sys.stderr)
         if problems:
-            return 1
-        events = payload.get("traceEvents", [])
-        other = payload.get("otherData", {})
-        print(f"{args.validate}: valid ({len(events)} events, "
-              f"{other.get('n_spans', '?')} spans, "
-              f"{len(other.get('requests', {}))} requests)")
-        return 0
+            return _Outcome(failures=[f"INVALID: {p}" for p in problems])
+        return _Outcome(text=report.trace_validation_view(args.validate,
+                                                          payload))
     with _configuring(args):
         suite = bench.select_suite("mixed" if args.mixed else "default",
                                    args.requests, args.tokens, args.seed)
         config = _engine_config(args)
     tracer, registry = _obs_sinks(args.out, args.metrics_out)
     engine = config.build_engine(tracer=tracer, metrics=registry)
-    report = engine.serve(suite, SamplingParams(ignore_eos=args.ignore_eos))
-    problems = _write_obs_outputs(
-        args.out, args.metrics_out, tracer, registry, report,
+    served = engine.serve(suite, SamplingParams(ignore_eos=args.ignore_eos))
+    notes, problems = _write_obs_outputs(
+        args.out, args.metrics_out, tracer, registry, served,
         meta={"command": "trace", "model": args.model,
-              "n_requests": report.n_requests})
-    return 1 if problems else 0
+              "n_requests": served.n_requests})
+    return _Outcome(notes=notes, failures=problems)
 
 
 _HANDLERS = {
@@ -1209,11 +837,33 @@ _HANDLERS = {
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    """CLI entry point; returns the process exit code."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    handler = _HANDLERS[args.command]
-    return handler(args)
+    """CLI entry point; returns the process exit code.
+
+    The one place an outcome is emitted: failure lines to stderr, then
+    the payload alone on stdout under ``--json -``, or else the text and
+    the payload written to ``--json PATH``.
+    """
+    args = build_parser().parse_args(argv)
+    outcome = _HANDLERS[args.command](args)
+    path = outcome.json_path or getattr(args, "json", None)
+    for line in outcome.failures:
+        print(line, file=sys.stderr)
+    if path == "-":
+        for line in outcome.notes:
+            print(line, file=sys.stderr)
+        print(json.dumps(outcome.payload, indent=2, sort_keys=True,
+                         default=str))
+    else:
+        for line in outcome.notes:
+            print(line)
+        if outcome.text is not None:
+            print(outcome.text)
+        if path:
+            write_json(path, outcome.payload)
+            print(f"{outcome.what} written to {path}")
+    for line in outcome.log:
+        print(line, file=sys.stderr)
+    return 1 if outcome.failures else outcome.code
 
 
 if __name__ == "__main__":  # pragma: no cover

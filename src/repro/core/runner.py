@@ -145,5 +145,9 @@ class ExperimentRunner:
         return speedup(list(self._results.values()), baseline=baseline, target=target)
 
     def result_rows(self) -> List[Dict[str, object]]:
-        """Flat result rows for table rendering."""
-        return [r.as_row() for r in self.run_all()]
+        """Flat result rows for table rendering, with each variant's
+        Fig. 2a ``normalized_latency`` and Fig. 2b ``relative_efficiency``."""
+        normalized, efficiency = self.fig2a_normalized_latency(), self.fig2b_energy_efficiency()
+        return [{**r.as_row(), "normalized_latency": normalized[r.variant],
+                 "relative_efficiency": efficiency[r.variant]}
+                for r in self.run_all()]

@@ -9,7 +9,8 @@ This package turns the low-level group-quantisation primitives in
 * :mod:`repro.quant.convert` — checkpoint → quantised checkpoint
   conversion with exact byte accounting;
 * :mod:`repro.quant.format` — a GGUF-style single-file sidecar format
-  (``.slq``) so converted checkpoints round-trip without re-quantising.
+  (``.slq``) so converted checkpoints round-trip without re-quantising
+  (:func:`~repro.quant.format.convert_to_sidecar` writes and verifies one).
 
 The timing side (smaller streamed weight tiles, dequant cycles on the
 SFU path, quantised KV traffic) is threaded through
@@ -19,12 +20,13 @@ SFU path, quantised KV traffic) is threaded through
 
 from .config import QuantConfig, canonical_tensor_name, resolve_quant
 from .convert import QuantizedCheckpoint, quantize_checkpoint
-from .format import load_quantized, save_quantized
+from .format import convert_to_sidecar, load_quantized, save_quantized
 
 __all__ = [
     "QuantConfig",
     "QuantizedCheckpoint",
     "canonical_tensor_name",
+    "convert_to_sidecar",
     "load_quantized",
     "quantize_checkpoint",
     "resolve_quant",

@@ -15,7 +15,8 @@ tensor, the integer data (int8 raw, or int4 packed two-per-byte) and
 the float32 group scales; fp32 tensors are stored raw.  Wider codes
 have no encoding: writing or reading one raises ``ValueError``.  Loading
 reconstructs :class:`QuantizedTensor`s directly from the integer payload
-— no float32 weight matrix is materialised.
+— no float32 weight matrix is materialised.  :func:`convert_to_sidecar`
+is the whole conversion: quantise, write, reload and check the reload.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from typing import Any, Dict, List, Tuple, Union
 
 import numpy as np
 
+from repro.llama.checkpoint import Checkpoint
 from repro.llama.config import LlamaConfig
 from repro.llama.quantization import (
     QuantizedTensor,
@@ -35,9 +37,10 @@ from repro.llama.quantization import (
 )
 
 from .config import QuantConfig, _spec_from_dict, _spec_to_dict
-from .convert import QuantizedCheckpoint, TensorLike
+from .convert import QuantizedCheckpoint, TensorLike, quantize_checkpoint
 
-__all__ = ["save_quantized", "load_quantized", "FORMAT_MAGIC", "FORMAT_VERSION"]
+__all__ = ["save_quantized", "load_quantized", "convert_to_sidecar",
+           "FORMAT_MAGIC", "FORMAT_VERSION"]
 
 FORMAT_MAGIC = b"SLQ1"
 FORMAT_VERSION = 1
@@ -183,3 +186,24 @@ def load_quantized(path: Union[str, Path]) -> QuantizedCheckpoint:
             ValueError) as exc:
         raise ValueError(f"{path}: malformed quantized checkpoint at byte "
                          f"{offset}: {exc!r}") from exc
+
+
+def convert_to_sidecar(checkpoint: Checkpoint, quant: QuantConfig,
+                       path: Union[str, Path]) -> Dict[str, Any]:
+    """Quantise ``checkpoint`` into a ``.slq`` file at ``path``, read it back
+    and return the ``QUANTIZE_v1`` summary; its ``"roundtrip"`` passes when
+    the reload has the same byte accounting, quant config and tensor count."""
+    quantized = quantize_checkpoint(checkpoint, quant)
+    path = save_quantized(quantized, path)
+    reloaded = load_quantized(path)
+    roundtrip = (reloaded.nbytes == quantized.nbytes
+                 and reloaded.quant == quant
+                 and len(reloaded.tensors) == len(quantized.tensors))
+    return {
+        "schema": "QUANTIZE_v1",
+        "model": checkpoint.config.name,
+        "path": str(path),
+        "file_bytes": path.stat().st_size,
+        "roundtrip": "pass" if roundtrip else "fail",
+        **quantized.summary(),
+    }

@@ -12,7 +12,8 @@ import json
 import pytest
 
 from repro import bench
-from repro.api import EngineConfig, SamplingParams, SpecConfig
+from repro.api import (CompletionRequest, EngineConfig, SamplingParams,
+                       SpecConfig)
 from repro.cli import main
 from repro.cluster import ClusterConfig
 from repro.workloads import default_suite, mixed_chat_suite
@@ -136,3 +137,40 @@ def test_cli_check_exits_nonzero_on_an_injected_mismatch(monkeypatch, capsys):
     assert code == 1
     assert "MISMATCH on 'injected'" in captured.err
     assert "token identity check   1 MISMATCHES" in captured.out
+
+
+def test_api_bench_checks_each_stream_against_its_batch_twin():
+    requests = [CompletionRequest(prompt=prompt, max_tokens=5, seed=i,
+                                  stream=stream)
+                for i, (prompt, stream) in enumerate(
+                    [("Once upon a time", True), ("The little dog", False)])]
+    result = bench.api_bench(EngineConfig(model="test-small"), requests,
+                             check=True)
+    streamed, batch = result.payload["completions"]
+    assert result.mismatches == []
+    assert streamed["match"] and batch["match"]
+    assert streamed["text"] == streamed["batch_text"]
+    assert streamed["n_chunks"] >= 1 and "token_ids" not in batch
+    assert result.payload["aggregate"]["n_requests"] == 2
+
+
+def test_api_bench_reports_a_stream_that_differs_from_its_twin(monkeypatch):
+    """Same text, one token fewer: the token ids alone must catch it."""
+    real = bench.CompletionService.create
+
+    def short(self, request):
+        response = real(self, request)
+        choice = dataclasses.replace(response.choices[0],
+                                     token_ids=response.choices[0].token_ids[:-1])
+        return dataclasses.replace(response, choices=(choice,))
+
+    monkeypatch.setattr(bench.CompletionService, "create", short)
+    result = bench.api_bench(
+        EngineConfig(model="test-small"),
+        [CompletionRequest(prompt="Once upon a time", max_tokens=5,
+                           stream=True)], check=True)
+    assert len(result.mismatches) == 1
+    assert result.mismatches[0].startswith("MISMATCH on 'Once upon a time':")
+    record = result.payload["completions"][0]
+    assert record["match"] is False
+    assert record["text"] == record["batch_text"]

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import pytest
@@ -76,6 +77,22 @@ class TestBenchCommand:
         assert "normalized_latency" in out
         rows = json.loads(json_path.read_text())
         assert {r["variant"] for r in rows} >= {"unoptimized", "full"}
+
+    def test_json_dash_is_stdout_not_a_file(self, capsys, tmp_path,
+                                            monkeypatch):
+        """``--json -`` used to write the rows to a file named ``-``."""
+        monkeypatch.chdir(tmp_path)
+        code = main([
+            "bench", "--model", "test-small",
+            "--prompt-tokens", "4", "--tokens", "12", "--stride", "8",
+            "--json", "-",
+        ])
+        rows = json.loads(capsys.readouterr().out)
+        assert code == 0
+        assert not (tmp_path / "-").exists()
+        full = next(row for row in rows if row["variant"] == "full")
+        assert full["normalized_latency"] < 1.0
+        assert full["relative_efficiency"] > 1.0
 
 
 class TestServeBenchCommand:
@@ -215,6 +232,14 @@ class TestRejectedConfiguration:
         ["validate", "--model", "test-small", "--prompts", "0"],
         ["export-graph", "--model", "test-micro", "--context", "-1"],
         ["export-graph", "--model", "test-micro", "--context", "99999"],
+        ["quantize", "--model", "test-small", "--quant-group", "0"],
+        ["compile-bench", "--model", "test-small", "--requests", "0"],
+        ["compile-bench", "--model", "test-small", "--tokens", "0"],
+        ["serve-api", "--model", "test-small", "--max-tokens", "0"],
+        ["serve-api", "--model", "test-small", "--temperature", "-1"],
+        ["serve-api", "--model", "test-small", "--logprobs", "-1"],
+        ["generate", "hi", "--model", "test-small",
+         "--tokenizer", "missing-tokenizer.bin"],
     ])
     def test_every_configuring_command_does(self, capsys, argv):
         with pytest.raises(SystemExit) as exit_info:
@@ -333,6 +358,78 @@ class TestCompileBenchCommand:
         assert "compile phases" in out
         assert "compile cache" in out
         assert "tile autotuner" in out
+
+
+class TestServeApiCommand:
+    ARGV = ["serve-api", "--model", "test-small", "--max-tokens", "6",
+            "--prompt", "Once upon a time", "--prompt", "The little dog"]
+
+    def test_streamed_completions_match_their_batch_twins(self, capsys):
+        code = main([*self.ARGV, "--check"])
+        out = capsys.readouterr().out.splitlines()
+        assert code == 0
+        assert out[0].endswith("'Once upon a time'")
+        assert out[1].endswith(" chunks)")
+        assert out[-2:] == ["", "stream-vs-batch check: OK (2 completions)"]
+
+    def test_no_stream_writes_terminal_responses(self, capsys, tmp_path):
+        path = tmp_path / "api.json"
+        code = main([*self.ARGV, "--no-stream", "--json", str(path)])
+        out = capsys.readouterr().out.splitlines()
+        assert code == 0
+        assert "(finish_reason=" in out[1] and "chunks" not in out[1]
+        assert out[-1] == f"results written to {path}"
+        payload = json.loads(path.read_text())
+        assert payload["model"] == "test-small"
+        assert [c["streamed"] for c in payload["completions"]] == [False] * 2
+        assert payload["aggregate"]["n_requests"] == 2
+
+
+class TestQuantizeCommand:
+    def test_json_stdout_is_the_summary_alone(self, capsys, tmp_path):
+        out = tmp_path / "m.slq"
+        code = main(["quantize", "--model", "test-small", "--mode", "int4",
+                     "--quant-kv", "--out", str(out), "--json", "-"])
+        summary = json.loads(capsys.readouterr().out)
+        assert code == 0
+        assert summary["schema"] == "QUANTIZE_v1"
+        assert summary["roundtrip"] == "pass"
+        assert summary["path"] == str(out)
+        assert summary["file_bytes"] == out.stat().st_size
+        assert summary["bytes_saved"] > 0
+
+    def test_a_failed_round_trip_exits_1(self, capsys, tmp_path, monkeypatch):
+        from repro.quant import QuantConfig, format as slq
+
+        real = slq.load_quantized
+
+        def drifted(path):
+            return dataclasses.replace(real(path), quant=QuantConfig.fp32())
+
+        monkeypatch.setattr(slq, "load_quantized", drifted)
+        code = main(["quantize", "--model", "test-small",
+                     "--out", str(tmp_path / "m.slq")])
+        assert code == 1
+        assert "reload round-trip      FAIL" in capsys.readouterr().out
+
+
+class TestTraceCommand:
+    def test_trace_then_validate(self, capsys, tmp_path):
+        path = tmp_path / "t.json"
+        code = main(["trace", "--model", "test-small", "--requests", "2",
+                     "--tokens", "4", "--out", str(path)])
+        assert code == 0
+        assert capsys.readouterr().out.startswith(f"trace written to {path} ")
+        assert main(["trace", "--validate", str(path)]) == 0
+        assert capsys.readouterr().out.startswith(f"{path}: valid (")
+
+        payload = json.loads(path.read_text())
+        payload["otherData"]["schema"] = "not-a-trace"
+        path.write_text(json.dumps(payload))
+        assert main(["trace", "--validate", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("INVALID: ")
 
 
 class TestValidateCommand:

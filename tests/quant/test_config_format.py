@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import numpy as np
@@ -14,6 +15,7 @@ from repro.llama.quantization import QuantSpec, QuantizedTensor
 from repro.quant import (
     QuantConfig,
     canonical_tensor_name,
+    convert_to_sidecar,
     load_quantized,
     quantize_checkpoint,
     resolve_quant,
@@ -136,6 +138,33 @@ class TestConvertAccounting:
 
 
 class TestSidecarFormat:
+    def test_convert_to_sidecar_verifies_the_reload(self, tmp_path,
+                                                    small_checkpoint):
+        quant = resolve_quant("int8", quant_kv=True)
+        summary = convert_to_sidecar(small_checkpoint, quant,
+                                     tmp_path / "m.slq")
+        assert summary["schema"] == "QUANTIZE_v1"
+        assert summary["roundtrip"] == "pass"
+        assert summary["file_bytes"] == (tmp_path / "m.slq").stat().st_size
+        assert load_quantized(tmp_path / "m.slq").quant == quant
+
+    def test_convert_to_sidecar_fails_a_drifted_reload(self, tmp_path,
+                                                      small_checkpoint,
+                                                      monkeypatch):
+        from repro.quant import format as slq
+
+        real = slq.load_quantized
+
+        def drifted(path):
+            return dataclasses.replace(real(path),
+                                       quant=resolve_quant("int8",
+                                                           group_size=32))
+
+        monkeypatch.setattr(slq, "load_quantized", drifted)
+        summary = convert_to_sidecar(small_checkpoint, resolve_quant("int8"),
+                                     tmp_path / "m.slq")
+        assert summary["roundtrip"] == "fail"
+
     def test_roundtrip_is_value_exact(self, tmp_path, small_checkpoint):
         quant = resolve_quant("int4", group_size=32, quant_kv=True)
         converted = quantize_checkpoint(small_checkpoint, quant)
