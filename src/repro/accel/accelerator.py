@@ -2,8 +2,9 @@
 
 :class:`SpeedLLMAccelerator` ties every piece together for one design
 point: it quantises the model weights as its ``quant`` config stores
-them, builds decode-step graphs, optionally fuses them, compiles them to
-tile programs, simulates the programs on the pipeline executor, and
+them (built over a checkpoint; one built over a config alone times
+only), builds decode-step graphs, optionally fuses them, compiles them
+to tile programs, simulates the programs on the pipeline executor, and
 accumulates latency / traffic / energy over a whole generation (prefill +
 decode), while the functional graph executor produces the actual tokens.
 
@@ -39,6 +40,7 @@ from ..graph.fusion import fuse_graph
 from ..graph.graph import Graph
 from ..llama import generation
 from ..llama.checkpoint import Checkpoint
+from ..llama.config import LlamaConfig
 from ..llama.kv_cache import KVCache
 from ..llama.quantization import dequantize, quantize
 from ..llama.sampler import Sampler
@@ -122,16 +124,27 @@ class AcceleratorGeneration:
 
 
 class SpeedLLMAccelerator:
-    """One accelerator design point bound to one model checkpoint."""
+    """One accelerator design point bound to one model.
+
+    ``model`` is a :class:`~repro.llama.checkpoint.Checkpoint` or, for a
+    timing-only design point, just its :class:`~repro.llama.config.
+    LlamaConfig`: timing, energy and resources depend on the shapes
+    alone.  Functional calls need the checkpoint's weights and raise
+    ``ValueError`` without them.
+    """
 
     def __init__(
         self,
-        checkpoint: Checkpoint,
+        model: Checkpoint | LlamaConfig,
         config: Optional[AcceleratorConfig] = None,
         platform: Optional[FpgaPlatform] = None,
     ) -> None:
-        self.checkpoint = checkpoint
-        self.model_config = checkpoint.config
+        if isinstance(model, LlamaConfig):
+            self.checkpoint: Optional[Checkpoint] = None
+            self.model_config = model
+        else:
+            self.checkpoint = model
+            self.model_config = model.config
         self.config = config or AcceleratorConfig()
         self.platform = platform or u280()
         #: Graph/program compilation and cycle simulation, cached: the
@@ -152,6 +165,11 @@ class SpeedLLMAccelerator:
         functional result reflects the stored precision; a tensor it
         keeps in float32 is passed through.
         """
+        if self.checkpoint is None:
+            raise ValueError(
+                f"this accelerator was built from the {self.model_config.name!r} "
+                "config alone, for timing: functional execution needs a "
+                "checkpoint with its weights")
         quant = self.config.quant.for_model(self.model_config)
         shared = self.model_config.shared_classifier
         weights = {}
@@ -219,11 +237,7 @@ class SpeedLLMAccelerator:
         if n_generated < 0:
             raise ValueError("n_generated must be >= 0")
         total_positions = n_prompt + n_generated
-        if total_positions > self.model_config.max_seq_len:
-            raise ValueError(
-                f"{total_positions} positions exceed the context window "
-                f"({self.model_config.max_seq_len})"
-            )
+        self.model_config.check_positions(total_positions)
 
         sampled = self._sample_positions(total_positions, position_stride)
         results = {pos: self.timing.simulate_step([pos]) for pos in sampled}

@@ -12,9 +12,10 @@ small, reusable DSE loop:
 4. simulate the survivors cycle-accurately and rank them,
 5. report the latency/efficiency Pareto front.
 
-Checkpoint, platform and workload are the
+Model config, platform and workload are the
 :class:`~repro.core.runner.ExperimentRunner`'s the explorer is built
-over, and every survivor is simulated by its
+over (no weights: every candidate is timed from the config alone), and
+every survivor is simulated by its
 :meth:`~repro.core.runner.ExperimentRunner.simulate`.  The
 ``examples/design_space_exploration.py`` script is a thin wrapper around
 this module.

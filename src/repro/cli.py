@@ -630,7 +630,7 @@ def _cmd_bench(args: argparse.Namespace) -> _Outcome:
             position_stride=args.stride,
             energy_accounting=args.energy,
         )
-    runner = ExperimentRunner(config)
+        runner = ExperimentRunner(config)
     rows = runner.result_rows()
     return _Outcome(text=report.bench_view(rows, runner.headline_speedup()),
                     payload=rows, what="rows")

@@ -2,12 +2,12 @@
 
 This is the layer the ``speedllm bench`` CLI subcommand, the perf
 harness and design-space exploration drive.  A runner holds a model
-checkpoint, a platform and a workload (prompt length + decode length);
+config, a platform and a workload (prompt length + decode length);
 :meth:`ExperimentRunner.simulate` is the one place a design point is
 simulated — it builds a
 :class:`~repro.accel.accelerator.SpeedLLMAccelerator` for an
-:class:`~repro.accel.config.AcceleratorConfig` over the shared
-checkpoint and simulates that workload.  The paper's named variants go
+:class:`~repro.accel.config.AcceleratorConfig` from the model config
+alone and simulates that workload.  The paper's named variants go
 through it (:meth:`~ExperimentRunner.run_variant`, returning
 :class:`~repro.core.metrics.VariantResult` records and the normalised
 tables the figures show: Fig. 2a normalized latency, Fig. 2b relative
@@ -15,11 +15,13 @@ energy efficiency, the headline speedup), and so does every candidate of
 a :class:`~repro.accel.dse.DesignSpaceExplorer`.
 
 The runner evaluates *timing only* (``simulate_generation``), which is
-why it is cheap enough to sweep every variant: no tokens are decoded.
-Functional correctness is covered separately by
-:mod:`repro.core.validation`, and multi-request serving throughput by
-:class:`repro.serve.ServingEngine` via ``speedllm serve-bench`` — see
-``docs/ARCHITECTURE.md`` for how the three fit together.
+why it is cheap enough to sweep every variant: no tokens are decoded,
+and no weights are synthesised or quantised, since cycles, traffic and
+energy depend on the model's shapes alone.  Functional correctness is
+covered separately by :mod:`repro.core.validation`, and multi-request
+serving throughput by :class:`repro.serve.ServingEngine` via ``speedllm
+serve-bench`` — see ``docs/ARCHITECTURE.md`` for how the three fit
+together.
 """
 
 from __future__ import annotations
@@ -33,7 +35,6 @@ from ..accel.config import AcceleratorConfig
 from ..accel.variants import PAPER_VARIANTS
 from ..fpga.power import EnergyModelConfig
 from ..fpga.u280 import FpgaPlatform, u280
-from ..llama.checkpoint import Checkpoint, synthesize_weights
 from ..llama.config import LlamaConfig, preset
 from .metrics import (
     VariantResult,
@@ -55,7 +56,6 @@ class ExperimentConfig:
     n_prompt: int = 8
     n_generated: int = 64
     position_stride: int = 16
-    seed: int = 0
     energy_accounting: str = "effective"   # "effective" (Fig. 2b) or "board"
     clock_mhz: float = 225.0
 
@@ -80,16 +80,11 @@ class ExperimentRunner:
     def __init__(
         self,
         config: ExperimentConfig,
-        checkpoint: Optional[Checkpoint] = None,
         platform: Optional[FpgaPlatform] = None,
     ) -> None:
         self.config = config
-        self.model_config: LlamaConfig = (
-            checkpoint.config if checkpoint is not None else preset(config.model)
-        )
-        self.checkpoint = checkpoint or synthesize_weights(
-            self.model_config, seed=config.seed
-        )
+        self.model_config: LlamaConfig = preset(config.model)
+        self.model_config.check_positions(config.n_prompt + config.n_generated)
         if platform is None:
             platform = u280(clock_mhz=config.clock_mhz)
             if config.energy_accounting == "effective":
@@ -101,10 +96,10 @@ class ExperimentRunner:
 
     # ------------------------------------------------------------------
     def simulate(self, accel_config: AcceleratorConfig) -> GenerationMetrics:
-        """Build ``accel_config`` over the shared checkpoint and platform
-        and simulate the configured workload (timing only)."""
+        """Build ``accel_config`` over the model config and the shared
+        platform and simulate the configured workload (timing only)."""
         accel = SpeedLLMAccelerator(
-            self.checkpoint, accel_config, platform=self.platform)
+            self.model_config, accel_config, platform=self.platform)
         return accel.simulate_generation(
             n_prompt=self.config.n_prompt,
             n_generated=self.config.n_generated,

@@ -124,6 +124,15 @@ class LlamaConfig:
         """Number of query heads sharing one KV head (GQA group size)."""
         return self.n_heads // self.n_kv_heads
 
+    def check_positions(self, positions: int) -> None:
+        """Raise ``ValueError`` if ``positions`` do not fit the context
+        window."""
+        if positions > self.max_seq_len:
+            raise ValueError(
+                f"{positions} positions exceed the context window "
+                f"({self.max_seq_len})"
+            )
+
     def resolved_hidden_dim(self) -> int:
         """Return the FFN inner dimension, deriving it when unset.
 

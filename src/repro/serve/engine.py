@@ -61,7 +61,8 @@ its KV memory; the driver keeps stepping the rest.
 
 from __future__ import annotations
 
-import asyncio
+# asyncio is imported where AsyncServingEngine uses it, so that only its
+# callers load it and not every process that imports repro.
 import dataclasses
 import itertools
 from typing import (TYPE_CHECKING, AsyncIterator, Callable, Dict, Iterable,
@@ -810,6 +811,7 @@ class AsyncServingEngine:
     def _ensure_driver(self) -> None:
         """(Re)start the cooperative stepping task if it is not running."""
         if self._driver is None or self._driver.done():
+            import asyncio
             loop = asyncio.get_running_loop()
             self._driver = loop.create_task(self._drive())
 
@@ -824,6 +826,7 @@ class AsyncServingEngine:
         released immediately and the driver keeps stepping every other
         in-flight request.
         """
+        import asyncio
         loop = asyncio.get_running_loop()
         handle = self.engine.submit(prompt, params)
         future: "asyncio.Future[RequestMetrics]" = loop.create_future()
@@ -852,6 +855,7 @@ class AsyncServingEngine:
         memory is freed immediately while the driver keeps stepping every
         other in-flight request.
         """
+        import asyncio
         handle = self.engine.submit(prompt, params)
         self._ensure_driver()
         try:
@@ -877,6 +881,7 @@ class AsyncServingEngine:
                 self.engine.cancel(handle.request)
 
     async def _drive(self) -> None:
+        import asyncio
         engine = self.engine
         try:
             while engine.scheduler.has_work:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -14,11 +15,13 @@ from repro.accel.compiler import ProgramCompiler
 from repro.accel.config import AcceleratorConfig, MPEConfig
 from repro.accel.variants import PAPER_VARIANTS
 from repro.accel.dse import DesignSpace, DesignSpaceExplorer
+from repro.cli import main
 from repro.core.runner import ExperimentConfig, ExperimentRunner
 from repro.fpga.resources import ResourceError
 from repro.fpga.u280 import u280
 from repro.graph.builder import GraphBuilder
 from repro.graph.fusion import fuse_graph
+from repro.llama.checkpoint import Checkpoint
 from repro.llama.evaluate import cross_entropy, divergence_report
 from repro.llama.generation import generate as reference_generate
 from repro.llama.kv_cache import KVCache
@@ -266,6 +269,24 @@ class TestValuesStayOutsideTheCompiler:
         assert "_value_graph" in vars(accel)
         assert not any(accel.timing.phase_seconds.values())
 
+    def test_config_built_accelerator_times_alike_and_computes_nothing(
+            self, small_config, small_checkpoint):
+        config = AcceleratorConfig.variant("no-reuse")
+        timing_only = SpeedLLMAccelerator(small_config, config)
+        assert timing_only.simulate_generation(
+            n_prompt=3, n_generated=5, position_stride=2
+        ) == SpeedLLMAccelerator(small_checkpoint, config).simulate_generation(
+            n_prompt=3, n_generated=5, position_stride=2)
+        assert timing_only.resource_report().used == config.resources()
+        cache = timing_only.new_cache()
+        for call in (lambda: timing_only.forward(1, 0, cache),
+                     lambda: timing_only.execute_slots([BatchSlot(1, 0, cache)]),
+                     lambda: timing_only.generate([1, 2], 2),
+                     timing_only.functional_checkpoint):
+            with pytest.raises(ValueError, match="needs a checkpoint"):
+                call()
+        assert cache.length == 0
+
     def test_timing_only_run_builds_no_value_graph(self, small_checkpoint):
         accel = SpeedLLMAccelerator(small_checkpoint, AcceleratorConfig())
         accel.simulate_generation(n_prompt=2, n_generated=2)
@@ -294,16 +315,34 @@ class TestValuesStayOutsideTheCompiler:
         accel.functional_checkpoint()
         assert len(quantize_calls) == n_matrices
 
-    def test_design_space_exploration_quantises_nothing(self, small_checkpoint,
-                                                        quantize_calls):
+    def test_design_space_exploration_quantises_nothing(self, quantize_calls):
         explorer = DesignSpaceExplorer(ExperimentRunner(
             ExperimentConfig(model="test-small", n_prompt=4, n_generated=8,
-                             position_stride=4),
-            checkpoint=small_checkpoint))
+                             position_stride=4)))
         results = explorer.explore(DesignSpace(
             mpe_shapes=((32, 16),), buffer_segments=(4,), hbm_stripes=(8, 16)))
         assert [r.simulated for r in results] == [True, True]
         assert quantize_calls == []
+
+    def test_timing_only_paths_build_no_checkpoint(self, monkeypatch,
+                                                   capsys):
+        """The paper experiment, DSE and ``speedllm bench`` simulate from
+        the model config: none of them synthesises a weight."""
+        def refuse(checkpoint):
+            raise AssertionError("a timing-only path built a checkpoint")
+
+        monkeypatch.setattr(Checkpoint, "__post_init__", refuse)
+        config = ExperimentConfig(model="stories15M", n_prompt=4,
+                                  n_generated=8, position_stride=8)
+        assert len(ExperimentRunner(config).run_all()) == len(config.variants)
+        explorer = DesignSpaceExplorer(ExperimentRunner(dataclasses.replace(
+            config, model="test-small")))
+        results = explorer.explore(DesignSpace(
+            mpe_shapes=((32, 16),), buffer_segments=(4,), hbm_stripes=(8, 16)))
+        assert [r.simulated for r in results] == [True, True]
+        assert main(["bench", "--model", "test-small", "--prompt-tokens", "4",
+                     "--tokens", "8", "--stride", "4"]) == 0
+        assert "headline" in capsys.readouterr().out
 
     @pytest.mark.parametrize("quant, knobs", [
         (QuantConfig.datapath(), {}),

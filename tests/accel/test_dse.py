@@ -11,18 +11,18 @@ from repro.core.runner import ExperimentConfig, ExperimentRunner
 from repro.quant import QuantConfig
 
 
-def _explorer(checkpoint, n_prompt=4):
+def _explorer(n_prompt=4):
     """An explorer over the tests' workload; the pinned rows below are
     priced with board energy accounting on the default platform."""
     config = ExperimentConfig(
         model="test-small", n_prompt=n_prompt, n_generated=8,
         position_stride=4, energy_accounting="board")
-    return DesignSpaceExplorer(ExperimentRunner(config, checkpoint=checkpoint))
+    return DesignSpaceExplorer(ExperimentRunner(config))
 
 
 @pytest.fixture(scope="module")
-def explorer(small_checkpoint):
-    return _explorer(small_checkpoint)
+def explorer():
+    return _explorer()
 
 
 SMALL_SPACE = DesignSpace(
@@ -88,20 +88,19 @@ class TestExplorer:
         assert results[0].simulated
         assert not results[1].simulated
 
-    def test_each_accelerator_is_built_once(self, small_checkpoint,
-                                            monkeypatch):
+    def test_each_accelerator_is_built_once(self, monkeypatch):
         """The bound needs a lowered program, not an accelerator: only
-        simulated candidates construct one (quantising every weight), and
-        a row reads the same whichever way it was reached."""
+        simulated candidates construct one (a step compiler each), and a
+        row reads the same whichever way it was reached."""
         built = []
 
         class Counted(runner_module.SpeedLLMAccelerator):
-            def __init__(self, checkpoint, config, **kwargs):
+            def __init__(self, model, config, **kwargs):
                 built.append(config.name)
-                super().__init__(checkpoint, config, **kwargs)
+                super().__init__(model, config, **kwargs)
 
         monkeypatch.setattr(runner_module, "SpeedLLMAccelerator", Counted)
-        explorer = _explorer(small_checkpoint)
+        explorer = _explorer()
         space = DesignSpace(mpe_shapes=((64, 32),), buffer_segments=(8,),
                             hbm_stripes=(16, 32, 1))
         results = explorer.explore(space, prune_factor=1.5)
@@ -114,9 +113,9 @@ class TestExplorer:
             if result.simulated:
                 assert alone == result
 
-    def test_invalid_workload(self, small_checkpoint):
+    def test_invalid_workload(self):
         with pytest.raises(ValueError):
-            _explorer(small_checkpoint, n_prompt=0)
+            _explorer(n_prompt=0)
 
     @pytest.mark.parametrize("axis, values", [
         pytest.param("mpe_shapes", ((32, 16), (64, 32), (128, 32), (128, 64)),

@@ -226,6 +226,8 @@ class TestRejectedConfiguration:
         ["serve-api", "--model", "test-small", "--ctx-bucket", "0"],
         ["trace", "--model", "test-small", "--requests", "0"],
         ["bench", "--model", "test-small", "--stride", "0"],
+        ["bench", "--model", "test-small", "--prompt-tokens", "4",
+         "--tokens", "100"],
         ["generate", "hi", "--model", "test-small", "--stride", "0"],
         ["generate", "hi", "--model", "test-small", "--tokens", "0"],
         ["validate", "--model", "test-small", "--tokens", "0"],

@@ -9,7 +9,7 @@ from repro.core.runner import ExperimentConfig, ExperimentRunner
 
 
 @pytest.fixture(scope="module")
-def runner(small_checkpoint):
+def runner():
     config = ExperimentConfig(
         model="test-small",
         variants=("unoptimized", "no-pipeline", "no-fusion", "full"),
@@ -17,7 +17,7 @@ def runner(small_checkpoint):
         n_generated=16,
         position_stride=8,
     )
-    return ExperimentRunner(config, checkpoint=small_checkpoint)
+    return ExperimentRunner(config)
 
 
 class TestExperimentConfig:
@@ -73,18 +73,18 @@ class TestExperimentRunner:
         result = runner.run_variant("no-pipeline")
         assert "parallel" in result.paper_label
 
-    def test_board_energy_accounting(self, small_checkpoint):
+    def test_board_energy_accounting(self):
         cfg = ExperimentConfig(model="test-small", variants=("full",),
                                n_prompt=2, n_generated=4, position_stride=2,
                                energy_accounting="board")
-        runner = ExperimentRunner(cfg, checkpoint=small_checkpoint)
+        runner = ExperimentRunner(cfg)
         result = runner.run_variant("full")
         # Whole-board accounting includes the ~25 W static draw.
         assert result.average_power_w > 20
 
-    def test_run_variant_simulates_the_paper_variant(self, small_checkpoint):
+    def test_run_variant_simulates_the_paper_variant(self):
         cfg = ExperimentConfig(model="test-small", variants=("full",),
                                n_prompt=2, n_generated=4, position_stride=2)
-        runner = ExperimentRunner(cfg, checkpoint=small_checkpoint)
+        runner = ExperimentRunner(cfg)
         assert runner.run_variant("full").metrics == runner.simulate(
             AcceleratorConfig.variant("full"))

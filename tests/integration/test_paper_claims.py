@@ -35,7 +35,7 @@ from repro.quant import QuantConfig
 
 
 @pytest.fixture(scope="module")
-def runner(small_checkpoint):
+def runner():
     config = ExperimentConfig(
         model="test-small",
         variants=("unoptimized", "no-pipeline", "no-reuse", "no-fusion", "full"),
@@ -43,7 +43,7 @@ def runner(small_checkpoint):
         n_generated=24,
         position_stride=8,
     )
-    return ExperimentRunner(config, checkpoint=small_checkpoint)
+    return ExperimentRunner(config)
 
 
 @pytest.fixture(scope="module")
@@ -137,7 +137,7 @@ class TestAblationShape:
         reuse = runner.simulate(AcceleratorConfig(buffers=buffers))
         drain = runner.simulate(drain_config)
         drain_step = SpeedLLMAccelerator(
-            runner.checkpoint, drain_config, platform=runner.platform,
+            runner.model_config, drain_config, platform=runner.platform,
         ).timing.simulate_step([runner.config.n_prompt])
         assert drain_step.n_flushes > 0
         assert drain.total_seconds >= reuse.total_seconds

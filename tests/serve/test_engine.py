@@ -9,6 +9,10 @@ sampling settings.
 from __future__ import annotations
 
 import asyncio
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -333,3 +337,17 @@ class TestAsyncEngine:
         # The waiter gets the engine failure instead of hanging forever.
         with pytest.raises(RuntimeError, match="boom"):
             asyncio.run(drive())
+
+    def test_importing_repro_leaves_asyncio_unloaded(self):
+        """Only :class:`AsyncServingEngine` uses asyncio, so only its
+        callers pay the import; every other process imports ``repro``
+        without it."""
+        src = Path(__file__).resolve().parents[2] / "src"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+        done = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, repro; print('asyncio' in sys.modules)"],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "False"
