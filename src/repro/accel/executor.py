@@ -22,14 +22,21 @@ final norm and classifier (the *tail*) after.  A step then runs
 **op-major**, the order :mod:`repro.accel.batching` prices: each
 operator over all the step's slots, activations stacked as one
 ``[n_slots, width]`` array.  The row-wise operators are one NumPy call
-for all rows; ``KV_APPEND``, attention and ``SOFTMAX`` run per slot
-against the slot's own cache, all heads in one batched ``matmul``.  The
-body runs over every slot, the tail over the slots that want logits; a
-slot that does not yields its hidden state.  The order is safe because
-slots of different caches are independent and slots of one cache come
-in increasing position: layer *l*'s ``KV_APPEND`` sweep writes row *p*
-before any slot's attention at layer *l* reads it, and each slot's
-window stops at its own ``pos + 1``.
+for all rows.  ``KV_APPEND`` is array operations too: before the body
+runs, a :class:`~repro.llama.kv_cache.KVStep` makes every slot's row
+writable (blocks attached, shared blocks copied) and resolves its window
+to storage rows, so a rejected step writes nothing; each layer is then
+one fake-quant of every slot's key and value rows, and per KV storage
+one scatter and one gather cut into the slots' windows (a private
+cache's windows are views of its rows).  Attention and
+``SOFTMAX`` run per slot, all heads in one batched ``matmul``: padding
+the windows to one length would change the reduction order, and so the
+bits.  The body runs over every slot, the tail over the slots that want
+logits; a slot that does not yields its hidden state.  The order is safe
+because slots of different caches are independent and slots of one
+cache come in increasing position: layer *l*'s scatter writes row *p*
+before its gather reads any window, and each slot's window stops at its
+own ``pos + 1``.
 
 ``MATMUL`` is weight-stationary, as the accelerator is.  The program
 holds each weight matrix cut into row blocks of at most 512 KiB, every
@@ -60,6 +67,7 @@ from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 
 from ..llama.config import LlamaConfig
+from ..llama.kv_cache import KVStep
 from ..llama.model import apply_rope, rmsnorm, rope_frequencies, silu, softmax
 from ..graph.builder import hidden_state
 from ..graph.graph import Graph
@@ -189,9 +197,15 @@ class GraphExecutor:
     def execute_step(self, graph: Graph, slots: Sequence[BatchSlot]) -> List[np.ndarray]:
         """Run every slot through the step ``graph``, op-major; one
         result array per slot: the logits where ``need_logits`` is on,
-        the hidden state otherwise.  Every slot is validated before the
-        first cache row is written, so a rejected step changes nothing:
-        slots sharing a cache must come in strictly increasing position.
+        the hidden state otherwise.  Slots sharing a cache must come in
+        strictly increasing position.  Every slot is validated, and every
+        slot's KV row made writable (blocks attached, shared blocks
+        copied), before the first cache row is written: a step rejected
+        there writes no row.  A step that fails later — a non-finite row
+        under quantised KV — gives back what planning attached and
+        copied.  Either way every block table, refcount and cache length
+        is as it was; rows the body wrote before failing stay, in blocks
+        given back or past each cache's length.
 
         Nothing read from the graph depends on the context it was built
         for — the attention window is ``pos + 1`` — so one graph serves
@@ -215,7 +229,12 @@ class GraphExecutor:
         program = self._programs.get(id(graph)) or self._compile(graph)
         body, hidden = program.body, hidden_state(self.config)
         values = {"token": np.array([slot.token for slot in slots], dtype=np.int64)}
-        self._run(program.instructions[:body], values, slots)
+        kv = KVStep([slot.cache for slot in slots], [slot.pos for slot in slots])
+        try:
+            self._run(program.instructions[:body], values, slots, kv)
+        except BaseException:
+            kv.restore_blocks()
+            raise
         results: List[np.ndarray] = list(values[hidden])
         rows = [row for row, slot in enumerate(slots) if slot.need_logits]
         if not rows:
@@ -230,8 +249,9 @@ class GraphExecutor:
 
     # ------------------------------------------------------------------
     def _run(self, instructions: Sequence[_Instruction], values: Dict[str, object],
-             slots: Sequence[BatchSlot]) -> None:
-        """Run a stretch of a program over the stacked rows of ``slots``.
+             slots: Sequence[BatchSlot], kv: Optional[KVStep] = None) -> None:
+        """Run a stretch of a program over the stacked rows of ``slots``,
+        ``kv`` their planned KV traffic (the tail has no ``KV_APPEND``).
 
         ``values`` maps a tensor name to its ``[n_slots, width]`` array —
         or, for the per-slot KV windows, scores and probabilities, whose
@@ -255,13 +275,10 @@ class GraphExecutor:
             elif kind is OpKind.ROPE:
                 out = apply_rope(a.reshape(n, -1, head_dim), angles).reshape(a.shape)
             elif kind is OpKind.KV_APPEND:
-                for row, slot in enumerate(slots):
-                    slot.cache.append(layer, a[row], b[row], slot.pos)
-                # Windows are read after every append of the sweep: rows
+                kv.write(layer, a, b)
+                # Windows are read after the whole layer is written: rows
                 # 0..pos of a cache are final by then.
-                out = [slot.cache.keys(layer, slot.pos + 1) for slot in slots]
-                values[outputs[1]] = [slot.cache.values(layer, slot.pos + 1)
-                                      for slot in slots]
+                out, values[outputs[1]] = kv.windows(layer)
             elif kind is OpKind.ATTN_SCORE:
                 # One GEMV per head, batched: query heads [kv, group]
                 # against their KV head's [len, head_dim] keys.

@@ -115,15 +115,7 @@ def harvest_handoff(
         raise ValueError(
             f"request {request.request_id!r} finished at position "
             f"{n_positions}, expected its prompt length {request.n_prompt}")
-    config = engine.model_config
-    keys = np.stack([
-        np.array(request.cache.keys(layer, n_positions), copy=True)
-        for layer in range(config.n_layers)
-    ])
-    values = np.stack([
-        np.array(request.cache.values(layer, n_positions), copy=True)
-        for layer in range(config.n_layers)
-    ])
+    keys, values = request.cache.read(n_positions)
     return HandoffPacket(
         request_id=request.request_id,
         prompt=request.prompt,
@@ -134,7 +126,8 @@ def harvest_handoff(
         keys=keys,
         values=values,
         n_positions=n_positions,
-        bytes_per_position=KVCache.bytes_per_position(config, engine.quant.kv),
+        bytes_per_position=KVCache.bytes_per_position(
+            engine.model_config, engine.quant.kv),
         finish_clock=engine.clock,
         arrival_time=request.arrival_time,
         admitted_time=request.admitted_time,

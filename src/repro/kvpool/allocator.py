@@ -1,6 +1,7 @@
 """Fixed-size KV block allocator with refcounts and copy-on-write.
 
-The allocator owns the physical storage for every block in the pool: one
+The allocator owns the physical storage for every block in the pool, a
+:class:`~repro.llama.kv_cache.KVStorage`: one
 ``(n_blocks, n_layers, block_tokens, kv_dim)`` array for keys and one for
 values.  A block moves through three states:
 
@@ -25,10 +26,8 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Dict, List, Optional
 
-import numpy as np
-
 from ..llama.config import LlamaConfig
-from ..llama.kv_cache import KVCache
+from ..llama.kv_cache import KVCache, KVStorage
 
 __all__ = ["BlockAllocator", "BlockAllocatorError"]
 
@@ -51,9 +50,10 @@ class BlockAllocator:
     quant:
         Optional KV quantisation spec.  Shrinks ``bytes_per_block`` to
         the group-quantised footprint (so the same budget holds more
-        blocks) and fake-quantises vectors on append.  Physical storage
-        stays float32 for the NumPy attention kernels — host RAM stands
-        in for the quantised HBM blocks.
+        blocks) and is the storage's ``quant``: written rows are
+        fake-quantised.  Physical storage stays float32 for the NumPy
+        attention kernels — host RAM stands in for the quantised HBM
+        blocks.
     """
 
     def __init__(
@@ -67,7 +67,6 @@ class BlockAllocator:
             raise ValueError("block_tokens must be positive")
         self.config = config
         self.block_tokens = int(block_tokens)
-        self.quant = quant
         self.bytes_per_block = KVCache.bytes_per_block(
             config, self.block_tokens, quant
         )
@@ -77,9 +76,7 @@ class BlockAllocator:
                 f"budget of {capacity_bytes} bytes holds no "
                 f"{self.bytes_per_block}-byte blocks"
             )
-        shape = (self.n_blocks, config.n_layers, self.block_tokens, config.kv_dim)
-        self._keys = np.zeros(shape, dtype=np.float32)
-        self._values = np.zeros(shape, dtype=np.float32)
+        self.storage = KVStorage(config, self.n_blocks, self.block_tokens, quant)
         self._free: List[int] = list(range(self.n_blocks - 1, -1, -1))
         self._refcount: Dict[int, int] = {}
         self._version = [0] * self.n_blocks
@@ -222,20 +219,7 @@ class BlockAllocator:
         copy = self.allocate()
         if copy is None:
             return None
-        self._keys[copy] = self._keys[block]
-        self._values[copy] = self._values[block]
+        self.storage.keys[copy] = self.storage.keys[block]
+        self.storage.values[copy] = self.storage.values[block]
         self._refcount[block] -= 1
         return copy
-
-    # ------------------------------------------------------------------
-    # Storage views
-    # ------------------------------------------------------------------
-    def keys(self, block: int) -> np.ndarray:
-        """Writable ``(n_layers, block_tokens, kv_dim)`` key storage."""
-        self._check_id(block)
-        return self._keys[block]
-
-    def values(self, block: int) -> np.ndarray:
-        """Writable ``(n_layers, block_tokens, kv_dim)`` value storage."""
-        self._check_id(block)
-        return self._values[block]

@@ -1,19 +1,17 @@
 """Per-request KV cache view over pooled physical blocks.
 
-:class:`PagedKVCache` presents the same API the functional executor and
-the serving engine already use on :class:`~repro.llama.kv_cache.KVCache`
-(``append`` / ``keys`` / ``values`` / ``length`` /
-``capacity`` / ``reset``), but the storage behind logical position ``p``
-is row ``p % block_tokens`` of physical block ``table[p // block_tokens]``
-in the shared :class:`~repro.kvpool.allocator.BlockAllocator`.  Attention
-reads gather the logical window across blocks into a contiguous array, so
-the numerics are bit-identical to a flat cache.
+:class:`PagedKVCache` is a :class:`~repro.llama.kv_cache.KVCache` whose
+block table maps logical position ``p`` to offset ``p % block_tokens`` of
+physical block ``table[p // block_tokens]`` in the storage of the shared
+:class:`~repro.kvpool.allocator.BlockAllocator`.  Reads gather the
+logical window across blocks by row index into a contiguous array, so the
+numerics are bit-identical to a flat cache.
 
 Capacity is *logical* (the model's context window); physical blocks are
 attached on demand through :meth:`ensure_capacity`, which is where
 allocation can fail — the scheduler turns that failure into preemption.
-Appending into a position whose backing block is shared (prefix hit or
-:meth:`fork`) transparently copies-on-write first.
+Planning a write into a position whose backing block is shared (prefix
+hit or :meth:`fork`) copies it first.
 """
 
 from __future__ import annotations
@@ -23,13 +21,13 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from ..llama.config import LlamaConfig
-from ..llama.kv_cache import fake_quant_kv
+from ..llama.kv_cache import KVCache
 from .allocator import BlockAllocator, BlockAllocatorError
 
 __all__ = ["PagedKVCache"]
 
 
-class PagedKVCache:
+class PagedKVCache(KVCache):
     """Block-table KV cache drawing physical storage from a shared pool."""
 
     def __init__(
@@ -39,6 +37,7 @@ class PagedKVCache:
     ) -> None:
         self.allocator = allocator
         self.config: LlamaConfig = allocator.config
+        self.storage = allocator.storage
         self.block_tokens = allocator.block_tokens
         self.capacity = int(
             self.config.max_seq_len if max_seq_len is None else max_seq_len
@@ -46,14 +45,9 @@ class PagedKVCache:
         if self.capacity <= 0:
             raise ValueError("cache capacity must be positive")
         self.block_table: List[int] = []
-        self._length = 0
+        self.length = 0
 
     # ------------------------------------------------------------------
-    @property
-    def length(self) -> int:
-        """Number of cached positions."""
-        return self._length
-
     @property
     def n_blocks(self) -> int:
         return len(self.block_table)
@@ -90,7 +84,7 @@ class PagedKVCache:
         # Copy-on-write the blocks that are about to be written: those
         # covering positions >= length (the tail block may be shared after
         # a fork; prefix-hit blocks are always full and stay read-only).
-        first_writable = self._length // self.block_tokens
+        first_writable = self.length // self.block_tokens
         for idx in range(first_writable, needed):
             block = self.block_table[idx]
             exclusive = self.allocator.ensure_exclusive(block)
@@ -107,14 +101,14 @@ class PagedKVCache:
         bumped and the cache length jumps past the shared positions — the
         prefill skips them entirely.
         """
-        if self._length or self.block_table:
+        if self.length or self.block_table:
             raise BlockAllocatorError(
                 "prefix blocks can only be adopted into an empty cache"
             )
         for block in blocks:
             self.allocator.acquire(block)
             self.block_table.append(block)
-        self._length = len(self.block_table) * self.block_tokens
+        self.length = len(self.block_table) * self.block_tokens
 
     def fork(self) -> "PagedKVCache":
         """A new sequence sharing every current block copy-on-write.
@@ -127,7 +121,7 @@ class PagedKVCache:
         for block in self.block_table:
             self.allocator.acquire(block)
             child.block_table.append(block)
-        child._length = self._length
+        child.length = self.length
         return child
 
     def release(self) -> None:
@@ -171,15 +165,14 @@ class PagedKVCache:
             del self.block_table[keep:]
             for block in dropped:
                 self.allocator.release(block)
-        self._length = min(self._length, length)
+        self.length = min(self.length, length)
 
     # ------------------------------------------------------------------
-    # KVCache view API
+    # Rows
     # ------------------------------------------------------------------
-    def append(self, layer: int, key: np.ndarray, value: np.ndarray, pos: int) -> None:
-        """Store the key/value vectors for ``pos`` in ``layer``."""
-        if not 0 <= layer < self.config.n_layers:
-            raise IndexError(f"layer {layer} out of range")
+    def writable_row(self, pos: int) -> int:
+        """Attach the block behind ``pos`` and make it exclusive, then
+        return its layer-0 storage row."""
         if not 0 <= pos < self.capacity:
             raise IndexError(
                 f"position {pos} exceeds cache capacity {self.capacity}"
@@ -205,37 +198,27 @@ class PagedKVCache:
                     f"no block available to copy-on-write position {pos}"
                 )
             self.block_table[block_idx] = exclusive
-            block = exclusive
-        offset = pos % self.block_tokens
-        key = np.asarray(key, dtype=np.float32).reshape(self.config.kv_dim)
-        value = np.asarray(value, dtype=np.float32).reshape(self.config.kv_dim)
-        if self.allocator.quant is not None:
-            # Mirroring the flat cache: reads see the int8 encoding's
-            # error regardless of paging.
-            key, value = fake_quant_kv(key, value, self.allocator.quant)
-        self.allocator.keys(block)[layer, offset] = key
-        self.allocator.values(block)[layer, offset] = value
-        if layer == self.config.n_layers - 1:
-            self._length = max(self._length, pos + 1)
+        return super().writable_row(pos)
 
-    def _gather(self, storage, layer: int, length: int) -> np.ndarray:
-        if length == 0:
-            return np.zeros((0, self.config.kv_dim), dtype=np.float32)
-        n_full, tail = divmod(length, self.block_tokens)
-        parts = [storage(self.block_table[i])[layer]
-                 for i in range(n_full)]
-        if tail:
-            parts.append(storage(self.block_table[n_full])[layer, :tail])
-        if len(parts) == 1:
-            return parts[0]
-        return np.concatenate(parts, axis=0)
+    def restore_blocks(self, table: List[int]) -> None:
+        """Put back the block table a failed :class:`~repro.llama.kv_cache.
+        KVStep` found: drop each block attached or copied since, and take
+        back the shared block a copy replaced."""
+        for at, block in enumerate(self.block_table):
+            if at >= len(table) or block != table[at]:
+                self.allocator.release(block)
+                if at < len(table):
+                    self.allocator.acquire(table[at])
+        self.block_table = table
 
     def keys(self, layer: int, length: int | None = None) -> np.ndarray:
         """Gather the cached keys of ``layer`` up to ``length``."""
-        length = self._length if length is None else length
-        return self._gather(self.allocator.keys, layer, length)
+        length = self.length if length is None else length
+        return self.storage.rows[0].take(
+            self.rows(length) + layer * self.block_tokens, axis=0)
 
     def values(self, layer: int, length: int | None = None) -> np.ndarray:
         """Gather the cached values of ``layer`` up to ``length``."""
-        length = self._length if length is None else length
-        return self._gather(self.allocator.values, layer, length)
+        length = self.length if length is None else length
+        return self.storage.rows[1].take(
+            self.rows(length) + layer * self.block_tokens, axis=0)

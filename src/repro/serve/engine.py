@@ -265,10 +265,8 @@ class ServingEngine:
         hit = self.scheduler.adopt_midflight(request, n_positions)
         if hit is None:
             return None
-        for pos in range(hit, n_positions):
-            for layer in range(self.model_config.n_layers):
-                request.cache.append(
-                    layer, keys[layer, pos], values[layer, pos], pos)
+        request.cache.write(hit, keys[:, hit:n_positions],
+                            values[:, hit:n_positions])
         # Register the adopted prompt blocks for prefix sharing, so later
         # requests (and later turns of the same session) hit them.
         self.scheduler.note_progress(request)

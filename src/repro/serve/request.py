@@ -42,6 +42,7 @@ from enum import Enum
 from typing import Deque, Dict, Iterator, List, Optional
 
 from ..api.params import SamplingParams
+from ..kvpool.paged_cache import PagedKVCache
 from ..llama.kv_cache import KVCache
 from ..llama.sampler import Sampler
 
@@ -200,8 +201,9 @@ class Request:
     @property
     def block_table(self) -> Optional[List[int]]:
         """Physical KV block ids backing this request (paged mode only)."""
-        table = getattr(self.cache, "block_table", None)
-        return list(table) if table is not None else None
+        if not isinstance(self.cache, PagedKVCache):
+            return None
+        return list(self.cache.block_table)
 
     def total_positions(self, max_seq_len: int) -> int:
         """Worst-case KV footprint in positions (prompt + decode budget)."""

@@ -9,7 +9,9 @@ time, a recursive walk over FUSED members, a name translation per weight
 look-up and a Python loop per attention head.  It is a reference
 implementation, not production code: :class:`SlotMajorExecutor` has the
 old ``GraphExecutor`` interface, and ``test_step_values.py`` requires the
-two to agree bit for bit on every output and every cache row.
+two to agree bit for bit on every output and every cache row.  Its cache
+rows are written and read through ``kv_write_oracle``'s per-row path, so
+the step's batched KV traffic is compared against that too.
 """
 
 from __future__ import annotations
@@ -23,6 +25,8 @@ from repro.graph.ops import Operator, OpKind
 from repro.llama.config import LlamaConfig
 from repro.llama.kv_cache import KVCache
 from repro.llama.model import apply_rope, rmsnorm, rope_frequencies, silu, softmax
+
+from ..kvpool import kv_write_oracle
 
 __all__ = ["SlotMajorExecutor"]
 
@@ -143,9 +147,9 @@ class SlotMajorExecutor:
             attn_len = pos + 1
             k = value_of(op.inputs[0])
             v = value_of(op.inputs[1])
-            cache.append(layer, k, v, pos)
-            values[op.outputs[0]] = cache.keys(layer, attn_len)
-            values[op.outputs[1]] = cache.values(layer, attn_len)
+            kv_write_oracle.append(cache, layer, k, v, pos)
+            values[op.outputs[0]] = kv_write_oracle.keys(cache, layer, attn_len)
+            values[op.outputs[1]] = kv_write_oracle.values(cache, layer, attn_len)
             return
 
         if op.kind is OpKind.ATTN_SCORE:

@@ -97,6 +97,25 @@ def test_disaggregated_reservation_mode_matches(llm, single_engine_streams):
     assert streams == reference
 
 
+@pytest.mark.parametrize("overrides", ENGINE_SHAPES[:2])
+def test_disaggregated_quantised_kv_matches_single_engine(overrides):
+    """The handoff reads the prompt's KV in one gather and the decode
+    replica writes it in one stacked fake-quant and scatter: an int8 KV
+    cache must come through it as the single engine holds it."""
+    config = EngineConfig(model="test-small", max_batch_tokens=16,
+                          quant="int8", quant_kv=True, **overrides)
+    llm = config.build_llm()
+    engine = config.build_engine(llm=llm)
+    workloads = _suite()
+    engine.serve(workloads, GREEDY)
+    cluster = ClusterConfig(engine=config, n_replicas=2, route="rr",
+                            disaggregate=True,
+                            n_prefill_replicas=1).build_cluster(llm=llm)
+    report = cluster.serve(workloads, GREEDY)
+    assert report.kv_transfers == len(workloads)
+    assert cluster.streams() == engine.streams()
+
+
 def test_autoscaled_run_matches_single_engine(llm, single_engine_streams):
     config = EngineConfig(model="test-small", max_batch_tokens=16,
                           paged=True, block_size=8)

@@ -134,18 +134,18 @@ class TestCopyOnWrite:
     def test_shared_block_copied(self, micro_config):
         allocator = make_allocator(micro_config, n_blocks=4)
         block = allocator.allocate()
-        allocator.keys(block)[:] = 3.5
-        allocator.values(block)[:] = -1.0
+        allocator.storage.keys[block][:] = 3.5
+        allocator.storage.values[block][:] = -1.0
         allocator.acquire(block)
         copy = allocator.ensure_exclusive(block)
         assert copy != block
         assert allocator.refcount(block) == 1
         assert allocator.refcount(copy) == 1
-        assert np.array_equal(allocator.keys(copy), allocator.keys(block))
-        assert np.array_equal(allocator.values(copy), allocator.values(block))
+        assert np.array_equal(allocator.storage.keys[copy], allocator.storage.keys[block])
+        assert np.array_equal(allocator.storage.values[copy], allocator.storage.values[block])
         # Writes to the copy do not leak into the original.
-        allocator.keys(copy)[:] = 9.0
-        assert float(allocator.keys(block)[0, 0, 0]) == 3.5
+        allocator.storage.keys[copy][:] = 9.0
+        assert float(allocator.storage.keys[block][0, 0, 0]) == 3.5
 
     def test_cow_fails_cleanly_when_pool_full(self, micro_config):
         allocator = make_allocator(micro_config, n_blocks=1)

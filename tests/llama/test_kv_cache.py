@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from repro.kvpool import KVPool
-from repro.llama.kv_cache import KVCache, fake_quant_kv
+from repro.llama.kv_cache import KVCache, KVStep
 from repro.llama.quantization import QuantSpec, dequantize, quantize
 
 
@@ -117,23 +119,30 @@ class TestKVCache:
 
 
 class TestFakeQuantKV:
-    """Both caches quantise a position's K/V pair in one pass; a stored
-    row must be what quantising that vector alone gives."""
+    """A step fake-quantises every slot's key and value rows in one
+    stacked pass; a stored row must be what quantising that vector alone
+    gives."""
 
     @pytest.mark.parametrize("kv_dim", [16, 32, 64, 96, 288])
     @pytest.mark.parametrize("group_size", [16, 64])
     @pytest.mark.parametrize("bits", [4, 8])
-    def test_the_pair_equals_two_separate_passes(self, kv_dim, group_size, bits):
+    def test_each_stored_row_equals_quantising_it_alone(
+            self, micro_config, kv_dim, group_size, bits):
         spec = QuantSpec(bits=bits, group_size=group_size)
+        config = dataclasses.replace(micro_config, dim=kv_dim, n_heads=1,
+                                     n_kv_heads=1)
         rng = np.random.default_rng(kv_dim + group_size + bits)
+        caches = [KVCache(config, max_seq_len=4, quant=spec) for _ in range(3)]
         for scale in (1e-3, 1.0, 50.0):
-            key = (rng.standard_normal(kv_dim) * scale).astype(np.float32)
-            value = (rng.standard_normal(kv_dim) * scale).astype(np.float32)
-            value[: kv_dim // 4] = 0.0  # an all-zero group: scale 0
-            got_key, got_value = fake_quant_kv(key, value, spec)
-            assert np.array_equal(got_key, dequantize(quantize(key, spec)))
-            assert np.array_equal(got_value, dequantize(quantize(value, spec)))
-            assert got_key.dtype == got_value.dtype == np.float32
+            keys = (rng.standard_normal((3, kv_dim)) * scale).astype(np.float32)
+            values = (rng.standard_normal((3, kv_dim)) * scale).astype(np.float32)
+            values[1, : kv_dim // 4] = 0.0  # an all-zero group: scale 0
+            KVStep(caches, [0, 0, 0]).write(0, keys, values)
+            for cache, key, value in zip(caches, keys, values):
+                assert np.array_equal(cache.keys(0, 1)[0],
+                                      dequantize(quantize(key, spec)))
+                assert np.array_equal(cache.values(0, 1)[0],
+                                      dequantize(quantize(value, spec)))
 
     def test_flat_and_paged_caches_store_those_rows(self, small_config):
         spec = QuantSpec(bits=8, group_size=64)  # kv_dim 32: a padded group

@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from repro.llama.kv_cache import fake_quant_kv
+from repro.llama import preset
+from repro.llama.kv_cache import KVCache
 from repro.llama.quantization import INT8, QuantSpec, dequantize, quantize
 
 INT4 = QuantSpec(bits=4, group_size=64)
@@ -138,8 +139,13 @@ class TestNonFinite:
                              ids=["nan", "+inf", "-inf"])
     @pytest.mark.parametrize("row", ["key", "value"])
     def test_kv_pair(self, bad, row):
+        """A quantising cache's write refuses the pair before storing
+        either row."""
+        cache = KVCache(preset("test-small"),
+                        quant=QuantSpec(bits=8, group_size=16))  # kv_dim 32
         rng = np.random.default_rng(4)
         key, value = rng.normal(size=(2, 32)).astype(np.float32)
         (key if row == "key" else value)[9] = bad
         with pytest.raises(ValueError, match="non-finite"):
-            fake_quant_kv(key, value, QuantSpec(bits=8, group_size=16))
+            cache.append(0, key, value, pos=0)
+        assert not cache.storage.keys.any() and not cache.storage.values.any()
