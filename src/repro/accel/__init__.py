@@ -1,13 +1,12 @@
 """The SpeedLLM accelerator: configuration, compiler, simulation, variants."""
 
 from .accelerator import AcceleratorGeneration, GenerationMetrics, SpeedLLMAccelerator
-from .analytical import AnalyticalEstimate, AnalyticalModel
 from .batching import BatchSlot, block_padded_context, merge_batch_programs
 from .compiler import ProgramCompiler
 from .dse import CandidateResult, DesignSpace, DesignSpaceExplorer
 from .config import AcceleratorConfig, BufferConfig, MPEConfig, SFUConfig
 from .executor import GraphExecutor
-from .instructions import OpProgram, Program, TilePacket
+from .instructions import OpProgram, PacketTotals, Program, TilePacket
 from .memory_manager import BufferPool
 from .mpe import MPETimingModel, TileShape
 from .pipeline import DISPATCH_CYCLES, PipelineExecutor, StepResult
@@ -18,8 +17,6 @@ __all__ = [
     "AcceleratorGeneration",
     "GenerationMetrics",
     "SpeedLLMAccelerator",
-    "AnalyticalEstimate",
-    "AnalyticalModel",
     "BatchSlot",
     "block_padded_context",
     "merge_batch_programs",
@@ -33,6 +30,7 @@ __all__ = [
     "SFUConfig",
     "GraphExecutor",
     "OpProgram",
+    "PacketTotals",
     "Program",
     "TilePacket",
     "BufferPool",

@@ -8,14 +8,15 @@ small, reusable DSE loop:
 1. enumerate candidate :class:`~repro.accel.config.AcceleratorConfig`
    points from parameter grids,
 2. drop candidates that do not fit the device's resource budget,
-3. cheaply prune with the analytical latency model,
-4. simulate the survivors cycle-accurately and rank them,
-5. report the latency/efficiency Pareto front.
+3. simulate every candidate that fits cycle-accurately — each step held
+   to its analytical cycle bracket, as every simulation is — and rank
+   them,
+4. report the latency/efficiency Pareto front.
 
 Model config, platform and workload are the
 :class:`~repro.core.runner.ExperimentRunner`'s the explorer is built
 over (no weights: every candidate is timed from the config alone), and
-every survivor is simulated by its
+every candidate that fits is simulated by its
 :meth:`~repro.core.runner.ExperimentRunner.simulate`.  The
 ``examples/design_space_exploration.py`` script is a thin wrapper around
 this module.
@@ -26,9 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from ..compile.pipeline import StepCompiler
 from ..quant.config import QuantConfig
-from .analytical import AnalyticalModel
 from .config import AcceleratorConfig, BufferConfig, MPEConfig
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, core imports accel
@@ -78,7 +77,6 @@ class CandidateResult:
     config: AcceleratorConfig
     fits: bool
     dsp_fraction: float = 0.0
-    analytical_lower_cycles: int = 0
     simulated: bool = False
     latency_seconds: float = float("inf")
     tokens_per_second: float = 0.0
@@ -105,37 +103,14 @@ class DesignSpaceExplorer:
         self.runner = runner
 
     # ------------------------------------------------------------------
-    def _lower_bound(self, config: AcceleratorConfig) -> int:
-        """Analytical overlapped-cycle bound of the deepest decode step."""
-        runner = self.runner
-        workload, model_config = runner.config, runner.model_config
-        context = min(workload.n_prompt + workload.n_generated - 1,
-                      model_config.max_seq_len - 1)
-        program = StepCompiler(
-            model_config, config, runner.platform).lower(context)
-        return AnalyticalModel(config, runner.platform).estimate(
-            program).overlapped_cycles
-
-    def evaluate(
-        self,
-        config: AcceleratorConfig,
-        prune_above: Optional[float] = None,
-    ) -> CandidateResult:
-        """Fit-check, analytical estimate and simulation of one candidate.
-
-        The bound needs the design's lowered program only, so a candidate
-        whose bound exceeds ``prune_above`` is returned unsimulated;
-        a simulated one is timing-only, so no weight is ever quantised.
-        """
+    def evaluate(self, config: AcceleratorConfig) -> CandidateResult:
+        """Fit check and, for a design that fits, simulation: timing-only,
+        so no weight is ever quantised."""
         usage, budget = config.resources(), self.runner.platform.resources
         result = CandidateResult(
             config=config, fits=usage.fits_in(budget),
             dsp_fraction=usage.dsp / budget.dsp if budget.dsp else 0.0)
         if not result.fits:
-            return result
-        result.analytical_lower_cycles = self._lower_bound(config)
-        if (prune_above is not None
-                and result.analytical_lower_cycles > prune_above):
             return result
         metrics = self.runner.simulate(config)
         result.simulated = True
@@ -144,30 +119,9 @@ class DesignSpaceExplorer:
         result.tokens_per_joule = metrics.tokens_per_joule
         return result
 
-    def explore(
-        self,
-        space: Optional[DesignSpace] = None,
-        prune_factor: Optional[float] = None,
-    ) -> List[CandidateResult]:
-        """Evaluate every candidate in ``space``.
-
-        ``prune_factor`` optionally skips the (expensive) simulation of
-        candidates whose analytical lower bound is already ``prune_factor``
-        times worse than the best lower bound seen so far; their rows keep
-        ``simulated=False``.
-        """
-        space = space or DesignSpace()
-        results: List[CandidateResult] = []
-        best_lower: Optional[int] = None
-        for config in space.candidates():
-            prune = prune_factor is not None and best_lower is not None
-            result = self.evaluate(
-                config, prune_factor * best_lower if prune else None)
-            if result.simulated:
-                lower = result.analytical_lower_cycles
-                best_lower = lower if best_lower is None else min(best_lower, lower)
-            results.append(result)
-        return results
+    def explore(self, space: Optional[DesignSpace] = None) -> List[CandidateResult]:
+        """Evaluate every candidate in ``space`` (the default space if None)."""
+        return [self.evaluate(config) for config in (space or DesignSpace()).candidates()]
 
     # ------------------------------------------------------------------
     def best(self, results: Sequence[CandidateResult],

@@ -11,14 +11,16 @@ A full decode step is a :class:`Program`: the ordered list of packets plus
 per-operator boundaries so the execution statistics can be attributed back
 to operators.
 
-An :class:`OpProgram` also answers, once, what the cycle simulator asks
-of it: a *timing signature* per packet (equal signatures time
-identically), a hash of them for the whole operator, its runs of equal
-signatures and its totals of the counters that depend on the packets
-alone.  And it keeps what the batch merger builds of it — its packets as
+An :class:`OpProgram` also answers, in one pass over its packets, what
+the cycle simulator asks of it: a *timing signature* per packet (equal
+signatures time identically) and its :class:`PacketTotals`, the sums
+that depend on the packets alone; from those, a hash of the signatures
+for the whole operator and its runs of equal signatures.  And it keeps
+what the batch merger and the cycle bracket build of it — its packets as
 one slot of a batch issues them, its weight tiles merged over a group of
-slots — for as long as the operator lives: a step compiler hands one
-operator to every slot and step, so each of those is built once.
+slots, its transfer terms — for as long as the operator lives: a step
+compiler hands one operator to every slot and step, so each of those is
+built once.
 """
 
 from __future__ import annotations
@@ -26,11 +28,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import groupby
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 from ..graph.ops import ComputeUnit
 
-__all__ = ["TilePacket", "OpProgram", "Program"]
+__all__ = ["TilePacket", "PacketTotals", "OpProgram", "Program"]
 
 
 @dataclass(frozen=True)
@@ -78,6 +80,27 @@ class TilePacket:
             raise ValueError("weight_bytes cannot exceed load_bytes")
 
 
+class PacketTotals(NamedTuple):
+    """Sums over packets of what they alone decide: the first nine are
+    :class:`~repro.sim.stats.RunCounters` fields, set before a run walks
+    the packets; ``compute_cycles`` is the compute stage's work, a term
+    of the run's cycle bracket."""
+
+    int8_macs: int
+    sfu_flops: int
+    onchip_read_bytes: int
+    dequant_flops: int
+    quant_saved_bytes: int
+    mpe_tiles: int
+    sfu_ops: int
+    hbm_read_bytes: int
+    hbm_write_bytes: int
+    compute_cycles: int
+
+
+_NO_TOTALS = PacketTotals(*[0] * len(PacketTotals._fields))
+
+
 @dataclass(frozen=True)
 class OpProgram:
     """The packets emitted for a single graph operator.
@@ -100,18 +123,45 @@ class OpProgram:
         return len(self.packets)
 
     @cached_property
+    def _walk(self) -> Tuple[Tuple[Tuple, ...], PacketTotals]:
+        """The one pass over the packets: :attr:`signatures` and
+        :attr:`totals`."""
+        shared: Dict[Tuple, Tuple] = {}
+        signatures, opens = [], True
+        macs = flops = onchip = dequant = saved = mpe_tiles = sfu_ops = 0
+        read = written = compute = 0
+        mpe, sfu = ComputeUnit.MPE, ComputeUnit.SFU
+        for p in self.packets:
+            key = (p.load_bytes, p.compute_cycles, p.store_bytes, p.unit is mpe, opens)
+            signatures.append(shared.setdefault(key, key))
+            opens = False
+            macs += p.macs
+            flops += p.sfu_flops
+            onchip += p.onchip_bytes
+            dequant += p.dequant_flops
+            saved += p.saved_bytes
+            read += p.load_bytes
+            written += p.store_bytes
+            compute += p.compute_cycles
+            if p.unit is mpe:
+                mpe_tiles += 1
+            elif p.unit is sfu:
+                sfu_ops += 1
+        return tuple(signatures), PacketTotals(
+            macs, flops, onchip, dequant, saved, mpe_tiles, sfu_ops, read, written, compute)
+
+    @property
     def signatures(self) -> Tuple[Tuple, ...]:
         """Per packet, everything the cycle simulator reads of it: bytes
         loaded, compute cycles, bytes stored, whether the MPE computes it,
         and whether it opens the operator (and pays its dispatch).  Equal
         packets of one operator share one tuple."""
-        shared: Dict[Tuple, Tuple] = {}
-        signatures, opens, mpe = [], True, ComputeUnit.MPE
-        for p in self.packets:
-            key = (p.load_bytes, p.compute_cycles, p.store_bytes, p.unit is mpe, opens)
-            signatures.append(shared.setdefault(key, key))
-            opens = False
-        return tuple(signatures)
+        return self._walk[0]
+
+    @property
+    def totals(self) -> PacketTotals:
+        """Sums of what the packets alone decide."""
+        return self._walk[1]
 
     @cached_property
     def signature(self) -> int:
@@ -132,28 +182,6 @@ class OpProgram:
         return tuple(runs)
 
     @cached_property
-    def counter_totals(self) -> Tuple[int, ...]:
-        """Sums of what the packets alone decide: MACs, SFU FLOPs, on-chip
-        bytes, dequantisation FLOPs, quantisation-saved bytes, MPE tiles,
-        SFU operations, and HBM bytes read and written."""
-        macs = flops = onchip = dequant = saved = mpe_tiles = sfu_ops = 0
-        read = written = 0
-        mpe, sfu = ComputeUnit.MPE, ComputeUnit.SFU
-        for p in self.packets:
-            macs += p.macs
-            flops += p.sfu_flops
-            onchip += p.onchip_bytes
-            dequant += p.dequant_flops
-            saved += p.saved_bytes
-            read += p.load_bytes
-            written += p.store_bytes
-            if p.unit is mpe:
-                mpe_tiles += 1
-            elif p.unit is sfu:
-                sfu_ops += 1
-        return macs, flops, onchip, dequant, saved, mpe_tiles, sfu_ops, read, written
-
-    @cached_property
     def merged_packets(self) -> Dict[object, Tuple[Optional[TilePacket], ...]]:
         """What :func:`~repro.accel.batching.merge_batch_programs` built
         of this operator, one entry per packet (None where it builds
@@ -164,21 +192,13 @@ class OpProgram:
         exactly as long as the operator."""
         return {}
 
-    @property
-    def load_bytes(self) -> int:
-        return sum(p.load_bytes for p in self.packets)
-
-    @property
-    def store_bytes(self) -> int:
-        return sum(p.store_bytes for p in self.packets)
-
-    @property
-    def compute_cycles(self) -> int:
-        return sum(p.compute_cycles for p in self.packets)
-
-    @property
-    def macs(self) -> int:
-        return sum(p.macs for p in self.packets)
+    @cached_property
+    def stream_terms(self) -> Dict[Tuple, Tuple[int, int, int]]:
+        """What :meth:`~repro.accel.pipeline.PipelineExecutor.run`'s cycle
+        bracket reads of this operator's transfers, under the key of the
+        memory system and stripe they are timed on; filled by the
+        executor, and it lives exactly as long as the operator."""
+        return {}
 
 
 @dataclass
@@ -199,17 +219,6 @@ class Program:
             yield from op.packets
 
     @property
-    def n_packets(self) -> int:
-        return sum(len(op) for op in self.ops)
-
-    @property
-    def total_load_bytes(self) -> int:
-        return sum(op.load_bytes for op in self.ops)
-
-    @property
-    def total_store_bytes(self) -> int:
-        return sum(op.store_bytes for op in self.ops)
-
-    @property
-    def total_compute_cycles(self) -> int:
-        return sum(op.compute_cycles for op in self.ops)
+    def totals(self) -> PacketTotals:
+        """Sums of every operator's :attr:`OpProgram.totals`."""
+        return PacketTotals._make(map(sum, zip(_NO_TOTALS, *[op.totals for op in self.ops])))

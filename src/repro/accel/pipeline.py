@@ -66,11 +66,19 @@ total grows by ``m`` times what it grew in the period (see
 (``trace_enabled``) lists every interval, as a
 :class:`~repro.obs.tracer.Span` on the ``cycles`` clock in
 ``StepResult.spans``, and never jumps.
+
+Every run, traced or not, ends by holding its cycle count to
+:func:`_cycle_bracket` — closed-form lower and upper bounds argued from
+the two disciplines, with no tolerance — and its compute engines' busy
+cycles to the run's length, and raises :class:`RuntimeError` if either
+fails.
 """
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
 from types import MappingProxyType
@@ -90,6 +98,114 @@ __all__ = ["StepResult", "PipelineExecutor", "DISPATCH_CYCLES"]
 #: control cycles charged once per operator program (instruction dispatch)
 DISPATCH_CYCLES = 24
 
+
+def _cycle_bracket(ops: Sequence[OpProgram], n_packets: int, compute: int,
+                   config: AcceleratorConfig, platform: FpgaPlatform) -> Tuple[int, int]:
+    """``(lower, upper)``: the cycles of any run of the non-empty operators
+    ``ops`` (``n_packets`` packets computing for ``compute`` cycles in
+    all) lie in between.  :meth:`PipelineExecutor.run` raises unless its
+    result does, so the analytical model is a law every simulation obeys.
+
+    A transfer of ``n`` bytes is split as ``issue_split`` splits it, its
+    last stripe the largest; ``burst(b) = ceil(b / bytes_per_cycle)`` is
+    the model's bus time for a stripe of ``b`` bytes.  ``xfer(n)`` is
+    ``burst`` of its last stripe plus the access latency: its time on
+    idle channels, and a lower bound on its time whatever the channels
+    hold, as every stripe starts no earlier than its issue.  The terms:
+
+    * ``XL``, ``XS``: ``xfer`` summed over the loads, over the stores;
+    * ``M``: every stripe's burst, loads and stores, summed and spread
+      over all ``n_channels`` channels (rounded up);
+    * ``C``: ``compute``;
+    * ``D``: ``DISPATCH_CYCLES`` per operator;
+    * ``F``: without reuse, one ``reuse_flush_cycles`` per flush, one
+      flush per ``n_segments`` releases (a release per packet); else 0.
+
+    **Lower, both disciplines: max(M, C) + F.**  A channel's bus carries
+    one stripe at a time and the compute stage one packet at a time
+    (pipelined: packet ``k`` starts after ``k - 1`` ends).  A packet
+    holds its segment from before its read is issued until its compute
+    has ended and its write completed, and during a flush every segment
+    is retired, none held: no stripe is on a bus and nothing computes.
+    Flushes do not overlap, as one frees the pool before the next.
+
+    **Pipelined, also D.**  Each grant is no earlier than the previous
+    one plus the dispatch of an operator's first packet, and the last
+    packet computes after its grant.  ``D + F`` would be wrong: the
+    loader dispatches without holding a segment, so a dispatch overlaps
+    a flush.
+
+    **Sequential, also XL + C + max(D, F).**  One controller with one
+    request outstanding: its dispatches, buffer waits, reads and computes
+    are disjoint, and a read takes at least ``xfer``.  From one compute's end
+    to the next grant it spends the dispatch, and the whole of any flush
+    that starts meanwhile: a flush starts at the release that retires the
+    last segment, which the packet just computed holds until its compute
+    has ended.  A flush after the last packet ends the run at least
+    ``reuse_flush_cycles`` after the last compute.  Here too the dispatch
+    overlaps the wait for a flush, so not ``D + F``.
+
+    **Upper, both disciplines: XL + C + XS + D + F.**  Walk back from the
+    run's last event along its causes.  A compute's end leads to its
+    start, the start to the later of the read's completion and the cycle
+    the compute stage had the packet; a grant to its request or the
+    release or flush end (``reuse_flush_cycles`` after a release) that
+    freed a segment; a request to the previous grant or the compute stage
+    freeing a stream slot, plus a dispatch.  A transfer's completion is
+    at most ``xfer`` after the later of its issue and the latest bus end
+    of any channel then — with at most ``n_channels`` stripes, each
+    stripe finds a channel the transfer has not touched, which is free by
+    then — and such a bus end is at most a burst after the same for the
+    transfer that made it, issued earlier.  Every step back costs at most
+    one term of the sum: a compute, a dispatch, a flush, or a transfer's
+    ``xfer``, each met once, since the walk only moves to earlier events
+    and earlier-issued transfers.
+    """
+    hbm = platform.hbm
+    channel = hbm.channels[0]  # every channel alike (``MemorySystemModel``)
+    key = (min(config.hbm_stripe, hbm.n_channels),
+           channel.bytes_per_cycle(platform.clock_hz), channel.access_latency_cycles)
+    bus = loads = stores = 0
+    for op_program in ops:
+        terms = op_program.stream_terms.get(key)
+        if terms is None:
+            terms = op_program.stream_terms[key] = _stream_terms(op_program, *key)
+        bus += terms[0]
+        loads += terms[1]
+        stores += terms[2]
+    streaming = -(-bus // hbm.n_channels)
+    dispatch = DISPATCH_CYCLES * len(ops)
+    flush = 0 if config.memory_reuse else (
+        n_packets // config.buffers.n_segments * config.buffers.reuse_flush_cycles)
+    lower = max(streaming, compute) + flush
+    if config.pipeline:
+        lower = max(lower, dispatch)
+    else:
+        lower = max(lower, loads + compute + max(dispatch, flush))
+    return lower, loads + compute + stores + dispatch + flush
+
+
+def _stream_terms(op_program: OpProgram, stripe: int, per_cycle: float,
+                  latency: int) -> Tuple[int, int, int]:
+    """``(Σ burst over every stripe, Σ xfer of the loads, Σ xfer of the
+    stores)`` of one operator (see :func:`_cycle_bracket`), over its
+    distinct signatures."""
+    bus = loads = stores = 0
+    for (load, _, store, _, _), count in Counter(op_program.signatures).items():
+        for n_bytes, is_load in ((load, True), (store, False)):
+            if not n_bytes:
+                continue
+            split = stripe if n_bytes >= stripe else 1
+            chunk = n_bytes // split
+            last = math.ceil((n_bytes - chunk * (split - 1)) / per_cycle)
+            bus += count * ((split - 1) * math.ceil(chunk / per_cycle) + last)
+            if is_load:
+                loads += count * (last + latency)
+            else:
+                stores += count * (last + latency)
+    return bus, loads, stores
+
+
 #: parent of the three stages' first keys (see the module docstring)
 _ROOT = (-1,)
 
@@ -101,7 +217,10 @@ _Transfer = Callable[[int, int, str], int]
 class StepResult:
     """Outcome of simulating one decode-step program.
 
-    ``engine_busy["mpe"|"sfu"]`` are cycles the engine computed.
+    ``engine_busy["mpe"|"sfu"]`` are cycles the engine computed; the
+    compute stage is serial, so their sum is at most ``cycles`` (every
+    run checks it, with the cycle bracket of :func:`_cycle_bracket`) and
+    ``mpe_utilization`` is at most 1.
     ``engine_busy["load"|"store"]`` are *sums of in-flight intervals*
     (issue to completion, per transfer): a pipelined design keeps several
     transfers outstanding, so they overlap and the sum may exceed
@@ -125,7 +244,7 @@ class StepResult:
     def mpe_utilization(self) -> float:
         if self.cycles <= 0:
             return 0.0
-        return min(1.0, self.engine_busy.get("mpe", 0) / self.cycles)
+        return self.engine_busy.get("mpe", 0) / self.cycles
 
 
 class PipelineExecutor:
@@ -143,21 +262,20 @@ class PipelineExecutor:
         hbm = MemorySystemModel(self.platform.hbm, self.platform.clock_hz)
         pool = BufferPool(self.config.buffers, reuse=self.config.memory_reuse)
         # The packets in execution order, which of them open an operator
-        # (and pay its dispatch), their timing signatures, and the counters
+        # (and pay its dispatch), their timing signatures, and the totals
         # that depend on the packets alone — per operator, computed once.
         ops = [op_program for op_program in program.ops if op_program.packets]
         packets: List[TilePacket] = []
         signatures: List[Tuple] = []
         firsts: List[int] = []
-        totals = [0] * 9
         for op_program in ops:
             firsts.append(len(packets))
             packets.extend(op_program.packets)
             signatures.extend(op_program.signatures)
-            totals = [a + b for a, b in zip(totals, op_program.counter_totals)]
         (counters.int8_macs, counters.sfu_flops, counters.onchip_read_bytes,
          counters.dequant_flops, counters.quant_saved_bytes, counters.mpe_tiles,
-         counters.sfu_ops, counters.hbm_read_bytes, counters.hbm_write_bytes) = totals
+         counters.sfu_ops, counters.hbm_read_bytes, counters.hbm_write_bytes,
+         compute) = program.totals
         counters.instructions = len(packets)
         counters.onchip_write_bytes = counters.onchip_read_bytes
         opens = [False] * len(packets)
@@ -174,8 +292,16 @@ class PipelineExecutor:
                              spans)
         end = discipline(packets, opens, transfer, pool, counters, busy, spans, periods)
         counters.dma_transfers = hbm.total_transactions
+        cycles = max([end] + [flush_end[0] for flush_end, _ in pool.flushes])
+        lower, upper = _cycle_bracket(ops, len(packets), compute, self.config, self.platform)
+        if not lower <= cycles <= upper:
+            raise RuntimeError(f"simulated {cycles} cycles outside the analytical "
+                               f"bracket [{lower}, {upper}]")
+        if busy["mpe"] + busy["sfu"] > cycles:
+            raise RuntimeError(f"compute busy {busy['mpe']} (MPE) + {busy['sfu']} (SFU) "
+                               f"cycles exceeds the run's {cycles}")
         return StepResult(
-            cycles=max([end] + [flush_end[0] for flush_end, _ in pool.flushes]),
+            cycles=cycles,
             counters=counters,
             spans=None if spans is None else tuple(spans),
             engine_busy=busy,

@@ -30,8 +30,8 @@ class TestMergeBatchPrograms:
         singles = [accelerator.timing.lower(c) for c in ctxs]
         merged = accelerator.timing.compile_step(ctxs).program
         single_weight = sum(p.weight_bytes for p in singles[0].packets())
-        merged_load = merged.total_load_bytes
-        sum_loads = sum(p.total_load_bytes for p in singles)
+        merged_load = merged.totals.hbm_read_bytes
+        sum_loads = sum(p.totals.hbm_read_bytes for p in singles)
         # The batch saves exactly the duplicated weight streams.
         assert merged_load == sum_loads - (len(ctxs) - 1) * single_weight
         assert merged_load < sum_loads
@@ -40,12 +40,12 @@ class TestMergeBatchPrograms:
         ctxs = [4, 4, 4, 4]
         single = accelerator.timing.lower(4)
         merged = accelerator.timing.compile_step(ctxs).program
-        assert (sum(op.macs for op in merged.ops)
-                == len(ctxs) * sum(op.macs for op in single.ops))
+        assert (merged.totals.int8_macs
+                == len(ctxs) * single.totals.int8_macs)
         # Weight-tile compute amortizes only the systolic fill/drain, so
         # it grows with the batch but stays below B separate tiles.
-        assert merged.total_compute_cycles > single.total_compute_cycles
-        assert merged.total_compute_cycles < len(ctxs) * single.total_compute_cycles
+        assert merged.totals.compute_cycles > single.totals.compute_cycles
+        assert merged.totals.compute_cycles < len(ctxs) * single.totals.compute_cycles
 
     def test_operator_structure_is_preserved(self, accelerator):
         ctxs = [3, 9]
@@ -55,7 +55,8 @@ class TestMergeBatchPrograms:
             op.op_name for op in single.ops
         ]
         # Weight tiles merge; each sequence keeps its own SFU packets.
-        assert single.n_packets < merged.n_packets < 2 * single.n_packets
+        n_single, n_merged = (len(list(p.packets())) for p in (single, merged))
+        assert n_single < n_merged < 2 * n_single
 
     def test_mixed_logits_flags_align_as_prefix(self, accelerator):
         ctxs = [4, 5, 6]
@@ -308,7 +309,7 @@ class TestSpeculativeRuns:
                 assert len(run_op.packets) < len(flat_op.packets)
         # Compute work is conserved: every position still scores its
         # window and streams through every weight tile.
-        assert sum(op.macs for op in run.ops) == sum(op.macs for op in flat.ops)
+        assert run.totals.int8_macs == flat.totals.int8_macs
 
     def test_run_amortizes_attention_kv_reads(self, accelerator):
         ctxs = [8, 9, 10, 11]
@@ -317,7 +318,7 @@ class TestSpeculativeRuns:
             ctxs, run_ids=[0, 0, 0, 0]).program
         # Followers re-read (almost) none of the shared KV window from
         # HBM, so the fused program loads strictly less.
-        assert run.total_load_bytes < flat.total_load_bytes
+        assert run.totals.hbm_read_bytes < flat.totals.hbm_read_bytes
 
     def test_runs_do_not_fuse_across_requests(self, accelerator):
         ctxs = [8, 9, 10, 11]
@@ -325,7 +326,7 @@ class TestSpeculativeRuns:
             ctxs, run_ids=[0, 0, 1, 1]).program
         one_run = accelerator.timing.compile_step(
             ctxs, run_ids=[0, 0, 0, 0]).program
-        assert two_runs.total_load_bytes > one_run.total_load_bytes
+        assert two_runs.totals.hbm_read_bytes > one_run.totals.hbm_read_bytes
 
     def test_run_ids_length_mismatch_raises(self, accelerator):
         programs = [accelerator.timing.lower(c) for c in (4, 5)]

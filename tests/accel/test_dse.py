@@ -53,7 +53,6 @@ class TestExplorer:
         assert result.fits and result.simulated
         assert result.latency_seconds > 0
         assert result.tokens_per_second > 0
-        assert result.analytical_lower_cycles > 0
         assert result.as_row()["design"] == config.name
 
     def test_oversized_design_reported_unfit(self, explorer):
@@ -78,20 +77,10 @@ class TestExplorer:
         with pytest.raises(ValueError):
             explorer.best(results, "style")
 
-    def test_pruning_skips_slow_candidates(self, explorer):
-        space = DesignSpace(mpe_shapes=((64, 32),), buffer_segments=(8,),
-                            hbm_stripes=(16, 1))
-        results = explorer.explore(space, prune_factor=1.5)
-        assert len(results) == 2
-        # the 1-channel stripe design is analytically much slower than the
-        # 16-channel one evaluated first, so it gets pruned
-        assert results[0].simulated
-        assert not results[1].simulated
-
     def test_each_accelerator_is_built_once(self, monkeypatch):
-        """The bound needs a lowered program, not an accelerator: only
-        simulated candidates construct one (a step compiler each), and a
-        row reads the same whichever way it was reached."""
+        """Every candidate that fits is simulated, building one
+        accelerator (a step compiler each), and a row reads the same
+        whichever way it was reached."""
         built = []
 
         class Counted(runner_module.SpeedLLMAccelerator):
@@ -101,17 +90,14 @@ class TestExplorer:
 
         monkeypatch.setattr(runner_module, "SpeedLLMAccelerator", Counted)
         explorer = _explorer()
-        space = DesignSpace(mpe_shapes=((64, 32),), buffer_segments=(8,),
-                            hbm_stripes=(16, 32, 1))
-        results = explorer.explore(space, prune_factor=1.5)
-        assert [r.simulated for r in results] == [True, True, False]
-        assert built == [r.config.name for r in results if r.simulated]
+        space = DesignSpace(mpe_shapes=((64, 32), (512, 64)), buffer_segments=(8,),
+                            hbm_stripes=(16, 1))
+        results = explorer.explore(space)
+        assert [(r.fits, r.simulated) for r in results] == [
+            (True, True), (True, True), (False, False), (False, False)]
+        assert built == [r.config.name for r in results if r.fits]
         for result in results:
-            alone = explorer.evaluate(result.config)
-            assert (alone.analytical_lower_cycles
-                    == result.analytical_lower_cycles > 0)
-            if result.simulated:
-                assert alone == result
+            assert explorer.evaluate(result.config) == result
 
     def test_invalid_workload(self):
         with pytest.raises(ValueError):
@@ -142,49 +128,23 @@ class TestExplorer:
 #: ``explore`` of a 2x2x2 space on test-small (4 prompt + 8 generated
 #: positions, stride 4) as commit 60c96f5's explorer — which built and
 #: simulated its own accelerators — reported it: (design,
-#: analytical_lower_cycles, latency_seconds.hex(),
-#: tokens_per_joule.hex()).  Every design fits; with ``prune_factor=1.5``
-#: the four 1-channel stripes are not simulated.
+#: latency_seconds.hex(), tokens_per_joule.hex()).  Every design fits and
+#: is simulated.
 PINNED_SPACE = DesignSpace(mpe_shapes=((32, 16), (64, 32)),
                            buffer_segments=(4, 8), hbm_stripes=(16, 1))
 PINNED_ROWS = [
-    ("mpe32x16-seg4-st16-w8", 2511,
-     "0x1.abe986e7fe0a2p-13", "0x1.ecb18c4898991p+9"),
-    ("mpe32x16-seg4-st1-w8", 3961,
-     "0x1.0b6dc758c4924p-12", "0x1.a4afc50722bf7p+9"),
-    ("mpe32x16-seg8-st16-w8", 2511,
-     "0x1.3b301e72788a2p-13", "0x1.2c93221e2af41p+10"),
-    ("mpe32x16-seg8-st1-w8", 3961,
-     "0x1.995d33b7bd710p-13", "0x1.fbc4676365770p+9"),
-    ("mpe64x32-seg4-st16-w8", 1973,
-     "0x1.27725fc3dfe93p-13", "0x1.68e4a88aee470p+10"),
-    ("mpe64x32-seg4-st1-w8", 3961,
-     "0x1.b0bfe8c246f9cp-13", "0x1.110115dee2baap+10"),
-    ("mpe64x32-seg8-st16-w8", 1973,
-     "0x1.cd72b07b70852p-14", "0x1.a97564f63f181p+10"),
-    ("mpe64x32-seg8-st1-w8", 3961,
-     "0x1.5d4ad54020f8cp-13", "0x1.40700704eecefp+10"),
+    ("mpe32x16-seg4-st16-w8", "0x1.abe986e7fe0a2p-13", "0x1.ecb18c4898991p+9"),
+    ("mpe32x16-seg4-st1-w8", "0x1.0b6dc758c4924p-12", "0x1.a4afc50722bf7p+9"),
+    ("mpe32x16-seg8-st16-w8", "0x1.3b301e72788a2p-13", "0x1.2c93221e2af41p+10"),
+    ("mpe32x16-seg8-st1-w8", "0x1.995d33b7bd710p-13", "0x1.fbc4676365770p+9"),
+    ("mpe64x32-seg4-st16-w8", "0x1.27725fc3dfe93p-13", "0x1.68e4a88aee470p+10"),
+    ("mpe64x32-seg4-st1-w8", "0x1.b0bfe8c246f9cp-13", "0x1.110115dee2baap+10"),
+    ("mpe64x32-seg8-st16-w8", "0x1.cd72b07b70852p-14", "0x1.a97564f63f181p+10"),
+    ("mpe64x32-seg8-st1-w8", "0x1.5d4ad54020f8cp-13", "0x1.40700704eecefp+10"),
 ]
 
 
-class TestRowsArePinned:
-    @staticmethod
-    def _rows(results):
-        return [(r.config.name, r.fits, r.simulated, r.analytical_lower_cycles,
-                 r.latency_seconds.hex(), r.tokens_per_joule.hex())
-                for r in results]
-
-    def test_unpruned(self, explorer):
-        assert self._rows(explorer.explore(PINNED_SPACE)) == [
-            (name, True, True, lower, latency, efficiency)
-            for name, lower, latency, efficiency in PINNED_ROWS]
-
-    def test_pruned(self, explorer):
-        expected = []
-        for name, lower, latency, efficiency in PINNED_ROWS:
-            if name.endswith("-st1-w8"):    # bound 3961 > 1.5 x the best seen
-                expected.append((name, True, False, lower, "inf", "0x0.0p+0"))
-            else:
-                expected.append((name, True, True, lower, latency, efficiency))
-        assert self._rows(
-            explorer.explore(PINNED_SPACE, prune_factor=1.5)) == expected
+def test_rows_are_pinned(explorer):
+    assert [(r.config.name, r.fits, r.simulated, r.latency_seconds.hex(),
+             r.tokens_per_joule.hex()) for r in explorer.explore(PINNED_SPACE)] == [
+        (name, True, True, latency, efficiency) for name, latency, efficiency in PINNED_ROWS]

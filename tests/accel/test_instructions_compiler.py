@@ -48,10 +48,12 @@ class TestProgramContainers:
                        compute_cycles=20, store_bytes=8, macs=70),
         ]
         op = OpProgram(op_name="m", unit=ComputeUnit.MPE, packets=packets)
-        assert op.load_bytes == 300
-        assert op.store_bytes == 12
-        assert op.compute_cycles == 30
-        assert op.macs == 120
+        totals = op.totals
+        assert totals.hbm_read_bytes == 300
+        assert totals.hbm_write_bytes == 12
+        assert totals.compute_cycles == 30
+        assert totals.int8_macs == 120
+        assert totals.mpe_tiles == 2 and totals.sfu_ops == 0
         assert len(op) == 2
 
     def test_program_aggregates(self):
@@ -62,10 +64,14 @@ class TestProgramContainers:
         prog.add(OpProgram(op_name="b", unit=ComputeUnit.SFU, packets=[
             TilePacket(op_name="b", unit=ComputeUnit.SFU, load_bytes=20,
                        compute_cycles=7, store_bytes=2, sfu_flops=3)]))
-        assert prog.n_packets == 2
-        assert prog.total_load_bytes == 30
-        assert prog.total_store_bytes == 3
-        assert prog.total_compute_cycles == 12
+        assert len(list(prog.packets())) == 2
+        totals = prog.totals
+        assert totals.hbm_read_bytes == 30
+        assert totals.hbm_write_bytes == 3
+        assert totals.compute_cycles == 12
+        assert (totals.int8_macs, totals.sfu_flops) == (2, 3)
+        assert (totals.mpe_tiles, totals.sfu_ops) == (1, 1)
+        assert Program().totals == (0,) * len(totals)
         assert len(prog.ops) == 2
 
 
@@ -93,14 +99,14 @@ class TestCompiler:
 
     def test_load_bytes_cover_weights(self, program, graph):
         # Each matmul tile must stream at least its weight slice.
-        assert program.total_load_bytes >= graph.total_weight_bytes() * 0.9
+        assert program.totals.hbm_read_bytes >= graph.total_weight_bytes() * 0.9
 
     def test_macs_match_graph_flops(self, program, graph):
         mpe_flops = sum(
             op.total_flops() for op in graph
             if op.kind in (OpKind.MATMUL, OpKind.ATTN_SCORE, OpKind.ATTN_CONTEXT)
         )
-        assert sum(op.macs for op in program.ops) == mpe_flops // 2
+        assert program.totals.int8_macs == mpe_flops // 2
 
     def test_sfu_ops_single_packet(self, program, graph):
         for op in graph:
@@ -111,7 +117,7 @@ class TestCompiler:
 
     def test_kv_append_stores_only_new_position(self, program, graph, small_config):
         kv = next(p for p in program.ops if p.op_name == "L0.kv_append")
-        assert kv.store_bytes == 2 * small_config.kv_dim * 4
+        assert kv.totals.hbm_write_bytes == 2 * small_config.kv_dim * 4
 
     def test_attention_load_grows_with_context(self, config, small_config):
         compiler = ProgramCompiler(config)
@@ -119,7 +125,7 @@ class TestCompiler:
         long = compiler.compile(build_decode_graph(small_config, 32))
 
         def attn_load(prog):
-            return sum(op.load_bytes for op in prog.ops
+            return sum(op.totals.hbm_read_bytes for op in prog.ops
                        if "attn_score" in op.op_name or "attn_context" in op.op_name)
 
         assert attn_load(long) > attn_load(short)
@@ -147,26 +153,27 @@ class TestCompilerOptimizationEffects:
         fused = fuse_graph(graph)
         unfused_prog = compiler.compile(graph)
         fused_prog = compiler.compile(fused)
-        assert (fused_prog.total_load_bytes + fused_prog.total_store_bytes
-                < unfused_prog.total_load_bytes + unfused_prog.total_store_bytes)
+        assert (fused_prog.totals.hbm_read_bytes + fused_prog.totals.hbm_write_bytes
+                < unfused_prog.totals.hbm_read_bytes + unfused_prog.totals.hbm_write_bytes)
         # compute work is preserved
-        assert (sum(op.macs for op in fused_prog.ops)
-                == sum(op.macs for op in unfused_prog.ops))
+        assert (fused_prog.totals.int8_macs
+                == unfused_prog.totals.int8_macs)
 
     def test_fusion_reduces_packet_count(self, small_config):
         config = AcceleratorConfig()
         compiler = ProgramCompiler(config)
         graph = build_decode_graph(small_config, 8)
         fused = fuse_graph(graph)
-        assert compiler.compile(fused).n_packets <= compiler.compile(graph).n_packets
+        assert (len(list(compiler.compile(fused).packets()))
+                <= len(list(compiler.compile(graph).packets())))
 
     def test_no_reuse_refetches_activations(self, small_config):
         graph = build_decode_graph(small_config, 4)
         with_reuse = ProgramCompiler(AcceleratorConfig.variant("full")).compile(graph)
         without = ProgramCompiler(AcceleratorConfig.variant("no-reuse")).compile(graph)
-        assert without.total_load_bytes > with_reuse.total_load_bytes
-        assert (sum(op.macs for op in without.ops)
-                == sum(op.macs for op in with_reuse.ops))
+        assert without.totals.hbm_read_bytes > with_reuse.totals.hbm_read_bytes
+        assert (without.totals.int8_macs
+                == with_reuse.totals.int8_macs)
 
     def test_weight_bits_change_load_bytes(self, small_config):
         from repro.graph.builder import GraphBuilder
@@ -176,4 +183,4 @@ class TestCompilerOptimizationEffects:
         g16 = GraphBuilder(small_config, quant=fp16_cfg.quant).build_decode_step(4)
         p8 = ProgramCompiler(int8_cfg).compile(g8)
         p16 = ProgramCompiler(fp16_cfg).compile(g16)
-        assert p16.total_load_bytes > p8.total_load_bytes
+        assert p16.totals.hbm_read_bytes > p8.totals.hbm_read_bytes

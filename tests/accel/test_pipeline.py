@@ -49,8 +49,8 @@ class TestStepResult:
         config = AcceleratorConfig()
         program = ProgramCompiler(config).compile(small_graph)
         result = PipelineExecutor(config, platform).run(program)
-        assert result.counters.int8_macs == sum(op.macs for op in program.ops)
-        assert result.counters.instructions == program.n_packets
+        assert result.counters.int8_macs == program.totals.int8_macs
+        assert result.counters.instructions == len(list(program.packets()))
 
     def test_utilization_bounds(self, small_graph, platform):
         result = _run(AcceleratorConfig(), small_graph, platform)

@@ -155,8 +155,8 @@ class TestAblationShape:
         fused = fuse_graph(graph, [rule])
         assert any(op.attributes.get("rule") == rule.name for op in fused)
         fused_prog, unfused_prog = compiler.compile(fused), compiler.compile(graph)
-        assert (fused_prog.total_load_bytes + fused_prog.total_store_bytes
-                <= unfused_prog.total_load_bytes + unfused_prog.total_store_bytes)
+        assert (fused_prog.totals.hbm_read_bytes + fused_prog.totals.hbm_write_bytes
+                <= unfused_prog.totals.hbm_read_bytes + unfused_prog.totals.hbm_write_bytes)
 
     def test_full_rule_set_saves_hbm_traffic(self, results):
         """Fusion removes off-chip traffic; its latency/energy effect is
