@@ -186,7 +186,7 @@ class ClusterEngine:
             llm=self.llm, tracer=self.tracer, metrics=self.metrics)
         engine.clock = now
         index = len(self.replicas)
-        engine.set_trace_track(
+        engine.trace_track = (
             f"replica-{index}" if pool == "unified" else f"{pool}-{index}")
         replica = Replica(index=index, engine=engine,
                           pool=pool, spawned_at=now)

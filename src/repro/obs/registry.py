@@ -28,10 +28,13 @@ suffixes are explicit (``_seconds``).  Labels identify the engine lane
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence, Tuple
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..serve.metrics import StepRecord
 
 __all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry",
-           "STEP_COUNTERS"]
+           "STEP_COUNTERS", "count_step"]
 
 #: Counters that are the registry view of a
 #: :class:`~repro.serve.metrics.StepTotals` field, ``series: (field,
@@ -254,3 +257,47 @@ class MetricsRegistry:
             out[name] = {"type": family.kind, "help": family.help,
                          "samples": children}
         return out
+
+
+def count_step(registry: Optional[MetricsRegistry],
+               record: "StepRecord") -> None:
+    """Feed ``registry``, if any, from one engine step record: requests
+    finished into the report (by reason) or cancelled, then — for a step
+    that ran — the counter view of its totals and gauges of what it left."""
+    if registry is None:
+        return
+    labels = {"track": record.track}
+    for entry in record.requests:
+        if entry.reported:  # a handed-off stub counts where it is adopted
+            registry.counter(
+                "speedllm_requests_finished_total",
+                "Requests completed, by finish reason.",
+                {**labels, "reason": entry.request.finish_reason}).inc()
+    for _ in record.cancelled:  # never in the report's population
+        registry.counter("speedllm_requests_cancelled_total",
+                         "Requests aborted before completing.", labels).inc()
+    totals = record.totals
+    if totals is None:
+        return
+    for name, (field, help_text) in STEP_COUNTERS.items():
+        registry.counter(name, help_text, labels).inc(getattr(totals, field))
+    registry.histogram(
+        "speedllm_step_batch_tokens",
+        "Token positions per batched step (batch occupancy).", labels,
+    ).observe(totals.total_slots)
+    for name, help_text, value in (
+        ("speedllm_queue_depth", "Requests waiting for admission.",
+         record.n_queued),
+        ("speedllm_running_requests", "Requests admitted and in flight.",
+         record.n_running),
+        ("speedllm_kv_utilization",
+         "Fraction of the KV budget in live use.",
+         totals.kv_utilization_sum),
+        ("speedllm_prefix_hit_rate",
+         "Fraction of prefill tokens served from the prefix cache.",
+         record.engine_totals.prefix_hit_rate),
+        ("speedllm_compile_cache_hit_rate",
+         "Fraction of step compilations served from the cache.",
+         record.engine_totals.compile_cache_hit_rate),
+    ):
+        registry.gauge(name, help_text, labels).set(value)

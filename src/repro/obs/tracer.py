@@ -18,37 +18,25 @@ Its ``clock`` tag says what its timestamps count:
   ``attrs["seconds_per_cycle"]``), and only the timeline export places
   them on the simulated clock.
 
-The :class:`Tracer` is designed to cost nothing when disabled: every
-emit method returns immediately on ``enabled=False``, and the hot paths
-in the engine guard whole span-assembly blocks behind a single
-``tracer.enabled`` attribute check.  :data:`NULL_TRACER` is the shared
-disabled instance every component defaults to, so tracing support adds
-one attribute load per step to an untraced run.
+A serving engine emits nothing while it steps: each
+:meth:`~repro.serve.ServingEngine.step` (and each ``cancel``) builds
+one :class:`~repro.serve.metrics.StepRecord`, and :func:`trace_step`
+turns it into spans once the step is done — returning at once on a
+disabled tracer.  :data:`NULL_TRACER` is the shared disabled instance
+every component defaults to.
 
-Span taxonomy (one track per engine/replica; see
-``docs/ARCHITECTURE.md`` for the full schema):
-
-========== ======== =====================================================
-name       kind     interval
-========== ======== =====================================================
-request    span     arrival → finish (the root; every other event of the
-                    request nests inside it)
-queued     span     arrival (or preemption) → admission
-prefill    span     one per step that ran prompt positions of the request
-decode     span     one per step that ran a decode turn of the request
-handoff    span     prefill-replica finish → KV delivered at the decode
-                    replica (disaggregated clusters only)
-step       span     one per batched accelerator step (engine lane)
-token      instant  a token committed (``ts`` = its ``token_times`` entry)
-preempted  instant  a victim evicted for a beneficiary
-routed     instant  the cluster router pinned a request to a replica
-========== ======== =====================================================
+The span taxonomy — the names below, one track per engine or replica —
+is tabled in ``docs/ARCHITECTURE.md`` (§Observability).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional
+from typing import TYPE_CHECKING, Dict, List, Mapping, Optional
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..serve.metrics import StepRecord
+    from ..serve.request import Request
 
 __all__ = [
     "CYCLES",
@@ -58,6 +46,7 @@ __all__ = [
     "SIM_S",
     "Span",
     "Tracer",
+    "trace_step",
     "DECODE",
     "HANDOFF",
     "PREEMPTED",
@@ -126,13 +115,8 @@ class Span:
 
 
 class Tracer:
-    """Collects lifecycle spans; free when disabled.
-
-    Every emit method early-returns on ``enabled=False``; callers with
-    non-trivial attribute assembly should additionally guard the whole
-    block behind ``if tracer.enabled:`` so a disabled run never builds
-    the attribute dictionaries either.
-    """
+    """Collects lifecycle spans; every emit method early-returns on
+    ``enabled=False``."""
 
     __slots__ = ("enabled", "spans")
 
@@ -164,34 +148,10 @@ class Tracer:
             request_id=request_id, track=track, attrs=attrs,
         ))
 
-    def instant(
-        self,
-        name: str,
-        ts: float,
-        *,
-        request_id: Optional[str] = None,
-        track: str = "engine-0",
-        **attrs: object,
-    ) -> None:
-        """Record one zero-duration marker; no-op when disabled."""
-        self.span(name, ts, ts, request_id=request_id, track=track, **attrs)
-
-    def preemption(self, event, *, track: str = "engine-0") -> None:
-        """Record a scheduler :class:`~repro.serve.scheduler.PreemptionEvent`.
-
-        The instant is built *from the audit-log object itself*, so the
-        scheduler's ``preemption_events`` log and the trace cannot drift
-        apart — they are two views of one record.
-        """
-        if not self.enabled:
-            return
-        self.instant(
-            PREEMPTED, event.time,
-            request_id=event.victim_id, track=track,
-            victim_priority=event.victim_priority,
-            beneficiary=event.beneficiary_id,
-            beneficiary_priority=event.beneficiary_priority,
-        )
+    def instant(self, name: str, ts: float, **keywords: object) -> None:
+        """Record one zero-duration marker (``span``'s keywords); no-op
+        when disabled."""
+        self.span(name, ts, ts, **keywords)
 
     # ------------------------------------------------------------------
     # Queries
@@ -207,3 +167,80 @@ class Tracer:
 
 #: Shared disabled tracer; the default everywhere tracing is optional.
 NULL_TRACER = Tracer(enabled=False)
+
+
+def _trace_root(tracer: Tracer, request: "Request", end: float,
+                track: str) -> None:
+    """A request's root span: arrival → ``end``, lifetime attributes."""
+    tracer.span(
+        REQUEST, request.arrival_time, end,
+        request_id=request.request_id, track=track,
+        finish_reason=request.finish_reason, priority=request.priority,
+        n_generated=request.n_generated,
+        n_preemptions=request.n_preemptions,
+        prefix_hit_tokens=request.prefix_hit_tokens,
+        draft_tokens_proposed=request.draft_tokens_proposed,
+        draft_tokens_accepted=request.draft_tokens_accepted)
+
+
+def trace_step(tracer: Tracer, record: "StepRecord") -> None:
+    """Emit a step record's spans: ``queued`` per admission, ``preempted``
+    per eviction (from the audit-log object itself, so log and trace
+    cannot drift apart), each scheduled request's ``token`` instants and
+    root span if it retired into the report (or was cancelled), then its
+    stage span, then the ``step`` span referring to the cycle spans."""
+    if not tracer.enabled:
+        return
+    track = record.track
+    for admission in record.admitted:
+        request, requeued = admission.request, admission.requeued_at
+        tracer.span(
+            QUEUED, request.arrival_time if requeued is None else requeued,
+            request.admitted_time, request_id=request.request_id,
+            track=track, readmitted=requeued is not None,
+            priority=request.priority,
+            prefix_hit_tokens=request.prefix_hit_tokens)
+    for event in record.preempted:
+        tracer.instant(
+            PREEMPTED, event.time, request_id=event.victim_id, track=track,
+            victim_priority=event.victim_priority,
+            beneficiary=event.beneficiary_id,
+            beneficiary_priority=event.beneficiary_priority)
+    for entry in record.requests:
+        # Stamped with the clock the engine appended to token_times, so
+        # span-derived TTFT/ITL equal the reported metrics exactly.
+        for index in range(entry.first_index,
+                           entry.first_index + len(entry.tokens)):
+            tracer.instant(TOKEN, record.end, track=track, index=index,
+                           request_id=entry.request.request_id)
+        if entry.reported:
+            _trace_root(tracer, entry.request, entry.request.finish_time,
+                        track)
+    for request in record.cancelled:
+        _trace_root(tracer, request, max(record.end, request.arrival_time),
+                    track)
+    for entry in record.requests:
+        request = entry.request
+        attrs = {"pos": entry.start_pos, "n_slots": entry.n_slots,
+                 "priority": request.priority}
+        if entry.kv_blocks is not None:
+            attrs["kv_blocks"] = entry.kv_blocks
+        if entry.phase == PREFILL:
+            attrs["prefix_hit_tokens"] = request.prefix_hit_tokens
+        elif entry.drafted:
+            attrs["draft_tokens"] = entry.drafted
+            attrs["draft_accepted"] = entry.accepted
+        tracer.span(entry.phase, record.start, record.end,
+                    request_id=request.request_id, track=track, **attrs)
+    totals = record.totals
+    if totals is None:
+        return
+    accel = {} if record.cycle_spans is None else {
+        CYCLE_SPANS: record.cycle_spans,
+        SECONDS_PER_CYCLE: record.seconds_per_cycle}
+    tracer.span(
+        STEP, record.start, record.end, track=track,
+        n_slots=totals.total_slots, n_running=record.n_running,
+        kv_utilization=totals.kv_utilization_sum,
+        compile_cache_hits=totals.compile_cache_hits,
+        compile_cache_misses=totals.compile_cache_misses, **accel)

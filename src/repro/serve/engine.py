@@ -77,10 +77,11 @@ from ..api.params import SamplingParams
 from ..backend import ExecutionBackend
 from ..llama.tokenizer import BOS_ID, EOS_ID, UNK_ID
 from ..obs import tracer as spans
-from ..obs.registry import STEP_COUNTERS, MetricsRegistry
-from ..obs.tracer import NULL_TRACER, Tracer
+from ..obs.registry import MetricsRegistry, count_step
+from ..obs.tracer import NULL_TRACER, Tracer, trace_step
 from ..spec import build_drafter, verify_run
-from .metrics import RequestMetrics, ServeReport, StepTotals
+from .metrics import (Admission, RequestMetrics, RequestStep, ServeReport,
+                      StepRecord, StepTotals)
 from .request import Request, RequestState
 from .scheduler import Scheduler, SchedulerConfig
 
@@ -144,10 +145,10 @@ class ServingEngine:
         metrics: Optional[MetricsRegistry] = None,
     ) -> None:
         """``tracer`` collects request-lifecycle spans (the default
-        :data:`~repro.obs.NULL_TRACER` is a free no-op); ``metrics`` is
-        an optional live registry sampled every step.  Neither changes a
-        generated token or a reported number — the identity and
-        no-op-overhead tests pin this."""
+        :data:`~repro.obs.NULL_TRACER` records nothing); ``metrics`` is
+        an optional live registry fed every step.  Neither changes a
+        generated token or a reported number — ``TestTracingIsPassive``
+        in ``tests/obs/test_reconciliation.py`` pins this."""
         self.llm = llm
         self.accelerator: SpeedLLMAccelerator = llm.accelerator
         self.tokenizer = llm.tokenizer
@@ -167,9 +168,8 @@ class ServingEngine:
             self.scheduler.attach_drafter(self.drafter)
         self.tracer: Tracer = tracer if tracer is not None else NULL_TRACER
         self.metrics = metrics
+        #: Lane this engine's spans and series carry (one per replica).
         self.trace_track = "engine-0"
-        self.scheduler.tracer = self.tracer
-        self.scheduler.trace_track = self.trace_track
         self.clock = 0.0
         self._ids = itertools.count()
         #: Completion observer, called with each retiring request *before*
@@ -181,7 +181,7 @@ class ServingEngine:
         self.on_finish: Optional[Callable[[Request], bool]] = None
         self._submitted: List[Request] = []
         self._completed: List[Request] = []
-        #: Sum of every executed step's record: the one place this
+        #: Sum of every executed step's totals: the one place this
         #: engine's counters live.
         self.totals = StepTotals(
             shard_utilization_sums=[0.0] * self.backend.n_shards)
@@ -273,212 +273,114 @@ class ServingEngine:
         return hit
 
     # ------------------------------------------------------------------
-    # Tracing / metrics plumbing
-    # ------------------------------------------------------------------
-    def set_trace_track(self, track: str) -> None:
-        """Name the lane this engine's spans render on (one per replica)."""
-        self.trace_track = track
-        self.scheduler.trace_track = track
-
-    def _trace_admissions(self, admitted: List[Request]) -> None:
-        """One ``queued`` span per admission: arrival (or the preemption
-        that re-queued the request) → admission."""
-        for request in admitted:
-            start = (request.last_preempt_time
-                     if request.last_preempt_time is not None
-                     else request.arrival_time)
-            self.tracer.span(
-                spans.QUEUED, start, request.admitted_time,
-                request_id=request.request_id, track=self.trace_track,
-                readmitted=request.n_preemptions > 0,
-                priority=request.priority,
-                prefix_hit_tokens=request.prefix_hit_tokens,
-            )
-
-    def _snapshot_step_phases(self, groups: Dict[str, List[tuple]]) -> list:
-        """Capture each scheduled request's phase *before* the commit loop
-        flips states and consumes draft tokens."""
-        snapshot = []
-        for request in self.scheduler.running:
-            entries = groups.get(request.request_id)
-            if not entries:
-                continue
-            blocks = request.block_table
-            snapshot.append({
-                "request": request,
-                "phase": (spans.PREFILL if request.in_prefill
-                          else spans.DECODE),
-                "n_slots": len(entries),
-                "start_pos": entries[0][0].pos,
-                "kv_blocks": len(blocks) if blocks is not None else None,
-                "drafted": len(request.draft_tokens),
-                "accepted_before": request.draft_tokens_accepted,
-            })
-        return snapshot
-
-    def _trace_step(self, snapshot: list, clock_before: float,
-                    record: StepTotals, cycle_spans) -> None:
-        """Emit the step's spans: one stage span per scheduled request
-        and one engine-lane ``step`` span (the span view of ``record``),
-        which refers to the step's cycle spans when it has them."""
-        tracer = self.tracer
-        track = self.trace_track
-        for entry in snapshot:
-            request = entry["request"]
-            attrs = {
-                "pos": entry["start_pos"],
-                "n_slots": entry["n_slots"],
-                "priority": request.priority,
-            }
-            if entry["kv_blocks"] is not None:
-                attrs["kv_blocks"] = entry["kv_blocks"]
-            if entry["phase"] == spans.PREFILL:
-                attrs["prefix_hit_tokens"] = request.prefix_hit_tokens
-            elif entry["drafted"]:
-                attrs["draft_tokens"] = entry["drafted"]
-                attrs["draft_accepted"] = (
-                    request.draft_tokens_accepted - entry["accepted_before"])
-            tracer.span(
-                entry["phase"], clock_before, self.clock,
-                request_id=request.request_id, track=track, **attrs)
-        accel = {} if cycle_spans is None else {
-            spans.CYCLE_SPANS: cycle_spans,
-            spans.SECONDS_PER_CYCLE: self.platform.cycles_to_seconds(1),
-        }
-        tracer.span(
-            spans.STEP, clock_before, self.clock,
-            track=track,
-            n_slots=record.total_slots,
-            n_running=len(self.scheduler.running),
-            kv_utilization=record.kv_utilization_sum,
-            compile_cache_hits=record.compile_cache_hits,
-            compile_cache_misses=record.compile_cache_misses,
-            **accel,
-        )
-
-    def _publish_step(self, record: StepTotals) -> None:
-        """Feed the live registry: the counter view of ``record``, then
-        gauges of where the step left the scheduler and the totals."""
-        registry = self.metrics
-        scheduler = self.scheduler
-        totals = self.totals
-        labels = {"track": self.trace_track}
-        for name, (field, help_text) in STEP_COUNTERS.items():
-            registry.counter(name, help_text, labels).inc(
-                getattr(record, field))
-        registry.histogram(
-            "speedllm_step_batch_tokens",
-            "Token positions per batched step (batch occupancy).", labels,
-        ).observe(record.total_slots)
-        for name, help_text, value in (
-            ("speedllm_queue_depth", "Requests waiting for admission.",
-             len(scheduler.queue)),
-            ("speedllm_running_requests", "Requests admitted and in flight.",
-             len(scheduler.running)),
-            ("speedllm_kv_utilization",
-             "Fraction of the KV budget in live use.",
-             record.kv_utilization_sum),
-            ("speedllm_prefix_hit_rate",
-             "Fraction of prefill tokens served from the prefix cache.",
-             totals.prefix_hit_rate),
-            ("speedllm_compile_cache_hit_rate",
-             "Fraction of step compilations served from the cache.",
-             totals.compile_cache_hit_rate),
-        ):
-            registry.gauge(name, help_text, labels).set(value)
-
-    # ------------------------------------------------------------------
     # Stepping
     # ------------------------------------------------------------------
     def step(self) -> List[Request]:
-        """Run one batched accelerator step; returns requests finished by it."""
+        """Run one batched accelerator step; returns requests finished by it.
+
+        It emits nothing while it works: its one :class:`StepRecord` goes
+        to the tracer's and the registry's views of it at the end."""
         scheduler = self.scheduler
-        admitted = scheduler.admit(self.clock)
-        if self.tracer.enabled and admitted:
-            self._trace_admissions(admitted)
+        first_event = len(scheduler.preemption_events)
+        admitted = [Admission(request, request.last_preempt_time)
+                    for request in scheduler.admit(self.clock)]
         slots = scheduler.build_step()
         # Sampled after step building so a request admitted and preempted
         # within the same step never counts toward peak concurrency.
         totals = self.totals
         totals.peak_running = max(totals.peak_running, len(scheduler.running))
-        if not slots:
+        start = self.clock
+        requests: List[RequestStep] = []
+        step_totals = cycle_spans = None
+        if slots:
+            step = self.backend.execute_step(
+                slots, kv_block_tokens=scheduler.kv_block_tokens
+            )
+            cycle_spans = step.cycle_spans
+            self.clock += step.seconds
+            # The step's totals.  Scheduler counters enter as their
+            # movement since the last executed step; the commit loop adds
+            # spec outcomes.
+            step_totals = StepTotals(
+                n_steps=1,
+                total_slots=len(slots),
+                kv_utilization_sum=scheduler.kv_utilization,
+                n_preemptions=scheduler.n_preemptions - totals.n_preemptions,
+                prefix_hit_tokens=(scheduler.prefix_hit_tokens
+                                   - totals.prefix_hit_tokens),
+                total_prefill_tokens=(scheduler.total_prefill_tokens
+                                      - totals.total_prefill_tokens),
+                compute_seconds=step.compute_seconds,
+                interconnect_seconds=step.interconnect_seconds,
+                busy_cycles=(step.engine_busy.get("mpe", 0)
+                             + step.engine_busy.get("sfu", 0)),
+                counters=step.counters,
+                shard_utilization_sums=step.shard_utilization,
+                **vars(step.compile_work),
+            )
+            groups: Dict[str, List[tuple]] = {}
+            for slot, output in zip(slots, step.outputs):
+                groups.setdefault(slot.request_id, []).append((slot, output))
+            for request in list(scheduler.running):
+                entries = groups.get(request.request_id)
+                if not entries:
+                    continue
+                # What the step found, before the commit flips states
+                # (prefill → decode) and consumes draft-token lists.
+                phase = spans.PREFILL if request.in_prefill else spans.DECODE
+                blocks = request.block_table
+                drafted = len(request.draft_tokens)
+                accepted = request.draft_tokens_accepted
+                first_index = request.n_generated
+                n_completed = len(self._completed)
+                if request.in_prefill:
+                    last_slot, last_output = entries[-1]
+                    request.next_pos = last_slot.pos + 1
+                    # Register freshly completed prefill blocks for
+                    # sharing.  Decode steps never complete a prefill
+                    # block, so skip the index walk once the prompt is
+                    # consumed.
+                    scheduler.note_progress(request)
+                    if request.next_pos >= request.n_prefill:
+                        request.state = RequestState.DECODE
+                    if request.in_decode and last_slot.need_logits:
+                        self._commit_token(
+                            request, request.sampler.sample(last_output),
+                            last_output)
+                elif request.in_decode:
+                    self._commit_decode(request, entries, step_totals)
+                requests.append(RequestStep(
+                    request, phase, n_slots=len(entries),
+                    start_pos=entries[0][0].pos,
+                    kv_blocks=None if blocks is None else len(blocks),
+                    drafted=drafted,
+                    accepted=request.draft_tokens_accepted - accepted,
+                    first_index=first_index,
+                    tokens=request.generated_tokens[first_index:],
+                    reported=len(self._completed) > n_completed))
+            self.totals = totals + step_totals
+        else:
             # Nothing is runnable right now.  If requests are still due
             # to arrive on the simulated clock, fast-forward to the next
             # arrival so draining makes progress through idle gaps.
             next_arrival = scheduler.next_arrival
             if next_arrival is not None and next_arrival > self.clock:
                 self.clock = next_arrival
-            return []
-
-        clock_before = self.clock
-        step = self.backend.execute_step(
-            slots, kv_block_tokens=scheduler.kv_block_tokens
-        )
-        self.clock += step.seconds
-        # The step's record.  Scheduler counters enter as their movement
-        # since the last executed step; the commit loop adds spec outcomes.
-        record = StepTotals(
-            n_steps=1,
-            total_slots=len(slots),
-            kv_utilization_sum=scheduler.kv_utilization,
-            n_preemptions=scheduler.n_preemptions - totals.n_preemptions,
-            prefix_hit_tokens=(scheduler.prefix_hit_tokens
-                               - totals.prefix_hit_tokens),
-            total_prefill_tokens=(scheduler.total_prefill_tokens
-                                  - totals.total_prefill_tokens),
-            compute_seconds=step.compute_seconds,
-            interconnect_seconds=step.interconnect_seconds,
-            busy_cycles=(step.engine_busy.get("mpe", 0)
-                         + step.engine_busy.get("sfu", 0)),
-            counters=step.counters,
-            shard_utilization_sums=step.shard_utilization,
-            **vars(step.compile_work),
-        )
-
-        groups: Dict[str, List[tuple]] = {}
-        for slot, output in zip(slots, step.outputs):
-            groups.setdefault(slot.request_id, []).append((slot, output))
-
-        # Phases must be captured before the commit loop flips request
-        # states (prefill → decode) and consumes draft-token lists.
-        snapshot = (self._snapshot_step_phases(groups)
-                    if self.tracer.enabled else None)
-
-        finished: List[Request] = []
-        for request in list(scheduler.running):
-            entries = groups.get(request.request_id)
-            if not entries:
-                continue
-            if request.in_prefill:
-                last_slot, last_output = entries[-1]
-                request.next_pos = last_slot.pos + 1
-                # Register freshly completed prefill blocks for sharing.
-                # Decode steps never complete a prefill block, so skip the
-                # index walk once the prompt is consumed.
-                scheduler.note_progress(request)
-                if request.next_pos >= request.n_prefill:
-                    request.state = RequestState.DECODE
-                if request.in_decode and last_slot.need_logits:
-                    if self._sample(request, last_output):
-                        finished.append(request)
-            elif request.in_decode:
-                if self._commit_decode(request, entries, record):
-                    finished.append(request)
-        self.totals = totals + record
-        if snapshot is not None:
-            self._trace_step(snapshot, clock_before, record, step.cycle_spans)
-        if self.metrics is not None:
-            self._publish_step(record)
-        return finished
-
-    def _sample(self, request: Request, logits) -> bool:
-        """Sample one token at ``request.next_pos``; True when retired."""
-        token = request.sampler.sample(logits)
-        return self._commit_token(request, token, logits)
+        record = StepRecord(
+            self.trace_track, start, self.clock, admitted,
+            preempted=scheduler.preemption_events[first_event:],
+            requests=requests, totals=step_totals, engine_totals=self.totals,
+            cycle_spans=cycle_spans,
+            seconds_per_cycle=self.platform.cycles_to_seconds(1),
+            n_running=len(scheduler.running), n_queued=len(scheduler.queue))
+        trace_step(self.tracer, record)
+        count_step(self.metrics, record)
+        return [entry.request for entry in requests
+                if entry.request.is_finished]
 
     def _commit_decode(self, request: Request, entries: List[tuple],
-                       record: StepTotals) -> bool:
-        """Commit one decode turn's verify run; True when the request retired.
+                       totals: StepTotals) -> None:
+        """Commit one decode turn's verify run.
 
         ``entries`` are the request's ``(slot, output)`` pairs in
         position order: the pending token's slot first, then one slot per
@@ -507,31 +409,29 @@ class ServingEngine:
             # tokens-per-decode-step metric must reflect every turn, not
             # only the lucky ones.  A plain engine keeps all-zero
             # counters.
-            record.spec_decode_steps += 1
-            record.spec_draft_tokens += outcome.n_draft
-            record.spec_accepted_tokens += outcome.n_accepted
+            totals.spec_decode_steps += 1
+            totals.spec_draft_tokens += outcome.n_draft
+            totals.spec_accepted_tokens += outcome.n_accepted
             request.draft_tokens_proposed += outcome.n_draft
             request.draft_tokens_accepted += outcome.n_accepted
-        retired = False
         n_committed = 0
         for token, logits in zip(outcome.committed, outcome.logits):
             n_committed += 1
             request.next_pos = base_pos + n_committed
-            if self._commit_token(request, token, logits):
-                retired = True
+            self._commit_token(request, token, logits)
+            if request.is_finished:
                 break
         if self.spec_config is not None:
-            record.spec_committed_tokens += n_committed
-        if not retired and n_committed < len(slots):
+            totals.spec_committed_tokens += n_committed
+        if not request.is_finished and n_committed < len(slots):
             # Positions past the last accepted one hold rejected draft
             # KV entries; drop them so the next step re-executes from the
             # corrected token.  (A retired request's cache is released
             # wholesale by the scheduler instead.)
             request.cache.truncate(base_pos + n_committed)
-        return retired
 
-    def _commit_token(self, request: Request, token: int, logits) -> bool:
-        """Record one committed token; returns True if the request retired.
+    def _commit_token(self, request: Request, token: int, logits) -> None:
+        """Record one committed token, retiring the request if it is done.
 
         ``request.next_pos`` must already point one past the token's
         position.  The order of checks mirrors
@@ -547,14 +447,6 @@ class ServingEngine:
         request.token_times.append(self.clock)
         if request.first_token_time is None:
             request.first_token_time = self.clock
-        if self.tracer.enabled:
-            # Stamped with the same value appended to token_times above,
-            # so span-derived TTFT/ITL equal the reported metrics exactly.
-            self.tracer.instant(
-                spans.TOKEN, self.clock,
-                request_id=request.request_id, track=self.trace_track,
-                index=request.n_generated - 1,
-            )
         if request.logprobs is not None:
             request.logprobs.append(
                 _top_logprobs(logits, request.sampling.logprobs, token)
@@ -581,38 +473,12 @@ class ServingEngine:
             if self.drafter is not None:
                 self.drafter.release(request)
             if not handed_off:
-                # One site admits a request to the report's population,
-                # emits its root span and counts it in the registry.  (A
-                # handed-off stub is reported end to end by the engine
+                # One site admits a request to the report's population.
+                # (A handed-off stub is reported end to end by the engine
                 # that adopts it; only its steps and stage spans stay.)
                 self._completed.append(request)
-                self._trace_finish(request, request.finish_time)
-                if self.metrics is not None:
-                    self.metrics.counter(
-                        "speedllm_requests_finished_total",
-                        "Requests completed, by finish reason.",
-                        {"track": self.trace_track, "reason": reason},
-                    ).inc()
-            return True
-        request.pending_token = token
-        return False
-
-    def _trace_finish(self, request: Request, end: float) -> None:
-        """Emit the request's root span: arrival → ``end``, with the
-        lifetime attributes the timeline viewer surfaces."""
-        if not self.tracer.enabled:
             return
-        self.tracer.span(
-            spans.REQUEST, request.arrival_time, end,
-            request_id=request.request_id, track=self.trace_track,
-            finish_reason=request.finish_reason,
-            priority=request.priority,
-            n_generated=request.n_generated,
-            n_preemptions=request.n_preemptions,
-            prefix_hit_tokens=request.prefix_hit_tokens,
-            draft_tokens_proposed=request.draft_tokens_proposed,
-            draft_tokens_accepted=request.draft_tokens_accepted,
-        )
+        request.pending_token = token
 
     def _token_bytes(self, token: int) -> bytes:
         """The UTF-8 bytes a token contributes to the decoded text."""
@@ -686,16 +552,10 @@ class ServingEngine:
         if cancelled and self.drafter is not None:
             self.drafter.release(request)
         if cancelled:
-            self._trace_finish(request,
-                               max(self.clock, request.arrival_time))
-            if self.metrics is not None:
-                # Its own series: a cancelled request never enters the
-                # report's population, which is what "finished" counts.
-                self.metrics.counter(
-                    "speedllm_requests_cancelled_total",
-                    "Requests aborted before completing.",
-                    {"track": self.trace_track},
-                ).inc()
+            record = StepRecord(track=self.trace_track, start=self.clock,
+                                end=self.clock, cancelled=(request,))
+            trace_step(self.tracer, record)
+            count_step(self.metrics, record)
         return cancelled
 
     # ------------------------------------------------------------------

@@ -12,14 +12,18 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass, field
 from itertools import zip_longest
-from typing import Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
 from ..core.metrics import LatencySummary, merge_sum
 from ..fpga.power import EnergyBreakdown
 from ..sim.stats import RunCounters
 from .request import Request
 
-__all__ = ["RequestMetrics", "ServeReport", "StepTotals"]
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from .scheduler import PreemptionEvent
+
+__all__ = ["Admission", "RequestMetrics", "RequestStep", "ServeReport",
+           "StepRecord", "StepTotals"]
 
 
 @dataclass(frozen=True)
@@ -97,11 +101,12 @@ def _ratio(numerator: float, denominator: float) -> float:
 
 @dataclass
 class StepTotals:
-    """Additive serving counters: one step's record, or any sum of them.
+    """Additive serving counters: one step's totals, or any sum of them.
 
-    The engine builds one per executed step (``n_steps == 1``) and ``+``
-    is the only way two meet: an engine's total is the sum of its step
-    records, a cluster's pool the sum of its engines' totals.
+    The engine builds one per executed step (``n_steps == 1``, carried
+    by its :class:`StepRecord`) and ``+`` is the only way two meet: an
+    engine's total is the sum of its steps', a cluster's pool the sum of
+    its engines' totals.
     :class:`ServeReport`, the ``speedllm_*`` registry series and the
     ``step`` span are views of these fields, so a counter is declared
     here once.
@@ -245,6 +250,60 @@ class StepTotals:
         tokens per turn cuts per-token weight traffic by ``m``.
         """
         return _ratio(self.spec_committed_tokens, self.spec_decode_steps)
+
+
+@dataclass
+class Admission:
+    """A request a step admitted, and the preemption (if any) whose wait
+    that admission ended — read then, as the same step may preempt the
+    request again."""
+
+    request: Request
+    requeued_at: Optional[float]
+
+
+@dataclass
+class RequestStep:
+    """What one step did to one scheduled request: phase, slots, first
+    position, KV blocks (paged) and drafts as it began, drafts accepted,
+    tokens committed (the first at generation index ``first_index``), and
+    whether it retired into this engine's report (not handed off)."""
+
+    request: Request
+    phase: str  # the span name, "prefill" or "decode"
+    n_slots: int
+    start_pos: int
+    kv_blocks: Optional[int]
+    drafted: int
+    accepted: int
+    first_index: int
+    tokens: List[int]
+    reported: bool
+
+
+@dataclass
+class StepRecord:
+    """Everything one engine step did, read by :func:`repro.obs.trace_step`
+    and :func:`repro.obs.count_step` once it is done: lane, clock before
+    and after, admissions, the scheduler's own :class:`PreemptionEvent`
+    objects, one :class:`RequestStep` per scheduled request in commit
+    order, its totals and the engine's after them, its cycle spans, and
+    the running and queued counts after the commit.  A step that ran no
+    slot has no ``totals``; ``cancel`` hands over only ``cancelled``."""
+
+    track: str
+    start: float
+    end: float
+    admitted: Sequence[Admission] = ()
+    preempted: Sequence["PreemptionEvent"] = ()
+    requests: Sequence[RequestStep] = ()
+    cancelled: Sequence[Request] = ()
+    totals: Optional[StepTotals] = None
+    engine_totals: Optional[StepTotals] = None
+    cycle_spans: Optional[tuple] = None
+    seconds_per_cycle: float = 0.0
+    n_running: int = 0
+    n_queued: int = 0
 
 
 @dataclass(kw_only=True)

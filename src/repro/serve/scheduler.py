@@ -59,13 +59,11 @@ from ..accel.batching import BatchSlot
 from ..api.errors import KVCapacityError
 from ..kvpool import KVPool, ReservedKV
 from ..llama.config import LlamaConfig
-from ..obs.tracer import NULL_TRACER
 from ..spec.config import SpecConfig
 from .policy import POLICIES, build_policy
 from .request import Request, RequestQueue, RequestState
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..obs.tracer import Tracer
     from ..spec.drafter import Drafter
 
 __all__ = ["PreemptionEvent", "Scheduler", "SchedulerConfig"]
@@ -146,9 +144,9 @@ class SchedulerConfig:
 class PreemptionEvent:
     """One eviction: who was preempted, for whom, and when.
 
-    The scheduler's audit log holds these, and the tracer's
-    ``preempted`` instant is built *from the same object*
-    (:meth:`repro.obs.Tracer.preemption`), so the log and the trace
+    The scheduler's audit log holds these; a step record carries the
+    very objects its step appended, and :func:`repro.obs.trace_step`
+    builds each ``preempted`` instant from one, so the log and the trace
     cannot drift apart.  The policy invariant — a victim is never more
     urgent than its beneficiary under priority/fairness — is asserted
     against the log by the property tests.
@@ -208,13 +206,9 @@ class Scheduler:
         self.prefix_hit_tokens = 0
         self.total_prefill_tokens = 0
         #: Preemption audit log, one :class:`PreemptionEvent` per
-        #: eviction; each is also routed through the tracer so the log
-        #: and the trace are two views of one record.
+        #: eviction; the engine's step records carry slices of it, so
+        #: the log and the trace are two views of one record.
         self.preemption_events: List[PreemptionEvent] = []
-        #: Lifecycle tracer and the track label spans render on; the
-        #: owning engine assigns both (the default is the free no-op).
-        self.tracer: "Tracer" = NULL_TRACER
-        self.trace_track = "engine-0"
         #: Clock of the most recent admission sweep — the planning time
         #: of the step under construction, which is when preemptions
         #: (decided during ``build_step``) actually happen.
@@ -390,16 +384,13 @@ class Scheduler:
         victim.n_preemptions += 1
         victim.last_preempt_time = self._now
         self.n_preemptions += 1
-        event = PreemptionEvent(
+        self.preemption_events.append(PreemptionEvent(
             victim_id=victim.request_id,
             victim_priority=victim.priority,
             beneficiary_id=beneficiary.request_id,
             beneficiary_priority=beneficiary.priority,
             time=self._now,
-        )
-        self.preemption_events.append(event)
-        if self.tracer.enabled:
-            self.tracer.preemption(event, track=self.trace_track)
+        ))
         self.running.remove(victim)
         self.queue.push_front(victim)
 

@@ -35,7 +35,7 @@ from repro.obs.timeline import (
     validate_chrome_trace,
 )
 from repro.obs.tracer import NULL_TRACER, Tracer
-from repro.serve import SchedulerConfig, ServingEngine
+from repro.serve import SchedulerConfig, ServingEngine, StepTotals
 from tests.conftest import ENGINE_MATRIX
 
 PROMPTS = [
@@ -122,6 +122,38 @@ class TestExactReconciliation:
         assert validate_chrome_trace(
             build_chrome_trace(tracer, report=report)) == []
 
+    def test_admitted_and_preempted_in_one_step(self):
+        """A request the admitting step evicts again keeps the queued
+        span of the wait its admission ended (from arrival, not a
+        readmission); the readmission opens the next one at the
+        eviction."""
+        llm = _config().build_llm()
+        tracer = Tracer()
+        engine = ServingEngine(llm, SchedulerConfig(
+            max_batch_tokens=16,
+            paged=True,
+            block_tokens=8,
+            kv_budget_bytes=8 * KVCache.bytes_per_block(llm.model_config, 8),
+            watermark_fraction=0.0,
+        ), tracer=tracer)
+        prompts = PROMPTS + ["The cat sat",
+                             "A big red ball rolled down the hill"]
+        for prompt in prompts:
+            engine.submit(prompt, SamplingParams(max_tokens=16,
+                                                 ignore_eos=True))
+        report = engine.run(max_steps=3000)
+        evictions = {(s.request_id, s.start) for s in tracer.spans
+                     if s.name == spans.PREEMPTED}
+        queued = [s for s in tracer.spans if s.name == spans.QUEUED]
+        same_step = [s for s in queued if (s.request_id, s.end) in evictions]
+        assert same_step, "no request was preempted by its admitting step"
+        for span in same_step:
+            assert span.start == 0.0 and not span.attrs["readmitted"]
+            (readmission,) = [s for s in queued
+                              if s.request_id == span.request_id
+                              and s.start == span.end]
+            assert readmission.attrs["readmitted"]
+        assert_exact_reconciliation(tracer, report)
 
     def test_disaggregated_cluster_trace_checks_its_own_metrics(self, llm):
         """The ``trace-smoke`` payload: prefill stubs hand off, yet the
@@ -345,11 +377,31 @@ class TestCompileLookupAccounting:
             stats["phase_seconds"])
 
 
+#: ``StepTotals`` fields that are not the engine's simulated work: the
+#: host clock spent compiling, and the compile lookups and autotune
+#: searches a compiler shared with earlier engines has already served.
+NOT_SIMULATED = frozenset({
+    "compile_phase_seconds", "compile_cache_misses",
+    "compile_cache_evictions", "autotune_searches", "autotune_candidates",
+    "autotune_wins",
+})
+
+
 class TestTracingIsPassive:
-    def test_enabled_tracer_changes_nothing(self, llm, engine_matrix_config):
-        """Same tokens, same reported latencies, traced or not."""
-        _, _, traced = serve_traced(engine_matrix_config, llm)
-        bare_engine = engine_matrix_config.build_engine(llm=llm)
+    @pytest.mark.parametrize("speculative", [False, True],
+                             ids=["plain", "spec"])
+    def test_enabled_tracer_changes_nothing(self, llm, engine_matrix_config,
+                                            speculative):
+        """Same tokens, same reported latencies and the same simulated
+        step totals, traced with a registry or bare: the step record is
+        built either way and must not leak into a number."""
+        import dataclasses
+        config = engine_matrix_config
+        if speculative:
+            config = dataclasses.replace(config, speculative=SpecConfig())
+        _, _, traced = serve_traced(config, llm)
+        assert (traced.spec_draft_tokens > 0) == speculative
+        bare_engine = config.build_engine(llm=llm)
         for i, prompt in enumerate(PROMPTS):
             bare_engine.submit(prompt, SamplingParams(max_tokens=8,
                                                       seed=11 + i))
@@ -361,6 +413,10 @@ class TestTracingIsPassive:
             assert a.inter_token_latencies_s == b.inter_token_latencies_s
             assert a.latency_s == b.latency_s
         assert traced.makespan_seconds == bare.makespan_seconds
+        names = {spec.name for spec in dataclasses.fields(StepTotals)}
+        assert NOT_SIMULATED <= names  # a renamed field must not drop out
+        for name in sorted(names - NOT_SIMULATED):
+            assert getattr(traced, name) == getattr(bare, name), name
 
     def test_untraced_engine_emits_nothing(self, llm, engine_matrix_config):
         engine = engine_matrix_config.build_engine(llm=llm)

@@ -4,9 +4,15 @@ from __future__ import annotations
 
 import pytest
 
+from repro.api import SamplingParams
+from repro.llama.kv_cache import KVCache
 from repro.obs import tracer as spans
 from repro.obs.timeline import build_chrome_trace
-from repro.obs.tracer import CYCLES, NULL_TRACER, SIM_S, Span, Tracer
+from repro.obs.tracer import (CYCLES, NULL_TRACER, SIM_S, Span, Tracer,
+                              trace_step)
+from repro.serve import SchedulerConfig, ServingEngine, StepTotals
+from repro.serve import engine as engine_module
+from repro.serve.metrics import StepRecord
 from repro.serve.scheduler import PreemptionEvent
 
 
@@ -47,7 +53,12 @@ class TestDisabledTracer:
         tracer = Tracer(enabled=False)
         tracer.span("prefill", 0.0, 1.0, request_id="r0")
         tracer.instant("token", 0.5, request_id="r0", index=0)
-        tracer.preemption(PreemptionEvent("v", 1, "b", 0, time=0.2))
+        trace_step(tracer, StepRecord(
+            track="engine-0", start=0.0, end=1.0,
+            preempted=[PreemptionEvent("v", 1, "b", 0, time=0.2)],
+            totals=StepTotals(n_steps=1, total_slots=1),
+            cycle_spans=(_cycles("mpe", "gemm", 0, 10),),
+            seconds_per_cycle=1e-9))
         _step(tracer, 0.0, [_cycles("mpe", "gemm", 0, 10)], 1e-9)
         assert len(tracer) == 0
         other = build_chrome_trace(tracer)["otherData"]
@@ -89,18 +100,44 @@ class TestTracer:
         assert step.attrs["n_slots"] == 4
         assert step.request_id is None
 
-    def test_preemption_mirrors_the_audit_event(self):
+    def test_preemption_mirrors_the_audit_event(self, monkeypatch,
+                                                 llm):
+        """Each ``preempted`` instant is built from the very
+        :class:`PreemptionEvent` object the scheduler logged: the step
+        record carries a slice of the log, not copies of its events."""
+        records = []
+
+        def recording(tracer, record):
+            records.append(record)
+            trace_step(tracer, record)
+
+        monkeypatch.setattr(engine_module, "trace_step", recording)
         tracer = Tracer()
-        event = PreemptionEvent("victim", 3, "urgent", 0, time=1.25)
-        tracer.preemption(event, track="replica-2")
-        (mark,) = tracer.spans
-        assert mark.name == spans.PREEMPTED
-        assert mark.start == mark.end == 1.25
-        assert mark.request_id == "victim"
-        assert mark.track == "replica-2"
-        assert mark.attrs["victim_priority"] == 3
-        assert mark.attrs["beneficiary"] == "urgent"
-        assert mark.attrs["beneficiary_priority"] == 0
+        block_bytes = KVCache.bytes_per_block(llm.model_config, 4)
+        engine = ServingEngine(llm, SchedulerConfig(
+            max_batch_tokens=16, paged=True, block_tokens=4,
+            kv_budget_bytes=7 * block_bytes, watermark_fraction=0.0,
+        ), tracer=tracer)
+        engine.trace_track = "replica-2"
+        for prompt in ("Once upon a time", "Lily and Tom went to the park",
+                       "The little dog was happy"):
+            engine.submit(prompt, SamplingParams(max_tokens=10))
+        engine.run(max_steps=3000)
+        log = engine.scheduler.preemption_events
+        carried = [event for record in records for event in record.preempted]
+        assert log and len(carried) == len(log)
+        assert all(a is b for a, b in zip(carried, log))
+        marks = [s for s in tracer.spans if s.name == spans.PREEMPTED]
+        assert len(marks) == len(log)
+        for mark, event in zip(marks, log):
+            assert mark.start == mark.end == event.time
+            assert mark.request_id == event.victim_id
+            assert mark.track == "replica-2"
+            assert mark.attrs == {
+                "victim_priority": event.victim_priority,
+                "beneficiary": event.beneficiary_id,
+                "beneficiary_priority": event.beneficiary_priority,
+            }
 
 
 def _cycles(engine, label, start, end):

@@ -124,6 +124,11 @@ GONE: Tuple[Tuple[str, str], ...] = (
     # no slack; no tolerance and no heuristic prune on a looser bound.
     ("tolerance bracket",
      r"AnalyticalModel|AnalyticalEstimate|check_simulation|prune_factor|prune_above"),
+    # An engine step builds one StepRecord and its tracer and registry
+    # read it afterwards; nothing emits while the step works.
+    ("interleaved step emission",
+     r"_snapshot_step_phases|_trace_admissions|_publish_step|_trace_finish"
+     r"|set_trace_track|def preemption\("),
 )
 
 
