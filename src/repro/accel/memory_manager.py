@@ -24,16 +24,17 @@ element is the cycle and whose order is the order of events).  The
 executor posts releases as it learns them and :meth:`BufferPool.acquire`
 applies them in key order up to the moment of the request.
 
-For the executor's periodic fast-forward the pool also reports its
+For the executor's fast-forward the pool also reports its
 :meth:`~BufferPool.state` relative to a cycle (counts, and the pending
-releases as offsets) and can :meth:`~BufferPool.fast_forward`: rename its
-pending keys to their shifted copies and copy a period's flushes.
+releases as offsets) and can :meth:`~BufferPool.fast_forward`: take the
+counts and pending releases of a state reached later and the flushes
+started on the way there.
 """
 
 from __future__ import annotations
 
 from heapq import heappop, heappush
-from typing import Dict, List, Optional, Tuple
+from typing import Iterable, List, Optional, Tuple
 
 from .config import BufferConfig
 
@@ -107,20 +108,15 @@ class BufferPool:
         return (self.free_segments, self._retired,
                 tuple(sorted([(key[0] - now, ends) for key, ends in self._pending])))
 
-    def fast_forward(self, rekey: Dict[int, Tuple], since: int, periods: int,
-                     cycles: int) -> None:
-        """Jump ``periods`` repetitions of what the pool did since its
-        ``since``-th flush, each ``cycles`` after the last: the flushes
-        started since then are copied, shifted, once per period, and every
-        pending key ``k`` becomes ``rekey[id(k)]`` (which must order the
-        pending keys as before, so the heap stays a heap).  A copied
-        flush's end is the bare ``(cycle,)``: nothing compares it."""
-        self._pending[:] = [(rekey[id(key)], ends) for key, ends in self._pending]
-        started = self.flushes[since:]
-        for period in range(1, periods + 1):
-            shift = period * cycles
-            self.flushes.extend(((end[0] + shift,), start + shift)
-                                for end, start in started)
+    def fast_forward(self, free: int, retired: int, pending: List[Tuple[Tuple, bool]],
+                     flushes: Iterable[Tuple[Tuple, int]]) -> None:
+        """Jump to a later state: ``free`` and ``retired`` segments, the
+        releases ``pending`` (any order) and, appended, the ``flushes``
+        started on the way — what :meth:`state` and :attr:`flushes` read
+        of the pool the executor copies the jump from, shifted."""
+        self.free_segments, self._retired = free, retired
+        self._pending[:] = sorted(pending)
+        self.flushes.extend(flushes)
 
     # ------------------------------------------------------------------
     def _apply_next(self) -> Tuple:

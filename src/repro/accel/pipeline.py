@@ -57,15 +57,21 @@ recurs shifted by Δ cycles recurs with its whole future shifted by Δ, as
 long as the packets ahead repeat too.  An untraced run therefore stops at
 a few packet boundaries — inside long runs of timing-identical packets
 and at operators whose sequence repeats (the classifier's tiles, the
-decoder layers) — to compare the state with the ones it has seen.  On a
-match ``p`` packets back it jumps whole periods at once: the live keys
-are rebuilt ``m·Δ`` later, and every counter, busy cycle, flush and HBM
-total grows by ``m`` times what it grew in the period (see
-:class:`_Periods`).  The result is the one walking every packet gives;
-``StepResult.packets_replayed`` counts what was jumped.  A traced run
-(``trace_enabled``) lists every interval, as a
+decoder layers) — to compare the state with the ones it has seen, in
+this run and in the executor's previous untraced run.  On a match ``p``
+packets back it jumps whole periods at once: the live keys are rebuilt
+``m·Δ`` later, and every counter, busy cycle, flush and HBM total grows
+by ``m`` times what it grew in the period.  On a match with the previous
+run, whose packets ahead are the same, it jumps to that run's farthest
+later check those packets reach, shifted, and grows every total by what
+that run's grew on the way (see :class:`_Periods`).  Consecutive decode
+positions differ only in their attention windows, so a run mostly
+follows the previous one.  The result is the one walking every packet
+gives; ``StepResult.packets_replayed`` counts what was jumped.  A traced
+run (``trace_enabled``) lists every interval, as a
 :class:`~repro.obs.tracer.Span` on the ``cycles`` clock in
-``StepResult.spans``, and never jumps.
+``StepResult.spans``, and neither jumps nor becomes the next run's
+reference.
 
 Every run, traced or not, ends by holding its cycle count to
 :func:`_cycle_bracket` — closed-form lower and upper bounds argued from
@@ -77,12 +83,13 @@ fails.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
+from operator import attrgetter
 from types import MappingProxyType
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from ..fpga.hbm import MemorySystemModel
 from ..fpga.u280 import FpgaPlatform
@@ -225,9 +232,10 @@ class StepResult:
     (issue to completion, per transfer): a pipelined design keeps several
     transfers outstanding, so they overlap and the sum may exceed
     ``cycles``.
-    ``packets_replayed`` counts the packets the simulator jumped over as
-    whole periods of a repeated machine state instead of walking them;
-    every other field is the same as if it had walked them.
+    ``packets_replayed`` counts the packets the simulator jumped over —
+    whole periods of a repeated machine state, or stretches the previous
+    run walked from the same state — instead of walking them; every
+    other field is the same as if it had walked them.
     ``spans`` (traced runs only) are the run's intervals in event order,
     in cycles from its start, one ``accel:<engine>`` lane each; a cached
     result shares them with every step that reuses it.
@@ -248,11 +256,16 @@ class StepResult:
 
 
 class PipelineExecutor:
-    """Times compiled programs on the accelerator micro-architecture."""
+    """Times compiled programs on the accelerator micro-architecture.
+
+    The executor keeps what its last untraced run saw at its checks (a
+    :class:`_Trajectory`), for the next run on the same configuration and
+    platform to follow; one run, replaced by each untraced run."""
 
     def __init__(self, config: AcceleratorConfig, platform: FpgaPlatform) -> None:
         self.config = config
         self.platform = platform
+        self._reference: Tuple[Optional[Tuple], Optional[_Trajectory]] = (None, None)
 
     # ------------------------------------------------------------------
     def run(self, program: Program) -> StepResult:
@@ -286,7 +299,10 @@ class PipelineExecutor:
         checks = [] if spans is not None else _check_points(
             ops, firsts, self.config.buffers.n_segments)
         busy = {"load": 0, "mpe": 0, "sfu": 0, "store": 0}
-        periods = _Periods(signatures, checks, hbm, pool, counters, busy)
+        machine, reference = self._reference
+        if spans is not None or machine != (self.config, self.platform):
+            reference = None
+        periods = _Periods(signatures, checks, hbm, pool, counters, busy, reference)
         discipline = self._run_pipelined if self.config.pipeline else self._run_sequential
         transfer = _transfer(hbm, min(self.config.hbm_stripe, self.platform.hbm.n_channels),
                              spans)
@@ -300,6 +316,8 @@ class PipelineExecutor:
         if busy["mpe"] + busy["sfu"] > cycles:
             raise RuntimeError(f"compute busy {busy['mpe']} (MPE) + {busy['sfu']} (SFU) "
                                f"cycles exceeds the run's {cycles}")
+        if spans is None:
+            self._reference = (self.config, self.platform), periods.trajectory
         return StepResult(
             cycles=cycles,
             counters=counters,
@@ -326,8 +344,7 @@ class PipelineExecutor:
                 pool.settle((now,))
                 jump = periods.observe(k, k - 1, now, (), [], last_store)
                 if jump is not None:
-                    replayed, shift, _ = jump
-                    k, now, last_store = k + replayed, now + shift, last_store + shift
+                    k, now, last_store = jump.k, jump.floor, jump.last_store
                 due = periods.next_check(k)
                 if jump is not None:
                     continue  # the jump may have reached the end
@@ -490,17 +507,17 @@ class PipelineExecutor:
                 jump = periods.observe(k, i, floor, (i - k, request is None, grant is None),
                                        live, last_store)
                 if jump is not None:
-                    replayed, shift, fresh = jump
-                    granted.extend([None] * replayed)
-                    loaded.extend([None] * replayed)
-                    asks.extend([None] * replayed)
-                    for keys, first, end in ((granted, lo, i), (loaded, k, i),
-                                             (asks, max(i - 3, 0), k + 1)):
-                        for j in reversed(range(first, end)):  # may overlap
-                            keys[j + replayed] = fresh[id(keys[j])]
-                    request = None if request is None else fresh[id(request)]
-                    grant = None if grant is None else fresh[id(grant)]
-                    i, k, last_store = i + replayed, k + replayed, last_store + shift
+                    # The live keys there, in the order handed over above.
+                    ahead, no_request, no_grant = jump.flags
+                    k, last_store = jump.k, jump.last_store
+                    i = k + ahead
+                    keys = iter(jump.live)
+                    for known, first, end in ((granted, min(k, i - 1), i), (loaded, k, i),
+                                              (asks, max(i - 3, 0), k + 1)):
+                        known.extend([None] * (end - len(known)))
+                        known[first:end] = [next(keys) for _ in range(first, end)]
+                    request = None if no_request else next(keys)
+                    grant = None if no_grant else next(keys)
                 due = periods.next_check(k)
         pool.settle()
         if spans is not None:
@@ -566,35 +583,81 @@ def _check_points(ops: Sequence[OpProgram], firsts: Sequence[int],
     return sorted(points)
 
 
+class _Jump(NamedTuple):
+    """Where a jump lands: the packet boundary, the flags and live keys
+    there (in the order the discipline handed them over), the floor and
+    ``last_store`` (at least the floor: an earlier store decides
+    nothing)."""
+
+    k: int
+    flags: Tuple
+    live: List[Tuple]
+    floor: int
+    last_store: int
+
+
 class _Periods:
-    """Finds a machine state that recurs, shifted in time, and jumps whole
-    periods of it (see ``docs/ARCHITECTURE.md``, "Periodic fast-forward").
+    """Finds a machine state seen before, shifted in time, and jumps what
+    followed it (see ``docs/ARCHITECTURE.md``, "Periodic fast-forward"
+    and "Replay across runs").
 
     At a check a discipline hands over its *live* keys — those its future
     reads — and the *floor*, a cycle no later event precedes.  A cheap
     fingerprint (relative cycles, counts, the pool's and the HBM model's
-    states) is looked up first; only on a hit with room for a whole period
-    more are the canonical forms built: every live key and every ancestor
-    of one at or after the floor, in key order, each as ``(cycle - floor,
-    index, position of its parent or -1 for an older one)``, with the
-    equal neighbours marked.  A comparison of two keys descends only
-    through ancestors that tie on their cycle, and every later key's cycle
-    is at or after the floor, so no comparison the future makes reaches an
+    states) is looked up first; only when a jump has room are the
+    canonical forms built: every live key and every ancestor of one at or
+    after the floor, in key order, each as ``(cycle - floor, index,
+    position of its parent or -1 for an older one)``, with the equal
+    neighbours marked.  A comparison of two keys descends only through
+    ancestors that tie on their cycle, and every later key's cycle is at
+    or after the floor, so no comparison the future makes reaches an
     older ancestor except through a pair whose order the form records.
-    Equal forms ``p`` packets and ``delta`` cycles apart therefore have
-    futures equal but for ``delta`` for as long as the packets stay
-    ``p``-periodic.
+
+    **Why a jump is exact.**  Every cycle the recurrence derives is a
+    ``max`` of earlier cycles plus a constant read off a packet's
+    signature, and every choice it makes (a grant, a channel, the order
+    of a read and a write) is a comparison of keys or of cycles.  Add Δ
+    to every cycle of a state: each ``max`` and ``+`` gives its old value
+    plus Δ and each comparison its old answer.  So two states with equal
+    fingerprints and forms, ``delta`` cycles apart, followed by equal
+    packets, evolve alike but for ``delta`` — every later state, check
+    and flush shifted, every counter, busy cycle and HBM total growing by
+    the same amounts — for as long as the packets stay equal.  The state
+    at a check depends on the packets up to its *reach* (the loader's
+    look-ahead), so the packets must agree that far.  Two sources:
+
+    * **This run** (``_repeat``): the latest earlier check ``p`` packets
+      back with the fingerprint.  The packets must repeat with period
+      ``p`` for ``m ≥ 1`` periods past the reach; the run jumps ``m``
+      periods, ``m·Δ`` cycles, and every total grows ``m`` times as
+      much as over the period.
+    * **The previous untraced run** (``_follow``, tried first): the
+      executor's reference :class:`_Trajectory`, its check with the
+      fingerprint nearest the same packet boundary.  Its packets and
+      this run's, from the two checks on, are compared in doubling then
+      bisected slices (:func:`_agree`); the run jumps to the reference's
+      farthest later check whose reach lies inside the agreeing stretch,
+      shifted by the two floors' difference, with every total grown by
+      what the reference's grew between the two checks.  Only then are
+      the forms compared, once per jump.
+
+    A jump lands on a rebuilt state (:meth:`_jump`): the target's
+    canonical nodes at the new floor (:func:`_rebuild`), the pool's counts
+    and pending releases and the HBM order (which its fingerprint holds)
+    taken up there, and the flushes started on the way copied, shifted.
     """
 
     def __init__(self, signatures: List[Tuple], checks: List[int], model: MemorySystemModel,
-                 pool: BufferPool, counters: RunCounters, busy: Dict[str, int]) -> None:
+                 pool: BufferPool, counters: RunCounters, busy: Dict[str, int],
+                 reference: Optional["_Trajectory"]) -> None:
         self.signatures = signatures
         self.checks = checks
         self.model = model
         self.pool = pool
         self.counters = counters
         self.busy = busy
-        self.seen: Dict[Tuple, _Record] = {}  # the latest state per fingerprint
+        self.reference = reference
+        self.trajectory = _Trajectory(signatures, pool.flushes)
         self.replayed = 0
         self.due = self.next_check(-1)
 
@@ -604,61 +667,115 @@ class _Periods:
         return self.checks[at] if at < len(self.checks) else -1
 
     def observe(self, k: int, reach: int, floor: int, flags: Tuple, live: List[Tuple],
-                last_store: int) -> Optional[Tuple[int, int, Dict[int, Tuple]]]:
+                last_store: int) -> Optional[_Jump]:
         """The state at boundary ``k`` (``k`` packets done; it depends on
         the packets up to ``reach``).  On a jump, the counters, busy
         cycles, pool and HBM model are already advanced and the answer is
-        ``(packets jumped, cycles jumped, new key by id(old key))``."""
+        where it lands."""
         pool, model = self.pool, self.model
         fingerprint = (flags, max(last_store - floor, 0),
                        tuple([key[0] - floor for key in live]),
                        pool.state(floor), model.arbitration_state(floor))
-        record = self.seen.get(fingerprint)
         # Keys are immutable: kept, they still give the canonical form of
-        # this state when a later one meets its fingerprint.
-        current = _Record(k, floor, live, list(pool.pending),
-                          list(vars(self.counters).values()), list(self.busy.values()),
-                          model.totals(), pool.n_flushes)
-        self.seen[fingerprint] = current
-        if record is None:
+        # this state when a later check meets its fingerprint.
+        current = _Record(k, reach, floor, fingerprint, live, list(pool.pending),
+                          self._tally(), pool.n_flushes)
+        earlier = self.trajectory.add(current)
+        jump = self._follow(current)
+        if jump is None and earlier is not None:
+            jump = self._repeat(earlier, current)
+        return jump
+
+    def _follow(self, current: "_Record") -> Optional[_Jump]:
+        """Jump along the reference run, if it passed this state with the
+        same packets ahead and checked again before they differ."""
+        reference = self.reference
+        at = None if reference is None else reference.nearest(current.fingerprint, current.k)
+        if at is None:
             return None
+        start = reference.records[at]
+        agree = _agree(self.signatures, current.k, reference.signatures, start.k)
+        end = bisect_left(reference.records, start.k + agree, at + 1,
+                          key=attrgetter("reach")) - 1
+        if end <= at or start.form != current.form:
+            return None
+        target = reference.records[end]
+        delta = current.floor - start.floor
+        flushes = [((flush_end[0] + delta,), begin + delta)
+                   for flush_end, begin in reference.flushes[start.n_flushes:target.n_flushes]]
+        return self._jump(current.k, target, target.k - start.k, delta,
+                          _growth(start.tally, target.tally, 1), flushes)
+
+    def _repeat(self, record: "_Record", current: "_Record") -> Optional[_Jump]:
+        """Jump whole periods of this run's state recurring since ``record``."""
         # Whole periods for which every packet the state can reach repeats
         # the one ``period`` before it — checked before the (dearer)
         # canonical forms, as most recurrences have no room to jump.
-        period = k - record.k
-        repeats = (_periodic_until(self.signatures, k, period) - 1 - reach) // period
-        if repeats < 1 or record.canonical()[0] != current.canonical()[0]:
+        period = current.k - record.k
+        agree = _agree(self.signatures, current.k, self.signatures, record.k)
+        repeats = (current.k + agree - 1 - current.reach) // period
+        if repeats < 1 or record.form != current.form:
             return None
-        delta = floor - record.floor
-        shift = repeats * delta
-        fresh: Dict[int, Tuple] = {}
-        for node in current.canonical()[1]:  # a parent sorts before its children
-            fresh[id(node)] = (node[0] + shift,) if len(node) == 1 else (
-                node[0] + shift, fresh.get(id(node[1]), node[1]), node[2])
+        delta = current.floor - record.floor
+        started = self.pool.flushes[record.n_flushes:]
+        flushes = [((flush_end[0] + m * delta,), begin + m * delta)
+                   for m in range(1, repeats + 1) for flush_end, begin in started]
+        return self._jump(current.k, current, repeats * period, repeats * delta,
+                          _growth(record.tally, current.tally, repeats), flushes)
+
+    def _jump(self, k: int, target: "_Record", packets: int, delta: int,
+              growth: List[int], flushes: List[Tuple[Tuple, int]]) -> _Jump:
+        """From boundary ``k`` to ``k + packets``, into ``target``'s state
+        ``delta`` cycles later, every total grown by ``growth``."""
+        shape, live_at, pending_at = target.form
+        floor = target.floor + delta
+        nodes = _rebuild(shape, floor)
+        flags, clamped, _, (free, retired, _), arbitration = target.fingerprint
+        counters, busy = self.counters, self.busy
+        counters.buffer_stall_cycles += growth[0]
+        counters.memory_stall_cycles += growth[1]
+        for name, grown in zip(list(busy), growth[2:]):
+            busy[name] += grown
+        pending = [(nodes[j], ends) for j, ends in pending_at]
+        self.pool.fast_forward(free, retired, pending, flushes)
+        self.model.fast_forward(arbitration, floor, growth[2 + len(busy):])
+        self.replayed += packets
+        live = [nodes[j] for j in live_at]
+        # The landing is a state this run was in: a later run can land on
+        # it too.  Its keys were rebuilt from the target's form, so that
+        # is its form.
+        self.trajectory.add(_Record(k + packets, target.reach - target.k + k + packets, floor,
+                                    target.fingerprint, live, pending, self._tally(),
+                                    self.pool.n_flushes, target.form))
+        return _Jump(k + packets, flags, live, floor, floor + clamped)
+
+    def _tally(self) -> Tuple[int, ...]:
+        """The running totals a jump grows: the two counters the walk
+        moves (the others are set from the packets before it), the busy
+        cycles and the HBM model's totals."""
         counters = self.counters
-        for name, before, now in zip(list(vars(counters)), record.counters,
-                                     current.counters):
-            setattr(counters, name, now + repeats * (now - before))
-        for name, before, now in zip(list(self.busy), record.busy, current.busy):
-            self.busy[name] = now + repeats * (now - before)
-        model.fast_forward(shift, [repeats * (now - before)
-                                   for before, now in zip(record.totals, current.totals)])
-        pool.fast_forward(fresh, record.n_flushes, repeats, delta)
-        self.replayed += repeats * period
-        return repeats * period, shift, fresh
+        return (counters.buffer_stall_cycles, counters.memory_stall_cycles,
+                *self.busy.values(), *self.model.totals())
 
 
-def _periodic_until(signatures: Sequence, start: int, period: int) -> int:
-    """The first ``j >= start`` with ``signatures[j] != signatures[j -
-    period]``, or ``len(signatures)``: slices of doubling length compared
-    whole, then the first that differs bisected."""
-    n, end, step = len(signatures), start, period
+def _growth(before: Tuple[int, ...], after: Tuple[int, ...], times: int) -> List[int]:
+    """``times`` the growth of every total from ``before`` to ``after``."""
+    return [times * (b - a) for a, b in zip(before, after)]
+
+
+def _agree(a: Sequence, i: int, b: Sequence, j: int) -> int:
+    """The first ``d >= 0`` with ``a[i + d] != b[j + d]``, or where either
+    ends: slices of doubling length compared whole, then the first that
+    differs bisected.  ``a`` and ``b`` may be one list (a period's
+    repeat: ``j = i - period``)."""
+    n = min(len(a) - i, len(b) - j)
+    end, step = 0, 1
     while end < n:
         stop = min(end + step, n)
-        if signatures[end:stop] != signatures[end - period:stop - period]:
+        if a[i + end:i + stop] != b[j + end:j + stop]:
             while stop - end > 1:
                 middle = (end + stop) // 2
-                if signatures[end:middle] == signatures[end - period:middle - period]:
+                if a[i + end:i + middle] == b[j + end:j + middle]:
                     end = middle
                 else:
                     stop = middle
@@ -667,40 +784,97 @@ def _periodic_until(signatures: Sequence, start: int, period: int) -> int:
     return n
 
 
-@dataclass
+@dataclass(slots=True)
 class _Record:
     """A machine state :class:`_Periods` saw, and the running totals then."""
 
     k: int
+    reach: int
     floor: int
+    fingerprint: Tuple
     live: List[Tuple]
     pending: List[Tuple[Tuple, bool]]
-    counters: List[int]
-    busy: List[int]
-    totals: Tuple[int, ...]
+    tally: Tuple[int, ...]
     n_flushes: int
-    _canonical: Optional[Tuple] = None
+    _form: Optional[Tuple] = None
 
-    def canonical(self) -> Tuple:
-        """``(canonical form, its nodes in key order)``, built once."""
-        if self._canonical is None:
-            floor, found = self.floor, {}
-            for key in self.live + [key for key, _ in self.pending]:
-                while key[0] >= floor and id(key) not in found:
-                    found[id(key)] = key
-                    if len(key) == 1:
-                        break
-                    key = key[1]
-            nodes = sorted(found.values())
-            at = {id(node): j for j, node in enumerate(nodes)}
-            shape = [(node[0] - floor,) if len(node) == 1 else
-                     (node[0] - floor, node[2], at.get(id(node[1]), -1),
-                      j > 0 and node == nodes[j - 1])
-                     for j, node in enumerate(nodes)]
-            form = (tuple(shape), tuple([at[id(key)] for key in self.live]),
-                    tuple(sorted([(at[id(key)], ends) for key, ends in self.pending])))
-            self._canonical = form, nodes
-        return self._canonical
+    @property
+    def form(self) -> Tuple:
+        """The canonical form, built once: ``(nodes' shapes, the live
+        keys' positions, the pending releases' (position, ends a flush),
+        sorted)``."""
+        if self._form is None:
+            self._form = self._canonical()
+        return self._form
+
+    def _canonical(self) -> Tuple:
+        floor, found = self.floor, {}
+        for key in self.live + [key for key, _ in self.pending]:
+            while key[0] >= floor and id(key) not in found:
+                found[id(key)] = key
+                if len(key) == 1:
+                    break
+                key = key[1]
+        nodes = sorted(found.values())
+        at = {id(node): j for j, node in enumerate(nodes)}
+        shape = [(node[0] - floor,) if len(node) == 1 else
+                 (node[0] - floor, node[2], at.get(id(node[1]), -1),
+                  j > 0 and node == nodes[j - 1])
+                 for j, node in enumerate(nodes)]
+        return (tuple(shape), tuple([at[id(key)] for key in self.live]),
+                tuple(sorted([(at[id(key)], ends) for key, ends in self.pending])))
+
+
+def _rebuild(shape: Sequence[Tuple], floor: int) -> List[Tuple]:
+    """Keys ordered exactly as the nodes of the canonical form ``shape``,
+    at ``floor``.  A recorded parent is the key rebuilt for it; an older
+    one becomes ``(floor - 1, _ROOT, rank)``, ``rank`` counting the
+    distinct nodes so far.  Such a parent sorts before every rebuilt node
+    and decides only between two nodes on one cycle, which the ranks order
+    as the form does, or keep equal — so the rebuilt keys, and all later
+    ones, compare as the originals' would, and hold none of their
+    ancestors."""
+    nodes: List[Tuple] = []
+    rank = 0
+    for row in shape:
+        if len(row) == 1:
+            nodes.append((row[0] + floor,))
+            continue
+        cycle, index, parent, equal = row
+        rank += not equal
+        nodes.append((cycle + floor, nodes[parent] if parent >= 0 else (floor - 1, _ROOT, rank),
+                      index))
+    return nodes
+
+
+@dataclass
+class _Trajectory:
+    """What an untraced run saw at its checks, in order, kept as the next
+    run's reference: its packets' signatures, its pool's flushes, its
+    records (their reaches never fall) and where each fingerprint was
+    seen."""
+
+    signatures: List[Tuple]
+    flushes: List[Tuple[Tuple, int]]
+    records: List[_Record] = field(default_factory=list)
+    index: Dict[Tuple, List[int]] = field(default_factory=dict)
+
+    def add(self, record: _Record) -> Optional[_Record]:
+        """Append ``record``; returns the latest earlier one with its
+        fingerprint, if any."""
+        seen = self.index.setdefault(record.fingerprint, [])
+        earlier = self.records[seen[-1]] if seen else None
+        seen.append(len(self.records))
+        self.records.append(record)
+        return earlier
+
+    def nearest(self, fingerprint: Tuple, k: int) -> Optional[int]:
+        """The position of the record with ``fingerprint`` whose boundary
+        is nearest ``k``, or None."""
+        seen = self.index.get(fingerprint)
+        if not seen:
+            return None
+        return min(seen, key=lambda at: abs(self.records[at].k - k))
 
 
 def _trace_flushes(spans: List[Span], pool: BufferPool, already: int) -> int:

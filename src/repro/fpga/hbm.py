@@ -110,11 +110,11 @@ class MemorySystemModel:
     stripe's completion cycle and channel name off it.
 
     The one running total is :attr:`total_transactions`, the stripes
-    issued (:meth:`totals`).  For the cycle simulator's periodic
-    fast-forward the model encodes its order relative to a cycle
+    issued (:meth:`totals`).  For the cycle simulator's fast-forward the
+    model encodes its order relative to a cycle
     (:meth:`arbitration_state`: idle channels keep only their place, the
-    tie-break that still matters) and moves every channel later by a
-    whole number of cycles (:meth:`fast_forward`).
+    tie-break that still matters) and takes up such a state at another
+    cycle (:meth:`fast_forward`).
     """
 
     def __init__(self, spec: MemorySystemSpec, clock_hz: float) -> None:
@@ -204,10 +204,15 @@ class MemorySystemModel:
         """The running totals a fast-forward advances: transactions."""
         return (self.total_transactions,)
 
-    def fast_forward(self, cycles: int, totals: Sequence[int]) -> None:
-        """Every channel ``cycles`` later, and ``totals`` added to
-        :meth:`totals`: the state after repeating, shifted, whatever
-        took the model from an equal :meth:`arbitration_state` to this."""
-        shift = cycles * len(self._names)
-        self._order[:] = [key + shift for key in self._order]
+    def fast_forward(self, state: Sequence[int], now: int, totals: Sequence[int]) -> None:
+        """An order whose :meth:`arbitration_state` at ``now`` is ``state``,
+        and ``totals`` added to :meth:`totals`: the model after repeating,
+        shifted to ``now``, whatever took another from ``state`` on.  The
+        idle channels, a prefix of the order, get distinct ``busy_until``
+        cycles before ``now`` in their order (negative ones near the start
+        of a run); nothing later tells them from the cycles they had."""
+        n = len(self._names)
+        idle = sum(1 for key in state if key < n)
+        self._order[:] = [(now - idle + j) * n + key for j, key in enumerate(state[:idle])]
+        self._order += [key + now * n for key in state[idle:]]
         self.total_transactions += totals[0]

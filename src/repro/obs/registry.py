@@ -110,9 +110,6 @@ class Gauge:
     def set(self, value: float) -> None:
         self.value = float(value)
 
-    def inc(self, amount: float = 1.0) -> None:
-        self.value += amount
-
 
 class Histogram:
     """Cumulative-bucket distribution (Prometheus histogram semantics)."""
@@ -150,15 +147,13 @@ class Histogram:
 class _Family:
     """One metric name: its type, help text, and labelled children."""
 
-    __slots__ = ("name", "kind", "help", "children", "buckets")
+    __slots__ = ("name", "kind", "help", "children")
 
-    def __init__(self, name: str, kind: str, help_text: str,
-                 buckets: Optional[Sequence[float]] = None) -> None:
+    def __init__(self, name: str, kind: str, help_text: str) -> None:
         self.name = name
         self.kind = kind
         self.help = help_text
         self.children: Dict[Tuple[Tuple[str, str], ...], object] = {}
-        self.buckets = buckets
 
     def child(self, key: Tuple[Tuple[str, str], ...]):
         instrument = self.children.get(key)
@@ -168,7 +163,7 @@ class _Family:
             elif self.kind == "gauge":
                 instrument = Gauge()
             else:
-                instrument = Histogram(self.buckets or DEFAULT_BUCKETS)
+                instrument = Histogram()
             self.children[key] = instrument
         return instrument
 
@@ -180,12 +175,11 @@ class MetricsRegistry:
         self._families: Dict[str, _Family] = {}
 
     # ------------------------------------------------------------------
-    def _family(self, name: str, kind: str, help_text: str,
-                buckets: Optional[Sequence[float]] = None) -> _Family:
+    def _family(self, name: str, kind: str, help_text: str) -> _Family:
         family = self._families.get(name)
         if family is None:
             _check_name(name)
-            family = _Family(name, kind, help_text, buckets=buckets)
+            family = _Family(name, kind, help_text)
             self._families[name] = family
         elif family.kind != kind:
             raise ValueError(
@@ -203,10 +197,9 @@ class MetricsRegistry:
             _label_key(labels))
 
     def histogram(self, name: str, help_text: str = "",
-                  labels: Optional[Mapping[str, str]] = None,
-                  buckets: Optional[Sequence[float]] = None) -> Histogram:
-        return self._family(name, "histogram", help_text,
-                            buckets=buckets).child(_label_key(labels))
+                  labels: Optional[Mapping[str, str]] = None) -> Histogram:
+        """A histogram over :data:`DEFAULT_BUCKETS`."""
+        return self._family(name, "histogram", help_text).child(_label_key(labels))
 
     # ------------------------------------------------------------------
     def render(self) -> str:

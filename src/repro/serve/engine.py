@@ -288,7 +288,7 @@ class ServingEngine:
         # Sampled after step building so a request admitted and preempted
         # within the same step never counts toward peak concurrency.
         totals = self.totals
-        totals.peak_running = max(totals.peak_running, len(scheduler.running))
+        peak_running = max(totals.peak_running, len(scheduler.running))
         start = self.clock
         requests: List[RequestStep] = []
         step_totals = cycle_spans = None
@@ -305,7 +305,8 @@ class ServingEngine:
                 n_steps=1,
                 total_slots=len(slots),
                 kv_utilization_sum=scheduler.kv_utilization,
-                n_preemptions=scheduler.n_preemptions - totals.n_preemptions,
+                n_preemptions=(len(scheduler.preemption_events)
+                               - totals.n_preemptions),
                 prefix_hit_tokens=(scheduler.prefix_hit_tokens
                                    - totals.prefix_hit_tokens),
                 total_prefill_tokens=(scheduler.total_prefill_tokens
@@ -358,7 +359,7 @@ class ServingEngine:
                     first_index=first_index,
                     tokens=request.generated_tokens[first_index:],
                     reported=len(self._completed) > n_completed))
-            self.totals = totals + step_totals
+            totals = totals + step_totals
         else:
             # Nothing is runnable right now.  If requests are still due
             # to arrive on the simulated clock, fast-forward to the next
@@ -366,6 +367,10 @@ class ServingEngine:
             next_arrival = scheduler.next_arrival
             if next_arrival is not None and next_arrival > self.clock:
                 self.clock = next_arrival
+        if peak_running > totals.peak_running:
+            # A fresh object: the previous step's record may hold this one.
+            totals = dataclasses.replace(totals, peak_running=peak_running)
+        self.totals = totals
         record = StepRecord(
             self.trace_track, start, self.clock, admitted,
             preempted=scheduler.preemption_events[first_event:],

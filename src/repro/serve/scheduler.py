@@ -201,8 +201,7 @@ class Scheduler:
         )
         self._rotation = 0  # round-robin start index for step building
         self._seq = 0       # arrival_seq stamp of the next submission
-        # Admission/preemption accounting, surfaced through the report.
-        self.n_preemptions = 0
+        # Admission accounting, surfaced through the report.
         self.prefix_hit_tokens = 0
         self.total_prefill_tokens = 0
         #: Preemption audit log, one :class:`PreemptionEvent` per
@@ -383,7 +382,6 @@ class Scheduler:
         victim.state = RequestState.QUEUED
         victim.n_preemptions += 1
         victim.last_preempt_time = self._now
-        self.n_preemptions += 1
         self.preemption_events.append(PreemptionEvent(
             victim_id=victim.request_id,
             victim_priority=victim.priority,

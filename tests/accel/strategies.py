@@ -15,7 +15,7 @@ empty.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import List, Optional, Tuple
 
 from hypothesis import strategies as st
 
@@ -34,7 +34,7 @@ from repro.llama.quantization import QuantSpec
 from repro.quant.config import QuantConfig
 
 __all__ = ["platforms", "accelerator_configs", "programs", "executor_cases",
-           "periodic_programs", "periodic_cases",
+           "periodic_programs", "periodic_cases", "periodic_sequence_cases",
            "STEP_MODELS", "StepCase", "steps", "LOWERING_MODELS",
            "GraphView", "body_graph", "graph_views", "lowering_targets"]
 
@@ -144,6 +144,37 @@ def periodic_cases(pipeline: bool, reuse: bool
     and pool policy: pools of 1–8 segments, which mostly do not divide
     the repeated block's length, and 1, 2 or 4 HBM channels, so the
     arbitration order of idle channels cycles within the run."""
+    return st.tuples(*_periodic_machines(pipeline, reuse), periodic_programs())
+
+
+@st.composite
+def periodic_sequences(draw) -> List[Program]:
+    """2–4 programs sharing their operators: a :func:`periodic_programs`
+    program, then each the one before with one operator of its repeated
+    block swapped in every repetition — the way consecutive decode
+    positions differ only in their attention windows."""
+    programs = [draw(periodic_programs())]
+    names = sorted({op.op_name.split(".")[1] for op in programs[0].ops
+                    if op.op_name.startswith("block")})
+    for _ in range(draw(st.integers(1, 3))):
+        swapped = "." + draw(st.sampled_from(names))
+        tiles = draw(st.lists(_PERIODIC_TILES, min_size=1, max_size=4))
+        programs.append(Program([
+            _operator(op.op_name, tiles)
+            if op.op_name.startswith("block") and op.op_name.endswith(swapped) else op
+            for op in programs[-1].ops]))
+    return programs
+
+
+def periodic_sequence_cases(pipeline: bool, reuse: bool
+                            ) -> st.SearchStrategy[Tuple[AcceleratorConfig, FpgaPlatform,
+                                                         List[Program]]]:
+    """Untraced runs of :func:`periodic_sequences`, one after the other,
+    on the machines of :func:`periodic_cases`."""
+    return st.tuples(*_periodic_machines(pipeline, reuse), periodic_sequences())
+
+
+def _periodic_machines(pipeline: bool, reuse: bool) -> Tuple[st.SearchStrategy, ...]:
     configs = st.builds(
         AcceleratorConfig,
         pipeline=st.just(pipeline),
@@ -154,7 +185,7 @@ def periodic_cases(pipeline: bool, reuse: bool
     )
     channels = st.sampled_from([1, 2, 4]).map(
         lambda n_channels: u280(n_hbm_channels=n_channels))
-    return st.tuples(configs, channels, periodic_programs())
+    return configs, channels
 
 
 # ----------------------------------------------------------------------

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.accel.config import AcceleratorConfig
-from repro.accel.pipeline import PipelineExecutor, _periodic_until, _Record
+from repro.accel.pipeline import PipelineExecutor, _agree, _rebuild, _Record
 from repro.compile.pipeline import StepCompiler
 from repro.fpga.u280 import u280
 from repro.llama.config import preset
@@ -46,8 +46,8 @@ def test_jumps_change_no_fact(pipeline, reuse):
 
 
 def _record(live, floor=10):
-    return _Record(k=0, floor=floor, live=live, pending=[], counters=[], busy=[],
-                   totals=(0, 0, 0), n_flushes=0)
+    return _Record(k=0, reach=0, floor=floor, fingerprint=(), live=live, pending=[],
+                   tally=(), n_flushes=0)
 
 
 class TestCanonicalForm:
@@ -57,22 +57,47 @@ class TestCanonicalForm:
     def test_same_cycle_keys_ordered_by_older_parents(self):
         early, late = (5, (-1,), 0), (6, (-1,), 0)
         first, second = (10, early, 0), (10, late, 0)
-        assert _record([first, second]).canonical()[0] != \
-            _record([second, first]).canonical()[0]
-        assert _record([first, second]).canonical()[0] == \
-            _record([(20, early, 0), (20, late, 0)], floor=20).canonical()[0]
+        assert _record([first, second]).form != \
+            _record([second, first]).form
+        assert _record([first, second]).form == \
+            _record([(20, early, 0), (20, late, 0)], floor=20).form
 
     def test_equal_keys_are_not_merely_adjacent(self):
         parent = (5, (-1,), 0)
         tied = _record([(10, parent, 0), (10, (5, (-1,), 0), 0)])
         ordered = _record([(10, parent, 0), (10, (5, (-1,), 1), 0)])
-        assert tied.canonical()[0] != ordered.canonical()[0]
+        assert tied.form != ordered.form
 
     def test_recorded_parents_are_named_by_position(self):
         first, second = (10, (-1,), 0), (10, (-1,), 1)
         straight = _record([(11, first, 0), (12, second, 0)])
         crossed = _record([(11, second, 0), (12, first, 0)])
-        assert straight.canonical()[0] != crossed.canonical()[0]
+        assert straight.form != crossed.form
+
+
+@st.composite
+def _key_graphs(draw):
+    """Keys as the executor makes them, ``(cycle, parent, index)``, on a
+    few cycles so that many tie: some older than a floor of 10, the rest
+    at or after it, each the child of an older key or of an earlier one."""
+    keys = [(-1,)]
+    for _ in range(draw(st.integers(2, 14))):
+        parent = draw(st.sampled_from(keys))
+        cycle = draw(st.integers(max(parent[0], 0), 12))
+        keys.append((cycle, parent, draw(st.integers(0, 2))))
+    return keys
+
+
+@given(_key_graphs(), st.integers(0, 50))
+def test_rebuilt_keys_compare_as_the_originals(keys, floor):
+    """A jump lands on keys rebuilt from the form alone; they must order
+    (and tie) as the keys the form was read from, old parents and all."""
+    live = [key for key in keys if key[0] >= 10]
+    rebuilt = _rebuild(_record(live).form[0], floor)
+    at = _record(live).form[1]
+    for a, x in zip(live, at):
+        for b, y in zip(live, at):
+            assert (a < b, a == b) == (rebuilt[x] < rebuilt[y], rebuilt[x] == rebuilt[y])
 
 
 @given(st.lists(st.integers(0, 2), min_size=2, max_size=60), st.data())
@@ -82,7 +107,18 @@ def test_the_periodicity_scan_finds_the_first_break(signatures, data):
     end = start
     while end < len(signatures) and signatures[end] == signatures[end - period]:
         end += 1
-    assert _periodic_until(signatures, start, period) == end
+    assert start + _agree(signatures, start, signatures, start - period) == end
+
+
+@given(st.lists(st.integers(0, 2), max_size=60), st.lists(st.integers(0, 2), max_size=60),
+       st.data())
+def test_the_scan_across_two_runs_finds_the_first_difference(a, b, data):
+    i = data.draw(st.integers(0, len(a)))
+    j = data.draw(st.integers(0, len(b)))
+    d = 0
+    while i + d < len(a) and j + d < len(b) and a[i + d] == b[j + d]:
+        d += 1
+    assert _agree(a, i, b, j) == d
 
 
 @pytest.fixture(scope="module")

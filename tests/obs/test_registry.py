@@ -5,7 +5,6 @@ from __future__ import annotations
 import pytest
 
 from repro.obs.registry import (
-    DEFAULT_BUCKETS,
     Counter,
     Gauge,
     Histogram,
@@ -25,9 +24,9 @@ class TestInstruments:
     def test_gauge_moves_both_ways(self):
         gauge = Gauge()
         gauge.set(10)
-        gauge.inc(5)
-        gauge.inc(-2)
-        assert gauge.value == 13.0
+        assert gauge.value == 10.0
+        gauge.set(3)
+        assert gauge.value == 3.0
 
     def test_histogram_cumulative_buckets(self):
         hist = Histogram(buckets=(1.0, 4.0, 16.0))
@@ -109,15 +108,15 @@ class TestRender:
 
     def test_histogram_exposition(self):
         registry = MetricsRegistry()
-        hist = registry.histogram("speedllm_step_batch_tokens",
-                                  buckets=(1.0, 8.0))
+        hist = registry.histogram("speedllm_step_batch_tokens")
         hist.observe(4)
-        hist.observe(100)
+        hist.observe(1000)
         text = registry.render()
-        assert 'speedllm_step_batch_tokens_bucket{le="1"} 0' in text
-        assert 'speedllm_step_batch_tokens_bucket{le="8"} 1' in text
+        assert 'speedllm_step_batch_tokens_bucket{le="2"} 0' in text
+        assert 'speedllm_step_batch_tokens_bucket{le="4"} 1' in text
+        assert 'speedllm_step_batch_tokens_bucket{le="256"} 1' in text
         assert 'speedllm_step_batch_tokens_bucket{le="+Inf"} 2' in text
-        assert "speedllm_step_batch_tokens_sum 104" in text
+        assert "speedllm_step_batch_tokens_sum 1004" in text
         assert "speedllm_step_batch_tokens_count 2" in text
 
     def test_empty_registry_renders_empty(self):
@@ -129,8 +128,7 @@ class TestRender:
         registry = MetricsRegistry()
         registry.counter("speedllm_tokens_total",
                          labels={"track": "engine-0"}).inc(3)
-        registry.histogram("speedllm_step_batch_tokens",
-                           buckets=DEFAULT_BUCKETS).observe(5)
+        registry.histogram("speedllm_step_batch_tokens").observe(5)
         snapshot = registry.as_dict()
         assert snapshot["speedllm_tokens_total"]["type"] == "counter"
         assert snapshot["speedllm_tokens_total"]["samples"][

@@ -228,6 +228,38 @@ class TestArrivalTimes:
         assert second.queue_wait > 0.0
 
 
+class TestStepRecords:
+    def test_a_kept_record_is_not_changed_by_later_steps(self, llm,
+                                                          monkeypatch):
+        """An observer may keep the records: the engine totals one holds
+        stay as they were after the steps that follow, when the peak
+        concurrency rises and when a step runs no slot."""
+        import copy
+
+        import repro.serve.engine as engine_module
+
+        records, seen = [], []
+
+        def keeping(tracer, record):
+            records.append(record)
+            seen.append(copy.deepcopy(record.engine_totals))
+
+        monkeypatch.setattr(engine_module, "trace_step", keeping)
+        engine = ServingEngine(llm)
+        engine.submit(PROMPTS[0], SamplingParams(max_tokens=6))
+        # Arrives while the first runs (the peak rises to 2), then one
+        # long after both have finished (an idle step fast-forwards).
+        engine.submit(PROMPTS[1], SamplingParams(max_tokens=4),
+                      arrival_time=1e-9)
+        engine.submit(PROMPTS[2], SamplingParams(max_tokens=4),
+                      arrival_time=100.0)
+        engine.run(max_steps=200)
+        peaks = [record.engine_totals.peak_running for record in records]
+        assert peaks[0] == 1 and max(peaks) == 2
+        assert any(record.totals is None for record in records)
+        assert [record.engine_totals for record in records] == seen
+
+
 class TestCancellation:
     def test_cancel_running_request_frees_reservation(self, llm):
         engine = ServingEngine(llm)

@@ -233,7 +233,7 @@ class TestPagedScheduler:
         assert young.block_table  # physical blocks visible on the request
         slots = scheduler.build_step()
         assert [s.request_id for s in slots] == ["old"]
-        assert scheduler.n_preemptions == 1
+        assert len(scheduler.preemption_events) == 1
         assert young not in scheduler.running
         assert scheduler.queue.peek() is young
         assert young.state is RequestState.QUEUED
@@ -297,5 +297,5 @@ class TestPagedScheduler:
             request.pending_token = 3
         slots = scheduler.build_step()
         assert [s.request_id for s in slots] == ["r0"]
-        assert scheduler.n_preemptions == 0
+        assert len(scheduler.preemption_events) == 0
         assert r1 in scheduler.running

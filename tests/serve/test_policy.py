@@ -158,7 +158,7 @@ class TestPushFrontReadmitRegression:
             request.next_pos = 8
             request.pending_token = 3
         scheduler.build_step()
-        assert scheduler.n_preemptions == 1
+        assert len(scheduler.preemption_events) == 1
         return a, b
 
     def test_preempted_request_keeps_arrival_seq(self, micro_config):
