@@ -33,14 +33,19 @@ lowers each tiling plan's step once and only the KV window per context,
 so every operator outside the window is one packet tuple for all slots,
 with or without logits.
 
-A merged packet depends on its operator and little else, so it is built
-once per operator and kept on it (:attr:`~repro.accel.instructions.
-OpProgram.merged_packets`): a slot's ``#b{i}`` copies once per slot
-index, the weight tiles of a group that every slot shares once per group
-size.  The step compiler hands one operator to every slot and every
-step, so a cold step builds only what no earlier step built.  Weight
-tiles over several groups and verify-run packets depend on the whole
-composition and are built on each merge.
+A packet is a value, so a slot issues its own packets as they are,
+and a merged operator names them only when a trace asks
+(:meth:`~repro.accel.instructions.OpProgram.labels`: the lead slot's
+labels with ``#b{i}`` per slot and ``#run{i}x{n}`` per verify run —
+every version of one operator in a batch is one graph operator lowered
+under one plan, so they share their labels).  The weight tiles of a
+group that every slot shares depend on the packets and the group size
+alone, so they are built once per packet body and group size and kept
+on the body (:attr:`~repro.accel.instructions.PacketBody.merged`): the
+step compiler hands one body to every operator of a shape, every slot
+and every step, so a cold step builds only what no earlier step built.
+Weight tiles over several groups and verify-run packets depend on the
+whole composition and are built on each merge.
 
 The merged program runs on the unmodified
 :class:`~repro.accel.pipeline.PipelineExecutor`, so pipelining, buffer
@@ -65,11 +70,12 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from functools import partial
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..llama.kv_cache import KVCache
 from .config import MPEConfig
-from .instructions import ComputeUnit, OpProgram, Program, TilePacket
+from .instructions import ComputeUnit, OpProgram, PacketBody, Program, TilePacket
 
 __all__ = ["BatchSlot", "batch_run_ids", "block_padded_context",
            "merge_batch_programs"]
@@ -158,7 +164,7 @@ def _merged_weight_tile(counted: Sequence[Tuple[TilePacket, int]],
     first = counted[0][0]
     depth = mpe.pipeline_depth
     return TilePacket(
-        op_name=first.op_name, unit=first.unit,
+        unit=first.unit,
         load_bytes=first.weight_bytes
         + sum(n * (p.load_bytes - p.weight_bytes) for p, n in counted),
         compute_cycles=sum(n * max(p.compute_cycles - depth, 1)
@@ -172,55 +178,36 @@ def _merged_weight_tile(counted: Sequence[Tuple[TilePacket, int]],
         # byte saving (saved_bytes) is paid once per batch like the tile.
         dequant_flops=sum(n * p.dequant_flops for p, n in counted),
         saved_bytes=first.saved_bytes,
-        label=first.label,
     )
 
 
-def _shared_tiles(op: OpProgram, n_slots: int,
+def _shared_tiles(packets: PacketBody, n_slots: int,
                   mpe: MPEConfig) -> Tuple[Optional[TilePacket], ...]:
-    """``op``'s weight tiles merged over ``n_slots`` slots that all share
-    it (None at every other packet), built once per operator."""
+    """The weight tiles of ``packets`` merged over ``n_slots`` slots
+    that all share them (None at every other packet), built once per
+    body and each distinct tile once; a body of weight tiles alone
+    gives a body."""
     key = (n_slots, mpe.pipeline_depth)
-    tiles = op.merged_packets.get(key)
+    tiles = packets.merged.get(key)
     if tiles is None:
-        tiles = op.merged_packets[key] = tuple(
-            _merged_weight_tile(((p, n_slots),), mpe) if p.weight_bytes > 0
-            else None
-            for p in op.packets)
+        built: Dict[int, TilePacket] = {}
+        for p in packets:
+            if p.weight_bytes > 0 and id(p) not in built:
+                built[id(p)] = _merged_weight_tile(((p, n_slots),), mpe)
+        tiles = tuple([built.get(id(p)) for p in packets])
+        if None not in tiles:
+            tiles = PacketBody(tiles)
+        packets.merged[key] = tiles
     return tiles
 
 
-def _slot_packet(packet: TilePacket, slot: int) -> TilePacket:
-    """``packet`` as slot ``slot`` of a batch issues it."""
-    return TilePacket(
-        op_name=packet.op_name, unit=packet.unit,
-        load_bytes=packet.load_bytes, compute_cycles=packet.compute_cycles,
-        store_bytes=packet.store_bytes, macs=packet.macs,
-        sfu_flops=packet.sfu_flops, onchip_bytes=packet.onchip_bytes,
-        weight_bytes=packet.weight_bytes,
-        dequant_flops=packet.dequant_flops, saved_bytes=packet.saved_bytes,
-        label=f"{packet.label}#b{slot}",
-    )
-
-
-def _slot_packets(op: OpProgram, slot: int) -> Tuple[Optional[TilePacket], ...]:
-    """``op``'s per-sequence packets as slot ``slot`` of a batch issues
-    them (None at its weight tiles), built once per operator."""
-    packets = op.merged_packets.get(slot)
-    if packets is None:
-        packets = op.merged_packets[slot] = tuple(
-            None if p.weight_bytes > 0 else _slot_packet(p, slot)
-            for p in op.packets)
-    return packets
-
-
 def _merged_run_packet(
-    group: Sequence[tuple], mpe: MPEConfig
+    group: Sequence[TilePacket], mpe: MPEConfig
 ) -> TilePacket:
     """Fuse one op's per-sequence packets across a speculative verify run.
 
-    ``group`` holds ``(slot_index, packet)`` pairs for the consecutive
-    positions of one request's verify run.  A multi-token verify kernel
+    ``group`` holds the packets of the consecutive positions of one
+    request's verify run.  A multi-token verify kernel
     processes those positions in a single vectorized pass, so the run
     issues **one** packet per operator — paying the buffer acquisition,
     HBM access latency and dispatch slot once — instead of one packet per
@@ -239,42 +226,56 @@ def _merged_run_packet(
       per-position activations: bytes and flops sum, but the run shares
       one instruction and one transfer's access latency.
     """
-    lead_index, lead = group[0]
+    lead = group[0]
     if lead.unit is ComputeUnit.MPE:
         depth = mpe.pipeline_depth
         compute = sum(
-            max(p.compute_cycles - depth, 1) for _, p in group
+            max(p.compute_cycles - depth, 1) for p in group
         ) + depth
         load = lead.load_bytes
         onchip = lead.onchip_bytes
         previous = lead
-        for _, packet in group[1:]:
+        for packet in group[1:]:
             incremental = max(packet.load_bytes - previous.load_bytes, 0)
             load += incremental
             onchip += packet.onchip_bytes + (packet.load_bytes - incremental)
             previous = packet
     else:
-        compute = sum(p.compute_cycles for _, p in group)
-        load = sum(p.load_bytes for _, p in group)
-        onchip = sum(p.onchip_bytes for _, p in group)
+        compute = sum(p.compute_cycles for p in group)
+        load = sum(p.load_bytes for p in group)
+        onchip = sum(p.onchip_bytes for p in group)
     # Every position still applies its own dequant scales; the KV-window
     # byte saving is only realised once for the shared window (MPE), while
     # per-position stores (SFU appends) keep their per-position savings.
     saved = (lead.saved_bytes if lead.unit is ComputeUnit.MPE
-             else sum(p.saved_bytes for _, p in group))
+             else sum(p.saved_bytes for p in group))
     return TilePacket(
-        op_name=lead.op_name, unit=lead.unit,
+        unit=lead.unit,
         load_bytes=load,
         compute_cycles=compute,
-        store_bytes=sum(p.store_bytes for _, p in group),
-        macs=sum(p.macs for _, p in group),
-        sfu_flops=sum(p.sfu_flops for _, p in group),
+        store_bytes=sum(p.store_bytes for p in group),
+        macs=sum(p.macs for p in group),
+        sfu_flops=sum(p.sfu_flops for p in group),
         onchip_bytes=onchip,
         weight_bytes=lead.weight_bytes,
-        dequant_flops=sum(p.dequant_flops for _, p in group),
+        dequant_flops=sum(p.dequant_flops for p in group),
         saved_bytes=saved,
-        label=f"{lead.label}#run{lead_index}x{len(group)}",
     )
+
+
+def _merged_labels(lead: OpProgram, spans: Sequence[Tuple[int, int]]) -> Tuple[str, ...]:
+    """The labels of a merged operator: the lead slot's, each weight tile
+    once and every other packet once per verify run — ``(first slot,
+    slots)`` in ``spans`` — suffixed ``#b{slot}`` for a lone slot and
+    ``#run{slot}x{slots}`` for a run."""
+    labels: List[str] = []
+    for label, packet in zip(lead.labels(), lead.packets):
+        if packet.weight_bytes > 0:
+            labels.append(label)
+        else:
+            labels += [f"{label}#b{i}" if n == 1 else f"{label}#run{i}x{n}"
+                       for i, n in spans]
+    return tuple(labels)
 
 
 def _verify_runs(op_versions: Sequence[Tuple[int, OpProgram]],
@@ -326,6 +327,10 @@ def merge_batch_programs(
     # aligned from the front; each one merges the sequences that have it.
     n_ops = max(len(program.ops) for program in programs)
     merged = Program()
+    # The slots having operator j are those whose programs are longer
+    # than j, so their number decides them and their verify runs; the
+    # labels of every operator with that many slots share one copy.
+    spans_by_count: Dict[int, Tuple[Tuple[int, int], ...]] = {}
     for j in range(n_ops):
         op_versions = [(i, program.ops[j])
                        for i, program in enumerate(programs)
@@ -347,7 +352,7 @@ def merge_batch_programs(
                 "across the batch"
             )
         if len(groups) == 1:
-            tiles = _shared_tiles(lead, len(op_versions), mpe)
+            tiles = _shared_tiles(lead.packets, len(op_versions), mpe)
         else:
             tiles = tuple(
                 _merged_weight_tile(
@@ -355,20 +360,27 @@ def merge_batch_programs(
                 if first.weight_bytes > 0 else None
                 for k, first in enumerate(lead.packets))
         runs = _verify_runs(op_versions, run_ids)
-        packets: List[TilePacket] = []
-        for k, tile in enumerate(tiles):
-            if tile is not None:
-                packets.append(tile)
-                continue
-            for run in runs:
-                if len(run) == 1:
-                    i, op = run[0]
-                    packets.append(_slot_packets(op, i)[k])
-                else:
-                    # The consecutive slots of a verify run: their
-                    # per-sequence work fuses into one vectorized packet.
-                    packets.append(_merged_run_packet(
-                        [(i, op.packets[k]) for i, op in run], mpe))
-        merged.add(OpProgram(op_name=lead.op_name, unit=lead.unit,
-                             packets=packets))
+        spans = spans_by_count.get(len(op_versions))
+        if spans is None:
+            spans = spans_by_count[len(op_versions)] = tuple(
+                (run[0][0], len(run)) for run in runs)
+        if type(tiles) is PacketBody:
+            packets = tiles
+        else:
+            packets = []
+            for k, tile in enumerate(tiles):
+                if tile is not None:
+                    packets.append(tile)
+                    continue
+                for run in runs:
+                    if len(run) == 1:
+                        # A packet is a value: the slot issues its own.
+                        packets.append(run[0][1].packets[k])
+                    else:
+                        # The consecutive slots of a verify run: their
+                        # per-sequence work fuses into one vectorized packet.
+                        packets.append(_merged_run_packet(
+                            [op.packets[k] for _, op in run], mpe))
+        merged.add(OpProgram(lead.op_name, lead.unit, packets,
+                             partial(_merged_labels, lead, spans)))
     return merged

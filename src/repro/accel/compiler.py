@@ -23,27 +23,38 @@ buffer), so they cost a store on the producer and a load on the consumer.
 Weights always stream from HBM.  The KV cache lives in HBM; appends write
 only the new position, while attention reads the whole cached window.
 
-The compiler keeps no memo: every call lowers the graph it is given.
-The unit that repeats is a whole step, and
+Lowering is memoised per operator *shape*: everything it reads of an
+operator but its names and layer — each member's kind, costs and
+attributes, and the activation bytes the graph's tensor specs decide
+(the cache-view reads and appends included).  Every decoder layer, and
+every context's attention at one window, lowers once, and operators of
+one shape share one :class:`~repro.accel.instructions.PacketBody`; only
+the names they label their packets by are their own.  Within a matmul,
+equal consecutive tiles are one packet object.  The unit that repeats
+beyond that is a whole step, and
 :class:`~repro.compile.pipeline.StepCompiler` lowers it once per tiling
 plan, then only the KV-window operators once per context.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+from dataclasses import replace
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..compile.tiling import DEFAULT_PLAN, TilingPlan, clamped_fold
 from ..graph.graph import Graph
 from ..graph.ops import ComputeUnit, Operator, OpKind, TensorSpec
 from .config import AcceleratorConfig
-from .instructions import OpProgram, Program, TilePacket
-from .mpe import MPETimingModel
+from .instructions import OpProgram, PacketBody, Program, TilePacket
+from .mpe import MPETimingModel, TileShape
 from .sfu import SFUTimingModel
 
 __all__ = ["ProgramCompiler"]
 
 _ACT_BYTES = 4
+
+#: The member kinds whose packet is labelled with its layer.
+_ATTENTION = frozenset({OpKind.ATTN_SCORE, OpKind.ATTN_CONTEXT})
 
 
 def _ceil_div(a: int, b: int) -> int:
@@ -56,6 +67,8 @@ class ProgramCompiler:
     ``plan`` selects the tiling (:class:`~repro.compile.tiling.
     TilingPlan`): how many row blocks fold into one weight tile.  The
     default plan reproduces the historical fixed tiling bit for bit.
+    The compiler keeps every operator shape it lowered, for its
+    lifetime (a step compiler keeps one per tiling plan).
     """
 
     def __init__(self, config: AcceleratorConfig,
@@ -64,6 +77,9 @@ class ProgramCompiler:
         self.plan = plan or DEFAULT_PLAN
         self.mpe = MPETimingModel(config.mpe)
         self.sfu = SFUTimingModel(config.sfu)
+        #: Operator shape → its packets and, per member, its weight
+        #: tiles (0 for a member that is not a matmul).
+        self._shapes: Dict[Tuple, Tuple[PacketBody, Tuple[int, ...]]] = {}
 
     # ------------------------------------------------------------------
     def compile(self, graph: Graph) -> Program:
@@ -89,48 +105,73 @@ class ProgramCompiler:
         stores only its outputs that leave the region; tensors internal to
         the region are forwarded on chip (charged as on-chip traffic on the
         producing member's first packet) and generate no HBM transactions.
+        An operator of a shape lowered before takes that shape's packets.
         """
         members = op.fused_ops if op.kind is OpKind.FUSED else (op,)
         produced_inside = {t for m in members for t in m.outputs}
         external_outputs = set(op.outputs)
-        packets: List[TilePacket] = []
+        # The shape: per member what lowering reads of it, in one flat
+        # tuple — kind, costs, the bytes it loads, stores and forwards on
+        # chip, and its attributes but the layer.
+        shape: List = []
+        traffic: List[Tuple[int, int, int]] = []
+        tensors = graph.tensors
         for member in members:
             load_act = 0
             for tname in member.inputs:
                 if tname in produced_inside:
                     continue
-                spec = graph.tensor(tname) if tname in graph.tensors else None
-                if spec is None or spec.is_weight:
-                    continue
-                if spec.resident == "offchip":
+                spec = tensors.get(tname)
+                if spec is not None and not spec.is_weight and spec.resident == "offchip":
                     load_act += spec.nbytes
             store_act = self._member_store_bytes(graph, member, external_outputs)
             onchip_forwarded = sum(
                 self._internal_tensor_bytes(graph, member, t)
                 for t in member.outputs if t not in external_outputs
             )
+            attributes = member.attributes
+            shape += (member.kind, member.flops, member.weight_bytes, load_act,
+                      store_act, onchip_forwarded, len(attributes) - ("layer" in attributes))
+            for item in attributes.items():
+                if item[0] != "layer":
+                    shape += item
+            traffic.append((load_act, store_act, onchip_forwarded))
+        key = tuple(shape)
+        lowered = self._shapes.get(key)
+        if lowered is None:
+            lowered = self._shapes[key] = self._lower_shape(members, traffic)
+        packets, tiles = lowered
+        naming = tuple(
+            (member.name,
+             member.attributes.get("layer", "?") if member.kind in _ATTENTION else None,
+             n_tiles)
+            for member, n_tiles in zip(members, tiles))
+        return OpProgram(op.name, op.unit, packets, naming)
+
+    def _lower_shape(self, members: Sequence[Operator],
+                     traffic: Sequence[Tuple[int, int, int]]
+                     ) -> Tuple[PacketBody, Tuple[int, ...]]:
+        """The packets of one operator shape, and per member its weight
+        tiles: ``traffic`` holds each member's activation bytes loaded,
+        stored and forwarded on chip."""
+        packets: List[TilePacket] = []
+        tiles: List[int] = []
+        for member, (load_act, store_act, onchip_forwarded) in zip(members, traffic):
             if member.kind is OpKind.MATMUL:
                 member_packets = self._matmul_packets(member, load_act, store_act)
-            elif member.kind in (OpKind.ATTN_SCORE, OpKind.ATTN_CONTEXT):
-                member_packets = self._attention_packets(member, load_act, store_act)
+                tiles.append(len(member_packets))
+            elif member.kind in _ATTENTION:
+                member_packets = [self._attention_packet(member, load_act, store_act)]
+                tiles.append(0)
             else:
                 member_packets = [self._sfu_packet(member, load_act, store_act)]
-            if member_packets and onchip_forwarded:
+                tiles.append(0)
+            if onchip_forwarded:
                 first = member_packets[0]
-                member_packets[0] = TilePacket(
-                    op_name=first.op_name, unit=first.unit,
-                    load_bytes=first.load_bytes,
-                    compute_cycles=first.compute_cycles,
-                    store_bytes=first.store_bytes, macs=first.macs,
-                    sfu_flops=first.sfu_flops,
-                    onchip_bytes=first.onchip_bytes + onchip_forwarded,
-                    weight_bytes=first.weight_bytes,
-                    dequant_flops=first.dequant_flops,
-                    saved_bytes=first.saved_bytes,
-                    label=first.label,
-                )
+                member_packets[0] = replace(
+                    first, onchip_bytes=first.onchip_bytes + onchip_forwarded)
             packets.extend(member_packets)
-        return OpProgram(op_name=op.name, unit=op.unit, packets=packets)
+        return PacketBody(packets), tuple(tiles)
 
     def _member_store_bytes(self, graph: Graph, member: Operator,
                             external_outputs: set) -> int:
@@ -192,11 +233,14 @@ class ProgramCompiler:
         # whose unfolded tile already exceeds it keep the fixed tiling.
         fold = clamped_fold(self.plan, in_features, self.config.mpe.rows,
                             wb, self.config.buffers.segment_bytes)
-        tiles = self.mpe.split_matvec(out_features, in_features,
-                                      tile_rows=self.config.mpe.rows * fold)
-        n_tiles = len(tiles)
-        packets: List[TilePacket] = []
-        for i, tile in enumerate(tiles):
+        runs = self.mpe.split_matvec(out_features, in_features,
+                                     tile_rows=self.config.mpe.rows * fold)
+        n_tiles = sum(count for _, count in runs)
+        # output slice bytes, last tile takes any rounding remainder
+        store_slice = store_act // n_tiles
+
+        def packet(i: int, tile: TileShape) -> TilePacket:
+            """Tile ``i`` of the operator, of shape ``tile``."""
             weight_bytes = int(tile.out_rows * tile.in_features * wb)
             saved_bytes = (
                 max(0, int(tile.out_rows * tile.in_features * (_ACT_BYTES - wb)))
@@ -216,10 +260,6 @@ class ProgramCompiler:
                 act_load = load_act if i == 0 else 0
             else:
                 act_load = load_act
-            # output slice bytes, last tile takes any rounding remainder
-            store_slice = store_act // n_tiles if n_tiles else 0
-            if i == n_tiles - 1:
-                store_slice = store_act - store_slice * (n_tiles - 1)
             # Scale application runs on a rescale stage pipelined into
             # the MPE drain path, one multiplier per array row: while the
             # array accumulates group g+1, the stage rescales group g's
@@ -234,23 +274,40 @@ class ProgramCompiler:
                 )
             else:
                 compute_cycles = mac_cycles
-            packets.append(TilePacket(
-                op_name=op.name,
+            return TilePacket(
                 unit=ComputeUnit.MPE,
                 load_bytes=weight_bytes + act_load,
                 compute_cycles=compute_cycles,
-                store_bytes=store_slice,
+                store_bytes=(store_act - store_slice * (n_tiles - 1)
+                             if i == n_tiles - 1 else store_slice),
                 macs=tile.macs,
                 sfu_flops=dequant_flops,
                 onchip_bytes=tile.out_rows * _ACT_BYTES,
                 weight_bytes=weight_bytes,
                 dequant_flops=dequant_flops,
                 saved_bytes=saved_bytes,
-                label=f"{op.name}#t{i}",
-            ))
+            )
+
+        # Only a run's first and last tile can differ from the rest (the
+        # activation load, the store remainder), so a run is at most
+        # three packets, each built once; equal ones are one object.
+        packets: List[TilePacket] = []
+        for tile, count in runs:
+            i = len(packets)
+            first = packet(i, tile)
+            if count == 1:
+                packets.append(first)
+                continue
+            last = packet(i + count - 1, tile)
+            middle = packet(i + 1, tile) if count > 2 else last
+            if middle == first:
+                middle = first
+            if last == middle:
+                last = middle
+            packets += [first] + [middle] * (count - 2) + [last]
         return packets
 
-    def _attention_packets(self, op: Operator, load_act: int, store_act: int) -> List[TilePacket]:
+    def _attention_packet(self, op: Operator, load_act: int, store_act: int) -> TilePacket:
         """Score / context products: per-head mat-vecs over the cached window.
 
         One packet per operator: flops = 2 * heads * head_dim * attn_len
@@ -261,7 +318,6 @@ class ProgramCompiler:
         :func:`~repro.accel.batching.merge_batch_programs` requires.
         """
         attn_len = int(op.attributes.get("attn_len", 1))
-        layer = op.attributes.get("layer", "?")
         macs = op.flops // 2
         depth = self.config.mpe.pipeline_depth
         # Quantised KV windows stream their per-group scales alongside the
@@ -278,8 +334,7 @@ class ProgramCompiler:
             # stage as the window streams in; the op is bound by the
             # slower of the two.
             compute = max(compute, _ceil_div(kv_dequant, self.config.mpe.rows))
-        return [TilePacket(
-            op_name=op.name,
+        return TilePacket(
             unit=ComputeUnit.MPE,
             load_bytes=load_act,
             compute_cycles=compute,
@@ -289,8 +344,7 @@ class ProgramCompiler:
             onchip_bytes=attn_len * _ACT_BYTES,
             dequant_flops=kv_dequant,
             saved_bytes=kv_saved,
-            label=f"{op.name}@L{layer}",
-        )]
+        )
 
     def _sfu_packet(self, op: Operator, load_act: int, store_act: int) -> TilePacket:
         unit = ComputeUnit.SFU if op.kind is not OpKind.EMBED else ComputeUnit.DMA
@@ -309,7 +363,6 @@ class ProgramCompiler:
         if dequant_flops:
             cycles += _ceil_div(dequant_flops, self.config.sfu.lanes)
         return TilePacket(
-            op_name=op.name,
             unit=unit,
             load_bytes=load_act,
             compute_cycles=cycles,
@@ -318,5 +371,4 @@ class ProgramCompiler:
             onchip_bytes=0,
             dequant_flops=dequant_flops,
             saved_bytes=saved_bytes,
-            label=op.name,
         )

@@ -5,22 +5,26 @@ The compiler lowers every graph operator into a sequence of
 read–compute–write pipeline operates: it names how many bytes must be
 loaded from off-chip memory before computing, how many cycles the compute
 engine needs, how many MACs/FLOPs that represents (for the energy model),
-and how many bytes must be written back afterwards.
+and how many bytes must be written back afterwards.  It names nothing
+else: a packet is a value, so equal tiles — the classifier's hundreds,
+every decoder layer's projections — are one object.
 
 A full decode step is a :class:`Program`: the ordered list of packets plus
 per-operator boundaries so the execution statistics can be attributed back
 to operators.
 
-An :class:`OpProgram` also answers, in one pass over its packets, what
-the cycle simulator asks of it: a *timing signature* per packet (equal
-signatures time identically) and its :class:`PacketTotals`, the sums
-that depend on the packets alone; from those, a hash of the signatures
-for the whole operator and its runs of equal signatures.  And it keeps
-what the batch merger and the cycle bracket build of it — its packets as
-one slot of a batch issues them, its weight tiles merged over a group of
-slots, its transfer terms — for as long as the operator lives: a step
-compiler hands one operator to every slot and step, so each of those is
-built once.
+An :class:`OpProgram` is an operator's name and its packets, a
+:class:`PacketBody`.  The body answers, in one pass over its packets,
+what the cycle simulator asks of it: a *timing signature* per packet
+(equal signatures time identically) and its :class:`PacketTotals`, the
+sums that depend on the packets alone; from those, a hash of the
+signatures for the whole operator and its runs of equal signatures.  And
+it keeps what the batch merger and the cycle bracket build of it — its
+weight tiles merged over a group of slots, its transfer terms.  The
+compiler hands one body to every operator of one shape (every layer,
+every context, with or without logits), so each of those is built once
+per shape.  The names a trace gives the packets are a view,
+:meth:`OpProgram.labels`, built only when asked for.
 """
 
 from __future__ import annotations
@@ -28,11 +32,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import groupby
-from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Tuple, Union
 
 from ..graph.ops import ComputeUnit
 
-__all__ = ["TilePacket", "PacketTotals", "OpProgram", "Program"]
+__all__ = ["TilePacket", "PacketTotals", "PacketBody", "OpProgram", "Program"]
 
 
 @dataclass(frozen=True)
@@ -52,7 +56,6 @@ class TilePacket:
     on unquantised programs).
     """
 
-    op_name: str
     unit: ComputeUnit
     load_bytes: int
     compute_cycles: int
@@ -63,7 +66,6 @@ class TilePacket:
     weight_bytes: int = 0
     dequant_flops: int = 0
     saved_bytes: int = 0
-    label: str = ""
 
     def __post_init__(self) -> None:
         # One comparison on the way in; the fields are named only when
@@ -101,26 +103,12 @@ class PacketTotals(NamedTuple):
 _NO_TOTALS = PacketTotals(*[0] * len(PacketTotals._fields))
 
 
-@dataclass(frozen=True)
-class OpProgram:
-    """The packets emitted for a single graph operator.
-
-    Immutable: the compiler hands the same lowered operator to every
-    program whose graph holds an operator of the same signature.
-    """
-
-    op_name: str
-    unit: ComputeUnit
-    packets: Tuple[TilePacket, ...] = ()
-
-    def __post_init__(self) -> None:
-        if not self.op_name:
-            raise ValueError("op_name must not be empty")
-        # A tuple is kept as is (``tuple(t) is t``), so sharing survives.
-        object.__setattr__(self, "packets", tuple(self.packets))
-
-    def __len__(self) -> int:
-        return len(self.packets)
+class PacketBody(tuple):
+    """An operator's packets, in order — a tuple — and what the cycle
+    simulator, its bracket and the batch merger compute of them, each
+    built on first use and then a plain attribute of the body.  One body
+    serves every operator of its shape, so each is built once per shape
+    and lives exactly as long as the body."""
 
     @cached_property
     def _walk(self) -> Tuple[Tuple[Tuple, ...], PacketTotals]:
@@ -131,7 +119,7 @@ class OpProgram:
         macs = flops = onchip = dequant = saved = mpe_tiles = sfu_ops = 0
         read = written = compute = 0
         mpe, sfu = ComputeUnit.MPE, ComputeUnit.SFU
-        for p in self.packets:
+        for p in self:
             key = (p.load_bytes, p.compute_cycles, p.store_bytes, p.unit is mpe, opens)
             signatures.append(shared.setdefault(key, key))
             opens = False
@@ -150,22 +138,22 @@ class OpProgram:
         return tuple(signatures), PacketTotals(
             macs, flops, onchip, dequant, saved, mpe_tiles, sfu_ops, read, written, compute)
 
-    @property
+    @cached_property
     def signatures(self) -> Tuple[Tuple, ...]:
         """Per packet, everything the cycle simulator reads of it: bytes
         loaded, compute cycles, bytes stored, whether the MPE computes it,
         and whether it opens the operator (and pays its dispatch).  Equal
-        packets of one operator share one tuple."""
+        packets share one tuple."""
         return self._walk[0]
 
-    @property
+    @cached_property
     def totals(self) -> PacketTotals:
         """Sums of what the packets alone decide."""
         return self._walk[1]
 
     @cached_property
     def signature(self) -> int:
-        """A hash of :attr:`signatures`: operators that differ in it time
+        """A hash of :attr:`signatures`: bodies that differ in it time
         differently; equal ones very probably time the same."""
         return hash(self.signatures)
 
@@ -182,23 +170,75 @@ class OpProgram:
         return tuple(runs)
 
     @cached_property
-    def merged_packets(self) -> Dict[object, Tuple[Optional[TilePacket], ...]]:
+    def merged(self) -> Dict[Tuple[int, int], Tuple[Optional[TilePacket], ...]]:
         """What :func:`~repro.accel.batching.merge_batch_programs` built
-        of this operator, one entry per packet (None where it builds
-        something else): under a slot index, the packets that slot of a
-        batch issues; under ``(n_slots, pipeline_depth)``, the weight
-        tiles merged over that many slots sharing the operator.  Both
-        follow from the packets and the key alone, and an entry lives
-        exactly as long as the operator."""
+        of this body: under ``(n_slots, pipeline_depth)``, the weight
+        tiles merged over that many slots sharing it (None at every
+        other packet).  They follow from the packets and the key alone."""
         return {}
 
     @cached_property
     def stream_terms(self) -> Dict[Tuple, Tuple[int, int, int]]:
         """What :meth:`~repro.accel.pipeline.PipelineExecutor.run`'s cycle
-        bracket reads of this operator's transfers, under the key of the
+        bracket reads of these packets' transfers, under the key of the
         memory system and stripe they are timed on; filled by the
-        executor, and it lives exactly as long as the operator."""
+        executor."""
         return {}
+
+
+#: How :meth:`OpProgram.labels` names the packets: per member of the
+#: operator, ``(name, layer, tiles)``; or a function returning the labels.
+Naming = Union[Tuple[Tuple[str, object, int], ...], Callable[[], Tuple[str, ...]]]
+
+
+@dataclass(frozen=True)
+class OpProgram:
+    """The packets emitted for a single graph operator.
+
+    Immutable: the compiler hands one :class:`PacketBody` to every
+    operator of the same shape, whatever its name, layer or context.
+    ``naming`` is what :meth:`labels` derives the packets' names from;
+    it is not part of the value, so two operators are equal when their
+    names and packets are.
+    """
+
+    op_name: str
+    unit: ComputeUnit
+    packets: PacketBody = PacketBody()
+    naming: Naming = field(default=(), compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        if not self.op_name:
+            raise ValueError("op_name must not be empty")
+        # A body is kept as is, so sharing survives.
+        if type(self.packets) is not PacketBody:
+            object.__setattr__(self, "packets", PacketBody(self.packets))
+
+    def __len__(self) -> int:
+        return len(self.packets)
+
+    def labels(self) -> Tuple[str, ...]:
+        """Per packet, the name a traced run gives its intervals.
+
+        A compiled operator names each member's packets: ``{member}#t{i}``
+        for its ``tiles`` weight tiles, ``{member}@L{layer}`` for an
+        attention product, the member's name otherwise.  A merged
+        operator's function adds the batch's suffixes.  An operator built
+        without a naming names every packet after itself."""
+        naming = self.naming
+        if callable(naming):
+            return naming()
+        if not naming:
+            return (self.op_name,) * len(self.packets)
+        labels: List[str] = []
+        for name, layer, tiles in naming:
+            if tiles:
+                labels.extend([f"{name}#t{i}" for i in range(tiles)])
+            elif layer is not None:
+                labels.append(f"{name}@L{layer}")
+            else:
+                labels.append(name)
+        return tuple(labels)
 
 
 @dataclass
@@ -218,7 +258,12 @@ class Program:
         for op in self.ops:
             yield from op.packets
 
+    def labels(self) -> List[str]:
+        """Every packet's label, in execution order."""
+        return [label for op in self.ops for label in op.labels()]
+
     @property
     def totals(self) -> PacketTotals:
-        """Sums of every operator's :attr:`OpProgram.totals`."""
-        return PacketTotals._make(map(sum, zip(_NO_TOTALS, *[op.totals for op in self.ops])))
+        """Sums of every operator's :attr:`PacketBody.totals`."""
+        return PacketTotals._make(map(sum, zip(_NO_TOTALS, *[op.packets.totals
+                                                             for op in self.ops])))

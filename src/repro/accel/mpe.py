@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List
+from typing import List, Tuple
 
 from .config import MPEConfig
 
@@ -51,8 +51,10 @@ class MPETimingModel:
         out_features: int,
         in_features: int,
         tile_rows: int | None = None,
-    ) -> List[TileShape]:
-        """Tile a (out x in) mat-vec into row blocks of ``tile_rows``.
+    ) -> List[Tuple[TileShape, int]]:
+        """Tile a (out x in) mat-vec into row blocks of ``tile_rows``,
+        as ``(tile, count)`` runs in row order: the whole blocks, then
+        the remainder, if any.
 
         ``tile_rows`` defaults to the array height (the fixed tiling);
         larger values — multiples of ``rows`` chosen by a tiling plan —
@@ -64,13 +66,13 @@ class MPETimingModel:
         rows = tile_rows if tile_rows is not None else self.config.rows
         if rows <= 0:
             raise ValueError("tile_rows must be positive")
-        tiles: List[TileShape] = []
-        for start in range(0, out_features, rows):
-            tiles.append(TileShape(
-                out_rows=min(rows, out_features - start),
-                in_features=in_features,
-            ))
-        return tiles
+        whole, rest = divmod(out_features, rows)
+        runs: List[Tuple[TileShape, int]] = []
+        if whole:
+            runs.append((TileShape(out_rows=rows, in_features=in_features), whole))
+        if rest:
+            runs.append((TileShape(out_rows=rest, in_features=in_features), 1))
+        return runs
 
     def tile_cycles(self, tile: TileShape) -> int:
         """Cycles for one tile: reduction passes plus fill latency.

@@ -97,7 +97,7 @@ from ..graph.ops import ComputeUnit
 from ..obs.tracer import CYCLES, Span
 from ..sim.stats import RunCounters
 from .config import AcceleratorConfig
-from .instructions import OpProgram, Program, TilePacket
+from .instructions import OpProgram, PacketBody, Program, TilePacket
 from .memory_manager import NEVER, BufferPool
 
 __all__ = ["StepResult", "PipelineExecutor", "DISPATCH_CYCLES"]
@@ -136,11 +136,20 @@ def _cycle_bracket(ops: Sequence[OpProgram], n_packets: int, compute: int,
     is retired, none held: no stripe is on a bus and nothing computes.
     Flushes do not overlap, as one frees the pool before the next.
 
-    **Pipelined, also D.**  Each grant is no earlier than the previous
-    one plus the dispatch of an operator's first packet, and the last
-    packet computes after its grant.  ``D + F`` would be wrong: the
-    loader dispatches without holding a segment, so a dispatch overlaps
-    a flush.
+    **Pipelined, also D, and DISPATCH_CYCLES + xfer(L₀) + C + xfer(Sₙ).**
+    Each grant is no earlier than the previous one plus the dispatch of
+    an operator's first packet, and the last packet computes after its
+    grant.  ``D + F`` would be wrong: the loader dispatches without
+    holding a segment, so a dispatch overlaps a flush.  The second term
+    is one chain of causes: the first request waits one dispatch, as
+    packet 0 opens an operator; packet 0's compute starts no earlier
+    than its data arrives, at least ``xfer(L₀)`` after the grant (``L₀``
+    its load bytes; no term when it loads nothing); computes are serial,
+    each asking for its packet when the previous one ends, so the last
+    compute ends at least ``C`` after packet 0's started; and the run
+    ends no earlier than the last packet's store completes, at least
+    ``xfer(Sₙ)`` after that compute ended (``Sₙ`` its store bytes; no
+    term when it stores nothing).
 
     **Sequential, also XL + C + max(D, F).**  One controller with one
     request outstanding: its dispatches, buffer waits, reads and computes
@@ -174,9 +183,10 @@ def _cycle_bracket(ops: Sequence[OpProgram], n_packets: int, compute: int,
            channel.bytes_per_cycle(platform.clock_hz), channel.access_latency_cycles)
     bus = loads = stores = 0
     for op_program in ops:
-        terms = op_program.stream_terms.get(key)
+        body = op_program.packets
+        terms = body.stream_terms.get(key)
         if terms is None:
-            terms = op_program.stream_terms[key] = _stream_terms(op_program, *key)
+            terms = body.stream_terms[key] = _stream_terms(body, *key)
         bus += terms[0]
         loads += terms[1]
         stores += terms[2]
@@ -187,37 +197,47 @@ def _cycle_bracket(ops: Sequence[OpProgram], n_packets: int, compute: int,
     lower = max(streaming, compute) + flush
     if config.pipeline:
         lower = max(lower, dispatch)
+        if ops:
+            chain = (DISPATCH_CYCLES + _xfer(ops[0].packets[0].load_bytes, *key) + compute
+                     + _xfer(ops[-1].packets[-1].store_bytes, *key))
+            lower = max(lower, chain)
     else:
         lower = max(lower, loads + compute + max(dispatch, flush))
     return lower, loads + compute + stores + dispatch + flush
 
 
-def _stream_terms(op_program: OpProgram, stripe: int, per_cycle: float,
+def _stream_terms(body: PacketBody, stripe: int, per_cycle: float,
                   latency: int) -> Tuple[int, int, int]:
     """``(Σ burst over every stripe, Σ xfer of the loads, Σ xfer of the
-    stores)`` of one operator (see :func:`_cycle_bracket`), over its
-    distinct signatures."""
+    stores)`` of one operator's packets (see :func:`_cycle_bracket`),
+    over their distinct signatures."""
     bus = loads = stores = 0
-    for (load, _, store, _, _), count in Counter(op_program.signatures).items():
-        for n_bytes, is_load in ((load, True), (store, False)):
-            if not n_bytes:
-                continue
-            split = stripe if n_bytes >= stripe else 1
-            chunk = n_bytes // split
-            last = math.ceil((n_bytes - chunk * (split - 1)) / per_cycle)
-            bus += count * ((split - 1) * math.ceil(chunk / per_cycle) + last)
-            if is_load:
-                loads += count * (last + latency)
-            else:
-                stores += count * (last + latency)
+    for (load, _, store, _, _), count in Counter(body.signatures).items():
+        for n_bytes in (load, store):
+            if n_bytes:
+                split = stripe if n_bytes >= stripe else 1
+                chunk = n_bytes // split
+                bus += count * ((split - 1) * math.ceil(chunk / per_cycle)
+                                + math.ceil((n_bytes - chunk * (split - 1)) / per_cycle))
+        loads += count * _xfer(load, stripe, per_cycle, latency)
+        stores += count * _xfer(store, stripe, per_cycle, latency)
     return bus, loads, stores
+
+
+def _xfer(n_bytes: int, stripe: int, per_cycle: float, latency: int) -> int:
+    """``xfer`` of one transfer of ``n_bytes`` (see :func:`_cycle_bracket`),
+    0 for none."""
+    if not n_bytes:
+        return 0
+    split = stripe if n_bytes >= stripe else 1
+    return math.ceil((n_bytes - n_bytes // split * (split - 1)) / per_cycle) + latency
 
 
 #: parent of the three stages' first keys (see the module docstring)
 _ROOT = (-1,)
 
-#: ``transfer(n_bytes, now, label)``, returning the cycle it completes
-_Transfer = Callable[[int, int, str], int]
+#: ``transfer(n_bytes, now, packet)``, returning the cycle it completes
+_Transfer = Callable[[int, int, int], int]
 
 
 @dataclass
@@ -284,7 +304,7 @@ class PipelineExecutor:
         for op_program in ops:
             firsts.append(len(packets))
             packets.extend(op_program.packets)
-            signatures.extend(op_program.signatures)
+            signatures.extend(op_program.packets.signatures)
         (counters.int8_macs, counters.sfu_flops, counters.onchip_read_bytes,
          counters.dequant_flops, counters.quant_saved_bytes, counters.mpe_tiles,
          counters.sfu_ops, counters.hbm_read_bytes, counters.hbm_write_bytes,
@@ -304,9 +324,14 @@ class PipelineExecutor:
             reference = None
         periods = _Periods(signatures, checks, hbm, pool, counters, busy, reference)
         discipline = self._run_pipelined if self.config.pipeline else self._run_sequential
+        # A traced run names its intervals after the packets' labels.
+        labels = None if spans is None else program.labels()
+        if labels is not None and len(labels) != len(packets):
+            raise ValueError(f"{len(labels)} labels for {len(packets)} packets")
         transfer = _transfer(hbm, min(self.config.hbm_stripe, self.platform.hbm.n_channels),
-                             spans)
-        end = discipline(packets, opens, transfer, pool, counters, busy, spans, periods)
+                             spans, labels)
+        end = discipline(packets, opens, transfer, pool, counters, busy, spans, labels,
+                         periods)
         counters.dma_transfers = hbm.total_transactions
         cycles = max([end] + [flush_end[0] for flush_end, _ in pool.flushes])
         lower, upper = _cycle_bracket(ops, len(packets), compute, self.config, self.platform)
@@ -333,7 +358,7 @@ class PipelineExecutor:
     def _run_sequential(self, packets: Sequence[TilePacket], opens: List[bool],
                         transfer: "_Transfer", pool: BufferPool, counters: RunCounters,
                         busy: Dict[str, int], spans: Optional[List[Span]],
-                        periods: "_Periods") -> int:
+                        labels: Optional[List[str]], periods: "_Periods") -> int:
         """Returns the cycle of the last compute end or store completion."""
         now = last_store = flushes_traced = 0
         k, due = 0, periods.due
@@ -349,7 +374,6 @@ class PipelineExecutor:
                 if jump is not None:
                     continue  # the jump may have reached the end
             packet, opens_operator = packets[k], opens[k]
-            k += 1
             if opens_operator:
                 now += DISPATCH_CYCLES
             # One requester: a release on the cycle of the request is as
@@ -365,7 +389,7 @@ class PipelineExecutor:
             # request, so it is exposed to the full access latency of
             # every transfer.
             if packet.load_bytes:
-                loaded = transfer(packet.load_bytes, now, packet.label)
+                loaded = transfer(packet.load_bytes, now, k)
                 busy["load"] += loaded - now
                 now = loaded
             # compute
@@ -374,17 +398,18 @@ class PipelineExecutor:
             now += packet.compute_cycles
             busy[engine] += packet.compute_cycles
             if spans is not None:
-                spans.append(_span(engine, packet.label, start, now))
+                spans.append(_span(engine, labels[k], start, now))
             # write back: stores are posted (the controller does not wait
             # for the write acknowledgement), but the staging segment is
             # only recycled once the data has left it.
             if packet.store_bytes:
-                stored = transfer(packet.store_bytes, now, packet.label)
+                stored = transfer(packet.store_bytes, now, k)
                 busy["store"] += stored - now
                 last_store = max(last_store, stored)
                 pool.release((stored,))
             else:
                 pool.release((now,))
+            k += 1
         pool.settle()
         if spans is not None:
             _trace_flushes(spans, pool, flushes_traced)
@@ -396,7 +421,7 @@ class PipelineExecutor:
     def _run_pipelined(self, packets: Sequence[TilePacket], opens: List[bool],
                        transfer: "_Transfer", pool: BufferPool, counters: RunCounters,
                        busy: Dict[str, int], spans: Optional[List[Span]],
-                       periods: "_Periods") -> int:
+                       labels: Optional[List[str]], periods: "_Periods") -> int:
         """Returns the cycle of the last compute end or store completion."""
         n_packets = len(packets)
         due = periods.due
@@ -463,7 +488,7 @@ class PipelineExecutor:
                 packet = packets[i]
                 arrives = grant[0]
                 if packet.load_bytes:
-                    arrives = transfer(packet.load_bytes, grant[0], packet.label)
+                    arrives = transfer(packet.load_bytes, grant[0], i)
                     if spans is not None:
                         tag(grant)
                 granted.append(grant)
@@ -477,13 +502,13 @@ class PipelineExecutor:
             engine = "mpe" if packet.unit is ComputeUnit.MPE else "sfu"
             busy[engine] += packet.compute_cycles
             if spans is not None:
-                spans.append(_span(engine, packet.label, start, computed[0]))
+                spans.append(_span(engine, labels[k], start, computed[0]))
                 tag(computed)
             # Write-back is fire-and-forget: the store is issued and the
             # buffer segment is released when the memory system confirms
             # it, so small result slices never stall the compute stage.
             if packet.store_bytes:
-                stored = transfer(packet.store_bytes, computed[0], packet.label)
+                stored = transfer(packet.store_bytes, computed[0], k)
                 busy["store"] += stored - computed[0]
                 last_store = max(last_store, stored)
                 pool.release((stored, turn, 0))
@@ -530,31 +555,33 @@ class PipelineExecutor:
         return max(asks[-1][0], last_store)
 
 
-def _transfer(model: MemorySystemModel, stripe: int,
-              spans: Optional[List[Span]]) -> _Transfer:
-    """``transfer(n_bytes, now, label)``: ``n_bytes`` (at least one) issued
+def _transfer(model: MemorySystemModel, stripe: int, spans: Optional[List[Span]],
+              labels: Optional[List[str]]) -> _Transfer:
+    """``transfer(n_bytes, now, packet)``: ``n_bytes`` (at least one) issued
     at cycle ``now`` as one :meth:`~MemorySystemModel.issue_split` call
     over ``stripe`` channels — over one when there are fewer bytes than
     stripes, as every stripe but the last would be empty — returning the
     cycle the slowest stripe completes.  A traced run records each stripe
-    as ``hbm:<channel>``, labelled ``label[i]``; ``label`` alone when
+    as ``hbm:<channel>``, labelled ``label[i]`` after the packet's
+    label; ``label`` alone when
     ``stripe`` is 1, and ``label[stripe - 1]`` for the lone stripe of a
     short transfer.  Whether the time up to completion is a memory stall
     is the caller's decision: a sequential controller waits for it, a
     pipelined one overlaps it with compute."""
     issue = model.issue_split
 
-    def transfer(n_bytes: int, now: int, label: str) -> int:
+    def transfer(n_bytes: int, now: int, packet: int) -> int:
         split = stripe if n_bytes >= stripe else 1
         done, picks = issue(n_bytes, split, now)
         if spans is not None:
+            label = labels[packet]
             if stripe == 1:
-                labels = [label]
+                names = [label]
             elif split == 1:
-                labels = [f"{label}[{stripe - 1}]"]
+                names = [f"{label}[{stripe - 1}]"]
             else:
-                labels = [f"{label}[{i}]" for i in range(stripe)]
-            for (end, channel), name in zip(model.stripes(picks), labels):
+                names = [f"{label}[{i}]" for i in range(stripe)]
+            for (end, channel), name in zip(model.stripes(picks), names):
                 spans.append(_span(f"hbm:{channel}", name, now, end))
         return done
 
@@ -570,10 +597,10 @@ def _check_points(ops: Sequence[OpProgram], firsts: Sequence[int],
     for one more full period from there."""
     points = set()
     for first, op_program in zip(firsts, ops):
-        for start, length in op_program.runs:
+        for start, length in op_program.packets.runs:
             start += first
             points.update(range(start, start + length - 2 * n_segments + 1, n_segments))
-    signatures = [op_program.signature for op_program in ops]
+    signatures = [op_program.packets.signature for op_program in ops]
     following: Dict[int, int] = {}
     for o in range(len(ops) - 1, -1, -1):
         later = following.get(signatures[o])

@@ -703,27 +703,27 @@ class KernelExecutor:
         def body():
             for op_program in program.ops:
                 yield sim.timeout(DISPATCH_CYCLES)
-                for packet in op_program.packets:
-                    segment = yield buffers.acquire(packet.label)
+                for packet, label in zip(op_program.packets, op_program.labels()):
+                    segment = yield buffers.acquire(label)
                     # read: the sequential controller has a single
                     # outstanding request, so it is exposed to the full
                     # access latency of every transfer.
                     if packet.load_bytes:
                         start = sim.now
-                        yield memory.read_striped(packet.load_bytes, stripe, packet.label)
+                        yield memory.read_striped(packet.load_bytes, stripe, label)
                         busy["load"] += sim.now - start
                     # compute
                     engine = self._engine_for(packet)
                     start = sim.now
                     yield sim.timeout(packet.compute_cycles)
                     busy[engine] += sim.now - start
-                    trace.record(engine, packet.label, start, sim.now)
+                    trace.record(engine, label, start, sim.now)
                     # write back: stores are posted (the controller does not
                     # wait for the write acknowledgement), but the staging
                     # segment is only recycled once the data has left it.
                     if packet.store_bytes:
                         store_done = memory.write_striped(
-                            packet.store_bytes, stripe, packet.label
+                            packet.store_bytes, stripe, label
                         )
                         store_done.add_callback(release_when_stored(segment, sim.now))
                     else:
@@ -749,12 +749,12 @@ class KernelExecutor:
         loaded = Stream(sim, capacity=2, name="loaded")
         computed = Stream(sim, capacity=2, name="computed")
         done = sim.event("pipeline-done")
-        packets: List[TilePacket] = []
+        packets: List[Tuple[TilePacket, str]] = []
         dispatch_before: Dict[int, int] = {}
         index = 0
         for op_program in program.ops:
             dispatch_before[index] = DISPATCH_CYCLES
-            for packet in op_program.packets:
+            for packet in zip(op_program.packets, op_program.labels()):
                 packets.append(packet)
                 index += 1
         n_packets = len(packets)
@@ -766,24 +766,24 @@ class KernelExecutor:
             # data itself.  Together with the depth-2 streams this keeps
             # several memory requests outstanding, which is what hides the
             # HBM access latency ("data stream parallelism").
-            for i, packet in enumerate(packets):
+            for i, (packet, label) in enumerate(packets):
                 # Instruction dispatch for a new operator happens in the
                 # front-end and briefly stalls the fetch stage.
                 if i in dispatch_before:
                     yield sim.timeout(dispatch_before[i])
-                segment = yield buffers.acquire(packet.label)
+                segment = yield buffers.acquire(label)
                 issue_cycle = sim.now
                 if packet.load_bytes:
                     load_done = memory.read_striped(
-                        packet.load_bytes, stripe, packet.label
+                        packet.load_bytes, stripe, label
                     )
                 else:
                     load_done = sim.timeout(0)
-                yield loaded.put((packet, segment, load_done, issue_cycle))
+                yield loaded.put((packet, label, segment, load_done, issue_cycle))
 
         def computer():
             for _ in range(n_packets):
-                packet, segment, load_done, issue_cycle = yield loaded.get()
+                packet, label, segment, load_done, issue_cycle = yield loaded.get()
                 if not load_done.triggered:
                     wait_start = sim.now
                     yield load_done
@@ -794,8 +794,8 @@ class KernelExecutor:
                 start = sim.now
                 yield sim.timeout(packet.compute_cycles)
                 busy[engine] += sim.now - start
-                trace.record(engine, packet.label, start, sim.now)
-                yield computed.put((packet, segment))
+                trace.record(engine, label, start, sim.now)
+                yield computed.put((packet, label, segment))
 
         def writer():
             # Write-back is fire-and-forget: the store is issued and the
@@ -813,11 +813,11 @@ class KernelExecutor:
                 return _done
 
             for _ in range(n_packets):
-                packet, segment = yield computed.get()
+                packet, label, segment = yield computed.get()
                 if packet.store_bytes:
                     outstanding["count"] += 1
                     store_done = memory.write_striped(
-                        packet.store_bytes, stripe, packet.label
+                        packet.store_bytes, stripe, label
                     )
                     store_done.add_callback(release_later(segment, sim.now))
                 else:

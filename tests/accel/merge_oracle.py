@@ -4,10 +4,13 @@ is walked, one weight tile at a time.
 ``repro.accel.batching.merge_batch_programs`` now groups a step's slots
 by the identity of each operator's (shared) packet tuple and merges
 weight tiles as count-weighted sums over the distinct groups.  This is
-the slot-walking body it replaced, kept verbatim as the oracle of
+the slot-walking body it replaced, kept as the oracle of
 ``tests/accel/test_merge_counted.py``, together with the verify-run
 merge as it was before the merger built its packets directly and kept
-them on the operators they came from.
+them on the operators they came from.  Packets carry no names, so the
+oracle names each merged packet itself, as the packets once named
+themselves: every slot's own label, suffixed ``#b{slot}`` or
+``#run{slot}x{n}``.
 """
 
 from __future__ import annotations
@@ -63,7 +66,7 @@ def _merged_run_packet(
       per-position activations: bytes and flops sum, but the run shares
       one instruction and one transfer's access latency.
     """
-    lead_index, lead = group[0]
+    lead = group[0][1]
     if lead.unit is ComputeUnit.MPE:
         depth = mpe.pipeline_depth
         compute = sum(
@@ -96,7 +99,6 @@ def _merged_run_packet(
         onchip_bytes=onchip,
         dequant_flops=sum(p.dequant_flops for _, p in group),
         saved_bytes=saved,
-        label=f"{lead.label}#run{lead_index}x{len(group)}",
     )
 
 
@@ -131,6 +133,8 @@ def merge_batch_programs(
                 "across the batch"
             )
         packets: List[TilePacket] = []
+        labels: List[str] = []
+        names = {i: op.labels() for i, op in op_versions}
         for k in range(len(lead.packets)):
             versions = [(i, op.packets[k]) for i, op in op_versions]
             first = versions[0][1]
@@ -138,11 +142,11 @@ def merge_batch_programs(
                 packets.append(_merged_weight_tile(
                     [p for _, p in versions], mpe
                 ))
+                labels.append(names[versions[0][0]][k])
             elif run_ids is None:
                 for i, packet in versions:
-                    packets.append(dataclasses.replace(
-                        packet, label=f"{packet.label}#b{i}"
-                    ))
+                    packets.append(packet)
+                    labels.append(f"{names[i][k]}#b{i}")
             else:
                 start = 0
                 while start < len(versions):
@@ -155,12 +159,12 @@ def merge_batch_programs(
                     group = versions[start:end]
                     if len(group) == 1:
                         i, packet = group[0]
-                        packets.append(dataclasses.replace(
-                            packet, label=f"{packet.label}#b{i}"
-                        ))
+                        packets.append(packet)
+                        labels.append(f"{names[i][k]}#b{i}")
                     else:
                         packets.append(_merged_run_packet(group, mpe))
+                        labels.append(f"{names[anchor][k]}#run{anchor}x{len(group)}")
                     start = end
-        merged.add(OpProgram(op_name=lead.op_name, unit=lead.unit,
-                             packets=packets))
+        merged.add(OpProgram(lead.op_name, lead.unit, packets,
+                             lambda labels=tuple(labels): labels))
     return merged

@@ -15,7 +15,7 @@ empty.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from hypothesis import strategies as st
 
@@ -33,7 +33,7 @@ from repro.llama.config import LlamaConfig, preset
 from repro.llama.quantization import QuantSpec
 from repro.quant.config import QuantConfig
 
-__all__ = ["platforms", "accelerator_configs", "programs", "executor_cases",
+__all__ = ["platforms", "accelerator_configs", "programs", "named", "executor_cases",
            "periodic_programs", "periodic_cases", "periodic_sequence_cases",
            "STEP_MODELS", "StepCase", "steps", "LOWERING_MODELS",
            "GraphView", "body_graph", "graph_views", "lowering_targets"]
@@ -81,12 +81,7 @@ def programs(draw, max_ops: int = 8, max_packets: int = 12) -> Program:
     for o, tiles in enumerate(draw(st.lists(
             st.lists(_TILES, min_size=1, max_size=max_packets),
             min_size=1, max_size=max_ops))):
-        ops.append(OpProgram(f"op{o}", ComputeUnit.MPE, [
-            TilePacket(f"op{o}", unit, load, cycles, store,
-                       macs=cycles, sfu_flops=load % 7, onchip_bytes=store % 5,
-                       label=f"op{o}.{j}")
-            for j, (load, cycles, store, unit) in enumerate(tiles)
-        ]))
+        ops.append(_operator(f"op{o}", tiles))
     return Program(ops)
 
 
@@ -106,10 +101,17 @@ _PERIODIC_TILES = st.tuples(
 
 
 def _operator(name: str, tiles) -> OpProgram:
-    return OpProgram(name, ComputeUnit.MPE, [
-        TilePacket(name, unit, load, cycles, store, macs=cycles,
-                   sfu_flops=load % 7, onchip_bytes=store % 5, label=f"{name}.{j}")
-        for j, (load, cycles, store, unit) in enumerate(tiles)])
+    return named(name, [
+        TilePacket(unit, load, cycles, store, macs=cycles,
+                   sfu_flops=load % 7, onchip_bytes=store % 5)
+        for load, cycles, store, unit in tiles])
+
+
+def named(name: str, packets: Sequence[TilePacket], unit: ComputeUnit = ComputeUnit.MPE
+          ) -> OpProgram:
+    """An operator whose ``j``-th packet is labelled ``{name}.{j}``."""
+    return OpProgram(name, unit, packets,
+                     tuple((f"{name}.{j}", None, 0) for j in range(len(packets))))
 
 
 @st.composite

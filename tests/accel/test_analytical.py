@@ -16,20 +16,20 @@ import pytest
 from hypothesis import given, settings
 
 from repro.accel.config import AcceleratorConfig, BufferConfig
-from repro.accel.instructions import OpProgram, Program, TilePacket
+from repro.accel.instructions import Program, TilePacket
 from repro.accel.pipeline import DISPATCH_CYCLES, PipelineExecutor, _cycle_bracket
 from repro.fpga.hbm import MemorySystemModel
 from repro.fpga.u280 import u280
 from repro.graph.ops import ComputeUnit
 
-from .strategies import executor_cases, periodic_cases
+from .strategies import executor_cases, named, periodic_cases
 
 
 def _program(*ops):
     """One operator per ``(name, unit, [(load, compute, store), ...])``."""
-    return Program([OpProgram(name, unit, [
-        TilePacket(name, unit, load, compute, store, label=f"{name}.{j}")
-        for j, (load, compute, store) in enumerate(tiles)]) for name, unit, tiles in ops])
+    return Program([named(name, [TilePacket(unit, load, compute, store)
+                                 for load, compute, store in tiles], unit)
+                    for name, unit, tiles in ops])
 
 
 def _bracket(config, platform, program):
@@ -57,16 +57,18 @@ def _assert_law(config, platform, program):
 #: xfer 8 + 64 = 72.  A 100-byte store is two 50-byte stripes: bus 2,
 #: xfer 1 + 64 = 65.  XL = 2 * 72 = 144, XS = 65, M = ceil(34 / 2) = 17,
 #: C = 30 + 30 + 10 = 70, D = 2 * 24 = 48, F = 3 // 2 * 160 = 160 without
-#: reuse.
+#: reuse.  The pipelined chain: 24 + xfer(1000) + C + xfer(100) = 24 + 72
+#: + 70 + 65 = 231.
 TWO_OPS = _program(("matmul", ComputeUnit.MPE, [(1000, 30, 0)] * 2),
                    ("norm", ComputeUnit.SFU, [(0, 10, 100)]))
 
 
 class TestPinnedBracket:
     @pytest.mark.parametrize("pipeline, reuse, bracket", [
-        # max(M, C) + F, or D if larger; upper XL + C + XS + D (+ F)
-        (True, True, (70, 327)),
-        (True, False, (230, 487)),
+        # max(M, C) + F, D or the chain, whichever is largest; upper
+        # XL + C + XS + D (+ F)
+        (True, True, (231, 327)),
+        (True, False, (231, 487)),
         # max(max(M, C) + F, XL + C + max(D, F))
         (False, True, (262, 327)),
         (False, False, (374, 487)),

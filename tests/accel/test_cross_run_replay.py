@@ -5,7 +5,10 @@ reach.
 
 Following must change nothing else: every ``StepResult`` field but
 ``packets_replayed`` equals a fresh executor's on the same program and
-``kernel_oracle.KernelExecutor``'s, which walks every event.
+``kernel_oracle.KernelExecutor``'s, which walks every event.  A jump
+needs equal canonical forms besides equal fingerprints: the last tests
+give ``_Periods`` states whose fingerprints match and whose forms do
+not, in one run and across two.
 """
 
 from __future__ import annotations
@@ -16,10 +19,14 @@ import pytest
 from hypothesis import given, settings
 
 from repro.accel.accelerator import SpeedLLMAccelerator
-from repro.accel.config import AcceleratorConfig
-from repro.accel.pipeline import PipelineExecutor, StepResult
+from repro.accel.config import AcceleratorConfig, BufferConfig
+from repro.accel.memory_manager import BufferPool
+from repro.accel.pipeline import _ROOT, PipelineExecutor, StepResult, _Periods
 from repro.accel.variants import PAPER_VARIANTS
+from repro.fpga.hbm import MemorySystemModel
+from repro.fpga.u280 import u280
 from repro.llama.config import preset
+from repro.sim.stats import RunCounters
 
 from .kernel_oracle import KernelExecutor
 from .strategies import periodic_sequence_cases
@@ -101,3 +108,50 @@ def test_a_run_on_another_configuration_follows_nothing():
     executor.config = other = config.replace(
         buffers=replace(config.buffers, reuse_flush_cycles=24))
     assert executor.run(second) == PipelineExecutor(other, timing.platform).run(second)
+
+
+# ----------------------------------------------------------------------
+# The canonical form decides
+# ----------------------------------------------------------------------
+#: One packet signature, repeated: any two stretches of packets agree.
+_SIGNATURES = [(64, 7, 0, True, False)] * 40
+
+
+def _periods(reference=None):
+    platform = u280(n_hbm_channels=2)
+    return _Periods(list(_SIGNATURES), [], MemorySystemModel(platform.hbm, platform.clock_hz),
+                    BufferPool(BufferConfig(), reuse=True), RunCounters(),
+                    {"load": 0, "mpe": 0, "sfu": 0, "store": 0}, reference)
+
+
+def _live(floor, back):
+    """One live key at ``floor`` caused by a key ``back`` cycles earlier.
+    A fingerprint reads only the live key's cycle; the canonical form
+    holds the cause too when it is at or after the floor (``back`` 0)."""
+    return [(floor, (floor - back, _ROOT, 0), 0)]
+
+
+@pytest.mark.parametrize("back", [0, 1], ids=["cause-in-form", "cause-before-floor"])
+def test_a_recurring_fingerprint_of_another_form_is_not_repeated(back):
+    """Two checks of one run with equal fingerprints, two packets apart,
+    with room for whole periods ahead: the run jumps only when their
+    canonical forms are equal too."""
+    periods = _periods()
+    assert periods.observe(2, 2, 10, (), _live(10, back), 0) is None
+    jump = periods.observe(4, 4, 20, (), _live(20, 1), 0)
+    assert (jump is not None) == (back == 1)
+    assert (periods.replayed > 0) == (back == 1)
+
+
+@pytest.mark.parametrize("back", [0, 1], ids=["same-form", "other-form"])
+def test_the_previous_runs_fingerprint_of_another_form_is_not_followed(back):
+    """A run meeting a state of the previous run's fingerprint, with the
+    same packets ahead and a later check of that run within them, follows
+    it only when their canonical forms are equal too."""
+    previous = _periods()
+    previous.observe(2, 2, 10, (), _live(10, 0), 0)
+    previous.observe(30, 30, 100, ("later",), _live(100, 5), 0)
+    periods = _periods(previous.trajectory)
+    jump = periods.observe(2, 2, 10, (), _live(10, back), 0)
+    assert (jump is not None) == (back == 0)
+    assert periods.replayed == (28 if back == 0 else 0)

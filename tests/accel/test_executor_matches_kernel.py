@@ -116,8 +116,8 @@ class TestCompiledPrograms:
         _assert_matches_kernel(config, platform, step.program)
 
 
-def _tile(compute, load=0, store=0, label="t"):
-    return TilePacket("op", ComputeUnit.MPE, load, compute, store, label=label)
+def _tile(compute, load=0, store=0):
+    return TilePacket(ComputeUnit.MPE, load, compute, store)
 
 
 class TestOperatorsWithoutPackets:
@@ -158,7 +158,7 @@ class TestLongPrograms:
         20 000-level tuple overflow the C stack.)"""
         config = AcceleratorConfig(memory_reuse=reuse)
         packets = [_tile(7 + i % 5, load=4096 if i % 3 else 0,
-                         store=64 if i % 4 == 0 else 0, label=f"t{i}")
+                         store=64 if i % 4 == 0 else 0)
                    for i in range(20_000)]
         program = Program([
             OpProgram(f"op{o}", ComputeUnit.MPE, packets[o:o + 500])

@@ -16,14 +16,14 @@ from repro.quant import QuantConfig
 class TestTilePacket:
     def test_validation(self):
         with pytest.raises(ValueError):
-            TilePacket(op_name="x", unit=ComputeUnit.MPE, load_bytes=-1,
+            TilePacket(unit=ComputeUnit.MPE, load_bytes=-1,
                        compute_cycles=1, store_bytes=0)
 
     @pytest.mark.parametrize("name", [
         "load_bytes", "compute_cycles", "store_bytes", "macs", "sfu_flops",
         "onchip_bytes", "weight_bytes", "dequant_flops", "saved_bytes"])
     def test_each_negative_count_is_named(self, name):
-        fields = dict(op_name="x", unit=ComputeUnit.MPE, load_bytes=8,
+        fields = dict(unit=ComputeUnit.MPE, load_bytes=8,
                       compute_cycles=1, store_bytes=0)
         fields[name] = -1
         with pytest.raises(ValueError, match=rf"^{name} must be >= 0$"):
@@ -32,9 +32,9 @@ class TestTilePacket:
     def test_weight_bytes_within_load_bytes(self):
         with pytest.raises(ValueError,
                            match="^weight_bytes cannot exceed load_bytes$"):
-            TilePacket(op_name="x", unit=ComputeUnit.MPE, load_bytes=8,
+            TilePacket(unit=ComputeUnit.MPE, load_bytes=8,
                        compute_cycles=1, store_bytes=0, weight_bytes=9)
-        assert TilePacket(op_name="x", unit=ComputeUnit.MPE, load_bytes=8,
+        assert TilePacket(unit=ComputeUnit.MPE, load_bytes=8,
                           compute_cycles=0, store_bytes=0,
                           weight_bytes=8).weight_bytes == 8
 
@@ -42,13 +42,13 @@ class TestTilePacket:
 class TestProgramContainers:
     def test_op_program_aggregates(self):
         packets = [
-            TilePacket(op_name="m", unit=ComputeUnit.MPE, load_bytes=100,
+            TilePacket(unit=ComputeUnit.MPE, load_bytes=100,
                        compute_cycles=10, store_bytes=4, macs=50),
-            TilePacket(op_name="m", unit=ComputeUnit.MPE, load_bytes=200,
+            TilePacket(unit=ComputeUnit.MPE, load_bytes=200,
                        compute_cycles=20, store_bytes=8, macs=70),
         ]
         op = OpProgram(op_name="m", unit=ComputeUnit.MPE, packets=packets)
-        totals = op.totals
+        totals = op.packets.totals
         assert totals.hbm_read_bytes == 300
         assert totals.hbm_write_bytes == 12
         assert totals.compute_cycles == 30
@@ -59,10 +59,10 @@ class TestProgramContainers:
     def test_program_aggregates(self):
         prog = Program()
         prog.add(OpProgram(op_name="a", unit=ComputeUnit.MPE, packets=[
-            TilePacket(op_name="a", unit=ComputeUnit.MPE, load_bytes=10,
+            TilePacket(unit=ComputeUnit.MPE, load_bytes=10,
                        compute_cycles=5, store_bytes=1, macs=2)]))
         prog.add(OpProgram(op_name="b", unit=ComputeUnit.SFU, packets=[
-            TilePacket(op_name="b", unit=ComputeUnit.SFU, load_bytes=20,
+            TilePacket(unit=ComputeUnit.SFU, load_bytes=20,
                        compute_cycles=7, store_bytes=2, sfu_flops=3)]))
         assert len(list(prog.packets())) == 2
         totals = prog.totals
@@ -117,7 +117,7 @@ class TestCompiler:
 
     def test_kv_append_stores_only_new_position(self, program, graph, small_config):
         kv = next(p for p in program.ops if p.op_name == "L0.kv_append")
-        assert kv.totals.hbm_write_bytes == 2 * small_config.kv_dim * 4
+        assert kv.packets.totals.hbm_write_bytes == 2 * small_config.kv_dim * 4
 
     def test_attention_load_grows_with_context(self, config, small_config):
         compiler = ProgramCompiler(config)
@@ -125,7 +125,7 @@ class TestCompiler:
         long = compiler.compile(build_decode_graph(small_config, 32))
 
         def attn_load(prog):
-            return sum(op.totals.hbm_read_bytes for op in prog.ops
+            return sum(op.packets.totals.hbm_read_bytes for op in prog.ops
                        if "attn_score" in op.op_name or "attn_context" in op.op_name)
 
         assert attn_load(long) > attn_load(short)

@@ -1,14 +1,22 @@
 """A step is lowered once per tiling plan, and its context only once per
-window; a slot without logits runs the same program's body.
+window; a slot without logits runs the same program's body; and an
+operator is lowered once per shape.
 
 ``StepCompiler.lower`` builds, fuses and lowers a whole step once per
 plan and, per context, only the window operators (KV append and
 attention) it splices in.  A slot without logits takes the operators up
 to the one writing ``hidden_state``.  Its oracle is the per-context
 build: the full step graph, fused when the design fuses, cut after the
-hidden state for a slot without logits, lowered by a fresh
-``ProgramCompiler``.  Every packet must be equal, whichever context the
-long-lived compiler built its template from.
+hidden state for a slot without logits, each operator lowered by a
+fresh ``ProgramCompiler`` (so no memo of one is involved).  Every packet
+and every label must be equal, whichever context the long-lived
+compiler built its template from.
+
+``ProgramCompiler`` memoises each operator shape for its lifetime: a
+long-lived compiler, shared by every model, precision and shard view of
+one design point and plan, must lower every graph as that memo-free
+lowering does, while every decoder layer's projections share one packet
+body and a classifier of hundreds of tiles holds at most three packets.
 """
 
 from __future__ import annotations
@@ -25,17 +33,18 @@ from repro.accel.config import AcceleratorConfig
 from repro.accel.instructions import Program
 from repro.accel.variants import PAPER_VARIANTS
 from repro.compile.pipeline import StepCompiler
-from repro.compile.tiling import DEFAULT_PLAN, TilingPlan
+from repro.compile.tiling import DEFAULT_PLAN, TilingPlan, candidate_plans
 from repro.fpga.u280 import u280
 from repro.graph.builder import GraphBuilder
 from repro.graph.fusion import fuse_graph
+from repro.graph.graph import Graph
 from repro.graph.ops import OpKind
 from repro.graph.sharding import ShardSpec
 from repro.llama.config import preset
 from repro.llama.quantization import QuantSpec
 from repro.quant.config import QuantConfig
 
-from .strategies import body_graph
+from .strategies import LOWERING_MODELS, body_graph
 
 
 def test_projections_are_shared_across_contexts_and_attention_is_not():
@@ -87,11 +96,17 @@ def _step_compiler(model: str, variant: str, precision: str, tp: int) -> StepCom
 _long_lived_step_compiler = functools.lru_cache(maxsize=None)(_step_compiler)
 
 
+def _without_memo(config: AcceleratorConfig, plan: TilingPlan, graph: Graph) -> Program:
+    """``graph`` lowered with no memo: each operator by a fresh compiler."""
+    return Program([ProgramCompiler(config, plan=plan)._lower_op(graph, op)
+                    for op in graph.topological_order()])
+
+
 def _per_context_build(compiler: StepCompiler, context: int, logits: bool,
                        plan: TilingPlan) -> Program:
     """The oracle: the full step graph of ``context``, fused when the
     design fuses, without the operators after the hidden state when the
-    slot wants no logits, lowered by a fresh compiler."""
+    slot wants no logits, lowered with no memo."""
     graph = GraphBuilder(compiler.model_config, shard=compiler.shard,
                          quant=compiler.config.quant,
                          ).build_decode_step(context)
@@ -99,11 +114,12 @@ def _per_context_build(compiler: StepCompiler, context: int, logits: bool,
         graph = fuse_graph(graph)
     if not logits:
         graph = body_graph(graph, compiler.model_config)
-    return ProgramCompiler(compiler.config, plan=plan).compile(graph)
+    return _without_memo(compiler.config, plan, graph)
 
 
 def _assert_same(program: Program, reference: Program) -> None:
     assert program.ops == reference.ops
+    assert program.labels() == reference.labels()
 
 
 @st.composite
@@ -152,3 +168,96 @@ def test_programs_do_not_depend_on_the_template_context(variant):
                 _assert_same(compiler.lower(context, logits),
                              _per_context_build(compiler, context, logits,
                                                 DEFAULT_PLAN))
+
+
+# ----------------------------------------------------------------------
+# One lowering per operator shape
+# ----------------------------------------------------------------------
+#: The models of the shape memo's grid: the lowering models (the
+#: test-small / test-small-mha pair among them, whose attention differs
+#: only in the cache views it reads) and stories15M.
+_SHAPE_MODELS = {**LOWERING_MODELS, "stories15M": preset("stories15M")}
+
+
+@functools.lru_cache(maxsize=None)
+def _shared_compiler(variant: str, plan: TilingPlan) -> ProgramCompiler:
+    """One long-lived compiler per design point and plan, shared by every
+    model, precision and shard view, as the memo's key must tell them
+    apart."""
+    return ProgramCompiler(AcceleratorConfig.variant(variant), plan=plan)
+
+
+def _graph(model: str, precision: str, tp: int, fused: bool, context: int,
+           logits: bool) -> Graph:
+    config = _SHAPE_MODELS[model]
+    shard = ShardSpec.from_config(config, tp) if tp > 1 else None
+    graph = GraphBuilder(config, shard=shard, quant=_PRECISIONS[precision]
+                         ).build_decode_step(context)
+    if fused:
+        graph = fuse_graph(graph)
+    return graph if logits else body_graph(graph, config)
+
+
+def _assert_shared(program: Program, graph: Graph) -> None:
+    """Layer k's projections are layer 0's packet bodies, and the
+    classifier holds at most three distinct packets."""
+    ops = {op.op_name: op for op in program.ops}
+    kinds = {op.name: op.kind for op in graph.topological_order()}
+    for name, kind in kinds.items():
+        if kind is OpKind.MATMUL and name.startswith("L") and not name.startswith("L0."):
+            assert ops[name].packets is ops["L0." + name.split(".", 1)[1]].packets
+    if "classifier" in ops:
+        assert len({id(packet) for packet in ops["classifier"].packets}) <= 3
+
+
+@st.composite
+def _shape_points(draw):
+    """A paper variant × one of its autotuner plans, then 1–4 graphs
+    lowered through that point's long-lived compiler: a model × a
+    precision × TP 1 or 2 × a context × logits on or off."""
+    variant = draw(st.sampled_from(sorted(PAPER_VARIANTS)))
+    design = AcceleratorConfig.variant(variant)
+    slots = []
+    for _ in range(draw(st.integers(1, 4))):
+        model = draw(st.sampled_from(sorted(_SHAPE_MODELS)))
+        config = _SHAPE_MODELS[model]
+        last = config.max_seq_len - 1
+        context = draw(st.integers(0, min(last, 40)) | st.just(last))
+        slots.append((model, draw(st.sampled_from(sorted(_PRECISIONS))),
+                      draw(st.sampled_from([1, 2])), context, draw(st.booleans())))
+    plans = {plan for model, *_ in slots
+             for plan in candidate_plans(design, _SHAPE_MODELS[model])}
+    plan = draw(st.sampled_from(sorted(plans, key=lambda p: p.matmul_fold)))
+    return variant, plan, slots
+
+
+def test_a_long_lived_compiler_lowers_as_each_operator_afresh():
+    # max_examples comes from the hypothesis profile: 100 by default,
+    # 400 under --hypothesis-profile=thorough (tests/conftest.py).
+    @settings(derandomize=True, deadline=None, database=None)
+    @given(_shape_points())
+    def check(point):
+        variant, plan, slots = point
+        compiler = _shared_compiler(variant, plan)
+        for model, precision, tp, context, logits in slots:
+            graph = _graph(model, precision, tp, compiler.config.operator_fusion,
+                           context, logits)
+            program = compiler.compile(graph)
+            _assert_same(program, _without_memo(compiler.config, plan, graph))
+            _assert_shared(program, graph)
+
+    check()
+
+
+@pytest.mark.parametrize("variant", sorted(PAPER_VARIANTS))
+def test_gqa_and_mha_attention_are_lowered_apart(variant):
+    """test-small and test-small-mha differ only in the cache views their
+    attention reads: one compiler lowering both, at every context, keeps
+    them apart."""
+    compiler = ProgramCompiler(AcceleratorConfig.variant(variant))
+    fused = compiler.config.operator_fusion
+    for context in range(preset("test-small").max_seq_len):
+        for model in ("test-small", "test-small-mha"):
+            graph = _graph(model, "w8", 1, fused, context, True)
+            _assert_same(compiler.compile(graph),
+                         _without_memo(compiler.config, DEFAULT_PLAN, graph))

@@ -34,8 +34,7 @@ def _run(reuse: bool, n_packets: int, compute: int, n_segments=2, flush=100,
         buffers=BufferConfig(n_segments=n_segments, segment_kb=4,
                              reuse_flush_cycles=flush),
     )
-    packets = [TilePacket("op", ComputeUnit.SFU, 0, compute, 0, label=f"t{i}")
-               for i in range(n_packets)]
+    packets = [TilePacket(ComputeUnit.SFU, 0, compute, 0)] * n_packets
     program = Program([OpProgram("op", ComputeUnit.SFU, packets)])
     return PipelineExecutor(config, u280()).run(program)
 

@@ -74,6 +74,7 @@ def test_counted_merge_matches_the_slot_walking_merge():
         expected = merge_oracle.merge_batch_programs(
             programs, config.mpe, run_ids=run_ids)
         assert merged.ops == expected.ops
+        assert merged.labels() == expected.labels()
         if len(programs) == 1:
             return
         for j, lead in enumerate(programs[0].ops):
@@ -133,6 +134,7 @@ def test_every_step_of_a_long_lived_compiler_matches_the_oracle():
             expected = merge_oracle.merge_batch_programs(
                 programs, config.mpe, run_ids=run_ids)
             assert merged.ops == expected.ops
+            assert merged.labels() == expected.labels()
             if len(programs) > 1:
                 packets = list(merged.packets())
                 reused["packets"] += sum(id(p) in built for p in packets)

@@ -26,13 +26,12 @@ class TestMPETimingModel:
         return MPETimingModel(MPEConfig(rows=16, cols=8, pipeline_depth=4))
 
     def test_split_matvec_covers_all_rows(self, mpe):
-        tiles = mpe.split_matvec(40, 64)
-        assert [t.out_rows for t in tiles] == [16, 16, 8]
-        assert all(t.in_features == 64 for t in tiles)
-        assert sum(t.macs for t in tiles) == 40 * 64
+        runs = mpe.split_matvec(40, 64)
+        assert runs == [(TileShape(16, 64), 2), (TileShape(8, 64), 1)]
+        assert sum(n * t.macs for t, n in runs) == 40 * 64
 
     def test_single_tile_when_small(self, mpe):
-        assert len(mpe.split_matvec(8, 32)) == 1
+        assert mpe.split_matvec(8, 32) == [(TileShape(8, 32), 1)]
 
     def test_tile_cycles_reduction_passes(self, mpe):
         tile = TileShape(out_rows=16, in_features=64)
@@ -40,7 +39,7 @@ class TestMPETimingModel:
 
     def test_bigger_array_is_faster(self):
         def matvec_cycles(mpe):
-            return sum(mpe.tile_cycles(t) for t in mpe.split_matvec(512, 512))
+            return sum(n * mpe.tile_cycles(t) for t, n in mpe.split_matvec(512, 512))
 
         small = MPETimingModel(MPEConfig(rows=16, cols=8))
         big = MPETimingModel(MPEConfig(rows=64, cols=32))

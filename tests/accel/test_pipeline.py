@@ -78,7 +78,7 @@ class TestStepResult:
 def _one_packet(load, compute):
     config = AcceleratorConfig(pipeline=False, hbm_stripe=1, trace_enabled=True)
     program = Program([OpProgram("x", ComputeUnit.MPE, [
-        TilePacket("x", ComputeUnit.MPE, load, compute, 0, label="x")])])
+        TilePacket(ComputeUnit.MPE, load, compute, 0)])])
     return PipelineExecutor(config, u280(n_hbm_channels=1)).run(program)
 
 

@@ -27,7 +27,7 @@ from repro.fpga.u280 import u280
 from repro.graph.ops import ComputeUnit
 
 from .kernel_oracle import trace_events
-from .strategies import accelerator_configs, periodic_cases, programs
+from .strategies import accelerator_configs, named, periodic_cases, programs
 
 
 def _transfers(n_bytes: int, stripe: int) -> int:
@@ -46,10 +46,9 @@ def _cases(draw, pipeline: bool, reuse: bool):
     platform = u280(n_hbm_channels=draw(st.sampled_from([1, 2, 4, 32])))
     stripe = min(config.hbm_stripe, platform.hbm.n_channels)
     sizes = st.sampled_from([stripe - 1, stripe, stripe + 1])
-    edge = OpProgram("edge", ComputeUnit.MPE, [
-        TilePacket("edge", ComputeUnit.MPE, load, 1, store, label=f"edge.{j}")
-        for j, (load, store) in enumerate(draw(
-            st.lists(st.tuples(sizes, sizes), min_size=1, max_size=4)))])
+    edge = named("edge", [
+        TilePacket(ComputeUnit.MPE, load, 1, store) for load, store in draw(
+            st.lists(st.tuples(sizes, sizes), min_size=1, max_size=4))])
     return config, platform, Program(program.ops + [edge])
 
 
@@ -95,7 +94,7 @@ def test_traced_stripes_are_labelled_by_their_index(stripe, load, labels):
     other stripe would be empty), every index otherwise — the stripe
     clamped to the 32 channels."""
     program = Program([OpProgram("x", ComputeUnit.MPE, [
-        TilePacket("x", ComputeUnit.MPE, load, 1, 0, label="x")])])
+        TilePacket(ComputeUnit.MPE, load, 1, 0)])])
     config = AcceleratorConfig(hbm_stripe=stripe, trace_enabled=True)
     result = PipelineExecutor(config, u280()).run(program)
     events = [event for event in trace_events(result.spans)

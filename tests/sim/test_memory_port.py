@@ -17,6 +17,7 @@ from repro.fpga.u280 import u280
 from repro.graph.ops import ComputeUnit
 from repro.sim.stats import RunCounters
 from tests.accel.kernel_oracle import MemoryPort, Trace, trace_events
+from tests.accel.strategies import named
 
 CLOCK = 225e6
 
@@ -28,17 +29,24 @@ def _port(n_channels=4, trace=None, counters=None):
     return port, counters
 
 
+class _ByName(dict):
+    """Labels where every packet is named by itself."""
+
+    def __missing__(self, packet):
+        return packet
+
+
 def _executor_transfer(n_channels=4, stripe=1, spans=None):
-    """The executor's ``transfer(n_bytes, now, label)`` over a fresh model,
-    with the stripe clamped to the channel count as ``run`` clamps it."""
+    """The executor's ``transfer(n_bytes, now, packet)`` over a fresh
+    model, with the stripe clamped to the channel count as ``run`` clamps
+    it, and each packet given as its label."""
     model = MemorySystemModel(MemorySystemSpec.u280_hbm(n_channels), CLOCK)
-    return _transfer(model, min(stripe, n_channels), spans), model
+    return _transfer(model, min(stripe, n_channels), spans, _ByName()), model
 
 
 def _run(packets, hbm_stripe=16, n_channels=32):
-    program = Program([OpProgram("x", ComputeUnit.MPE, [
-        TilePacket("x", ComputeUnit.MPE, load, 1, store, label=f"x.{j}")
-        for j, (load, store) in enumerate(packets)])])
+    program = Program([named("x", [
+        TilePacket(ComputeUnit.MPE, load, 1, store) for load, store in packets])])
     config = AcceleratorConfig(hbm_stripe=hbm_stripe, trace_enabled=True)
     return PipelineExecutor(config, u280(n_hbm_channels=n_channels)).run(program)
 
@@ -145,7 +153,7 @@ class TestMemoryPort:
         running a program again neither queues behind the last run's
         transfers nor adds to its counters."""
         program = Program([OpProgram("x", ComputeUnit.MPE, [
-            TilePacket("x", ComputeUnit.MPE, 1 << 20, 1, 0, label="x")])])
+            TilePacket(ComputeUnit.MPE, 1 << 20, 1, 0)])])
         executor = PipelineExecutor(AcceleratorConfig(), u280(n_hbm_channels=1))
         first, second = executor.run(program), executor.run(program)
         assert (first.cycles, first.counters) == (second.cycles, second.counters)
