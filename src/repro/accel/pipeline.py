@@ -66,8 +66,13 @@ run, whose packets ahead are the same, it jumps to that run's farthest
 later check those packets reach, shifted, and grows every total by what
 that run's grew on the way (see :class:`_Periods`).  Consecutive decode
 positions differ only in their attention windows, so a run mostly
-follows the previous one.  The result is the one walking every packet
-gives; ``StepResult.packets_replayed`` counts what was jumped.  A traced
+follows the previous one.  What a run reads of its packets lives on the
+operator bodies it shares with other runs — their timing signatures,
+totals, runs of one signature and transfer terms, each built once per
+body — and two runs are compared body by body before packet by packet,
+so a run pays for the operators it walks into, not for the ones it
+jumps.  The result is the one walking every packet gives;
+``StepResult.packets_replayed`` counts what was jumped.  A traced
 run (``trace_enabled``) lists every interval, as a
 :class:`~repro.obs.tracer.Span` on the ``cycles`` clock in
 ``StepResult.spans``, and neither jumps nor becomes the next run's
@@ -87,17 +92,17 @@ from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import accumulate, chain
 from operator import attrgetter
 from types import MappingProxyType
 from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from ..fpga.hbm import MemorySystemModel
 from ..fpga.u280 import FpgaPlatform
-from ..graph.ops import ComputeUnit
 from ..obs.tracer import CYCLES, Span
 from ..sim.stats import RunCounters
 from .config import AcceleratorConfig
-from .instructions import OpProgram, PacketBody, Program, TilePacket
+from .instructions import OpProgram, PacketBody, Program
 from .memory_manager import NEVER, BufferPool
 
 __all__ = ["StepResult", "PipelineExecutor", "DISPATCH_CYCLES"]
@@ -294,47 +299,39 @@ class PipelineExecutor:
         spans: Optional[List[Span]] = [] if self.config.trace_enabled else None
         hbm = MemorySystemModel(self.platform.hbm, self.platform.clock_hz)
         pool = BufferPool(self.config.buffers, reuse=self.config.memory_reuse)
-        # The packets in execution order, which of them open an operator
-        # (and pay its dispatch), their timing signatures, and the totals
-        # that depend on the packets alone — per operator, computed once.
+        # The run reads its operators' bodies: their timing signatures,
+        # totals, runs and transfer terms, each built once per body.
         ops = [op_program for op_program in program.ops if op_program.packets]
-        packets: List[TilePacket] = []
-        signatures: List[Tuple] = []
-        firsts: List[int] = []
-        for op_program in ops:
-            firsts.append(len(packets))
-            packets.extend(op_program.packets)
-            signatures.extend(op_program.packets.signatures)
+        bodies = [op_program.packets for op_program in ops]
+        stream = _Stream([body.signatures for body in bodies])
+        n_packets = stream.firsts[-1]
         (counters.int8_macs, counters.sfu_flops, counters.onchip_read_bytes,
          counters.dequant_flops, counters.quant_saved_bytes, counters.mpe_tiles,
          counters.sfu_ops, counters.hbm_read_bytes, counters.hbm_write_bytes,
          compute) = program.totals
-        counters.instructions = len(packets)
+        counters.instructions = n_packets
         counters.onchip_write_bytes = counters.onchip_read_bytes
-        opens = [False] * len(packets)
-        for first in firsts:
-            opens[first] = True
 
         # A traced run lists every interval, so it never jumps.
-        checks = [] if spans is not None else _check_points(
-            ops, firsts, self.config.buffers.n_segments)
+        checks = _NO_CHECKS if spans is not None else _Checks(
+            bodies, stream.firsts, self.config.buffers.n_segments)
         busy = {"load": 0, "mpe": 0, "sfu": 0, "store": 0}
         machine, reference = self._reference
         if spans is not None or machine != (self.config, self.platform):
             reference = None
-        periods = _Periods(signatures, checks, hbm, pool, counters, busy, reference)
+        periods = _Periods(stream, checks, hbm, pool, counters, busy, reference)
         discipline = self._run_pipelined if self.config.pipeline else self._run_sequential
         # A traced run names its intervals after the packets' labels.
         labels = None if spans is None else program.labels()
-        if labels is not None and len(labels) != len(packets):
-            raise ValueError(f"{len(labels)} labels for {len(packets)} packets")
+        if labels is not None and len(labels) != n_packets:
+            raise ValueError(f"{len(labels)} labels for {n_packets} packets")
         transfer = _transfer(hbm, min(self.config.hbm_stripe, self.platform.hbm.n_channels),
                              spans, labels)
-        end = discipline(packets, opens, transfer, pool, counters, busy, spans, labels,
+        end = discipline(stream.signatures, transfer, pool, counters, busy, spans, labels,
                          periods)
         counters.dma_transfers = hbm.total_transactions
         cycles = max([end] + [flush_end[0] for flush_end, _ in pool.flushes])
-        lower, upper = _cycle_bracket(ops, len(packets), compute, self.config, self.platform)
+        lower, upper = _cycle_bracket(ops, n_packets, compute, self.config, self.platform)
         if not lower <= cycles <= upper:
             raise RuntimeError(f"simulated {cycles} cycles outside the analytical "
                                f"bracket [{lower}, {upper}]")
@@ -355,14 +352,15 @@ class PipelineExecutor:
     # ------------------------------------------------------------------
     # Sequential (unoptimized) discipline
     # ------------------------------------------------------------------
-    def _run_sequential(self, packets: Sequence[TilePacket], opens: List[bool],
-                        transfer: "_Transfer", pool: BufferPool, counters: RunCounters,
-                        busy: Dict[str, int], spans: Optional[List[Span]],
-                        labels: Optional[List[str]], periods: "_Periods") -> int:
-        """Returns the cycle of the last compute end or store completion."""
+    def _run_sequential(self, steps: Sequence[Tuple], transfer: "_Transfer",
+                        pool: BufferPool, counters: RunCounters, busy: Dict[str, int],
+                        spans: Optional[List[Span]], labels: Optional[List[str]],
+                        periods: "_Periods") -> int:
+        """Walks the packets' timing signatures, ``steps``; returns the
+        cycle of the last compute end or store completion."""
         now = last_store = flushes_traced = 0
         k, due = 0, periods.due
-        while k < len(packets):
+        while k < len(steps):
             if k == due:
                 # The next acquire applies every release before ``now``
                 # anyway; applied here, the state holds no past.
@@ -373,8 +371,8 @@ class PipelineExecutor:
                 due = periods.next_check(k)
                 if jump is not None:
                     continue  # the jump may have reached the end
-            packet, opens_operator = packets[k], opens[k]
-            if opens_operator:
+            load, compute, store, mpe, opens = steps[k]
+            if opens:
                 now += DISPATCH_CYCLES
             # One requester: a release on the cycle of the request is as
             # good as one before it, so keys are bare ``(cycle,)`` tuples.
@@ -388,22 +386,22 @@ class PipelineExecutor:
             # read: the sequential controller has a single outstanding
             # request, so it is exposed to the full access latency of
             # every transfer.
-            if packet.load_bytes:
-                loaded = transfer(packet.load_bytes, now, k)
+            if load:
+                loaded = transfer(load, now, k)
                 busy["load"] += loaded - now
                 now = loaded
             # compute
-            engine = "mpe" if packet.unit is ComputeUnit.MPE else "sfu"
+            engine = "mpe" if mpe else "sfu"
             start = now
-            now += packet.compute_cycles
-            busy[engine] += packet.compute_cycles
+            now += compute
+            busy[engine] += compute
             if spans is not None:
                 spans.append(_span(engine, labels[k], start, now))
             # write back: stores are posted (the controller does not wait
             # for the write acknowledgement), but the staging segment is
             # only recycled once the data has left it.
-            if packet.store_bytes:
-                stored = transfer(packet.store_bytes, now, k)
+            if store:
+                stored = transfer(store, now, k)
                 busy["store"] += stored - now
                 last_store = max(last_store, stored)
                 pool.release((stored,))
@@ -418,12 +416,13 @@ class PipelineExecutor:
     # ------------------------------------------------------------------
     # Pipelined (data-stream parallel) discipline
     # ------------------------------------------------------------------
-    def _run_pipelined(self, packets: Sequence[TilePacket], opens: List[bool],
-                       transfer: "_Transfer", pool: BufferPool, counters: RunCounters,
-                       busy: Dict[str, int], spans: Optional[List[Span]],
-                       labels: Optional[List[str]], periods: "_Periods") -> int:
-        """Returns the cycle of the last compute end or store completion."""
-        n_packets = len(packets)
+    def _run_pipelined(self, steps: Sequence[Tuple], transfer: "_Transfer",
+                       pool: BufferPool, counters: RunCounters, busy: Dict[str, int],
+                       spans: Optional[List[Span]], labels: Optional[List[str]],
+                       periods: "_Periods") -> int:
+        """Walks the packets' timing signatures, ``steps``; returns the
+        cycle of the last compute end or store completion."""
+        n_packets = len(steps)
         due = periods.due
         # Keys, per packet j — granted[j]: the loader holds j's segment and
         # issues its read; loaded[j]: that read completes; asks[j]: the
@@ -458,7 +457,7 @@ class PipelineExecutor:
                         request = (asks[i - 3][0], asks[i - 3], 0)
                 # Instruction dispatch for a new operator happens in the
                 # front-end and briefly stalls the fetch stage.
-                if opens[i]:
+                if steps[i][4]:
                     request = (request[0] + DISPATCH_CYCLES, request, 0)
             if computed is None and k < i:
                 # The compute stage has packet k once it has asked for it
@@ -471,7 +470,7 @@ class PipelineExecutor:
                 else:
                     start, cause = loaded[k][0], loaded[k]
                     counters.memory_stall_cycles += start - ready[0]
-                computed = (start + packets[k].compute_cycles, cause, 0)
+                computed = (start + steps[k][1], cause, 0)
                 turn = (computed[0], computed, 0)
             if grant is None and request is not None and request < turn:
                 # Releases before the writer's next turn are all posted.
@@ -485,10 +484,10 @@ class PipelineExecutor:
                 # itself.  Together with the depth-2 streams this keeps
                 # several memory requests outstanding, which is what hides
                 # the HBM access latency ("data stream parallelism").
-                packet = packets[i]
+                load = steps[i][0]
                 arrives = grant[0]
-                if packet.load_bytes:
-                    arrives = transfer(packet.load_bytes, grant[0], i)
+                if load:
+                    arrives = transfer(load, grant[0], i)
                     if spans is not None:
                         tag(grant)
                 granted.append(grant)
@@ -496,19 +495,19 @@ class PipelineExecutor:
                 i += 1
                 request = grant = None
                 continue
-            packet = packets[k]
-            if packet.load_bytes:
+            load, compute, store, mpe, _ = steps[k]
+            if load:
                 busy["load"] += start - granted[k][0]
-            engine = "mpe" if packet.unit is ComputeUnit.MPE else "sfu"
-            busy[engine] += packet.compute_cycles
+            engine = "mpe" if mpe else "sfu"
+            busy[engine] += compute
             if spans is not None:
                 spans.append(_span(engine, labels[k], start, computed[0]))
                 tag(computed)
             # Write-back is fire-and-forget: the store is issued and the
             # buffer segment is released when the memory system confirms
             # it, so small result slices never stall the compute stage.
-            if packet.store_bytes:
-                stored = transfer(packet.store_bytes, computed[0], k)
+            if store:
+                stored = transfer(store, computed[0], k)
                 busy["store"] += stored - computed[0]
                 last_store = max(last_store, stored)
                 pool.release((stored, turn, 0))
@@ -588,26 +587,66 @@ def _transfer(model: MemorySystemModel, stripe: int, spans: Optional[List[Span]]
     return transfer
 
 
-def _check_points(ops: Sequence[OpProgram], firsts: Sequence[int],
-                  n_segments: int) -> List[int]:
-    """The packet boundaries at which a jump is possible, in order: inside
-    a run of one signature every ``n_segments``-th packet (a no-reuse
-    pool's flush cycle) while two such strides remain, and the first
+class _Checks:
+    """The packet boundaries at which a run may jump, found as the run
+    reaches them: inside a run of one signature every ``n_segments``-th
+    packet (a no-reuse pool's flush cycle) while two such strides remain
+    — read off the body's :attr:`~PacketBody.runs` — and the first
     packet of an operator whose sequence of operator signatures repeats
-    for one more full period from there."""
-    points = set()
-    for first, op_program in zip(firsts, ops):
-        for start, length in op_program.packets.runs:
-            start += first
-            points.update(range(start, start + length - 2 * n_segments + 1, n_segments))
-    signatures = [op_program.packets.signature for op_program in ops]
-    following: Dict[int, int] = {}
-    for o in range(len(ops) - 1, -1, -1):
-        later = following.get(signatures[o])
-        following[signatures[o]] = o
-        if later is not None and signatures[o:later] == signatures[later:2 * later - o]:
-            points.add(firsts[o])
-    return sorted(points)
+    for one more full period from there.  A run asks only about the
+    operators it walks into, not the ones it jumps over."""
+
+    def __init__(self, bodies: Sequence[PacketBody], firsts: Sequence[int],
+                 n_segments: int) -> None:
+        self.bodies = bodies
+        self.firsts = firsts
+        self.n_segments = n_segments
+        self.signatures = [body.signature for body in bodies]
+
+    def after(self, k: int) -> int:
+        """The first check after packet boundary ``k`` (-1 if none is left)."""
+        bodies, firsts, step = self.bodies, self.firsts, self.n_segments
+        o = max(bisect_right(firsts, k) - 1, 0)
+        while o < len(bodies):
+            first = firsts[o]
+            if first > k and self._repeats(o):
+                return first
+            for start, length in bodies[o].runs:
+                start += first
+                point = start if start > k else k + step - (k - start) % step
+                if point <= start + length - 2 * step:
+                    return point
+            o += 1
+        return -1
+
+    def _repeats(self, o: int) -> bool:
+        """Whether the operator signatures from ``o`` repeat for one more
+        full period, to the next operator of ``o``'s signature."""
+        signatures = self.signatures
+        try:
+            later = signatures.index(signatures[o], o + 1)
+        except ValueError:
+            return False
+        return signatures[o:later] == signatures[later:2 * later - o]
+
+
+#: What a traced run checks: nothing.
+_NO_CHECKS = _Checks((), (0,), 1)
+
+
+class _Stream:
+    """A run's packets as the bodies it shares: ``parts`` holds each
+    non-empty operator's :attr:`~PacketBody.signatures` (one tuple per
+    body, so two runs sharing a body share its tuple), ``signatures``
+    is them end to end — all the walk reads of the packets — and
+    ``firsts`` where each operator's packets begin, then their number."""
+
+    __slots__ = ("parts", "firsts", "signatures")
+
+    def __init__(self, parts: Sequence[Tuple]) -> None:
+        self.parts = parts
+        self.firsts = list(accumulate(map(len, parts), initial=0))
+        self.signatures = list(chain.from_iterable(parts))
 
 
 class _Jump(NamedTuple):
@@ -661,12 +700,13 @@ class _Periods:
     * **The previous untraced run** (``_follow``, tried first): the
       executor's reference :class:`_Trajectory`, its check with the
       fingerprint nearest the same packet boundary.  Its packets and
-      this run's, from the two checks on, are compared in doubling then
-      bisected slices (:func:`_agree`); the run jumps to the reference's
-      farthest later check whose reach lies inside the agreeing stretch,
-      shifted by the two floors' difference, with every total grown by
-      what the reference's grew between the two checks.  Only then are
-      the forms compared, once per jump.
+      this run's, from the two checks on, are compared body by body,
+      then in doubling and bisected slices (:func:`_agree`); the run
+      jumps to the reference's farthest later check whose reach lies
+      inside the agreeing stretch, shifted by the two floors'
+      difference, with every total grown by what the reference's grew
+      between the two checks.  Only then are the forms compared, once
+      per jump.
 
     A jump lands on a rebuilt state (:meth:`_jump`): the target's
     canonical nodes at the new floor (:func:`_rebuild`), the pool's counts
@@ -674,24 +714,23 @@ class _Periods:
     taken up there, and the flushes started on the way copied, shifted.
     """
 
-    def __init__(self, signatures: List[Tuple], checks: List[int], model: MemorySystemModel,
+    def __init__(self, stream: _Stream, checks: _Checks, model: MemorySystemModel,
                  pool: BufferPool, counters: RunCounters, busy: Dict[str, int],
                  reference: Optional["_Trajectory"]) -> None:
-        self.signatures = signatures
+        self.stream = stream
         self.checks = checks
         self.model = model
         self.pool = pool
         self.counters = counters
         self.busy = busy
         self.reference = reference
-        self.trajectory = _Trajectory(signatures, pool.flushes)
+        self.trajectory = _Trajectory(stream, pool.flushes)
         self.replayed = 0
         self.due = self.next_check(-1)
 
     def next_check(self, k: int) -> int:
         """The first check after packet boundary ``k`` (-1 if none is left)."""
-        at = bisect_right(self.checks, k)
-        return self.checks[at] if at < len(self.checks) else -1
+        return self.checks.after(k)
 
     def observe(self, k: int, reach: int, floor: int, flags: Tuple, live: List[Tuple],
                 last_store: int) -> Optional[_Jump]:
@@ -721,7 +760,7 @@ class _Periods:
         if at is None:
             return None
         start = reference.records[at]
-        agree = _agree(self.signatures, current.k, reference.signatures, start.k)
+        agree = _agree(self.stream, current.k, reference.stream, start.k)
         end = bisect_left(reference.records, start.k + agree, at + 1,
                           key=attrgetter("reach")) - 1
         if end <= at or start.form != current.form:
@@ -739,7 +778,7 @@ class _Periods:
         # the one ``period`` before it — checked before the (dearer)
         # canonical forms, as most recurrences have no room to jump.
         period = current.k - record.k
-        agree = _agree(self.signatures, current.k, self.signatures, record.k)
+        agree = _agree(self.stream, current.k, self.stream, record.k)
         repeats = (current.k + agree - 1 - current.reach) // period
         if repeats < 1 or record.form != current.form:
             return None
@@ -790,11 +829,30 @@ def _growth(before: Tuple[int, ...], after: Tuple[int, ...], times: int) -> List
     return [times * (b - a) for a, b in zip(before, after)]
 
 
-def _agree(a: Sequence, i: int, b: Sequence, j: int) -> int:
+def _agree(a: _Stream, i: int, b: _Stream, j: int) -> int:
+    """The first ``d >= 0`` with packet ``i + d`` of ``a`` and ``j + d`` of
+    ``b`` timed differently, or where either ends.  Where the two sit at
+    one offset of their parts — at the start of both, or inside one body
+    — the rest of that body agrees without a look, and whole parts are
+    compared next (one body, one object: ``is`` decides); packets are
+    compared from the first part that differs.  ``a`` and ``b`` may be
+    one stream (a period's repeat: ``j = i - period``)."""
+    x = bisect_right(a.firsts, i) - 1
+    y = bisect_right(b.firsts, j) - 1
+    at = i - a.firsts[x]
+    if at == j - b.firsts[y] and (at == 0 or a.parts[x] is b.parts[y]):
+        if at:
+            x, y = x + 1, y + 1
+        parts = _common(a.parts, x, b.parts, y)
+        x, y = a.firsts[x + parts], b.firsts[y + parts]
+        return x - i + _common(a.signatures, x, b.signatures, y)
+    return _common(a.signatures, i, b.signatures, j)
+
+
+def _common(a: Sequence, i: int, b: Sequence, j: int) -> int:
     """The first ``d >= 0`` with ``a[i + d] != b[j + d]``, or where either
     ends: slices of doubling length compared whole, then the first that
-    differs bisected.  ``a`` and ``b`` may be one list (a period's
-    repeat: ``j = i - period``)."""
+    differs bisected."""
     n = min(len(a) - i, len(b) - j)
     end, step = 0, 1
     while end < n:
@@ -877,11 +935,11 @@ def _rebuild(shape: Sequence[Tuple], floor: int) -> List[Tuple]:
 @dataclass
 class _Trajectory:
     """What an untraced run saw at its checks, in order, kept as the next
-    run's reference: its packets' signatures, its pool's flushes, its
-    records (their reaches never fall) and where each fingerprint was
-    seen."""
+    run's reference: its packets (as the bodies' signatures), its pool's
+    flushes, its records (their reaches never fall) and where each
+    fingerprint was seen."""
 
-    signatures: List[Tuple]
+    stream: _Stream
     flushes: List[Tuple[Tuple, int]]
     records: List[_Record] = field(default_factory=list)
     index: Dict[Tuple, List[int]] = field(default_factory=dict)

@@ -12,14 +12,18 @@ and a context is paid for only where it changes the step:
   :meth:`~repro.accel.compiler.ProgramCompiler.compile`.  Only the
   window operators — each layer's KV append and attention, and a fused
   region holding one — depend on the context; they mark the template's
-  slots.  The template also records its *body*: the operators up to the
-  one writing :func:`~repro.graph.builder.hidden_state`;
+  slots.  Nor do they depend on their layer: every layer's window
+  lowers to layer 0's packets (the template refuses a graph whose
+  layers differ), so each slot records the layer-0 operator at its
+  place.  The template also records its *body*: the operators up to
+  the one writing :func:`~repro.graph.builder.hidden_state`;
 * :meth:`StepCompiler.lower` memoises the program of one
-  ``(context_len, plan)``: it builds and fuses only that context's
-  window operators, tiles them, and splices them into the template's
-  slots.  The program equals lowering the whole step graph built at
-  that context.  A slot without logits runs the program's body, the
-  same operator programs cut before the final norm and classifier;
+  ``(context_len, plan)``: it builds and fuses only layer 0's window
+  operators at that context, tiles them, and stamps their packets into
+  every layer's slots under the slots' own names.  The program equals
+  lowering the whole step graph built at that context.  A slot without
+  logits runs the program's body, the same operator programs cut
+  before the final norm and classifier;
 * :meth:`StepCompiler.compile_step` memoises a whole step in the LRU
   :class:`~repro.compile.cache.CompileCache`, keyed by the bucketed
   composition: each slot's program, merged into the batched
@@ -43,7 +47,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from ..accel.batching import block_padded_context, merge_batch_programs
 from ..accel.config import AcceleratorConfig
@@ -125,15 +129,20 @@ class _Template:
 
     A window operator's program depends on its context; every other
     operator's does not, and neither does the topological order, which
-    only the graph's structure decides.  So the programs of any context
-    are these, with that context's window lowered into the slots.
+    only the graph's structure decides.  Nor do a window operator's
+    packets depend on its layer: every layer's window lowers to layer
+    0's packets, and only the names its packets are labelled by differ,
+    which the context does not change.  So the programs of any context
+    are these, with the packets of that context's layer-0 window stamped
+    into every layer's slots, each slot keeping its own name and naming.
     """
 
     tiler: ProgramCompiler
     ops: Tuple[OpProgram, ...]
-    #: ``(index into ops, operator name)`` of every window operator.
+    #: ``(index into ops, the layer-0 window operator at its place)`` of
+    #: every window operator, layer 0's own among them.
     slots: Tuple[Tuple[int, str], ...]
-    #: Specs of the tensors the window operators read from the rest.
+    #: Specs of the tensors layer 0's window operators read from the rest.
     boundary: Dict[str, TensorSpec]
     #: How many of ``ops`` a slot without logits runs: up to and
     #: including the operator that writes the hidden state.
@@ -141,24 +150,46 @@ class _Template:
 
     @classmethod
     def lower(cls, graph: Graph, tiler: ProgramCompiler, hidden: str) -> _Template:
+        """Lower ``graph`` and mark its window operators' slots.  Raises
+        ``ValueError`` unless every layer's window operators are layer
+        0's in number, kinds, members and packets."""
         order = graph.topological_order()
-        slots = [(index, op) for index, op in enumerate(order)
-                 if _WINDOW_KINDS.intersection(op.member_kinds())]
-        produced = {t for _, op in slots for t in op.outputs}
-        boundary = {t: graph.tensors[t] for _, op in slots for t in op.inputs
+        ops = tuple(tiler.compile(graph).ops)
+        windows: Dict[object, List[int]] = {}
+        for index, op in enumerate(order):
+            if _WINDOW_KINDS.intersection(op.member_kinds()):
+                windows.setdefault(op.attributes.get("layer"), []).append(index)
+        stamp = windows.get(0)
+        if stamp is None:
+            raise ValueError(f"graph {graph.name!r} has no layer-0 window operators")
+        slots = []
+        for layer, indices in windows.items():
+            if len(indices) != len(stamp):
+                raise ValueError(f"layer {layer} of {graph.name!r} has {len(indices)} "
+                                 f"window operators, layer 0 has {len(stamp)}")
+            for index, place in zip(indices, stamp):
+                op, like = order[index], order[place]
+                if (op.kind, op.member_kinds()) != (like.kind, like.member_kinds()) \
+                        or ops[index].packets is not ops[place].packets:
+                    raise ValueError(f"window operator {op.name!r} of {graph.name!r} is "
+                                     f"not layer 0's {like.name!r} in kinds, members or "
+                                     f"packets")
+                slots.append((index, like.name))
+        produced = {t for place in stamp for t in order[place].outputs}
+        boundary = {t: graph.tensors[t] for place in stamp for t in order[place].inputs
                     if t not in produced}
         body = next(index for index, op in enumerate(order)
                     if hidden in op.outputs) + 1
-        return cls(tiler, tuple(tiler.compile(graph).ops),
-                   tuple((index, op.name) for index, op in slots),
-                   boundary, body)
+        return cls(tiler, ops, tuple(slots), boundary, body)
 
     def splice(self, window: Graph) -> Program:
-        """The program of the step whose window operators are ``window``'s."""
-        lowered = {op.op_name: op for op in self.tiler.compile(window).ops}
+        """The program of the step whose layer-0 window operators are
+        ``window``'s."""
+        lowered = {op.op_name: op.packets for op in self.tiler.compile(window).ops}
         ops = list(self.ops)
         for index, name in self.slots:
-            ops[index] = lowered[name]
+            op = ops[index]
+            ops[index] = OpProgram(op.op_name, op.unit, lowered[name], op.naming)
         return Program(ops)
 
 
@@ -209,8 +240,9 @@ class StepCompiler:
         plan: TilingPlan = DEFAULT_PLAN,
     ) -> Program:
         """The tile program of one slot shape under ``plan``: the
-        template's programs with this context's window spliced in, or,
-        for a slot without logits, the body of that program."""
+        template's programs with this context's layer-0 window stamped
+        into every layer, or, for a slot without logits, the body of that
+        program."""
         key = (context_len, plan)
         program = self._programs.get(key)
         if program is None:

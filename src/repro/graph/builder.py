@@ -182,25 +182,26 @@ class GraphBuilder:
         return g
 
     def build_window(self, context_len: int, boundary: Mapping[str, TensorSpec]) -> Graph:
-        """Build the operators of one decode step that follow its KV window.
+        """Build layer 0's operators that follow the KV window of one
+        decode step.
 
-        These are every layer's KV append and attention over
-        ``context_len + 1`` positions: the operators
-        :meth:`build_decode_step` emits through :meth:`_attention_window`,
-        with the same names, costs and attributes.  ``boundary`` holds the
-        specs of the tensors they read from the rest of the step (each
-        layer's ``q_rot``, ``k_rot`` and ``v``).  The graph is named as
+        These are layer 0's KV append and attention over ``context_len +
+        1`` positions: the operators :meth:`build_decode_step` emits for
+        it through :meth:`_attention_window`, with the same names, costs
+        and attributes.  Every layer's window operators differ from layer
+        0's only in their names and ``layer`` attribute, so one layer is
+        what a context changes; the step compiler lowers it and stamps its
+        packets into every layer.  ``boundary`` holds the specs of the
+        tensors they read from the rest of the step (layer 0's ``q_rot``,
+        ``k_rot`` and ``v``).  The graph is named as
         :meth:`build_decode_step` names the step.
         """
         self._check_context(context_len)
         g = Graph(name=self._step_name(context_len))
         for spec in boundary.values():
             g.add_tensor(spec)
-        tensor = partial(_tensor, g)
-        for layer in range(self.config.n_layers):
-            p = f"L{layer}."
-            self._attention_window(g, tensor, layer, context_len + 1,
-                                   p + "q_rot", p + "k_rot", p + "v")
+        self._attention_window(g, partial(_tensor, g), 0, context_len + 1,
+                               "L0.q_rot", "L0.k_rot", "L0.v")
         return g
 
     # ------------------------------------------------------------------

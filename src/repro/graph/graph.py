@@ -9,7 +9,7 @@ scheduler, fusion pass and compiler need.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Set
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from .ops import Operator, TensorSpec
 
@@ -25,8 +25,12 @@ class Graph:
     """A directed acyclic dataflow graph of :class:`Operator` nodes.
 
     Operators are kept in insertion order, which for graphs produced by
-    the builder is already a valid topological order; :meth:`topological_order`
-    recomputes one from scratch and is used to validate that property.
+    the builder (fused or not) is already a valid topological order.
+    :meth:`topological_order` derives Kahn's order, and with it the
+    graph's acyclicity, once per structure: the order is kept with the
+    producer/consumer indices, and :meth:`add_operator`, the one way an
+    operator enters the graph, drops it.  Validating, fusing and lowering
+    one graph therefore order it once.
     """
 
     name: str = "graph"
@@ -38,6 +42,9 @@ class Graph:
         default_factory=dict, init=False, repr=False, compare=False)
     _consumers: Dict[str, List[Operator]] = field(
         default_factory=dict, init=False, repr=False, compare=False)
+    # Kahn's order of the operators, once derived; None until then
+    _order: Optional[Tuple[Operator, ...]] = field(
+        default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         for op in self.operators.values():
@@ -81,6 +88,7 @@ class Graph:
                 )
         self.operators[op.name] = op
         self._index(op)
+        self._order = None
         return op
 
     # ------------------------------------------------------------------
@@ -143,13 +151,20 @@ class Graph:
     # Validation / ordering
     # ------------------------------------------------------------------
     def topological_order(self) -> List[Operator]:
-        """Return a topological ordering (Kahn's algorithm).
+        """Return a topological ordering (Kahn's algorithm), as a new list:
+        derived on the first call after the graph last gained an operator,
+        and kept until it gains another.
 
         Raises
         ------
         GraphValidationError
             If the graph contains a cycle.
         """
+        if self._order is None:
+            self._order = self._kahn()
+        return list(self._order)
+
+    def _kahn(self) -> Tuple[Operator, ...]:
         indegree: Dict[str, int] = {}
         for op in self.operators.values():
             indegree[op.name] = len(self.predecessors(op))
@@ -164,7 +179,7 @@ class Graph:
                     ready.append(succ)
         if len(order) != len(self.operators):
             raise GraphValidationError(f"graph {self.name!r} contains a cycle")
-        return order
+        return tuple(order)
 
     def validate(self) -> None:
         """Check structural invariants; raises on violation."""

@@ -21,7 +21,8 @@ from hypothesis import given, settings
 from repro.accel.accelerator import SpeedLLMAccelerator
 from repro.accel.config import AcceleratorConfig, BufferConfig
 from repro.accel.memory_manager import BufferPool
-from repro.accel.pipeline import _ROOT, PipelineExecutor, StepResult, _Periods
+from repro.accel.pipeline import (_NO_CHECKS, _ROOT, PipelineExecutor, StepResult, _Periods,
+                                  _Stream)
 from repro.accel.variants import PAPER_VARIANTS
 from repro.fpga.hbm import MemorySystemModel
 from repro.fpga.u280 import u280
@@ -119,7 +120,8 @@ _SIGNATURES = [(64, 7, 0, True, False)] * 40
 
 def _periods(reference=None):
     platform = u280(n_hbm_channels=2)
-    return _Periods(list(_SIGNATURES), [], MemorySystemModel(platform.hbm, platform.clock_hz),
+    return _Periods(_Stream([tuple(_SIGNATURES)]), _NO_CHECKS,
+                    MemorySystemModel(platform.hbm, platform.clock_hz),
                     BufferPool(BufferConfig(), reuse=True), RunCounters(),
                     {"load": 0, "mpe": 0, "sfu": 0, "store": 0}, reference)
 

@@ -15,13 +15,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.accel.config import AcceleratorConfig
-from repro.accel.pipeline import PipelineExecutor, _agree, _rebuild, _Record
+from repro.accel.pipeline import PipelineExecutor, _agree, _Checks, _rebuild, _Record, _Stream
+from repro.accel.variants import PAPER_VARIANTS
 from repro.compile.pipeline import StepCompiler
 from repro.fpga.u280 import u280
 from repro.llama.config import preset
 
 from .kernel_oracle import KernelExecutor
-from .strategies import periodic_cases
+from .strategies import periodic_cases, periodic_programs, programs
 
 
 def _facts(result):
@@ -100,25 +101,49 @@ def test_rebuilt_keys_compare_as_the_originals(keys, floor):
             assert (a < b, a == b) == (rebuilt[x] < rebuilt[y], rebuilt[x] == rebuilt[y])
 
 
-@given(st.lists(st.integers(0, 2), min_size=2, max_size=60), st.data())
-def test_the_periodicity_scan_finds_the_first_break(signatures, data):
+_CUTS = st.lists(st.integers(1, 59), max_size=12)
+
+
+def _stream(signatures, cuts, seen):
+    """``signatures`` cut into parts at ``cuts``.  Equal parts are one
+    tuple, kept in the dict ``seen``, as a run's operators of one shape
+    share one body; with ``seen`` None each part is its own tuple."""
+    bounds = sorted({cut for cut in cuts if cut < len(signatures)}) + [len(signatures)]
+    parts, start = [], 0
+    for end in bounds:
+        if end > start:
+            part = tuple(signatures[start:end])
+            parts.append(part if seen is None else seen.setdefault(part, part))
+        start = end
+    return _Stream(parts)
+
+
+@given(st.lists(st.integers(0, 2), min_size=2, max_size=60), _CUTS, st.booleans(),
+       st.data())
+def test_the_periodicity_scan_finds_the_first_break(signatures, cuts, shared, data):
     period = data.draw(st.integers(1, len(signatures) - 1))
     start = data.draw(st.integers(period, len(signatures)))
     end = start
     while end < len(signatures) and signatures[end] == signatures[end - period]:
         end += 1
-    assert start + _agree(signatures, start, signatures, start - period) == end
+    stream = _stream(signatures, cuts, {} if shared else None)
+    assert start + _agree(stream, start, stream, start - period) == end
 
 
 @given(st.lists(st.integers(0, 2), max_size=60), st.lists(st.integers(0, 2), max_size=60),
-       st.data())
-def test_the_scan_across_two_runs_finds_the_first_difference(a, b, data):
+       _CUTS, _CUTS, st.booleans(), st.data())
+def test_the_scan_across_two_runs_finds_the_first_difference(a, b, a_cuts, b_cuts, shared,
+                                                              data):
+    """Two runs cut into parts anywhere, so equal parts meet at equal and
+    at different offsets, and unequal ones at every alignment; shared or
+    not, as two runs' equal bodies are one object or two."""
     i = data.draw(st.integers(0, len(a)))
     j = data.draw(st.integers(0, len(b)))
     d = 0
     while i + d < len(a) and j + d < len(b) and a[i + d] == b[j + d]:
         d += 1
-    assert _agree(a, i, b, j) == d
+    seen = {} if shared else None
+    assert _agree(_stream(a, a_cuts, seen), i, _stream(b, b_cuts, seen), j) == d
 
 
 @pytest.fixture(scope="module")
@@ -147,3 +172,58 @@ def test_a_traced_run_walks_every_packet_to_the_same_numbers(stories_step):
     assert _facts(traced) == _facts(untraced)
     assert len(traced.spans) > untraced.counters.instructions
     assert untraced.spans is None
+
+
+# ----------------------------------------------------------------------
+# Check points, kept per body and found as a run reaches them
+# ----------------------------------------------------------------------
+def _check_points_oracle(bodies, n_segments):
+    """Every check point of a run, derived from its packets alone: inside
+    each operator's runs of two or more equal signatures every
+    ``n_segments``-th packet while two such strides remain, and each
+    operator whose sequence of operators repeats from there for one full
+    period more."""
+    points, firsts, first = set(), [], 0
+    for body in bodies:
+        firsts.append(first)
+        start = 0
+        while start < len(body):
+            end = start
+            while end < len(body) and body.signatures[end] == body.signatures[start]:
+                end += 1
+            if end - start >= 2:
+                points.update(range(first + start, first + end - 2 * n_segments + 1, n_segments))
+            start = end
+        first += len(body)
+    ops = [body.signatures for body in bodies]
+    for o, op in enumerate(ops):
+        later = next((later for later in range(o + 1, len(ops)) if ops[later] == op), None)
+        if later is not None and ops[o:later] == ops[later:2 * later - o]:
+            points.add(firsts[o])
+    return sorted(points)
+
+
+def _assert_checks_match_the_oracle(program, n_segments, asked_from):
+    bodies = [op.packets for op in program.ops if op.packets]
+    checks = _Checks(bodies, _Stream([body.signatures for body in bodies]).firsts, n_segments)
+    points = _check_points_oracle(bodies, n_segments)
+    for k in asked_from:
+        assert checks.after(k) == next((point for point in points if point > k), -1)
+
+
+@given(st.one_of(periodic_programs(), programs()), st.integers(1, 8), st.data())
+def test_check_points_are_the_runs_packets_check_points(program, n_segments, data):
+    """Asked from the start, from every check on and from any boundary."""
+    n_packets = sum(len(op) for op in program.ops)
+    points = _check_points_oracle([op.packets for op in program.ops], n_segments)
+    anywhere = data.draw(st.lists(st.integers(-1, n_packets + 1), max_size=8))
+    _assert_checks_match_the_oracle(program, n_segments, [-1] + points + anywhere)
+
+
+@pytest.mark.parametrize("variant", sorted(PAPER_VARIANTS))
+def test_check_points_of_compiled_steps(variant):
+    config = AcceleratorConfig.variant(variant)
+    program = StepCompiler(preset("stories15M"), config, u280()).lower(40)
+    n_packets = sum(len(op) for op in program.ops)
+    _assert_checks_match_the_oracle(program, config.buffers.n_segments,
+                                    range(-1, n_packets + 1))

@@ -21,8 +21,10 @@ body and a classifier of hundreds of tiles holds at most three packets.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -32,10 +34,10 @@ from repro.accel.compiler import ProgramCompiler
 from repro.accel.config import AcceleratorConfig
 from repro.accel.instructions import Program
 from repro.accel.variants import PAPER_VARIANTS
-from repro.compile.pipeline import StepCompiler
+from repro.compile.pipeline import StepCompiler, _Template
 from repro.compile.tiling import DEFAULT_PLAN, TilingPlan, candidate_plans
 from repro.fpga.u280 import u280
-from repro.graph.builder import GraphBuilder
+from repro.graph.builder import GraphBuilder, hidden_state
 from repro.graph.fusion import fuse_graph
 from repro.graph.graph import Graph
 from repro.graph.ops import OpKind
@@ -168,6 +170,84 @@ def test_programs_do_not_depend_on_the_template_context(variant):
                 _assert_same(compiler.lower(context, logits),
                              _per_context_build(compiler, context, logits,
                                                 DEFAULT_PLAN))
+
+
+# ----------------------------------------------------------------------
+# One layer's window, stamped into every layer
+# ----------------------------------------------------------------------
+_WINDOW_KINDS = {OpKind.KV_APPEND, OpKind.ATTN_SCORE, OpKind.SOFTMAX, OpKind.ATTN_CONTEXT}
+
+
+@pytest.mark.parametrize("precision", ["w8", "int8-kv8"])
+@pytest.mark.parametrize("tp", [1, 2])
+@pytest.mark.parametrize("variant", sorted(PAPER_VARIANTS))
+@pytest.mark.parametrize("model", sorted(LOWERING_MODELS))
+def test_every_layer_runs_layer_0s_window(model, variant, tp, precision):
+    """A context lowers layer 0's window alone: at every context each
+    layer's window operator holds layer 0's packet body (``is``), under
+    its own name, and the program equals the per-context build, packets
+    and labels, with logits and without."""
+    config = LOWERING_MODELS[model]
+    shard = ShardSpec.from_config(config, tp) if tp > 1 else None
+    design = AcceleratorConfig.variant(variant).replace(quant=_PRECISIONS[precision])
+    compiler = StepCompiler(config, design, u280(), shard=shard)
+    last = config.max_seq_len - 1
+    for context in (last // 2, 0, 1, last):
+        graph = GraphBuilder(config, shard=shard, quant=design.quant).build_decode_step(context)
+        if design.operator_fusion:
+            graph = fuse_graph(graph)
+        window = [op.name for op in graph
+                  if _WINDOW_KINDS.intersection(op.member_kinds())]
+        assert len(window) == config.n_layers * len(
+            [name for name in window if name.replace("fused[", "").startswith("L0.")])
+        for logits in (True, False):
+            program = compiler.lower(context, logits)
+            _assert_same(program, _per_context_build(compiler, context, logits, DEFAULT_PLAN))
+            ops = {op.op_name: op for op in program.ops}
+            for name in window:
+                assert ops[name].packets is ops[re.sub(r"L\d+\.", "L0.", name)].packets
+
+
+def _unfuse_layer_1_attention(graph: Graph, unfused: Graph) -> Graph:
+    """``graph`` (fused) with layer 1's attention core as ``unfused``'s
+    three operators: one layer's window operators differ in number."""
+    out = Graph(name=graph.name, tensors={**unfused.tensors, **graph.tensors})
+    for op in graph:
+        if op.kind is OpKind.FUSED and op.name.startswith("fused[L1.attn_score"):
+            for member in op.fused_ops:
+                out.add_operator(unfused.operators[member.name])
+        else:
+            out.add_operator(op)
+    return out
+
+
+def _widen_layer_1_scores(graph: Graph) -> Graph:
+    """``graph`` with layer 1's score product over one more position than
+    the context holds: its kinds and members are layer 0's, its packets
+    are not."""
+    out = Graph(name=graph.name, tensors=dict(graph.tensors))
+    for op in graph:
+        if op.name == "L1.attn_score":
+            op = dataclasses.replace(
+                op, flops=op.flops + 2 * op.flops // op.attributes["attn_len"],
+                attributes={**op.attributes, "attn_len": op.attributes["attn_len"] + 1})
+        out.add_operator(op)
+    return out
+
+
+def test_a_model_whose_layers_differ_is_refused():
+    """The template refuses to stamp layer 0's window into a layer whose
+    window operators differ in number, or in packets."""
+    config = preset("test-micro")
+    unfused = GraphBuilder(config).build_decode_step(5)
+    fused = fuse_graph(unfused)
+    compiler = ProgramCompiler(AcceleratorConfig.variant("full"))
+    hidden = hidden_state(config)
+    _Template.lower(fused, compiler, hidden)   # alike layers pass
+    with pytest.raises(ValueError, match="layer 1 .* has 4 window operators, layer 0 has 2"):
+        _Template.lower(_unfuse_layer_1_attention(fused, unfused), compiler, hidden)
+    with pytest.raises(ValueError, match="'L1.attn_score' .* not layer 0's 'L0.attn_score'"):
+        _Template.lower(_widen_layer_1_scores(unfused), compiler, hidden)
 
 
 # ----------------------------------------------------------------------

@@ -123,8 +123,14 @@ _WINDOW_KINDS = {OpKind.KV_APPEND, OpKind.ATTN_SCORE, OpKind.SOFTMAX,
                  OpKind.ATTN_CONTEXT}
 
 
+def _layer_0_window(graph):
+    """Layer 0's window operators of a step graph, in order."""
+    return [op for op in graph
+            if op.kind in _WINDOW_KINDS and op.attributes["layer"] == 0]
+
+
 def _window_boundary(graph):
-    return {t: graph.tensor(t) for op in graph
+    return {t: graph.tensor(t) for op in _layer_0_window(graph)
             if op.kind in (OpKind.KV_APPEND, OpKind.ATTN_SCORE)
             for t in op.inputs if graph.producer_of(t).kind is not OpKind.KV_APPEND}
 
@@ -136,7 +142,10 @@ class TestBuildWindow:
         ("stories15M", 1, QuantConfig.fp32()),
         ("stories15M", 2, QuantConfig(weights=QuantSpec(4, 16), kv=QuantSpec(8, 16))),
     ])
-    def test_window_is_the_steps_window_operators(self, model, tp, quant):
+    def test_window_is_layer_0s_window_operators(self, model, tp, quant):
+        """The window is one layer's: layer 0's KV append and attention
+        operators of the step, with their names, costs and attributes,
+        over the step's tensor specs."""
         config = preset(model)
         shard = ShardSpec.from_config(config, tp) if tp > 1 else None
         builder = GraphBuilder(config, shard=shard, quant=quant)
@@ -144,8 +153,7 @@ class TestBuildWindow:
             step = builder.build_decode_step(context)
             window = builder.build_window(context, _window_boundary(step))
             assert window.name == step.name
-            assert list(window.operators.values()) == [
-                op for op in step if op.kind in _WINDOW_KINDS]
+            assert list(window.operators.values()) == _layer_0_window(step)
             assert all(step.tensor(name) == spec
                        for name, spec in window.tensors.items())
 

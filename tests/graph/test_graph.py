@@ -6,8 +6,11 @@ from collections import Counter
 
 import pytest
 
+from repro.graph.builder import build_decode_graph
+from repro.graph.fusion import fuse_graph
 from repro.graph.graph import Graph, GraphValidationError
 from repro.graph.ops import Operator, OpKind, TensorSpec
+from repro.llama.config import preset
 
 
 def _tensor(name, shape=(4,), **kw):
@@ -105,6 +108,46 @@ class TestTopologicalOrder:
 
     def test_validate_passes_on_wellformed_graph(self):
         _chain_graph().validate()
+
+    @staticmethod
+    def _fresh(g: Graph):
+        """Kahn's order of ``g``'s structure, derived by a new graph."""
+        return Graph(name=g.name, tensors=dict(g.tensors),
+                     operators=dict(g.operators)).topological_order()
+
+    @pytest.mark.parametrize("model", ["test-micro", "stories15M"])
+    @pytest.mark.parametrize("fused", [False, True], ids=["unfused", "fused"])
+    def test_kept_order_is_a_fresh_one_after_every_operator(self, model, fused):
+        """A builder graph rebuilt operator by operator, asked for its
+        order after each: the kept order is the one a new graph derives,
+        which is the insertion order."""
+        built = build_decode_graph(preset(model), 9)
+        if fused:
+            built = fuse_graph(built)
+        g = Graph(name=built.name, tensors=dict(built.tensors))
+        for op in built:
+            g.add_operator(op)
+            order = g.topological_order()
+            assert order == self._fresh(g) == list(g.operators.values())
+            assert g.topological_order() == order
+
+    def test_an_operator_added_before_its_producer_reorders(self):
+        """The consumer enters first: the order kept for one operator is
+        dropped when its producer enters."""
+        g = Graph()
+        for n in ("a", "b", "c"):
+            g.add_tensor(_tensor(n))
+        g.add_operator(Operator(name="late", kind=OpKind.SILU, inputs=["b"], outputs=["c"]))
+        assert [op.name for op in g.topological_order()] == ["late"]
+        g.add_operator(Operator(name="early", kind=OpKind.SILU, inputs=["a"], outputs=["b"]))
+        assert [op.name for op in g.topological_order()] == ["early", "late"]
+        assert g.topological_order() == self._fresh(g)
+
+    def test_a_caller_gets_its_own_list(self):
+        g = _chain_graph()
+        order = g.topological_order()
+        order.reverse()
+        assert [op.name for op in g.topological_order()] == ["op1", "op2", "op3"]
 
 
 class TestStatistics:
